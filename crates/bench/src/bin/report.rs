@@ -8,9 +8,9 @@
 //! the output means every check passed.
 //!
 //! `--json [path]` instead runs the reduced-size engine-ablation smoke
-//! (the `e12_engine`, `e13_store`, `e14_coded` and `e15_updates`
-//! shapes: reference vs. hash-join engine vs. S16 store-backed engine,
-//! coded vs. decoded, incremental apply vs. full re-registration, plus
+//! (the `e12_engine`, `e13_store` and `e15_updates` shapes: reference
+//! vs. hash-join engine vs. S16 store-backed engine, incremental apply
+//! vs. full re-registration, plus
 //! the PR 6 morsel-parallelism ablation at 1 vs. 4 worker threads) and
 //! writes the machine-readable bench record (default `BENCH_8.json`),
 //! so CI accumulates a perf data point per run. Since PR 7 the record
@@ -21,8 +21,7 @@
 //! record from the closed-loop `pgq-server` load generator
 //! (`pgq_bench::serve_mixed_load`, which also replays the load into a
 //! fresh sequential engine and panics on divergence). In optimized
-//! builds the record is additionally held to the E17 coded-execution
-//! floors (`pgq_bench::assert_coded_floors`), the E18 update floors
+//! builds the record is additionally held to the E18 update floors
 //! (`pgq_bench::assert_update_floors`), the PR 8 serve floors
 //! (`pgq_bench::assert_serve_floors`: error-free at ≥ 100 QPS with a
 //! bounded p99) and — on machines with at least 4 cores — the parallel
@@ -97,12 +96,10 @@ fn main() {
             "serve: {:.1} QPS over {} mixed requests ({} error(s))",
             serve.qps, serve.requests, serve.errors
         );
-        // Debug builds drown the representation effect in uniform
+        // Debug builds drown every measured effect in uniform
         // interpretation overhead; only optimized runs are held to the
-        // coded-vs-decoded and incremental-vs-reregister floors.
+        // floors.
         if !cfg!(debug_assertions) {
-            pgq_bench::assert_coded_floors(&entries);
-            println!("coded-execution floors hold (E17).");
             pgq_bench::assert_update_floors(&entries);
             println!("incremental-update floors hold (E18).");
             pgq_bench::assert_serve_floors(&serve);

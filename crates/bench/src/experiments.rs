@@ -68,10 +68,6 @@ pub fn full_report() -> String {
             e16_store(),
         ),
         (
-            "E17 — coded execution: dictionary codes end-to-end vs decode-at-scan",
-            e17_coded(),
-        ),
-        (
             "E18 — incremental store maintenance: apply_updates vs full re-registration",
             e18_updates(),
         ),
@@ -971,106 +967,6 @@ pub fn e16_store() -> String {
     out
 }
 
-/// E17: the coded-execution ablation (PR 4). Differential: the coded
-/// pipeline (dictionary codes through every operator, one decode at
-/// the set-semantics boundary) returns exactly the decoded PR 3
-/// store route's answers; measured: the reachability closure of the
-/// derived step relation on the grid/cycle workloads and the endpoint
-/// join on the string-valued transfers instance, coded vs. decoded.
-/// The wall-clock floors are enforced elsewhere — by
-/// `crate::perf::assert_coded_floors` in the release `report --json`
-/// bench smoke, where `BENCH_4.json` accumulates the full-size
-/// numbers; a 3-sample mean inside a test binary is too noise-prone
-/// to gate a build on a ~1.3× effect, so this experiment asserts the
-/// correctness claims only.
-pub fn e17_coded() -> String {
-    use crate::perf::{endpoint_join, mean_ns, reach_tc_plan};
-    use pgq_exec::{execute_mode, store_plan, BatchMode};
-    use pgq_store::Store;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| workload | |D| | coded = decoded = storeless | decoded (µs) | coded (µs) | speedup |\n|---|---|---|---|---|---|"
-    );
-    for (name, db) in [
-        ("reach grid 20×5", families::grid_db(20, 5)),
-        ("reach cycle 100", families::cycle_db(100)),
-        ("reach grid 40×5", families::grid_db(40, 5)),
-    ] {
-        let store = Store::from_database(&db);
-        let plan = store_plan(reach_tc_plan(&db), &store);
-        let coded = execute_mode(&plan, &db, Some(&store), BatchMode::Coded)
-            .unwrap()
-            .into_relation(Some(&store))
-            .unwrap();
-        let decoded = execute_mode(&plan, &db, Some(&store), BatchMode::Decoded)
-            .unwrap()
-            .into_relation(Some(&store))
-            .unwrap();
-        let storeless = pgq_exec::execute(&reach_tc_plan(&db), &db)
-            .unwrap()
-            .into_relation();
-        assert_eq!(coded, decoded, "{name}: coded vs decoded");
-        assert_eq!(coded, storeless, "{name}: coded vs storeless");
-        let t_decoded = mean_ns(3, || {
-            execute_mode(&plan, &db, Some(&store), BatchMode::Decoded)
-                .unwrap()
-                .into_relation(Some(&store))
-                .unwrap();
-        });
-        let t_coded = mean_ns(3, || {
-            execute_mode(&plan, &db, Some(&store), BatchMode::Coded)
-                .unwrap()
-                .into_relation(Some(&store))
-                .unwrap();
-        });
-        let speedup = t_decoded as f64 / t_coded.max(1) as f64;
-        let _ = writeln!(
-            out,
-            "| {name} | {} | ✓ | {:.1} | {:.1} | {:.2}× |",
-            db.tuple_count(),
-            t_decoded as f64 / 1_000.0,
-            t_coded as f64 / 1_000.0,
-            speedup
-        );
-    }
-    // The string-valued join: the widest representation gap (heap
-    // compares decoded, u32 compares coded).
-    let join = endpoint_join();
-    let db = transfers::canonical_transfers_db(200, 400, 1_000, 7);
-    let store = Store::from_database(&db);
-    let coded = pgq_exec::eval_ra_mode(&join, &db, &store, pgq_exec::BatchMode::Coded).unwrap();
-    assert_eq!(
-        coded,
-        pgq_exec::eval_ra_mode(&join, &db, &store, pgq_exec::BatchMode::Decoded).unwrap()
-    );
-    assert_eq!(coded, join.eval(&db).unwrap());
-    let t_decoded = mean_ns(3, || {
-        pgq_exec::eval_ra_mode(&join, &db, &store, pgq_exec::BatchMode::Decoded).unwrap();
-    });
-    let t_coded = mean_ns(3, || {
-        pgq_exec::eval_ra_mode(&join, &db, &store, pgq_exec::BatchMode::Coded).unwrap();
-    });
-    let join_speedup = t_decoded as f64 / t_coded.max(1) as f64;
-    let _ = writeln!(
-        out,
-        "| join transfers 200×400 | {} | ✓ | {:.1} | {:.1} | {:.2}× |",
-        db.tuple_count(),
-        t_decoded as f64 / 1_000.0,
-        t_coded as f64 / 1_000.0,
-        join_speedup
-    );
-    let _ = writeln!(
-        out,
-        "\nThe coded pipeline (PR 4) flows dictionary codes through every Figure 4\n\
-         operator — hash probes, selection predicates, fixpoint dedup are u32 work —\n\
-         and decodes exactly once at the set-semantics boundary. Per Gheerbrant–\n\
-         Peterfreund's model the dictionary is a bijection, so coded evaluation is\n\
-         reference evaluation; the differential suites hold all routes identical."
-    );
-    out
-}
-
 /// E18: the incremental-maintenance ablation (PR 5). Differential:
 /// applying the standard update batch through `Store::apply_updates`
 /// (append/tombstone + delta overlays, no re-validation) leaves the
@@ -1164,11 +1060,6 @@ mod tests {
     #[test]
     fn e18_runs() {
         assert!(e18_updates().contains('✓'));
-    }
-
-    #[test]
-    fn e17_runs() {
-        assert!(e17_coded().contains('✓'));
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub mod serve;
 
 pub use experiments::full_report;
 pub use perf::{
-    assert_coded_floors, assert_metrics_overhead, assert_parallel_floors, assert_update_floors,
-    canonical_store, coded_suite, engine_suite, full_suite, parallel_suite, profile_records,
-    store_suite, to_json, to_json_with_profiles, update_suite,
+    assert_metrics_overhead, assert_parallel_floors, assert_update_floors, canonical_store,
+    coded_suite, engine_suite, full_suite, parallel_suite, profile_records, store_suite, to_json,
+    to_json_with_profiles, update_suite,
 };
 pub use planner::{assert_planner_floors, planner_suite, to_json_with_planner, PlannerPoint};
 pub use scaling::{

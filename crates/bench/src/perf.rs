@@ -2,15 +2,17 @@
 //! (`BENCH_2.json` through `BENCH_8.json`).
 //!
 //! `cargo run --release -p pgq-bench --bin report -- --json [path]`
-//! runs a reduced-size engine-ablation suite (the `e12_engine`,
-//! `e13_store` and `e14_coded` Criterion benches' shapes at
-//! CI-friendly sizes) and serializes `bench name → { mean ns, input
+//! runs a reduced-size engine-ablation suite (the `e12_engine` and
+//! `e13_store` Criterion benches' shapes at CI-friendly sizes) and serializes `bench name → { mean ns, input
 //! size }`, so the perf trajectory accumulates a data point per PR
 //! instead of living only in bench logs. `BENCH_2.json` (committed
 //! with PR 2) records the hash-join engine against the reference;
 //! `BENCH_3.json` adds the S16 store-backed route ([`store_suite`]);
-//! `BENCH_4.json` adds the coded-vs-decoded execution ablation
-//! ([`coded_suite`], experiment E17); `BENCH_5.json` adds the
+//! `BENCH_4.json` added the coded-vs-decoded execution ablation
+//! (experiment E17 — it keeps the historical numbers; the decoded arm
+//! was deleted with the executor's second pipeline, and
+//! [`coded_suite`] still records the surviving `*_coded` keys);
+//! `BENCH_5.json` adds the
 //! incremental-update ablation ([`update_suite`], E18);
 //! `BENCH_6.json` adds the morsel-parallelism ablation
 //! ([`parallel_suite`], 1 vs. 4 worker threads); `BENCH_7.json` nests
@@ -21,8 +23,8 @@
 
 use pgq_core::{builders, eval_with, eval_with_store, EvalConfig, Query};
 use pgq_exec::{
-    execute_mode, execute_opts, execute_profiled, plan_ra, store_plan, BatchMode, ExecOptions,
-    JsonWriter, PhysPlan, QueryProfile,
+    execute_opts, execute_profiled, plan_ra, store_plan, ExecOptions, JsonWriter, PhysPlan,
+    QueryProfile,
 };
 use pgq_relational::{Database, RaExpr, RelName, RowCondition};
 use pgq_store::{GraphForm, Store};
@@ -238,16 +240,15 @@ pub fn store_suite(scale: usize) -> Vec<BenchEntry> {
     out
 }
 
-/// The reachability plan of the coded-vs-decoded ablation: the
+/// The reachability plan of the coded-pipeline benches: the
 /// transitive closure of the *derived* step relation
 /// `π_{$2,$4}(σ_{$1=$3}(S × T))` over a canonical graph database —
 /// the FO\[TC\]-style pipeline every layer of the engine participates
 /// in. The optimizer turns the step into a hash join (the store pass
 /// then into a CSR `AdjacencyExpand`) with an explicit `Distinct`, and
 /// the closure runs on the general semi-naive fixpoint, so the
-/// ablation exercises coded scans, expansion, projection, dedup and
-/// fixpoint accumulation — per-tuple `u32` work coded vs. per-tuple
-/// `Value` work decoded.
+/// shape exercises coded scans, expansion, projection, dedup and
+/// fixpoint accumulation.
 pub fn reach_tc_plan(db: &Database) -> PhysPlan {
     let step = plan_ra(&endpoint_join(), &db.schema()).expect("canonical schema has S/T");
     PhysPlan::Fixpoint {
@@ -258,12 +259,10 @@ pub fn reach_tc_plan(db: &Database) -> PhysPlan {
     }
 }
 
-/// The E17 coded-execution ablation (`BENCH_4.json`): the
-/// reachability closure over the grid/cycle workloads and the endpoint
-/// join over the (string-valued) transfers instance, each through the
-/// store-backed engine in both representations —
-/// `*_coded` (dictionary codes end-to-end, one decode at the result
-/// boundary) vs. `*_decoded` (the PR 3 decode-at-scan route).
+/// The coded-pipeline benches (the surviving arm of the E17 ablation,
+/// `BENCH_4.json`): the reachability closure over the grid/cycle
+/// workloads and the endpoint join over the (string-valued) transfers
+/// instance, each through the store-backed engine.
 pub fn coded_suite(scale: usize) -> Vec<BenchEntry> {
     let scale = scale.max(1);
     let mut out = Vec::new();
@@ -279,39 +278,31 @@ pub fn coded_suite(scale: usize) -> Vec<BenchEntry> {
             10,
         ),
     ];
+    let opts = ExecOptions::default();
     for (name, db, iters) in &instances {
-        let size = db.tuple_count();
         let store = Store::from_database(db);
         let plan = store_plan(reach_tc_plan(db), &store);
-        for (mode_name, mode) in [("coded", BatchMode::Coded), ("decoded", BatchMode::Decoded)] {
-            out.push(BenchEntry {
-                name: format!("reach_store_{mode_name}/{name}"),
-                input_size: size,
-                mean_ns: mean_ns(*iters, || {
-                    execute_mode(&plan, db, Some(&store), mode)
-                        .unwrap()
-                        .into_relation(Some(&store))
-                        .unwrap();
-                }),
-            });
-        }
-    }
-    // The endpoint join over string IBANs: per-tuple work is a heap
-    // compare decoded and a `u32` compare coded, so this is where the
-    // representation gap is widest.
-    let (instance, db) = transfers_instance(scale);
-    let store = Store::from_database(&db);
-    let join = endpoint_join();
-    let size = db.tuple_count();
-    for (mode_name, mode) in [("coded", BatchMode::Coded), ("decoded", BatchMode::Decoded)] {
         out.push(BenchEntry {
-            name: format!("join_store_{mode_name}/{instance}"),
-            input_size: size,
-            mean_ns: mean_ns(3, || {
-                pgq_exec::eval_ra_mode(&join, &db, &store, mode).unwrap();
+            name: format!("reach_store_coded/{name}"),
+            input_size: db.tuple_count(),
+            mean_ns: mean_ns(*iters, || {
+                execute_opts(&plan, db, Some(&store), &opts)
+                    .unwrap()
+                    .into_relation()
+                    .unwrap();
             }),
         });
     }
+    let (instance, db) = transfers_instance(scale);
+    let store = Store::from_database(&db);
+    let join = endpoint_join();
+    out.push(BenchEntry {
+        name: format!("join_store_coded/{instance}"),
+        input_size: db.tuple_count(),
+        mean_ns: mean_ns(3, || {
+            pgq_exec::eval_ra_with(&join, &db, &store).unwrap();
+        }),
+    });
     out
 }
 
@@ -386,7 +377,7 @@ pub fn parallel_suite(scale: usize) -> Vec<BenchEntry> {
                 name: format!("reach_{tag}/{name}"),
                 input_size: size,
                 mean_ns: mean_ns(*iters, || {
-                    execute_opts(&plan, &rdb, Some(&store), BatchMode::Coded, opts).unwrap();
+                    execute_opts(&plan, &rdb, Some(&store), opts).unwrap();
                 }),
             });
         }
@@ -409,7 +400,7 @@ pub fn parallel_suite(scale: usize) -> Vec<BenchEntry> {
             name: format!("join_{tag}/{instance}"),
             input_size: size,
             mean_ns: mean_ns(3, || {
-                execute_opts(&plan, &db, Some(&store), BatchMode::Coded, opts).unwrap();
+                execute_opts(&plan, &db, Some(&store), opts).unwrap();
             }),
         });
     }
@@ -624,51 +615,6 @@ pub fn full_suite(scale: usize) -> Vec<BenchEntry> {
     out
 }
 
-/// The E17 acceptance floors, checked on a measured entry set from an
-/// **optimized** build (the CI bench smoke runs `report --json` in
-/// release): the coded route must beat the decoded PR 3 route on the
-/// largest grid/cycle reachability instance (≥ 1.05×) and on the
-/// string-valued join (≥ 1.2×). The floors are far below the measured
-/// ratios (~1.3–1.5× and ~2×) so scheduler noise cannot flake CI, but
-/// a regression that makes coded execution *slower* than decoding at
-/// scan still fails the build.
-pub fn assert_coded_floors(entries: &[BenchEntry]) {
-    // Entry names are asserted present so a rename in `coded_suite`
-    // cannot silently turn this gate into a no-op.
-    let find = |name: &str| {
-        entries
-            .iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("coded floor gate: bench entry {name} missing"))
-    };
-    let ratio = |decoded: &str, coded: &str| -> (usize, f64) {
-        let (d, c) = (find(decoded), find(coded));
-        (c.input_size, d.mean_ns as f64 / c.mean_ns.max(1) as f64)
-    };
-    let (_, speedup) = ["grid_40x5", "cycle_150"]
-        .iter()
-        .map(|i| {
-            ratio(
-                &format!("reach_store_decoded/{i}"),
-                &format!("reach_store_coded/{i}"),
-            )
-        })
-        .max_by_key(|&(size, _)| size)
-        .expect("two reachability instances");
-    assert!(
-        speedup >= 1.05,
-        "coded reachability should beat decode-at-scan (got {speedup:.2}×)"
-    );
-    let (_, speedup) = ratio(
-        "join_store_decoded/transfers_500x1000",
-        "join_store_coded/transfers_500x1000",
-    );
-    assert!(
-        speedup >= 1.2,
-        "the coded string join should beat decode-at-scan (got {speedup:.2}×)"
-    );
-}
-
 /// Per-operator `EXPLAIN ANALYZE` profiles for the E17 and E18 shapes —
 /// the `"profiles"` section of `BENCH_7.json`. E17 is the coded
 /// reachability closure ([`reach_tc_plan`]) executed instrumented; E18
@@ -688,9 +634,9 @@ pub fn profile_records(scale: usize) -> Vec<(String, QueryProfile)> {
     let plan = store_plan(reach_tc_plan(&db), &store);
     let opts = ExecOptions::with_threads(4).with_metrics(true);
     let start = Instant::now();
-    let (batch, root) = execute_profiled(&plan, &db, Some(&store), BatchMode::Coded, &opts)
-        .expect("the E17 plan executes");
-    let rel = batch.into_relation(Some(&store)).expect("decodable");
+    let (batch, root) =
+        execute_profiled(&plan, &db, Some(&store), &opts).expect("the E17 plan executes");
+    let rel = batch.into_relation().expect("decodable");
     out.push((
         format!("e17_reach_tc_coded/{name}"),
         QueryProfile {
@@ -742,7 +688,7 @@ pub fn assert_metrics_overhead(scale: usize) {
         (0..3)
             .map(|_| {
                 mean_ns(3, || {
-                    execute_opts(&plan, &db, Some(&store), BatchMode::Coded, opts).unwrap();
+                    execute_opts(&plan, &db, Some(&store), opts).unwrap();
                 })
             })
             .min()
@@ -858,89 +804,39 @@ mod tests {
     #[test]
     fn parallel_suite_plans_agree_with_sequential() {
         // The exact shapes `parallel_suite` times, at bench-irrelevant
-        // sizes: 4 workers must return byte-identical batches to 1.
+        // sizes: 4 workers must return the same relation as 1.
+        let run = |plan: &PhysPlan, db: &Database, store: &Store, threads: usize| {
+            execute_opts(plan, db, Some(store), &ExecOptions::with_threads(threads))
+                .unwrap()
+                .into_relation()
+                .unwrap()
+        };
         let rdb = pair_db(&families::grid_db(6, 3));
         let store = Store::from_database(&rdb);
         let plan = store_plan(pair_reach_plan(), &store);
-        let one = execute_opts(
-            &plan,
-            &rdb,
-            Some(&store),
-            BatchMode::Coded,
-            &ExecOptions::with_threads(1),
-        )
-        .unwrap();
-        let four = execute_opts(
-            &plan,
-            &rdb,
-            Some(&store),
-            BatchMode::Coded,
-            &ExecOptions::with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(
-            one.into_relation(Some(&store)).unwrap(),
-            four.into_relation(Some(&store)).unwrap()
-        );
+        assert_eq!(run(&plan, &rdb, &store, 1), run(&plan, &rdb, &store, 4));
 
         let db = transfers::canonical_transfers_db(40, 120, 50, 7);
         let store = Store::from_database(&db);
         let plan = store_plan(plan_ra(&endpoint_join(), &db.schema()).unwrap(), &store);
-        let one = execute_opts(
-            &plan,
-            &db,
-            Some(&store),
-            BatchMode::Coded,
-            &ExecOptions::with_threads(1),
-        )
-        .unwrap();
-        let four = execute_opts(
-            &plan,
-            &db,
-            Some(&store),
-            BatchMode::Coded,
-            &ExecOptions::with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(
-            one.into_relation(Some(&store)).unwrap(),
-            four.into_relation(Some(&store)).unwrap()
-        );
+        assert_eq!(run(&plan, &db, &store, 1), run(&plan, &db, &store, 4));
         assert_eq!(
             endpoint_join().eval(&db).unwrap(),
-            execute_opts(
-                &plan,
-                &db,
-                Some(&store),
-                BatchMode::Coded,
-                &ExecOptions::with_threads(4)
-            )
-            .unwrap()
-            .into_relation(Some(&store))
-            .unwrap()
+            run(&plan, &db, &store, 4)
         );
     }
 
     #[test]
-    fn coded_and_decoded_reach_plans_agree() {
+    fn store_and_storeless_reach_plans_agree() {
         let db = families::grid_db(4, 3);
         let store = Store::from_database(&db);
         let plan = store_plan(reach_tc_plan(&db), &store);
-        let coded = execute_mode(&plan, &db, Some(&store), BatchMode::Coded)
+        let stored = pgq_exec::execute_with(&plan, &db, Some(&store))
             .unwrap()
-            .into_relation(Some(&store))
-            .unwrap();
-        let decoded = execute_mode(&plan, &db, Some(&store), BatchMode::Decoded)
-            .unwrap()
-            .into_relation(Some(&store))
-            .unwrap();
+            .into_relation();
         let storeless = pgq_exec::execute(&reach_tc_plan(&db), &db)
             .unwrap()
             .into_relation();
-        assert_eq!(coded, decoded);
-        assert_eq!(coded, storeless);
-        // The ablation really measures two representations: the plan
-        // runs fully coded in Coded mode.
-        assert!(plan.runs_coded(&store));
+        assert_eq!(stored, storeless);
     }
 }

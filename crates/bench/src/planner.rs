@@ -30,8 +30,7 @@
 //! `tests/prop_engine.rs` and `tests/prop_store.rs`).
 
 use pgq_exec::{
-    cost_plan, execute_opts, optimize_plan, plan_ra, store_plan, BatchMode, ExecOptions,
-    JsonWriter, PhysPlan,
+    cost_plan, execute_opts, optimize_plan, plan_ra, store_plan, ExecOptions, JsonWriter, PhysPlan,
 };
 use pgq_relational::{Database, RaExpr, RelName, Relation, RowCondition};
 use pgq_store::{GraphForm, Store};
@@ -131,7 +130,7 @@ impl PlannerPoint {
 
 fn run(plan: &PhysPlan, db: &Database, store: &Store, opts: &ExecOptions) -> (usize, u128) {
     let start = Instant::now();
-    let rows = execute_opts(plan, db, Some(store), BatchMode::Coded, opts)
+    let rows = execute_opts(plan, db, Some(store), opts)
         .expect("planner workloads run store-backed")
         .len();
     (rows, start.elapsed().as_nanos().max(1))

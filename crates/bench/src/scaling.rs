@@ -28,9 +28,7 @@
 //! both ran.
 
 use crate::perf::BenchEntry;
-use pgq_exec::{
-    execute_opts, plan_ra, store_plan, BatchMode, ExecOptions, JsonWriter, QueryProfile,
-};
+use pgq_exec::{execute_opts, plan_ra, store_plan, ExecOptions, JsonWriter, QueryProfile};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_store::{GraphForm, MemoryBytes, ReachScratch, Store};
 use pgq_workloads::scale::{ldbc_transfers, power_law_graph};
@@ -161,7 +159,7 @@ pub fn scaling_suite(max_nodes: usize, register_cap: usize, threads: usize) -> V
             );
             let opts = ExecOptions::with_threads(threads);
             let (join_rows, join_ns) = timed(|| {
-                execute_opts(&plan, &empty, Some(&store), BatchMode::Coded, &opts)
+                execute_opts(&plan, &empty, Some(&store), &opts)
                     .expect("endpoint join runs store-backed")
                     .len()
             });

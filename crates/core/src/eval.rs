@@ -207,11 +207,12 @@ pub fn eval_with_snapshot_profiled(
 
 /// Evaluates a query with the given configuration.
 pub fn eval_with(q: &Query, db: &Database, cfg: EvalConfig) -> Result<Relation, QueryError> {
-    if cfg.engine == Engine::Physical {
-        return crate::physical::eval_physical(q, db, cfg);
-    }
     match q {
+        // A stored relation is its own answer on every engine — nothing
+        // to plan, intern or decode (the six views of a pattern call
+        // are usually exactly this).
         Query::Rel(name) => Ok(db.get_required(name)?.clone()),
+        _ if cfg.engine == Engine::Physical => crate::physical::eval_physical(q, db, cfg),
         Query::Const(c) => {
             // ⟦c⟧_D := c where c ∈ adom(D) (Figure 4): the singleton
             // restricted to the active domain.

@@ -13,7 +13,7 @@ use crate::eval::{build_view, try_fast, EvalConfig};
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_exec::{
     cost_plan, execute_opts, execute_profiled, intersect_plan, optimize_plan, store_plan,
-    transitive_closure_opts, transitive_closure_profiled, Batch, BatchMode, ExecOptions, PhysPlan,
+    transitive_closure_opts, transitive_closure_profiled, Batch, ExecOptions, PhysPlan,
     PlanMetrics, PlannerChoice, QueryProfile,
 };
 use pgq_graph::PropertyGraph;
@@ -48,9 +48,9 @@ pub(crate) fn eval_physical(
 ) -> Result<Relation, QueryError> {
     let plan = lower(q, db, cfg, None)?;
     let plan = optimize_plan(plan, &db.schema()).map_err(QueryError::Rel)?;
-    let batch = execute_opts(&plan, db, None, BatchMode::Coded, &exec_opts(cfg))
-        .map_err(QueryError::Rel)?;
-    batch.into_relation(None).map_err(QueryError::Rel)
+    let opts = exec_opts(cfg);
+    let batch = execute_opts(&plan, db, None, &opts).map_err(QueryError::Rel)?;
+    batch.into_relation().map_err(QueryError::Rel)
 }
 
 /// The [`GraphForm`] a [`ViewOp`] registers under in a [`Store`].
@@ -87,9 +87,9 @@ pub(crate) fn eval_physical_store(
     let plan = lower(q, db, cfg, Some(store))?;
     let plan = optimize_plan(plan, &db.schema()).map_err(QueryError::Rel)?;
     let plan = lower_store(plan, store, &db.schema(), cfg.planner);
-    let batch = execute_opts(&plan, db, Some(store), BatchMode::Coded, &exec_opts(cfg))
-        .map_err(QueryError::Rel)?;
-    batch.into_relation(Some(store)).map_err(QueryError::Rel)
+    let opts = exec_opts(cfg);
+    let batch = execute_opts(&plan, db, Some(store), &opts).map_err(QueryError::Rel)?;
+    batch.into_relation().map_err(QueryError::Rel)
 }
 
 /// A pattern call on the store route. When the six views are plain
@@ -181,8 +181,8 @@ pub(crate) fn eval_physical_store_profiled(
         let plan = lower(q, db, cfg, Some(store))?;
         let plan = optimize_plan(plan, &db.schema()).map_err(QueryError::Rel)?;
         let plan = lower_store(plan, store, &db.schema(), cfg.planner);
-        let (batch, mut root) = execute_profiled(&plan, db, Some(store), BatchMode::Coded, &opts)
-            .map_err(QueryError::Rel)?;
+        let (batch, mut root) =
+            execute_profiled(&plan, db, Some(store), &opts).map_err(QueryError::Rel)?;
         // Graft the planner's cardinality estimates next to the
         // measured rows — the `est=` column of `EXPLAIN ANALYZE`. The
         // estimates are a pure function of the statistics snapshot, so
@@ -190,7 +190,7 @@ pub(crate) fn eval_physical_store_profiled(
         // thread count.
         let stats = store.statistics();
         pgq_exec::annotate_estimates(&mut root, &plan, &pgq_exec::Estimator::new(&stats));
-        let rel = batch.into_relation(Some(store)).map_err(QueryError::Rel)?;
+        let rel = batch.into_relation().map_err(QueryError::Rel)?;
         (rel, root)
     };
     let profile = QueryProfile {
@@ -576,11 +576,17 @@ fn try_fixpoint_reach_impl(
             edges.push(s.concat(&t)).map_err(QueryError::Rel)?;
         }
     } else {
+        // A validated view gives every edge both endpoints; a graph
+        // that does not is a typed view error, not a panic.
+        let missing = |which, edge: &pgq_graph::ElementId| {
+            QueryError::View(pgq_graph::ViewError::MissingEndpoint {
+                which,
+                edge: edge.clone(),
+            })
+        };
         for e in g.edges() {
-            let (s, t) = (
-                g.src(e).expect("edge has a source"),
-                g.tgt(e).expect("edge has a target"),
-            );
+            let s = g.src(e).ok_or_else(|| missing("src", e))?;
+            let t = g.tgt(e).ok_or_else(|| missing("tgt", e))?;
             edges.push(s.concat(t)).map_err(QueryError::Rel)?;
         }
     }
@@ -671,11 +677,9 @@ pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
 
 /// [`explain`] under an optional session [`Store`]: the plan is
 /// additionally lowered onto the store's indexes (`IndexScan`,
-/// `AdjacencyExpand`, CSR fixpoints) and annotated with the coded
-/// routing decision — which operators run on dictionary codes
-/// (`⟨coded⟩`), where a coded subtree is decoded to meet an uncoded
-/// one (`⟨decode⟩`), and whether the pipeline decodes once at the
-/// result boundary. Mirrors exactly what `eval_with_store` executes.
+/// `AdjacencyExpand`, CSR fixpoints), with operators that read through
+/// an update overlay marked `⟨delta⟩`. Mirrors exactly what
+/// `eval_with_store` executes.
 pub fn explain_with(
     q: &Query,
     schema: &Schema,
@@ -1131,7 +1135,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_with_store_shows_coded_routing() {
+    fn explain_with_store_lowers_onto_indexes() {
         let d = db();
         let store = store_for(&d);
         let q = Query::rel("S")
@@ -1140,23 +1144,9 @@ mod tests {
             .project(vec![1, 3]);
         let text = explain_with(&q, &d.schema(), Some(&store)).unwrap();
         // The store pass lowers scans onto the columnar indexes and the
-        // join onto CSR expansion; everything runs coded, decoding once
-        // at the boundary.
+        // join onto CSR expansion: no plain `Scan` survives.
         assert!(text.contains("IndexScan"), "{text}");
-        assert!(text.contains("⟨coded⟩"), "{text}");
-        assert!(
-            text.contains("pipeline: coded (decode once at the result boundary)"),
-            "{text}"
-        );
-        // A Values stage (pattern-call placeholder scans stay uncoded
-        // relational scans) keeps the decode boundary visible.
-        let mixed = Query::rel("S").union(
-            Query::Const(pgq_value::Value::str("a"))
-                .product(Query::Const(pgq_value::Value::str("b"))),
-        );
-        let text = explain_with(&mixed, &d.schema(), Some(&store)).unwrap();
-        assert!(text.contains("pipeline: mixed"), "{text}");
-        assert!(text.contains("⟨decode⟩"), "{text}");
+        assert!(!text.contains(" Scan "), "{text}");
         // Without a store, explain_with is plain explain.
         assert_eq!(
             explain_with(&q, &d.schema(), None).unwrap(),

@@ -1,8 +1,11 @@
-//! Row batches — the executor's working representation.
+//! Row batches — the executor's *boundary* representation: what
+//! `Values` leaves carry in and what [`crate::execute`] hands out.
+//! Between operators the same bags flow as dictionary codes
+//! ([`crate::CodedBatch`]).
 //!
 //! The reference evaluators (S2/S5/S7) keep every intermediate result in
 //! a `BTreeSet`, paying an ordered-set insertion per produced tuple. The
-//! physical engine instead flows plain row vectors between operators and
+//! physical engine instead flows plain row bags between operators and
 //! defers deduplication to the few places set semantics actually demands
 //! it (explicit `Distinct`, the right side of `Diff`, fixpoint
 //! accumulators, and the final conversion back to a [`Relation`]).
@@ -12,8 +15,7 @@
 //! reference set semantics.
 
 use pgq_relational::{RelError, RelResult, Relation};
-use pgq_value::{Tuple, Value};
-use std::collections::HashSet;
+use pgq_value::Tuple;
 
 /// A batch of equal-arity rows, possibly containing duplicates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,47 +95,6 @@ impl Batch {
     pub fn rows(&self) -> &[Tuple] {
         &self.rows
     }
-
-    /// Consumes into the row vector.
-    pub fn into_rows(self) -> Vec<Tuple> {
-        self.rows
-    }
-
-    /// Removes duplicate rows, keeping first occurrences in order.
-    pub fn dedup(&mut self) {
-        let mut seen: HashSet<Tuple> = HashSet::with_capacity(self.rows.len());
-        self.rows.retain(|t| seen.insert(t.clone()));
-    }
-
-    /// Builds a hash index over the projection of each row to
-    /// `key_positions`: key → indices of matching rows. Positions must
-    /// have been validated against the arity by the caller.
-    pub fn hash_index(&self, key_positions: &[usize]) -> HashIndex<'_> {
-        let mut map: std::collections::HashMap<Vec<&Value>, Vec<usize>> =
-            std::collections::HashMap::with_capacity(self.rows.len());
-        for (i, row) in self.rows.iter().enumerate() {
-            let key: Vec<&Value> = key_positions.iter().map(|&p| &row[p]).collect();
-            map.entry(key).or_default().push(i);
-        }
-        HashIndex { map }
-    }
-}
-
-/// A hash index from key values to row indices of the indexed batch.
-pub struct HashIndex<'a> {
-    map: std::collections::HashMap<Vec<&'a Value>, Vec<usize>>,
-}
-
-impl<'a> HashIndex<'a> {
-    /// Row indices whose key equals `key`, empty when absent.
-    pub fn probe(&self, key: &[&'a Value]) -> &[usize] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +109,7 @@ mod tests {
         b.push(tuple![1, 2]).unwrap();
         assert!(b.push(tuple![1]).is_err());
         assert_eq!(b.len(), 2);
-        b.dedup();
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.into_relation().len(), 1);
     }
 
     #[test]
@@ -166,20 +126,7 @@ mod tests {
         let mut b = Batch::empty(0);
         b.push(Tuple::empty()).unwrap();
         b.push(Tuple::empty()).unwrap();
-        assert_eq!(b.clone().into_relation(), Relation::r#true());
-        b.dedup();
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.into_relation(), Relation::r#true());
         assert_eq!(Batch::empty(0).into_relation(), Relation::r#false());
-    }
-
-    #[test]
-    fn hash_index_probes() {
-        let b = Batch::from_rows(2, [tuple![1, 10], tuple![2, 20], tuple![1, 30]]).unwrap();
-        let idx = b.hash_index(&[0]);
-        assert_eq!(idx.distinct_keys(), 2);
-        let one = Value::int(1);
-        assert_eq!(idx.probe(&[&one]), &[0, 2]);
-        let nine = Value::int(9);
-        assert!(idx.probe(&[&nine]).is_empty());
     }
 }

@@ -1,17 +1,17 @@
-//! Dictionary-coded batches — the executor's working representation
-//! under a session [`Store`].
+//! Dictionary-coded batches — the executor's only working
+//! representation.
 //!
-//! PR 3's store froze every relation into dictionary-coded columns,
-//! but the executor immediately decoded them back into owned
-//! [`pgq_value::Value`] rows at every scan, so the hot loops — hash-join
-//! probes, selection predicates, fixpoint dedup — still cloned and
-//! compared heap values. A [`CodedBatch`] keeps the codes flowing: rows
-//! are flat `u32` slices, joins hash `u32` keys, dedup hashes `u32`
-//! rows, and the pipeline decodes **exactly once**, at the
-//! set-semantics boundary ([`EitherBatch::into_relation`]). The
-//! dictionary is a bijection, so coded evaluation is reference
-//! evaluation — `tests/prop_store.rs` holds coded ≡ decoded ≡ S2 on
-//! random workloads.
+//! A [`CodedBatch`] is a bag of flat `u32` rows: joins hash `u32` keys,
+//! dedup hashes `u32` rows, and the pipeline decodes **exactly once**,
+//! at the set-semantics boundary ([`Coded::into_relation`]). Codes
+//! resolve in a [`Codes`] view: the session store's dictionary as the
+//! base layer, plus a per-execution scratch layer for every value the
+//! store never interned (database scans, `Values` batches, the whole
+//! input of a storeless run). [`Codes::intern`] probes the base first,
+//! so equal values always share a code; the view is a bijection, and a
+//! bijective renaming of the domain commutes with every Figure 4
+//! operator — coded evaluation *is* reference evaluation
+//! (`tests/prop_store.rs` and `tests/prop_engine.rs` hold it to S2).
 //!
 //! Two subtleties keep the equivalence exact:
 //!
@@ -19,11 +19,11 @@
 //!   is not the value order, so [`CodedCond`] compares codes only for
 //!   equality and *decodes on compare* for `<`/`≤`/`>`/`≥` — an index
 //!   into the dictionary's value vector, no hashing, no clone.
-//! * **Constants.** A plan-time literal absent from the dictionary can
-//!   equal no stored value: coded equality against it is
-//!   constant-false (and `≠` constant-true) without any decode.
-//!   Sessions may pre-intern literals via `Store::intern_literal`, but
-//!   correctness never requires it.
+//! * **Constants.** Leaves intern on the calling thread before the
+//!   operator above them runs, so a literal absent from the view when a
+//!   filter compiles occurs in none of that filter's input rows: coded
+//!   equality against it is constant-false (and `≠` constant-true)
+//!   without any decode.
 
 use crate::batch::Batch;
 use pgq_relational::{CmpOp, Operand, RelError, RelResult, Relation, RowCondition};
@@ -31,8 +31,79 @@ use pgq_store::{ColumnarRelation, Dictionary, Store};
 use pgq_value::{Tuple, Value};
 use std::collections::{HashMap, HashSet};
 
+/// The value ↔ code bijection one execution runs under: codes below
+/// the store dictionary's length resolve there, codes above it in a
+/// per-execution scratch dictionary. A storeless run is the same thing
+/// over an empty base.
+#[derive(Debug)]
+pub struct Codes<'a> {
+    store: Option<&'a Store>,
+    /// `store.dict().len()` (0 without a store): the first scratch code.
+    base_len: usize,
+    scratch: Dictionary,
+}
+
+impl<'a> Codes<'a> {
+    /// A view over `store`'s dictionary with an empty scratch layer.
+    pub fn new(store: Option<&'a Store>) -> Self {
+        let base_len = store.map_or(0, |s| s.dict().len());
+        Codes {
+            store,
+            base_len,
+            scratch: Dictionary::with_limit(Dictionary::MAX_CODES - base_len),
+        }
+    }
+
+    /// Number of codes the view resolves (`0..len`).
+    pub fn len(&self) -> usize {
+        self.base_len + self.scratch.len()
+    }
+
+    /// Whether the view resolves no code at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The code of `v`, if either layer interned it.
+    pub fn code(&self, v: &Value) -> Option<u32> {
+        self.store
+            .and_then(|s| s.encode(v))
+            .or_else(|| self.scratch.code(v).map(|c| c + self.base_len as u32))
+    }
+
+    /// The code of `v`, minting a scratch code when neither layer has
+    /// one. Errors once the `u32` code space is exhausted.
+    pub fn intern(&mut self, v: &Value) -> RelResult<u32> {
+        if let Some(c) = self.store.and_then(|s| s.encode(v)) {
+            return Ok(c);
+        }
+        let base = self.base_len as u32;
+        self.scratch
+            .intern(v)
+            .map(|c| c + base)
+            .map_err(|_| RelError::CodeSpaceExhausted)
+    }
+
+    /// The value behind a code; `code < self.len()` (batches are
+    /// audited by `CodedBatch::check_codes` before any decode).
+    pub fn value(&self, code: u32) -> &Value {
+        match self.store {
+            Some(s) if (code as usize) < self.base_len => s.decode(code),
+            _ => self.scratch.value(code - self.base_len as u32),
+        }
+    }
+
+    /// Counts `cells` dictionary decodes on the store's access
+    /// counters (a storeless view has none to count on).
+    fn record_decodes(&self, cells: usize) {
+        if let Some(s) = self.store {
+            s.counters().record_dict_decodes(cells as u64);
+        }
+    }
+}
+
 /// A batch of equal-arity rows of dictionary codes, possibly with
-/// duplicates — the coded twin of [`Batch`].
+/// duplicates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodedBatch {
     arity: usize,
@@ -63,6 +134,31 @@ impl CodedBatch {
             }
         }
         CodedBatch { arity, rows, codes }
+    }
+
+    /// Interns value rows into `codes` — how every leaf the store
+    /// cannot serve (database scans, `Values`, the active domain) enters
+    /// the pipeline.
+    pub fn intern<'t>(
+        arity: usize,
+        rows: impl IntoIterator<Item = &'t Tuple>,
+        codes: &mut Codes<'_>,
+    ) -> RelResult<Self> {
+        let mut out = CodedBatch::empty(arity);
+        for t in rows {
+            if t.arity() != arity {
+                return Err(RelError::ArityMismatch {
+                    context: "coded batch intern",
+                    expected: arity,
+                    found: t.arity(),
+                });
+            }
+            for v in t.iter() {
+                out.codes.push(codes.intern(v)?);
+            }
+            out.rows += 1;
+        }
+        Ok(out)
     }
 
     /// The batch arity.
@@ -167,11 +263,10 @@ impl CodedBatch {
 
     /// Checks every code in the batch is decodable by `dict` — the
     /// audit run before any decode. A batch can carry codes `dict`
-    /// never minted (rows pushed by hand, or codes minted by a later
-    /// store state than the dictionary snapshot being decoded against);
-    /// decoding those must be a typed error, not an out-of-bounds
-    /// panic inside the dictionary.
-    fn check_codes(&self, dict: &Dictionary, context: &'static str) -> RelResult<()> {
+    /// never minted (rows pushed by hand, or codes minted under a
+    /// different view); decoding those must be a typed error, not an
+    /// out-of-bounds panic inside the dictionary.
+    fn check_codes(&self, dict: &Codes<'_>, context: &'static str) -> RelResult<()> {
         match self.codes.iter().copied().max() {
             Some(max) if max as usize >= dict.len() => {
                 Err(RelError::UnknownCode { code: max, context })
@@ -180,12 +275,12 @@ impl CodedBatch {
         }
     }
 
-    /// Decodes every row into a [`Batch`] — the representation bridge
-    /// used when a coded pipeline meets a decoded one mid-plan.
+    /// Decodes every row into a [`Batch`], keeping duplicates and
+    /// order.
     ///
     /// Errors with [`RelError::UnknownCode`] if the batch carries a
-    /// code outside `dict` (e.g. minted after the dictionary snapshot).
-    pub fn decode(&self, dict: &Dictionary) -> RelResult<Batch> {
+    /// code outside `dict`.
+    pub fn decode(&self, dict: &Codes<'_>) -> RelResult<Batch> {
         self.check_codes(dict, "coded batch rows")?;
         let mut out = Batch::empty(self.arity);
         for i in 0..self.rows {
@@ -207,8 +302,8 @@ impl CodedBatch {
     /// instead of comparison-sorting heap `Value` tuples.
     ///
     /// Errors with [`RelError::UnknownCode`] if the batch carries a
-    /// code outside `dict` (e.g. minted after the dictionary snapshot).
-    pub fn into_relation(self, dict: &Dictionary) -> RelResult<Relation> {
+    /// code outside `dict`.
+    pub fn into_relation(self, dict: &Codes<'_>) -> RelResult<Relation> {
         self.check_codes(dict, "coded result batch")?;
         // Distinct codes in this batch, ranked by decoded value.
         let mut distinct: Vec<u32> = self.codes.clone();
@@ -281,95 +376,50 @@ impl CodedHashIndex {
     }
 }
 
-/// How the executor represents intermediate batches under a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// Dictionary codes flow end-to-end; decode once at the boundary
-    /// (the default since PR 4).
-    Coded,
-    /// Decode at every store read — the PR 3 behavior, kept as the
-    /// E17 ablation baseline and a differential-testing foil.
-    Decoded,
+/// An executor result: the coded output batch together with the
+/// [`Codes`] view it was computed under — the decode-once boundary.
+#[derive(Debug)]
+pub struct Coded<'a> {
+    batch: CodedBatch,
+    codes: Codes<'a>,
 }
 
-/// An executor result in either representation. Coded batches only
-/// arise when a [`Store`] is attached, so the decoding entry points
-/// take the same optional store the executor ran with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EitherBatch {
-    /// Owned `Value` rows.
-    Rows(Batch),
-    /// Dictionary-coded rows.
-    Coded(CodedBatch),
-}
+impl<'a> Coded<'a> {
+    pub(crate) fn new(batch: CodedBatch, codes: Codes<'a>) -> Self {
+        Coded { batch, codes }
+    }
 
-impl EitherBatch {
-    /// The batch arity.
+    /// The coded rows (bag semantics, pipeline order).
+    pub fn batch(&self) -> &CodedBatch {
+        &self.batch
+    }
+
+    /// The result arity.
     pub fn arity(&self) -> usize {
-        match self {
-            EitherBatch::Rows(b) => b.arity(),
-            EitherBatch::Coded(c) => c.arity(),
-        }
+        self.batch.arity
     }
 
     /// Number of rows, counting duplicates.
     pub fn len(&self) -> usize {
-        match self {
-            EitherBatch::Rows(b) => b.len(),
-            EitherBatch::Coded(c) => c.len(),
-        }
+        self.batch.rows
     }
 
-    /// Whether the batch holds no rows.
+    /// Whether the result holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.batch.rows == 0
     }
 
-    /// Whether the batch is in coded form.
-    pub fn is_coded(&self) -> bool {
-        matches!(self, EitherBatch::Coded(_))
+    /// Decodes into a row [`Batch`], keeping duplicates and order.
+    pub fn decode(self) -> RelResult<Batch> {
+        self.codes.record_decodes(self.batch.codes.len());
+        self.batch.decode(&self.codes)
     }
 
-    /// Decodes into a row [`Batch`]. A coded batch can only have been
-    /// produced under a store, so `store` must be the one the executor
-    /// ran with; passing `None` for a coded batch is a typed
-    /// [`RelError::MissingStore`] error, never a panic.
-    pub fn decode(self, store: Option<&Store>) -> RelResult<Batch> {
-        match self {
-            EitherBatch::Rows(b) => Ok(b),
-            EitherBatch::Coded(c) => {
-                let Some(store) = store else {
-                    return Err(RelError::MissingStore {
-                        context: "decoding a coded batch",
-                    });
-                };
-                store
-                    .counters()
-                    .record_dict_decodes((c.len() * c.arity()) as u64);
-                c.decode(store.dict())
-            }
-        }
-    }
-
-    /// Converts to a set-semantics [`Relation`], decoding coded rows
-    /// exactly once on the way — the pipeline's decode boundary.
-    /// Passing `None` for a coded batch is a typed
-    /// [`RelError::MissingStore`] error, never a panic.
-    pub fn into_relation(self, store: Option<&Store>) -> RelResult<Relation> {
-        match self {
-            EitherBatch::Rows(b) => Ok(b.into_relation()),
-            EitherBatch::Coded(c) => {
-                let Some(store) = store else {
-                    return Err(RelError::MissingStore {
-                        context: "decoding a coded result",
-                    });
-                };
-                store
-                    .counters()
-                    .record_dict_decodes((c.len() * c.arity()) as u64);
-                c.into_relation(store.dict())
-            }
-        }
+    /// Converts to a set-semantics [`Relation`], decoding each
+    /// surviving row exactly once.
+    pub fn into_relation(self) -> RelResult<Relation> {
+        self.codes.record_decodes(self.batch.codes.len());
+        self.batch.into_relation(&self.codes)
     }
 }
 
@@ -382,7 +432,7 @@ pub enum CodedOperand {
     Const(Option<u32>, Value),
 }
 
-/// A [`RowCondition`] precompiled against a store dictionary, evaluable
+/// A [`RowCondition`] precompiled against a [`Codes`] view, evaluable
 /// on coded rows without decoding (except order comparisons, which
 /// decode on compare — code order is not value order).
 pub enum CodedCond {
@@ -399,32 +449,31 @@ pub enum CodedCond {
 }
 
 impl CodedCond {
-    /// Compiles a condition, resolving constants against the store's
-    /// dictionary once instead of per row.
-    pub fn compile(cond: &RowCondition, store: &Store) -> Self {
+    /// Compiles a condition, resolving constants against the view
+    /// once instead of per row.
+    pub fn compile(cond: &RowCondition, codes: &Codes<'_>) -> Self {
         let operand = |o: &Operand| match o {
             Operand::Col(i) => CodedOperand::Col(*i),
-            Operand::Const(v) => CodedOperand::Const(store.encode(v), v.clone()),
+            Operand::Const(v) => CodedOperand::Const(codes.code(v), v.clone()),
         };
         match cond {
             RowCondition::Cmp(a, op, b) => CodedCond::Cmp(operand(a), *op, operand(b)),
-            RowCondition::Not(c) => CodedCond::Not(Box::new(CodedCond::compile(c, store))),
+            RowCondition::Not(c) => CodedCond::Not(Box::new(CodedCond::compile(c, codes))),
             RowCondition::And(a, b) => CodedCond::And(
-                Box::new(CodedCond::compile(a, store)),
-                Box::new(CodedCond::compile(b, store)),
+                Box::new(CodedCond::compile(a, codes)),
+                Box::new(CodedCond::compile(b, codes)),
             ),
             RowCondition::Or(a, b) => CodedCond::Or(
-                Box::new(CodedCond::compile(a, store)),
-                Box::new(CodedCond::compile(b, store)),
+                Box::new(CodedCond::compile(a, codes)),
+                Box::new(CodedCond::compile(b, codes)),
             ),
             RowCondition::True => CodedCond::True,
         }
     }
 
     /// Evaluates the condition on a coded row. Positions were validated
-    /// against the batch arity by the caller (same discipline as the
-    /// decoded filter).
-    pub fn eval(&self, row: &[u32], dict: &Dictionary) -> bool {
+    /// against the batch arity by the caller.
+    pub fn eval(&self, row: &[u32], dict: &Codes<'_>) -> bool {
         match self {
             CodedCond::Cmp(a, op, b) => {
                 // Equality decides on codes alone: the dictionary is a
@@ -453,7 +502,7 @@ impl CodedCond {
                 }
                 // Order predicates decode on compare: intern order is
                 // not value order.
-                fn value<'a>(o: &'a CodedOperand, row: &[u32], dict: &'a Dictionary) -> &'a Value {
+                fn value<'a>(o: &'a CodedOperand, row: &[u32], dict: &'a Codes<'_>) -> &'a Value {
                     match o {
                         CodedOperand::Col(i) => dict.value(row[*i]),
                         CodedOperand::Const(_, v) => v,
@@ -506,7 +555,7 @@ mod tests {
         assert_eq!(b.len(), 3);
         b.dedup();
         assert_eq!(b.len(), 2);
-        let rel = b.into_relation(s.dict()).unwrap();
+        let rel = b.into_relation(&Codes::new(Some(&s))).unwrap();
         assert_eq!(rel.len(), 2);
         assert!(rel.contains(&tuple![200, "high"]));
     }
@@ -522,13 +571,48 @@ mod tests {
         assert!(idx.probe(&[u32::MAX]).is_empty());
     }
 
+    /// The scratch layer sits above the store's codes: stored values
+    /// keep their store code, fresh ones mint codes from `dict.len()`
+    /// up, and both layers decode — with or without a base.
+    #[test]
+    fn scratch_codes_layer_over_the_store() {
+        let s = store();
+        let base = s.dict().len() as u32;
+        for store in [Some(&s), None] {
+            let mut codes = Codes::new(store);
+            let start = codes.len() as u32;
+            assert_eq!(start, if store.is_some() { base } else { 0 });
+            let rows = [tuple![5, "new"], tuple!["new", 200]];
+            let b = CodedBatch::intern(2, &rows, &mut codes).unwrap();
+            // Equal values share a code, whichever layer minted it.
+            assert_eq!(b.row(0)[1], b.row(1)[0]);
+            assert_eq!(codes.code(&Value::str("new")), Some(b.row(0)[1]));
+            if let Some(s) = store {
+                assert_eq!(Some(b.row(0)[0]), s.encode(&Value::int(5)));
+                assert_eq!(b.row(0)[1], base);
+                assert_eq!(codes.len() as u32, base + 1);
+            }
+            assert_eq!(codes.code(&Value::int(-1)), None);
+            assert_eq!(b.decode(&codes).unwrap().rows(), &rows);
+            assert_eq!(b.into_relation(&codes).unwrap().len(), 2);
+        }
+        let mut codes = Codes::new(None);
+        assert!(codes.is_empty());
+        assert!(CodedBatch::intern(1, &[tuple![1, 2]], &mut codes).is_err());
+    }
+
     #[test]
     fn coded_conditions_match_decoded_semantics() {
         let s = store();
-        let b = CodedBatch::from_columnar(s.relation(&"R".into()).unwrap());
+        let mut codes = Codes::new(Some(&s));
+        // One row the store serves, one interned into the scratch layer.
+        let mut b = CodedBatch::from_columnar(s.relation(&"R".into()).unwrap());
+        b.append(&CodedBatch::intern(2, &[tuple![7, "mid"]], &mut codes).unwrap())
+            .unwrap();
         let cases = [
             RowCondition::col_eq_const(0, 5),
-            RowCondition::col_eq_const(0, 7), // never interned
+            RowCondition::col_eq_const(0, 7), // scratch-interned
+            RowCondition::col_eq_const(0, 8), // never interned
             RowCondition::col_cmp_const(0, CmpOp::Gt, 100),
             RowCondition::col_cmp_const(1, CmpOp::Lt, Value::str("m")),
             RowCondition::col_eq(0, 1),
@@ -542,12 +626,13 @@ mod tests {
             ),
         ];
         for cond in cases {
-            let coded = CodedCond::compile(&cond, &s);
+            let coded = CodedCond::compile(&cond, &codes);
             for i in 0..b.len() {
                 let row = b.row(i);
-                let decoded: Tuple = Tuple::new(row.iter().map(|&c| s.decode(c).clone()).collect());
+                let decoded: Tuple =
+                    Tuple::new(row.iter().map(|&c| codes.value(c).clone()).collect());
                 assert_eq!(
-                    coded.eval(row, s.dict()),
+                    coded.eval(row, &codes),
                     cond.eval(&decoded).unwrap(),
                     "{cond} on {decoded}"
                 );
@@ -563,7 +648,7 @@ mod tests {
         assert_eq!(b.len(), 2);
         b.dedup();
         assert_eq!(b.len(), 1);
-        let dict = Dictionary::new();
+        let dict = Codes::new(None);
         assert_eq!(b.into_relation(&dict).unwrap(), Relation::r#true());
         assert_eq!(
             CodedBatch::empty(0).into_relation(&dict).unwrap(),
@@ -571,67 +656,48 @@ mod tests {
         );
     }
 
+    /// The decode boundary counts one dictionary decode per result
+    /// cell on the store it ran under, in either output form.
     #[test]
-    fn either_batch_boundaries() {
+    fn coded_output_decodes_once_and_counts_it() {
         let s = store();
-        let coded = EitherBatch::Coded(CodedBatch::from_columnar(s.relation(&"R".into()).unwrap()));
-        assert!(coded.is_coded());
-        assert_eq!(coded.arity(), 2);
-        assert_eq!(coded.len(), 2);
-        let rel = coded.clone().into_relation(Some(&s)).unwrap();
+        let batch = || CodedBatch::from_columnar(s.relation(&"R".into()).unwrap());
+        let before = s.counters().snapshot();
+        let out = Coded::new(batch(), Codes::new(Some(&s)));
+        assert_eq!((out.arity(), out.len(), out.is_empty()), (2, 2, false));
+        let rel = out.into_relation().unwrap();
         assert_eq!(rel.len(), 2);
-        assert_eq!(coded.decode(Some(&s)).unwrap().into_relation(), rel);
-        let rows = EitherBatch::Rows(Batch::from_relation(&rel));
-        assert!(!rows.is_coded());
-        assert_eq!(rows.into_relation(None).unwrap(), rel);
-    }
-
-    #[test]
-    fn decoding_coded_batches_without_a_store_is_a_typed_error() {
-        let s = store();
-        let coded = EitherBatch::Coded(CodedBatch::from_columnar(s.relation(&"R".into()).unwrap()));
-        assert_eq!(
-            coded.clone().into_relation(None),
-            Err(RelError::MissingStore {
-                context: "decoding a coded result"
-            })
-        );
-        assert_eq!(
-            coded.decode(None),
-            Err(RelError::MissingStore {
-                context: "decoding a coded batch"
-            })
-        );
-        // Decoded batches never need the store.
-        let rows = EitherBatch::Rows(Batch::from_rows(1, [tuple![7]]).unwrap());
-        assert!(rows.into_relation(None).is_ok());
+        let rows = Coded::new(batch(), Codes::new(Some(&s))).decode().unwrap();
+        assert_eq!(rows.into_relation(), rel);
+        assert_eq!(s.counters().snapshot().since(&before).dict_decodes, 8);
     }
 
     #[test]
     fn out_of_dictionary_codes_error_instead_of_panicking() {
-        // A batch carrying a code the dictionary never minted — e.g.
-        // one pushed by hand, or minted after the decoding snapshot.
+        // A batch carrying a code the view never minted — e.g. one
+        // pushed by hand, or minted under a different view.
         let s = store();
-        let stale = s.dict().len() as u32 + 40;
+        let codes = Codes::new(Some(&s));
+        let stale = codes.len() as u32 + 40;
         let mut b = CodedBatch::empty(1);
         b.push(&[stale]).unwrap();
         assert_eq!(
-            b.decode(s.dict()),
+            b.decode(&codes),
             Err(RelError::UnknownCode {
                 code: stale,
                 context: "coded batch rows"
             })
         );
         assert_eq!(
-            b.clone().into_relation(s.dict()),
+            b.clone().into_relation(&codes),
             Err(RelError::UnknownCode {
                 code: stale,
                 context: "coded result batch"
             })
         );
-        // And through the EitherBatch boundary under the right store.
+        // And through the output boundary.
         assert!(matches!(
-            EitherBatch::Coded(b).into_relation(Some(&s)),
+            Coded::new(b, codes).into_relation(),
             Err(RelError::UnknownCode { .. })
         ));
     }

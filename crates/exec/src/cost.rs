@@ -23,8 +23,6 @@
 //!   expected degree, and compensating projections restore the
 //!   original column order so the rewrite is invisible to everything
 //!   above it;
-//! * [`recommended_mode`] picks coded vs decoded execution per plan
-//!   (coded as soon as any subtree can run on dictionary codes);
 //! * [`annotate_estimates`] grafts the estimates onto an executed
 //!   [`PlanMetrics`] tree so `EXPLAIN ANALYZE` shows `est=` next to
 //!   the actual row counts — misestimates are an observability
@@ -612,22 +610,6 @@ fn adjacency_target(plan: &PhysPlan, col: usize, store: &Store) -> Option<(RelNa
     }
 }
 
-/// The representation the costed pipeline recommends for a lowered
-/// plan: coded as soon as any subtree runs on dictionary codes (the
-/// executor decodes at the marked boundaries), decoded when nothing
-/// would — skipping the per-leaf coded probing on plans the store
-/// cannot serve.
-pub fn recommended_mode(plan: &PhysPlan, store: &Store) -> crate::coded::BatchMode {
-    fn any_coded(plan: &PhysPlan, store: &Store) -> bool {
-        plan.runs_coded(store) || plan.children().iter().any(|c| any_coded(c, store))
-    }
-    if any_coded(plan, store) {
-        crate::coded::BatchMode::Coded
-    } else {
-        crate::coded::BatchMode::Decoded
-    }
-}
-
 /// Grafts estimated row counts onto an executed metrics tree: walks
 /// plan and metrics in lockstep (they mirror each other one node per
 /// operator) and sets [`PlanMetrics::est_rows`] wherever the labels
@@ -817,22 +799,6 @@ mod tests {
         assert_eq!(**step, PhysPlan::IndexScan("E".into()));
         assert_eq!(join.as_slice(), [(1, 0)]);
         assert_eq!(project.as_slice(), [0, 3]);
-    }
-
-    #[test]
-    fn recommended_mode_tracks_store_coverage() {
-        let d = db();
-        let store = Store::from_database(&d);
-        let coded = PhysPlan::IndexScan("E".into());
-        assert_eq!(
-            recommended_mode(&coded, &store),
-            crate::coded::BatchMode::Coded
-        );
-        let uncoded = PhysPlan::Values(crate::batch::Batch::empty(1));
-        assert_eq!(
-            recommended_mode(&uncoded, &store),
-            crate::coded::BatchMode::Decoded
-        );
     }
 
     #[test]

@@ -8,28 +8,26 @@
 //! DESIGN.md §7 is satisfied by the callers wrapping them (`QueryError`,
 //! `LogicError`, …) exactly as they wrap reference-evaluator errors.
 //!
-//! Under a session [`Store`] the executor is *coded*: store reads
-//! produce [`CodedBatch`]es of dictionary codes, every operator has a
-//! coded twin (`u32` hash keys, `u32` dedup, [`crate::coded::CodedCond`]
-//! predicates), and the pipeline decodes exactly once — at the
-//! [`EitherBatch::into_relation`] set-semantics boundary. Mixed plans (a
-//! coded scan meeting an uncoded `Values` stage) reconcile by decoding
-//! the coded side at the meeting operator; [`BatchMode::Decoded`] forces
-//! the PR 3 decode-at-scan behavior for ablation and differential
-//! testing. The codedness analysis `PhysPlan::runs_coded` mirrors this
-//! dispatch exactly, so `EXPLAIN` never lies about the boundary.
+//! There is one pipeline and it is *coded*: every batch between
+//! operators is a [`CodedBatch`] of dictionary codes (`u32` hash keys,
+//! `u32` dedup, [`crate::coded::CodedCond`] predicates). Store reads
+//! hand their columnar codes over as-is; every leaf the store cannot
+//! serve — database scans, `Values`, the active domain, the whole input
+//! of a storeless run — interns its rows into the execution's [`Codes`]
+//! view on the calling thread, before the operator above it starts its
+//! workers. The pipeline decodes exactly once, at the [`Coded`]
+//! boundary.
 
 use crate::batch::Batch;
-use crate::coded::{BatchMode, CodedBatch, CodedCond, EitherBatch};
+use crate::coded::{Coded, CodedBatch, CodedCond, Codes};
 use crate::metrics::PlanMetrics;
 use crate::parallel::{
     hash_codes, partition_count, run_morsels, run_morsels_traced, run_tasks, run_tasks_scratch,
     run_tasks_scratch_traced, run_tasks_traced, ExecOptions,
 };
 use crate::plan::PhysPlan;
-use pgq_relational::{Database, RelError, RelResult, RowCondition};
+use pgq_relational::{Database, RelError, RelName, RelResult, Relation, RowCondition};
 use pgq_store::{AdjacencyView, ReachScratch, Store};
-use pgq_value::{Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::Instant;
@@ -41,35 +39,23 @@ pub fn execute(plan: &PhysPlan, db: &Database) -> RelResult<Batch> {
 }
 
 /// Executes a physical plan against a database instance and, when
-/// given, a session [`Store`], decoding any coded result into rows.
-/// Callers that consume the result as a set should prefer
-/// [`execute_mode`] + [`EitherBatch::into_relation`], which decodes
-/// once at the set boundary instead of materializing rows first.
+/// given, a session [`Store`], decoding the result into rows. Callers
+/// that consume the result as a set should prefer [`execute_opts`] +
+/// [`Coded::into_relation`], which sorts and dedups on codes before
+/// decoding instead of materializing every row first.
 pub fn execute_with(plan: &PhysPlan, db: &Database, store: Option<&Store>) -> RelResult<Batch> {
-    execute_mode(plan, db, store, BatchMode::Coded)?.decode(store)
+    execute_opts(plan, db, store, &ExecOptions::default())?.decode()
 }
 
-/// [`execute_opts`] with the environment-default [`ExecOptions`].
-pub fn execute_mode(
-    plan: &PhysPlan,
-    db: &Database,
-    store: Option<&Store>,
-    mode: BatchMode,
-) -> RelResult<EitherBatch> {
-    execute_opts(plan, db, store, mode, &ExecOptions::default())
-}
-
-/// Executes a physical plan in the given representation mode, on the
-/// given number of worker threads.
+/// Executes a physical plan on the given number of worker threads.
 ///
-/// `IndexScan` reads the store's columnar relations (as codes under
-/// [`BatchMode::Coded`], as decoded rows under [`BatchMode::Decoded`]),
-/// `AdjacencyExpand` probes its CSR indexes, and a reachability-shaped
-/// `Fixpoint` whose step is a CSR-indexed relation runs as frontier
-/// sweeps over the index instead of hash-join rounds. The store must
-/// have been registered from (a snapshot equal to) `db`; the
-/// differential suite `tests/prop_store.rs` holds coded, decoded and
-/// storeless paths to identical results.
+/// `IndexScan` reads the store's columnar relations, `AdjacencyExpand`
+/// probes its CSR indexes, and a reachability-shaped `Fixpoint` whose
+/// step is a CSR-indexed relation runs as frontier sweeps over the
+/// index instead of hash-join rounds. The store must have been
+/// registered from (a snapshot equal to) `db`; the differential suite
+/// `tests/prop_store.rs` holds store-backed and storeless paths to
+/// identical results.
 ///
 /// With `opts.threads > 1` the data-parallel operators (filter,
 /// project, hash join, distinct, adjacency expansion, fixpoints) run
@@ -77,22 +63,18 @@ pub fn execute_mode(
 /// morsel order, so results are byte-identical to sequential execution
 /// (`tests/prop_engine.rs`/`tests/prop_store.rs` hold parallel ≡
 /// sequential ≡ reference at thread counts {1, 2, 8}).
-pub fn execute_opts(
+pub fn execute_opts<'a>(
     plan: &PhysPlan,
     db: &Database,
-    store: Option<&Store>,
-    mode: BatchMode,
-    opts: &ExecOptions,
-) -> RelResult<EitherBatch> {
-    // An explicit store wins; otherwise a pinned snapshot (PR 8)
-    // supplies the state, so readers evaluate one published version
-    // regardless of what a concurrent writer publishes meanwhile.
-    let store = store.or_else(|| opts.pinned_store());
+    store: Option<&'a Store>,
+    opts: &'a ExecOptions,
+) -> RelResult<Coded<'a>> {
     if opts.collect_metrics {
-        let mut m = PlanMetrics::from_plan(plan);
-        return exec_node(plan, db, store, mode, opts, Some(&mut m));
+        return Ok(execute_profiled(plan, db, store, opts)?.0);
     }
-    exec_node(plan, db, store, mode, opts, None)
+    let mut run = Run::new(db, store, opts);
+    let out = run.node(plan, None)?;
+    Ok(Coded::new(out, run.codes))
 }
 
 /// [`execute_opts`], additionally returning the per-operator
@@ -101,17 +83,16 @@ pub fn execute_opts(
 /// set-semantics cardinality is known). Collection is implied: the
 /// `opts.collect_metrics` flag only governs whether [`execute_opts`]
 /// itself runs the instrumented path.
-pub fn execute_profiled(
+pub fn execute_profiled<'a>(
     plan: &PhysPlan,
     db: &Database,
-    store: Option<&Store>,
-    mode: BatchMode,
-    opts: &ExecOptions,
-) -> RelResult<(EitherBatch, PlanMetrics)> {
-    let store = store.or_else(|| opts.pinned_store());
+    store: Option<&'a Store>,
+    opts: &'a ExecOptions,
+) -> RelResult<(Coded<'a>, PlanMetrics)> {
     let mut m = PlanMetrics::from_plan(plan);
-    let out = exec_node(plan, db, store, mode, opts, Some(&mut m))?;
-    Ok((out, m))
+    let mut run = Run::new(db, store, opts);
+    let out = run.node(plan, Some(&mut m))?;
+    Ok((Coded::new(out, run.codes), m))
 }
 
 /// The reborrowed metrics node for plan child `i`, if collecting.
@@ -126,238 +107,202 @@ fn note_rows_in(m: &mut Option<&mut PlanMetrics>, n: usize) {
     }
 }
 
-/// One operator node: times the subtree and records output shape when
-/// collecting, then dispatches to the untimed body. `m = None` is the
-/// zero-cost path — no timestamps, no counters.
-fn exec_node(
-    plan: &PhysPlan,
-    db: &Database,
-    store: Option<&Store>,
-    mode: BatchMode,
-    opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<EitherBatch> {
-    let start = m.as_ref().map(|_| Instant::now());
-    if let Some(n) = m.as_deref_mut() {
-        n.executed = true;
-        n.batches += 1;
-    }
-    let out = exec_node_inner(plan, db, store, mode, opts, m.as_deref_mut())?;
-    if let Some(n) = m {
-        n.rows_out = out.len() as u64;
-        n.coded = out.is_coded();
-        if let Some(s) = start {
-            n.elapsed_ns += s.elapsed().as_nanos() as u64;
-        }
-    }
-    Ok(out)
+/// One execution: the inputs every operator reads plus the [`Codes`]
+/// view its leaves intern into. Plan nodes run one after another on
+/// the calling thread (parallelism lives *inside* operators), so a
+/// leaf holds the view mutably only while no worker is running.
+struct Run<'a, 'd> {
+    db: &'d Database,
+    store: Option<&'a Store>,
+    opts: &'a ExecOptions,
+    codes: Codes<'a>,
 }
 
-fn exec_node_inner(
-    plan: &PhysPlan,
-    db: &Database,
-    store: Option<&Store>,
-    mode: BatchMode,
-    opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<EitherBatch> {
-    match plan {
-        PhysPlan::Scan(name) => Ok(rows(Batch::from_relation(db.get_required(name)?))),
-        PhysPlan::IndexScan(name) => index_scan(name, db, store, mode),
-        PhysPlan::AdjacencyExpand {
-            input,
-            key,
-            rel,
-            reverse,
-        } => {
-            let batch = exec_node(input, db, store, mode, opts, child_m(&mut m, 0))?;
-            note_rows_in(&mut m, batch.len());
-            adjacency_expand(batch, *key, rel, *reverse, db, store, opts, m)
+impl<'a, 'd> Run<'a, 'd> {
+    fn new(db: &'d Database, store: Option<&'a Store>, opts: &'a ExecOptions) -> Self {
+        // An explicit store wins; otherwise a pinned snapshot (PR 8)
+        // supplies the state, so readers evaluate one published version
+        // regardless of what a concurrent writer publishes meanwhile.
+        let store = store.or_else(|| opts.pinned_store());
+        Run {
+            db,
+            store,
+            opts,
+            codes: Codes::new(store),
         }
-        PhysPlan::Values(b) => Ok(rows(b.clone())),
-        PhysPlan::AdomScan => Ok(rows(Batch::from_relation(&db.active_domain_relation()))),
-        PhysPlan::Filter { cond, input } => {
-            let batch = exec_node(input, db, store, mode, opts, child_m(&mut m, 0))?;
-            note_rows_in(&mut m, batch.len());
-            match batch {
-                EitherBatch::Coded(cb) => {
-                    let Some(store) = store else {
-                        return Err(RelError::MissingStore {
-                            context: "filtering a coded batch",
-                        });
-                    };
-                    Ok(EitherBatch::Coded(filter_coded(cond, cb, store, opts, m)?))
+    }
+
+    /// One operator node: times the subtree and records output shape
+    /// when collecting, then dispatches to the untimed body. `m = None`
+    /// is the zero-cost path — no timestamps, no counters.
+    fn node(&mut self, plan: &PhysPlan, mut m: Option<&mut PlanMetrics>) -> RelResult<CodedBatch> {
+        let start = m.as_ref().map(|_| Instant::now());
+        if let Some(n) = m.as_deref_mut() {
+            n.executed = true;
+            n.batches += 1;
+        }
+        let out = self.node_inner(plan, m.as_deref_mut())?;
+        if let Some(n) = m {
+            n.rows_out = out.len() as u64;
+            if let Some(s) = start {
+                n.elapsed_ns += s.elapsed().as_nanos() as u64;
+            }
+        }
+        Ok(out)
+    }
+
+    fn intern(&mut self, rel: &Relation) -> RelResult<CodedBatch> {
+        CodedBatch::intern(rel.arity(), rel.iter(), &mut self.codes)
+    }
+
+    /// `IndexScan`: the store's columnar codes as-is when it registers
+    /// the relation, the interned database relation otherwise. The
+    /// reserved [`pgq_store::ADOM_REL`] name scans the active domain.
+    fn index_scan(&mut self, name: &RelName) -> RelResult<CodedBatch> {
+        if let Some((col, store)) = self.store.and_then(|s| s.relation(name).map(|c| (c, s))) {
+            let out = CodedBatch::from_columnar(col);
+            store.counters().record_index_scan_rows(out.len() as u64);
+            return Ok(out);
+        }
+        if name.as_str() == pgq_store::ADOM_REL {
+            return self.intern(&self.db.active_domain_relation());
+        }
+        self.intern(self.db.get_required(name)?)
+    }
+
+    fn node_inner(
+        &mut self,
+        plan: &PhysPlan,
+        mut m: Option<&mut PlanMetrics>,
+    ) -> RelResult<CodedBatch> {
+        let opts = self.opts;
+        match plan {
+            PhysPlan::Scan(name) => self.intern(self.db.get_required(name)?),
+            PhysPlan::IndexScan(name) => self.index_scan(name),
+            PhysPlan::Values(b) => CodedBatch::intern(b.arity(), b.iter(), &mut self.codes),
+            PhysPlan::AdomScan => self.intern(&self.db.active_domain_relation()),
+            PhysPlan::AdjacencyExpand {
+                input,
+                key,
+                rel,
+                reverse,
+            } => {
+                let batch = self.node(input, child_m(&mut m, 0))?;
+                note_rows_in(&mut m, batch.len());
+                if *key >= batch.arity() {
+                    return Err(RelError::PositionOutOfRange {
+                        position: *key,
+                        arity: batch.arity(),
+                    });
                 }
-                EitherBatch::Rows(b) => Ok(rows(filter(cond, b, opts, m)?)),
-            }
-        }
-        PhysPlan::Project { positions, input } => {
-            let batch = exec_node(input, db, store, mode, opts, child_m(&mut m, 0))?;
-            note_rows_in(&mut m, batch.len());
-            match batch {
-                EitherBatch::Coded(cb) => {
-                    Ok(EitherBatch::Coded(project_coded(positions, &cb, opts, m)?))
+                match self.store.and_then(|s| s.adjacency(rel).map(|v| (s, v))) {
+                    Some((store, view)) => {
+                        adjacency_expand(&batch, *key, *reverse, &view, store, opts, m)
+                    }
+                    // No CSR index: the equivalent hash join against
+                    // the relation itself.
+                    None => {
+                        let right = self.index_scan(rel)?;
+                        let on = (*key, usize::from(*reverse));
+                        hash_join_coded(&batch, &right, &[on], opts, m)
+                    }
                 }
-                EitherBatch::Rows(b) => Ok(rows(project(positions, &b, opts, m)?)),
             }
-        }
-        PhysPlan::HashJoin { left, right, keys } => {
-            let l = exec_node(left, db, store, mode, opts, child_m(&mut m, 0))?;
-            let r = exec_node(right, db, store, mode, opts, child_m(&mut m, 1))?;
-            note_rows_in(&mut m, l.len() + r.len());
-            if let Some(n) = m.as_deref_mut() {
-                n.build_rows = Some(r.len() as u64);
+            PhysPlan::Filter { cond, input } => {
+                let batch = self.node(input, child_m(&mut m, 0))?;
+                note_rows_in(&mut m, batch.len());
+                filter_coded(cond, batch, &self.codes, opts, m)
             }
-            match (l, r) {
-                // Both sides coded: join on code keys, stay coded.
-                (EitherBatch::Coded(l), EitherBatch::Coded(r)) => {
-                    Ok(EitherBatch::Coded(hash_join_coded(&l, &r, keys, opts, m)?))
+            PhysPlan::Project { positions, input } => {
+                let batch = self.node(input, child_m(&mut m, 0))?;
+                note_rows_in(&mut m, batch.len());
+                project_coded(positions, &batch, opts, m)
+            }
+            PhysPlan::HashJoin { left, right, keys } => {
+                let (l, r) = self.children(left, right, &mut m)?;
+                if let Some(n) = m.as_deref_mut() {
+                    n.build_rows = Some(r.len() as u64);
                 }
-                // Mixed: reconcile at this operator by decoding the
-                // coded side (always possible; the other direction —
-                // encoding arbitrary `Values` rows — is not, since the
-                // dictionary may not contain them).
-                (l, r) => Ok(rows(hash_join(
-                    &l.decode(store)?,
-                    &r.decode(store)?,
-                    keys,
-                    opts,
-                    m,
-                )?)),
+                hash_join_coded(&l, &r, keys, opts, m)
             }
-        }
-        PhysPlan::Product { left, right } => {
-            let l = exec_node(left, db, store, mode, opts, child_m(&mut m, 0))?;
-            let r = exec_node(right, db, store, mode, opts, child_m(&mut m, 1))?;
-            note_rows_in(&mut m, l.len() + r.len());
-            match (l, r) {
-                (EitherBatch::Coded(l), EitherBatch::Coded(r)) => {
-                    let mut out = CodedBatch::empty(l.arity() + r.arity());
-                    for a in l.iter() {
-                        for b in r.iter() {
-                            out.push_concat(a, b)?;
+            PhysPlan::Product { left, right } => {
+                let (l, r) = self.children(left, right, &mut m)?;
+                let mut out = CodedBatch::empty(l.arity() + r.arity());
+                for a in l.iter() {
+                    for b in r.iter() {
+                        out.push_concat(a, b)?;
+                    }
+                }
+                Ok(out)
+            }
+            PhysPlan::Union { left, right } => {
+                let (mut out, r) = self.children(left, right, &mut m)?;
+                check_arities("union", out.arity(), r.arity())?;
+                out.append(&r)?;
+                Ok(out)
+            }
+            PhysPlan::Diff { left, right } => {
+                let (l, r) = self.children(left, right, &mut m)?;
+                check_arities("difference", l.arity(), r.arity())?;
+                let exclude: HashSet<&[u32]> = r.iter().collect();
+                let parts = traced_morsels(m, l.len(), opts.dop(l.len()), |range| {
+                    let mut part = CodedBatch::empty(l.arity());
+                    for i in range {
+                        let row = l.row(i);
+                        if !exclude.contains(row) {
+                            part.push(row)?;
                         }
                     }
-                    Ok(EitherBatch::Coded(out))
-                }
-                (l, r) => {
-                    let (l, r) = (l.decode(store)?, r.decode(store)?);
-                    let mut out = Batch::empty(l.arity() + r.arity());
-                    for a in l.iter() {
-                        for b in r.iter() {
-                            out.push(a.concat(b))?;
+                    Ok(part)
+                })?;
+                concat_coded(l.arity(), parts)
+            }
+            PhysPlan::Distinct { input } => {
+                let batch = self.node(input, child_m(&mut m, 0))?;
+                note_rows_in(&mut m, batch.len());
+                distinct_coded(batch, opts, m)
+            }
+            PhysPlan::Fixpoint {
+                base,
+                step,
+                join,
+                project,
+            } => {
+                let base = self.node(base, child_m(&mut m, 0))?;
+                note_rows_in(&mut m, base.len());
+                // The ψreach/TC shape over a CSR-indexed step relation
+                // runs on the index (read through its delta overlay):
+                // no step batch, no hash probes. Sweeps are sharded by
+                // source node across the workers — every group is an
+                // independent multi-source frontier.
+                if let (Some(store), PhysPlan::IndexScan(name)) = (self.store, step.as_ref()) {
+                    if base.arity() == 2
+                        && join.as_slice() == [(1, 0)]
+                        && project.as_slice() == [0, 3]
+                    {
+                        if let Some(view) = store.adjacency(name) {
+                            return csr_fixpoint_coded(base, &view, store, opts, m);
                         }
                     }
-                    Ok(rows(out))
                 }
+                let step = self.node(step, child_m(&mut m, 1))?;
+                note_rows_in(&mut m, step.len());
+                fixpoint_coded(&base, &step, join, project, opts, m)
             }
         }
-        PhysPlan::Union { left, right } => {
-            let l = exec_node(left, db, store, mode, opts, child_m(&mut m, 0))?;
-            let r = exec_node(right, db, store, mode, opts, child_m(&mut m, 1))?;
-            note_rows_in(&mut m, l.len() + r.len());
-            check_same_arity("union", &l, &r)?;
-            match (l, r) {
-                (EitherBatch::Coded(l), EitherBatch::Coded(r)) => {
-                    let mut out = l;
-                    out.append(&r)?;
-                    Ok(EitherBatch::Coded(out))
-                }
-                (l, r) => {
-                    let mut out = l.decode(store)?;
-                    for t in r.decode(store)?.into_rows() {
-                        out.push(t)?;
-                    }
-                    Ok(rows(out))
-                }
-            }
-        }
-        PhysPlan::Diff { left, right } => {
-            let l = exec_node(left, db, store, mode, opts, child_m(&mut m, 0))?;
-            let r = exec_node(right, db, store, mode, opts, child_m(&mut m, 1))?;
-            note_rows_in(&mut m, l.len() + r.len());
-            check_same_arity("difference", &l, &r)?;
-            match (l, r) {
-                (EitherBatch::Coded(l), EitherBatch::Coded(r)) => {
-                    let exclude: HashSet<&[u32]> = r.iter().collect();
-                    let parts = traced_morsels(m, l.len(), opts.dop(l.len()), |range| {
-                        let mut part = CodedBatch::empty(l.arity());
-                        for i in range {
-                            let row = l.row(i);
-                            if !exclude.contains(row) {
-                                part.push(row)?;
-                            }
-                        }
-                        Ok(part)
-                    })?;
-                    Ok(EitherBatch::Coded(concat_coded(l.arity(), parts)?))
-                }
-                (l, r) => {
-                    let (l, r) = (l.decode(store)?, r.decode(store)?);
-                    let exclude: HashSet<&Tuple> = r.iter().collect();
-                    let mut out = Batch::empty(l.arity());
-                    for t in l.iter() {
-                        if !exclude.contains(t) {
-                            out.push(t.clone())?;
-                        }
-                    }
-                    Ok(rows(out))
-                }
-            }
-        }
-        PhysPlan::Distinct { input } => {
-            let batch = exec_node(input, db, store, mode, opts, child_m(&mut m, 0))?;
-            note_rows_in(&mut m, batch.len());
-            match batch {
-                EitherBatch::Coded(cb) => Ok(EitherBatch::Coded(distinct_coded(cb, opts, m)?)),
-                EitherBatch::Rows(b) => Ok(rows(distinct_rows(b, opts, m)?)),
-            }
-        }
-        PhysPlan::Fixpoint {
-            base,
-            step,
-            join,
-            project,
-        } => {
-            let base = exec_node(base, db, store, mode, opts, child_m(&mut m, 0))?;
-            note_rows_in(&mut m, base.len());
-            // The ψreach/TC shape over a CSR-indexed step relation runs
-            // on the index (read through its delta overlay): no step
-            // batch, no hash probes. Coded bases sweep and emit codes;
-            // decoded bases sweep on values. Sweeps are sharded by
-            // source node across the workers — every group is an
-            // independent multi-source frontier.
-            if let (Some(store), PhysPlan::IndexScan(name)) = (store, step.as_ref()) {
-                if base.arity() == 2 && join.as_slice() == [(1, 0)] && project.as_slice() == [0, 3]
-                {
-                    if let Some(view) = store.adjacency(name) {
-                        return match base {
-                            EitherBatch::Coded(cb) => Ok(EitherBatch::Coded(csr_fixpoint_coded(
-                                cb, &view, store, opts, m,
-                            )?)),
-                            EitherBatch::Rows(b) => {
-                                Ok(rows(csr_fixpoint(b, &view, store, opts, m)?))
-                            }
-                        };
-                    }
-                }
-            }
-            let step = exec_node(step, db, store, mode, opts, child_m(&mut m, 1))?;
-            note_rows_in(&mut m, step.len());
-            match (base, step) {
-                (EitherBatch::Coded(base), EitherBatch::Coded(step)) => Ok(EitherBatch::Coded(
-                    fixpoint_coded(base, &step, join, project, opts, m)?,
-                )),
-                (base, step) => Ok(rows(fixpoint(
-                    base.decode(store)?,
-                    &step.decode(store)?,
-                    join,
-                    project,
-                    opts,
-                    m,
-                )?)),
-            }
-        }
+    }
+
+    /// Runs both children of a binary operator, left first.
+    fn children(
+        &mut self,
+        left: &PhysPlan,
+        right: &PhysPlan,
+        m: &mut Option<&mut PlanMetrics>,
+    ) -> RelResult<(CodedBatch, CodedBatch)> {
+        let l = self.node(left, child_m(m, 0))?;
+        let r = self.node(right, child_m(m, 1))?;
+        note_rows_in(m, l.len() + r.len());
+        Ok((l, r))
     }
 }
 
@@ -448,227 +393,56 @@ fn concat_coded(arity: usize, parts: Vec<CodedBatch>) -> RelResult<CodedBatch> {
     Ok(out)
 }
 
-fn rows(b: Batch) -> EitherBatch {
-    EitherBatch::Rows(b)
-}
-
-/// `IndexScan`: store-backed when possible, database fallback
-/// otherwise. The reserved [`pgq_store::ADOM_REL`] name scans the
-/// active domain. Under [`BatchMode::Coded`] the columnar codes are
-/// handed to the pipeline as-is; [`BatchMode::Decoded`] reproduces the
-/// PR 3 decode-at-scan behavior.
-fn index_scan(
-    name: &pgq_relational::RelName,
-    db: &Database,
-    store: Option<&Store>,
-    mode: BatchMode,
-) -> RelResult<EitherBatch> {
-    if let Some((col, store)) = store.and_then(|s| s.relation(name).map(|c| (c, s))) {
-        let out = match mode {
-            BatchMode::Coded => EitherBatch::Coded(CodedBatch::from_columnar(col)),
-            BatchMode::Decoded => rows(Batch::from_rows(
-                col.arity(),
-                col.decode_rows(store.dict()),
-            )?),
-        };
-        store.counters().record_index_scan_rows(out.len() as u64);
-        if mode == BatchMode::Decoded {
-            store
-                .counters()
-                .record_dict_decodes((out.len() * out.arity()) as u64);
-        }
-        return Ok(out);
-    }
-    if name.as_str() == pgq_store::ADOM_REL {
-        return Ok(rows(Batch::from_relation(&db.active_domain_relation())));
-    }
-    Ok(rows(Batch::from_relation(db.get_required(name)?)))
-}
-
-/// `AdjacencyExpand`: CSR probes (through the delta overlay) when the
-/// store indexes `rel` (staying coded for coded inputs), otherwise the
-/// equivalent hash join against the stored relation. Input rows are
-/// swept in morsel-parallel — [`AdjacencyView`] is `Copy`, so every
-/// worker reads the frozen CSR and its delta overlay directly.
-#[allow(clippy::too_many_arguments)] // one operator body, called from one dispatch site
+/// `AdjacencyExpand` over a CSR-indexed relation: one probe (through
+/// the delta overlay) per input row. Input rows are swept
+/// morsel-parallel — [`AdjacencyView`] is `Copy`, so every worker
+/// reads the frozen CSR and its delta overlay directly. A key the
+/// store never interned (a scratch code) has no neighbors.
 fn adjacency_expand(
-    input: EitherBatch,
+    input: &CodedBatch,
     key: usize,
-    rel: &pgq_relational::RelName,
     reverse: bool,
-    db: &Database,
-    store: Option<&Store>,
-    opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<EitherBatch> {
-    if key >= input.arity() {
-        return Err(RelError::PositionOutOfRange {
-            position: key,
-            arity: input.arity(),
-        });
-    }
-    let Some((store_ref, view)) = store.and_then(|s| s.adjacency(rel).map(|v| (s, v))) else {
-        let right = Batch::from_relation(db.get_required(rel)?);
-        let join_key = if reverse { (key, 1) } else { (key, 0) };
-        return Ok(rows(hash_join(
-            &input.decode(store)?,
-            &right,
-            &[join_key],
-            opts,
-            m,
-        )?));
-    };
-    store_ref.counters().record_adjacency_read(view.has_delta());
-    match input {
-        EitherBatch::Coded(cb) => {
-            let parts = traced_morsels(m.as_deref_mut(), cb.len(), opts.dop(cb.len()), |range| {
-                let mut part = CodedBatch::empty(cb.arity() + 2);
-                let mut err = Ok(());
-                for i in range {
-                    let row = cb.row(i);
-                    let probe = |ncode: u32| {
-                        let pair = if reverse {
-                            [ncode, row[key]]
-                        } else {
-                            [row[key], ncode]
-                        };
-                        if err.is_ok() {
-                            err = part.push_concat(row, &pair);
-                        }
-                    };
-                    if reverse {
-                        view.for_each_in(row[key], probe);
-                    } else {
-                        view.for_each_out(row[key], probe);
-                    }
-                }
-                err?;
-                Ok(part)
-            })?;
-            let out = concat_coded(cb.arity() + 2, parts)?;
-            store_ref
-                .counters()
-                .record_csr_neighbor_rows(out.len() as u64);
-            Ok(EitherBatch::Coded(out))
-        }
-        EitherBatch::Rows(b) => {
-            let in_rows = b.rows();
-            let parts = traced_morsels(m, in_rows.len(), opts.dop(in_rows.len()), |range| {
-                let mut part = Batch::empty(b.arity() + 2);
-                let mut err = Ok(());
-                for row in &in_rows[range] {
-                    // A value the dictionary never interned occurs in no
-                    // stored row, frozen or delta: no neighbors.
-                    let Some(code) = store_ref.encode(&row[key]) else {
-                        continue;
-                    };
-                    let probe = |ncode: u32| {
-                        let v = store_ref.decode(ncode).clone();
-                        let pair = if reverse {
-                            Tuple::new(vec![v, row[key].clone()])
-                        } else {
-                            Tuple::new(vec![row[key].clone(), v])
-                        };
-                        if err.is_ok() {
-                            err = part.push(row.concat(&pair));
-                        }
-                    };
-                    if reverse {
-                        view.for_each_in(code, probe);
-                    } else {
-                        view.for_each_out(code, probe);
-                    }
-                }
-                err?;
-                Ok(part)
-            })?;
-            let mut out = Batch::empty(b.arity() + 2);
-            for part in parts {
-                for t in part.into_rows() {
-                    out.push(t)?;
-                }
-            }
-            let counters = store_ref.counters();
-            counters.record_csr_neighbor_rows(out.len() as u64);
-            // The decoded probe decodes one neighbor value per output row.
-            counters.record_dict_decodes(out.len() as u64);
-            Ok(rows(out))
-        }
-    }
-}
-
-/// The CSR form of the reachability fixpoint over a *decoded* base:
-/// group the base pairs by their first component, run one multi-source
-/// frontier sweep per group through the adjacency view (frozen CSR
-/// plus delta overlay), and decode. Base values the dictionary never
-/// interned stay as 0-step seeds (no stored edge can leave them).
-fn csr_fixpoint(
-    base: Batch,
     view: &AdjacencyView<'_>,
     store: &Store,
     opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<Batch> {
-    // x value → (seed codes, un-interned seed values).
-    let mut groups: Vec<(Value, Vec<u32>, Vec<Value>)> = Vec::new();
-    let mut group_of: HashMap<Value, usize> = HashMap::new();
-    for row in base.iter() {
-        let x = &row[0];
-        let gi = *group_of.entry(x.clone()).or_insert_with(|| {
-            groups.push((x.clone(), Vec::new(), Vec::new()));
-            groups.len() - 1
-        });
-        let y = &row[1];
-        match store.encode(y) {
-            Some(c) => groups[gi].1.push(c),
-            None => {
-                if !groups[gi].2.contains(y) {
-                    groups[gi].2.push(y.clone());
+    m: Option<&mut PlanMetrics>,
+) -> RelResult<CodedBatch> {
+    store.counters().record_adjacency_read(view.has_delta());
+    let parts = traced_morsels(m, input.len(), opts.dop(input.len()), |range| {
+        let mut part = CodedBatch::empty(input.arity() + 2);
+        let mut err = Ok(());
+        for i in range {
+            let row = input.row(i);
+            let probe = |ncode: u32| {
+                let pair = if reverse {
+                    [ncode, row[key]]
+                } else {
+                    [row[key], ncode]
+                };
+                if err.is_ok() {
+                    err = part.push_concat(row, &pair);
                 }
+            };
+            if reverse {
+                view.for_each_in(row[key], probe);
+            } else {
+                view.for_each_out(row[key], probe);
             }
         }
-    }
-    // One frontier sweep per source group, sharded across the workers;
-    // group order is base order, so the merge is deterministic.
-    if let Some(n) = m.as_deref_mut() {
-        n.sweep_groups = Some(groups.len() as u64);
-    }
-    let parts = traced_tasks_scratch(
-        m,
-        groups.len(),
-        opts.threads,
-        |_| (ReachScratch::new(), Vec::new()),
-        |(scratch, reached): &mut (ReachScratch, Vec<u32>), gi| {
-            let (x, seeds, strays) = &groups[gi];
-            view.reach_from_into(seeds.iter().copied(), scratch, reached);
-            let mut part: Vec<Tuple> = Vec::with_capacity(reached.len() + strays.len());
-            for &c in reached.iter() {
-                let y = store.decode(c).clone();
-                part.push(Tuple::new(vec![x.clone(), y]));
-            }
-            for y in strays {
-                part.push(Tuple::new(vec![x.clone(), y.clone()]));
-            }
-            Ok(part)
-        },
-    )?;
-    let mut out = Batch::empty(2);
-    for t in parts.into_iter().flatten() {
-        out.push(t)?;
-    }
-    let counters = store.counters();
-    counters.record_csr_sweep_sources(groups.len() as u64);
-    counters.record_adjacency_read(view.has_delta());
-    // Each reached node decodes once on its way into the output pair.
-    counters.record_dict_decodes(out.len() as u64);
+        err?;
+        Ok(part)
+    })?;
+    let out = concat_coded(input.arity() + 2, parts)?;
+    store.counters().record_csr_neighbor_rows(out.len() as u64);
     Ok(out)
 }
 
-/// The coded CSR reachability fixpoint: identical sweep structure, but
-/// groups key on `u32` codes and the output rows are code pairs — no
-/// value touches the hot loop. The view handles codes outside the
-/// frozen universe (delta-only nodes expand through the overlay;
-/// everything else is a 0-step seed).
+/// The CSR form of the reachability fixpoint: group the base pairs by
+/// their first component and run one multi-source frontier sweep per
+/// group through the adjacency view (frozen CSR plus delta overlay).
+/// The view handles codes outside the frozen universe (delta-only
+/// nodes expand through the overlay; everything else — scratch codes
+/// included — is a 0-step seed).
 fn csr_fixpoint_coded(
     base: CodedBatch,
     view: &AdjacencyView<'_>,
@@ -719,10 +493,6 @@ fn check_arities(op: &'static str, left: usize, right: usize) -> RelResult<()> {
     Ok(())
 }
 
-fn check_same_arity(op: &'static str, l: &EitherBatch, r: &EitherBatch) -> RelResult<()> {
-    check_arities(op, l.arity(), r.arity())
-}
-
 fn validate_filter_positions(cond: &RowCondition, arity: usize) -> RelResult<()> {
     if let Some(max) = cond.max_position() {
         if max >= arity {
@@ -735,41 +505,20 @@ fn validate_filter_positions(cond: &RowCondition, arity: usize) -> RelResult<()>
     Ok(())
 }
 
-fn filter(
-    cond: &RowCondition,
-    batch: Batch,
-    opts: &ExecOptions,
-    m: Option<&mut PlanMetrics>,
-) -> RelResult<Batch> {
-    validate_filter_positions(cond, batch.arity())?;
-    let arity = batch.arity();
-    let all = batch.into_rows();
-    // Positions were validated against the arity above.
-    let parts = traced_morsels(m, all.len(), opts.dop(all.len()), |range| {
-        Ok(all[range]
-            .iter()
-            .filter(|t| cond.eval(t).unwrap_or(false))
-            .cloned()
-            .collect::<Vec<_>>())
-    })?;
-    Batch::from_rows(arity, parts.into_iter().flatten())
-}
-
 fn filter_coded(
     cond: &RowCondition,
     batch: CodedBatch,
-    store: &Store,
+    codes: &Codes<'_>,
     opts: &ExecOptions,
     m: Option<&mut PlanMetrics>,
 ) -> RelResult<CodedBatch> {
     validate_filter_positions(cond, batch.arity())?;
-    let compiled = CodedCond::compile(cond, store);
-    let dict = store.dict();
+    let compiled = CodedCond::compile(cond, codes);
     let parts = traced_morsels(m, batch.len(), opts.dop(batch.len()), |range| {
         let mut part = CodedBatch::empty(batch.arity());
         for i in range {
             let row = batch.row(i);
-            if compiled.eval(row, dict) {
+            if compiled.eval(row, codes) {
                 part.push(row)?;
             }
         }
@@ -785,31 +534,6 @@ fn validate_project_positions(positions: &[usize], arity: usize) -> RelResult<()
         }
     }
     Ok(())
-}
-
-fn project(
-    positions: &[usize],
-    batch: &Batch,
-    opts: &ExecOptions,
-    m: Option<&mut PlanMetrics>,
-) -> RelResult<Batch> {
-    validate_project_positions(positions, batch.arity())?;
-    let arity = batch.arity();
-    let all = batch.rows();
-    let parts = traced_morsels(m, all.len(), opts.dop(all.len()), |range| {
-        let mut part: Vec<Tuple> = Vec::with_capacity(range.len());
-        for t in &all[range] {
-            // Positions were validated against the batch arity, but a
-            // failed projection still reports a typed error rather
-            // than trusting that invariant with a panic.
-            part.push(t.project(positions).ok_or(RelError::PositionOutOfRange {
-                position: positions.iter().copied().max().unwrap_or(0),
-                arity,
-            })?);
-        }
-        Ok(part)
-    })?;
-    Batch::from_rows(positions.len(), parts.into_iter().flatten())
 }
 
 fn project_coded(
@@ -849,46 +573,6 @@ fn validate_keys(keys: &[(usize, usize)], la: usize, ra: usize) -> RelResult<()>
         }
     }
     Ok(())
-}
-
-fn hash_join(
-    l: &Batch,
-    r: &Batch,
-    keys: &[(usize, usize)],
-    opts: &ExecOptions,
-    m: Option<&mut PlanMetrics>,
-) -> RelResult<Batch> {
-    // Empty key set: the all-columns intersection (`PhysPlan::HashJoin`
-    // docs) — keep left rows that occur on the right.
-    if keys.is_empty() {
-        check_arities("intersection", l.arity(), r.arity())?;
-        let right: HashSet<&Tuple> = r.iter().collect();
-        let parts = traced_morsels(m, l.len(), opts.dop(l.len()), |range| {
-            Ok(l.rows()[range]
-                .iter()
-                .filter(|a| right.contains(*a))
-                .cloned()
-                .collect::<Vec<_>>())
-        })?;
-        return Batch::from_rows(l.arity(), parts.into_iter().flatten());
-    }
-    validate_keys(keys, l.arity(), r.arity())?;
-    // The decoded index borrows `&Value` keys, so the build stays
-    // sequential; the probe side is morsel-parallel over a shared
-    // `&HashIndex`.
-    let right_positions: Vec<usize> = keys.iter().map(|&(_, j)| j).collect();
-    let index = r.hash_index(&right_positions);
-    let parts = traced_morsels(m, l.len(), opts.dop(l.len()), |range| {
-        let mut part: Vec<Tuple> = Vec::new();
-        for a in &l.rows()[range] {
-            let key: Vec<&Value> = keys.iter().map(|&(i, _)| &a[i]).collect();
-            for &bi in index.probe(&key) {
-                part.push(a.concat(&r.rows()[bi]));
-            }
-        }
-        Ok(part)
-    })?;
-    Batch::from_rows(l.arity() + r.arity(), parts.into_iter().flatten())
 }
 
 fn hash_join_coded(
@@ -978,59 +662,11 @@ fn hash_join_coded(
     concat_coded(l.arity() + r.arity(), parts)
 }
 
-/// `Distinct` on decoded rows: sequential first-occurrence dedup on one
-/// worker; with more, rows are hash-partitioned, each partition dedups
-/// independently (identical rows share a partition), and the surviving
-/// global row indices merge by a sort — exactly the sequential
-/// first-occurrence order.
-fn distinct_rows(
-    mut b: Batch,
-    opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<Batch> {
-    let dop = opts.dop(b.len());
-    if dop == 1 {
-        b.dedup();
-        return Ok(b);
-    }
-    use std::hash::{Hash, Hasher};
-    let all = b.rows();
-    let hashed = traced_morsels(m.as_deref_mut(), all.len(), dop, |range| {
-        Ok(all[range]
-            .iter()
-            .map(|t| {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                t.hash(&mut h);
-                h.finish()
-            })
-            .collect::<Vec<u64>>())
-    })?;
-    let hashes: Vec<u64> = hashed.concat();
-    let pcount = partition_count(dop);
-    let mask = pcount - 1;
-    if let Some(n) = m.as_deref_mut() {
-        n.partitions = Some(pcount as u64);
-    }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); pcount];
-    for (i, &h) in hashes.iter().enumerate() {
-        buckets[(h as usize) & mask].push(i);
-    }
-    let survivors = traced_tasks(m, pcount, dop, |p| {
-        let mut seen: HashSet<&Tuple> = HashSet::with_capacity(buckets[p].len());
-        Ok(buckets[p]
-            .iter()
-            .copied()
-            .filter(|&i| seen.insert(&all[i]))
-            .collect::<Vec<usize>>())
-    })?;
-    let mut order: Vec<usize> = survivors.concat();
-    order.sort_unstable();
-    let arity = b.arity();
-    Batch::from_rows(arity, order.into_iter().map(|i| all[i].clone()))
-}
-
-/// The coded `Distinct`, same partition-dedup-merge structure on `u32`
-/// rows with the deterministic [`hash_codes`] radix function.
+/// `Distinct`: sequential first-occurrence dedup on one worker; with
+/// more, rows are hash-partitioned by the deterministic [`hash_codes`]
+/// radix function, each partition dedups independently (identical rows
+/// share a partition), and the surviving global row indices merge by a
+/// sort — exactly the sequential first-occurrence order.
 fn distinct_coded(
     mut cb: CodedBatch,
     opts: &ExecOptions,
@@ -1096,95 +732,6 @@ fn validate_fixpoint_shape(
     Ok(())
 }
 
-/// Semi-naive evaluation: each round joins only the rows discovered in
-/// the previous round (`Δ`) against the step batch, so the step side is
-/// indexed once and no derivation is recomputed. With workers, each
-/// round's candidate generation is morsel-parallel over `Δ` (the step
-/// index is shared read-only); the dedup insert into the accumulator
-/// runs sequentially in morsel order, so round contents — and thus the
-/// result — match sequential execution exactly. `pub(crate)` so
-/// `transitive_closure` can drive it without staging `Values` copies.
-pub(crate) fn fixpoint(
-    base: Batch,
-    step: &Batch,
-    join: &[(usize, usize)],
-    project: &[usize],
-    opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<Batch> {
-    let arity = base.arity();
-    validate_fixpoint_shape(join, project, arity, step.arity())?;
-
-    let step_positions: Vec<usize> = join.iter().map(|&(_, j)| j).collect();
-    let index = step.hash_index(&step_positions);
-
-    let mut known: HashSet<Tuple> = HashSet::with_capacity(base.len());
-    let mut delta: Vec<Tuple> = Vec::with_capacity(base.len());
-    for t in base.into_rows() {
-        if known.insert(t.clone()) {
-            delta.push(t);
-        }
-    }
-
-    // Positions were validated by `validate_fixpoint_shape`, but a
-    // failed projection still reports a typed error, never a panic.
-    let wide_arity = arity + step.arity();
-    let grow = |wide: &Tuple| {
-        wide.project(project).ok_or(RelError::PositionOutOfRange {
-            position: project.iter().copied().max().unwrap_or(0),
-            arity: wide_arity,
-        })
-    };
-
-    let mut iterations: usize = 0;
-    while !delta.is_empty() {
-        check_iteration_budget(&mut iterations, opts)?;
-        if let Some(n) = m.as_deref_mut() {
-            n.iterations
-                .get_or_insert_with(Vec::new)
-                .push(delta.len() as u64);
-        }
-        let mut next: Vec<Tuple> = Vec::new();
-        if opts.dop(delta.len()) == 1 {
-            for acc in &delta {
-                let key: Vec<&Value> = join.iter().map(|&(i, _)| &acc[i]).collect();
-                for &si in index.probe(&key) {
-                    let wide = acc.concat(&step.rows()[si]);
-                    let grown = grow(&wide)?;
-                    if known.insert(grown.clone()) {
-                        next.push(grown);
-                    }
-                }
-            }
-        } else {
-            let parts = traced_morsels(
-                m.as_deref_mut(),
-                delta.len(),
-                opts.dop(delta.len()),
-                |range| {
-                    let mut cand: Vec<Tuple> = Vec::new();
-                    for acc in &delta[range] {
-                        let key: Vec<&Value> = join.iter().map(|&(i, _)| &acc[i]).collect();
-                        for &si in index.probe(&key) {
-                            let wide = acc.concat(&step.rows()[si]);
-                            cand.push(grow(&wide)?);
-                        }
-                    }
-                    Ok(cand)
-                },
-            )?;
-            for grown in parts.into_iter().flatten() {
-                if known.insert(grown.clone()) {
-                    next.push(grown);
-                }
-            }
-        }
-        delta = next;
-    }
-
-    Batch::from_rows(arity, known)
-}
-
 /// The `max_fixpoint_iters` safety valve: counts the round about to
 /// start and fails with a typed [`RelError::IterationLimit`] once the
 /// budget is exhausted.
@@ -1201,12 +748,16 @@ fn check_iteration_budget(iterations: &mut usize, opts: &ExecOptions) -> RelResu
     Ok(())
 }
 
-/// The coded semi-naive fixpoint: identical round structure, but the
-/// accumulator dedup set, join keys and projections are all `u32` rows
-/// — the per-derivation work the data-complexity argument counts is a
-/// handful of integer hashes instead of `Value` clones and compares.
-fn fixpoint_coded(
-    base: CodedBatch,
+/// Semi-naive evaluation: each round joins only the rows discovered in
+/// the previous round (`Δ`) against the step batch, so the step side is
+/// indexed once and no derivation is recomputed. With workers, each
+/// round's candidate generation is morsel-parallel over `Δ` (the step
+/// index is shared read-only); the dedup insert into the accumulator
+/// runs sequentially in morsel order, so round contents — and thus the
+/// result — match sequential execution exactly. `pub(crate)` so
+/// `transitive_closure` can drive it without staging `Values` copies.
+pub(crate) fn fixpoint_coded(
+    base: &CodedBatch,
     step: &CodedBatch,
     join: &[(usize, usize)],
     project: &[usize],
@@ -1442,10 +993,18 @@ mod tests {
         );
     }
 
-    /// Every store-backed operator in both modes against the storeless
-    /// truth — the unit-sized version of `tests/prop_store.rs`.
+    /// Runs a plan under a store down to the set boundary.
+    fn run(plan: &PhysPlan, d: &Database, store: &Store) -> Relation {
+        execute_opts(plan, d, Some(store), &ExecOptions::default())
+            .unwrap()
+            .into_relation()
+            .unwrap()
+    }
+
+    /// Every store-backed operator against the storeless truth — the
+    /// unit-sized version of `tests/prop_store.rs`.
     #[test]
-    fn coded_and_decoded_modes_agree_with_storeless() {
+    fn store_backed_plans_agree_with_storeless() {
         let d = db();
         let store = Store::from_database(&d);
         let tc = PhysPlan::Fixpoint {
@@ -1483,8 +1042,9 @@ mod tests {
                 left: Box::new(PhysPlan::IndexScan("R".into()).project(vec![1])),
                 right: Box::new(PhysPlan::IndexScan("S".into())),
             },
-            tc.clone(),
-            // Mixed boundary: coded scan united with an uncoded Values.
+            tc,
+            // A store scan united with a `Values` row the store never
+            // interned: the scratch layer keeps the union on codes.
             PhysPlan::Union {
                 left: Box::new(PhysPlan::IndexScan("S".into())),
                 right: Box::new(PhysPlan::Values(Batch::from_rows(1, [tuple![77]]).unwrap())),
@@ -1494,22 +1054,8 @@ mod tests {
             // The no-store executor degrades IndexScan/AdjacencyExpand
             // to database scans and hash joins — the storeless truth.
             let truth = execute(plan, &d).unwrap().into_relation();
-            let coded = execute_mode(plan, &d, Some(&store), BatchMode::Coded)
-                .unwrap()
-                .into_relation(Some(&store))
-                .unwrap();
-            let decoded = execute_mode(plan, &d, Some(&store), BatchMode::Decoded)
-                .unwrap()
-                .into_relation(Some(&store))
-                .unwrap();
-            assert_eq!(coded, truth, "coded disagrees on:\n{plan}");
-            assert_eq!(decoded, truth, "decoded disagrees on:\n{plan}");
+            assert_eq!(run(plan, &d, &store), truth, "disagrees on:\n{plan}");
         }
-        // The coded pipeline really is coded (and the decoded one is not).
-        let probe = execute_mode(&tc, &d, Some(&store), BatchMode::Coded).unwrap();
-        assert!(probe.is_coded());
-        let probe = execute_mode(&tc, &d, Some(&store), BatchMode::Decoded).unwrap();
-        assert!(!probe.is_coded());
     }
 
     /// After in-place updates (tombstones + adjacency deltas), every
@@ -1554,54 +1100,17 @@ mod tests {
             tc.clone(),
         ];
         for plan in &plans {
-            for mode in [BatchMode::Coded, BatchMode::Decoded] {
-                let incremental = execute_mode(plan, &d, Some(&store), mode)
-                    .unwrap()
-                    .into_relation(Some(&store))
-                    .unwrap();
-                let fresh = execute_mode(plan, &d, Some(&rebuilt), mode)
-                    .unwrap()
-                    .into_relation(Some(&rebuilt))
-                    .unwrap();
-                assert_eq!(incremental, fresh, "{mode:?} disagrees on:\n{plan}");
-            }
+            assert_eq!(
+                run(plan, &d, &store),
+                run(plan, &d, &rebuilt),
+                "disagrees on:\n{plan}"
+            );
         }
         // The closure really reflects the delta: 0 now reaches 9 via
         // the shortcut, and 1 no longer follows from 0.
-        let reach = execute_mode(&tc, &d, Some(&store), BatchMode::Coded)
-            .unwrap()
-            .into_relation(Some(&store))
-            .unwrap();
+        let reach = run(&tc, &d, &store);
         assert!(reach.contains(&tuple![0, 9]));
         assert!(!reach.contains(&tuple![0, 1]));
-    }
-
-    /// The misuse the panic-free audit closes: a coded plan executed
-    /// under a store whose result is then decoded without one must be a
-    /// typed error end-to-end, never an `expect` panic.
-    #[test]
-    fn coded_result_without_store_is_a_typed_error() {
-        let d = db();
-        let store = Store::from_database(&d);
-        let plan = PhysPlan::IndexScan("R".into())
-            .filter(RowCondition::col_cmp_const(
-                1,
-                pgq_relational::CmpOp::Gt,
-                15,
-            ))
-            .distinct();
-        let coded = execute_mode(&plan, &d, Some(&store), BatchMode::Coded).unwrap();
-        assert!(coded.is_coded());
-        assert_eq!(
-            coded.clone().into_relation(None),
-            Err(RelError::MissingStore {
-                context: "decoding a coded result"
-            })
-        );
-        assert!(matches!(
-            coded.decode(None),
-            Err(RelError::MissingStore { .. })
-        ));
     }
 
     /// Parallel execution is byte-identical to sequential — the unit
@@ -1642,25 +1151,28 @@ mod tests {
         ];
         let seq = ExecOptions::sequential();
         for plan in &plans {
-            for mode in [BatchMode::Coded, BatchMode::Decoded] {
-                let sequential = execute_opts(plan, &d, Some(&store), mode, &seq).unwrap();
+            // With and without the store: the storeless run interns its
+            // scans on the calling thread, then runs the same operators.
+            for store in [Some(&store), None] {
+                let sequential = execute_opts(plan, &d, store, &seq).unwrap();
                 for threads in [2, 8] {
                     let par = ExecOptions::with_threads(threads);
-                    let parallel = execute_opts(plan, &d, Some(&store), mode, &par).unwrap();
-                    // Byte-identical batches: same representation, same
-                    // rows, same order — before any set boundary.
+                    let parallel = execute_opts(plan, &d, store, &par).unwrap();
+                    // Byte-identical batches: same codes, same rows,
+                    // same order — before any set boundary.
                     assert_eq!(
-                        parallel, sequential,
-                        "{mode:?} @ {threads} threads disagrees on:\n{plan}"
+                        parallel.batch(),
+                        sequential.batch(),
+                        "{threads} threads disagrees on:\n{plan}"
                     );
                 }
             }
         }
     }
 
-    /// The expand probe key must be validated in both representations.
+    /// The expand probe key is validated before any probe.
     #[test]
-    fn coded_expand_validates_key() {
+    fn expand_validates_key() {
         let d = db();
         let store = Store::from_database(&d);
         let bad = PhysPlan::AdjacencyExpand {
@@ -1669,7 +1181,8 @@ mod tests {
             rel: "E".into(),
             reverse: false,
         };
-        assert!(execute_mode(&bad, &d, Some(&store), BatchMode::Coded).is_err());
+        assert!(execute_with(&bad, &d, Some(&store)).is_err());
+        assert!(execute(&bad, &d).is_err());
     }
 
     /// Out-of-range positions surface as typed errors — never a panic —
@@ -1716,7 +1229,7 @@ mod tests {
         for threads in [1, 4] {
             let mut opts = ExecOptions::with_threads(threads);
             opts.max_fixpoint_iters = Some(1);
-            let err = execute_opts(&tc, &d, None, BatchMode::Decoded, &opts).unwrap_err();
+            let err = execute_opts(&tc, &d, None, &opts).unwrap_err();
             match err {
                 RelError::IterationLimit { limit, iterations } => {
                     assert_eq!(limit, 1);
@@ -1726,8 +1239,8 @@ mod tests {
             }
             // An adequate budget completes normally with identical rows.
             opts.max_fixpoint_iters = Some(8);
-            let out = execute_opts(&tc, &d, None, BatchMode::Decoded, &opts).unwrap();
-            assert_eq!(out.into_relation(None).unwrap().len(), 9);
+            let out = execute_opts(&tc, &d, None, &opts).unwrap();
+            assert_eq!(out.into_relation().unwrap().len(), 9);
         }
     }
 }

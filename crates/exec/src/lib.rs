@@ -22,17 +22,16 @@
 //!   [`PhysPlan::IndexScan`]s, `AdomScan` reads the frozen active
 //!   domain, and joins against CSR-indexed edge relations become
 //!   [`PhysPlan::AdjacencyExpand`] neighbor lookups;
-//! * [`execute`]/[`execute_with`]/[`execute_mode`] — the batch
-//!   executor, store-backed when given a store. Under a store the
-//!   pipeline is **coded** (substrate S16, PR 4): store reads produce
-//!   [`CodedBatch`]es of dictionary codes, every operator has a coded
-//!   twin, and the pipeline decodes exactly once at the
-//!   [`EitherBatch::into_relation`] set-semantics boundary —
-//!   per-tuple work in the hot loops is a `u32` compare, not a
-//!   `Value` compare. [`BatchMode::Decoded`] keeps the PR 3
-//!   decode-at-scan route alive as the E17 ablation baseline, and
-//!   [`PhysPlan::runs_coded`]/[`PhysPlan::display_with`] surface the
-//!   routing decision through `EXPLAIN`;
+//! * [`execute`]/[`execute_with`]/[`execute_opts`] — the batch
+//!   executor, store-backed when given a store. There is one pipeline
+//!   and it is **coded**: every batch between operators is a
+//!   [`CodedBatch`] of dictionary codes — store reads hand theirs over
+//!   as-is, every other leaf interns its rows into a per-execution
+//!   scratch dictionary layered over the store's ([`Codes`]; a
+//!   storeless run is the same thing over an empty base) — and the
+//!   pipeline decodes exactly once, at the [`Coded::into_relation`]
+//!   set-semantics boundary. Per-tuple work in the hot loops is a
+//!   `u32` compare, not a `Value` compare;
 //! * [`PhysPlan::Fixpoint`] — a semi-naive least-fixpoint operator; the
 //!   FO\[TC\] evaluator (S5) and the `PGQrw` reachability route (S7,
 //!   `Engine::Physical`) both lower their closures onto it via
@@ -57,15 +56,15 @@ pub mod plan;
 pub mod planner;
 
 pub use batch::Batch;
-pub use coded::{BatchMode, CodedBatch, CodedCond, EitherBatch};
-pub use cost::{annotate_estimates, cost_plan, recommended_mode, Estimator, PlannerChoice};
-pub use exec::{execute, execute_mode, execute_opts, execute_profiled, execute_with};
+pub use coded::{Coded, CodedBatch, CodedCond, Codes};
+pub use cost::{annotate_estimates, cost_plan, Estimator, PlannerChoice};
+pub use exec::{execute, execute_opts, execute_profiled, execute_with};
 pub use metrics::{JsonWriter, PlanMetrics, QueryProfile};
 pub use parallel::ExecOptions;
 pub use plan::PhysPlan;
 pub use planner::{
-    eval_ra, eval_ra_mode, eval_ra_opts, eval_ra_profiled, eval_ra_with, intersect_plan, lower_ra,
-    optimize_plan, plan_ra, store_plan,
+    eval_ra, eval_ra_opts, eval_ra_profiled, eval_ra_with, intersect_plan, lower_ra, optimize_plan,
+    plan_ra, store_plan,
 };
 
 use pgq_relational::{RelError, RelResult};
@@ -92,6 +91,18 @@ pub fn transitive_closure_opts(
     params: usize,
     opts: &ExecOptions,
 ) -> RelResult<Batch> {
+    closure(&edges, k, params, opts, None)
+}
+
+/// The closure body: intern the edge batch, run the coded fixpoint
+/// with the edges as both base and step, decode.
+fn closure(
+    edges: &Batch,
+    k: usize,
+    params: usize,
+    opts: &ExecOptions,
+    m: Option<&mut PlanMetrics>,
+) -> RelResult<Batch> {
     let arity = 2 * k + params;
     if edges.arity() != arity {
         return Err(RelError::ArityMismatch {
@@ -100,23 +111,15 @@ pub fn transitive_closure_opts(
             found: edges.arity(),
         });
     }
-    let (join, project) = closure_shape(k, params);
-    // Drive the executor's fixpoint directly — this is the closure hot
-    // path, and staging the edges through `Values` nodes would copy the
-    // batch on every clone.
-    exec::fixpoint(edges.clone(), &edges, &join, &project, opts, None)
-}
-
-/// The join/project vectors of the flattened-closure fixpoint:
-/// acc.t̄ = step.s̄ and acc.p̄ = step.p̄, emitting (acc.s̄, step.t̄, p̄).
-fn closure_shape(k: usize, params: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
-    let arity = 2 * k + params;
+    // acc.t̄ = step.s̄ and acc.p̄ = step.p̄, emitting (acc.s̄, step.t̄, p̄).
     let mut join: Vec<(usize, usize)> = (0..k).map(|i| (k + i, i)).collect();
     join.extend((0..params).map(|i| (2 * k + i, 2 * k + i)));
     let mut project: Vec<usize> = (0..k).collect();
     project.extend(arity + k..arity + 2 * k);
     project.extend(arity + 2 * k..arity + 2 * k + params);
-    (join, project)
+    let mut codes = Codes::new(None);
+    let step = CodedBatch::intern(arity, edges.iter(), &mut codes)?;
+    exec::fixpoint_coded(&step, &step, &join, &project, opts, m)?.decode(&codes)
 }
 
 /// [`transitive_closure_opts`], additionally returning a
@@ -130,20 +133,11 @@ pub fn transitive_closure_profiled(
     params: usize,
     opts: &ExecOptions,
 ) -> RelResult<(Batch, PlanMetrics)> {
-    let arity = 2 * k + params;
-    if edges.arity() != arity {
-        return Err(RelError::ArityMismatch {
-            context: "transitive closure step relation",
-            expected: arity,
-            found: edges.arity(),
-        });
-    }
-    let (join, project) = closure_shape(k, params);
     let mut m = PlanMetrics::leaf(format!("Fixpoint [semi-naive closure; k={k}]"));
     m.executed = true;
     m.rows_in = edges.len() as u64;
     let start = std::time::Instant::now();
-    let out = exec::fixpoint(edges.clone(), &edges, &join, &project, opts, Some(&mut m))?;
+    let out = closure(&edges, k, params, opts, Some(&mut m))?;
     m.elapsed_ns = start.elapsed().as_nanos() as u64;
     m.rows_out = out.len() as u64;
     m.batches = 1;

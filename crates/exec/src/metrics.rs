@@ -3,7 +3,7 @@
 //!
 //! A [`PlanMetrics`] tree mirrors the [`crate::PhysPlan`] operator tree
 //! one node per operator, recording rows in/out, batches, wall time,
-//! coded-vs-decoded mode, hash-join build sizes and partition counts,
+//! hash-join build sizes and partition counts,
 //! fixpoint iterations with per-iteration Δ-frontier sizes, and
 //! per-worker task counts from the morsel scheduler. Collection is
 //! opt-in ([`crate::ExecOptions::collect_metrics`], or the
@@ -14,7 +14,7 @@
 //! N-workers guarantee.
 //!
 //! Every field is either **deterministic** (row counts, iteration
-//! Δ sizes, build sizes, coded flags — identical at any thread count,
+//! Δ sizes, build sizes — identical at any thread count,
 //! pinned by `tests/prop_engine.rs`) or **runtime** (wall time, degree
 //! of parallelism, radix partition counts, per-worker task counts —
 //! scheduling facts that vary run to run). The renderer segregates
@@ -51,8 +51,6 @@ pub struct PlanMetrics {
     pub est_rows: Option<u64>,
     /// Output batches produced (1 per execution of this node).
     pub batches: u64,
-    /// Whether the output batch was dictionary-coded.
-    pub coded: bool,
     /// Inclusive wall time for the subtree under this node, in
     /// nanoseconds. Runtime field.
     pub elapsed_ns: u64,
@@ -124,9 +122,6 @@ impl PlanMetrics {
             return format!("{} [not executed]", self.label);
         }
         let mut s = self.label.clone();
-        if self.coded {
-            s.push_str(" ⟨coded⟩");
-        }
         if !self.children.is_empty() {
             let _ = write!(s, " in={}", self.rows_in);
         }
@@ -193,8 +188,6 @@ impl PlanMetrics {
         }
         w.key("batches");
         w.number(self.batches);
-        w.key("coded");
-        w.boolean(self.coded);
         w.key("elapsed_ns");
         w.number(self.elapsed_ns);
         w.key("dop");

@@ -1,7 +1,7 @@
 //! The physical-plan IR.
 //!
 //! A [`PhysPlan`] is what the planner produces and the executor runs: a
-//! tree of physical operators over row batches. It is deliberately
+//! tree of physical operators over batches of rows. It is deliberately
 //! *lower-level* than [`pgq_relational::RaExpr`] — joins, distinctness
 //! and fixpoints are explicit operators here, while the logical algebra
 //! only knows `σ/π/×/∪/−`.
@@ -17,7 +17,7 @@ pub enum PhysPlan {
     /// Scan a stored relation.
     Scan(RelName),
     /// Scan a relation registered in the session [`pgq_store::Store`]
-    /// (columnar, dictionary-decoded on the way out). The reserved name
+    /// (columnar codes, handed to the pipeline as-is). The reserved name
     /// [`pgq_store::ADOM_REL`] scans the store's frozen active domain.
     /// Without a store the operator degrades to the equivalent
     /// database scan, so plans stay executable anywhere.
@@ -301,38 +301,6 @@ impl PhysPlan {
         }
     }
 
-    /// Whether this subtree runs on dictionary codes under `store` in
-    /// [`crate::coded::BatchMode::Coded`] — a static mirror of the
-    /// executor's representation dispatch (kept in lockstep so
-    /// `EXPLAIN` never lies):
-    ///
-    /// * `IndexScan` is coded when the store registers the relation;
-    /// * `AdjacencyExpand` stays coded when its input is coded and the
-    ///   relation is CSR-indexed;
-    /// * unary operators (`Filter`/`Project`/`Distinct`) inherit;
-    /// * binary operators and `Fixpoint` are coded only when **all**
-    ///   children are — a mixed meeting point decodes the coded side;
-    /// * `Scan`/`Values`/`AdomScan` produce decoded rows.
-    pub fn runs_coded(&self, store: &pgq_store::Store) -> bool {
-        match self {
-            PhysPlan::IndexScan(name) => store.has_relation(name),
-            PhysPlan::Scan(_) | PhysPlan::Values(_) | PhysPlan::AdomScan => false,
-            PhysPlan::AdjacencyExpand { input, rel, .. } => {
-                input.runs_coded(store) && store.adjacency(rel).is_some()
-            }
-            PhysPlan::Filter { input, .. }
-            | PhysPlan::Project { input, .. }
-            | PhysPlan::Distinct { input } => input.runs_coded(store),
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::Product { left, right }
-            | PhysPlan::Union { left, right }
-            | PhysPlan::Diff { left, right } => left.runs_coded(store) && right.runs_coded(store),
-            PhysPlan::Fixpoint { base, step, .. } => {
-                base.runs_coded(store) && step.runs_coded(store)
-            }
-        }
-    }
-
     /// Whether **this operator** reads store state through an update
     /// overlay: an `IndexScan` over a relation with tombstoned rows,
     /// or an adjacency read (`AdjacencyExpand`, the CSR-routed
@@ -371,14 +339,10 @@ impl PhysPlan {
         self.reads_overlay(store) || self.children().iter().any(|c| c.any_overlay(store))
     }
 
-    /// The `EXPLAIN` tree annotated with the coded-execution routing
-    /// under `store`: nodes running on dictionary codes are marked
-    /// `⟨coded⟩`, each point where a coded subtree is decoded to meet
-    /// an uncoded one is marked `⟨decode⟩`, nodes reading through an
-    /// update overlay (tombstones or adjacency deltas) are marked
-    /// `⟨delta⟩`, and a trailing line states where the pipeline's
-    /// decode boundary sits. With no store this is plain
-    /// [`std::fmt::Display`] plus a `decoded` summary line.
+    /// The `EXPLAIN` tree annotated with what `store` adds: nodes
+    /// reading through an update overlay (tombstones or adjacency
+    /// deltas) are marked `⟨delta⟩`, with a trailing legend line when
+    /// any is. With no store this is plain [`std::fmt::Display`].
     pub fn display_with(&self, store: Option<&pgq_store::Store>) -> String {
         self.render_annotated_tree(store, None)
     }
@@ -389,8 +353,7 @@ impl PhysPlan {
     /// carries its degree of parallelism as `⟨dop≤n⟩` — an upper bound,
     /// since an operator never gets more workers than its input has
     /// morsels — and a trailing line states the worker budget. At one
-    /// thread the output gains only the summary line, so `EXPLAIN`
-    /// under `SET THREADS 1;` reads like the sequential engine's.
+    /// thread the output gains only the summary line.
     pub fn display_with_opts(
         &self,
         store: Option<&pgq_store::Store>,
@@ -430,19 +393,8 @@ impl PhysPlan {
         threads: Option<usize>,
     ) -> String {
         let mut out = String::new();
-        self.render_annotated(&mut out, store, threads, "", true, true, false);
-        let Some(store) = store else {
-            out.push_str("pipeline: decoded (no session store)\n");
-            return out;
-        };
-        if self.runs_coded(store) {
-            out.push_str("pipeline: coded (decode once at the result boundary)\n");
-        } else if self.any_coded(store) {
-            out.push_str("pipeline: mixed (decode at the marked ⟨decode⟩ boundaries)\n");
-        } else {
-            out.push_str("pipeline: decoded\n");
-        }
-        if self.any_overlay(store) {
+        self.render_annotated(&mut out, store, threads, "", true, true);
+        if store.is_some_and(|s| self.any_overlay(s)) {
             out.push_str(
                 "overlay: ⟨delta⟩ operators merge update overlays at read time (COMPACT folds them)\n",
             );
@@ -450,12 +402,6 @@ impl PhysPlan {
         out
     }
 
-    /// Whether any node of the subtree runs coded.
-    fn any_coded(&self, store: &pgq_store::Store) -> bool {
-        self.runs_coded(store) || self.children().iter().any(|c| c.any_coded(store))
-    }
-
-    #[allow(clippy::too_many_arguments)] // one recursive renderer, called from two entry points
     fn render_annotated(
         &self,
         out: &mut String,
@@ -464,19 +410,9 @@ impl PhysPlan {
         prefix: &str,
         last: bool,
         root: bool,
-        parent_coded: bool,
     ) {
         use std::fmt::Write as _;
-        let coded = store.is_some_and(|s| self.runs_coded(s));
-        let mut marker = String::from(if coded && !parent_coded && !root {
-            // A coded subtree feeding a decoded parent: the executor
-            // decodes this operator's output before the parent runs.
-            " ⟨coded⟩ ⟨decode⟩"
-        } else if coded {
-            " ⟨coded⟩"
-        } else {
-            ""
-        });
+        let mut marker = String::new();
         if store.is_some_and(|s| self.reads_overlay(s)) {
             marker.push_str(" ⟨delta⟩");
         }
@@ -501,7 +437,7 @@ impl PhysPlan {
         let children = self.children();
         let n = children.len();
         for (i, c) in children.into_iter().enumerate() {
-            c.render_annotated(out, store, threads, &child_prefix, i + 1 == n, false, coded);
+            c.render_annotated(out, store, threads, &child_prefix, i + 1 == n, false);
         }
     }
 
@@ -587,34 +523,6 @@ impl PhysPlan {
             PhysPlan::Fixpoint { base, step, .. } => vec![base, step],
         }
     }
-
-    fn render(
-        &self,
-        out: &mut fmt::Formatter<'_>,
-        prefix: &str,
-        last: bool,
-        root: bool,
-    ) -> fmt::Result {
-        if root {
-            writeln!(out, "{}", self.node_label())?;
-        } else {
-            let branch = if last { "└─ " } else { "├─ " };
-            writeln!(out, "{prefix}{branch}{}", self.node_label())?;
-        }
-        let child_prefix = if root {
-            String::new()
-        } else if last {
-            format!("{prefix}   ")
-        } else {
-            format!("{prefix}│  ")
-        };
-        let children = self.children();
-        let n = children.len();
-        for (i, c) in children.into_iter().enumerate() {
-            c.render(out, &child_prefix, i + 1 == n, false)?;
-        }
-        Ok(())
-    }
 }
 
 /// `EXPLAIN`-style tree rendering:
@@ -626,7 +534,7 @@ impl PhysPlan {
 /// ```
 impl fmt::Display for PhysPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.render(f, "", true, true)
+        f.write_str(&self.display_with(None))
     }
 }
 
@@ -735,56 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn coded_display_marks_routing_and_boundaries() {
-        use crate::batch::Batch;
-        let mut db = pgq_relational::Database::new();
-        db.insert("R", pgq_value::tuple![1, 2]).unwrap();
-        db.insert("S", pgq_value::tuple![1]).unwrap();
-        let store = pgq_store::Store::from_database(&db);
-
-        // Fully coded pipeline: decode only at the result boundary.
-        let coded = PhysPlan::IndexScan("R".into())
-            .hash_join(PhysPlan::IndexScan("S".into()), vec![(0, 0)])
-            .project(vec![1]);
-        assert!(coded.runs_coded(&store));
-        let text = coded.display_with(Some(&store));
-        assert!(text.contains("Project [$2] ⟨coded⟩"), "{text}");
-        assert!(
-            text.contains("pipeline: coded (decode once at the result boundary)"),
-            "{text}"
-        );
-        assert!(!text.contains("⟨decode⟩"), "{text}");
-
-        // Mixed: an uncoded Values stage forces a decode boundary at
-        // the union, marked on the coded child.
-        let mixed = PhysPlan::Union {
-            left: Box::new(PhysPlan::IndexScan("S".into())),
-            right: Box::new(PhysPlan::Values(
-                Batch::from_rows(1, [pgq_value::tuple![9]]).unwrap(),
-            )),
-        };
-        assert!(!mixed.runs_coded(&store));
-        let text = mixed.display_with(Some(&store));
-        assert!(
-            text.contains("IndexScan S [columnar] ⟨coded⟩ ⟨decode⟩"),
-            "{text}"
-        );
-        assert!(text.contains("pipeline: mixed"), "{text}");
-
-        // No store: everything is decoded.
-        let text = coded.display_with(None);
-        assert!(
-            text.contains("pipeline: decoded (no session store)"),
-            "{text}"
-        );
-        assert!(!text.contains("⟨coded⟩"), "{text}");
-        // A store that doesn't register the relation: plain decoded.
-        let empty = pgq_store::Store::new();
-        let text = PhysPlan::Scan("R".into()).display_with(Some(&empty));
-        assert!(text.contains("pipeline: decoded\n"), "{text}");
-    }
-
-    #[test]
     fn delta_markers_surface_update_overlays() {
         let mut db = pgq_relational::Database::new();
         db.insert("E", pgq_value::tuple![1, 2]).unwrap();
@@ -811,7 +669,7 @@ mod tests {
         assert!(tc.reads_overlay(&store));
         let text = expand.display_with(Some(&store));
         assert!(
-            text.contains("AdjacencyExpand [$1 → E CSR] ⟨coded⟩ ⟨delta⟩"),
+            text.contains("AdjacencyExpand [$1 → E CSR] ⟨delta⟩"),
             "{text}"
         );
         assert!(text.contains("overlay: ⟨delta⟩ operators"), "{text}");
@@ -840,16 +698,12 @@ mod tests {
             .distinct();
 
         // Parallel options mark every morsel-parallel operator with its
-        // worker bound — scans never get one — and the existing coded
-        // markers stay put.
+        // worker bound — scans never get one.
         let text = plan.display_with_opts(Some(&store), &ExecOptions::with_threads(4));
-        assert!(text.contains("Distinct ⟨coded⟩ ⟨dop≤4⟩"), "{text}");
-        assert!(text.contains("Project [$2] ⟨coded⟩ ⟨dop≤4⟩"), "{text}");
-        assert!(
-            text.contains("HashJoin [$1 = $1ʳ] ⟨coded⟩ ⟨dop≤4⟩"),
-            "{text}"
-        );
-        assert!(text.contains("IndexScan R [columnar] ⟨coded⟩\n"), "{text}");
+        assert!(text.contains("Distinct ⟨dop≤4⟩"), "{text}");
+        assert!(text.contains("Project [$2] ⟨dop≤4⟩"), "{text}");
+        assert!(text.contains("HashJoin [$1 = $1ʳ] ⟨dop≤4⟩"), "{text}");
+        assert!(text.contains("IndexScan R [columnar]\n"), "{text}");
         assert!(text.contains("parallelism: up to 4 workers"), "{text}");
 
         // One thread: same tree as `display_with`, plus the summary.
@@ -861,14 +715,12 @@ mod tests {
             plan.display_with(Some(&store)),
         );
 
-        // Store-less plans still report their worker budget.
+        // Store-less plans still report their worker budget, and a
+        // fresh store adds nothing to the plain tree.
         let bare = PhysPlan::Scan("R".into()).filter(RowCondition::col_eq(0, 1));
         let text = bare.display_with_opts(None, &ExecOptions::with_threads(2));
         assert!(text.contains("Filter [$1 = $2] ⟨dop≤2⟩"), "{text}");
-        assert!(
-            text.contains("pipeline: decoded (no session store)"),
-            "{text}"
-        );
+        assert_eq!(plan.display_with(Some(&store)), plan.to_string());
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! and this module's tests hold it to the reference evaluator.
 
 use crate::batch::Batch;
-use crate::coded::BatchMode;
-use crate::exec::{execute, execute_opts};
+use crate::exec::execute_opts;
 use crate::parallel::ExecOptions;
 use crate::plan::PhysPlan;
 use pgq_relational::{CmpOp, Database, Operand, RaExpr, RelResult, Relation, RowCondition, Schema};
@@ -43,45 +42,30 @@ fn plan_for_instance(expr: &RaExpr, db: &Database) -> RelResult<PhysPlan> {
 /// entry point for `RaExpr` workloads.
 pub fn eval_ra(expr: &RaExpr, db: &Database) -> RelResult<Relation> {
     let plan = plan_for_instance(expr, db)?;
-    Ok(execute(&plan, db)?.into_relation())
+    execute_opts(&plan, db, None, &ExecOptions::default())?.into_relation()
 }
 
 /// [`eval_ra`] through a session [`Store`]: the optimized plan is
-/// additionally lowered onto the store's indexes by [`store_plan`],
-/// runs **coded** (dictionary codes end-to-end), and decodes exactly
-/// once at the set-semantics boundary. The store must be a snapshot of
-/// `db`.
+/// additionally lowered onto the store's indexes, runs on the store's
+/// dictionary codes end-to-end, and decodes exactly once at the
+/// set-semantics boundary. The store must be a snapshot of `db`.
 pub fn eval_ra_with(expr: &RaExpr, db: &Database, store: &Store) -> RelResult<Relation> {
-    eval_ra_mode(expr, db, store, BatchMode::Coded)
+    eval_ra_opts(expr, db, store, &ExecOptions::default())
 }
 
-/// [`eval_ra_with`] with an explicit representation mode —
-/// [`BatchMode::Decoded`] reproduces the PR 3 decode-at-scan store
-/// route, which the E17 ablation and the differential suite
-/// (`tests/prop_store.rs`) hold against the coded default.
-pub fn eval_ra_mode(
-    expr: &RaExpr,
-    db: &Database,
-    store: &Store,
-    mode: BatchMode,
-) -> RelResult<Relation> {
-    eval_ra_opts(expr, db, store, mode, &ExecOptions::default())
-}
-
-/// [`eval_ra_mode`] on explicit [`ExecOptions`] — the entry point the
+/// [`eval_ra_with`] on explicit [`ExecOptions`] — the entry point the
 /// session layer uses to run a query morsel-parallel (`SET THREADS n;`
 /// in the shell, `EvalConfig::threads` in `pgq-core`). Results are
 /// byte-identical across thread counts; `tests/prop_store.rs` holds
-/// the equivalence at {1, 2, 8} threads in both batch modes.
+/// the equivalence at {1, 2, 8} threads.
 pub fn eval_ra_opts(
     expr: &RaExpr,
     db: &Database,
     store: &Store,
-    mode: BatchMode,
     opts: &ExecOptions,
 ) -> RelResult<Relation> {
     let plan = lower_onto_store(plan_for_instance(expr, db)?, db, store, opts);
-    execute_opts(&plan, db, Some(store), mode, opts)?.into_relation(Some(store))
+    execute_opts(&plan, db, Some(store), opts)?.into_relation()
 }
 
 /// Applies the pass [`ExecOptions::planner`] selects: the
@@ -102,15 +86,14 @@ pub fn eval_ra_profiled(
     expr: &RaExpr,
     db: &Database,
     store: &Store,
-    mode: BatchMode,
     opts: &ExecOptions,
 ) -> RelResult<(Relation, crate::metrics::QueryProfile)> {
     let plan = lower_onto_store(plan_for_instance(expr, db)?, db, store, opts);
     let start = std::time::Instant::now();
-    let (batch, mut root) = crate::execute_profiled(&plan, db, Some(store), mode, opts)?;
+    let (batch, mut root) = crate::execute_profiled(&plan, db, Some(store), opts)?;
     let stats = store.statistics();
     crate::cost::annotate_estimates(&mut root, &plan, &crate::cost::Estimator::new(&stats));
-    let rel = batch.into_relation(Some(store))?;
+    let rel = batch.into_relation()?;
     let profile = crate::metrics::QueryProfile {
         rows: rel.len() as u64,
         threads: opts.threads,
@@ -476,7 +459,7 @@ mod tests {
     use super::*;
     use pgq_value::tuple;
 
-    use crate::exec::execute_with;
+    use crate::exec::{execute, execute_with};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -705,13 +688,11 @@ mod tests {
             assert_eq!(eval_ra_with(&q, &d, &store).unwrap(), reference, "{q}");
             for threads in [1, 2, 8] {
                 let opts = ExecOptions::with_threads(threads);
-                for mode in [BatchMode::Coded, BatchMode::Decoded] {
-                    assert_eq!(
-                        eval_ra_opts(&q, &d, &store, mode, &opts).unwrap(),
-                        reference,
-                        "{q} at {threads} threads"
-                    );
-                }
+                assert_eq!(
+                    eval_ra_opts(&q, &d, &store, &opts).unwrap(),
+                    reference,
+                    "{q} at {threads} threads"
+                );
             }
         }
     }
@@ -751,7 +732,7 @@ mod tests {
         let opts = ExecOptions::sequential()
             .with_planner(crate::cost::PlannerChoice::Rule)
             .with_metrics(true);
-        let (rel, profile) = eval_ra_profiled(&q, &d, &store, BatchMode::Coded, &opts).unwrap();
+        let (rel, profile) = eval_ra_profiled(&q, &d, &store, &opts).unwrap();
         assert_eq!(rel, q.eval(&d).unwrap());
         fn find_build(m: &crate::metrics::PlanMetrics) -> Option<u64> {
             m.build_rows

@@ -50,4 +50,4 @@ pub use ast::Statement;
 pub use catalog::{Catalog, CatalogError, ColumnResolution};
 pub use lexer::{lex, LexError, Tok, Token};
 pub use lower::{lower_query, LowerError, Outcome, ScriptError, Session};
-pub use parser::{parse_script, parse_statement, ParseError};
+pub use parser::{parse_mutation, parse_script, parse_statement, ParseError, RowMutation};

@@ -59,6 +59,56 @@ pub fn parse_statement(input: &str) -> Result<Statement, ParseError> {
     }
 }
 
+/// A row-level mutation of the shell and line protocol (the formal
+/// model is read-only — Section 7 simulates updates — so these are not
+/// [`Statement`]s).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowMutation {
+    /// The mutated table.
+    pub table: String,
+    /// The row to insert or delete.
+    pub row: pgq_value::Tuple,
+    /// `DELETE FROM` rather than `INSERT INTO`.
+    pub delete: bool,
+}
+
+/// Parses `INSERT INTO t VALUES (v, …)` / `DELETE FROM t VALUES (v, …)`
+/// with integer, boolean and single-quoted string values — on the
+/// statement lexer, so a literal here is the literal a query matches.
+pub fn parse_mutation(input: &str) -> Result<RowMutation, ParseError> {
+    let mut p = Parser {
+        tokens: lex(input)?,
+        pos: 0,
+        input_len: input.len(),
+    };
+    let delete = if p.eat_kw("INSERT") {
+        p.expect_kw("INTO")?;
+        false
+    } else if p.eat_kw("DELETE") {
+        p.expect_kw("FROM")?;
+        true
+    } else {
+        return Err(p.err("expected INSERT INTO or DELETE FROM"));
+    };
+    let table = p.ident()?;
+    p.expect_kw("VALUES")?;
+    p.expect(&Tok::LParen)?;
+    let mut values = vec![p.value()?];
+    while p.eat(&Tok::Comma) {
+        values.push(p.value()?);
+    }
+    p.expect(&Tok::RParen)?;
+    while p.eat(&Tok::Semi) {}
+    if !p.at_end() {
+        return Err(p.err("expected end of statement"));
+    }
+    Ok(RowMutation {
+        table,
+        row: pgq_value::Tuple::new(values),
+        delete,
+    })
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -146,6 +196,23 @@ impl Parser {
             }
             _ => Err(self.err("expected identifier")),
         }
+    }
+
+    /// An integer (optionally negated), boolean or string literal.
+    fn value(&mut self) -> Result<pgq_value::Value, ParseError> {
+        use pgq_value::Value;
+        let negative = self.eat(&Tok::Dash);
+        let v = match self.peek() {
+            Some(Tok::Int(i)) => Value::int(if negative { -*i } else { *i }),
+            Some(Tok::Str(s)) if !negative => Value::str(s.as_str()),
+            Some(Tok::Ident(s)) if !negative && s.eq_ignore_ascii_case("true") => Value::bool(true),
+            Some(Tok::Ident(s)) if !negative && s.eq_ignore_ascii_case("false") => {
+                Value::bool(false)
+            }
+            _ => return Err(self.err("expected an integer, boolean, or 'string' literal")),
+        };
+        self.pos += 1;
+        Ok(v)
     }
 
     /// `( id, id, … )`
@@ -661,5 +728,30 @@ mod tests {
             panic!()
         };
         assert!(q.returns.is_empty());
+    }
+
+    #[test]
+    fn mutations_parse_on_the_statement_lexer() {
+        use pgq_value::tuple;
+        let m = parse_mutation("INSERT INTO T VALUES ('x,y', -1, true, 'it''s');").unwrap();
+        assert_eq!(m.table, "T");
+        assert!(!m.delete);
+        assert_eq!(m.row, tuple!["x,y", -1, true, "it's"]);
+        let m = parse_mutation("delete from T values (7)").unwrap();
+        assert!(m.delete);
+        assert_eq!(m.row, tuple![7]);
+        for bad in [
+            "INSERT INTO T VALUES )(",
+            "INSERT INTO T VALUES ()",
+            "INSERT INTO T VALUES (1,)",
+            "INSERT INTO T VALUES (1) 2",
+            "INSERT INTO T VALUES (-'a')",
+            "INSERT INTO T VALUES ('open",
+            "INSERT T VALUES (1)",
+            "UPSERT INTO T VALUES (1)",
+            "INSERT INTO VALUES (1)",
+        ] {
+            assert!(parse_mutation(bad).is_err(), "{bad}");
+        }
     }
 }

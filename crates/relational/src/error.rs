@@ -40,12 +40,9 @@ pub enum RelError {
     /// A selection/projection used a condition outside the formal core
     /// while core-only evaluation was requested.
     NonCoreCondition(&'static str),
-    /// A coded batch reached a decode boundary without the session
-    /// store (and thus dictionary) it was coded against.
-    MissingStore {
-        /// The operation that needed the store.
-        context: &'static str,
-    },
+    /// An execution interned more distinct values than the `u32` code
+    /// space holds.
+    CodeSpaceExhausted,
     /// A dictionary code outside the dictionary it is decoded against —
     /// e.g. a code minted after the decoding snapshot was taken.
     UnknownCode {
@@ -90,11 +87,8 @@ impl fmt::Display for RelError {
             RelError::NonCoreCondition(what) => {
                 write!(f, "condition uses non-core construct: {what}")
             }
-            RelError::MissingStore { context } => {
-                write!(
-                    f,
-                    "{context} requires the session store the batch was coded against"
-                )
+            RelError::CodeSpaceExhausted => {
+                write!(f, "more distinct values than the u32 code space holds")
             }
             RelError::UnknownCode { code, context } => {
                 write!(
@@ -144,8 +138,9 @@ mod tests {
         assert!(e.to_string().contains("union"));
         let e = RelError::NonCoreCondition("constant comparison");
         assert!(e.to_string().contains("non-core"));
-        let e = RelError::MissingStore { context: "decode" };
-        assert!(e.to_string().contains("session store"));
+        assert!(RelError::CodeSpaceExhausted
+            .to_string()
+            .contains("code space"));
         let e = RelError::UnknownCode {
             code: 41,
             context: "coded batch",

@@ -23,13 +23,12 @@
 
 use pgq_core::{eval_with_snapshot, eval_with_snapshot_profiled, EvalConfig, Query};
 use pgq_exec::PlannerChoice;
-use pgq_parser::{lower_query, parse_statement, Outcome, Session, Statement};
+use pgq_parser::{lower_query, parse_statement, Outcome, RowMutation, Session, Statement};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_store::{
     AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, Store, StoreSnapshot,
     StoreStatistics, StoreStats,
 };
-use pgq_value::{Tuple, Value};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -230,19 +229,8 @@ impl Engine {
     /// built over the mutated table through the serialized writer and
     /// publishes the new snapshot.
     fn mutate(&self, stmt: &str) -> Result<String, String> {
-        let delete = stmt.to_ascii_uppercase().starts_with("DELETE FROM");
-        let open = stmt.find('(').ok_or("mutation needs VALUES (…)")?;
-        let close = stmt.rfind(')').ok_or("mutation needs a closing paren")?;
-        let table = stmt["INSERT INTO".len()..] // both prefixes have length 11
-            .split_whitespace()
-            .next()
-            .ok_or("mutation needs a table name")?
-            .to_string();
-        let values: Vec<Value> = stmt[open + 1..close]
-            .split(',')
-            .map(|v| parse_value(v.trim()))
-            .collect::<Result<_, _>>()?;
-        let row = Tuple::new(values);
+        let RowMutation { table, row, delete } =
+            pgq_parser::parse_mutation(stmt).map_err(|e| e.to_string())?;
         let mut base = self.lock_base();
         let changed = if delete {
             base.db.remove(&table.as_str().into(), &row)
@@ -563,22 +551,6 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
     let rest = &s[kw.len()..];
     rest.starts_with(char::is_whitespace)
         .then(|| rest.trim_start())
-}
-
-/// Shell literal syntax: integers, booleans, single-quoted strings.
-fn parse_value(v: &str) -> Result<Value, String> {
-    if let Some(stripped) = v.strip_prefix('\'') {
-        return Ok(Value::str(stripped.trim_end_matches('\'')));
-    }
-    if v.eq_ignore_ascii_case("true") {
-        return Ok(Value::bool(true));
-    }
-    if v.eq_ignore_ascii_case("false") {
-        return Ok(Value::bool(false));
-    }
-    v.parse()
-        .map(Value::int)
-        .map_err(|_| format!("bad literal {v}: expected an integer, boolean, or 'string'"))
 }
 
 /// Splits a script on `;` while respecting single-quoted strings —

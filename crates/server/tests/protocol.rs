@@ -260,6 +260,48 @@ fn malformed_inputs_return_typed_errors_and_server_survives() {
     server.stop();
 }
 
+/// Row mutations parse on the statement lexer: reversed parens are a
+/// typed error (they used to panic the connection thread), a quoted
+/// comma stays inside its string, and `''` unescapes exactly as it
+/// does in a query literal — so the stored row is matchable.
+#[test]
+fn mutation_literals_parse_like_query_literals() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    load_demo(&mut client, 2);
+
+    let resp = client
+        .request("INSERT INTO Account VALUES )(")
+        .expect("reversed parens");
+    assert!(resp[0].starts_with("!! parse error"), "{resp:?}");
+    // The connection survived the malformed statement.
+    for stmt in [
+        "INSERT INTO Account VALUES ('x,y')",
+        "INSERT INTO Transfer VALUES (77, 'x,y', 'A0', 'it''s', 900)",
+    ] {
+        let resp = client.request(stmt).expect("insert");
+        assert!(resp[0].starts_with("-- inserted into"), "{stmt}: {resp:?}");
+    }
+    let resp = client
+        .request(
+            "SELECT * FROM GRAPH_TABLE (Transfers \
+             MATCH (x) -[t:Transfer]-> (y) WHERE t.ts = 'it''s' \
+             RETURN (x.iban, t.ts))",
+        )
+        .expect("select");
+    assert_eq!(resp[0], "-- 1 row(s)", "{resp:?}");
+    assert!(
+        resp[1].contains("x,y") && resp[1].contains("it's"),
+        "{resp:?}"
+    );
+    // Deleting by the same literals removes the row again.
+    let resp = client
+        .request("DELETE FROM Transfer VALUES (77, 'x,y', 'A0', 'it''s', 900)")
+        .expect("delete");
+    assert_eq!(resp[0], "-- deleted from Transfer", "{resp:?}");
+    server.stop();
+}
+
 #[test]
 fn writer_and_readers_interleave_without_divergence() {
     let server = start_server();

@@ -25,7 +25,7 @@
 //!   live-row sweep.
 //!
 //! Equivalence with the register route — same query answers at thread
-//! counts {1, 2, 8}, coded and decoded — is held by the differential
+//! counts {1, 2, 8} — is held by the differential
 //! suite (`tests/prop_store.rs`); the speedup curve is experiment
 //! `BENCH_9.json`.
 

@@ -2,9 +2,9 @@
 //! script file (or runs a built-in demo) and prints each result.
 //!
 //! Script format: SQL/PGQ statements separated by `;`, plus a tiny
-//! mutation syntax handled in the shell (the formal model is
-//! read-only, Section 7 "Updates" — the shell makes the simulation
-//! *incremental*), plus three introspection commands:
+//! mutation syntax (`pgq_parser::parse_mutation`, applied by the shell:
+//! the formal model is read-only, Section 7 "Updates" — the shell makes
+//! the simulation *incremental*), plus three introspection commands:
 //!
 //! * `INSERT INTO table VALUES (v, …);` / `DELETE FROM table VALUES
 //!   (v, …);` — row-level mutations. They edit the live database *and*
@@ -13,9 +13,8 @@
 //!   overlay, and graphs over a mutated table are refrozen — no full
 //!   re-registration;
 //! * `EXPLAIN SELECT …;` — prints the S15/S16 physical plan (operator
-//!   tree, pattern route, view subplans) instead of running the query,
-//!   including the coded-execution routing (`⟨coded⟩`, decode
-//!   boundaries). The shell stages EXPLAIN against a *fresh* scratch
+//!   tree, pattern route, view subplans) instead of running the query.
+//!   The shell stages EXPLAIN against a *fresh* scratch
 //!   store, so its plan tree is overlay-free; when the *session* store
 //!   carries pending overlays or tombstones a trailing `session store:`
 //!   line reports them (the per-operator `⟨delta⟩` markers
@@ -64,6 +63,7 @@
 //! cargo run --example sqlpgq_shell -- my.pgq  # run a script file
 //! ```
 
+use sqlpgq::parser::RowMutation;
 use sqlpgq::prelude::*;
 use sqlpgq::store::{GraphForm, Store, StoreSnapshot};
 
@@ -309,8 +309,7 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
 /// `pgq_core::explain_with` prints the operator tree, the pattern's
 /// routing decision (semi-naive fixpoint / NFA BFS / reference), and —
 /// because the scratch relations are registered in a session store —
-/// the coded-execution routing (`IndexScan`/`AdjacencyExpand` leaves,
-/// `⟨coded⟩` markers, and the pipeline's decode boundary).
+/// the store lowering (`IndexScan`/`AdjacencyExpand` leaves).
 fn explain(
     session: &Session,
     db: &Database,
@@ -662,19 +661,8 @@ fn mutate(
     session: &Session,
     stmt: &str,
 ) -> Result<String, String> {
-    let delete = stmt.to_ascii_uppercase().starts_with("DELETE FROM");
-    let open = stmt.find('(').ok_or("mutation needs VALUES (…)")?;
-    let close = stmt.rfind(')').ok_or("mutation needs a closing paren")?;
-    let table = stmt["INSERT INTO".len()..] // both prefixes have length 11
-        .split_whitespace()
-        .next()
-        .ok_or("mutation needs a table name")?
-        .to_string();
-    let values: Vec<Value> = stmt[open + 1..close]
-        .split(',')
-        .map(|v| parse_value(v.trim()))
-        .collect::<Result<_, _>>()?;
-    let row = Tuple::new(values);
+    let RowMutation { table, row, delete } =
+        sqlpgq::parser::parse_mutation(stmt).map_err(|e| e.to_string())?;
     let changed = if delete {
         db.remove(&table.as_str().into(), &row)
     } else {
@@ -738,21 +726,6 @@ fn refresh_catalog_graphs(
             }
         }
     }
-}
-
-fn parse_value(v: &str) -> Result<Value, String> {
-    if let Some(stripped) = v.strip_prefix('\'') {
-        return Ok(Value::str(stripped.trim_end_matches('\'')));
-    }
-    if v.eq_ignore_ascii_case("true") {
-        return Ok(Value::bool(true));
-    }
-    if v.eq_ignore_ascii_case("false") {
-        return Ok(Value::bool(false));
-    }
-    v.parse()
-        .map(Value::int)
-        .map_err(|_| format!("bad literal {v}: expected an integer, boolean, or 'string'"))
 }
 
 /// Splits on `;` while respecting single-quoted strings and

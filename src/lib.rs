@@ -53,9 +53,9 @@ pub mod prelude {
     };
     pub use pgq_datalog::{compile_formula, parse_program, Program, Recursion};
     pub use pgq_exec::{
-        eval_ra, eval_ra_mode, eval_ra_opts, eval_ra_profiled, eval_ra_with, execute, execute_mode,
-        execute_opts, execute_profiled, execute_with, plan_ra, Batch, BatchMode, EitherBatch,
-        ExecOptions, JsonWriter, PhysPlan, PlanMetrics, QueryProfile,
+        eval_ra, eval_ra_opts, eval_ra_profiled, eval_ra_with, execute, execute_opts,
+        execute_profiled, execute_with, plan_ra, Batch, Coded, ExecOptions, JsonWriter, PhysPlan,
+        PlanMetrics, QueryProfile,
     };
     pub use pgq_graph::{pg_view, pg_view_ext, PropertyGraph, PropertyGraphBuilder, ViewMode};
     pub use pgq_logic::{eval_ordered, eval_sentence, Formula, Term, UpSet};

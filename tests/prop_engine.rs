@@ -172,7 +172,7 @@ proptest! {
 
     /// Morsel parallelism is invisible: the store-backed executor
     /// answers random `RaExpr` trees identically at 1, 2 and 8 worker
-    /// threads, in both batch representations.
+    /// threads.
     #[test]
     fn parallel_execution_matches_reference(
         q in arb_ra(2, 3),
@@ -185,13 +185,11 @@ proptest! {
         let reference = q.eval(&db).unwrap();
         for threads in [1usize, 2, 8] {
             let opts = pgq_exec::ExecOptions::with_threads(threads);
-            for mode in [pgq_exec::BatchMode::Coded, pgq_exec::BatchMode::Decoded] {
-                prop_assert_eq!(
-                    &pgq_exec::eval_ra_opts(&q, &db, &store, mode, &opts).unwrap(),
-                    &reference,
-                    "{} at {} threads", q, threads
-                );
-            }
+            prop_assert_eq!(
+                &pgq_exec::eval_ra_opts(&q, &db, &store, &opts).unwrap(),
+                &reference,
+                "{} at {} threads", q, threads
+            );
         }
     }
 
@@ -237,17 +235,13 @@ proptest! {
         let mut renders: Vec<String> = Vec::new();
         for threads in [1usize, 2, 8] {
             let opts = pgq_exec::ExecOptions::with_threads(threads);
-            for mode in [pgq_exec::BatchMode::Coded, pgq_exec::BatchMode::Decoded] {
-                let plain = pgq_exec::eval_ra_opts(&q, &db, &store, mode, &opts).unwrap();
-                let (profiled, profile) =
-                    pgq_exec::eval_ra_profiled(&q, &db, &store, mode, &opts).unwrap();
-                prop_assert_eq!(&profiled, &plain, "{} at {} threads", q, threads);
-                prop_assert_eq!(profile.rows, plain.len() as u64, "{}", q);
-                assert_unary_pipes(&profile.root);
-                if mode == pgq_exec::BatchMode::Coded {
-                    renders.push(profile.render(false));
-                }
-            }
+            let plain = pgq_exec::eval_ra_opts(&q, &db, &store, &opts).unwrap();
+            let (profiled, profile) =
+                pgq_exec::eval_ra_profiled(&q, &db, &store, &opts).unwrap();
+            prop_assert_eq!(&profiled, &plain, "{} at {} threads", q, threads);
+            prop_assert_eq!(profile.rows, plain.len() as u64, "{}", q);
+            assert_unary_pipes(&profile.root);
+            renders.push(profile.render(false));
         }
         // Deterministic fields only: 1 == 2 == 8 threads, byte for byte.
         prop_assert_eq!(&renders[0], &renders[1], "{}", q);
@@ -256,8 +250,7 @@ proptest! {
 
     /// The planner differential (PR 10): the statistics-driven cost
     /// planner and the fixed rule pass answer random `RaExpr` trees
-    /// identically to the S2 reference — coded and decoded, at 1, 2
-    /// and 8 worker threads. The planners may pick different join
+    /// identically to the S2 reference at 1, 2 and 8 worker threads. The planners may pick different join
     /// orders, build sides and expansion directions; the answer never
     /// moves.
     #[test]
@@ -273,13 +266,11 @@ proptest! {
         for planner in [pgq_exec::PlannerChoice::Cost, pgq_exec::PlannerChoice::Rule] {
             for threads in [1usize, 2, 8] {
                 let opts = pgq_exec::ExecOptions::with_threads(threads).with_planner(planner);
-                for mode in [pgq_exec::BatchMode::Coded, pgq_exec::BatchMode::Decoded] {
-                    prop_assert_eq!(
-                        &pgq_exec::eval_ra_opts(&q, &db, &store, mode, &opts).unwrap(),
-                        &reference,
-                        "{} planner on {} at {} threads", planner, q, threads
-                    );
-                }
+                prop_assert_eq!(
+                    &pgq_exec::eval_ra_opts(&q, &db, &store, &opts).unwrap(),
+                    &reference,
+                    "{} planner on {} at {} threads", planner, q, threads
+                );
             }
         }
     }
@@ -382,9 +373,7 @@ fn explain_analyze_renders_estimates_deterministically() {
         let mut renders: Vec<String> = Vec::new();
         for threads in [1usize, 2, 8] {
             let opts = pgq_exec::ExecOptions::with_threads(threads).with_planner(planner);
-            let (_, profile) =
-                pgq_exec::eval_ra_profiled(&q, &db, &store, pgq_exec::BatchMode::Coded, &opts)
-                    .unwrap();
+            let (_, profile) = pgq_exec::eval_ra_profiled(&q, &db, &store, &opts).unwrap();
             let text = profile.render(false);
             assert!(
                 text.contains("est="),

@@ -9,20 +9,22 @@
 //! * `PGQ` reachability over random canonical graphs:
 //!   `eval_with_store` (frozen CSR adjacency) vs. `Engine::Physical`
 //!   (hash-join fixpoint) vs. `Engine::Nfa` vs. `Engine::Reference`;
-//! * the **coded pipeline** (PR 4): `BatchMode::Coded` (dictionary
-//!   codes end-to-end, one decode at the boundary) vs.
-//!   `BatchMode::Decoded` (the PR 3 decode-at-scan route) vs. the S2
-//!   reference, on workloads that mix value types (so code order ≠
-//!   value order), pile up duplicates (self-unions, column-dropping
-//!   projections), and select with order predicates that must decode
-//!   on compare;
+//! * the **coded pipeline** (dictionary codes end-to-end, one decode
+//!   at the boundary) vs. the S2 reference, on workloads that mix value
+//!   types (so code order ≠ value order), pile up duplicates
+//!   (self-unions, column-dropping projections), and select with order
+//!   predicates that must decode on compare;
+//! * the **scratch dictionary**: `Values` batches carrying values the
+//!   store never interned, met by `IndexScan` / `AdjacencyExpand` /
+//!   `Fixpoint` over the store, stay on codes — one decode per result
+//!   cell, counted on `Store::counters()`;
 //!
 //! plus the empty-graph, self-loop, and parallel-edge edge cases.
 
 use pgq_core::{builders, eval_with, eval_with_snapshot, eval_with_store, EvalConfig, Query};
 use pgq_exec::{
-    eval_ra, eval_ra_mode, eval_ra_opts, eval_ra_with, execute_opts, plan_ra, store_plan,
-    BatchMode, ExecOptions, PlannerChoice,
+    eval_ra, eval_ra_opts, eval_ra_with, execute_opts, plan_ra, store_plan, Batch, ExecOptions,
+    PhysPlan, PlannerChoice,
 };
 use pgq_graph::{updates, Update, ViewRelations};
 use pgq_relational::{CmpOp, Database, RaExpr, RelName, Relation, RowCondition};
@@ -295,8 +297,8 @@ fn arb_canonical_update() -> BoxedStrategy<Update> {
 
 /// Holds an incrementally updated store to the reference semantics on
 /// every workload of the suite: relation scans, reachability (both
-/// bounds), the store-lowered RA shapes, coded vs. decoded under
-/// tombstones, and the frozen active domain.
+/// bounds), the store-lowered RA shapes under tombstones, and the
+/// frozen active domain.
 fn assert_store_matches(store: &Store, db: &Database, context: &str) {
     // Relation contents, live rows only.
     for name in views() {
@@ -320,8 +322,8 @@ fn assert_store_matches(store: &Store, db: &Database, context: &str) {
         );
     }
     // RA shapes through the store pass: expansion joins, the frozen
-    // active domain, and difference over tombstoned scans — coded and
-    // decoded must agree with the S2 reference.
+    // active domain, and difference over tombstoned scans must agree
+    // with the S2 reference.
     let shapes = [
         RaExpr::rel("S")
             .product(RaExpr::rel("T"))
@@ -332,14 +334,11 @@ fn assert_store_matches(store: &Store, db: &Database, context: &str) {
         RaExpr::rel("L").project(vec![0]).union(RaExpr::rel("E")),
     ];
     for q in shapes {
-        let reference = q.eval(db).unwrap();
-        for mode in [BatchMode::Coded, BatchMode::Decoded] {
-            assert_eq!(
-                eval_ra_mode(&q, db, store, mode).unwrap(),
-                reference,
-                "{context}: {mode:?} on {q}"
-            );
-        }
+        assert_eq!(
+            eval_ra_with(&q, db, store).unwrap(),
+            q.eval(db).unwrap(),
+            "{context}: {q}"
+        );
     }
 }
 
@@ -351,8 +350,8 @@ proptest! {
     /// leave the store answering exactly like (a) the reference
     /// relations evolved by `pgq_graph::updates::apply`, (b) a store
     /// re-registered from scratch on the updated database, and (c) the
-    /// S2 reference — including coded ≡ decoded under tombstones, and
-    /// all of it again after `Store::compact()` drops
+    /// S2 reference — including scans under tombstones, and all of it
+    /// again after `Store::compact()` drops
     /// `dictionary_stale` to 0.
     #[test]
     fn incremental_updates_match_reregistration(
@@ -402,9 +401,8 @@ proptest! {
     /// Morsel parallelism under mutation: after a random accepted
     /// update sequence — with tombstoned columns and the CSR delta
     /// overlay left in place (no compaction) — the store-backed
-    /// executor answers identically at 1, 2 and 8 worker threads,
-    /// coded and decoded, and the overlay-aware fixpoint behind
-    /// `eval_with_store` does too.
+    /// executor answers identically at 1, 2 and 8 worker threads, and
+    /// the overlay-aware fixpoint behind `eval_with_store` does too.
     #[test]
     fn parallel_execution_under_tombstones_and_overlays(
         seq in proptest::collection::vec(arb_canonical_update(), 0..25),
@@ -437,13 +435,11 @@ proptest! {
             let reference = q.eval(&db).unwrap();
             for threads in [1usize, 2, 8] {
                 let opts = ExecOptions::with_threads(threads);
-                for mode in [BatchMode::Coded, BatchMode::Decoded] {
-                    prop_assert_eq!(
-                        &eval_ra_opts(q, &db, &store, mode, &opts).unwrap(),
-                        &reference,
-                        "{:?} at {} threads on {}", mode, threads, q
-                    );
-                }
+                prop_assert_eq!(
+                    &eval_ra_opts(q, &db, &store, &opts).unwrap(),
+                    &reference,
+                    "{} threads on {}", threads, q
+                );
             }
         }
         // Reachability through the DeltaAdjacency overlay, sharded by
@@ -467,7 +463,7 @@ proptest! {
     /// accepted update sequence — tombstoned columns and CSR overlays
     /// left in place — the cost planner and the rule pass answer
     /// multi-join and difference shapes identically to the S2
-    /// reference, coded and decoded, at 1, 2 and 8 threads; and a
+    /// reference at 1, 2 and 8 threads; and a
     /// reader holding a `ConcurrentStore` pin gets the same answer
     /// from its frozen statistics after a writer publishes ahead.
     #[test]
@@ -508,13 +504,11 @@ proptest! {
             for planner in [PlannerChoice::Cost, PlannerChoice::Rule] {
                 for threads in [1usize, 2, 8] {
                     let opts = ExecOptions::with_threads(threads).with_planner(planner);
-                    for mode in [BatchMode::Coded, BatchMode::Decoded] {
-                        prop_assert_eq!(
-                            &eval_ra_opts(q, &db, &store, mode, &opts).unwrap(),
-                            &reference,
-                            "{} planner, {:?} at {} threads on {}", planner, mode, threads, q
-                        );
-                    }
+                    prop_assert_eq!(
+                        &eval_ra_opts(q, &db, &store, &opts).unwrap(),
+                        &reference,
+                        "{} planner at {} threads on {}", planner, threads, q
+                    );
                 }
             }
         }
@@ -530,7 +524,7 @@ proptest! {
             for planner in [PlannerChoice::Cost, PlannerChoice::Rule] {
                 let opts = ExecOptions::with_threads(2).with_planner(planner);
                 prop_assert_eq!(
-                    &eval_ra_opts(q, &db, pin.as_store(), BatchMode::Coded, &opts).unwrap(),
+                    &eval_ra_opts(q, &db, pin.as_store(), &opts).unwrap(),
                     &reference,
                     "pinned snapshot, {} planner on {}", planner, q
                 );
@@ -538,9 +532,9 @@ proptest! {
         }
     }
 
-    /// The coded-pipeline differential (PR 4): coded ≡ decoded ≡ S2
-    /// reference on random mixed-type, duplicate-heavy workloads with
-    /// order predicates over non-order-preserving codes.
+    /// The coded-pipeline differential (PR 4): coded ≡ S2 reference on
+    /// random mixed-type, duplicate-heavy workloads with order
+    /// predicates over non-order-preserving codes.
     #[test]
     fn coded_pipeline_differential(
         q in arb_mixed_ra(3),
@@ -550,11 +544,106 @@ proptest! {
     ) {
         let db = mixed_ve_db(n, m, seed);
         let store = Store::from_database(&db);
-        let reference = q.eval(&db).unwrap();
-        let coded = eval_ra_mode(&q, &db, &store, BatchMode::Coded).unwrap();
-        let decoded = eval_ra_mode(&q, &db, &store, BatchMode::Decoded).unwrap();
-        prop_assert_eq!(&coded, &reference, "coded vs reference on {}", &q);
-        prop_assert_eq!(&coded, &decoded, "coded vs decoded on {}", &q);
+        let coded = eval_ra_with(&q, &db, &store).unwrap();
+        prop_assert_eq!(&coded, &q.eval(&db).unwrap(), "coded vs reference on {}", &q);
+    }
+
+    /// The scratch-dictionary differential: `Values` rows holding
+    /// values the store dictionary never interned meet `IndexScan`,
+    /// `AdjacencyExpand` and `Fixpoint` over the store. Every plan
+    /// answers like the S2 reference at 1, 2 and 8 threads, and the
+    /// whole run costs exactly one dictionary decode per result cell —
+    /// at the boundary; no meeting operator decodes the store side to
+    /// reconcile.
+    #[test]
+    fn values_outside_the_dictionary_stay_on_codes(
+        picks in proptest::collection::vec((0u8..16, 0u8..16), 1..6),
+        n in 1usize..10,
+        m in 1usize..16,
+        seed in 0u64..1000,
+    ) {
+        let db = mixed_ve_db(n, m, seed);
+        let store = Store::from_database(&db);
+        // k ≥ 8 picks a value no stored row holds; the last pair always
+        // carries one, hanging off a (likely stored) pool value.
+        let pick = |k: u8| if k < 8 { mixed_value(k) } else { Value::str(format!("fresh{k}")) };
+        let mut pairs: Vec<Tuple> =
+            picks.iter().map(|&(a, b)| Tuple::new(vec![pick(a), pick(b)])).collect();
+        pairs.push(Tuple::new(vec![Value::str("fresh"), mixed_value(picks[0].0)]));
+        prop_assert!(store.encode(&Value::str("fresh")).is_none());
+
+        // Union / difference / intersection / join against the stored
+        // edges, and the two expansion directions — planned like any
+        // other expression, so the S2 evaluator is the oracle.
+        let vals = pairs.iter().cloned().map(RaExpr::Singleton).reduce(RaExpr::union).unwrap();
+        let e = || RaExpr::rel("E");
+        let shapes = [
+            e().union(vals.clone()),
+            vals.clone().diff(e()),
+            vals.clone().intersect(e()),
+            e().product(vals.clone()).select(RowCondition::col_eq(1, 2)),
+            vals.clone().product(e()).select(RowCondition::col_eq(1, 2)),
+            vals.clone().product(e()).select(RowCondition::col_eq(1, 3)),
+        ];
+        let mut cases: Vec<(PhysPlan, Relation)> = shapes
+            .iter()
+            .map(|q| (store_plan(plan_ra(q, &db.schema()).unwrap(), &store), q.eval(&db).unwrap()))
+            .collect();
+        prop_assert!(cases.iter().any(|(p, _)| p.to_string().contains("AdjacencyExpand")));
+        // The closure of the pairs under stored edges (the CSR route:
+        // fresh seeds are 0-step strays) and of the stored edges under
+        // the pairs (the semi-naive route, a `Values` step) — against
+        // a naive fixpoint over plain tuples.
+        let edges: Vec<Tuple> = db.get(&"E".into()).unwrap().iter().cloned().collect();
+        let closure = |base: &[Tuple], step: &[Tuple]| {
+            let mut known: std::collections::BTreeSet<Tuple> = base.iter().cloned().collect();
+            loop {
+                let grown: Vec<Tuple> = known
+                    .iter()
+                    .flat_map(|a| step.iter().filter(move |s| a[1] == s[0]).map(move |s| (a, s)))
+                    .map(|(a, s)| Tuple::new(vec![a[0].clone(), s[1].clone()]))
+                    .filter(|t| !known.contains(t))
+                    .collect();
+                if grown.is_empty() {
+                    return Relation::from_rows(2, known).unwrap();
+                }
+                known.extend(grown);
+            }
+        };
+        let values = PhysPlan::Values(Batch::from_rows(2, pairs.clone()).unwrap());
+        let scan = PhysPlan::IndexScan("E".into());
+        for (base, step, truth) in [
+            (&values, &scan, closure(&pairs, &edges)),
+            (&scan, &values, closure(&edges, &pairs)),
+        ] {
+            let plan = PhysPlan::Fixpoint {
+                base: Box::new(base.clone()),
+                step: Box::new(step.clone()),
+                join: vec![(1, 0)],
+                project: vec![0, 3],
+            };
+            cases.push((plan, truth));
+        }
+        for (plan, truth) in cases {
+            // `Distinct` makes the output batch a set, so its cell
+            // count is the result relation's.
+            let plan = plan.distinct();
+            for threads in [1usize, 2, 8] {
+                let opts = ExecOptions::with_threads(threads);
+                let before = store.counters().snapshot();
+                let rel = execute_opts(&plan, &db, Some(&store), &opts)
+                    .unwrap()
+                    .into_relation()
+                    .unwrap();
+                let decodes = store.counters().snapshot().since(&before).dict_decodes;
+                prop_assert_eq!(&rel, &truth, "{} threads on\n{}", threads, &plan);
+                prop_assert_eq!(
+                    decodes,
+                    (rel.len() * rel.arity()) as u64,
+                    "decodes ≠ result cells at {} threads on\n{}", threads, &plan
+                );
+            }
+        }
     }
 
     /// Store-backed `RaExpr` evaluation equals the S2 reference and the
@@ -636,8 +725,8 @@ proptest! {
     /// the register route — `BulkGraph::to_database` +
     /// `Store::from_database` + `Store::register_view_graph` — on
     /// relation scans, the frozen active domain, reachability through
-    /// the graph entry, and the store-lowered RA shapes, coded and
-    /// decoded, with the interning probe at 1, 2 and 8 threads. The
+    /// the graph entry, and the store-lowered RA shapes, with the
+    /// interning probe at 1, 2 and 8 threads. The
     /// deferred row indexes must also leave the row-level write path
     /// intact: a bulk-loaded store keeps accepting inserts and deletes.
     #[test]
@@ -702,8 +791,7 @@ fn snapshot_reference_db(snap: &Store) -> Database {
 /// resolving the state from the [`ExecOptions`] snapshot pin alone —
 /// answers byte-identically to the single-threaded S2 reference over
 /// the snapshot's own materialized contents, at 1, 2 and 8 executor
-/// threads, coded and decoded, no matter what a concurrent writer
-/// publishes meanwhile.
+/// threads, no matter what a concurrent writer publishes meanwhile.
 fn assert_snapshot_isolated(snap: &StoreSnapshot, context: &str) {
     let db = snapshot_reference_db(snap);
     for out in [
@@ -734,24 +822,22 @@ fn assert_snapshot_isolated(snap: &StoreSnapshot, context: &str) {
         let plan = store_plan(plan_ra(q, &db.schema()).unwrap(), snap);
         for threads in [1usize, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_snapshot(Some(snap.clone()));
-            for mode in [BatchMode::Coded, BatchMode::Decoded] {
-                assert_eq!(
-                    &eval_ra_opts(q, &db, snap, mode, &opts).unwrap(),
-                    &reference,
-                    "{context}: {mode:?} at {threads} thread(s) on {q}"
-                );
-                // The same answer with *no* explicit store argument:
-                // the executor takes its state from the pinned
-                // snapshot inside the options.
-                assert_eq!(
-                    &execute_opts(&plan, &db, None, mode, &opts)
-                        .unwrap()
-                        .into_relation(Some(snap.as_store()))
-                        .unwrap(),
-                    &reference,
-                    "{context}: snapshot-pin route, {mode:?} at {threads} thread(s) on {q}"
-                );
-            }
+            assert_eq!(
+                &eval_ra_opts(q, &db, snap, &opts).unwrap(),
+                &reference,
+                "{context}: {threads} thread(s) on {q}"
+            );
+            // The same answer with *no* explicit store argument: the
+            // executor takes its state from the pinned snapshot inside
+            // the options.
+            assert_eq!(
+                &execute_opts(&plan, &db, None, &opts)
+                    .unwrap()
+                    .into_relation()
+                    .unwrap(),
+                &reference,
+                "{context}: snapshot-pin route, {threads} thread(s) on {q}"
+            );
         }
     }
 }
@@ -766,7 +852,7 @@ proptest! {
     /// pinned snapshot, grabbed before, between, or concurrently with
     /// the batches, must answer byte-identically to the
     /// single-threaded S2 reference over its own materialized
-    /// contents, at 1/2/8 executor threads, coded and decoded; and a
+    /// contents, at 1/2/8 executor threads; and a
     /// snapshot pinned before the churn still holds the original
     /// state afterwards.
     #[test]
