@@ -57,15 +57,6 @@ impl PlannerChoice {
             PlannerChoice::Rule => "rule",
         }
     }
-
-    /// Parses the `SET PLANNER` token, case-insensitively.
-    pub fn parse(token: &str) -> Option<Self> {
-        match token.trim().to_ascii_lowercase().as_str() {
-            "cost" => Some(PlannerChoice::Cost),
-            "rule" => Some(PlannerChoice::Rule),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for PlannerChoice {

@@ -7,8 +7,79 @@
 //!   Example 1.1's syntax;
 //! * `SELECT * FROM GRAPH_TABLE (g MATCH … WHERE … RETURN (…))` —
 //!   Example 2.1's syntax.
+//!
+//! A [`Command`] is what a session (shell, `pgq-server`) accepts per
+//! `;`-separated segment: a statement, or one of the session commands
+//! around it (row mutations, `EXPLAIN`, `STATS`, `METRICS`, `COMPACT`,
+//! `SET`).
 
 use std::fmt;
+
+/// One parsed session command — the output of
+/// [`parse_command`](crate::parse_command), the single definition of
+/// the grammar the shell and the line protocol speak.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Command {
+    /// Whitespace and comments only: answers nothing.
+    Empty,
+    /// A SQL/PGQ [`Statement`] (DDL or a `GRAPH_TABLE` query).
+    Sql(Statement),
+    /// `INSERT INTO t VALUES (…)` / `DELETE FROM t VALUES (…)`.
+    Mutation(RowMutation),
+    /// `EXPLAIN [ANALYZE] SELECT …` — the plan, or with `ANALYZE` the
+    /// profile of an actual run.
+    Explain {
+        /// `EXPLAIN ANALYZE` rather than `EXPLAIN`.
+        analyze: bool,
+        /// The explained query.
+        query: GraphQuery,
+    },
+    /// `STATS` / `STATS JSON` — storage layout and planner statistics.
+    Stats {
+        /// Render as JSON.
+        json: bool,
+    },
+    /// `METRICS [JSON|RESET]` — the store access counters.
+    Metrics(MetricsMode),
+    /// `COMPACT` — fold overlays, rebuild the dictionary.
+    Compact,
+    /// `SET THREADS n` — executor workers (0 = environment default).
+    SetThreads(usize),
+    /// `SET PLANNER {cost|rule}`.
+    SetPlanner(PlannerToken),
+}
+
+/// The argument of `METRICS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricsMode {
+    /// `METRICS` — print the counters.
+    Show,
+    /// `METRICS JSON`.
+    Json,
+    /// `METRICS RESET` — zero the counters.
+    Reset,
+}
+
+/// The argument of `SET PLANNER`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlannerToken {
+    /// `cost` — the statistics-driven planner (the default).
+    Cost,
+    /// `rule` — the fixed rule-based rewrite.
+    Rule,
+}
+
+/// A row-level mutation (the formal model is read-only — Section 7
+/// simulates updates — so these are not [`Statement`]s).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowMutation {
+    /// The mutated table.
+    pub table: String,
+    /// The row to insert or delete.
+    pub row: pgq_value::Tuple,
+    /// `DELETE FROM` rather than `INSERT INTO`.
+    pub delete: bool,
+}
 
 /// A parsed statement.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -242,7 +242,9 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
             }
             '\'' => {
                 let mut j = i + 1;
-                let mut s = String::new();
+                // Bytes, not chars: a multi-byte character is copied
+                // whole (only ASCII quotes are ever dropped).
+                let mut s = Vec::new();
                 loop {
                     match bytes.get(j) {
                         None => {
@@ -254,7 +256,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                         Some(&b'\'') => {
                             // SQL doubles quotes to escape them.
                             if bytes.get(j + 1) == Some(&b'\'') {
-                                s.push('\'');
+                                s.push(b'\'');
                                 j += 2;
                             } else {
                                 j += 1;
@@ -262,12 +264,12 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                             }
                         }
                         Some(&b) => {
-                            s.push(b as char);
+                            s.push(b);
                             j += 1;
                         }
                     }
                 }
-                push(Tok::Str(s), j);
+                push(Tok::Str(String::from_utf8_lossy(&s).into_owned()), j);
                 i = j;
             }
             _ if c.is_ascii_digit() => {
@@ -293,11 +295,14 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 push(Tok::Ident(input[i..j].to_string()), j);
                 i = j;
             }
-            other => {
+            _ => {
+                // `i` only ever advances over ASCII, so it is a char
+                // boundary and the offender can be named whole.
+                let other = input.get(i..).and_then(|s| s.chars().next()).unwrap_or(c);
                 return Err(LexError {
                     message: format!("unexpected character {other:?}"),
                     at: i,
-                })
+                });
             }
         }
     }
@@ -383,6 +388,13 @@ mod tests {
         assert!(lex("'unterminated").is_err());
         assert!(lex("@").is_err());
         assert!(lex("99999999999999999999").is_err());
+    }
+
+    #[test]
+    fn non_ascii_is_kept_in_strings_and_named_in_errors() {
+        assert_eq!(kinds("'café ☕'"), vec![Tok::Str("café ☕".into())]);
+        let e = lex("ab é").unwrap_err();
+        assert_eq!((e.at, e.message.as_str()), (3, "unexpected character 'é'"));
     }
 
     #[test]

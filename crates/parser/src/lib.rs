@@ -36,6 +36,12 @@
 //! let Outcome::Rows(rows) = &outcomes[3] else { panic!() };
 //! assert!(rows.contains(&tuple!["IL1", "IL2"]));
 //! ```
+//!
+//! Sessions (the shell, `pgq-server`) accept more than statements —
+//! row mutations, `EXPLAIN [ANALYZE]`, `STATS`, `METRICS`, `COMPACT`,
+//! `SET THREADS`, `SET PLANNER`. [`parse_command`] is that grammar's one
+//! definition: it returns a typed [`Command`] for a session to `match`
+//! on, so no surface dispatches on strings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,8 +52,8 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 
-pub use ast::Statement;
+pub use ast::{Command, MetricsMode, PlannerToken, RowMutation, Statement};
 pub use catalog::{Catalog, CatalogError, ColumnResolution};
 pub use lexer::{lex, LexError, Tok, Token};
 pub use lower::{lower_query, LowerError, Outcome, ScriptError, Session};
-pub use parser::{parse_mutation, parse_script, parse_statement, ParseError, RowMutation};
+pub use parser::{parse_command, parse_script, parse_statement, CommandError, ParseError};

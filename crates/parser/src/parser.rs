@@ -30,14 +30,37 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Why a session command was rejected: a syntax error with its
+/// location, or a well-formed command given a bad argument (the message
+/// names what it takes).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CommandError {
+    /// The input is not in the grammar.
+    Parse(ParseError),
+    /// `STATS` / `METRICS` / `SET …` with a wrong argument.
+    Usage(&'static str),
+}
+
+impl fmt::Display for CommandError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CommandError::Parse(e) => write!(f, "{e}"),
+            CommandError::Usage(message) => f.write_str(message),
+        }
+    }
+}
+
+impl std::error::Error for CommandError {}
+
+impl From<ParseError> for CommandError {
+    fn from(e: ParseError) -> Self {
+        CommandError::Parse(e)
+    }
+}
+
 /// Parses a script of `;`-separated statements.
 pub fn parse_script(input: &str) -> Result<Vec<Statement>, ParseError> {
-    let tokens = lex(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        input_len: input.len(),
-    };
+    let mut p = Parser::new(input)?;
     let mut out = Vec::new();
     while !p.at_end() {
         out.push(p.statement()?);
@@ -59,54 +82,18 @@ pub fn parse_statement(input: &str) -> Result<Statement, ParseError> {
     }
 }
 
-/// A row-level mutation of the shell and line protocol (the formal
-/// model is read-only — Section 7 simulates updates — so these are not
-/// [`Statement`]s).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowMutation {
-    /// The mutated table.
-    pub table: String,
-    /// The row to insert or delete.
-    pub row: pgq_value::Tuple,
-    /// `DELETE FROM` rather than `INSERT INTO`.
-    pub delete: bool,
-}
-
-/// Parses `INSERT INTO t VALUES (v, …)` / `DELETE FROM t VALUES (v, …)`
-/// with integer, boolean and single-quoted string values — on the
-/// statement lexer, so a literal here is the literal a query matches.
-pub fn parse_mutation(input: &str) -> Result<RowMutation, ParseError> {
-    let mut p = Parser {
-        tokens: lex(input)?,
-        pos: 0,
-        input_len: input.len(),
-    };
-    let delete = if p.eat_kw("INSERT") {
-        p.expect_kw("INTO")?;
-        false
-    } else if p.eat_kw("DELETE") {
-        p.expect_kw("FROM")?;
-        true
-    } else {
-        return Err(p.err("expected INSERT INTO or DELETE FROM"));
-    };
-    let table = p.ident()?;
-    p.expect_kw("VALUES")?;
-    p.expect(&Tok::LParen)?;
-    let mut values = vec![p.value()?];
-    while p.eat(&Tok::Comma) {
-        values.push(p.value()?);
+/// Parses exactly one session [`Command`] (trailing `;`s allowed) —
+/// the one definition of the grammar the shell and `pgq-server` speak.
+/// Dispatch is on the statement lexer's tokens, so keywords are whole
+/// words in any case with any whitespace between them, and a mutation's
+/// literal is the literal a query matches.
+pub fn parse_command(input: &str) -> Result<Command, CommandError> {
+    let mut p = Parser::new(input)?;
+    let command = p.command()?;
+    if !p.at_command_end() {
+        return Err(p.err("expected end of statement").into());
     }
-    p.expect(&Tok::RParen)?;
-    while p.eat(&Tok::Semi) {}
-    if !p.at_end() {
-        return Err(p.err("expected end of statement"));
-    }
-    Ok(RowMutation {
-        table,
-        row: pgq_value::Tuple::new(values),
-        delete,
-    })
+    Ok(command)
 }
 
 struct Parser {
@@ -116,8 +103,21 @@ struct Parser {
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Parser, ParseError> {
+        Ok(Parser {
+            tokens: lex(input)?,
+            pos: 0,
+            input_len: input.len(),
+        })
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
+    }
+
+    /// Nothing left but optional trailing `;`s.
+    fn at_command_end(&self) -> bool {
+        self.tokens[self.pos..].iter().all(|t| t.tok == Tok::Semi)
     }
 
     fn here(&self) -> usize {
@@ -224,6 +224,105 @@ impl Parser {
         }
         self.expect(&Tok::RParen)?;
         Ok(out)
+    }
+
+    fn command(&mut self) -> Result<Command, CommandError> {
+        if self.at_command_end() {
+            return Ok(Command::Empty);
+        }
+        if self.eat_kw("INSERT") {
+            self.expect_kw("INTO")?;
+            return Ok(Command::Mutation(self.mutation(false)?));
+        }
+        if self.eat_kw("DELETE") {
+            self.expect_kw("FROM")?;
+            return Ok(Command::Mutation(self.mutation(true)?));
+        }
+        if self.eat_kw("EXPLAIN") {
+            let analyze = self.eat_kw("ANALYZE");
+            let query = self.select()?;
+            return Ok(Command::Explain { analyze, query });
+        }
+        if self.eat_kw("STATS") {
+            let json = self.keyword_arg(
+                Some(false),
+                &[("JSON", true)],
+                "STATS takes no argument or JSON",
+            )?;
+            return Ok(Command::Stats { json });
+        }
+        if self.eat_kw("METRICS") {
+            let mode = self.keyword_arg(
+                Some(MetricsMode::Show),
+                &[("JSON", MetricsMode::Json), ("RESET", MetricsMode::Reset)],
+                "METRICS takes no argument, JSON, or RESET",
+            )?;
+            return Ok(Command::Metrics(mode));
+        }
+        if self.eat_kw("COMPACT") {
+            return Ok(Command::Compact);
+        }
+        if self.eat_kw("SET") {
+            if self.eat_kw("THREADS") {
+                const USAGE: &str = "SET THREADS needs a non-negative integer (0 = default)";
+                let n = match self.bump() {
+                    Some(Tok::Int(i)) => usize::try_from(i).ok(),
+                    _ => None,
+                };
+                return match n {
+                    Some(n) if self.at_command_end() => Ok(Command::SetThreads(n)),
+                    _ => Err(CommandError::Usage(USAGE)),
+                };
+            }
+            if self.eat_kw("PLANNER") {
+                let planner = self.keyword_arg(
+                    None,
+                    &[("COST", PlannerToken::Cost), ("RULE", PlannerToken::Rule)],
+                    "SET PLANNER needs cost or rule",
+                )?;
+                return Ok(Command::SetPlanner(planner));
+            }
+            return Err(self.err("expected THREADS or PLANNER after SET").into());
+        }
+        Ok(Command::Sql(self.statement()?))
+    }
+
+    /// The single keyword argument of `STATS` / `METRICS` /
+    /// `SET PLANNER`: `bare` when the command ends here, the value of
+    /// the one matching keyword otherwise; anything else (more tokens
+    /// included) is the command's usage error.
+    fn keyword_arg<T: Copy>(
+        &mut self,
+        bare: Option<T>,
+        keywords: &[(&str, T)],
+        usage: &'static str,
+    ) -> Result<T, CommandError> {
+        let value = if self.at_command_end() {
+            bare
+        } else {
+            let hit = keywords.iter().find(|(kw, _)| self.at_kw(kw));
+            self.pos += 1;
+            hit.map(|(_, v)| *v).filter(|_| self.at_command_end())
+        };
+        value.ok_or(CommandError::Usage(usage))
+    }
+
+    /// `t VALUES (v, …)` after `INSERT INTO` / `DELETE FROM`, with
+    /// integer, boolean and single-quoted string values.
+    fn mutation(&mut self, delete: bool) -> Result<RowMutation, ParseError> {
+        let table = self.ident()?;
+        self.expect_kw("VALUES")?;
+        self.expect(&Tok::LParen)?;
+        let mut values = vec![self.value()?];
+        while self.eat(&Tok::Comma) {
+            values.push(self.value()?);
+        }
+        self.expect(&Tok::RParen)?;
+        Ok(RowMutation {
+            table,
+            row: pgq_value::Tuple::new(values),
+            delete,
+        })
     }
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
@@ -730,14 +829,21 @@ mod tests {
         assert!(q.returns.is_empty());
     }
 
+    fn mutation(input: &str) -> RowMutation {
+        match parse_command(input) {
+            Ok(Command::Mutation(m)) => m,
+            other => panic!("{input}: {other:?}"),
+        }
+    }
+
     #[test]
     fn mutations_parse_on_the_statement_lexer() {
         use pgq_value::tuple;
-        let m = parse_mutation("INSERT INTO T VALUES ('x,y', -1, true, 'it''s');").unwrap();
+        let m = mutation("INSERT INTO T VALUES ('x,y', -1, true, 'it''s');");
         assert_eq!(m.table, "T");
         assert!(!m.delete);
         assert_eq!(m.row, tuple!["x,y", -1, true, "it's"]);
-        let m = parse_mutation("delete from T values (7)").unwrap();
+        let m = mutation("delete from T values (7)");
         assert!(m.delete);
         assert_eq!(m.row, tuple![7]);
         for bad in [
@@ -751,7 +857,95 @@ mod tests {
             "UPSERT INTO T VALUES (1)",
             "INSERT INTO VALUES (1)",
         ] {
-            assert!(parse_mutation(bad).is_err(), "{bad}");
+            let e = parse_command(bad).unwrap_err();
+            assert!(matches!(e, CommandError::Parse(_)), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn commands_dispatch_on_tokens_not_prefixes() {
+        // Any whitespace between the keywords of a mutation.
+        for src in ["INSERT  INTO T VALUES (1)", "insert\ninto T values (1)"] {
+            assert_eq!(mutation(src).table, "T", "{src:?}");
+        }
+        // Keywords in any case; trailing `;`s are not an argument.
+        for (src, expect) in [
+            ("stats json", Command::Stats { json: true }),
+            ("STATS;", Command::Stats { json: false }),
+            ("Set Threads 2", Command::SetThreads(2)),
+            ("set planner RULE", Command::SetPlanner(PlannerToken::Rule)),
+            ("metrics", Command::Metrics(MetricsMode::Show)),
+            ("Metrics Reset;;", Command::Metrics(MetricsMode::Reset)),
+            ("compact", Command::Compact),
+            ("  -- nothing here\n ;", Command::Empty),
+        ] {
+            assert_eq!(parse_command(src).unwrap(), expect, "{src:?}");
+        }
+        // A keyword is a whole word: this is an unknown statement, not
+        // an EXPLAIN of `ED_VIEW …`.
+        let e = parse_command("EXPLAINED_VIEW SELECT 1").unwrap_err();
+        assert!(e.to_string().contains("expected CREATE or SELECT"), "{e}");
+        // EXPLAIN [ANALYZE] carries the parsed query.
+        let select = "SELECT * FROM GRAPH_TABLE (G MATCH (x) -> (y) RETURN (x))";
+        let Statement::GraphQuery(expected) = parse_statement(select).unwrap() else {
+            panic!()
+        };
+        for (prefix, expect_analyze) in [("EXPLAIN", false), ("explain\tanalyze", true)] {
+            let Command::Explain { analyze, query } =
+                parse_command(&format!("{prefix} {select}")).unwrap()
+            else {
+                panic!("{prefix}")
+            };
+            assert_eq!((analyze, &query), (expect_analyze, &expected));
+        }
+        assert_eq!(
+            parse_command(select).unwrap(),
+            Command::Sql(Statement::GraphQuery(expected))
+        );
+    }
+
+    #[test]
+    fn bad_command_arguments_name_what_the_command_takes() {
+        for (src, message) in [
+            ("STATS FOO", "STATS takes no argument or JSON"),
+            ("STATS JSON FOO", "STATS takes no argument or JSON"),
+            ("METRICS FOO", "METRICS takes no argument, JSON, or RESET"),
+            (
+                "SET THREADS -1",
+                "SET THREADS needs a non-negative integer (0 = default)",
+            ),
+            (
+                "SET THREADS",
+                "SET THREADS needs a non-negative integer (0 = default)",
+            ),
+            (
+                "SET THREADS 2 3",
+                "SET THREADS needs a non-negative integer (0 = default)",
+            ),
+            ("SET PLANNER x", "SET PLANNER needs cost or rule"),
+            ("SET PLANNER", "SET PLANNER needs cost or rule"),
+        ] {
+            assert_eq!(
+                parse_command(src).unwrap_err().to_string(),
+                message,
+                "{src}"
+            );
+        }
+        // Everything else is a located parse error — non-ASCII input
+        // included (the prefix dispatcher sliced it mid-character).
+        for src in [
+            "éééééé",
+            "EXPLAIN abcdeféx",
+            "SET FOO 1",
+            "COMPACT now",
+            "EXPLAIN CREATE TABLE t (a)",
+            "CREATE TABLE a (x); CREATE TABLE b (y)",
+        ] {
+            let e = parse_command(src).unwrap_err();
+            assert!(
+                e.to_string().starts_with("parse error at byte "),
+                "{src}: {e}"
+            );
         }
     }
 }

@@ -1,16 +1,18 @@
-//! The shared query engine behind every connection: one serialized
+//! The shared query engine behind every session — `pgq-server`'s
+//! connections and the `sqlpgq_shell` example alike: one serialized
 //! writer over a [`ConcurrentStore`], readers pinned to published
 //! [`StoreSnapshot`]s (ARCHITECTURE.md §2 step 11).
 //!
-//! The engine speaks the shell grammar (`examples/sqlpgq_shell.rs`):
-//! DDL and `GRAPH_TABLE` queries go through the real parser, row
-//! mutations / `STATS` / `METRICS` / `COMPACT` / `SET THREADS` /
-//! `SET PLANNER` are the shell's session commands. The concurrency discipline layered on
-//! top:
+//! The grammar is [`pgq_parser::parse_command`]'s and is defined
+//! nowhere else: [`Engine::statement`] parses one segment into a typed
+//! [`Command`] and is one `match` over it — DDL and `GRAPH_TABLE`
+//! queries, row mutations, `EXPLAIN [ANALYZE]`, `STATS`, `METRICS`,
+//! `COMPACT`, `SET THREADS`, `SET PLANNER`. The concurrency discipline
+//! layered on top:
 //!
 //! * the **base state** (live [`Database`] + parser [`Session`]
-//!   catalog) sits behind a mutex, held only while parsing/lowering a
-//!   statement or applying a mutation — never across query execution;
+//!   catalog) sits behind a mutex, held only while lowering a query or
+//!   applying a mutation — never across query execution;
 //! * the **store** holds, per catalog graph `G`, the six canonical
 //!   view relations staged under reserved names (`⟨N:G⟩` … `⟨P:G⟩`)
 //!   plus the frozen view graph, maintained by the single serialized
@@ -21,9 +23,15 @@
 //!   their pinned snapshot — a concurrent writer or `COMPACT` never
 //!   perturbs an in-flight query.
 
-use pgq_core::{eval_with_snapshot, eval_with_snapshot_profiled, EvalConfig, Query};
-use pgq_exec::PlannerChoice;
-use pgq_parser::{lower_query, parse_statement, Outcome, RowMutation, Session, Statement};
+use pgq_core::{
+    eval_with_snapshot, eval_with_snapshot_profiled, explain_with_exec_opts, EvalConfig, Query,
+};
+use pgq_exec::{ExecOptions, PlannerChoice};
+use pgq_parser::ast::GraphQuery;
+use pgq_parser::{
+    lower_query, parse_command, CatalogError, Command, MetricsMode, Outcome, PlannerToken,
+    RowMutation, Session, Statement,
+};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_store::{
     AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, Store, StoreSnapshot,
@@ -33,7 +41,7 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// Per-connection session knobs (each TCP connection gets its own).
+/// Per-session knobs (each TCP connection, or the shell, has its own).
 #[derive(Debug, Default, Clone)]
 pub struct SessionState {
     /// `SET THREADS n;` — 0 means the environment default.
@@ -45,22 +53,25 @@ pub struct SessionState {
 /// One catalog graph staged for snapshot evaluation: the six canonical
 /// view relations under this graph's reserved names, plus the
 /// identifier arity bound the view graph was frozen with.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct GraphView {
     names: [RelName; 6],
     k: usize,
-    /// The staged relations as a database — the schema/fallback side
-    /// of evaluation (the store side lives in the published snapshot).
+    /// The staged relations as a database — the schema side of
+    /// evaluation (the store side lives in the published snapshot).
     db: Database,
 }
 
-/// An immutable read configuration: a pinned store snapshot plus the
-/// staged graphs that snapshot serves. Swapped atomically as one
-/// `Arc` — a reader's snapshot and graph map always agree.
+/// An immutable read configuration: a pinned store snapshot plus, for
+/// every catalog graph, what that snapshot serves of it — the staged
+/// view, or why the graph's last staging failed (a table without rows
+/// yet, a dangling edge endpoint), which is then the answer of every
+/// query on it. Swapped atomically as one `Arc` — a reader's snapshot
+/// and graph map always agree.
 #[derive(Debug)]
 struct ReadView {
     snap: StoreSnapshot,
-    graphs: BTreeMap<String, GraphView>,
+    graphs: BTreeMap<String, Result<Arc<GraphView>, String>>,
 }
 
 /// The protected base state: live rows plus the parser catalog.
@@ -68,6 +79,15 @@ struct ReadView {
 struct BaseState {
     db: Database,
     session: Session,
+}
+
+/// What `SELECT`, `EXPLAIN` and `EXPLAIN ANALYZE` share: the lowered
+/// query over the graph's staged relations, and the pinned snapshot
+/// that serves them.
+struct Prepared {
+    query: Query,
+    staged: Arc<GraphView>,
+    snap: StoreSnapshot,
 }
 
 /// The shared engine — one per server process, `Arc`-shared across
@@ -90,6 +110,20 @@ fn staged_names(g: &str) -> [RelName; 6] {
     ["N", "E", "S", "T", "L", "P"].map(|c| RelName::new(format!("⟨{c}:{g}⟩")))
 }
 
+/// A heading line followed by an indented block.
+fn block(head: &str, text: &str) -> Vec<String> {
+    let mut lines = vec![format!("-- {head}")];
+    lines.extend(text.lines().map(|l| format!("   {l}")));
+    lines
+}
+
+/// A result relation: the row count, then one line per row.
+fn rows(rel: &Relation) -> Vec<String> {
+    let mut lines = vec![format!("-- {} row(s)", rel.len())];
+    lines.extend(rel.iter().map(|row| row.to_string()));
+    lines
+}
+
 impl Engine {
     /// An empty engine: no tables, no graphs, an empty published
     /// snapshot.
@@ -106,137 +140,98 @@ impl Engine {
         }
     }
 
-    /// Executes one shell-grammar statement (no trailing `;`) and
-    /// returns the response lines — the same `-- ` / `!! ` / bare-row
-    /// conventions the shell prints.
+    /// Executes one command of the session grammar (one segment of
+    /// [`split_statements`]) and returns the response lines: `-- `
+    /// notes, `!! ` typed errors, bare result rows.
     pub fn statement(&self, conn: &mut SessionState, stmt: &str) -> Vec<String> {
-        let stmt = stmt.trim();
-        if stmt.is_empty() {
-            return Vec::new();
-        }
-        let upper = stmt.to_ascii_uppercase();
-        if upper.starts_with("INSERT INTO") || upper.starts_with("DELETE FROM") {
-            return match self.mutate(stmt) {
-                Ok(text) => vec![format!("-- {text}")],
-                Err(e) => vec![format!("!! {e}")],
-            };
-        }
-        if upper == "STATS" || upper.starts_with("STATS ") {
-            return self.stats(stmt["STATS".len()..].trim());
-        }
-        if upper == "METRICS" || upper.starts_with("METRICS ") {
-            return self.metrics(stmt["METRICS".len()..].trim());
-        }
-        if upper == "COMPACT" {
-            return match self.compact() {
-                Ok(effect) => vec![format!("-- compacted: {effect}")],
-                Err(e) => vec![format!("!! {e}")],
-            };
-        }
-        if upper.starts_with("SET THREADS") {
-            return match stmt["SET THREADS".len()..].trim().parse::<usize>() {
-                Ok(n) => {
-                    conn.threads = n;
-                    let resolved = pgq_exec::ExecOptions::with_threads(n).threads;
-                    vec![format!(
-                        "-- threads set to {n} (executor runs {resolved} worker(s))"
-                    )]
-                }
-                Err(_) => vec!["!! SET THREADS needs a non-negative integer (0 = default)".into()],
-            };
-        }
-        if upper.starts_with("SET PLANNER") {
-            return match PlannerChoice::parse(stmt["SET PLANNER".len()..].trim()) {
-                Some(p) => {
-                    conn.planner = p;
-                    vec![format!("-- planner set to {p}")]
-                }
-                None => vec!["!! SET PLANNER needs cost or rule".into()],
-            };
-        }
-        if let Some((inner, analyze)) = strip_explain(stmt) {
-            let result = if analyze {
-                self.explain_analyze(conn, inner)
-                    .map(|t| ("query profile", t))
-            } else {
-                self.explain(conn, inner).map(|t| ("physical plan", t))
-            };
-            return match result {
-                Ok((head, text)) => {
-                    let mut lines = vec![format!("-- {head}")];
-                    lines.extend(text.lines().map(|l| format!("   {l}")));
-                    lines
-                }
-                Err(e) => vec![format!("!! {e}")],
-            };
-        }
-        if upper.starts_with("SELECT") {
-            return match self.select(conn, stmt) {
-                Ok(rows) => {
-                    let mut lines = vec![format!("-- {} row(s)", rows.len())];
-                    lines.extend(rows.iter().map(|row| row.to_string()));
-                    lines
-                }
-                Err(e) => vec![format!("!! {e}")],
-            };
-        }
-        self.script(stmt)
+        parse_command(stmt)
+            .map_err(|e| e.to_string())
+            .and_then(|command| self.run(conn, command))
+            .unwrap_or_else(|e| vec![format!("!! {e}")])
     }
 
-    /// A whole script (`;`-separated statements) through one session
-    /// state — the oracle entry point the load generator's divergence
-    /// check replays transcripts against.
-    pub fn script(&self, stmt: &str) -> Vec<String> {
-        // Only reached for DDL (everything else is dispatched above);
-        // public because a `;`-joined DDL batch is the natural setup
-        // call for embedders and tests.
-        let mut lines = Vec::new();
-        let mut defined: Vec<String> = Vec::new();
-        {
-            let mut base = self.lock_base();
-            let BaseState { db, session } = &mut *base;
-            match session.run_script(&format!("{stmt};"), db) {
-                Ok(outcomes) => {
-                    for outcome in outcomes {
-                        match outcome {
-                            Outcome::TableDefined(n) => lines.push(format!("-- table {n} defined")),
-                            Outcome::GraphDefined(n) => {
-                                lines.push(format!("-- property graph {n} defined"));
-                                defined.push(n);
-                            }
-                            Outcome::Rows(rows) => {
-                                lines.push(format!("-- {} row(s)", rows.len()));
-                                lines.extend(rows.iter().map(|row| row.to_string()));
-                            }
-                        }
-                    }
-                }
-                Err(e) => lines.push(format!("!! {e}")),
+    fn run(&self, conn: &mut SessionState, command: Command) -> Result<Vec<String>, String> {
+        let cfg = EvalConfig::physical()
+            .with_threads(conn.threads)
+            .with_planner(conn.planner);
+        Ok(match command {
+            Command::Empty => Vec::new(),
+            Command::Sql(Statement::GraphQuery(gq)) => {
+                let p = self.prepare(&gq)?;
+                let rel = eval_with_snapshot(&p.query, &p.staged.db, cfg, &p.snap);
+                rows(&rel.map_err(|e| e.to_string())?)
             }
-            if !defined.is_empty() {
-                let mut note = String::new();
-                self.restage(&base, &defined, &mut note);
+            Command::Sql(ddl) => self.define(&ddl)?,
+            Command::Mutation(m) => vec![format!("-- {}", self.mutate(m)?)],
+            Command::Explain { analyze, query } => {
+                let p = self.prepare(&query)?;
+                if analyze {
+                    let (_rel, profile) =
+                        eval_with_snapshot_profiled(&p.query, &p.staged.db, cfg, &p.snap)
+                            .map_err(|e| e.to_string())?;
+                    block("query profile", &profile.render(true))
+                } else {
+                    let opts = ExecOptions::with_threads(conn.threads).with_planner(conn.planner);
+                    let plan = explain_with_exec_opts(
+                        &p.query,
+                        &p.staged.db.schema(),
+                        Some(p.snap.as_store()),
+                        opts,
+                    );
+                    block("physical plan", &plan.map_err(|e| e.to_string())?)
+                }
+            }
+            Command::Stats { json } => self.stats(json),
+            Command::Metrics(mode) => self.metrics(mode),
+            Command::Compact => vec![format!("-- compacted: {}", self.compact()?)],
+            Command::SetThreads(n) => {
+                conn.threads = n;
+                let resolved = ExecOptions::with_threads(n).threads;
+                vec![format!(
+                    "-- threads set to {n} (executor runs {resolved} worker(s))"
+                )]
+            }
+            Command::SetPlanner(token) => {
+                conn.planner = match token {
+                    PlannerToken::Cost => PlannerChoice::Cost,
+                    PlannerToken::Rule => PlannerChoice::Rule,
+                };
+                vec![format!("-- planner set to {}", conn.planner)]
+            }
+        })
+    }
+
+    /// `CREATE TABLE` / `CREATE PROPERTY GRAPH`: registers the
+    /// definition in the catalog and stages a newly defined graph.
+    fn define(&self, ddl: &Statement) -> Result<Vec<String>, String> {
+        let mut base = self.lock_base();
+        let BaseState { db, session } = &mut *base;
+        Ok(match session.execute(ddl, db).map_err(|e| e.to_string())? {
+            Outcome::TableDefined(n) => vec![format!("-- table {n} defined")],
+            Outcome::GraphDefined(n) => {
+                let mut lines = vec![format!("-- property graph {n} defined")];
+                let note = self.restage(&base, &[n]);
                 if !note.is_empty() {
                     lines.push(format!("-- staging{note}"));
                 }
+                lines
             }
-        }
-        lines
+            Outcome::Rows(rel) => rows(&rel),
+        })
     }
 
     /// `INSERT INTO t VALUES (…)` / `DELETE FROM t VALUES (…)`:
     /// mutates the live database, then re-stages every catalog graph
     /// built over the mutated table through the serialized writer and
     /// publishes the new snapshot.
-    fn mutate(&self, stmt: &str) -> Result<String, String> {
-        let RowMutation { table, row, delete } =
-            pgq_parser::parse_mutation(stmt).map_err(|e| e.to_string())?;
+    fn mutate(&self, m: RowMutation) -> Result<String, String> {
+        let RowMutation { table, row, delete } = m;
         let mut base = self.lock_base();
         let changed = if delete {
             base.db.remove(&table.as_str().into(), &row)
         } else {
             base.db
-                .insert(table.clone(), row.clone())
+                .insert(table.clone(), row)
                 .map_err(|e| e.to_string())?
         };
         let affected: Vec<String> = base
@@ -251,8 +246,7 @@ impl Engine {
             })
             .map(String::from)
             .collect();
-        let mut note = String::new();
-        self.restage(&base, &affected, &mut note);
+        let note = self.restage(&base, &affected);
         let verb = if delete {
             "deleted from"
         } else {
@@ -264,69 +258,54 @@ impl Engine {
 
     /// Re-stages the named catalog graphs from the current base state
     /// through one serialized writer batch, then publishes the new
-    /// snapshot + graph map as an atomic [`ReadView`] swap. Staging
-    /// failures (a graph whose view became invalid, a table with no
-    /// rows yet) drop the graph from the read view with a note —
-    /// queries on it fall back to per-query evaluation.
+    /// snapshot + graph map as an atomic [`ReadView`] swap. A graph
+    /// whose staging fails (a view that became invalid, a table with
+    /// no rows yet) is dropped from the store and keeps the failure in
+    /// the read view; the returned note says so.
     ///
     /// Caller holds the base lock, which also serializes publication:
     /// two writers cannot interleave their view swaps.
-    fn restage(&self, base: &BaseState, graphs: &[String], note: &mut String) {
+    fn restage(&self, base: &BaseState, graphs: &[String]) -> String {
         if graphs.is_empty() {
-            return;
+            return String::new();
         }
-        let mut staged: Vec<(String, Option<GraphView>)> = Vec::new();
-        for g in graphs {
-            match stage_graph(&base.session, &base.db, g) {
-                Ok(gv) => staged.push((g.clone(), Some(gv))),
-                Err(e) => {
-                    note.push_str(&format!("; graph {g} unstaged: {e}"));
-                    staged.push((g.clone(), None));
-                }
-            }
-        }
+        let staged: Vec<_> = graphs
+            .iter()
+            .map(|g| stage_graph(&base.session, &base.db, g))
+            .collect();
         let installed = self
             .store
-            .write(
-                |s| -> Result<Vec<(String, Option<GraphView>)>, Infallible> {
-                    let mut out = Vec::with_capacity(staged.len());
-                    for (g, gv) in staged {
-                        match gv {
-                            Some(gv) => match install_graph(s, &g, &gv) {
-                                Ok(()) => out.push((g, Some(gv))),
-                                Err(e) => {
-                                    s.drop_graph(&g);
-                                    note.push_str(&format!("; graph {g} unstaged: {e}"));
-                                    out.push((g, None));
-                                }
-                            },
-                            None => {
-                                s.drop_graph(&g);
-                                out.push((g, None));
-                            }
-                        }
+            .write(|s| -> Result<Vec<_>, Infallible> {
+                let mut out = Vec::with_capacity(staged.len());
+                for (g, gv) in graphs.iter().zip(staged) {
+                    let gv = gv.and_then(|gv| {
+                        install_graph(s, g, &gv)
+                            .map(|()| Arc::new(gv))
+                            .map_err(|e| e.to_string())
+                    });
+                    if gv.is_err() {
+                        s.drop_graph(g);
                     }
-                    Ok(out)
-                },
-            )
+                    out.push(gv);
+                }
+                Ok(out)
+            })
             .unwrap_or_else(|e| match e {});
         let mut map = self.pin_view().graphs.clone();
-        for (g, gv) in installed {
-            match gv {
-                Some(gv) => {
-                    map.insert(g, gv);
-                }
-                None => {
-                    map.remove(&g);
-                }
+        let mut note = String::new();
+        for (g, gv) in graphs.iter().zip(installed) {
+            if let Err(e) = &gv {
+                note.push_str(&format!("; graph {g} unstaged: {e}"));
             }
+            map.insert(g.clone(), gv);
         }
         self.publish(map);
+        note
     }
 
     /// Swaps in a new [`ReadView`] pairing the latest published
     /// snapshot with `graphs`.
-    fn publish(&self, graphs: BTreeMap<String, GraphView>) {
+    fn publish(&self, graphs: BTreeMap<String, Result<Arc<GraphView>, String>>) {
         let snap = self.store.pin();
         *self.view.write().unwrap_or_else(PoisonError::into_inner) =
             Arc::new(ReadView { snap, graphs });
@@ -346,141 +325,65 @@ impl Engine {
         self.base.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs a `GRAPH_TABLE` query: parse/lower under the base lock,
-    /// then evaluate lock-free against the pinned [`ReadView`].
-    fn select(&self, conn: &SessionState, stmt: &str) -> Result<Relation, String> {
-        let (graph, out, k) = self.lower(stmt)?;
-        let view = self.pin_view();
-        let cfg = EvalConfig::physical()
-            .with_threads(conn.threads)
-            .with_planner(conn.planner);
-        if let Some(gv) = view.graphs.get(&graph) {
-            let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
-            return eval_with_snapshot(&q, &gv.db, cfg, &view.snap).map_err(|e| e.to_string());
-        }
-        // Not staged (invalid view or empty tables): per-query scratch
-        // evaluation under the base lock, exactly the shell's route.
-        let base = self.lock_base();
-        let gv = stage_graph(&base.session, &base.db, &graph)?;
-        let mut scratch = Store::from_database(&gv.db);
-        let _ = scratch.register_view_graph(
-            graph.clone(),
-            gv.names.clone(),
-            &gv.db,
-            GraphForm::Bounded(gv.k),
-        );
-        let q = Query::pattern_n(k, out, gv.names.clone().map(Query::rel));
-        let rel =
-            pgq_core::eval_with_store(&q, &gv.db, cfg, &scratch).map_err(|e| e.to_string())?;
-        // Fold the scratch run's access counters into the shared ones
-        // so METRICS stays session-cumulative.
-        self.store
-            .pin()
-            .counters()
-            .absorb(&scratch.counters().snapshot());
-        Ok(rel)
-    }
-
-    /// `EXPLAIN SELECT …` — the plan against the pinned snapshot.
-    fn explain(&self, conn: &SessionState, inner: &str) -> Result<String, String> {
-        let (graph, out, k) = self.lower(inner)?;
-        let view = self.pin_view();
-        let opts = pgq_exec::ExecOptions::with_threads(conn.threads).with_planner(conn.planner);
-        if let Some(gv) = view.graphs.get(&graph) {
-            let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
-            return pgq_core::explain_with_exec_opts(
-                &q,
-                &gv.db.schema(),
-                Some(view.snap.as_store()),
-                opts,
-            )
-            .map_err(|e| e.to_string());
-        }
-        let base = self.lock_base();
-        let gv = stage_graph(&base.session, &base.db, &graph)?;
-        let scratch = Store::from_database(&gv.db);
-        let q = Query::pattern_n(k, out, gv.names.clone().map(Query::rel));
-        pgq_core::explain_with_exec_opts(&q, &gv.db.schema(), Some(&scratch), opts)
-            .map_err(|e| e.to_string())
-    }
-
-    /// `EXPLAIN ANALYZE SELECT …` — runs on the pinned snapshot with
-    /// per-operator metrics and renders the profile tree.
-    fn explain_analyze(&self, conn: &SessionState, inner: &str) -> Result<String, String> {
-        let (graph, out, _) = self.lower(inner)?;
-        let view = self.pin_view();
-        let cfg = EvalConfig::physical()
-            .with_threads(conn.threads)
-            .with_planner(conn.planner);
-        let gv = view
-            .graphs
-            .get(&graph)
-            .ok_or_else(|| format!("graph {graph} is not staged (no rows yet?)"))?;
-        let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
-        let (_rel, profile) =
-            eval_with_snapshot_profiled(&q, &gv.db, cfg, &view.snap).map_err(|e| e.to_string())?;
-        Ok(profile.render(true))
-    }
-
-    /// Parses and lowers a `GRAPH_TABLE` statement under a brief base
-    /// lock. Returns `(graph name, lowered output pattern, id arity)`.
-    fn lower(&self, stmt: &str) -> Result<(String, pgq_pattern::OutputPattern, usize), String> {
-        let parsed = parse_statement(&format!("{stmt};")).map_err(|e| e.to_string())?;
-        let Statement::GraphQuery(gq) = parsed else {
-            return Err("expected a GRAPH_TABLE query".to_string());
+    /// Lowers a `GRAPH_TABLE` query against the catalog and pins the
+    /// read view, both under one brief base lock (so catalog and view
+    /// agree); evaluation then runs lock-free on the result. A graph
+    /// whose staging failed answers with that failure.
+    fn prepare(&self, gq: &GraphQuery) -> Result<Prepared, String> {
+        let (out, view) = {
+            let base = self.lock_base();
+            let out = lower_query(gq, &base.session.catalog).map_err(|e| e.to_string())?;
+            (out, self.pin_view())
         };
-        let base = self.lock_base();
-        let out = lower_query(&gq, &base.session.catalog).map_err(|e| e.to_string())?;
-        let k = base
-            .session
-            .catalog
-            .id_arity(&gq.graph)
-            .map_err(|e| e.to_string())?;
-        Ok((gq.graph.clone(), out, k))
+        let staged = match view.graphs.get(&gq.graph) {
+            Some(Ok(gv)) => Arc::clone(gv),
+            Some(Err(e)) => return Err(e.clone()),
+            // The view holds every catalog graph.
+            None => return Err(CatalogError::UnknownGraph(gq.graph.clone()).to_string()),
+        };
+        let query = Query::pattern_n(staged.k, out, staged.names.clone().map(Query::rel));
+        Ok(Prepared {
+            query,
+            staged,
+            snap: view.snap.clone(),
+        })
     }
 
-    fn stats(&self, arg: &str) -> Vec<String> {
-        if !arg.is_empty() && !arg.eq_ignore_ascii_case("JSON") {
-            return vec!["!! STATS takes no argument or JSON".into()];
-        }
+    fn stats(&self, json: bool) -> Vec<String> {
         let view = self.pin_view();
         let stats = view.snap.stats();
         // Planner statistics off the pinned snapshot: a snapshot's
         // statistics cache is frozen with it, so repeated STATS calls
         // against one published view recompute nothing.
         let statistics = view.snap.as_store().statistics();
-        if arg.is_empty() {
-            let mut lines = vec!["-- store layout".to_string()];
-            lines.extend(stats.to_string().lines().map(|l| format!("   {l}")));
-            lines.push("-- planner statistics".to_string());
-            lines.extend(statistics.to_string().lines().map(|l| format!("   {l}")));
-            lines
-        } else {
-            stats_json(&stats, &statistics)
+        if json {
+            return stats_json(&stats, &statistics)
                 .lines()
                 .map(String::from)
-                .collect()
+                .collect();
         }
+        let mut lines = block("store layout", &stats.to_string());
+        lines.extend(block("planner statistics", &statistics.to_string()));
+        lines
     }
 
-    fn metrics(&self, arg: &str) -> Vec<String> {
-        let counters = self.pin_view().snap.counters().snapshot();
-        if arg.eq_ignore_ascii_case("RESET") {
-            self.pin_view().snap.counters().reset();
-            vec!["-- store access counters reset".into()]
-        } else if arg.eq_ignore_ascii_case("JSON") {
-            metrics_json(&counters).lines().map(String::from).collect()
-        } else if arg.is_empty() {
-            let text = counters.to_string();
-            let mut lines = Vec::new();
-            let mut it = text.lines();
-            if let Some(head) = it.next() {
-                lines.push(format!("-- {head}"));
+    fn metrics(&self, mode: MetricsMode) -> Vec<String> {
+        let view = self.pin_view();
+        let counters = view.snap.counters();
+        match mode {
+            MetricsMode::Reset => {
+                counters.reset();
+                vec!["-- store access counters reset".into()]
             }
-            lines.extend(it.map(|l| format!("   {l}")));
-            lines
-        } else {
-            vec!["!! METRICS takes no argument, JSON, or RESET".into()]
+            MetricsMode::Json => metrics_json(&counters.snapshot())
+                .lines()
+                .map(String::from)
+                .collect(),
+            MetricsMode::Show => {
+                let text = counters.snapshot().to_string();
+                let (head, body) = text.split_once('\n').unwrap_or((&text, ""));
+                block(head, body)
+            }
         }
     }
 
@@ -535,41 +438,31 @@ fn install_graph(s: &mut Store, g: &str, gv: &GraphView) -> Result<(), pgq_store
     s.register_view_graph(g, gv.names.clone(), &gv.db, GraphForm::Bounded(gv.k))
 }
 
-/// `EXPLAIN [ANALYZE] <statement>` → inner statement + ANALYZE flag.
-fn strip_explain(stmt: &str) -> Option<(&str, bool)> {
-    let rest = strip_keyword(stmt, "EXPLAIN")?;
-    if let Some(inner) = strip_keyword(rest, "ANALYZE") {
-        return Some((inner, true));
-    }
-    Some((rest, false))
-}
-
-fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
-    if s.len() <= kw.len() || !s[..kw.len()].eq_ignore_ascii_case(kw) {
-        return None;
-    }
-    let rest = &s[kw.len()..];
-    rest.starts_with(char::is_whitespace)
-        .then(|| rest.trim_start())
-}
-
-/// Splits a script on `;` while respecting single-quoted strings —
-/// the shell's statement splitter, reused by the line protocol.
+/// Splits a script into the segments [`Engine::statement`] takes, on
+/// every `;` the lexer would read as one: not inside a single-quoted
+/// string, not inside a `--` line comment.
 pub fn split_statements(script: &str) -> Vec<String> {
+    #[derive(Clone, Copy)]
+    enum In {
+        Code,
+        Str,
+        Comment,
+    }
     let mut out = Vec::new();
     let mut current = String::new();
-    let mut in_string = false;
+    let mut state = In::Code;
     for c in script.chars() {
-        match c {
-            '\'' => {
-                in_string = !in_string;
-                current.push(c);
-            }
-            ';' if !in_string => {
+        state = match (state, c) {
+            (In::Code, ';') => {
                 out.push(std::mem::take(&mut current));
+                continue;
             }
-            _ => current.push(c),
-        }
+            (In::Code, '\'') => In::Str,
+            (In::Code, '-') if current.ends_with('-') => In::Comment,
+            (In::Str, '\'') | (In::Comment, '\n') => In::Code,
+            (state, _) => state,
+        };
+        current.push(c);
     }
     if !current.trim().is_empty() {
         out.push(current);
@@ -693,4 +586,42 @@ fn stats_json(stats: &StoreStats, statistics: &StoreStatistics) -> String {
     w.end_object();
     w.end_object();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn splits_where_the_lexer_sees_a_semicolon() {
+        assert_eq!(split_statements("a; b;"), ["a", " b"]);
+        assert_eq!(split_statements("a;; b"), ["a", "", " b"]);
+        // Data, not separators: inside a string (with `''` escapes)...
+        assert_eq!(
+            split_statements("x ('a;b', 'it''s; fine'); y"),
+            ["x ('a;b', 'it''s; fine')", " y"]
+        );
+        // ...and inside a line comment, whose apostrophe opens no string.
+        assert_eq!(
+            split_statements("-- don't; stop\na; b -- tail; c\n; d"),
+            ["-- don't; stop\na", " b -- tail; c\n", " d"]
+        );
+        // Edge arrows are not comments.
+        assert_eq!(
+            split_statements("(x) -[t]-> (y) <-[u]- (z); q"),
+            ["(x) -[t]-> (y) <-[u]- (z)", " q"]
+        );
+    }
+
+    #[test]
+    fn blank_and_comment_only_segments_answer_nothing() {
+        let engine = Engine::new();
+        let mut session = SessionState::default();
+        for blank in ["", "  \n", "-- just a note", ";"] {
+            assert!(
+                engine.statement(&mut session, blank).is_empty(),
+                "{blank:?}"
+            );
+        }
+    }
 }

@@ -1,10 +1,13 @@
 //! # pgq-server
 //!
-//! The front door (PR 8; ROADMAP open item 2): a threaded TCP
-//! line-protocol server over the concurrent snapshot store, serving
-//! the shell grammar to any number of simultaneous sessions.
+//! The session layer and its front door: one [`Engine`] that answers
+//! the session grammar — [`pgq_parser::parse_command`] is that
+//! grammar's one definition — and a threaded TCP line-protocol server
+//! that serves it to any number of simultaneous sessions. The
+//! `sqlpgq_shell` example is the same engine fed from a script file.
 //!
-//! * [`Engine`] — the shared state machine: parser catalog + live
+//! * [`Engine`] — the shared state machine, one `match` over the typed
+//!   [`pgq_parser::Command`]: parser catalog + live
 //!   rows behind a mutex, staged view graphs inside a
 //!   [`pgq_store::ConcurrentStore`], reads pinned to published
 //!   [`pgq_store::StoreSnapshot`]s and evaluated lock-free on the
@@ -28,5 +31,5 @@
 pub mod engine;
 pub mod server;
 
-pub use engine::{Engine, SessionState};
+pub use engine::{split_statements, Engine, SessionState};
 pub use server::{Client, Server, MAX_LINE, TERMINATOR};

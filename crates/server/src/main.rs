@@ -1,4 +1,4 @@
-//! `pgq-server` — serve the sqlpgq shell grammar over TCP.
+//! `pgq-server` — serve the sqlpgq session grammar over TCP.
 //!
 //! ```sh
 //! pgq-server                  # bind 127.0.0.1:5432-ish default

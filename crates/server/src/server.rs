@@ -4,10 +4,11 @@
 //! Wire format (UTF-8 text, newline-framed):
 //!
 //! * on connect the server sends a greeting line, then a lone `.`;
-//! * the client sends **one line per request** — a shell-grammar
-//!   statement, a `;`-separated batch of them, or `QUIT`;
-//! * the server answers with zero or more response lines (the shell's
-//!   `-- ` / `!! ` / bare-row conventions) terminated by a lone `.`;
+//! * the client sends **one line per request** — a command of the
+//!   session grammar ([`pgq_parser::parse_command`]), a `;`-separated
+//!   batch of them, or `QUIT`;
+//! * the server answers with zero or more response lines (`-- ` notes,
+//!   `!! ` typed errors, bare result rows) terminated by a lone `.`;
 //! * protocol-level failures (a line longer than [`MAX_LINE`], bytes
 //!   that are not valid UTF-8) produce a typed `!! protocol: …`
 //!   response — the connection stays up and the next line is read

@@ -218,6 +218,17 @@ fn malformed_inputs_return_typed_errors_and_server_survives() {
         .request("SELECT * FROM GRAPH_TABLE (Nope MATCH (x) RETURN (x.iban))")
         .expect("unknown graph");
     assert!(resp[0].starts_with("!! "), "{resp:?}");
+    // …also when nothing but the graph name needs the catalog.
+    let resp = client
+        .request("EXPLAIN SELECT * FROM GRAPH_TABLE (Nope MATCH (x) RETURN (x))")
+        .expect("unknown graph, no columns");
+    assert_eq!(resp, ["!! unknown property graph Nope"]);
+    // Non-ASCII where a keyword could start: the prefix dispatcher
+    // sliced these mid-character and killed the connection thread.
+    for hostile in ["éééééé", "EXPLAIN abcdeféx"] {
+        let resp = client.request(hostile).expect("non-ascii");
+        assert!(resp[0].starts_with("!! parse error"), "{hostile}: {resp:?}");
+    }
 
     // Invalid UTF-8 → typed protocol error on the same connection.
     client.send_raw(b"SELECT \xff\xfe\n").expect("raw send");
@@ -299,6 +310,129 @@ fn mutation_literals_parse_like_query_literals() {
         .request("DELETE FROM Transfer VALUES (77, 'x,y', 'A0', 'it''s', 900)")
         .expect("delete");
     assert_eq!(resp[0], "-- deleted from Transfer", "{resp:?}");
+    server.stop();
+}
+
+/// Commands dispatch on tokens: any whitespace between `INSERT` and
+/// `INTO`, keywords in any case.
+#[test]
+fn commands_dispatch_on_tokens_not_prefixes() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    load_demo(&mut client, 2);
+    let resp = client
+        .request("INSERT  INTO Account VALUES ('A2'); insert into Transfer values (1, 'A1', 'A2', 7, 900)")
+        .expect("two-space insert");
+    assert_eq!(
+        resp,
+        ["-- inserted into Account", "-- inserted into Transfer"]
+    );
+    let rows = client.request(QUERY).expect("query");
+    assert_eq!(rows[0], "-- 3 row(s)", "{rows:?}");
+    let resp = client.request("set threads 1; Stats Json").expect("case");
+    assert_eq!(resp[0], "-- threads set to 1 (executor runs 1 worker(s))");
+    assert_eq!(resp[1], "{", "{resp:?}");
+    for (bad, message) in [
+        ("STATS FOO", "!! STATS takes no argument or JSON"),
+        (
+            "METRICS FOO",
+            "!! METRICS takes no argument, JSON, or RESET",
+        ),
+        (
+            "SET THREADS -1",
+            "!! SET THREADS needs a non-negative integer (0 = default)",
+        ),
+    ] {
+        assert_eq!(client.request(bad).expect("bad argument"), [message]);
+    }
+    server.stop();
+}
+
+/// `SELECT`, `EXPLAIN` and `EXPLAIN ANALYZE` share one preparation
+/// step, so on a graph whose view is invalid all three answer with the
+/// view error — and all three answer again once the view is repaired.
+#[test]
+fn select_and_explain_agree_on_an_unstaged_graph() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    load_demo(&mut client, 2);
+    let resp = client
+        .request("INSERT INTO Transfer VALUES (9, 'A1', 'ZZ', 7, 900)")
+        .expect("dangling target");
+    assert!(
+        resp[0].starts_with("-- inserted into Transfer; graph Transfers unstaged: "),
+        "{resp:?}"
+    );
+    let requests = [
+        QUERY.to_string(),
+        format!("EXPLAIN {QUERY}"),
+        format!("EXPLAIN ANALYZE {QUERY}"),
+    ];
+    for request in &requests {
+        let resp = client.request(request).expect("unstaged");
+        assert_eq!(resp.len(), 1, "{request}: {resp:?}");
+        assert!(
+            resp[0].starts_with("!! invalid graph view: tgt(")
+                && resp[0].ends_with("is not a node"),
+            "{request}: {resp:?}"
+        );
+    }
+    let resp = client
+        .request("INSERT INTO Account VALUES ('ZZ')")
+        .expect("repair");
+    assert_eq!(resp, ["-- inserted into Account"]);
+    for (request, head) in
+        requests
+            .iter()
+            .zip(["-- 3 row(s)", "-- physical plan", "-- query profile"])
+    {
+        let resp = client.request(request).expect("restaged");
+        assert_eq!(resp[0], head, "{request}: {resp:?}");
+    }
+    server.stop();
+}
+
+/// The shell example is `split_statements → Engine::statement →
+/// println!`: on its built-in demo script that is, line for line, what
+/// a client of the server gets (timings aside), and no line is an error.
+#[test]
+fn shell_demo_script_answers_like_a_client_session() {
+    let source = include_str!("../../../examples/sqlpgq_shell.rs");
+    let demo = source
+        .split("r#\"")
+        .nth(1)
+        .and_then(|rest| rest.split("\"#").next())
+        .expect("the example's DEMO literal");
+    // Wall times are the only run-dependent text: `(t=…` / `(total=…`.
+    let untimed = |line: String| match line.find("(t") {
+        Some(at) if line.trim_start().starts_with(['O', '└']) => line[..at].to_string(),
+        _ => line,
+    };
+
+    let engine = Engine::new();
+    let mut session = pgq_server::SessionState::default();
+    let shell: Vec<String> = pgq_server::split_statements(demo)
+        .iter()
+        .flat_map(|stmt| engine.statement(&mut session, stmt))
+        .map(untimed)
+        .collect();
+    assert!(shell.iter().all(|l| !l.starts_with("!!")), "{shell:#?}");
+    assert_eq!(
+        shell
+            .iter()
+            .filter(|l| l.starts_with("-- ") && l.ends_with(" row(s)"))
+            .count(),
+        3,
+        "the demo's three SELECTs: {shell:#?}"
+    );
+
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let served = client
+        .request(&demo.replace('\n', " "))
+        .expect("demo as one request line");
+    let served: Vec<String> = served.into_iter().map(untimed).collect();
+    assert_eq!(shell, served);
     server.stop();
 }
 

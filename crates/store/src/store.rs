@@ -730,28 +730,6 @@ impl AccessCounters {
         }
     }
 
-    /// Adds a snapshot's totals into these counters — how a session
-    /// aggregator accumulates the per-query counters of short-lived
-    /// scratch stores (the shell's `METRICS;` surface).
-    pub fn absorb(&self, snap: &AccessSnapshot) {
-        self.index_scan_rows
-            .fetch_add(snap.index_scan_rows, Ordering::Relaxed);
-        self.csr_neighbor_rows
-            .fetch_add(snap.csr_neighbor_rows, Ordering::Relaxed);
-        self.csr_sweep_sources
-            .fetch_add(snap.csr_sweep_sources, Ordering::Relaxed);
-        self.overlay_reads
-            .fetch_add(snap.overlay_reads, Ordering::Relaxed);
-        self.dense_reads
-            .fetch_add(snap.dense_reads, Ordering::Relaxed);
-        self.dict_decodes
-            .fetch_add(snap.dict_decodes, Ordering::Relaxed);
-        self.writer_probes
-            .fetch_add(snap.writer_probes, Ordering::Relaxed);
-        self.writer_probe_rows
-            .fetch_add(snap.writer_probe_rows, Ordering::Relaxed);
-    }
-
     /// Zeroes every counter (the shell's `METRICS RESET;`).
     pub fn reset(&self) {
         self.index_scan_rows.store(0, Ordering::Relaxed);

@@ -24,6 +24,7 @@
 //! | [`datalog`] | `pgq-datalog` | stratified/linear Datalog + FO\[TC\] bridge (§4.1's NL baseline) |
 //! | [`rpq`] | `pgq-rpq` | RPQ/2RPQ/CRPQ baselines and their `PGQro` lowering |
 //! | [`compose`] | `pgq-compose` | graph-valued compositional queries (§8 future work) |
+//! | [`server`] | `pgq-server` | the session layer: `Engine` (one `match` over `parser::parse_command`), TCP line protocol |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@ pub use pgq_parser as parser;
 pub use pgq_pattern as pattern;
 pub use pgq_relational as relational;
 pub use pgq_rpq as rpq;
+pub use pgq_server as server;
 pub use pgq_store as store;
 pub use pgq_translate as translate;
 pub use pgq_value as value;
@@ -47,9 +49,8 @@ pub use pgq_workloads as workloads;
 pub mod prelude {
     pub use pgq_compose::{eval_graph, eval_match, GraphExpr};
     pub use pgq_core::{
-        builders, eval as eval_query, eval_with, eval_with_snapshot, eval_with_snapshot_profiled,
-        eval_with_store, eval_with_store_profiled, explain, explain_with, explain_with_opts,
-        Engine, EvalConfig, Fragment, Query, ViewOp,
+        builders, eval as eval_query, eval_with, eval_with_store, eval_with_store_profiled,
+        explain, explain_with, explain_with_opts, Engine, EvalConfig, Fragment, Query, ViewOp,
     };
     pub use pgq_datalog::{compile_formula, parse_program, Program, Recursion};
     pub use pgq_exec::{
