@@ -11,11 +11,12 @@
 //!
 //! Runs `pgq_bench::planner_suite` over both `pgq_workloads::scale`
 //! generators at every decade up to `--max-nodes`, executing each
-//! workload through both the cost-based planner (`cost_plan`) and the
-//! rule pass (`store_plan`), prints one line per point with the
-//! rule-over-cost speedup, and in optimized builds gates the curves on
-//! `pgq_bench::assert_planner_floors` — parity everywhere, ≥ 1.5× on
-//! the multi-join transfers workload at the largest scale.
+//! workload as lowered under both planners (`PlannerChoice::Cost` and
+//! `PlannerChoice::Rule` — one pass, two estimators), prints one line
+//! per point with the rule-over-cost speedup, and in optimized builds
+//! gates the curves on `pgq_bench::assert_planner_floors` — the control
+//! lowers to one plan under both, differing plans hold parity, and the
+//! multi-join transfers workload is ≥ 1.5× at the largest scale.
 
 use pgq_bench::planner;
 
@@ -44,7 +45,11 @@ fn main() {
             p.cost_ns / 1_000,
             p.rule_ns / 1_000,
             p.speedup(),
-            if p.multi_join { " (multi-join)" } else { "" }
+            match (p.multi_join, p.same_plan) {
+                (true, _) => " (multi-join)",
+                (false, true) => " (same plan)",
+                (false, false) => "",
+            }
         );
     }
     if let Some(pos) = args.iter().position(|a| a == "--json") {

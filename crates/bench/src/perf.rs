@@ -23,8 +23,8 @@
 
 use pgq_core::{builders, eval_with, eval_with_store, EvalConfig, Query};
 use pgq_exec::{
-    execute_opts, execute_profiled, plan_ra, store_plan, ExecOptions, JsonWriter, PhysPlan,
-    QueryProfile,
+    execute_opts, execute_profiled, lower_onto_store, plan_ra, ExecOptions, JsonWriter, PhysPlan,
+    PlannerChoice, QueryProfile,
 };
 use pgq_relational::{Database, RaExpr, RelName, RowCondition};
 use pgq_store::{GraphForm, Store};
@@ -61,6 +61,13 @@ pub fn endpoint_join() -> RaExpr {
         .product(RaExpr::rel("T"))
         .select(RowCondition::col_eq(0, 2))
         .project(vec![1, 3])
+}
+
+/// `plan` lowered onto `store` as written — the one pass under the
+/// estimator without statistics, so the recorded shapes stay the ones
+/// `BENCH_3`–`BENCH_10` measured.
+pub(crate) fn rule_plan(plan: PhysPlan, db: &Database, store: &Store) -> PhysPlan {
+    lower_onto_store(plan, store, &db.schema(), PlannerChoice::Rule)
 }
 
 /// Runs the reduced-size engine ablation and returns the measured
@@ -281,7 +288,7 @@ pub fn coded_suite(scale: usize) -> Vec<BenchEntry> {
     let opts = ExecOptions::default();
     for (name, db, iters) in &instances {
         let store = Store::from_database(db);
-        let plan = store_plan(reach_tc_plan(db), &store);
+        let plan = rule_plan(reach_tc_plan(db), db, &store);
         out.push(BenchEntry {
             name: format!("reach_store_coded/{name}"),
             input_size: db.tuple_count(),
@@ -370,7 +377,7 @@ pub fn parallel_suite(scale: usize) -> Vec<BenchEntry> {
     for (name, db, iters) in &instances {
         let rdb = pair_db(db);
         let store = Store::from_database(&rdb);
-        let plan = store_plan(pair_reach_plan(), &store);
+        let plan = rule_plan(pair_reach_plan(), &rdb, &store);
         let size = db.tuple_count();
         for (tag, opts) in &threads {
             out.push(BenchEntry {
@@ -390,8 +397,9 @@ pub fn parallel_suite(scale: usize) -> Vec<BenchEntry> {
     let instance = format!("transfers_{accounts}x{xfers}");
     let db = transfers::canonical_transfers_db(accounts, xfers, 1_000, 7);
     let store = Store::from_database(&db);
-    let plan = store_plan(
+    let plan = rule_plan(
         plan_ra(&endpoint_join(), &db.schema()).expect("canonical schema has S/T"),
+        &db,
         &store,
     );
     let size = db.tuple_count();
@@ -631,7 +639,7 @@ pub fn profile_records(scale: usize) -> Vec<(String, QueryProfile)> {
     let name = format!("grid_{}x5", 40 * scale);
     let db = families::grid_db(40 * scale, 5);
     let store = Store::from_database(&db);
-    let plan = store_plan(reach_tc_plan(&db), &store);
+    let plan = rule_plan(reach_tc_plan(&db), &db, &store);
     let opts = ExecOptions::with_threads(4).with_metrics(true);
     let start = Instant::now();
     let (batch, root) =
@@ -678,8 +686,9 @@ pub fn assert_metrics_overhead(scale: usize) {
     let (accounts, xfers) = (10_000 * scale, 20_000 * scale);
     let db = transfers::canonical_transfers_db(accounts, xfers, 1_000, 7);
     let store = Store::from_database(&db);
-    let plan = store_plan(
+    let plan = rule_plan(
         plan_ra(&endpoint_join(), &db.schema()).expect("canonical schema has S/T"),
+        &db,
         &store,
     );
     let opts = ExecOptions::with_threads(4);
@@ -813,12 +822,16 @@ mod tests {
         };
         let rdb = pair_db(&families::grid_db(6, 3));
         let store = Store::from_database(&rdb);
-        let plan = store_plan(pair_reach_plan(), &store);
+        let plan = rule_plan(pair_reach_plan(), &rdb, &store);
         assert_eq!(run(&plan, &rdb, &store, 1), run(&plan, &rdb, &store, 4));
 
         let db = transfers::canonical_transfers_db(40, 120, 50, 7);
         let store = Store::from_database(&db);
-        let plan = store_plan(plan_ra(&endpoint_join(), &db.schema()).unwrap(), &store);
+        let plan = rule_plan(
+            plan_ra(&endpoint_join(), &db.schema()).unwrap(),
+            &db,
+            &store,
+        );
         assert_eq!(run(&plan, &db, &store, 1), run(&plan, &db, &store, 4));
         assert_eq!(
             endpoint_join().eval(&db).unwrap(),
@@ -830,7 +843,7 @@ mod tests {
     fn store_and_storeless_reach_plans_agree() {
         let db = families::grid_db(4, 3);
         let store = Store::from_database(&db);
-        let plan = store_plan(reach_tc_plan(&db), &store);
+        let plan = rule_plan(reach_tc_plan(&db), &db, &store);
         let stored = pgq_exec::execute_with(&plan, &db, Some(&store))
             .unwrap()
             .into_relation();

@@ -28,7 +28,7 @@
 //! both ran.
 
 use crate::perf::BenchEntry;
-use pgq_exec::{execute_opts, plan_ra, store_plan, ExecOptions, JsonWriter, QueryProfile};
+use pgq_exec::{execute_opts, plan_ra, ExecOptions, JsonWriter, QueryProfile};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_store::{GraphForm, MemoryBytes, ReachScratch, Store};
 use pgq_workloads::scale::{ldbc_transfers, power_law_graph};
@@ -152,9 +152,10 @@ pub fn scaling_suite(max_nodes: usize, register_cap: usize, threads: usize) -> V
             for (name, arity) in views().iter().zip([1, 1, 2, 2, 2, 3]) {
                 empty.add_relation(name.clone(), Relation::empty(arity));
             }
-            let plan = store_plan(
+            let plan = crate::perf::rule_plan(
                 plan_ra(&crate::perf::endpoint_join(), &empty.schema())
                     .expect("view schema has S/T"),
+                &empty,
                 &store,
             );
             let opts = ExecOptions::with_threads(threads);

@@ -52,13 +52,13 @@ pub struct EvalConfig {
     /// execution. The other engines are single-threaded tree walkers
     /// and ignore it. Results are identical at every setting.
     pub threads: usize,
-    /// Which pass lowers physical plans onto a session store (PR 10):
-    /// [`pgq_exec::PlannerChoice::Cost`] (the statistics-driven
-    /// default) or [`pgq_exec::PlannerChoice::Rule`] (the fixed PR 4
-    /// rewrite — the escape hatch and E20 ablation baseline). Only
-    /// [`Engine::Physical`] under a store consults it; results are
-    /// identical either way (the differential suites enforce it), only
-    /// plan shapes differ.
+    /// Which estimator the storage-lowering pass plans with (PR 10):
+    /// [`pgq_exec::PlannerChoice::Cost`] (the store's statistics — the
+    /// default) or [`pgq_exec::PlannerChoice::Rule`] (none, so plans
+    /// keep their syntactic shape — the escape hatch and E20 ablation
+    /// baseline). Only [`Engine::Physical`] under a store consults it;
+    /// results are identical either way (the differential suites
+    /// enforce it), only plan shapes differ.
     pub planner: pgq_exec::PlannerChoice,
 }
 
@@ -97,8 +97,8 @@ impl EvalConfig {
         EvalConfig { threads, ..self }
     }
 
-    /// The same configuration on an explicit store-lowering pass —
-    /// the shell's `SET PLANNER {cost|rule};`.
+    /// The same configuration on an explicit planner — the shell's
+    /// `SET PLANNER {cost|rule};`.
     pub fn with_planner(self, planner: pgq_exec::PlannerChoice) -> Self {
         EvalConfig { planner, ..self }
     }
@@ -124,6 +124,13 @@ pub fn eval(q: &Query, db: &Database) -> Result<Relation, QueryError> {
 /// delta. The differential suite `tests/prop_store.rs` holds all
 /// routes — including updated-in-place and post-`compact()` stores —
 /// to identical results.
+///
+/// A pinned [`pgq_store::StoreSnapshot`] (PR 8) derefs to the store it
+/// published, so `&snapshot` goes here too: the reader keeps
+/// evaluating that immutable state — same dictionary, same columns,
+/// same CSR bases — no matter what a concurrent
+/// [`pgq_store::ConcurrentStore`] writer publishes (or compacts)
+/// meanwhile.
 pub fn eval_with_store(
     q: &Query,
     db: &Database,
@@ -131,7 +138,7 @@ pub fn eval_with_store(
     store: &pgq_store::Store,
 ) -> Result<Relation, QueryError> {
     if cfg.engine == Engine::Physical {
-        return crate::physical::eval_physical_store(q, db, cfg, store);
+        return crate::physical::eval_physical(q, db, cfg, Some(store), None);
     }
     eval_with(q, db, cfg)
 }
@@ -154,55 +161,27 @@ pub fn eval_with_store_profiled(
     cfg: EvalConfig,
     store: &pgq_store::Store,
 ) -> Result<(Relation, pgq_exec::QueryProfile), QueryError> {
-    if cfg.engine == Engine::Physical {
-        return crate::physical::eval_physical_store_profiled(q, db, cfg, store);
-    }
     let start = std::time::Instant::now();
-    let rel = eval_with(q, db, cfg)?;
-    let label = match cfg.engine {
-        Engine::Reference => "Reference (Figure 2/4) evaluator [no physical plan]",
-        _ => "NFA-routed evaluator [no physical plan]",
+    let mut root = pgq_exec::PlanMetrics::default();
+    let (rel, threads) = if cfg.engine == Engine::Physical {
+        let rel = crate::physical::eval_physical(q, db, cfg, Some(store), Some(&mut root))?;
+        (rel, crate::physical::exec_opts(cfg).threads)
+    } else {
+        let rel = eval_with(q, db, cfg)?;
+        let label = match cfg.engine {
+            Engine::Reference => "Reference (Figure 2/4) evaluator [no physical plan]",
+            _ => "NFA-routed evaluator [no physical plan]",
+        };
+        crate::physical::record_answer(&mut root, label.into(), &rel, start);
+        (rel, 1)
     };
-    let mut root = pgq_exec::PlanMetrics::leaf(label);
-    root.executed = true;
-    root.batches = 1;
-    root.rows_out = rel.len() as u64;
-    root.elapsed_ns = start.elapsed().as_nanos() as u64;
     let profile = pgq_exec::QueryProfile {
         rows: rel.len() as u64,
-        threads: 1,
-        elapsed_ns: root.elapsed_ns,
+        threads,
+        elapsed_ns: start.elapsed().as_nanos() as u64,
         root,
     };
     Ok((rel, profile))
-}
-
-/// [`eval_with_store`] against a pinned [`pgq_store::StoreSnapshot`]
-/// (PR 8). The snapshot is an immutable published store state: a
-/// reader holding one keeps evaluating it — same dictionary, same
-/// columns, same CSR bases — no matter what a concurrent
-/// [`pgq_store::ConcurrentStore`] writer publishes (or compacts)
-/// meanwhile. `db` must agree with the snapshot the same way it must
-/// agree with a store.
-pub fn eval_with_snapshot(
-    q: &Query,
-    db: &Database,
-    cfg: EvalConfig,
-    snapshot: &pgq_store::StoreSnapshot,
-) -> Result<Relation, QueryError> {
-    eval_with_store(q, db, cfg, snapshot)
-}
-
-/// [`eval_with_snapshot`], additionally returning the
-/// [`pgq_exec::QueryProfile`] — `EXPLAIN ANALYZE` against a pinned
-/// snapshot.
-pub fn eval_with_snapshot_profiled(
-    q: &Query,
-    db: &Database,
-    cfg: EvalConfig,
-    snapshot: &pgq_store::StoreSnapshot,
-) -> Result<(Relation, pgq_exec::QueryProfile), QueryError> {
-    eval_with_store_profiled(q, db, cfg, snapshot)
 }
 
 /// Evaluates a query with the given configuration.
@@ -212,7 +191,9 @@ pub fn eval_with(q: &Query, db: &Database, cfg: EvalConfig) -> Result<Relation, 
         // to plan, intern or decode (the six views of a pattern call
         // are usually exactly this).
         Query::Rel(name) => Ok(db.get_required(name)?.clone()),
-        _ if cfg.engine == Engine::Physical => crate::physical::eval_physical(q, db, cfg),
+        _ if cfg.engine == Engine::Physical => {
+            crate::physical::eval_physical(q, db, cfg, None, None)
+        }
         Query::Const(c) => {
             // ⟦c⟧_D := c where c ∈ adom(D) (Figure 4): the singleton
             // restricted to the active domain.

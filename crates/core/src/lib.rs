@@ -45,11 +45,10 @@ pub mod physical;
 pub mod query;
 
 pub use eval::{
-    build_view, eval, eval_with, eval_with_snapshot, eval_with_snapshot_profiled, eval_with_store,
-    eval_with_store_profiled, Engine, EvalConfig,
+    build_view, eval, eval_with, eval_with_store, eval_with_store_profiled, Engine, EvalConfig,
 };
 pub use optimize::optimize;
-pub use physical::{explain, explain_with, explain_with_exec_opts, explain_with_opts, view_form};
+pub use physical::{explain, explain_with, view_form};
 pub use query::{Fragment, Query, QueryError, ViewOp};
 
 #[cfg(test)]

@@ -8,49 +8,36 @@
 //! as a materialized [`PhysPlan::Values`] batch — and the differential
 //! suites (`tests/prop_engine.rs`) hold all three routes to identical
 //! results. See DESIGN.md §5.
+//!
+//! Evaluation and `EXPLAIN` share one translation of the shell:
+//! `shell_plan` has one rule per Figure 3 constructor and asks a
+//! `Leaves` handler what a stored relation, a constant or a pattern
+//! call becomes (evaluated rows, or a placeholder plus its section of
+//! text), and `pgq_exec::physical_plan` is the one optimize →
+//! lower-onto-store step both then take. What `EXPLAIN` prints is what
+//! runs because it is the same code. Every evaluating function takes
+//! the optional [`PlanMetrics`] sink the executor's operators take:
+//! `None` measures nothing, `Some` is the `EXPLAIN ANALYZE` route.
 
 use crate::eval::{build_view, try_fast, EvalConfig};
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_exec::{
-    cost_plan, execute_opts, execute_profiled, intersect_plan, optimize_plan, store_plan,
+    annotate_estimates, execute_opts, execute_profiled, intersect_plan, physical_plan,
     transitive_closure_opts, transitive_closure_profiled, Batch, ExecOptions, PhysPlan,
-    PlanMetrics, PlannerChoice, QueryProfile,
+    PlanMetrics, PlannerChoice,
 };
 use pgq_graph::PropertyGraph;
 use pgq_pattern::{Direction, OutputItem, OutputPattern, Pattern, RepBound};
-use pgq_relational::{Database, Relation, Schema};
+use pgq_relational::{Database, RelName, Relation, Schema};
 use pgq_store::{GraphForm, Store};
-use pgq_value::Var;
+use pgq_value::{Tuple, Value, Var};
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// The executor options a configuration resolves to (`0` = the
 /// environment default).
-fn exec_opts(cfg: EvalConfig) -> ExecOptions {
+pub(crate) fn exec_opts(cfg: EvalConfig) -> ExecOptions {
     ExecOptions::with_threads(cfg.threads).with_planner(cfg.planner)
-}
-
-/// The storage-aware lowering pass the configuration selects (PR 10):
-/// the statistics-driven cost pass (the default) or the fixed PR 4
-/// rule rewrite. Both produce semantically identical plans — the
-/// differential suites enforce it — so this only changes shapes.
-fn lower_store(plan: PhysPlan, store: &Store, schema: &Schema, planner: PlannerChoice) -> PhysPlan {
-    match planner {
-        PlannerChoice::Cost => cost_plan(plan, store, schema),
-        PlannerChoice::Rule => store_plan(plan, store),
-    }
-}
-
-/// Evaluates a query through the physical engine.
-pub(crate) fn eval_physical(
-    q: &Query,
-    db: &Database,
-    cfg: EvalConfig,
-) -> Result<Relation, QueryError> {
-    let plan = lower(q, db, cfg, None)?;
-    let plan = optimize_plan(plan, &db.schema()).map_err(QueryError::Rel)?;
-    let opts = exec_opts(cfg);
-    let batch = execute_opts(&plan, db, None, &opts).map_err(QueryError::Rel)?;
-    batch.into_relation().map_err(QueryError::Rel)
 }
 
 /// The [`GraphForm`] a [`ViewOp`] registers under in a [`Store`].
@@ -62,53 +49,209 @@ pub fn view_form(op: ViewOp) -> GraphForm {
     }
 }
 
-/// Evaluates a query through the physical engine backed by a session
-/// [`Store`] (substrate S16): base scans run on columnar indexes,
-/// dictionary codes flow through the whole operator pipeline (decoding
-/// exactly once at the set-semantics boundary), and reachability
-/// pattern calls over graphs registered in the store are answered from
-/// their frozen CSR adjacency (read through any update overlay) — no
-/// per-query view rebuild, no hash-join fixpoint. The store must agree
-/// with `db`: registered from it, then kept in step by re-registration
-/// or by the incremental update path (`Store::apply_updates` and the
-/// row-level mutators).
-pub(crate) fn eval_physical_store(
+/// What [`shell_plan`] plans at the leaves of the relational shell.
+trait Leaves {
+    /// A stored relation `R`.
+    fn rel(&mut self, name: &RelName) -> Result<PhysPlan, QueryError>;
+    /// A constant `c`.
+    fn constant(&mut self, c: &Value) -> Result<PhysPlan, QueryError>;
+    /// A pattern call `ψΩ(Q1, …, Q6)`.
+    fn pattern(
+        &mut self,
+        out: &OutputPattern,
+        views: &[Query; 6],
+        op: ViewOp,
+    ) -> Result<PhysPlan, QueryError>;
+}
+
+/// Lowers the relational shell of a query onto the physical IR, one
+/// rule per constructor; the storage lowering happens later, in
+/// [`physical_plan`] — under either planner the plans are semantically
+/// identical (the differential suites enforce it), only shapes change.
+fn shell_plan(q: &Query, leaves: &mut impl Leaves) -> Result<PhysPlan, QueryError> {
+    let mut binary = |a: &Query, b: &Query| -> Result<_, QueryError> {
+        Ok((
+            Box::new(shell_plan(a, leaves)?),
+            Box::new(shell_plan(b, leaves)?),
+        ))
+    };
+    Ok(match q {
+        Query::Rel(name) => leaves.rel(name)?,
+        Query::Const(c) => leaves.constant(c)?,
+        Query::Pattern { out, views, op } => leaves.pattern(out, views, *op)?,
+        Query::Project(pos, q) => shell_plan(q, leaves)?.project(pos.clone()),
+        Query::Select(cond, q) => shell_plan(q, leaves)?.filter(cond.clone()),
+        Query::Product(a, b) => {
+            let (left, right) = binary(a, b)?;
+            PhysPlan::Product { left, right }
+        }
+        Query::Union(a, b) => {
+            let (left, right) = binary(a, b)?;
+            PhysPlan::Union { left, right }
+        }
+        // Plan the derived intersection `Q − (Q − Q′)` as a real
+        // intersection join (`Query::intersect`).
+        Query::Diff(a, b) => match q.as_intersection() {
+            Some((l, r)) => intersect_plan(shell_plan(l, leaves)?, shell_plan(r, leaves)?),
+            None => {
+                let (left, right) = binary(a, b)?;
+                PhysPlan::Diff { left, right }
+            }
+        },
+    })
+}
+
+/// The evaluating [`Leaves`]: pattern calls and constants become
+/// materialized `Values` (evaluated with the same configuration, so
+/// nested shells are planned too).
+struct Evaluate<'a> {
+    db: &'a Database,
+    cfg: EvalConfig,
+    store: Option<&'a Store>,
+}
+
+impl Leaves for Evaluate<'_> {
+    fn rel(&mut self, name: &RelName) -> Result<PhysPlan, QueryError> {
+        Ok(match self.db.get(name) {
+            // `Database::schema` omits 0-ary relations (the paper's
+            // schemas are positive-arity), so scan those by value.
+            Some(rel) if rel.arity() == 0 => PhysPlan::Values(Batch::from_relation(rel)),
+            _ => PhysPlan::Scan(name.clone()),
+        })
+    }
+
+    fn constant(&mut self, c: &Value) -> Result<PhysPlan, QueryError> {
+        // ⟦c⟧_D := c where c ∈ adom(D) (Figure 4).
+        Ok(PhysPlan::Values(if self.db.active_domain().contains(c) {
+            Batch::singleton(Tuple::unary(c.clone()))
+        } else {
+            Batch::empty(1)
+        }))
+    }
+
+    fn pattern(
+        &mut self,
+        out: &OutputPattern,
+        views: &[Query; 6],
+        op: ViewOp,
+    ) -> Result<PhysPlan, QueryError> {
+        let rel = eval_pattern(out, views, op, self.db, self.cfg, self.store, None)?;
+        Ok(PhysPlan::Values(Batch::from_relation(&rel)))
+    }
+}
+
+/// Evaluates a query through the physical engine — backed, when given,
+/// by a session [`Store`] (substrate S16): base scans run on columnar
+/// indexes, dictionary codes flow through the whole operator pipeline
+/// (decoding exactly once at the set-semantics boundary), and
+/// reachability pattern calls over graphs registered in the store are
+/// answered from their frozen CSR adjacency (read through any update
+/// overlay) — no per-query view rebuild, no hash-join fixpoint. The
+/// store must agree with `db`: registered from it, then kept in step
+/// by re-registration or by the incremental update path
+/// (`Store::apply_updates` and the row-level mutators).
+///
+/// With a sink, `m` becomes the executed plan's metrics tree — the
+/// `EXPLAIN ANALYZE` route. The relation is computed by the same code
+/// either way; the tree's deterministic fields (rows, Δ-frontier
+/// sizes, build sizes) are byte-identical at every thread count, only
+/// the timing annotations vary.
+pub(crate) fn eval_physical(
     q: &Query,
     db: &Database,
     cfg: EvalConfig,
-    store: &Store,
+    store: Option<&Store>,
+    m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
-    // A bare pattern call is the common case and needs no relational
-    // plan around it — answer it directly instead of staging the
-    // result through a `Values` leaf (which would copy it twice).
-    if let Query::Pattern { out, views, op } = q {
-        return eval_pattern_store(out, views, *op, db, cfg, store);
+    // Under a store a bare pattern call is the common case and needs
+    // no relational plan around it — answer it directly instead of
+    // staging the result through a `Values` leaf (which would copy it
+    // twice). Storeless, the call stays a `Values` leaf of a one-node
+    // plan: the per-query baseline E16 measures the store against.
+    if let (Query::Pattern { out, views, op }, Some(_)) = (q, store) {
+        return eval_pattern(out, views, *op, db, cfg, store, m);
     }
-    let plan = lower(q, db, cfg, Some(store))?;
-    let plan = optimize_plan(plan, &db.schema()).map_err(QueryError::Rel)?;
-    let plan = lower_store(plan, store, &db.schema(), cfg.planner);
+    let shell = shell_plan(q, &mut Evaluate { db, cfg, store })?;
+    let plan = physical_plan(shell, &db.schema(), store, cfg.planner)?;
     let opts = exec_opts(cfg);
-    let batch = execute_opts(&plan, db, Some(store), &opts).map_err(QueryError::Rel)?;
-    batch.into_relation().map_err(QueryError::Rel)
+    let Some(m) = m else {
+        return Ok(execute_opts(&plan, db, store, &opts)?.into_relation()?);
+    };
+    let (batch, root) = execute_profiled(&plan, db, store, &opts)?;
+    *m = root;
+    if let Some(store) = store {
+        // The planner's cardinality estimates next to the measured
+        // rows — the `est=` column of `EXPLAIN ANALYZE`.
+        annotate_estimates(m, &plan, store);
+    }
+    Ok(batch.into_relation()?)
 }
 
-/// A pattern call on the store route. When the six views are plain
+const FROZEN_ROUTE: &str = "frozen CSR reachability";
+const NFA_ROUTE: &str = "NFA product-graph BFS";
+const REFERENCE_ROUTE: &str = "reference (Figure 2) semantics";
+
+fn fixpoint_route(shape: &ReachShape) -> &'static str {
+    if shape.filtered {
+        "semi-naive fixpoint over filtered step edges"
+    } else {
+        "semi-naive fixpoint over view edges"
+    }
+}
+
+/// A pattern call on the physical route. When the six views are plain
 /// base relations matching a graph frozen in the store, reachability
 /// outputs are answered from its CSR index directly — the view was
-/// validated once at registration, so nothing is rebuilt. Everything
-/// else falls back to the per-query physical route.
-fn eval_pattern_store(
+/// validated once at registration, so nothing is rebuilt. Otherwise
+/// the view is built from physically-evaluated subqueries; reachability
+/// shapes run on the fixpoint operator; everything else falls back to
+/// NFA, then reference.
+///
+/// There is no operator tree to annotate, so with a sink the answering
+/// route itself becomes the node `m` — the profile never lies about
+/// which engine answered — and the fixpoint route hangs its semi-naive
+/// iteration trace (per-round Δ sizes) underneath.
+fn eval_pattern(
     out: &OutputPattern,
     views: &[Query; 6],
     op: ViewOp,
     db: &Database,
     cfg: EvalConfig,
-    store: &Store,
+    store: Option<&Store>,
+    mut m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
-    if let Some(rel) = try_frozen_reach(out, views, op, store)? {
-        return Ok(rel);
+    let start = m.as_ref().map(|_| Instant::now());
+    let frozen = match store {
+        Some(store) => try_frozen_reach(out, views, op, store)?,
+        None => None,
+    };
+    let (route, rel) = match frozen {
+        Some(rel) => (FROZEN_ROUTE, rel),
+        None => {
+            let graph = build_view(views, op, db, cfg)?;
+            match try_fixpoint_reach(out, &graph, &exec_opts(cfg), m.as_deref_mut())? {
+                Some(answer) => answer,
+                None => match try_fast(out, &graph)? {
+                    Some(rel) => (NFA_ROUTE, rel),
+                    None => (REFERENCE_ROUTE, out.eval(&graph)?),
+                },
+            }
+        }
+    };
+    if let (Some(m), Some(start)) = (m, start) {
+        record_answer(m, format!("Pattern [{route}]"), &rel, start);
     }
-    eval_pattern_physical(out, views, op, db, cfg)
+    Ok(rel)
+}
+
+/// Marks `m` as the one executed node of a route with no operator
+/// tree: labelled by the route, `rel` out, running since `start`.
+pub(crate) fn record_answer(m: &mut PlanMetrics, label: String, rel: &Relation, start: Instant) {
+    m.label = label;
+    m.executed = true;
+    m.batches = 1;
+    m.rows_out = rel.len() as u64;
+    m.elapsed_ns = start.elapsed().as_nanos() as u64;
 }
 
 /// Answers a reachability-shaped output from a graph frozen in the
@@ -123,7 +266,15 @@ fn try_frozen_reach(
     op: ViewOp,
     store: &Store,
 ) -> Result<Option<Relation>, QueryError> {
-    let Some(entry) = registered_entry(views, op, store) else {
+    // Only views that are all plain base relations can name a graph
+    // frozen from exactly them under this operator.
+    let [Query::Rel(n), Query::Rel(e), Query::Rel(s), Query::Rel(t), Query::Rel(l), Query::Rel(p)] =
+        views
+    else {
+        return Ok(None);
+    };
+    let names = [n, e, s, t, l, p].map(Clone::clone);
+    let Some(entry) = store.graph_for_views(&names, view_form(op)) else {
         return Ok(None);
     };
     let Some(shape) = reach_shape(&out.pattern) else {
@@ -159,216 +310,6 @@ fn try_frozen_reach(
             Ok(Some(pairs.project(&cols).map_err(QueryError::Rel)?))
         }
     }
-}
-
-/// [`eval_physical_store`] with a [`QueryProfile`] collected alongside
-/// the result — the `EXPLAIN ANALYZE` route. The relation is computed
-/// by the same code paths as the unprofiled route (held identical by
-/// the metrics-invariant suite); the profile's deterministic fields
-/// (rows, Δ-frontier sizes, build sizes) are byte-identical at every
-/// thread count, only the timing annotations vary.
-pub(crate) fn eval_physical_store_profiled(
-    q: &Query,
-    db: &Database,
-    cfg: EvalConfig,
-    store: &Store,
-) -> Result<(Relation, QueryProfile), QueryError> {
-    let opts = exec_opts(cfg).with_metrics(true);
-    let start = std::time::Instant::now();
-    let (rel, root) = if let Query::Pattern { out, views, op } = q {
-        eval_pattern_store_profiled(out, views, *op, db, cfg, store)?
-    } else {
-        let plan = lower(q, db, cfg, Some(store))?;
-        let plan = optimize_plan(plan, &db.schema()).map_err(QueryError::Rel)?;
-        let plan = lower_store(plan, store, &db.schema(), cfg.planner);
-        let (batch, mut root) =
-            execute_profiled(&plan, db, Some(store), &opts).map_err(QueryError::Rel)?;
-        // Graft the planner's cardinality estimates next to the
-        // measured rows — the `est=` column of `EXPLAIN ANALYZE`. The
-        // estimates are a pure function of the statistics snapshot, so
-        // the non-timing rendering stays byte-identical at every
-        // thread count.
-        let stats = store.statistics();
-        pgq_exec::annotate_estimates(&mut root, &plan, &pgq_exec::Estimator::new(&stats));
-        let rel = batch.into_relation().map_err(QueryError::Rel)?;
-        (rel, root)
-    };
-    let profile = QueryProfile {
-        rows: rel.len() as u64,
-        threads: opts.threads,
-        elapsed_ns: start.elapsed().as_nanos() as u64,
-        root,
-    };
-    Ok((rel, profile))
-}
-
-/// A one-node metrics tree for a pattern call answered off-plan (CSR
-/// entry, NFA, or reference route) — there is no operator tree to
-/// annotate, so the route itself becomes the node.
-fn pattern_leaf(label: &str, rel: &Relation, start: std::time::Instant) -> PlanMetrics {
-    let mut m = PlanMetrics::leaf(label);
-    m.executed = true;
-    m.batches = 1;
-    m.rows_out = rel.len() as u64;
-    m.elapsed_ns = start.elapsed().as_nanos() as u64;
-    m
-}
-
-/// [`eval_pattern_store`] with metrics: the answering route becomes the
-/// root node, and the fixpoint route hangs its semi-naive iteration
-/// trace (per-round Δ sizes) underneath.
-fn eval_pattern_store_profiled(
-    out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
-    db: &Database,
-    cfg: EvalConfig,
-    store: &Store,
-) -> Result<(Relation, PlanMetrics), QueryError> {
-    let start = std::time::Instant::now();
-    if let Some(rel) = try_frozen_reach(out, views, op, store)? {
-        let m = pattern_leaf("Pattern [frozen CSR reachability]", &rel, start);
-        return Ok((rel, m));
-    }
-    eval_pattern_physical_profiled(out, views, op, db, cfg)
-}
-
-/// [`eval_pattern_physical`] with metrics — mirrors the route dispatch
-/// exactly, so the profile never lies about which engine answered.
-fn eval_pattern_physical_profiled(
-    out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
-    db: &Database,
-    cfg: EvalConfig,
-) -> Result<(Relation, PlanMetrics), QueryError> {
-    let graph = build_view(views, op, db, cfg)?;
-    if let Some((rel, fixpoint)) = try_fixpoint_reach_impl(out, &graph, &exec_opts(cfg), true)? {
-        let filtered = reach_shape(&out.pattern).is_some_and(|s| s.filtered);
-        let label = if filtered {
-            "Pattern [semi-naive fixpoint over filtered step edges]"
-        } else {
-            "Pattern [semi-naive fixpoint over view edges]"
-        };
-        let mut root = PlanMetrics::leaf(label);
-        root.executed = true;
-        root.batches = 1;
-        root.rows_out = rel.len() as u64;
-        if let Some(fixpoint) = fixpoint {
-            root.elapsed_ns = fixpoint.elapsed_ns;
-            root.rows_in = fixpoint.rows_out;
-            root.children.push(fixpoint);
-        }
-        return Ok((rel, root));
-    }
-    let start = std::time::Instant::now();
-    if let Some(rel) = try_fast(out, &graph)? {
-        let m = pattern_leaf("Pattern [NFA product-graph BFS]", &rel, start);
-        return Ok((rel, m));
-    }
-    let rel = out.eval(&graph)?;
-    let m = pattern_leaf("Pattern [reference (Figure 2) semantics]", &rel, start);
-    Ok((rel, m))
-}
-
-/// The store entry frozen from exactly these views under this
-/// operator, when every view is a plain base relation.
-fn registered_entry<'a>(
-    views: &[Query; 6],
-    op: ViewOp,
-    store: &'a Store,
-) -> Option<&'a pgq_store::GraphEntry> {
-    let mut names = Vec::with_capacity(6);
-    for v in views {
-        match v {
-            Query::Rel(name) => names.push(name.clone()),
-            _ => return None,
-        }
-    }
-    let names: [pgq_relational::RelName; 6] = names.try_into().expect("six views");
-    store.graph_for_views(&names, view_form(op))
-}
-
-/// Lowers the relational shell of a query onto the physical IR.
-/// Pattern calls and constants become materialized `Values` leaves
-/// (evaluated with the same configuration, so nested shells are planned
-/// too). With a store, pattern calls consult its frozen graphs first;
-/// the shell itself lowers identically either way (the storage lowering
-/// happens later, in `store_plan`).
-fn lower(
-    q: &Query,
-    db: &Database,
-    cfg: EvalConfig,
-    store: Option<&Store>,
-) -> Result<PhysPlan, QueryError> {
-    Ok(match q {
-        Query::Rel(name) => match db.get(name) {
-            // `Database::schema` omits 0-ary relations (the paper's
-            // schemas are positive-arity), so scan those by value.
-            Some(rel) if rel.arity() == 0 => PhysPlan::Values(Batch::from_relation(rel)),
-            _ => PhysPlan::Scan(name.clone()),
-        },
-        Query::Const(c) => {
-            // ⟦c⟧_D := c where c ∈ adom(D) (Figure 4).
-            let mut rel = Relation::empty(1);
-            if db.active_domain().contains(c) {
-                rel.insert(pgq_value::Tuple::unary(c.clone()))
-                    .map_err(QueryError::Rel)?;
-            }
-            PhysPlan::Values(Batch::from_relation(&rel))
-        }
-        Query::Project(pos, q) => lower(q, db, cfg, store)?.project(pos.clone()),
-        Query::Select(cond, q) => lower(q, db, cfg, store)?.filter(cond.clone()),
-        Query::Product(a, b) => PhysPlan::Product {
-            left: Box::new(lower(a, db, cfg, store)?),
-            right: Box::new(lower(b, db, cfg, store)?),
-        },
-        Query::Union(a, b) => PhysPlan::Union {
-            left: Box::new(lower(a, db, cfg, store)?),
-            right: Box::new(lower(b, db, cfg, store)?),
-        },
-        Query::Diff(a, b) => {
-            // Plan the derived intersection `Q − (Q − Q′)` as a real
-            // intersection join (`Query::intersect`).
-            if let Some((l, r)) = q.as_intersection() {
-                return Ok(intersect_plan(
-                    lower(l, db, cfg, store)?,
-                    lower(r, db, cfg, store)?,
-                ));
-            }
-            PhysPlan::Diff {
-                left: Box::new(lower(a, db, cfg, store)?),
-                right: Box::new(lower(b, db, cfg, store)?),
-            }
-        }
-        Query::Pattern { out, views, op } => {
-            let rel = match store {
-                Some(store) => eval_pattern_store(out, views, *op, db, cfg, store)?,
-                None => eval_pattern_physical(out, views, *op, db, cfg)?,
-            };
-            PhysPlan::Values(Batch::from_relation(&rel))
-        }
-    })
-}
-
-/// A pattern call on the physical route: the view is built from
-/// physically-evaluated subqueries; reachability shapes run on the
-/// fixpoint operator; everything else falls back to NFA, then reference.
-fn eval_pattern_physical(
-    out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
-    db: &Database,
-    cfg: EvalConfig,
-) -> Result<Relation, QueryError> {
-    let graph = build_view(views, op, db, cfg)?;
-    if let Some(rel) = try_fixpoint_reach(out, &graph, &exec_opts(cfg))? {
-        return Ok(rel);
-    }
-    if let Some(rel) = try_fast(out, &graph)? {
-        return Ok(rel);
-    }
-    Ok(out.eval(&graph)?)
 }
 
 /// The reachability spine `(x) step^{n..∞} (y)` with a single
@@ -526,26 +467,17 @@ fn flatten_concat<'a>(p: &'a Pattern, out: &mut Vec<&'a Pattern>) {
 /// Answers reachability outputs with the semi-naive fixpoint operator:
 /// the graph's edges become `(src, tgt)` rows, `pgq_exec::transitive_closure`
 /// computes the ≥1-step pairs, and `ψ^{0..∞}` restores the reflexive
-/// pairs over the view's nodes. Returns `None` when the output is not a
-/// Boolean or endpoint projection of the reachability spine.
+/// pairs over the view's nodes. Returns the route taken and its
+/// answer, or `None` when the output is not a Boolean or endpoint
+/// projection of the reachability spine. With a sink, the closure's
+/// own metrics (iteration count, per-round Δ sizes) become `m`'s child
+/// and its output `m`'s input — the relation is computed identically.
 fn try_fixpoint_reach(
     out: &OutputPattern,
     g: &PropertyGraph,
     opts: &ExecOptions,
-) -> Result<Option<Relation>, QueryError> {
-    Ok(try_fixpoint_reach_impl(out, g, opts, false)?.map(|(rel, _)| rel))
-}
-
-/// [`try_fixpoint_reach`], optionally recording the closure's
-/// [`PlanMetrics`] (iteration count, per-round Δ sizes) when `profiled`
-/// — the only difference between the routes is which closure entry
-/// point runs; the relation is computed identically.
-fn try_fixpoint_reach_impl(
-    out: &OutputPattern,
-    g: &PropertyGraph,
-    opts: &ExecOptions,
-    profiled: bool,
-) -> Result<Option<(Relation, Option<PlanMetrics>)>, QueryError> {
+    m: Option<&mut PlanMetrics>,
+) -> Result<Option<(&'static str, Relation)>, QueryError> {
     let Some(shape) = reach_shape(&out.pattern) else {
         return Ok(None);
     };
@@ -573,7 +505,7 @@ fn try_fixpoint_reach_impl(
     if shape.filtered {
         let matches = pgq_pattern::eval_pattern(shape.step, g)?;
         for (s, t) in pgq_pattern::endpoint_pairs(&matches) {
-            edges.push(s.concat(&t)).map_err(QueryError::Rel)?;
+            edges.push(s.concat(&t))?;
         }
     } else {
         // A validated view gives every edge both endpoints; a graph
@@ -587,45 +519,46 @@ fn try_fixpoint_reach_impl(
         for e in g.edges() {
             let s = g.src(e).ok_or_else(|| missing("src", e))?;
             let t = g.tgt(e).ok_or_else(|| missing("tgt", e))?;
-            edges.push(s.concat(t)).map_err(QueryError::Rel)?;
+            edges.push(s.concat(t))?;
         }
     }
-    let (closure, metrics) = if profiled {
-        let (c, m) = transitive_closure_profiled(edges, k, 0, opts).map_err(QueryError::Rel)?;
-        (c, Some(m))
-    } else {
-        let c = transitive_closure_opts(edges, k, 0, opts).map_err(QueryError::Rel)?;
-        (c, None)
+    let closure = match m {
+        Some(m) => {
+            let (closure, fixpoint) = transitive_closure_profiled(edges, k, 0, opts)?;
+            m.rows_in = fixpoint.rows_out;
+            m.children.push(fixpoint);
+            closure
+        }
+        None => transitive_closure_opts(edges, k, 0, opts)?,
     };
 
+    let route = fixpoint_route(&shape);
     let ReachProj::Items(items) = proj else {
         // Boolean output: a 0-length path exists iff the view has a node.
         let holds = !closure.is_empty() || (!shape.at_least_one && g.node_count() > 0);
-        return Ok(Some((
-            if holds {
-                Relation::r#true()
-            } else {
-                Relation::r#false()
-            },
-            metrics,
-        )));
+        let rel = if holds {
+            Relation::r#true()
+        } else {
+            Relation::r#false()
+        };
+        return Ok(Some((route, rel)));
     };
 
     let mut rel = Relation::empty(out.output_arity(k));
     for row in closure.iter() {
         let (s, t) = row.split_at(k);
         if let Some(projected) = project_pair(&items, &s, &t, g) {
-            rel.insert(projected).map_err(QueryError::Rel)?;
+            rel.insert(projected)?;
         }
     }
     if !shape.at_least_one {
         for n in g.nodes() {
             if let Some(projected) = project_pair(&items, n, n, g) {
-                rel.insert(projected).map_err(QueryError::Rel)?;
+                rel.insert(projected)?;
             }
         }
     }
-    Ok(Some((rel, metrics)))
+    Ok(Some((route, rel)))
 }
 
 /// Whether the output is a Boolean or an endpoint projection of the
@@ -638,16 +571,12 @@ fn endpoint_output(out: &OutputPattern, x: &Var, y: &Var) -> bool {
     }
 }
 
-/// The route `eval_pattern_physical` takes for this output — mirrors
-/// the actual dispatch so `EXPLAIN` never lies.
+/// The route [`eval_pattern`] takes for this output once the view is
+/// built — mirrors the actual dispatch so `EXPLAIN` never lies.
 fn route_label(out: &OutputPattern) -> &'static str {
     if let Some(shape) = reach_shape(&out.pattern) {
         if reach_proj(out, &shape).is_some() {
-            return if shape.filtered {
-                "semi-naive fixpoint over filtered step edges"
-            } else {
-                "semi-naive fixpoint over view edges"
-            };
+            return fixpoint_route(&shape);
         }
     }
     if pgq_pattern::Nfa::compile(&out.pattern).is_ok() {
@@ -657,13 +586,13 @@ fn route_label(out: &OutputPattern) -> &'static str {
         );
         if let (Some(l), Some(r)) = endpoints {
             if endpoint_output(out, &l, &r) {
-                return "NFA product-graph BFS";
+                return NFA_ROUTE;
             }
         } else if out.items.is_empty() {
-            return "NFA product-graph BFS";
+            return NFA_ROUTE;
         }
     }
-    "reference (Figure 2) semantics"
+    REFERENCE_ROUTE
 }
 
 /// Renders the physical plan of a query as an `EXPLAIN`-style tree —
@@ -672,157 +601,95 @@ fn route_label(out: &OutputPattern) -> &'static str {
 /// `⟨matchN⟩` placeholder whose route (fixpoint / NFA / reference) and
 /// view subplans are listed below the main tree.
 pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
-    explain_with(q, schema, None)
+    explain_with(q, schema, None, None)
 }
 
-/// [`explain`] under an optional session [`Store`]: the plan is
-/// additionally lowered onto the store's indexes (`IndexScan`,
-/// `AdjacencyExpand`, CSR fixpoints), with operators that read through
-/// an update overlay marked `⟨delta⟩`. Mirrors exactly what
-/// `eval_with_store` executes.
+/// [`explain`] with everything a session adds. Under a [`Store`] the
+/// plan is additionally lowered onto its indexes (`IndexScan`,
+/// `AdjacencyExpand`, CSR fixpoints) by the planner `opts` selects (the
+/// default without `opts`), and operators that read through an update
+/// overlay are marked `⟨delta⟩`. Under concrete `opts` every
+/// morsel-parallel operator is annotated with its degree of parallelism
+/// (`⟨dop≤n⟩`) and a trailing line states the worker budget — what the
+/// shell renders after `SET THREADS n;` / `SET PLANNER rule;`. It is
+/// the plan `eval_with_store` executes under the same configuration.
 pub fn explain_with(
     q: &Query,
     schema: &Schema,
     store: Option<&Store>,
-) -> Result<String, QueryError> {
-    explain_annotated(q, schema, store, None)
-}
-
-/// [`explain_with`] under concrete executor options: every
-/// morsel-parallel operator is additionally annotated with its degree
-/// of parallelism (`⟨dop≤n⟩`) and a trailing line states the worker
-/// budget — what the shell renders after `SET THREADS n;`. Mirrors
-/// exactly what `eval_with_store` executes under the same
-/// `EvalConfig::threads`.
-pub fn explain_with_opts(
-    q: &Query,
-    schema: &Schema,
-    store: Option<&Store>,
-    threads: usize,
-) -> Result<String, QueryError> {
-    explain_annotated(q, schema, store, Some(ExecOptions::with_threads(threads)))
-}
-
-/// [`explain_with_opts`] under full [`ExecOptions`] — the shell's
-/// `EXPLAIN` after `SET PLANNER rule;` passes the session's planner
-/// choice through here so the rendered plan is the one that would
-/// execute.
-pub fn explain_with_exec_opts(
-    q: &Query,
-    schema: &Schema,
-    store: Option<&Store>,
-    opts: ExecOptions,
-) -> Result<String, QueryError> {
-    explain_annotated(q, schema, store, Some(opts))
-}
-
-fn explain_annotated(
-    q: &Query,
-    schema: &Schema,
-    store: Option<&Store>,
-    opts: Option<ExecOptions>,
+    opts: Option<&ExecOptions>,
 ) -> Result<String, QueryError> {
     q.arity(schema)?;
-    let planner = opts
-        .as_ref()
-        .map_or_else(PlannerChoice::default, |o| o.planner);
-    let mut sections: Vec<String> = Vec::new();
-    let mut aug = schema.clone();
-    let plan = explain_plan(q, schema, &mut aug, &mut sections, store, planner)?;
-    let plan = optimize_plan(plan, &aug).map_err(QueryError::Rel)?;
-    let plan = match store {
-        Some(store) => lower_store(plan, store, &aug, planner),
-        None => plan,
+    let mut leaves = Explain {
+        aug: schema.clone(),
+        sections: Vec::new(),
+        store,
+        planner: opts.map_or_else(PlannerChoice::default, |o| o.planner),
     };
-    let mut text = match (&opts, store) {
-        (Some(o), _) => plan.display_with_opts(store, o),
-        (None, Some(store)) => plan.display_with(Some(store)),
-        (None, None) => plan.to_string(),
-    };
-    for s in sections {
+    let shell = shell_plan(q, &mut leaves)?;
+    let plan = physical_plan(shell, &leaves.aug, store, leaves.planner)?;
+    let mut text = plan.display_with(store, opts);
+    for s in leaves.sections {
         text.push('\n');
         text.push_str(&s);
     }
     Ok(text)
 }
 
-fn explain_plan(
-    q: &Query,
-    schema: &Schema,
-    aug: &mut Schema,
-    sections: &mut Vec<String>,
-    store: Option<&Store>,
+/// The explaining [`Leaves`]: nothing is evaluated. A pattern call
+/// becomes a scan of a placeholder relation `⟨matchN⟩` — added to
+/// `aug`, the query's schema as the shell is then optimized under it —
+/// and a section of text naming its route and view subplans.
+struct Explain<'a> {
+    aug: Schema,
+    sections: Vec<String>,
+    store: Option<&'a Store>,
     planner: PlannerChoice,
-) -> Result<PhysPlan, QueryError> {
-    Ok(match q {
-        Query::Rel(name) => PhysPlan::Scan(name.clone()),
-        Query::Const(c) => {
-            let mut b = Batch::empty(1);
-            b.push(pgq_value::Tuple::unary(c.clone()))
-                .map_err(QueryError::Rel)?;
-            PhysPlan::Values(b)
-        }
-        Query::Project(pos, q) => {
-            explain_plan(q, schema, aug, sections, store, planner)?.project(pos.clone())
-        }
-        Query::Select(cond, q) => {
-            explain_plan(q, schema, aug, sections, store, planner)?.filter(cond.clone())
-        }
-        Query::Product(a, b) => PhysPlan::Product {
-            left: Box::new(explain_plan(a, schema, aug, sections, store, planner)?),
-            right: Box::new(explain_plan(b, schema, aug, sections, store, planner)?),
-        },
-        Query::Union(a, b) => PhysPlan::Union {
-            left: Box::new(explain_plan(a, schema, aug, sections, store, planner)?),
-            right: Box::new(explain_plan(b, schema, aug, sections, store, planner)?),
-        },
-        Query::Diff(a, b) => {
-            if let Some((l, r)) = q.as_intersection() {
-                return Ok(intersect_plan(
-                    explain_plan(l, schema, aug, sections, store, planner)?,
-                    explain_plan(r, schema, aug, sections, store, planner)?,
-                ));
-            }
-            PhysPlan::Diff {
-                left: Box::new(explain_plan(a, schema, aug, sections, store, planner)?),
-                right: Box::new(explain_plan(b, schema, aug, sections, store, planner)?),
+}
+
+impl Leaves for Explain<'_> {
+    fn rel(&mut self, name: &RelName) -> Result<PhysPlan, QueryError> {
+        Ok(PhysPlan::Scan(name.clone()))
+    }
+
+    fn constant(&mut self, c: &Value) -> Result<PhysPlan, QueryError> {
+        Ok(PhysPlan::Values(Batch::singleton(Tuple::unary(c.clone()))))
+    }
+
+    fn pattern(
+        &mut self,
+        out: &OutputPattern,
+        views: &[Query; 6],
+        op: ViewOp,
+    ) -> Result<PhysPlan, QueryError> {
+        // Identifier arity is Q1's arity (`Query::arity`).
+        let arity = out.output_arity(views[0].arity(&self.aug)?);
+        let route = route_label(out);
+        // Render the view subplans first: nested pattern calls push
+        // their own sections during this recursion, so numbering off
+        // `sections.len()` afterwards keeps every placeholder unique.
+        let mut body = String::new();
+        let labels = ["nodes", "edges", "src", "tgt", "labels", "props"];
+        for (label, view) in labels.iter().zip(views.iter()) {
+            let sub = shell_plan(view, self)?;
+            let sub = physical_plan(sub, &self.aug, self.store, self.planner)?;
+            let _ = writeln!(body, "  {label}:");
+            for line in sub.display_with(self.store, None).lines() {
+                let _ = writeln!(body, "    {line}");
             }
         }
-        Query::Pattern { out, views, op } => {
-            let arity = q.arity(schema)?;
-            let route = route_label(out);
-            // Render the view subplans first: nested pattern calls push
-            // their own sections during this recursion, so numbering off
-            // `sections.len()` afterwards keeps every placeholder unique.
-            let mut body = String::new();
-            let labels = ["nodes", "edges", "src", "tgt", "labels", "props"];
-            for (label, view) in labels.iter().zip(views.iter()) {
-                let sub = explain_plan(view, schema, aug, sections, store, planner)?;
-                let sub = optimize_plan(sub, aug).map_err(QueryError::Rel)?;
-                let sub_text = match store {
-                    Some(store) => lower_store(sub, store, aug, planner).display_with(Some(store)),
-                    None => sub.to_string(),
-                };
-                let _ = writeln!(body, "  {label}:");
-                for line in sub_text.lines() {
-                    let _ = writeln!(body, "    {line}");
-                }
-            }
-            let name = format!("⟨match{}⟩", sections.len() + 1);
-            let mut section = String::new();
-            let _ = writeln!(section, "{name} := {out} via {op} [route: {route}]");
-            section.push_str(&body);
-            sections.push(section);
-            if arity == 0 {
-                // Schemas are positive-arity; a Boolean pattern call
-                // cannot be a placeholder scan.
-                PhysPlan::Values(Batch::empty(0))
-            } else {
-                aug.add(name.as_str(), arity);
-                PhysPlan::Scan(name.as_str().into())
-            }
-        }
-    })
+        let name = format!("⟨match{}⟩", self.sections.len() + 1);
+        self.sections
+            .push(format!("{name} := {out} via {op} [route: {route}]\n{body}"));
+        Ok(if arity == 0 {
+            // Schemas are positive-arity; a Boolean pattern call
+            // cannot be a placeholder scan.
+            PhysPlan::Values(Batch::empty(0))
+        } else {
+            self.aug.add(name.as_str(), arity);
+            PhysPlan::Scan(name.as_str().into())
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1142,14 +1009,14 @@ mod tests {
             .product(Query::rel("T"))
             .select(RowCondition::col_eq(0, 2))
             .project(vec![1, 3]);
-        let text = explain_with(&q, &d.schema(), Some(&store)).unwrap();
+        let text = explain_with(&q, &d.schema(), Some(&store), None).unwrap();
         // The store pass lowers scans onto the columnar indexes and the
         // join onto CSR expansion: no plain `Scan` survives.
         assert!(text.contains("IndexScan"), "{text}");
         assert!(!text.contains(" Scan "), "{text}");
         // Without a store, explain_with is plain explain.
         assert_eq!(
-            explain_with(&q, &d.schema(), None).unwrap(),
+            explain_with(&q, &d.schema(), None, None).unwrap(),
             explain(&q, &d.schema()).unwrap()
         );
     }

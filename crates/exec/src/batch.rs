@@ -45,6 +45,14 @@ impl Batch {
         Ok(b)
     }
 
+    /// The one-row batch of `t`, at `t`'s own arity.
+    pub fn singleton(t: Tuple) -> Self {
+        Batch {
+            arity: t.arity(),
+            rows: vec![t],
+        }
+    }
+
     /// Copies a [`Relation`] into a batch (already duplicate-free).
     pub fn from_relation(rel: &Relation) -> Self {
         Batch {

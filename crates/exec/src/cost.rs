@@ -1,51 +1,49 @@
-//! Cost-based planning over store statistics (PR 10; DESIGN.md §5).
+//! The storage-lowering pass and its cardinality estimator (DESIGN.md §5).
 //!
-//! [`store_plan`] is a *fixed* rewrite pass: join
-//! order is whatever lowering emitted, the hash-join build side is
-//! hardwired, and adjacency expansion always consumes the join's left
-//! input. This module is the estimate-driven replacement. It keeps the
-//! same contract — **never changes the set of result rows**, pinned by
-//! the planner differential properties in `tests/prop_engine.rs` /
-//! `tests/prop_store.rs` — but picks the physical shape by predicted
-//! cardinality:
+//! There is **one** pass that lowers an optimized plan onto a session
+//! store — [`lower_onto_store`] — and every physical-shape decision in
+//! it (join order, hash build side, whether and which way a join
+//! becomes an [`PhysPlan::AdjacencyExpand`]) is made by comparing
+//! estimates. [`PlannerChoice`] selects the [`Estimator`] those
+//! estimates come from, not a code path:
 //!
-//! * [`Estimator`] annotates any [`PhysPlan`] node with an expected
-//!   row count from a [`pgq_store::StoreStatistics`] snapshot
-//!   (distinct-count selectivities, live-row leaf cardinalities,
-//!   degree-histogram expansion factors — the standard
-//!   System-R-style formulas, documented with their failure modes in
-//!   DESIGN.md §5);
-//! * [`cost_plan`] is the costed rewrite: multi-way join chains are
-//!   flattened and re-ordered greedily by estimated intermediate
-//!   cardinality, the smaller estimated side of every `HashJoin`
-//!   builds, `AdjacencyExpand` direction (and which side gets to be
-//!   the expanded edge relation) is chosen by forward-vs-reverse
-//!   expected degree, and compensating projections restore the
-//!   original column order so the rewrite is invisible to everything
-//!   above it;
-//! * [`annotate_estimates`] grafts the estimates onto an executed
-//!   [`PlanMetrics`] tree so `EXPLAIN ANALYZE` shows `est=` next to
-//!   the actual row counts — misestimates are an observability
-//!   surface, not a silent regression.
+//! * `Cost` (the default; [`cost_plan`]) reads a
+//!   [`pgq_store::StoreStatistics`] snapshot — distinct-count
+//!   selectivities, live-row leaf cardinalities, degree-histogram
+//!   expansion factors, the standard System-R-style formulas,
+//!   documented with their failure modes in DESIGN.md §5;
+//! * `Rule` reads nothing ([`Estimator::syntactic`]): every estimate
+//!   ties, so each tie-break returns what was written — joins stay in
+//!   syntactic order, a join against a bare CSR-indexed right scan
+//!   becomes the expansion (2·l against l + r at l = r), and only the
+//!   O(1) stored row counts of two bare scans can move a build side.
+//!   It is the E20 ablation's control arm and the `SET PLANNER rule;`
+//!   escape hatch.
 //!
-//! The rule-based pass stays available behind
-//! [`PlannerChoice::Rule`] (`SET PLANNER rule;` in the shell/server)
-//! as the escape hatch and the E20 ablation baseline.
+//! Either way the pass **never changes the set of result rows** (the
+//! planner differentials in `tests/prop_engine.rs` /
+//! `tests/prop_store.rs`), compensating projections restore the
+//! original column order so the rewrite is invisible to everything
+//! above it, and `tests/plan_goldens.rs` pins the plans themselves.
+//! [`annotate_estimates`] grafts the statistics' estimates onto an
+//! executed [`PlanMetrics`] tree so `EXPLAIN ANALYZE` shows `est=` next
+//! to the actual row counts — misestimates are an observability
+//! surface, not a silent regression.
 
 use crate::metrics::PlanMetrics;
 use crate::plan::PhysPlan;
-use crate::planner::store_plan;
 use pgq_relational::{CmpOp, Operand, RelName, RowCondition, Schema};
 use pgq_store::{Store, StoreStatistics};
 
-/// Which planning pass lowers optimized plans onto the store.
+/// Which estimator [`lower_onto_store`] plans with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlannerChoice {
-    /// The statistics-driven pass ([`cost_plan`]) — the default.
+    /// Estimates from the store's statistics ([`cost_plan`]) — the
+    /// default.
     #[default]
     Cost,
-    /// The fixed rewrite pass ([`crate::store_plan`]) — the PR 4
-    /// behavior, kept as the escape hatch and ablation baseline.
+    /// No statistics: every estimate ties and the plan keeps its
+    /// syntactic shape — the escape hatch and ablation baseline.
     Rule,
 }
 
@@ -67,6 +65,9 @@ impl std::fmt::Display for PlannerChoice {
 
 /// Fallback cardinality for leaves the statistics don't cover.
 const UNKNOWN_ROWS: f64 = 1_000.0;
+/// What an estimator without statistics answers for every plan and
+/// every column: one value, so all comparisons tie.
+const TIED: f64 = 1.0;
 /// Selectivity of a non-equality comparison (`<`, `≤`, …).
 const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 /// Selectivity of `≠` (almost everything survives).
@@ -77,46 +78,58 @@ const NE_SELECTIVITY: f64 = 0.9;
 /// comparable rather than precise.
 const FIXPOINT_GROWTH: f64 = 8.0;
 
-/// Cardinality estimation over a [`StoreStatistics`] snapshot.
+/// Cardinality estimation: over a [`StoreStatistics`] snapshot
+/// ([`Estimator::new`]), or over nothing ([`Estimator::syntactic`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Estimator<'a> {
-    stats: &'a StoreStatistics,
+    stats: Option<&'a StoreStatistics>,
 }
 
 impl<'a> Estimator<'a> {
     /// An estimator reading the given statistics snapshot.
     pub fn new(stats: &'a StoreStatistics) -> Self {
-        Estimator { stats }
+        Estimator { stats: Some(stats) }
+    }
+
+    /// The estimator that reads no statistics: every plan and every
+    /// column estimates the same, so whoever compares two estimates
+    /// falls through to its tie-break. It borrows nothing, so building
+    /// one cannot make the store compute statistics.
+    pub fn syntactic() -> Estimator<'static> {
+        Estimator { stats: None }
     }
 
     /// Expected output rows of a plan node (≥ 0, finite).
     pub fn rows(&self, plan: &PhysPlan) -> f64 {
+        let Some(stats) = self.stats else {
+            return TIED;
+        };
         match plan {
-            PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => self.relation_rows(name),
+            PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => relation_rows(stats, name),
             PhysPlan::Values(b) => b.len() as f64,
-            PhysPlan::AdomScan => self
-                .stats
+            PhysPlan::AdomScan => stats
                 .live_rows(&RelName::from(pgq_store::ADOM_REL))
-                .map_or(self.stats.dictionary_codes as f64, |n| n as f64),
+                .map_or(stats.dictionary_codes as f64, |n| n as f64),
             PhysPlan::Filter { cond, input } => self.rows(input) * self.selectivity(cond, input),
-            PhysPlan::Project { input, .. } => self.rows(input),
-            PhysPlan::Distinct { input } => self.rows(input),
+            PhysPlan::Project { input, .. } | PhysPlan::Distinct { input } => self.rows(input),
             PhysPlan::AdjacencyExpand {
                 input,
                 rel,
                 reverse,
                 ..
-            } => {
-                let fanout = self.stats.expected_degree(rel, *reverse).unwrap_or(1.0);
-                self.rows(input) * fanout
-            }
+            } => self.rows(input) * self.expected_degree(rel, *reverse),
             PhysPlan::HashJoin { left, right, keys } => {
                 let (l, r) = (self.rows(left), self.rows(right));
                 if keys.is_empty() {
                     // All-columns intersection: bounded by either side.
                     return l.min(r);
                 }
-                self.join_rows(l, r, left, right, keys)
+                // The standard equi-join formula: `|L|·|R| / ∏ max(d_L(i),
+                // d_R(j))` over the key pairs — each key's containment
+                // assumption divides by the larger distinct count.
+                keys.iter().fold(l * r, |rows, &(i, j)| {
+                    rows / self.distinct(left, i).max(self.distinct(right, j)).max(1.0)
+                })
             }
             PhysPlan::Product { left, right } => self.rows(left) * self.rows(right),
             PhysPlan::Union { left, right } => self.rows(left) + self.rows(right),
@@ -125,34 +138,17 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// The standard equi-join formula: `|L|·|R| / ∏ max(d_L(i), d_R(j))`
-    /// over the key pairs — each key's containment assumption divides
-    /// by the larger distinct count.
-    fn join_rows(
-        &self,
-        l: f64,
-        r: f64,
-        left: &PhysPlan,
-        right: &PhysPlan,
-        keys: &[(usize, usize)],
-    ) -> f64 {
-        let mut rows = l * r;
-        for &(i, j) in keys {
-            let d = self.distinct(left, i).max(self.distinct(right, j)).max(1.0);
-            rows /= d;
-        }
-        rows
-    }
-
     /// Distinct-value estimate for one output column of a subplan.
     /// Exact (modulo staleness) for stored relations; bounded by the
     /// subplan's row estimate everywhere else.
     pub fn distinct(&self, plan: &PhysPlan, col: usize) -> f64 {
+        let Some(stats) = self.stats else {
+            return TIED;
+        };
         match plan {
-            PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => self
-                .stats
+            PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => stats
                 .distinct(name, col)
-                .map_or_else(|| self.relation_rows(name), |d| d as f64),
+                .map_or_else(|| relation_rows(stats, name), |d| d as f64),
             PhysPlan::Project { positions, input } => positions
                 .get(col)
                 .map_or_else(|| self.rows(plan), |&p| self.distinct(input, p)),
@@ -196,95 +192,75 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    fn relation_rows(&self, name: &RelName) -> f64 {
+    /// Expected fan-out of one adjacency probe into `rel`.
+    fn expected_degree(&self, rel: &RelName, reverse: bool) -> f64 {
         self.stats
-            .live_rows(name)
-            .map_or(UNKNOWN_ROWS, |n| n as f64)
+            .and_then(|s| s.expected_degree(rel, reverse))
+            .unwrap_or(1.0)
     }
 }
 
-/// The costed lowering pass: [`crate::store_plan`]'s contract (apply
-/// after [`crate::optimize_plan`]; result rows preserved exactly), but
-/// every shape decision — join order, build side, expansion direction —
-/// made from the store's [`StoreStatistics`]. Falls back to the rule
-/// pass for any subtree whose arity cannot be derived under `schema`
-/// (stale plans degrade, they never error here).
-pub fn cost_plan(plan: PhysPlan, store: &Store, schema: &Schema) -> PhysPlan {
-    let stats = store.statistics();
-    let est = Estimator::new(&stats);
-    rewrite(plan, store, schema, &est)
+fn relation_rows(stats: &StoreStatistics, name: &RelName) -> f64 {
+    stats.live_rows(name).map_or(UNKNOWN_ROWS, |n| n as f64)
 }
 
-fn rewrite(plan: PhysPlan, store: &Store, schema: &Schema, est: &Estimator<'_>) -> PhysPlan {
+/// Lowers an optimized plan onto a session store's indexes — the one
+/// storage-lowering pass:
+///
+/// * `Scan R` → `IndexScan R` for registered relations, and `AdomScan`
+///   → `IndexScan ⟨adom⟩` (the store freezes the active domain at
+///   registration);
+/// * every maximal tree of keyed `HashJoin`s is flattened, ordered and
+///   rebuilt join by join — an [`PhysPlan::AdjacencyExpand`] where one
+///   side is a bare scan of a CSR-indexed binary relation and
+///   expanding is estimated no dearer, a hash join with the smaller
+///   side building otherwise;
+/// * the step of a reachability-shaped `Fixpoint` becomes an
+///   `IndexScan`, which [`crate::execute_with`] runs as CSR frontier
+///   sweeps.
+///
+/// `planner` picks the estimator (module docs), and this is the only
+/// place it is looked at. Apply **after** [`crate::optimize_plan`]: the
+/// pass assumes a well-typed plan and preserves result rows exactly. A
+/// join whose arity cannot be derived under `schema` (a plan gone stale
+/// since it was optimized) keeps its written shape over lowered
+/// children — it degrades, it never errors.
+pub fn lower_onto_store(
+    plan: PhysPlan,
+    store: &Store,
+    schema: &Schema,
+    planner: PlannerChoice,
+) -> PhysPlan {
+    match planner {
+        PlannerChoice::Cost => cost_plan(plan, store, schema),
+        PlannerChoice::Rule => lower(plan, store, schema, &Estimator::syntactic()),
+    }
+}
+
+/// [`lower_onto_store`] under [`PlannerChoice::Cost`]: the pass with
+/// the estimator over the store's current [`StoreStatistics`].
+pub fn cost_plan(plan: PhysPlan, store: &Store, schema: &Schema) -> PhysPlan {
+    let stats = store.statistics();
+    lower(plan, store, schema, &Estimator::new(&stats))
+}
+
+fn lower(plan: PhysPlan, store: &Store, schema: &Schema, est: &Estimator<'_>) -> PhysPlan {
     match plan {
         PhysPlan::Scan(name) if store.has_relation(&name) => PhysPlan::IndexScan(name),
         PhysPlan::AdomScan if store.has_relation(&pgq_store::ADOM_REL.into()) => {
             PhysPlan::IndexScan(pgq_store::ADOM_REL.into())
         }
-        PhysPlan::Scan(_) | PhysPlan::IndexScan(_) | PhysPlan::Values(_) | PhysPlan::AdomScan => {
-            plan
-        }
-        PhysPlan::Filter { cond, input } => PhysPlan::Filter {
-            cond,
-            input: Box::new(rewrite(*input, store, schema, est)),
-        },
-        PhysPlan::Project { positions, input } => PhysPlan::Project {
-            positions,
-            input: Box::new(rewrite(*input, store, schema, est)),
-        },
-        PhysPlan::AdjacencyExpand {
-            input,
-            key,
-            rel,
-            reverse,
-        } => PhysPlan::AdjacencyExpand {
-            input: Box::new(rewrite(*input, store, schema, est)),
-            key,
-            rel,
-            reverse,
-        },
-        PhysPlan::HashJoin { left, right, keys } if !keys.is_empty() => {
-            rewrite_join_chain(PhysPlan::HashJoin { left, right, keys }, store, schema, est)
-        }
-        PhysPlan::HashJoin { left, right, keys } => PhysPlan::HashJoin {
-            left: Box::new(rewrite(*left, store, schema, est)),
-            right: Box::new(rewrite(*right, store, schema, est)),
-            keys,
-        },
-        PhysPlan::Product { left, right } => PhysPlan::Product {
-            left: Box::new(rewrite(*left, store, schema, est)),
-            right: Box::new(rewrite(*right, store, schema, est)),
-        },
-        PhysPlan::Union { left, right } => PhysPlan::Union {
-            left: Box::new(rewrite(*left, store, schema, est)),
-            right: Box::new(rewrite(*right, store, schema, est)),
-        },
-        PhysPlan::Diff { left, right } => PhysPlan::Diff {
-            left: Box::new(rewrite(*left, store, schema, est)),
-            right: Box::new(rewrite(*right, store, schema, est)),
-        },
-        PhysPlan::Distinct { input } => PhysPlan::Distinct {
-            input: Box::new(rewrite(*input, store, schema, est)),
-        },
-        // The CSR reachability fast path keys on the exact
-        // `join = [(1,0)], project = [0,3]` shape — recurse into the
-        // children but never touch the fixpoint's own vectors.
-        PhysPlan::Fixpoint {
-            base,
-            step,
-            join,
-            project,
-        } => PhysPlan::Fixpoint {
-            base: Box::new(rewrite(*base, store, schema, est)),
-            step: Box::new(rewrite(*step, store, schema, est)),
-            join,
-            project,
-        },
+        chain if is_keyed_join(&chain) => lower_join_chain(chain, store, schema, est),
+        // Everything else only has children to lower. That includes
+        // `Fixpoint`: the CSR reachability fast path keys on the exact
+        // `join = [(1,0)], project = [0,3]` shape, so its own vectors
+        // are never touched.
+        other => other.map_children(|child| lower(child, store, schema, est)),
     }
 }
 
-/// One flattened join factor: the (already costed) subplan and its
-/// output arity.
+/// One flattened join factor: the (already lowered) subplan, its
+/// output arity and its estimated rows.
 struct Factor {
     plan: PhysPlan,
     arity: usize,
@@ -292,69 +268,80 @@ struct Factor {
 }
 
 /// Flattens a maximal tree of keyed hash joins into factors plus
-/// global-column equality predicates, re-orders it greedily by
-/// estimated intermediate cardinality, and rebuilds with per-join build
-/// side / adjacency decisions. A compensating projection restores the
+/// global-column equality predicates, orders it greedily by estimated
+/// intermediate cardinality, and rebuilds with per-join build side /
+/// adjacency decisions. A compensating projection restores the
 /// original (left-to-right) column order.
-fn rewrite_join_chain(
-    plan: PhysPlan,
+fn lower_join_chain(
+    mut plan: PhysPlan,
     store: &Store,
     schema: &Schema,
     est: &Estimator<'_>,
 ) -> PhysPlan {
-    let mut factors: Vec<Factor> = Vec::new();
+    let mut slots: Vec<(&mut PhysPlan, usize)> = Vec::new();
     let mut preds: Vec<(usize, usize)> = Vec::new();
-    if collect_factors(plan.clone(), store, schema, est, &mut factors, &mut preds).is_none() {
-        // Arity underivable (stale plan): degrade to the rule pass.
-        return store_plan(plan, store);
+    if collect_factors(&mut plan, schema, &mut slots, &mut preds).is_none() {
+        // Arity underivable (stale plan): the join stays as written.
+        return plan.map_children(|child| lower(child, store, schema, est));
     }
-    if factors.len() < 2 {
-        return store_plan(plan, store);
-    }
+    // Nothing was moved while an arity could still fail; now every
+    // factor is taken out of the spine, lowered and estimated.
+    let factors = slots
+        .into_iter()
+        .map(|(slot, arity)| {
+            let plan = lower(
+                std::mem::replace(slot, PhysPlan::AdomScan),
+                store,
+                schema,
+                est,
+            );
+            let rows = est.rows(&plan);
+            Factor { plan, arity, rows }
+        })
+        .collect();
     build_ordered_join(factors, preds, store, est)
 }
 
-/// Recursively splits keyed hash joins into their factor subplans
-/// (each costed through [`rewrite`]), rebasing join keys to global
-/// column positions. Returns the subtree's output arity, or `None`
-/// when an arity cannot be derived.
-fn collect_factors(
-    plan: PhysPlan,
-    store: &Store,
+/// Walks a tree of keyed hash joins down to its factor subplans —
+/// everything that is not itself a keyed join, all-columns
+/// intersections included — recording each factor's place and arity
+/// and rebasing the join keys to global column positions. Returns the
+/// subtree's output arity, or `None` when an arity cannot be derived.
+fn collect_factors<'p>(
+    plan: &'p mut PhysPlan,
     schema: &Schema,
-    est: &Estimator<'_>,
-    factors: &mut Vec<Factor>,
+    factors: &mut Vec<(&'p mut PhysPlan, usize)>,
     preds: &mut Vec<(usize, usize)>,
 ) -> Option<usize> {
-    if let PhysPlan::HashJoin { left, right, keys } = plan {
-        if !keys.is_empty() {
-            let base: usize = factors.iter().map(|f| f.arity).sum();
-            let la = collect_factors(*left, store, schema, est, factors, preds)?;
-            let ra = collect_factors(*right, store, schema, est, factors, preds)?;
-            for (i, j) in keys {
-                preds.push((base + i, base + la + j));
-            }
-            return Some(la + ra);
-        }
-        // Intersection joins are atomic factors.
-        let plan = PhysPlan::HashJoin { left, right, keys };
+    if !is_keyed_join(plan) {
         let arity = plan.arity(schema).ok()?;
-        let plan = rewrite(plan, store, schema, est);
-        let rows = est.rows(&plan);
-        factors.push(Factor { plan, arity, rows });
+        factors.push((plan, arity));
         return Some(arity);
     }
-    let arity = plan.arity(schema).ok()?;
-    let plan = rewrite(plan, store, schema, est);
-    let rows = est.rows(&plan);
-    factors.push(Factor { plan, arity, rows });
-    Some(arity)
+    let PhysPlan::HashJoin { left, right, keys } = plan else {
+        return None;
+    };
+    let base: usize = factors.iter().map(|(_, arity)| arity).sum();
+    let la = collect_factors(left, schema, factors, preds)?;
+    let ra = collect_factors(right, schema, factors, preds)?;
+    preds.extend(keys.iter().map(|&(i, j)| (base + i, base + la + j)));
+    Some(la + ra)
+}
+
+/// A hash join on explicit keys — what a join chain is made of. (An
+/// empty key set is the all-columns intersection: an atomic factor.)
+fn is_keyed_join(plan: &PhysPlan) -> bool {
+    matches!(plan, PhysPlan::HashJoin { keys, .. } if !keys.is_empty())
 }
 
 /// Greedy join ordering: start from the smallest factor, repeatedly
 /// join the connected factor minimizing the estimated result, apply
 /// leftover same-side equalities as filters, and restore the original
-/// column order with one projection.
+/// column order with one projection. Every comparison breaks a tie
+/// toward the original (syntactic) order, so an equal-cost rewrite
+/// never perturbs the plan for nothing — and under an estimator
+/// without statistics, where everything ties, the chain is rebuilt in
+/// the order it was written.
 fn build_ordered_join(
     factors: Vec<Factor>,
     mut preds: Vec<(usize, usize)>,
@@ -370,14 +357,13 @@ fn build_ordered_join(
     }
     let mut remaining: Vec<(usize, Factor)> = factors.into_iter().enumerate().collect();
 
-    // Seed with the smallest estimated factor; ties keep the original
-    // (syntactic) order so an equal-cost rewrite never perturbs the
-    // plan for nothing.
+    // Seed with the smallest estimated factor.
     let seed = remaining
         .iter()
         .enumerate()
         .min_by(|(_, (ia, a)), (_, (ib, b))| a.rows.total_cmp(&b.rows).then(ia.cmp(ib)))
         .map(|(slot, _)| slot)
+        // Invariant: a keyed join has two children and each is at least one factor.
         .expect("at least two factors");
     let (seed_idx, seed_factor) = remaining.swap_remove(seed);
 
@@ -387,9 +373,7 @@ fn build_ordered_join(
     for c in 0..seed_factor.arity {
         placed[offsets[seed_idx] + c] = Some(c);
     }
-    let mut acc = seed_factor.plan;
-    let mut acc_rows = seed_factor.rows;
-    let mut acc_arity = seed_factor.arity;
+    let mut acc = seed_factor;
 
     // One greedy-step candidate: joining the factor at `slot` (original
     // position `idx`) via `keys`, retiring the predicate indexes in
@@ -402,7 +386,7 @@ fn build_ordered_join(
         idx: usize,
     }
 
-    while !remaining.is_empty() {
+    loop {
         // Candidate keys per remaining factor: predicates with one end
         // placed and the other inside the candidate (tracked by index
         // so consumed predicates are retired exactly once).
@@ -425,13 +409,11 @@ fn build_ordered_join(
                 }
             }
             let rows = if keys.is_empty() {
-                acc_rows * f.rows * total as f64 // deprioritize products
+                acc.rows * f.rows * total as f64 // deprioritize products
             } else {
-                let mut rows = acc_rows * f.rows;
-                for &(_, j) in &keys {
-                    rows /= est.distinct(&f.plan, j).max(1.0);
-                }
-                rows
+                keys.iter().fold(acc.rows * f.rows, |rows, &(_, j)| {
+                    rows / est.distinct(&f.plan, j).max(1.0)
+                })
             };
             // Strictly better wins; an estimate tie keeps the factor
             // that comes first in the original order.
@@ -448,32 +430,34 @@ fn build_ordered_join(
                 });
             }
         }
-        let Candidate {
+        // No candidate ⇔ no factor remains: the chain is built.
+        let Some(Candidate {
             slot,
             keys,
             consumed,
             rows,
             ..
-        } = best.expect("non-empty remaining");
+        }) = best
+        else {
+            break;
+        };
         let (idx, f) = remaining.swap_remove(slot);
         for &pi in consumed.iter().rev() {
             preds.remove(pi);
         }
-        acc = if keys.is_empty() {
+        for c in 0..f.arity {
+            placed[offsets[idx] + c] = Some(acc.arity + c);
+        }
+        let arity = acc.arity + f.arity;
+        let mut plan = if keys.is_empty() {
             PhysPlan::Product {
-                left: Box::new(acc),
+                left: Box::new(acc.plan),
                 right: Box::new(f.plan),
             }
         } else {
-            join_with_choice(
-                acc, acc_rows, acc_arity, f.plan, f.rows, f.arity, keys, store, est,
-            )
+            join_with_choice(acc, f, keys, store, est)
         };
-        for c in 0..f.arity {
-            placed[offsets[idx] + c] = Some(acc_arity + c);
-        }
-        acc_arity += f.arity;
-        acc_rows = rows.max(0.0);
+        let mut rows = rows.max(0.0);
         // Any predicate whose columns are now both inside the
         // accumulated plan (a cycle edge the join keys above could not
         // express) becomes a residual equality filter.
@@ -486,104 +470,95 @@ fn build_ordered_join(
             _ => true,
         });
         for (a, b) in residual {
-            acc = acc.filter(RowCondition::col_eq(a, b));
-            acc_rows /= 2.0;
+            plan = plan.filter(RowCondition::col_eq(a, b));
+            rows /= 2.0;
         }
+        acc = Factor { plan, arity, rows };
     }
 
-    // Restore the original column order.
-    let positions: Vec<usize> = (0..total)
-        .map(|g| placed[g].expect("every column placed"))
-        .collect();
+    // Restore the original column order. Every factor has been joined
+    // and joining one places all of its columns, so `placed` has no
+    // hole for `flatten` to skip.
+    let positions: Vec<usize> = placed.into_iter().flatten().collect();
     if positions.iter().enumerate().all(|(i, &p)| i == p) {
-        acc
+        acc.plan
     } else {
-        acc.project(positions)
+        acc.plan.project(positions)
     }
 }
 
 /// Builds one binary join `l ⋈ r` (output columns `l ++ r`), choosing
 /// among: expanding `r` as an adjacency index over `l`'s rows,
 /// expanding `l` as an adjacency index over `r`'s rows, and a hash
-/// join with the smaller estimated side building. Compensating
-/// projections keep the output order fixed at `l ++ r`.
-#[allow(clippy::too_many_arguments)] // one decision point, all inputs load-bearing
+/// join with the smaller side building. Compensating projections keep
+/// the output order fixed at `l ++ r`.
 fn join_with_choice(
-    l: PhysPlan,
-    l_rows: f64,
-    l_arity: usize,
-    r: PhysPlan,
-    r_rows: f64,
-    r_arity: usize,
+    l: Factor,
+    r: Factor,
     keys: Vec<(usize, usize)>,
     store: &Store,
     est: &Estimator<'_>,
 ) -> PhysPlan {
+    // `r ++ l` back to `l ++ r`.
+    let restore_order = |plan: PhysPlan| {
+        let mut positions: Vec<usize> = (r.arity..r.arity + l.arity).collect();
+        positions.extend(0..r.arity);
+        plan.project(positions)
+    };
     if let [(i, j)] = keys.as_slice() {
-        let expand_r = adjacency_target(&r, *j, store).map(|(name, reverse)| {
-            let deg = est.stats.expected_degree(&name, reverse).unwrap_or(1.0);
-            (name, reverse, l_rows * (1.0 + deg))
+        let expand_r = adjacency_target(&r.plan, *j, store).map(|(name, reverse)| {
+            let deg = est.expected_degree(&name, reverse);
+            (name, reverse, l.rows * (1.0 + deg))
         });
-        let expand_l = adjacency_target(&l, *i, store).map(|(name, reverse)| {
-            let deg = est.stats.expected_degree(&name, reverse).unwrap_or(1.0);
+        let expand_l = adjacency_target(&l.plan, *i, store).map(|(name, reverse)| {
+            let deg = est.expected_degree(&name, reverse);
             // Expanding the left side produces r ++ l and needs a
             // compensating projection that copies every output row
             // (≈ r_rows·deg) — charge it, so a near-tie in degree
             // never buys a strictly worse plan.
-            (name, reverse, r_rows * (1.0 + 2.0 * deg))
+            (name, reverse, r.rows * (1.0 + 2.0 * deg))
         });
-        let hash_cost = l_rows + r_rows;
+        let hash_cost = l.rows + r.rows;
         match (expand_r, expand_l) {
-            (Some((name, reverse, cr)), Some((_, _, cl))) if cr <= cl && cr <= hash_cost => {
+            (Some((rel, reverse, cr)), cl)
+                if cr <= hash_cost && cl.as_ref().is_none_or(|(_, _, cl)| cr <= *cl) =>
+            {
                 return PhysPlan::AdjacencyExpand {
-                    input: Box::new(l),
+                    input: Box::new(l.plan),
                     key: *i,
-                    rel: name,
+                    rel,
                     reverse,
                 };
             }
-            (Some((name, reverse, cr)), None) if cr <= hash_cost => {
-                return PhysPlan::AdjacencyExpand {
-                    input: Box::new(l),
-                    key: *i,
-                    rel: name,
-                    reverse,
-                };
-            }
-            (_, Some((name, reverse, cl))) if cl <= hash_cost => {
+            (_, Some((rel, reverse, cl))) if cl <= hash_cost => {
                 // Expand the *left* edge relation over the right rows:
                 // output is r ++ l, restored by a projection.
-                let expanded = PhysPlan::AdjacencyExpand {
-                    input: Box::new(r),
+                return restore_order(PhysPlan::AdjacencyExpand {
+                    input: Box::new(r.plan),
                     key: *j,
-                    rel: name,
+                    rel,
                     reverse,
-                };
-                let mut positions: Vec<usize> = (r_arity..r_arity + l_arity).collect();
-                positions.extend(0..r_arity);
-                return expanded.project(positions);
+                });
             }
             _ => {}
         }
     }
     // Hash join: the executor builds the right side — put the smaller
-    // estimated side there.
-    if l_rows < r_rows {
-        let swapped: Vec<(usize, usize)> = keys.iter().map(|&(i, j)| (j, i)).collect();
-        let mut positions: Vec<usize> = (r_arity..r_arity + l_arity).collect();
-        positions.extend(0..r_arity);
-        PhysPlan::HashJoin {
-            left: Box::new(r),
-            right: Box::new(l),
-            keys: swapped,
-        }
-        .project(positions)
+    // side there. By estimate; or, without statistics (where estimates
+    // only ever tie), by the O(1) stored row counts when both sides are
+    // bare scans — and strictly smaller either way, so symmetric plans
+    // stay byte-stable.
+    let left_is_smaller = match est.stats {
+        Some(_) => l.rows < r.rows,
+        None => stored_rows(&l.plan, store)
+            .zip(stored_rows(&r.plan, store))
+            .is_some_and(|(l, r)| l < r),
+    };
+    if left_is_smaller {
+        let swapped = keys.iter().map(|&(i, j)| (j, i)).collect();
+        restore_order(r.plan.hash_join(l.plan, swapped))
     } else {
-        PhysPlan::HashJoin {
-            left: Box::new(l),
-            right: Box::new(r),
-            keys,
-        }
+        l.plan.hash_join(r.plan, keys)
     }
 }
 
@@ -601,23 +576,37 @@ fn adjacency_target(plan: &PhysPlan, col: usize, store: &Store) -> Option<(RelNa
     }
 }
 
-/// Grafts estimated row counts onto an executed metrics tree: walks
-/// plan and metrics in lockstep (they mirror each other one node per
-/// operator) and sets [`PlanMetrics::est_rows`] wherever the labels
-/// agree. Estimates are pure functions of the statistics snapshot, so
-/// the annotation is deterministic across thread counts —
-/// `EXPLAIN ANALYZE`'s `timing=false` rendering stays byte-identical.
-pub fn annotate_estimates(metrics: &mut PlanMetrics, plan: &PhysPlan, est: &Estimator<'_>) {
-    if metrics.label != plan.node_label() {
-        return;
-    }
-    metrics.est_rows = Some(est.rows(plan).round().max(0.0) as u64);
-    let children = plan.children();
-    if metrics.children.len() == children.len() {
-        for (m, p) in metrics.children.iter_mut().zip(children) {
-            annotate_estimates(m, p, est);
+/// The live row count the store keeps for a bare `IndexScan`.
+fn stored_rows(plan: &PhysPlan, store: &Store) -> Option<usize> {
+    let PhysPlan::IndexScan(name) = plan else {
+        return None;
+    };
+    store.relation(name).map(|c| c.len())
+}
+
+/// Grafts the statistics' estimated row counts onto an executed
+/// metrics tree — `EXPLAIN ANALYZE`'s `est=` column, whichever planner
+/// shaped the plan: walks plan and metrics in lockstep (they mirror
+/// each other one node per operator) and sets
+/// [`PlanMetrics::est_rows`] wherever the labels agree. Estimates are
+/// pure functions of the statistics snapshot, so the annotation is
+/// deterministic across thread counts — `EXPLAIN ANALYZE`'s
+/// `timing=false` rendering stays byte-identical.
+pub fn annotate_estimates(metrics: &mut PlanMetrics, plan: &PhysPlan, store: &Store) {
+    fn graft(metrics: &mut PlanMetrics, plan: &PhysPlan, est: &Estimator<'_>) {
+        if metrics.label != plan.node_label() {
+            return;
+        }
+        metrics.est_rows = Some(est.rows(plan).round().max(0.0) as u64);
+        let children = plan.children();
+        if metrics.children.len() == children.len() {
+            for (m, p) in metrics.children.iter_mut().zip(children) {
+                graft(m, p, est);
+            }
         }
     }
+    let stats = store.statistics();
+    graft(metrics, plan, &Estimator::new(&stats));
 }
 
 #[cfg(test)]
@@ -753,7 +742,7 @@ mod tests {
         ];
         for q in shapes {
             let opt = crate::plan_ra(&q, &d.schema()).unwrap();
-            let rule = store_plan(opt.clone(), &store);
+            let rule = lower_onto_store(opt.clone(), &store, &d.schema(), PlannerChoice::Rule);
             let costed = cost_plan(opt, &store, &d.schema());
             let via_rule = execute_with(&rule, &d, Some(&store))
                 .unwrap()
@@ -798,15 +787,13 @@ mod tests {
         let store = Store::from_database(&d);
         let plan = PhysPlan::IndexScan("Big".into()).distinct();
         let mut metrics = PlanMetrics::from_plan(&plan);
-        let stats = store.statistics();
-        let est = Estimator::new(&stats);
-        annotate_estimates(&mut metrics, &plan, &est);
+        annotate_estimates(&mut metrics, &plan, &store);
         assert_eq!(metrics.est_rows, Some(60));
         assert_eq!(metrics.children[0].est_rows, Some(60));
         // Label mismatch leaves nodes untouched instead of lying.
         let other = PhysPlan::IndexScan("Small".into());
         let mut foreign = PlanMetrics::from_plan(&other);
-        annotate_estimates(&mut foreign, &plan, &est);
+        annotate_estimates(&mut foreign, &plan, &store);
         assert_eq!(foreign.est_rows, None);
     }
 }

@@ -17,11 +17,15 @@
 //!   joins, pushes remaining selections below products and unions, and
 //!   plans the derived intersection `Q − (Q − Q′)` as a real
 //!   intersection;
-//! * [`store_plan`] — the storage-aware pass (substrate S16): under a
-//!   session [`pgq_store::Store`], base scans become columnar
-//!   [`PhysPlan::IndexScan`]s, `AdomScan` reads the frozen active
-//!   domain, and joins against CSR-indexed edge relations become
-//!   [`PhysPlan::AdjacencyExpand`] neighbor lookups;
+//! * [`lower_onto_store`] — the one storage-lowering pass (substrate
+//!   S16): under a session [`pgq_store::Store`], base scans become
+//!   columnar [`PhysPlan::IndexScan`]s, `AdomScan` reads the frozen
+//!   active domain, and join chains are ordered and rebuilt — joins
+//!   against CSR-indexed edge relations as [`PhysPlan::AdjacencyExpand`]
+//!   neighbor lookups. Every shape decision compares estimates, and
+//!   [`PlannerChoice`] only selects the [`Estimator`]: the store's
+//!   statistics ([`cost_plan`], the default) or none, under which every
+//!   estimate ties and the plan keeps the shape it was written in;
 //! * [`execute`]/[`execute_with`]/[`execute_opts`] — the batch
 //!   executor, store-backed when given a store. There is one pipeline
 //!   and it is **coded**: every batch between operators is a
@@ -57,14 +61,14 @@ pub mod planner;
 
 pub use batch::Batch;
 pub use coded::{Coded, CodedBatch, CodedCond, Codes};
-pub use cost::{annotate_estimates, cost_plan, Estimator, PlannerChoice};
+pub use cost::{annotate_estimates, cost_plan, lower_onto_store, Estimator, PlannerChoice};
 pub use exec::{execute, execute_opts, execute_profiled, execute_with};
 pub use metrics::{JsonWriter, PlanMetrics, QueryProfile};
 pub use parallel::ExecOptions;
 pub use plan::PhysPlan;
 pub use planner::{
     eval_ra, eval_ra_opts, eval_ra_profiled, eval_ra_with, intersect_plan, lower_ra, optimize_plan,
-    plan_ra, store_plan,
+    physical_plan, plan_ra,
 };
 
 use pgq_relational::{RelError, RelResult};

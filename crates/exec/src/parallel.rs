@@ -61,11 +61,11 @@ pub struct ExecOptions {
     /// concurrent writer publishes newer ones. `None` (the default)
     /// preserves the single-session behavior.
     pub snapshot: Option<StoreSnapshot>,
-    /// Which pass lowers optimized plans onto the store (PR 10):
-    /// [`PlannerChoice::Cost`] (the statistics-driven default) or
-    /// [`PlannerChoice::Rule`] (the fixed PR 4 rewrite — the escape
-    /// hatch and E20 ablation baseline). `SET PLANNER {cost|rule};` in
-    /// the shell/server.
+    /// Which estimator [`crate::lower_onto_store`] plans with (PR 10):
+    /// [`PlannerChoice::Cost`] (the store's statistics — the default)
+    /// or [`PlannerChoice::Rule`] (none: plans keep their syntactic
+    /// shape — the escape hatch and E20 ablation baseline).
+    /// `SET PLANNER {cost|rule};` in the shell/server.
     pub planner: PlannerChoice,
 }
 

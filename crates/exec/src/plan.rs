@@ -153,67 +153,52 @@ impl PhysPlan {
     /// physical counterpart of `RaExpr::arity`. `Values` carries its own
     /// arity and `AdomScan` is unary by definition.
     pub fn arity(&self, schema: &Schema) -> RelResult<usize> {
-        match self {
-            PhysPlan::Scan(name) => schema
+        let stored = |name: &RelName| {
+            schema
                 .arity_of(name)
-                .ok_or_else(|| RelError::UnknownRelation(name.clone())),
-            PhysPlan::IndexScan(name) => {
-                // The reserved adom relation is unary by definition and
-                // deliberately absent from user schemas.
-                if name.as_str() == pgq_store::ADOM_REL {
-                    return Ok(1);
-                }
-                schema
-                    .arity_of(name)
-                    .ok_or_else(|| RelError::UnknownRelation(name.clone()))
+                .ok_or_else(|| RelError::UnknownRelation(name.clone()))
+        };
+        let in_range = |position: usize, arity: usize| {
+            if position < arity {
+                Ok(())
+            } else {
+                Err(RelError::PositionOutOfRange { position, arity })
             }
+        };
+        let same = |op: &'static str, left: usize, right: usize| {
+            if left == right {
+                Ok(left)
+            } else {
+                Err(RelError::IncompatibleArities { op, left, right })
+            }
+        };
+        match self {
+            PhysPlan::Scan(name) => stored(name),
+            // The reserved adom relation is unary by definition and
+            // deliberately absent from user schemas.
+            PhysPlan::IndexScan(name) if name.as_str() == pgq_store::ADOM_REL => Ok(1),
+            PhysPlan::IndexScan(name) => stored(name),
             PhysPlan::AdjacencyExpand {
                 input, key, rel, ..
             } => {
                 let a = input.arity(schema)?;
-                if *key >= a {
-                    return Err(RelError::PositionOutOfRange {
-                        position: *key,
-                        arity: a,
-                    });
-                }
+                in_range(*key, a)?;
                 // The expansion appends the matched binary-relation
                 // row, so the expanded relation must exist and be
                 // binary — same static discipline as `Scan`.
-                match schema.arity_of(rel) {
-                    Some(2) => Ok(a + 2),
-                    Some(other) => Err(RelError::IncompatibleArities {
-                        op: "adjacency expansion",
-                        left: 2,
-                        right: other,
-                    }),
-                    None => Err(RelError::UnknownRelation(rel.clone())),
-                }
+                same("adjacency expansion", 2, stored(rel)?)?;
+                Ok(a + 2)
             }
             PhysPlan::Values(b) => Ok(b.arity()),
             PhysPlan::AdomScan => Ok(1),
             PhysPlan::Filter { cond, input } => {
                 let a = input.arity(schema)?;
-                if let Some(max) = cond.max_position() {
-                    if max >= a {
-                        return Err(RelError::PositionOutOfRange {
-                            position: max,
-                            arity: a,
-                        });
-                    }
-                }
+                cond.max_position().map_or(Ok(()), |max| in_range(max, a))?;
                 Ok(a)
             }
             PhysPlan::Project { positions, input } => {
                 let a = input.arity(schema)?;
-                for &p in positions {
-                    if p >= a {
-                        return Err(RelError::PositionOutOfRange {
-                            position: p,
-                            arity: a,
-                        });
-                    }
-                }
+                positions.iter().try_for_each(|&p| in_range(p, a))?;
                 Ok(positions.len())
             }
             PhysPlan::HashJoin { left, right, keys } => {
@@ -222,43 +207,20 @@ impl PhysPlan {
                 // (see `planner::intersect_plan`): operands must be
                 // compatible and the result keeps the left columns.
                 if keys.is_empty() {
-                    if la != ra {
-                        return Err(RelError::IncompatibleArities {
-                            op: "intersection",
-                            left: la,
-                            right: ra,
-                        });
-                    }
-                    return Ok(la);
+                    return same("intersection", la, ra);
                 }
                 for &(i, j) in keys {
-                    if i >= la {
-                        return Err(RelError::PositionOutOfRange {
-                            position: i,
-                            arity: la,
-                        });
-                    }
-                    if j >= ra {
-                        return Err(RelError::PositionOutOfRange {
-                            position: j,
-                            arity: ra,
-                        });
-                    }
+                    in_range(i, la)?;
+                    in_range(j, ra)?;
                 }
                 Ok(la + ra)
             }
             PhysPlan::Product { left, right } => Ok(left.arity(schema)? + right.arity(schema)?),
-            PhysPlan::Union { left, right } | PhysPlan::Diff { left, right } => {
-                let (la, ra) = (left.arity(schema)?, right.arity(schema)?);
-                if la != ra {
-                    return Err(RelError::IncompatibleArities {
-                        op: "union/difference",
-                        left: la,
-                        right: ra,
-                    });
-                }
-                Ok(la)
-            }
+            PhysPlan::Union { left, right } | PhysPlan::Diff { left, right } => same(
+                "union/difference",
+                left.arity(schema)?,
+                right.arity(schema)?,
+            ),
             PhysPlan::Distinct { input } => input.arity(schema),
             PhysPlan::Fixpoint {
                 base,
@@ -268,35 +230,11 @@ impl PhysPlan {
             } => {
                 let (ba, sa) = (base.arity(schema)?, step.arity(schema)?);
                 for &(i, j) in join {
-                    if i >= ba {
-                        return Err(RelError::PositionOutOfRange {
-                            position: i,
-                            arity: ba,
-                        });
-                    }
-                    if j >= sa {
-                        return Err(RelError::PositionOutOfRange {
-                            position: j,
-                            arity: sa,
-                        });
-                    }
+                    in_range(i, ba)?;
+                    in_range(j, sa)?;
                 }
-                for &p in project {
-                    if p >= ba + sa {
-                        return Err(RelError::PositionOutOfRange {
-                            position: p,
-                            arity: ba + sa,
-                        });
-                    }
-                }
-                if project.len() != ba {
-                    return Err(RelError::IncompatibleArities {
-                        op: "fixpoint projection",
-                        left: ba,
-                        right: project.len(),
-                    });
-                }
-                Ok(ba)
+                project.iter().try_for_each(|&p| in_range(p, ba + sa))?;
+                same("fixpoint projection", ba, project.len())
             }
         }
     }
@@ -339,34 +277,35 @@ impl PhysPlan {
         self.reads_overlay(store) || self.children().iter().any(|c| c.any_overlay(store))
     }
 
-    /// The `EXPLAIN` tree annotated with what `store` adds: nodes
-    /// reading through an update overlay (tombstones or adjacency
-    /// deltas) are marked `⟨delta⟩`, with a trailing legend line when
-    /// any is. With no store this is plain [`std::fmt::Display`].
-    pub fn display_with(&self, store: Option<&pgq_store::Store>) -> String {
-        self.render_annotated_tree(store, None)
-    }
-
-    /// [`PhysPlan::display_with`] under concrete [`ExecOptions`]: every
-    /// morsel-parallel operator (`Filter`, `Project`, `HashJoin`,
-    /// `Diff`, `Distinct`, `AdjacencyExpand`, `Fixpoint`) additionally
-    /// carries its degree of parallelism as `⟨dop≤n⟩` — an upper bound,
-    /// since an operator never gets more workers than its input has
-    /// morsels — and a trailing line states the worker budget. At one
-    /// thread the output gains only the summary line.
-    pub fn display_with_opts(
+    /// The `EXPLAIN` tree annotated with what the arguments add. Under a
+    /// `store`, nodes reading through an update overlay (tombstones or
+    /// adjacency deltas) are marked `⟨delta⟩`, with a trailing legend
+    /// line when any is. Under concrete `opts`, every morsel-parallel
+    /// operator (`Filter`, `Project`, `HashJoin`, `Diff`, `Distinct`,
+    /// `AdjacencyExpand`, `Fixpoint`) additionally carries its degree of
+    /// parallelism as `⟨dop≤n⟩` — an upper bound, since an operator
+    /// never gets more workers than its input has morsels — and a
+    /// trailing line states the worker budget (at one thread, only that
+    /// line). With neither this is plain [`std::fmt::Display`].
+    pub fn display_with(
         &self,
         store: Option<&pgq_store::Store>,
-        opts: &ExecOptions,
+        opts: Option<&ExecOptions>,
     ) -> String {
-        let mut out = self.render_annotated_tree(store, Some(opts.threads));
-        if opts.threads > 1 {
-            out.push_str(&format!(
-                "parallelism: up to {} workers over {MORSEL_ROWS}-row morsels\n",
-                opts.threads
-            ));
-        } else {
-            out.push_str("parallelism: sequential (1 thread)\n");
+        let threads = opts.map(|o| o.threads);
+        let mut out = String::new();
+        self.render_annotated(&mut out, store, threads, "", true, true);
+        if store.is_some_and(|s| self.any_overlay(s)) {
+            out.push_str(
+                "overlay: ⟨delta⟩ operators merge update overlays at read time (COMPACT folds them)\n",
+            );
+        }
+        match threads {
+            Some(n) if n > 1 => out.push_str(&format!(
+                "parallelism: up to {n} workers over {MORSEL_ROWS}-row morsels\n"
+            )),
+            Some(_) => out.push_str("parallelism: sequential (1 thread)\n"),
+            None => {}
         }
         out
     }
@@ -385,21 +324,6 @@ impl PhysPlan {
                 | PhysPlan::AdjacencyExpand { .. }
                 | PhysPlan::Fixpoint { .. }
         )
-    }
-
-    fn render_annotated_tree(
-        &self,
-        store: Option<&pgq_store::Store>,
-        threads: Option<usize>,
-    ) -> String {
-        let mut out = String::new();
-        self.render_annotated(&mut out, store, threads, "", true, true);
-        if store.is_some_and(|s| self.any_overlay(s)) {
-            out.push_str(
-                "overlay: ⟨delta⟩ operators merge update overlays at read time (COMPACT folds them)\n",
-            );
-        }
-        out
     }
 
     fn render_annotated(
@@ -443,21 +367,11 @@ impl PhysPlan {
 
     /// Number of operator nodes.
     pub fn size(&self) -> usize {
-        match self {
-            PhysPlan::Scan(_)
-            | PhysPlan::IndexScan(_)
-            | PhysPlan::Values(_)
-            | PhysPlan::AdomScan => 1,
-            PhysPlan::Filter { input, .. }
-            | PhysPlan::Project { input, .. }
-            | PhysPlan::AdjacencyExpand { input, .. }
-            | PhysPlan::Distinct { input } => 1 + input.size(),
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::Product { left, right }
-            | PhysPlan::Union { left, right }
-            | PhysPlan::Diff { left, right } => 1 + left.size() + right.size(),
-            PhysPlan::Fixpoint { base, step, .. } => 1 + base.size() + step.size(),
-        }
+        1 + self
+            .children()
+            .into_iter()
+            .map(PhysPlan::size)
+            .sum::<usize>()
     }
 
     pub(crate) fn node_label(&self) -> String {
@@ -523,6 +437,79 @@ impl PhysPlan {
             PhysPlan::Fixpoint { base, step, .. } => vec![base, step],
         }
     }
+
+    /// Rebuilds this node over `f` of each child, stopping at the first
+    /// error — the one child-rebuilding traversal: every rewrite pass
+    /// keeps only the arms that decide something and leaves the rest
+    /// of the tree to this.
+    pub fn try_map_children<E>(
+        self,
+        mut f: impl FnMut(PhysPlan) -> Result<PhysPlan, E>,
+    ) -> Result<PhysPlan, E> {
+        let mut on = |child: Box<PhysPlan>| f(*child).map(Box::new);
+        Ok(match self {
+            PhysPlan::Scan(_)
+            | PhysPlan::IndexScan(_)
+            | PhysPlan::Values(_)
+            | PhysPlan::AdomScan => self,
+            PhysPlan::Filter { cond, input } => PhysPlan::Filter {
+                cond,
+                input: on(input)?,
+            },
+            PhysPlan::Project { positions, input } => PhysPlan::Project {
+                positions,
+                input: on(input)?,
+            },
+            PhysPlan::AdjacencyExpand {
+                input,
+                key,
+                rel,
+                reverse,
+            } => PhysPlan::AdjacencyExpand {
+                input: on(input)?,
+                key,
+                rel,
+                reverse,
+            },
+            PhysPlan::Distinct { input } => PhysPlan::Distinct { input: on(input)? },
+            PhysPlan::HashJoin { left, right, keys } => PhysPlan::HashJoin {
+                left: on(left)?,
+                right: on(right)?,
+                keys,
+            },
+            PhysPlan::Product { left, right } => PhysPlan::Product {
+                left: on(left)?,
+                right: on(right)?,
+            },
+            PhysPlan::Union { left, right } => PhysPlan::Union {
+                left: on(left)?,
+                right: on(right)?,
+            },
+            PhysPlan::Diff { left, right } => PhysPlan::Diff {
+                left: on(left)?,
+                right: on(right)?,
+            },
+            PhysPlan::Fixpoint {
+                base,
+                step,
+                join,
+                project,
+            } => PhysPlan::Fixpoint {
+                base: on(base)?,
+                step: on(step)?,
+                join,
+                project,
+            },
+        })
+    }
+
+    /// [`PhysPlan::try_map_children`] for a rewrite that cannot fail.
+    pub fn map_children(self, mut f: impl FnMut(PhysPlan) -> PhysPlan) -> PhysPlan {
+        match self.try_map_children(|child| Ok::<_, std::convert::Infallible>(f(child))) {
+            Ok(plan) => plan,
+            Err(never) => match never {},
+        }
+    }
 }
 
 /// `EXPLAIN`-style tree rendering:
@@ -534,7 +521,7 @@ impl PhysPlan {
 /// ```
 impl fmt::Display for PhysPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display_with(None))
+        f.write_str(&self.display_with(None, None))
     }
 }
 
@@ -662,12 +649,12 @@ mod tests {
         };
         // Fresh store: no overlay, no markers.
         assert!(!expand.reads_overlay(&store));
-        assert!(!expand.display_with(Some(&store)).contains("⟨delta⟩"));
+        assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
         // An insert puts a pair in the adjacency overlay…
         store.insert_row("E", &pgq_value::tuple![2, 3]).unwrap();
         assert!(expand.reads_overlay(&store));
         assert!(tc.reads_overlay(&store));
-        let text = expand.display_with(Some(&store));
+        let text = expand.display_with(Some(&store), None);
         assert!(
             text.contains("AdjacencyExpand [$1 → E CSR] ⟨delta⟩"),
             "{text}"
@@ -682,7 +669,7 @@ mod tests {
         store.compact().unwrap();
         assert!(!expand.reads_overlay(&store));
         assert!(!PhysPlan::IndexScan("V".into()).reads_overlay(&store));
-        assert!(!expand.display_with(Some(&store)).contains("⟨delta⟩"));
+        assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
     }
 
     #[test]
@@ -699,7 +686,7 @@ mod tests {
 
         // Parallel options mark every morsel-parallel operator with its
         // worker bound — scans never get one.
-        let text = plan.display_with_opts(Some(&store), &ExecOptions::with_threads(4));
+        let text = plan.display_with(Some(&store), Some(&ExecOptions::with_threads(4)));
         assert!(text.contains("Distinct ⟨dop≤4⟩"), "{text}");
         assert!(text.contains("Project [$2] ⟨dop≤4⟩"), "{text}");
         assert!(text.contains("HashJoin [$1 = $1ʳ] ⟨dop≤4⟩"), "{text}");
@@ -707,20 +694,20 @@ mod tests {
         assert!(text.contains("parallelism: up to 4 workers"), "{text}");
 
         // One thread: same tree as `display_with`, plus the summary.
-        let seq = plan.display_with_opts(Some(&store), &ExecOptions::sequential());
+        let seq = plan.display_with(Some(&store), Some(&ExecOptions::sequential()));
         assert!(!seq.contains("⟨dop≤"), "{seq}");
         assert!(seq.contains("parallelism: sequential (1 thread)"), "{seq}");
         assert_eq!(
             seq.trim_end_matches("parallelism: sequential (1 thread)\n"),
-            plan.display_with(Some(&store)),
+            plan.display_with(Some(&store), None),
         );
 
         // Store-less plans still report their worker budget, and a
         // fresh store adds nothing to the plain tree.
         let bare = PhysPlan::Scan("R".into()).filter(RowCondition::col_eq(0, 1));
-        let text = bare.display_with_opts(None, &ExecOptions::with_threads(2));
+        let text = bare.display_with(None, Some(&ExecOptions::with_threads(2)));
         assert!(text.contains("Filter [$1 = $2] ⟨dop≤2⟩"), "{text}");
-        assert_eq!(plan.display_with(Some(&store)), plan.to_string());
+        assert_eq!(plan.display_with(Some(&store), None), plan.to_string());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! and this module's tests hold it to the reference evaluator.
 
 use crate::batch::Batch;
+use crate::cost::{lower_onto_store, PlannerChoice};
 use crate::exec::execute_opts;
 use crate::parallel::ExecOptions;
 use crate::plan::PhysPlan;
@@ -26,22 +27,44 @@ use pgq_relational::{CmpOp, Database, Operand, RaExpr, RelResult, Relation, RowC
 use pgq_store::Store;
 use std::collections::BTreeSet;
 
-/// Lowers and optimizes an expression against a concrete instance.
+/// The plan that runs: `plan` optimized under `schema` and, under a
+/// store, lowered onto its indexes with the estimator `planner` selects
+/// ([`lower_onto_store`]) — the one place the two steps are strung
+/// together; `pgq-core` plans its relational shells through here too.
+pub fn physical_plan(
+    plan: PhysPlan,
+    schema: &Schema,
+    store: Option<&Store>,
+    planner: PlannerChoice,
+) -> RelResult<PhysPlan> {
+    let plan = optimize_plan(plan, schema)?;
+    Ok(match store {
+        Some(store) => lower_onto_store(plan, store, schema, planner),
+        None => plan,
+    })
+}
+
+/// [`physical_plan`] of an expression against a concrete instance.
 /// `Database::schema` omits 0-ary relations (the paper's schemas are
 /// positive-arity), so stored 0-ary relations are lowered by value —
 /// matching the reference evaluator, which accepts them.
-fn plan_for_instance(expr: &RaExpr, db: &Database) -> RelResult<PhysPlan> {
+fn plan_for_instance(
+    expr: &RaExpr,
+    db: &Database,
+    store: Option<&Store>,
+    planner: PlannerChoice,
+) -> RelResult<PhysPlan> {
     let plan = lower_with(expr, &|name| match db.get(name) {
         Some(rel) if rel.arity() == 0 => PhysPlan::Values(Batch::from_relation(rel)),
         _ => PhysPlan::Scan(name.clone()),
     });
-    optimize_plan(plan, &db.schema())
+    physical_plan(plan, &db.schema(), store, planner)
 }
 
 /// Plans and executes a relational algebra expression — the engine's
 /// entry point for `RaExpr` workloads.
 pub fn eval_ra(expr: &RaExpr, db: &Database) -> RelResult<Relation> {
-    let plan = plan_for_instance(expr, db)?;
+    let plan = plan_for_instance(expr, db, None, PlannerChoice::default())?;
     execute_opts(&plan, db, None, &ExecOptions::default())?.into_relation()
 }
 
@@ -64,18 +87,8 @@ pub fn eval_ra_opts(
     store: &Store,
     opts: &ExecOptions,
 ) -> RelResult<Relation> {
-    let plan = lower_onto_store(plan_for_instance(expr, db)?, db, store, opts);
+    let plan = plan_for_instance(expr, db, Some(store), opts.planner)?;
     execute_opts(&plan, db, Some(store), opts)?.into_relation()
-}
-
-/// Applies the pass [`ExecOptions::planner`] selects: the
-/// statistics-driven [`crate::cost_plan`] (default) or the fixed
-/// [`store_plan`] rewrite.
-fn lower_onto_store(plan: PhysPlan, db: &Database, store: &Store, opts: &ExecOptions) -> PhysPlan {
-    match opts.planner {
-        crate::cost::PlannerChoice::Cost => crate::cost::cost_plan(plan, store, &db.schema()),
-        crate::cost::PlannerChoice::Rule => store_plan(plan, store),
-    }
 }
 
 /// [`eval_ra_opts`], additionally returning the per-operator
@@ -88,11 +101,10 @@ pub fn eval_ra_profiled(
     store: &Store,
     opts: &ExecOptions,
 ) -> RelResult<(Relation, crate::metrics::QueryProfile)> {
-    let plan = lower_onto_store(plan_for_instance(expr, db)?, db, store, opts);
+    let plan = plan_for_instance(expr, db, Some(store), opts.planner)?;
     let start = std::time::Instant::now();
     let (batch, mut root) = crate::execute_profiled(&plan, db, Some(store), opts)?;
-    let stats = store.statistics();
-    crate::cost::annotate_estimates(&mut root, &plan, &crate::cost::Estimator::new(&stats));
+    crate::cost::annotate_estimates(&mut root, &plan, store);
     let rel = batch.into_relation()?;
     let profile = crate::metrics::QueryProfile {
         rows: rel.len() as u64,
@@ -120,9 +132,7 @@ pub fn lower_ra(expr: &RaExpr) -> PhysPlan {
 fn lower_with(expr: &RaExpr, rel_leaf: &dyn Fn(&pgq_relational::RelName) -> PhysPlan) -> PhysPlan {
     match expr {
         RaExpr::Rel(name) => rel_leaf(name),
-        RaExpr::Singleton(t) => PhysPlan::Values(
-            Batch::from_rows(t.arity(), [t.clone()]).expect("one row of its own arity"),
-        ),
+        RaExpr::Singleton(t) => PhysPlan::Values(Batch::singleton(t.clone())),
         RaExpr::ActiveDomain => PhysPlan::AdomScan,
         RaExpr::Project(pos, q) => lower_with(q, rel_leaf).project(pos.clone()),
         RaExpr::Select(cond, q) => lower_with(q, rel_leaf).filter(cond.clone()),
@@ -177,136 +187,8 @@ pub fn optimize_plan(plan: PhysPlan, schema: &Schema) -> RelResult<PhysPlan> {
     rewrite(plan, schema)
 }
 
-/// Lowers a validated plan onto a session store's indexes:
-///
-/// * `Scan R` → `IndexScan R` for registered relations;
-/// * `AdomScan` → `IndexScan ⟨adom⟩` (the store freezes the active
-///   domain at registration);
-/// * a single-key `HashJoin` whose build side is a CSR-indexed binary
-///   relation scanned bare → [`PhysPlan::AdjacencyExpand`];
-/// * the step of a reachability-shaped `Fixpoint` becomes an
-///   `IndexScan`, which [`crate::execute_with`] runs as CSR frontier sweeps.
-///
-/// Apply **after** [`optimize_plan`] (the pass assumes a well-typed
-/// plan and preserves result rows exactly).
-pub fn store_plan(plan: PhysPlan, store: &Store) -> PhysPlan {
-    match plan {
-        PhysPlan::Scan(name) if store.has_relation(&name) => PhysPlan::IndexScan(name),
-        PhysPlan::AdomScan if store.has_relation(&pgq_store::ADOM_REL.into()) => {
-            PhysPlan::IndexScan(pgq_store::ADOM_REL.into())
-        }
-        PhysPlan::Scan(_) | PhysPlan::IndexScan(_) | PhysPlan::Values(_) | PhysPlan::AdomScan => {
-            plan
-        }
-        PhysPlan::Filter { cond, input } => PhysPlan::Filter {
-            cond,
-            input: Box::new(store_plan(*input, store)),
-        },
-        PhysPlan::Project { positions, input } => PhysPlan::Project {
-            positions,
-            input: Box::new(store_plan(*input, store)),
-        },
-        PhysPlan::AdjacencyExpand {
-            input,
-            key,
-            rel,
-            reverse,
-        } => PhysPlan::AdjacencyExpand {
-            input: Box::new(store_plan(*input, store)),
-            key,
-            rel,
-            reverse,
-        },
-        PhysPlan::HashJoin { left, right, keys } => {
-            let left = store_plan(*left, store);
-            let right = store_plan(*right, store);
-            // A bare scan of a CSR-indexed binary relation joined on one
-            // of its columns is an adjacency expansion.
-            if let ([(i, j)], PhysPlan::IndexScan(name)) = (keys.as_slice(), &right) {
-                if (*j == 0 || *j == 1) && store.adjacency(name).is_some() {
-                    return PhysPlan::AdjacencyExpand {
-                        input: Box::new(left),
-                        key: *i,
-                        rel: name.clone(),
-                        reverse: *j == 1,
-                    };
-                }
-            }
-            // The executor builds the right side. When both sides are
-            // base relation scans with known live-row counts and the
-            // probe side is strictly smaller, swap so the smaller side
-            // builds (a projection restores the column order). The
-            // PR 10 bugfix for the hardwired build side — strict `<`
-            // keeps symmetric plans byte-stable.
-            if !keys.is_empty() {
-                if let (PhysPlan::IndexScan(ln), PhysPlan::IndexScan(rn)) = (&left, &right) {
-                    if let (Some(lc), Some(rc)) = (store.relation(ln), store.relation(rn)) {
-                        if lc.len() < rc.len() {
-                            let (la, ra) = (lc.arity(), rc.arity());
-                            let swapped = keys.iter().map(|&(i, j)| (j, i)).collect();
-                            let mut positions: Vec<usize> = (ra..ra + la).collect();
-                            positions.extend(0..ra);
-                            return PhysPlan::HashJoin {
-                                left: Box::new(right),
-                                right: Box::new(left),
-                                keys: swapped,
-                            }
-                            .project(positions);
-                        }
-                    }
-                }
-            }
-            PhysPlan::HashJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                keys,
-            }
-        }
-        PhysPlan::Product { left, right } => PhysPlan::Product {
-            left: Box::new(store_plan(*left, store)),
-            right: Box::new(store_plan(*right, store)),
-        },
-        PhysPlan::Union { left, right } => PhysPlan::Union {
-            left: Box::new(store_plan(*left, store)),
-            right: Box::new(store_plan(*right, store)),
-        },
-        PhysPlan::Diff { left, right } => PhysPlan::Diff {
-            left: Box::new(store_plan(*left, store)),
-            right: Box::new(store_plan(*right, store)),
-        },
-        PhysPlan::Distinct { input } => PhysPlan::Distinct {
-            input: Box::new(store_plan(*input, store)),
-        },
-        PhysPlan::Fixpoint {
-            base,
-            step,
-            join,
-            project,
-        } => PhysPlan::Fixpoint {
-            base: Box::new(store_plan(*base, store)),
-            step: Box::new(store_plan(*step, store)),
-            join,
-            project,
-        },
-    }
-}
-
 fn rewrite(plan: PhysPlan, schema: &Schema) -> RelResult<PhysPlan> {
     Ok(match plan {
-        PhysPlan::Scan(_) | PhysPlan::IndexScan(_) | PhysPlan::Values(_) | PhysPlan::AdomScan => {
-            plan
-        }
-        PhysPlan::AdjacencyExpand {
-            input,
-            key,
-            rel,
-            reverse,
-        } => PhysPlan::AdjacencyExpand {
-            input: Box::new(rewrite(*input, schema)?),
-            key,
-            rel,
-            reverse,
-        },
         PhysPlan::Filter { cond, input } => rewrite_filter(cond, rewrite(*input, schema)?, schema)?,
         PhysPlan::Project { positions, input } => {
             let input = rewrite(*input, schema)?;
@@ -322,23 +204,6 @@ fn rewrite(plan: PhysPlan, schema: &Schema) -> RelResult<PhysPlan> {
                 projected
             }
         }
-        PhysPlan::HashJoin { left, right, keys } => PhysPlan::HashJoin {
-            left: Box::new(rewrite(*left, schema)?),
-            right: Box::new(rewrite(*right, schema)?),
-            keys,
-        },
-        PhysPlan::Product { left, right } => PhysPlan::Product {
-            left: Box::new(rewrite(*left, schema)?),
-            right: Box::new(rewrite(*right, schema)?),
-        },
-        PhysPlan::Union { left, right } => PhysPlan::Union {
-            left: Box::new(rewrite(*left, schema)?),
-            right: Box::new(rewrite(*right, schema)?),
-        },
-        PhysPlan::Diff { left, right } => PhysPlan::Diff {
-            left: Box::new(rewrite(*left, schema)?),
-            right: Box::new(rewrite(*right, schema)?),
-        },
         PhysPlan::Distinct { input } => {
             let input = rewrite(*input, schema)?;
             if matches!(input, PhysPlan::Distinct { .. }) {
@@ -347,17 +212,7 @@ fn rewrite(plan: PhysPlan, schema: &Schema) -> RelResult<PhysPlan> {
                 input.distinct()
             }
         }
-        PhysPlan::Fixpoint {
-            base,
-            step,
-            join,
-            project,
-        } => PhysPlan::Fixpoint {
-            base: Box::new(rewrite(*base, schema)?),
-            step: Box::new(rewrite(*step, schema)?),
-            join,
-            project,
-        },
+        other => other.try_map_children(|child| rewrite(child, schema))?,
     })
 }
 
@@ -460,6 +315,11 @@ mod tests {
     use pgq_value::tuple;
 
     use crate::exec::{execute, execute_with};
+
+    /// The pass under the estimator without statistics.
+    fn rule_plan(plan: PhysPlan, store: &Store, d: &Database) -> PhysPlan {
+        lower_onto_store(plan, store, &d.schema(), PlannerChoice::Rule)
+    }
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -629,7 +489,7 @@ mod tests {
             .product(RaExpr::rel("E"))
             .select(RowCondition::col_eq(1, 2));
         let plan = plan_ra(&q, &d.schema()).unwrap();
-        let plan = store_plan(plan, &store);
+        let plan = rule_plan(plan, &store, &d);
         assert!(contains_node(&plan, &|p| matches!(
             p,
             PhysPlan::AdjacencyExpand { reverse: false, .. }
@@ -646,7 +506,7 @@ mod tests {
         let q = RaExpr::rel("V")
             .product(RaExpr::rel("E"))
             .select(RowCondition::col_eq(0, 2));
-        let plan = store_plan(plan_ra(&q, &d.schema()).unwrap(), &store);
+        let plan = rule_plan(plan_ra(&q, &d.schema()).unwrap(), &store, &d);
         assert!(contains_node(&plan, &|p| matches!(
             p,
             PhysPlan::AdjacencyExpand { reverse: true, .. }
@@ -659,7 +519,11 @@ mod tests {
         );
 
         // AdomScan lowers onto the frozen active domain.
-        let plan = store_plan(plan_ra(&RaExpr::ActiveDomain, &d.schema()).unwrap(), &store);
+        let plan = rule_plan(
+            plan_ra(&RaExpr::ActiveDomain, &d.schema()).unwrap(),
+            &store,
+            &d,
+        );
         assert_eq!(plan, PhysPlan::IndexScan(pgq_store::ADOM_REL.into()));
         assert_eq!(
             execute_with(&plan, &d, Some(&store))
@@ -714,7 +578,7 @@ mod tests {
         let q = RaExpr::rel("K")
             .product(RaExpr::rel("T3"))
             .select(RowCondition::col_eq(0, 3));
-        let plan = store_plan(plan_ra(&q, &d.schema()).unwrap(), &store);
+        let plan = rule_plan(plan_ra(&q, &d.schema()).unwrap(), &store, &d);
         fn find_join(p: &PhysPlan) -> Option<&PhysPlan> {
             if matches!(p, PhysPlan::HashJoin { .. }) {
                 return Some(p);
@@ -730,7 +594,7 @@ mod tests {
         // The executor's measured build size agrees, and the swapped
         // plan still computes the reference answer.
         let opts = ExecOptions::sequential()
-            .with_planner(crate::cost::PlannerChoice::Rule)
+            .with_planner(PlannerChoice::Rule)
             .with_metrics(true);
         let (rel, profile) = eval_ra_profiled(&q, &d, &store, &opts).unwrap();
         assert_eq!(rel, q.eval(&d).unwrap());
@@ -756,7 +620,7 @@ mod tests {
             join: vec![(1, 0)],
             project: vec![0, 3],
         };
-        let lowered = store_plan(tc.clone(), &store);
+        let lowered = rule_plan(tc.clone(), &store, &d);
         let via_csr = execute_with(&lowered, &d, Some(&store)).unwrap();
         let via_hash = execute(&tc, &d).unwrap();
         assert_eq!(via_csr.into_relation(), via_hash.into_relation());

@@ -23,9 +23,7 @@
 //!   their pinned snapshot — a concurrent writer or `COMPACT` never
 //!   perturbs an in-flight query.
 
-use pgq_core::{
-    eval_with_snapshot, eval_with_snapshot_profiled, explain_with_exec_opts, EvalConfig, Query,
-};
+use pgq_core::{eval_with_store, eval_with_store_profiled, explain_with, EvalConfig, Query};
 use pgq_exec::{ExecOptions, PlannerChoice};
 use pgq_parser::ast::GraphQuery;
 use pgq_parser::{
@@ -158,7 +156,7 @@ impl Engine {
             Command::Empty => Vec::new(),
             Command::Sql(Statement::GraphQuery(gq)) => {
                 let p = self.prepare(&gq)?;
-                let rel = eval_with_snapshot(&p.query, &p.staged.db, cfg, &p.snap);
+                let rel = eval_with_store(&p.query, &p.staged.db, cfg, &p.snap);
                 rows(&rel.map_err(|e| e.to_string())?)
             }
             Command::Sql(ddl) => self.define(&ddl)?,
@@ -167,17 +165,13 @@ impl Engine {
                 let p = self.prepare(&query)?;
                 if analyze {
                     let (_rel, profile) =
-                        eval_with_snapshot_profiled(&p.query, &p.staged.db, cfg, &p.snap)
+                        eval_with_store_profiled(&p.query, &p.staged.db, cfg, &p.snap)
                             .map_err(|e| e.to_string())?;
                     block("query profile", &profile.render(true))
                 } else {
                     let opts = ExecOptions::with_threads(conn.threads).with_planner(conn.planner);
-                    let plan = explain_with_exec_opts(
-                        &p.query,
-                        &p.staged.db.schema(),
-                        Some(p.snap.as_store()),
-                        opts,
-                    );
+                    let plan =
+                        explain_with(&p.query, &p.staged.db.schema(), Some(&p.snap), Some(&opts));
                     block("physical plan", &plan.map_err(|e| e.to_string())?)
                 }
             }

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use pgq_compose::{eval_graph, eval_match, GraphExpr};
     pub use pgq_core::{
         builders, eval as eval_query, eval_with, eval_with_store, eval_with_store_profiled,
-        explain, explain_with, explain_with_opts, Engine, EvalConfig, Fragment, Query, ViewOp,
+        explain, explain_with, Engine, EvalConfig, Fragment, Query, ViewOp,
     };
     pub use pgq_datalog::{compile_formula, parse_program, Program, Recursion};
     pub use pgq_exec::{

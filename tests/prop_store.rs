@@ -21,10 +21,10 @@
 //!
 //! plus the empty-graph, self-loop, and parallel-edge edge cases.
 
-use pgq_core::{builders, eval_with, eval_with_snapshot, eval_with_store, EvalConfig, Query};
+use pgq_core::{builders, eval_with, eval_with_store, EvalConfig, Query};
 use pgq_exec::{
-    eval_ra, eval_ra_opts, eval_ra_with, execute_opts, plan_ra, store_plan, Batch, ExecOptions,
-    PhysPlan, PlannerChoice,
+    eval_ra, eval_ra_opts, eval_ra_with, execute_opts, lower_onto_store, plan_ra, Batch,
+    ExecOptions, PhysPlan, PlannerChoice,
 };
 use pgq_graph::{updates, Update, ViewRelations};
 use pgq_relational::{CmpOp, Database, RaExpr, RelName, Relation, RowCondition};
@@ -46,6 +46,18 @@ fn store_for(db: &Database) -> Store {
         .register_view_graph("G", views(), db, GraphForm::Exact(1))
         .expect("canonical workload views are valid");
     store
+}
+
+/// `q` planned and lowered onto `store` by the pass under the
+/// estimator without statistics (what `store_plan` was).
+fn rule_plan(q: &RaExpr, db: &Database, store: &Store) -> PhysPlan {
+    let schema = db.schema();
+    lower_onto_store(
+        plan_ra(q, &schema).unwrap(),
+        store,
+        &schema,
+        PlannerChoice::Rule,
+    )
 }
 
 /// A random `RaExpr` of the given arity over the `{V/1, E/2}` schema —
@@ -587,7 +599,7 @@ proptest! {
         ];
         let mut cases: Vec<(PhysPlan, Relation)> = shapes
             .iter()
-            .map(|q| (store_plan(plan_ra(q, &db.schema()).unwrap(), &store), q.eval(&db).unwrap()))
+            .map(|q| (rule_plan(q, &db, &store), q.eval(&db).unwrap()))
             .collect();
         prop_assert!(cases.iter().any(|(p, _)| p.to_string().contains("AdjacencyExpand")));
         // The closure of the pairs under stored edges (the CSR route:
@@ -786,7 +798,7 @@ fn snapshot_reference_db(snap: &Store) -> Database {
 }
 
 /// Holds a pinned snapshot to the PR 8 isolation contract: every route
-/// into the executor — the `eval_with_snapshot` pattern entry, the RA
+/// into the executor — the `eval_with_store` pattern entry, the RA
 /// planner with the snapshot as its store, and `execute_opts`
 /// resolving the state from the [`ExecOptions`] snapshot pin alone —
 /// answers byte-identically to the single-threaded S2 reference over
@@ -802,7 +814,7 @@ fn assert_snapshot_isolated(snap: &StoreSnapshot, context: &str) {
         let reference = eval_with(&q, &db, EvalConfig::reference()).unwrap();
         for threads in [1usize, 2, 8] {
             assert_eq!(
-                eval_with_snapshot(&q, &db, EvalConfig::physical().with_threads(threads), snap)
+                eval_with_store(&q, &db, EvalConfig::physical().with_threads(threads), snap)
                     .unwrap(),
                 reference,
                 "{context}: {q} at {threads} thread(s)"
@@ -819,7 +831,7 @@ fn assert_snapshot_isolated(snap: &StoreSnapshot, context: &str) {
     ];
     for q in &shapes {
         let reference = q.eval(&db).unwrap();
-        let plan = store_plan(plan_ra(q, &db.schema()).unwrap(), snap);
+        let plan = rule_plan(q, &db, snap);
         for threads in [1usize, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_snapshot(Some(snap.clone()));
             assert_eq!(
@@ -990,6 +1002,83 @@ fn compaction_swap_is_invisible_to_pinned_readers() {
         );
     }
     assert_snapshot_isolated(&before, "pre-compaction pin after the swap");
+}
+
+/// The fragments the cost pass used to hand to a second (rule) pass —
+/// now there is one pass, and these are its corners: a bushy
+/// `A ⋈ (B ⋈ C)` (flattened across the nesting), a chain with an
+/// all-columns intersection as one of its factors (atomic: never
+/// flattened), the smallest chains there are (one join; a self-join on
+/// every column), and a join whose arity is underivable because the
+/// schema it is lowered under has since lost a relation. Each answers
+/// ≡ the S2 reference under both planners at 1/2/8 threads; the stale
+/// one degrades — the join stays as written over lowered children —
+/// without error.
+#[test]
+fn one_pass_covers_the_fragments_that_left_the_cost_pass() {
+    let (v, e) = (|| RaExpr::rel("V"), || RaExpr::rel("E"));
+    let eq = RowCondition::col_eq;
+    let shapes = [
+        // V ⋈ (E ⋈ E): the inner join's conjunct is pushed into the
+        // right operand, so the optimizer emits a bushy tree.
+        v().product(e().product(e())).select(eq(0, 1).and(eq(2, 3))),
+        // Bushy, and V only connects to the *last* factor.
+        v().product(e().product(e())).select(eq(0, 4).and(eq(2, 3))),
+        // (V ∩ π₁E) ⋈ E ⋈ E: the intersection is one factor.
+        v().intersect(e().project(vec![0]))
+            .product(e())
+            .product(e())
+            .select(eq(0, 1).and(eq(2, 3))),
+        // The smallest chains: one join, and E ⋈ E on every column.
+        v().product(e()).select(eq(0, 2)),
+        e().product(e()).select(eq(0, 2).and(eq(1, 3))),
+        // A ternary relation no CSR serves, so hash joins survive and
+        // the build-side choice is exercised under both estimators.
+        v().product(RaExpr::rel("W"))
+            .product(e())
+            .select(eq(0, 3).and(eq(1, 4))),
+    ];
+    for seed in 0..4u64 {
+        let mut db = ve_db(12, 30, seed);
+        for i in 0..40i64 {
+            db.insert("W", tuple![i % 12, i % 5, i % 12]).unwrap();
+        }
+        let store = Store::from_database(&db);
+        let schema = db.schema();
+        // The schema the plans are lowered under once `V` is gone: no
+        // factor arity that mentions `V` can be derived from it.
+        let mut stale = Database::new();
+        stale.add_relation("E", Relation::empty(2));
+        stale.add_relation("W", Relation::empty(3));
+        let stale = stale.schema();
+        for q in &shapes {
+            let reference = q.eval(&db).unwrap();
+            for planner in [PlannerChoice::Cost, PlannerChoice::Rule] {
+                let degraded =
+                    lower_onto_store(plan_ra(q, &schema).unwrap(), &store, &stale, planner);
+                assert!(
+                    degraded.to_string().contains("IndexScan"),
+                    "children are still lowered:\n{degraded}"
+                );
+                for threads in [1usize, 2, 8] {
+                    let opts = ExecOptions::with_threads(threads).with_planner(planner);
+                    assert_eq!(
+                        eval_ra_opts(q, &db, &store, &opts).unwrap(),
+                        reference,
+                        "{q} under {planner} at {threads} thread(s), seed {seed}"
+                    );
+                    assert_eq!(
+                        execute_opts(&degraded, &db, Some(&store), &opts)
+                            .unwrap()
+                            .into_relation()
+                            .unwrap(),
+                        reference,
+                        "stale {q} under {planner} at {threads} thread(s), seed {seed}:\n{degraded}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
