@@ -1,9 +1,9 @@
 //! The experiment harness behind `EXPERIMENTS.md` and the Criterion
-//! benches: one function per experiment E1–E18 (see DESIGN.md §3),
+//! benches: one function per experiment E1–E14 (see DESIGN.md §3),
 //! each checking the paper's claim mechanically and returning a small
 //! report.
 
-use pgq_core::{builders, eval as eval_query, eval_with, eval_with_store, EvalConfig, Query};
+use pgq_core::{builders, eval as eval_query, eval_with, EvalConfig, Query};
 use pgq_logic::{detect_period, eval_ordered, powers_of_two_bits, Formula, Term};
 use pgq_pattern::{
     endpoint_pairs, eval_pattern, eval_pattern_paths, project_endpoints, try_eval_pairs,
@@ -58,18 +58,6 @@ pub fn full_report() -> String {
         (
             "E14 — Section 8: compositional graph queries",
             e14_compose(),
-        ),
-        (
-            "E15 — substrate S15: the physical engine ablation",
-            e15_engine(),
-        ),
-        (
-            "E16 — substrate S16: the columnar store ablation",
-            e16_store(),
-        ),
-        (
-            "E18 — incremental store maintenance: apply_updates vs full re-registration",
-            e18_updates(),
         ),
     ] {
         let _ = writeln!(out, "## {name}\n\n{body}");
@@ -806,271 +794,9 @@ pub fn e14_compose() -> String {
     out
 }
 
-/// E15: the S15 physical engine (`pgq-exec`). Differential:
-/// `Engine::Physical` returns exactly the NFA and reference routes'
-/// answers on scaling instances and the canonical transfers workload;
-/// measured: the hash-join plan against the product-then-filter
-/// reference on the endpoint join, with the speedup asserted on the
-/// largest instance (full-size numbers accumulate in `BENCH_2.json`
-/// via `report --json`).
-pub fn e15_engine() -> String {
-    use crate::perf::{endpoint_join, mean_ns};
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| instance | |D| | physical = NFA | join ref (µs) | join hash (µs) | speedup |\n|---|---|---|---|---|---|"
-    );
-    let join = endpoint_join();
-    let reach = Query::pattern_ro(
-        builders::reachability_output(),
-        ["N", "E", "S", "T", "L", "P"],
-    );
-    // Speedup on the *largest* instance by tuple count — the one the
-    // acceptance bar is about (order-independent).
-    let mut largest = (0usize, 0.0f64);
-    for (name, db) in [
-        ("grid 20×5", families::grid_db(20, 5)),
-        ("cycle 60", families::cycle_db(60)),
-        (
-            "transfers 200×400",
-            transfers::canonical_transfers_db(200, 400, 1_000, 7),
-        ),
-    ] {
-        let phys = eval_with(&reach, &db, EvalConfig::physical()).unwrap();
-        let nfa = eval_with(&reach, &db, EvalConfig::default()).unwrap();
-        assert_eq!(phys, nfa, "{name}: physical vs NFA");
-        let t_ref = mean_ns(3, || {
-            join.eval(&db).unwrap();
-        });
-        let t_hash = mean_ns(3, || {
-            pgq_exec::eval_ra(&join, &db).unwrap();
-        });
-        let speedup = t_ref as f64 / t_hash.max(1) as f64;
-        if db.tuple_count() > largest.0 {
-            largest = (db.tuple_count(), speedup);
-        }
-        let _ = writeln!(
-            out,
-            "| {name} | {} | ✓ | {:.1} | {:.1} | {:.1}× |",
-            db.tuple_count(),
-            t_ref as f64 / 1_000.0,
-            t_hash as f64 / 1_000.0,
-            speedup
-        );
-    }
-    let largest_speedup = largest.1;
-    // The reference route agrees too (checked at a size it can afford).
-    let db = families::grid_db(10, 5);
-    assert_eq!(
-        eval_with(&reach, &db, EvalConfig::physical()).unwrap(),
-        eval_with(&reach, &db, EvalConfig::reference()).unwrap()
-    );
-    // Conservative floor — the measured ratio on the largest instance
-    // is far higher (see BENCH_2.json); ≥ 2 keeps CI noise-proof.
-    assert!(
-        largest_speedup >= 2.0,
-        "hash join should beat product-then-filter (got {largest_speedup:.1}×)"
-    );
-    let _ = writeln!(
-        out,
-        "\nThe physical engine (hash joins + semi-naive fixpoints, substrate S15)\n\
-         matches the reference routes exactly and replaces the O(|S|·|T|)\n\
-         product-then-filter with an O(|S|+|T|) hash join."
-    );
-    out
-}
-
-/// E16: the S16 columnar store (`pgq-store`). Differential: the
-/// store-backed route returns exactly the hash-join physical, NFA and
-/// reference answers on scaling instances; measured: the same
-/// reachability/TC workload through the PR 2 physical engine (which
-/// re-materializes and revalidates the view per query) and through the
-/// session store (CSR sweeps over adjacency frozen once at
-/// registration), with the speedup asserted on the largest instance
-/// (full-size numbers accumulate in `BENCH_3.json` via `report
-/// --json`).
-pub fn e16_store() -> String {
-    use crate::perf::{canonical_store, mean_ns};
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| instance | |D| | store = physical = NFA | register (µs) | reach physical (µs) | reach store (µs) | speedup |\n|---|---|---|---|---|---|---|"
-    );
-    let reach = Query::pattern_ro(
-        builders::reachability_output(),
-        ["N", "E", "S", "T", "L", "P"],
-    );
-    // Speedup on the largest instance by tuple count — the acceptance
-    // bar's instance (order-independent).
-    let mut largest = (0usize, 0.0f64);
-    for (name, db) in [
-        ("grid 20×5", families::grid_db(20, 5)),
-        ("cycle 100", families::cycle_db(100)),
-        ("grid 40×5", families::grid_db(40, 5)),
-    ] {
-        let store = canonical_store(&db);
-        let via_store = eval_with_store(&reach, &db, EvalConfig::physical(), &store).unwrap();
-        assert_eq!(
-            via_store,
-            eval_with(&reach, &db, EvalConfig::physical()).unwrap(),
-            "{name}: store vs physical"
-        );
-        assert_eq!(
-            via_store,
-            eval_with(&reach, &db, EvalConfig::default()).unwrap(),
-            "{name}: store vs NFA"
-        );
-        let t_register = mean_ns(3, || {
-            canonical_store(&db);
-        });
-        let t_phys = mean_ns(3, || {
-            eval_with(&reach, &db, EvalConfig::physical()).unwrap();
-        });
-        let t_store = mean_ns(3, || {
-            eval_with_store(&reach, &db, EvalConfig::physical(), &store).unwrap();
-        });
-        let speedup = t_phys as f64 / t_store.max(1) as f64;
-        if db.tuple_count() > largest.0 {
-            largest = (db.tuple_count(), speedup);
-        }
-        let _ = writeln!(
-            out,
-            "| {name} | {} | ✓ | {:.1} | {:.1} | {:.1} | {:.1}× |",
-            db.tuple_count(),
-            t_register as f64 / 1_000.0,
-            t_phys as f64 / 1_000.0,
-            t_store as f64 / 1_000.0,
-            speedup
-        );
-    }
-    // The reference route agrees too (checked at a size it can afford).
-    let db = families::grid_db(10, 5);
-    let store = canonical_store(&db);
-    assert_eq!(
-        eval_with_store(&reach, &db, EvalConfig::physical(), &store).unwrap(),
-        eval_with(&reach, &db, EvalConfig::reference()).unwrap()
-    );
-    // Conservative floor — the measured ratio on the largest instance
-    // is far higher (see BENCH_3.json); ≥ 2 keeps CI noise-proof.
-    let largest_speedup = largest.1;
-    assert!(
-        largest_speedup >= 2.0,
-        "the frozen store should beat per-query rebuilds (got {largest_speedup:.1}×)"
-    );
-    let _ = writeln!(
-        out,
-        "\nThe store-backed route (S16: dictionary-coded columns, CSR adjacency frozen\n\
-         once per session) matches every other engine exactly and replaces the\n\
-         per-query view rebuild + hash-join fixpoint with frontier sweeps over the\n\
-         index. Registration costs one view build and is amortized across the session."
-    );
-    out
-}
-
-/// E18: the incremental-maintenance ablation (PR 5). Differential:
-/// applying the standard update batch through `Store::apply_updates`
-/// (append/tombstone + delta overlays, no re-validation) leaves the
-/// store answering exactly like a store re-registered from the updated
-/// database — and exactly like the S2 reference on the updated
-/// instance, before and after `Store::compact()`. Measured: the apply
-/// cost vs. the full re-registration, and the reachability latency
-/// reading through the overlay. The wall-clock floor (incremental ≥ 2×
-/// cheaper) is enforced by `crate::perf::assert_update_floors` in the
-/// release `report --json` bench smoke (`BENCH_5.json`); here the
-/// differential claims are asserted at any optimization level.
-pub fn e18_updates() -> String {
-    use crate::perf::{
-        canonical_database_of, canonical_store, canonical_update_batch, mean_ns,
-        time_incremental_apply,
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| workload | |D| | Δ ops | incremental = re-register = reference | re-register (µs) | incremental (µs) | speedup |\n|---|---|---|---|---|---|---|"
-    );
-    let batch = canonical_update_batch(16, 4);
-    for (name, db) in [
-        ("grid 20×5", families::grid_db(20, 5)),
-        ("cycle 100", families::cycle_db(100)),
-        ("grid 40×5", families::grid_db(40, 5)),
-    ] {
-        let base = canonical_store(&db);
-        let mut updated = base.clone();
-        updated.apply_updates("G", &batch).unwrap();
-        // The updated database, reconstructed from the store's live
-        // rows; re-registering it is the pre-PR 5 path.
-        let db2 = canonical_database_of(&updated);
-        let fresh = canonical_store(&db2);
-        let reach = Query::pattern_ro(
-            builders::reachability_output(),
-            ["N", "E", "S", "T", "L", "P"],
-        );
-        let reference = eval_with(&reach, &db2, EvalConfig::reference()).unwrap();
-        let incremental = eval_with_store(&reach, &db2, EvalConfig::physical(), &updated).unwrap();
-        let reregistered = eval_with_store(&reach, &db2, EvalConfig::physical(), &fresh).unwrap();
-        assert_eq!(incremental, reference, "{name}: incremental vs reference");
-        assert_eq!(
-            incremental, reregistered,
-            "{name}: incremental vs re-register"
-        );
-        // Compaction drops the stale codes without changing the answer.
-        let mut compacted = updated.clone();
-        compacted.compact().unwrap();
-        assert_eq!(compacted.stats().dictionary_stale(), 0, "{name}");
-        assert_eq!(
-            eval_with_store(&reach, &db2, EvalConfig::physical(), &compacted).unwrap(),
-            reference,
-            "{name}: post-compact"
-        );
-        // Measure: apply on a pristine clone (clone untimed) vs full
-        // re-registration.
-        let iters = 5usize;
-        let t_incremental = time_incremental_apply(&base, &batch, iters);
-        let t_reregister = mean_ns(iters, || {
-            canonical_store(&db2);
-        });
-        let speedup = t_reregister as f64 / t_incremental.max(1) as f64;
-        let _ = writeln!(
-            out,
-            "| {name} | {} | {} | ✓ | {:.1} | {:.1} | {:.2}× |",
-            db.tuple_count(),
-            batch.len(),
-            t_reregister as f64 / 1_000.0,
-            t_incremental as f64 / 1_000.0,
-            speedup
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nThe store absorbs Section 7 updates in place (PR 5): columnar relations\n\
-         append or tombstone, CSR adjacency takes deltas as an overlay consulted by\n\
-         AdjacencyExpand and the fixpoint sweeps, and the registered graph entry is\n\
-         maintained without pgView re-validation — so the apply cost tracks the\n\
-         delta while re-registration re-interns and re-freezes the whole database.\n\
-         Store::compact() folds every overlay and reclaims stale dictionary codes\n\
-         with no observable change to any answer."
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn e18_runs() {
-        assert!(e18_updates().contains('✓'));
-    }
-
-    #[test]
-    fn e16_runs() {
-        assert!(e16_store().contains('✓'));
-    }
-
-    #[test]
-    fn e15_runs() {
-        assert!(e15_engine().contains('✓'));
-    }
 
     #[test]
     fn e1_runs() {

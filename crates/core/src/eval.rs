@@ -55,8 +55,8 @@ pub struct EvalConfig {
     /// Which estimator the storage-lowering pass plans with (PR 10):
     /// [`pgq_exec::PlannerChoice::Cost`] (the store's statistics — the
     /// default) or [`pgq_exec::PlannerChoice::Rule`] (none, so plans
-    /// keep their syntactic shape — the escape hatch and E20 ablation
-    /// baseline). Only [`Engine::Physical`] under a store consults it;
+    /// keep their syntactic shape — the escape hatch). Only
+    /// [`Engine::Physical`] under a store consults it;
     /// results are identical either way (the differential suites
     /// enforce it), only plan shapes differ.
     pub planner: pgq_exec::PlannerChoice,

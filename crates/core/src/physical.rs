@@ -163,12 +163,10 @@ pub(crate) fn eval_physical(
     store: Option<&Store>,
     m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
-    // Under a store a bare pattern call is the common case and needs
-    // no relational plan around it — answer it directly instead of
-    // staging the result through a `Values` leaf (which would copy it
-    // twice). Storeless, the call stays a `Values` leaf of a one-node
-    // plan: the per-query baseline E16 measures the store against.
-    if let (Query::Pattern { out, views, op }, Some(_)) = (q, store) {
+    // A bare pattern call needs no relational plan around it — answer
+    // it directly instead of staging the result through a `Values` leaf
+    // (which would copy it twice).
+    if let Query::Pattern { out, views, op } = q {
         return eval_pattern(out, views, *op, db, cfg, store, m);
     }
     let shell = shell_plan(q, &mut Evaluate { db, cfg, store })?;

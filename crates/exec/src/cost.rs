@@ -17,8 +17,7 @@
 //!   syntactic order, a join against a bare CSR-indexed right scan
 //!   becomes the expansion (2·l against l + r at l = r), and only the
 //!   O(1) stored row counts of two bare scans can move a build side.
-//!   It is the E20 ablation's control arm and the `SET PLANNER rule;`
-//!   escape hatch.
+//!   It is the `SET PLANNER rule;` escape hatch.
 //!
 //! Either way the pass **never changes the set of result rows** (the
 //! planner differentials in `tests/prop_engine.rs` /

@@ -44,8 +44,8 @@
 //!
 //! The engine is held to the reference evaluators by differential tests
 //! (`tests/prop_engine.rs` and `tests/prop_store.rs` at the workspace
-//! root) and benchmarked by `e12_engine`/`e13_store` — experiments
-//! E15/E16.
+//! root) and measured by the `embed_scale` workload of `BENCHMARK.json`
+//! (`pgq-exec.execute_ms.*`, `pgq-exec.rows_examined_per_result.*`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -23,8 +23,8 @@
 //! 1 vs 8 workers.
 //!
 //! [`QueryProfile::to_json`] serializes a profile with the same
-//! serde-free [`JsonWriter`] the shell's `STATS JSON;` / `METRICS
-//! JSON;` and the bench harness's `BENCH_7.json` writer share.
+//! serde-free [`JsonWriter`] as the shell's `STATS JSON;` / `METRICS
+//! JSON;`.
 
 use crate::plan::PhysPlan;
 use std::fmt::Write as _;
@@ -280,14 +280,6 @@ impl QueryProfile {
     /// run-to-run-stable comparisons.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::pretty();
-        self.write_json(&mut w);
-        w.finish()
-    }
-
-    /// Writes the profile as one JSON value into an open writer — how
-    /// the bench harness embeds per-operator profiles inside the
-    /// `BENCH_7.json` record it is already composing.
-    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("rows");
         w.number(self.rows);
@@ -296,8 +288,9 @@ impl QueryProfile {
         w.key("elapsed_ns");
         w.number(self.elapsed_ns);
         w.key("plan");
-        self.root.write_json(w);
+        self.root.write_json(&mut w);
         w.end_object();
+        w.finish()
     }
 }
 
@@ -312,10 +305,10 @@ fn fmt_ns(ns: u64) -> String {
 }
 
 /// A minimal hand-rolled JSON writer — the one serializer behind
-/// [`QueryProfile::to_json`], the shell's `STATS JSON;` / `METRICS
-/// JSON;`, and the bench harness's `BENCH_7.json`. No serde: the
-/// workspace is dependency-free by policy, and the JSON this stack
-/// emits is flat enough that a push-style writer is the whole job.
+/// [`QueryProfile::to_json`] and the shell's `STATS JSON;` / `METRICS
+/// JSON;`. No serde: the workspace is dependency-free by policy, and
+/// the JSON this stack emits is flat enough that a push-style writer is
+/// the whole job.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
@@ -411,12 +404,6 @@ impl JsonWriter {
 
     /// Writes an unsigned integer value.
     pub fn number(&mut self, v: u64) {
-        self.prelude();
-        let _ = write!(self.out, "{v}");
-    }
-
-    /// Writes a wide unsigned integer value (bench `mean_ns` is `u128`).
-    pub fn number_u128(&mut self, v: u128) {
         self.prelude();
         let _ = write!(self.out, "{v}");
     }

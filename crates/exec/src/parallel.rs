@@ -64,7 +64,7 @@ pub struct ExecOptions {
     /// Which estimator [`crate::lower_onto_store`] plans with (PR 10):
     /// [`PlannerChoice::Cost`] (the store's statistics — the default)
     /// or [`PlannerChoice::Rule`] (none: plans keep their syntactic
-    /// shape — the escape hatch and E20 ablation baseline).
+    /// shape — the escape hatch).
     /// `SET PLANNER {cost|rule};` in the shell/server.
     pub planner: PlannerChoice,
 }

@@ -30,7 +30,7 @@ use pgq_parser::{
     lower_query, parse_command, CatalogError, Command, MetricsMode, Outcome, PlannerToken,
     RowMutation, Session, Statement,
 };
-use pgq_relational::{Database, RelName, Relation};
+use pgq_relational::{Database, RelError, RelName, Relation};
 use pgq_store::{
     AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, Store, StoreSnapshot,
     StoreStatistics, StoreStats,
@@ -222,7 +222,18 @@ impl Engine {
         let RowMutation { table, row, delete } = m;
         let mut base = self.lock_base();
         let changed = if delete {
-            base.db.remove(&table.as_str().into(), &row)
+            let name = RelName::from(table.as_str());
+            // `Database::remove` cannot fail; a row of the wrong arity
+            // is the error `insert` would have raised, not a no-op.
+            if let Some(r) = base.db.get(&name).filter(|r| r.arity() != row.arity()) {
+                return Err(RelError::ArityMismatch {
+                    context: "relation delete",
+                    expected: r.arity(),
+                    found: row.arity(),
+                }
+                .to_string());
+            }
+            base.db.remove(&name, &row)
         } else {
             base.db
                 .insert(table.clone(), row)

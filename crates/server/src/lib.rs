@@ -13,7 +13,7 @@
 //!   [`pgq_store::StoreSnapshot`]s and evaluated lock-free on the
 //!   morsel-parallel coded pipeline;
 //! * [`Server`] — the accept loop + per-connection session threads;
-//! * [`Client`] — a blocking client for tests and the `pgq-bench`
+//! * [`Client`] — a blocking client for tests and the benchmark's
 //!   load generator.
 //!
 //! Concurrency contract (held by `tests/protocol.rs` here and the

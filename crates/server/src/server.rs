@@ -197,7 +197,7 @@ fn serve_connection(mut stream: TcpStream, engine: &Arc<Engine>) -> io::Result<(
 }
 
 /// A blocking line-protocol client — the counterpart the protocol
-/// tests and the `pgq-bench` load generator drive.
+/// tests and the benchmark's load generator drive.
 pub struct Client {
     stream: TcpStream,
     reader: BufReader<TcpStream>,

@@ -22,33 +22,33 @@ fn start_server() -> Server {
     Server::bind(Arc::new(Engine::new()), "127.0.0.1:0").expect("bind ephemeral port")
 }
 
-/// Loads the canonical transfers schema plus `extra` accounts/edges.
+/// The canonical transfers schema plus a chain of `accounts` accounts.
+fn demo_statements(accounts: usize) -> Vec<String> {
+    let mut stmts = vec![
+        "CREATE TABLE Account (iban)".to_string(),
+        "CREATE TABLE Transfer (t_id, src_iban, tgt_iban, ts, amount)".to_string(),
+        GRAPH_DDL.to_string(),
+    ];
+    stmts.extend((0..accounts).map(|i| format!("INSERT INTO Account VALUES ('A{i}')")));
+    stmts.extend((0..accounts.saturating_sub(1)).map(|i| {
+        format!(
+            "INSERT INTO Transfer VALUES ({i}, 'A{i}', 'A{}', {}, {})",
+            i + 1,
+            100 + i,
+            500 + i
+        )
+    }));
+    stmts
+}
+
+/// Loads [`demo_statements`]; none may answer an error.
 fn load_demo(client: &mut Client, accounts: usize) {
-    for stmt in [
-        "CREATE TABLE Account (iban)",
-        "CREATE TABLE Transfer (t_id, src_iban, tgt_iban, ts, amount)",
-        GRAPH_DDL,
-    ] {
-        let resp = client.request(stmt).expect("ddl");
+    for stmt in demo_statements(accounts) {
+        let resp = client.request(&stmt).expect("demo statement");
         assert!(
             resp.iter().all(|l| !l.starts_with("!! ")),
-            "DDL failed: {resp:?}"
+            "{stmt} failed: {resp:?}"
         );
-    }
-    for i in 0..accounts {
-        client
-            .request(&format!("INSERT INTO Account VALUES ('A{i}')"))
-            .expect("insert account");
-    }
-    for i in 0..accounts.saturating_sub(1) {
-        client
-            .request(&format!(
-                "INSERT INTO Transfer VALUES ({i}, 'A{i}', 'A{}', {}, {})",
-                i + 1,
-                100 + i,
-                500 + i
-            ))
-            .expect("insert transfer");
     }
 }
 
@@ -213,6 +213,22 @@ fn malformed_inputs_return_typed_errors_and_server_survives() {
         .request("INSERT INTO Account 'oops'")
         .expect("bad insert");
     assert!(resp[0].starts_with("!! "), "{resp:?}");
+    // A wrong-arity row is the same typed error on DELETE as on INSERT
+    // — not a "(no-op)" acknowledgement after re-staging the graph.
+    for (stmt, context) in [
+        ("INSERT INTO Transfer", "insert"),
+        ("DELETE FROM Transfer", "delete"),
+    ] {
+        let resp = client
+            .request(&format!("{stmt} VALUES (1, 'A0')"))
+            .expect("wrong arity");
+        assert_eq!(
+            resp,
+            [format!(
+                "!! arity mismatch in relation {context}: expected 5, found 2"
+            )]
+        );
+    }
     // Query on an unknown graph → typed error, not a hang or panic.
     let resp = client
         .request("SELECT * FROM GRAPH_TABLE (Nope MATCH (x) RETURN (x.iban))")
@@ -500,21 +516,11 @@ fn writer_and_readers_interleave_without_divergence() {
     let mut sess = pgq_server::SessionState::default();
     let mut expected = Vec::new();
     let mut feed = |stmt: &str| expected = oracle.statement(&mut sess, stmt);
-    feed("CREATE TABLE Account (iban)");
-    feed("CREATE TABLE Transfer (t_id, src_iban, tgt_iban, ts, amount)");
-    feed(GRAPH_DDL);
-    for i in 0..25 {
-        feed(&format!("INSERT INTO Account VALUES ('A{i}')"));
-    }
-    for i in 0..4 {
-        feed(&format!(
-            "INSERT INTO Transfer VALUES ({i}, 'A{i}', 'A{}', {}, {})",
-            i + 1,
-            100 + i,
-            500 + i
-        ));
+    for stmt in demo_statements(5) {
+        feed(&stmt);
     }
     for i in 5..25 {
+        feed(&format!("INSERT INTO Account VALUES ('A{i}')"));
         feed(&format!(
             "INSERT INTO Transfer VALUES ({}, 'A{}', 'A{i}', {}, {})",
             i - 1,
@@ -525,5 +531,76 @@ fn writer_and_readers_interleave_without_divergence() {
     }
     feed(QUERY);
     assert_eq!(final_rows, expected, "server diverged from oracle");
+    server.stop();
+}
+
+/// Several writers at once: each client interleaves reads with
+/// client-unique — hence commuting — `INSERT INTO Transfer` rows, so
+/// every interleaving must reach the state a sequential engine reaches
+/// when fed the same statements in client order.
+#[test]
+fn concurrent_writers_converge_to_the_sequential_oracle() {
+    const CLIENTS: usize = 4;
+    const WRITES: usize = 6;
+    const ACCOUNTS: usize = 6;
+    fn write(c: usize, i: usize) -> String {
+        format!(
+            "INSERT INTO Transfer VALUES ({}, 'A{}', 'A{}', {}, {})",
+            1_000 + c * WRITES + i,
+            (c + i) % ACCOUNTS,
+            (c + i + 1) % ACCOUNTS,
+            700 + i,
+            150 + i
+        )
+    }
+    fn sorted(mut resp: Vec<String>) -> Vec<String> {
+        resp[1..].sort();
+        resp
+    }
+
+    let server = start_server();
+    let addr = server.addr();
+    let mut setup = Client::connect(addr).expect("connect");
+    load_demo(&mut setup, ACCOUNTS);
+
+    // Every client is connected before any of them writes.
+    let start = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let start = &start;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect writer");
+                start.wait();
+                for i in 0..WRITES {
+                    for stmt in [QUERY.to_string(), write(c, i)] {
+                        let resp = client.request(&stmt).expect("request");
+                        assert!(
+                            resp.iter().all(|l| !l.starts_with("!! ")),
+                            "client {c}, {stmt}: {resp:?}"
+                        );
+                    }
+                }
+            });
+        }
+    });
+
+    let served = setup.request(QUERY).expect("final read");
+    let oracle = Engine::new();
+    let mut sess = pgq_server::SessionState::default();
+    let mut expected = Vec::new();
+    let writes = (0..CLIENTS).flat_map(|c| (0..WRITES).map(move |i| write(c, i)));
+    for stmt in demo_statements(ACCOUNTS)
+        .into_iter()
+        .chain(writes)
+        .chain([QUERY.to_string()])
+    {
+        expected = oracle.statement(&mut sess, &stmt);
+    }
+    assert!(expected[0].starts_with("-- "), "{expected:?}");
+    assert_eq!(
+        sorted(served),
+        sorted(expected),
+        "server diverged from oracle"
+    );
     server.stop();
 }

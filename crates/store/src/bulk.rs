@@ -26,8 +26,8 @@
 //!
 //! Equivalence with the register route — same query answers at thread
 //! counts {1, 2, 8} — is held by the differential
-//! suite (`tests/prop_store.rs`); the speedup curve is experiment
-//! `BENCH_9.json`.
+//! suite (`tests/prop_store.rs`); its cost is `embed_scale.setup_s` /
+//! `pgq-store.bulk_load_s` in `BENCHMARK.json`.
 
 use crate::column::ColumnarRelation;
 use crate::csr::CsrIndex;

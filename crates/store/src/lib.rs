@@ -17,12 +17,11 @@
 //!   layout instead of re-materializing row vectors per query.
 //!
 //! The store is held to the reference evaluators by the differential
-//! suite `tests/prop_store.rs` at the workspace root, and its ablation
-//! against the PR 2 hash-join engine is experiment E16 /
-//! `BENCH_3.json`. The coded execution pipeline that keeps these codes
-//! flowing through every physical operator (decoding once at the
-//! set-semantics boundary) lives in `pgq-exec`; its ablation is
-//! experiment E17 / `BENCH_4.json`.
+//! suite `tests/prop_store.rs` at the workspace root and measured by
+//! the `embed_*` workloads of `BENCHMARK.json` (`pgq-store.*`). The
+//! coded execution pipeline that keeps these codes flowing through
+//! every physical operator (decoding once at the set-semantics
+//! boundary) lives in `pgq-exec`.
 //!
 //! ## Code order vs. value order
 //!

@@ -5,8 +5,7 @@
 //! adjacency, and property-graph views are validated by the `pgView`
 //! family a single time and frozen as CSR node/edge indexes (overall
 //! and per edge label). Queries then run against the frozen layout
-//! instead of re-materializing and re-validating base data per call,
-//! which is the architectural difference measured by experiment E16.
+//! instead of re-materializing and re-validating base data per call.
 //!
 //! Since PR 5 the store is no longer a frozen snapshot: updates flow
 //! **incrementally**. [`Store::insert_row`] / [`Store::delete_row`]

@@ -16,7 +16,8 @@
 //!   benches;
 //! * [`scale`] — million-scale bulk-layout generators (power-law
 //!   preferential attachment and LDBC-style transfers) feeding
-//!   `Store::bulk_load` and the PR 9 scaling curves (E18).
+//!   `Store::bulk_load` (the bulk ≡ register differential and the
+//!   plan goldens at the workspace root).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

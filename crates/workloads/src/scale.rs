@@ -1,4 +1,4 @@
-//! Million-scale seeded graph generators in bulk layout (PR 9, E18).
+//! Million-scale seeded graph generators in bulk layout (PR 9).
 //!
 //! Both generators emit a [`BulkGraph`] — flat identifier vectors plus
 //! index-typed edges — so `Store::bulk_load` can go straight to the

@@ -10,10 +10,11 @@
 //! plan is *meant* to change: `PLAN_GOLDENS=write cargo test --test
 //! plan_goldens`, and say why in the PR.
 //!
-//! Shapes: E20's three (`crates/bench/src/planner.rs` — the endpoint
-//! join, the selective one-hop, the mis-ordered two-hop chain) at the
-//! plan level, and at the `EXPLAIN` level the README's `S ⋈ T` join,
-//! alone and beside a pattern call whose views are themselves planned.
+//! Shapes: the three the planners are compared on — the endpoint join
+//! (same plan under both), the selective one-hop, the mis-ordered
+//! two-hop chain — at the plan level, and at the `EXPLAIN` level the
+//! README's `S ⋈ T` join, alone and beside a pattern call whose views
+//! are themselves planned.
 
 use pgq_core::{builders, explain, Query};
 use pgq_exec::{lower_onto_store, plan_ra, ExecOptions, PhysPlan, PlannerChoice};
@@ -28,7 +29,7 @@ fn views() -> [RelName; 6] {
 }
 
 /// The schema-only database of the six canonical view relations — the
-/// rows live in the store (E20's set-up).
+/// rows live in the store.
 fn view_schema() -> Schema {
     let mut db = Database::new();
     for (name, arity) in views().into_iter().zip([1, 1, 2, 2, 2, 3]) {
@@ -37,7 +38,7 @@ fn view_schema() -> Schema {
     db.schema()
 }
 
-/// E20's transfers store at 10³ accounts × 10 transfers, seed 9.
+/// A transfers store at 10³ accounts × 10 transfers, seed 9.
 fn seeded_store() -> Store {
     let g = pgq_workloads::scale::ldbc_transfers(NODES, 10, 9);
     let mut store = Store::new();
@@ -112,7 +113,7 @@ fn two_hop_transfers() -> RaExpr {
 }
 
 #[test]
-fn e20_shapes_lower_to_the_recorded_plans() {
+fn planner_shapes_lower_to_the_recorded_plans() {
     let store = seeded_store();
     for planner in PLANNERS {
         for (name, q) in [
@@ -128,9 +129,9 @@ fn e20_shapes_lower_to_the_recorded_plans() {
 
 #[test]
 fn the_control_lowers_identically_and_the_chain_does_not() {
-    // What E20's gates rest on: the endpoint join is the same plan
-    // under both planners (the parity control), the two-hop chain is
-    // not (Rule keeps the syntactic order, Cost re-orders it).
+    // The endpoint join is the same plan under both planners (the
+    // parity control), the two-hop chain is not (Rule keeps the
+    // syntactic order, Cost re-orders it).
     let store = seeded_store();
     let [cost, rule] = PLANNERS.map(|p| lowered(&endpoint_join(), &store, p));
     assert_eq!(cost, rule);
