@@ -242,19 +242,9 @@ pub fn build_view(
     db: &Database,
     cfg: EvalConfig,
 ) -> Result<PropertyGraph, QueryError> {
-    let mut rels = Vec::with_capacity(6);
-    for q in views.iter() {
-        rels.push(eval_with(q, db, cfg)?);
-    }
-    let mut it = rels.into_iter();
-    let vr = ViewRelations::new(
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-    );
+    let ev = |q: &Query| eval_with(q, db, cfg);
+    let [n, e, s, t, l, p] = views;
+    let vr = ViewRelations::from([ev(n)?, ev(e)?, ev(s)?, ev(t)?, ev(l)?, ev(p)?]);
     let graph = match op {
         ViewOp::Unary => pg_view_exact(1, &vr, cfg.view_mode)?,
         ViewOp::Bounded(n) => pg_view_bounded(n, &vr, cfg.view_mode)?,

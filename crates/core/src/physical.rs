@@ -300,7 +300,7 @@ fn try_frozen_reach(
                 return Ok(None);
             };
             out.pattern.validate()?;
-            let pairs = entry.reach_relation(shape.at_least_one, false);
+            let pairs = entry.reach_relation(shape.at_least_one);
             store.counters().record_adjacency_read(entry.has_overlay());
             store
                 .counters()

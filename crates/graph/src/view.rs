@@ -164,6 +164,13 @@ pub struct ViewRelations {
     pub props: Relation,
 }
 
+impl From<[Relation; 6]> for ViewRelations {
+    /// The six relations in `R1..R6` order.
+    fn from([nodes, edges, src, tgt, labels, props]: [Relation; 6]) -> Self {
+        ViewRelations::new(nodes, edges, src, tgt, labels, props)
+    }
+}
+
 impl ViewRelations {
     /// Convenience constructor in `R1..R6` order.
     pub fn new(

@@ -17,8 +17,8 @@
 //!   ([`crate::ColumnarRelation::from_codes`]), with row/end indexes
 //!   **deferred** — the first post-load row-level writer builds them;
 //! * forward/reverse CSR built sort-based from pair vectors
-//!   ([`crate::CsrIndex::from_dense_pairs`]); the graph-level indexes
-//!   reuse the generator's dense node indexes outright, so the node
+//!   ([`crate::CsrIndex::from_dense_pairs`]); the graph's one index
+//!   reuses the generator's dense node indexes outright, so the node
 //!   universe is contiguous and the id map costs zero bytes;
 //! * the reserved active-domain relation derived from the interned
 //!   codes (sorted by value, like a fresh registration) instead of a
@@ -31,10 +31,13 @@
 
 use crate::column::ColumnarRelation;
 use crate::csr::CsrIndex;
-use crate::store::{CsrWithDelta, GraphEntry, GraphForm, MemoryBytes, Store, StoreError, ADOM_REL};
+use crate::error::{GraphForm, StoreError};
+use crate::graph::GraphEntry;
+use crate::report::MemoryBytes;
+use crate::store::{CsrWithDelta, Store, ADOM_REL};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_value::{Tuple, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A property graph in generator layout: flat identifier vectors and
@@ -110,34 +113,32 @@ impl BulkGraph {
         for (name, arity) in views.iter().zip([1, 1, 2, 2, 2, 3]) {
             db.add_relation(name.clone(), Relation::empty(arity));
         }
+        let mut put = |view: usize, row: Vec<Value>| {
+            db.insert(views[view].clone(), Tuple::new(row))
+                .expect("rows have the arities declared above");
+        };
         for n in &self.nodes {
-            db.insert(views[0].clone(), Tuple::unary(n.clone()))
-                .unwrap();
+            put(0, vec![n.clone()]);
         }
         for (i, e) in self.edges.iter().enumerate() {
-            db.insert(views[1].clone(), Tuple::unary(e.clone()))
-                .unwrap();
-            let s = self.nodes[self.src[i] as usize].clone();
-            let t = self.nodes[self.tgt[i] as usize].clone();
-            db.insert(views[2].clone(), Tuple::new(vec![e.clone(), s]))
-                .unwrap();
-            db.insert(views[3].clone(), Tuple::new(vec![e.clone(), t]))
-                .unwrap();
+            put(1, vec![e.clone()]);
+            put(2, vec![e.clone(), self.nodes[self.src[i] as usize].clone()]);
+            put(3, vec![e.clone(), self.nodes[self.tgt[i] as usize].clone()]);
         }
         for (e, l) in &self.labels {
-            let e = self.edges[*e as usize].clone();
-            db.insert(views[4].clone(), Tuple::new(vec![e, l.clone()]))
-                .unwrap();
+            put(4, vec![self.edges[*e as usize].clone(), l.clone()]);
         }
         for (n, k, v) in &self.node_props {
-            let n = self.nodes[*n as usize].clone();
-            db.insert(views[5].clone(), Tuple::new(vec![n, k.clone(), v.clone()]))
-                .unwrap();
+            put(
+                5,
+                vec![self.nodes[*n as usize].clone(), k.clone(), v.clone()],
+            );
         }
         for (e, k, v) in &self.edge_props {
-            let e = self.edges[*e as usize].clone();
-            db.insert(views[5].clone(), Tuple::new(vec![e, k.clone(), v.clone()]))
-                .unwrap();
+            put(
+                5,
+                vec![self.edges[*e as usize].clone(), k.clone(), v.clone()],
+            );
         }
         db
     }
@@ -290,63 +291,39 @@ impl Store {
         let e_col = ColumnarRelation::from_codes(1, vec![edge_codes.to_vec()]);
         let src_codes: Vec<u32> = g.src.iter().map(|&i| node_codes[i as usize]).collect();
         let tgt_codes: Vec<u32> = g.tgt.iter().map(|&i| node_codes[i as usize]).collect();
-        let s_col = ColumnarRelation::from_codes(2, vec![edge_codes.to_vec(), src_codes.clone()]);
-        let t_col = ColumnarRelation::from_codes(2, vec![edge_codes.to_vec(), tgt_codes.clone()]);
+        let s_col = ColumnarRelation::from_codes(2, vec![edge_codes.to_vec(), src_codes]);
+        let t_col = ColumnarRelation::from_codes(2, vec![edge_codes.to_vec(), tgt_codes]);
         let l_edge: Vec<u32> = g
             .labels
             .iter()
             .map(|&(e, _)| edge_codes[e as usize])
             .collect();
-        let l_col = ColumnarRelation::from_codes(2, vec![l_edge.clone(), label_codes.to_vec()]);
-        let mut p_owner = Vec::with_capacity(g.node_props.len() + g.edge_props.len());
-        let mut p_key = Vec::with_capacity(p_owner.capacity());
-        let mut p_val = Vec::with_capacity(p_owner.capacity());
-        let mut pc = prop_codes.iter();
-        for (i, _, _) in &g.node_props {
-            p_owner.push(node_codes[*i as usize]);
-            p_key.push(*pc.next().expect("two codes per property"));
-            p_val.push(*pc.next().expect("two codes per property"));
-        }
-        for (e, _, _) in &g.edge_props {
-            p_owner.push(edge_codes[*e as usize]);
-            p_key.push(*pc.next().expect("two codes per property"));
-            p_val.push(*pc.next().expect("two codes per property"));
-        }
-        let p_col = ColumnarRelation::from_codes(3, vec![p_owner, p_key, p_val]);
+        let l_col = ColumnarRelation::from_codes(2, vec![l_edge, label_codes.to_vec()]);
+        let owners = g
+            .node_props
+            .iter()
+            .map(|(i, _, _)| node_codes[*i as usize])
+            .chain(g.edge_props.iter().map(|(e, _, _)| edge_codes[*e as usize]));
+        let key_value = prop_codes.chunks_exact(2);
+        let p_col = ColumnarRelation::from_codes(
+            3,
+            vec![
+                owners.collect(),
+                key_value.clone().map(|kv| kv[0]).collect(),
+                key_value.map(|kv| kv[1]).collect(),
+            ],
+        );
         // ---- Relation-level CSR for the binary relations. -----------
-        let rel_csr = |left: &[u32], right: &[u32]| -> Result<CsrIndex, StoreError> {
-            let pairs: Vec<(u32, u32)> = left.iter().copied().zip(right.iter().copied()).collect();
-            let universe = pairs.iter().flat_map(|&(a, b)| [a, b]);
-            CsrIndex::build(universe, &pairs)
-        };
-        let s_csr = rel_csr(edge_codes, &src_codes)?;
-        let t_csr = rel_csr(edge_codes, &tgt_codes)?;
-        let l_csr = rel_csr(&l_edge, label_codes)?;
+        let s_csr = CsrWithDelta::of_relation(&s_col)?;
+        let t_csr = CsrWithDelta::of_relation(&t_col)?;
+        let l_csr = CsrWithDelta::of_relation(&l_col)?;
         // ---- Graph entry: the generator's indexes ARE the dense ids.
         let dense: Vec<u32> = (0..n as u32).collect();
         let pairs: Vec<(u32, u32)> = g.src.iter().copied().zip(g.tgt.iter().copied()).collect();
-        let node_csr = CsrIndex::from_dense_pairs(dense.clone(), pairs)?;
-        let mut by_label: BTreeMap<Value, Vec<(u32, u32)>> = BTreeMap::new();
-        for (e, l) in &g.labels {
-            by_label
-                .entry(l.clone())
-                .or_default()
-                .push((g.src[*e as usize], g.tgt[*e as usize]));
-        }
-        let mut label_csrs: BTreeMap<Value, Arc<CsrIndex>> = BTreeMap::new();
-        for (l, ps) in by_label {
-            label_csrs.insert(l, Arc::new(CsrIndex::from_dense_pairs(dense.clone(), ps)?));
-        }
+        let node_csr = CsrIndex::from_dense_pairs(dense, pairs)?;
         let ids: Vec<Tuple> = g.nodes.iter().map(|v| Tuple::unary(v.clone())).collect();
-        let entry = GraphEntry::from_parts(
-            form,
-            Some(views.clone()),
-            1,
-            ids,
-            Arc::new(node_csr),
-            label_csrs,
-            m,
-        );
+        let entry =
+            GraphEntry::from_parts(form, Some(views.clone()), 1, ids, Arc::new(node_csr), m);
         // ---- Active domain from the interned codes, in value order. -
         let mut adom: Vec<u32> = codes.clone();
         adom.sort_unstable();
@@ -375,8 +352,7 @@ impl Store {
             self.relations.insert(name, Arc::new(col));
         }
         for (name, csr) in [(sn, s_csr), (tn, t_csr), (ln, l_csr)] {
-            self.adjacency
-                .insert(name, CsrWithDelta::frozen(Arc::new(csr)));
+            self.adjacency.insert(name, csr);
         }
         let graph_name = graph_name.into();
         self.view_specs.insert(graph_name.clone(), (views, form));
@@ -447,10 +423,31 @@ mod tests {
         let (bg, rg) = (bulk.graph("G").unwrap(), reg.graph("G").unwrap());
         assert_eq!(bg.node_count(), rg.node_count());
         assert_eq!(bg.edge_count(), rg.edge_count());
-        assert_eq!(
-            bg.reach_relation(true, false),
-            rg.reach_relation(true, false)
-        );
+        assert_eq!(bg.reach_relation(true), rg.reach_relation(true));
+    }
+
+    /// `memory_bytes().csr` is exactly the indexes the API can reach:
+    /// one per binary relation plus one per graph — by either route, a
+    /// hidden per-anything copy would break the sum.
+    #[test]
+    fn csr_bytes_count_one_index_per_relation_and_one_per_graph() {
+        let g = sample();
+        let mut bulk = Store::new();
+        bulk.bulk_load("G", views(), GraphForm::Exact(1), &g, 1)
+            .unwrap();
+        let db = g.to_database(&views());
+        let mut reg = Store::from_database(&db);
+        reg.register_view_graph("G", views(), &db, GraphForm::Exact(1))
+            .unwrap();
+        for store in [&bulk, &reg] {
+            let relations: usize = views()
+                .iter()
+                .filter_map(|v| store.adjacency(v))
+                .map(|a| a.base().resident_bytes())
+                .sum();
+            let graph = store.graph("G").unwrap().adjacency().base();
+            assert_eq!(store.memory_bytes().csr, relations + graph.resident_bytes());
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! rows for good.
 
 use crate::dict::Dictionary;
-use crate::store::StoreError;
+use crate::error::StoreError;
 use pgq_relational::Relation;
 use pgq_value::Tuple;
 use std::collections::HashMap;

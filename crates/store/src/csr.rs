@@ -16,7 +16,7 @@
 //! batches), so steady-state reads stay on the pointer-arithmetic
 //! path.
 
-use crate::store::StoreError;
+use crate::error::StoreError;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// One direction of adjacency in CSR form over dense node ids.

@@ -18,7 +18,7 @@
 //! removes codes, so values that left the database keep their slot
 //! (see the compaction discussion in the crate docs).
 
-use crate::store::StoreError;
+use crate::error::StoreError;
 use pgq_value::Value;
 use std::collections::HashMap;
 

@@ -1,0 +1,102 @@
+//! The store's typed errors and the `pgView` form tag.
+
+use pgq_graph::{UpdateError, ViewError};
+use pgq_relational::RelName;
+use std::fmt;
+
+/// Which `pgView` operator a graph was registered under (mirrors
+/// `pgq_core::ViewOp`, which the store cannot depend on).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphForm {
+    /// `pgView=n`: identifiers of exactly this arity.
+    Exact(usize),
+    /// `pgView_n`: identifiers of arity at most `n`, padded.
+    Bounded(usize),
+    /// `pgView_ext`: mixed arities, tagged encoding.
+    Ext,
+}
+
+/// Errors raised by store registration and maintenance.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoreError {
+    /// A view input relation is missing from the database (or, on the
+    /// update path, from the store).
+    UnknownRelation(RelName),
+    /// No graph is registered under this name.
+    UnknownGraph(String),
+    /// The six relations violate the Definition 3.1/5.1 conditions.
+    View(ViewError),
+    /// The value dictionary ran out of codes: more than `limit`
+    /// distinct values were interned. Registration propagates this
+    /// instead of panicking mid-load (`Dictionary::MAX_CODES` is the
+    /// hard ceiling; tests lower the limit to reach it).
+    DictionaryFull {
+        /// The code-space limit that was hit.
+        limit: usize,
+    },
+    /// A CSR node universe outgrew its dense `u32` id space — the
+    /// typed replacement for the old `expect("node universe outgrew
+    /// u32")` panic (parity with [`StoreError::DictionaryFull`]).
+    NodeUniverseFull {
+        /// The node-universe limit that was hit.
+        limit: usize,
+    },
+    /// An update against a registered graph failed validation — the
+    /// same conditions `pgq_graph::updates::apply` enforces.
+    Update(UpdateError),
+    /// The graph was frozen from an explicit `PropertyGraph` (no view
+    /// relation names), so the store has no base relations to edit.
+    NotUpdatable(String),
+    /// A row's arity differs from its relation's.
+    RowArity {
+        /// The relation.
+        relation: RelName,
+        /// The relation's arity.
+        expected: usize,
+        /// The offending row's arity.
+        found: usize,
+    },
+}
+
+impl fmt::Display for StoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StoreError::UnknownRelation(n) => write!(f, "unknown relation {n}"),
+            StoreError::UnknownGraph(g) => write!(f, "unknown graph {g}"),
+            StoreError::View(e) => write!(f, "invalid graph view: {e}"),
+            StoreError::DictionaryFull { limit } => {
+                write!(f, "value dictionary full: {limit} code(s) exhausted")
+            }
+            StoreError::NodeUniverseFull { limit } => {
+                write!(f, "CSR node universe full: {limit} dense id(s) exhausted")
+            }
+            StoreError::Update(e) => write!(f, "update rejected: {e}"),
+            StoreError::NotUpdatable(g) => write!(
+                f,
+                "graph {g} was frozen from an explicit property graph; re-register it to update"
+            ),
+            StoreError::RowArity {
+                relation,
+                expected,
+                found,
+            } => write!(
+                f,
+                "relation {relation} has arity {expected}, row has {found}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {}
+
+impl From<ViewError> for StoreError {
+    fn from(e: ViewError) -> Self {
+        StoreError::View(e)
+    }
+}
+
+impl From<UpdateError> for StoreError {
+    fn from(e: UpdateError) -> Self {
+        StoreError::Update(e)
+    }
+}

@@ -1,0 +1,435 @@
+//! [`GraphEntry`]: the frozen index of one registered property graph —
+//! interned identifiers plus **one** node-level CSR adjacency, read
+//! through a delta overlay after updates. Labels and properties are
+//! not indexed here: they are rows of the view's `L`/`P` relations.
+
+use crate::csr::{AdjacencyView, CsrIndex, DeltaAdjacency};
+use crate::error::{GraphForm, StoreError};
+use crate::stats::{AdjacencyStatistics, GraphStatistics};
+use crate::store::overlay_oversized;
+use pgq_graph::PropertyGraph;
+use pgq_relational::{RelName, Relation};
+use pgq_value::Tuple;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// A property-graph index: interned identifiers plus one CSR adjacency
+/// — frozen at registration, then maintained through a delta overlay by
+/// `Store::apply_update`.
+#[derive(Debug, Clone)]
+pub struct GraphEntry {
+    form: GraphForm,
+    views: Option<[RelName; 6]>,
+    id_arity: usize,
+    /// Dense node id → identifier tuple (appended past the frozen
+    /// universe by `AddNode`; tombstoned ids stay until a fold).
+    ids: Vec<Tuple>,
+    /// Identifier tuple → dense id.
+    id_of: HashMap<Tuple, u32>,
+    /// Dense ids of removed nodes.
+    dead: HashSet<u32>,
+    /// Node-level adjacency over dense ids (edge identities collapsed).
+    /// `Arc`-shared so snapshot clones reuse the frozen index.
+    csr: Arc<CsrIndex>,
+    /// Post-freeze adjacency changes over the same dense id space.
+    delta: DeltaAdjacency,
+    /// `|E|` of the source graph, parallel edges counted.
+    edge_count: usize,
+}
+
+impl GraphEntry {
+    pub(crate) fn from_graph(
+        g: &PropertyGraph,
+        views: Option<[RelName; 6]>,
+        form: GraphForm,
+    ) -> Result<Self, StoreError> {
+        let mut ids: Vec<Tuple> = Vec::with_capacity(g.node_count());
+        let mut id_of: HashMap<Tuple, u32> = HashMap::with_capacity(g.node_count());
+        for n in g.nodes() {
+            let dense = u32::try_from(ids.len()).map_err(|_| StoreError::NodeUniverseFull {
+                limit: CsrIndex::MAX_NODES,
+            })?;
+            id_of.insert(n.clone(), dense);
+            ids.push(n.clone());
+        }
+        let pairs: Vec<(u32, u32)> = g
+            .edge_triples()
+            .map(|(_, s, t)| (id_of[s], id_of[t]))
+            .collect();
+        Ok(GraphEntry {
+            form,
+            views,
+            id_arity: g.id_arity(),
+            csr: Arc::new(CsrIndex::build(0..ids.len() as u32, &pairs)?),
+            delta: DeltaAdjacency::new(),
+            edge_count: g.edge_count(),
+            id_of,
+            dead: HashSet::new(),
+            ids,
+        })
+    }
+
+    /// Assembles a frozen entry directly from bulk-loader output: node
+    /// identifiers in dense-id order and the node-level CSR over that
+    /// dense id space, overlay empty. The caller (the bulk loader) has
+    /// already validated the pieces; this only derives the reverse
+    /// identifier map.
+    pub(crate) fn from_parts(
+        form: GraphForm,
+        views: Option<[RelName; 6]>,
+        id_arity: usize,
+        ids: Vec<Tuple>,
+        csr: Arc<CsrIndex>,
+        edge_count: usize,
+    ) -> Self {
+        let id_of = ids
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.clone(), i as u32))
+            .collect();
+        GraphEntry {
+            form,
+            views,
+            id_arity,
+            id_of,
+            dead: HashSet::new(),
+            csr,
+            delta: DeltaAdjacency::new(),
+            edge_count,
+            ids,
+        }
+    }
+
+    /// The registered `pgView` form.
+    pub fn form(&self) -> GraphForm {
+        self.form
+    }
+
+    /// The six view relation names the graph was registered from
+    /// (`None` when frozen from an explicit `PropertyGraph`).
+    pub(crate) fn views(&self) -> Option<&[RelName; 6]> {
+        self.views.as_ref()
+    }
+
+    /// Identifier arity `k` of the frozen graph.
+    pub fn id_arity(&self) -> usize {
+        self.id_arity
+    }
+
+    /// `|N|` (live nodes).
+    pub fn node_count(&self) -> usize {
+        self.ids.len() - self.dead.len()
+    }
+
+    /// `|E|` (parallel edges counted; the adjacency collapses them).
+    pub fn edge_count(&self) -> usize {
+        self.edge_count
+    }
+
+    /// The node-level adjacency: frozen CSR read through the overlay.
+    pub fn adjacency(&self) -> AdjacencyView<'_> {
+        AdjacencyView::new(&self.csr, Some(&self.delta))
+    }
+
+    /// Overlay residency: delta pairs plus tombstoned and appended
+    /// nodes — the numbers `STATS` reports and the fold threshold
+    /// weighs.
+    pub fn overlay_size(&self) -> usize {
+        self.delta.change_count() + self.dead.len() + (self.ids.len() - self.csr.node_count())
+    }
+
+    /// Whether any read goes through an overlay.
+    pub fn has_overlay(&self) -> bool {
+        self.overlay_size() > 0
+    }
+
+    /// Degree statistics of the adjacency — the graph slice of
+    /// [`crate::StoreStatistics`].
+    pub(crate) fn statistics(&self) -> GraphStatistics {
+        GraphStatistics {
+            adjacency: AdjacencyStatistics::of(&self.csr, self.overlay_size()),
+        }
+    }
+
+    /// Estimated resident bytes of the frozen CSR index — a
+    /// [`crate::MemoryBytes`] component.
+    pub fn csr_bytes(&self) -> usize {
+        self.csr.resident_bytes()
+    }
+
+    /// Estimated resident bytes of the mutable overlay — a
+    /// [`crate::MemoryBytes`] component.
+    pub fn overlay_bytes(&self) -> usize {
+        self.delta.resident_bytes()
+    }
+
+    pub(crate) fn overlay_oversized(&self) -> bool {
+        overlay_oversized(
+            self.overlay_size(),
+            self.csr.edge_count().max(self.csr.node_count()),
+        )
+    }
+
+    /// Whether some pair of nodes is connected by a path of ≥ 1 edge —
+    /// equivalently, whether any edge exists. The Boolean `ψreach`
+    /// answers come from here without running the closure.
+    pub fn has_reach_pair(&self) -> bool {
+        self.adjacency().edge_count() > 0
+    }
+
+    /// Dense id of a **live** node.
+    fn live_dense(&self, id: &Tuple) -> Option<u32> {
+        self.id_of
+            .get(id)
+            .copied()
+            .filter(|d| !self.dead.contains(d))
+    }
+
+    /// Registers a node identifier (revives a tombstoned one in place).
+    pub(crate) fn add_node(&mut self, id: &Tuple) -> Result<(), StoreError> {
+        if let Some(&d) = self.id_of.get(id) {
+            self.dead.remove(&d);
+            return Ok(());
+        }
+        let dense = u32::try_from(self.ids.len()).map_err(|_| StoreError::NodeUniverseFull {
+            limit: CsrIndex::MAX_NODES,
+        })?;
+        self.id_of.insert(id.clone(), dense);
+        self.ids.push(id.clone());
+        Ok(())
+    }
+
+    /// Tombstones a node (the caller has removed its incident edges).
+    pub(crate) fn remove_node(&mut self, id: &Tuple) {
+        if let Some(&d) = self.id_of.get(id) {
+            self.dead.insert(d);
+        }
+    }
+
+    /// Records one more edge between the endpoints.
+    pub(crate) fn add_edge(&mut self, src: &Tuple, tgt: &Tuple) {
+        let (Some(ds), Some(dt)) = (self.live_dense(src), self.live_dense(tgt)) else {
+            return; // endpoints validated upstream; defensive no-op
+        };
+        self.edge_count += 1;
+        let in_base = self.csr.has_pair(ds, dt);
+        self.delta.add(ds, dt, in_base);
+    }
+
+    /// Records one fewer edge; `last` says no other live edge connects
+    /// the same endpoints, so the adjacency pair goes too.
+    pub(crate) fn remove_edge(&mut self, src: &Tuple, tgt: &Tuple, last: bool) {
+        self.edge_count = self.edge_count.saturating_sub(1);
+        if !last {
+            return;
+        }
+        if let (Some(&ds), Some(&dt)) = (self.id_of.get(src), self.id_of.get(tgt)) {
+            let in_base = self.csr.has_pair(ds, dt);
+            self.delta.remove(ds, dt, in_base);
+        }
+    }
+
+    /// Folds the overlay back into a fresh CSR index: live nodes are
+    /// re-densified in identifier order (restoring the sorted-emission
+    /// fast path of [`GraphEntry::reach_relation`]), effective pairs
+    /// rebuild the index, and tombstones, appended ids and the delta
+    /// are dropped.
+    pub(crate) fn fold(&mut self) -> Result<(), StoreError> {
+        if !self.has_overlay() {
+            return Ok(());
+        }
+        let mut live: Vec<Tuple> = (0..self.ids.len() as u32)
+            .filter(|d| !self.dead.contains(d))
+            .map(|d| self.ids[d as usize].clone())
+            .collect();
+        live.sort();
+        let id_of: HashMap<Tuple, u32> = live
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.clone(), i as u32))
+            .collect();
+        // Dead endpoints cannot carry effective pairs (updates remove
+        // incident edges first); filter defensively all the same.
+        let pairs: Vec<(u32, u32)> = self
+            .adjacency()
+            .effective_pairs()
+            .into_iter()
+            .filter_map(|(s, t)| {
+                let s = id_of.get(&self.ids[s as usize])?;
+                let t = id_of.get(&self.ids[t as usize])?;
+                Some((*s, *t))
+            })
+            .collect();
+        self.csr = Arc::new(CsrIndex::build(0..live.len() as u32, &pairs)?);
+        self.delta = DeltaAdjacency::new();
+        self.dead.clear();
+        self.ids = live;
+        self.id_of = id_of;
+        Ok(())
+    }
+
+    /// No overlay and no appended ids: the frozen invariants (dense id
+    /// order = identifier order) still hold.
+    fn is_fresh(&self) -> bool {
+        self.delta.is_empty() && self.dead.is_empty() && self.ids.len() == self.csr.node_count()
+    }
+
+    /// The reachability relation of the graph as `(s̄, t̄)` rows of
+    /// arity `2k`: all pairs connected by **one or more** edges, plus
+    /// — when `at_least_one` is false — the reflexive pairs over the
+    /// live node set (the `ψ^{0..∞}` semantics).
+    ///
+    /// On a fresh (overlay-free) entry dense ids are minted in
+    /// identifier order, so emitting pairs grouped by source with
+    /// sorted targets yields rows already in relation order — the
+    /// result set then builds in one linear pass. With an overlay the
+    /// sweep reads through the delta per live source instead.
+    pub fn reach_relation(&self, at_least_one: bool) -> Relation {
+        if !self.is_fresh() {
+            return self.reach_relation_overlay(at_least_one);
+        }
+        let pairs = self.csr.all_pairs_reach();
+        let diagonal = if at_least_one { 0 } else { self.ids.len() };
+        let mut rows: Vec<Tuple> = Vec::with_capacity(pairs.len() + diagonal);
+        // Walk the contiguous per-source runs, sorting each run's
+        // targets and merging the reflexive pair in at its place.
+        let mut i = 0;
+        for s in 0..self.ids.len() as u32 {
+            let start = i;
+            while i < pairs.len() && pairs[i].0 == s {
+                i += 1;
+            }
+            let mut targets: Vec<u32> = pairs[start..i].iter().map(|p| p.1).collect();
+            targets.sort_unstable();
+            if !at_least_one {
+                if let Err(pos) = targets.binary_search(&s) {
+                    targets.insert(pos, s);
+                }
+            }
+            let a = &self.ids[s as usize];
+            rows.extend(targets.into_iter().map(|t| a.concat(&self.ids[t as usize])));
+        }
+        Relation::from_rows(2 * self.id_arity, rows).expect("identifier tuples have arity k")
+    }
+
+    /// The overlay-aware reachability sweep: one multi-source frontier
+    /// sweep per live source through [`GraphEntry::adjacency`].
+    fn reach_relation_overlay(&self, at_least_one: bool) -> Relation {
+        let view = self.adjacency();
+        let mut rows: Vec<Tuple> = Vec::new();
+        for s in 0..self.ids.len() as u32 {
+            if self.dead.contains(&s) {
+                continue;
+            }
+            let mut seeds: Vec<u32> = Vec::new();
+            view.for_each_out(s, |t| seeds.push(t));
+            let mut targets = view.reach_from(seeds);
+            if !at_least_one && !targets.contains(&s) {
+                targets.push(s);
+            }
+            let a = &self.ids[s as usize];
+            rows.extend(targets.into_iter().map(|t| a.concat(&self.ids[t as usize])));
+        }
+        Relation::from_rows(2 * self.id_arity, rows).expect("identifier tuples have arity k")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::tests::{chain_db, nid, registered_store, views};
+    use crate::store::Store;
+    use pgq_graph::Update;
+    use pgq_relational::Database;
+    use pgq_value::{tuple, Value};
+
+    #[test]
+    fn view_graph_registration_and_reachability() {
+        let db = chain_db();
+        let mut store = Store::from_database(&db);
+        store
+            .register_view_graph("G", views(), &db, GraphForm::Exact(1))
+            .unwrap();
+        let entry = store.graph("G").unwrap();
+        assert_eq!(entry.node_count(), 4);
+        assert_eq!(entry.edge_count(), 3);
+        assert!(entry.has_reach_pair());
+        assert!(!entry.has_overlay());
+
+        // ≥1-step pairs on the chain: 3+2+1; 0-step adds 4 reflexive.
+        let plus = entry.reach_relation(true);
+        assert_eq!(plus.len(), 6);
+        assert!(plus.contains(&tuple!["a", "d"]));
+        let star = entry.reach_relation(false);
+        assert_eq!(star.len(), 10);
+        assert!(star.contains(&tuple!["a", "a"]));
+
+        // The planner's match point.
+        assert!(store
+            .graph_for_views(&views(), GraphForm::Exact(1))
+            .is_some());
+        assert!(store.graph_for_views(&views(), GraphForm::Ext).is_none());
+        let mut other = views();
+        other.swap(2, 3);
+        assert!(store.graph_for_views(&other, GraphForm::Exact(1)).is_none());
+    }
+
+    #[test]
+    fn empty_graph_and_self_loops() {
+        let mut db = Database::new();
+        db.add_relation("N", Relation::empty(1));
+        db.add_relation("E", Relation::empty(1));
+        db.add_relation("S", Relation::empty(2));
+        db.add_relation("T", Relation::empty(2));
+        db.add_relation("L", Relation::empty(2));
+        db.add_relation("P", Relation::empty(3));
+        let mut store = Store::from_database(&db);
+        store
+            .register_view_graph("empty", views(), &db, GraphForm::Exact(1))
+            .unwrap();
+        let e = store.graph("empty").unwrap();
+        assert!(!e.has_reach_pair());
+        assert!(e.reach_relation(true).is_empty());
+        assert!(e.reach_relation(false).is_empty());
+
+        // Self loop: a →e→ a.
+        db.insert("N", tuple!["a"]).unwrap();
+        db.insert("E", tuple!["e"]).unwrap();
+        db.insert("S", tuple!["e", "a"]).unwrap();
+        db.insert("T", tuple!["e", "a"]).unwrap();
+        let mut store = Store::from_database(&db);
+        store
+            .register_view_graph("loop", views(), &db, GraphForm::Exact(1))
+            .unwrap();
+        let e = store.graph("loop").unwrap();
+        assert_eq!(e.reach_relation(true).len(), 1);
+        assert_eq!(e.reach_relation(false).len(), 1);
+    }
+
+    #[test]
+    fn oversized_overlays_fold_back_into_fresh_csr() {
+        let (_, mut store) = registered_store();
+        // 40 new nodes chained onto "d": far past the 32-change fold
+        // threshold, so the batch must leave no overlay behind.
+        let mut updates = Vec::new();
+        let mut prev = nid("d");
+        for i in 0..40 {
+            let n = Tuple::unary(Value::str(format!("n{i}")));
+            updates.push(Update::AddNode(n.clone()));
+            updates.push(Update::AddEdge {
+                id: Tuple::unary(Value::str(format!("x{i}"))),
+                src: prev.clone(),
+                tgt: n.clone(),
+            });
+            prev = n;
+        }
+        store.apply_updates("G", &updates).unwrap();
+        let entry = store.graph("G").unwrap();
+        assert!(!entry.has_overlay(), "overlay should have folded");
+        assert_eq!(entry.node_count(), 44);
+        assert_eq!(entry.edge_count(), 43);
+        // Reachability from "a" spans the whole chain.
+        let reach = entry.reach_relation(true);
+        assert!(reach.contains(&tuple!["a", "n39"]));
+    }
+}

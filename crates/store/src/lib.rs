@@ -8,8 +8,9 @@
 //! * [`ColumnarRelation`] — relations as dictionary-coded column
 //!   vectors;
 //! * [`CsrIndex`] — compressed-sparse-row forward/reverse adjacency
-//!   over dense node ids, built for every binary relation and for every
-//!   registered graph (overall and per edge label);
+//!   over dense node ids: one per binary relation and one per
+//!   registered graph ([`GraphEntry`]) — a label is a row of the view's
+//!   `L` relation, never a further adjacency;
 //! * [`Store`] — the session catalog: register a [`pgq_relational::Database`]
 //!   and its `pgView` graphs **once**, then let the physical engine
 //!   (`pgq-exec`'s `IndexScan`/`AdjacencyExpand` operators and the
@@ -22,6 +23,16 @@
 //! coded execution pipeline that keeps these codes flowing through
 //! every physical operator (decoding once at the set-semantics
 //! boundary) lives in `pgq-exec`.
+//!
+//! ## Module map
+//!
+//! `store` is the catalog ([`Store`]: registration, accessors,
+//! compaction); `update` applies row-level and Section 7 updates in
+//! place; `graph` is [`GraphEntry`]; `report` is `STATS`
+//! ([`StoreStats`]); `stats` is the planner's [`StoreStatistics`];
+//! `counters` is `METRICS` ([`AccessCounters`]); `error` is
+//! [`StoreError`]; `bulk`, `snapshot`, `column`, `csr`, `dict`, `par`
+//! are what their names say.
 //!
 //! ## Code order vs. value order
 //!
@@ -68,22 +79,28 @@
 
 pub mod bulk;
 pub mod column;
+pub mod counters;
 pub mod csr;
 pub mod dict;
+pub mod error;
+pub mod graph;
 pub mod par;
+pub mod report;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
+mod update;
 
 pub use bulk::{BulkGraph, BulkLoadStats};
 pub use column::ColumnarRelation;
+pub use counters::{AccessCounters, AccessSnapshot};
 pub use csr::{AdjacencyView, Csr, CsrIndex, DeltaAdjacency, ReachScratch};
 pub use dict::Dictionary;
+pub use error::{GraphForm, StoreError};
+pub use graph::GraphEntry;
+pub use report::{GraphStats, MemoryBytes, RelationStats, StoreStats};
 pub use snapshot::{ConcurrentStore, StoreSnapshot};
 pub use stats::{
     AdjacencyStatistics, DegreeHistogram, GraphStatistics, RelationStatistics, StoreStatistics,
 };
-pub use store::{
-    AccessCounters, AccessSnapshot, CompactionStats, GraphEntry, GraphForm, GraphStats,
-    MemoryBytes, RelationStats, Store, StoreError, StoreStats, ADOM_REL,
-};
+pub use store::{CompactionStats, Store, ADOM_REL};

@@ -27,7 +27,8 @@
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use crate::store::{CompactionStats, Store, StoreError};
+use crate::error::StoreError;
+use crate::store::{CompactionStats, Store};
 
 /// An immutable, `Arc`-shared [`Store`] state pinned by a reader.
 ///

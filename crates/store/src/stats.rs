@@ -5,7 +5,7 @@
 //! knows about its data — per-column distinct counts (from the coded
 //! columns), per-relation live/tombstone row counts, CSR forward and
 //! reverse degree histograms (min / mean / p99 / max, per binary
-//! relation, per graph, and per edge label), and overlay sizes — in
+//! relation and per graph), and overlay sizes — in
 //! exactly the shape `pgq-exec`'s cardinality estimator consumes.
 //!
 //! Statistics are **lazy and cached**: `Store::statistics` computes
@@ -150,14 +150,11 @@ impl AdjacencyStatistics {
     }
 }
 
-/// Statistics for one frozen graph entry: the node-level adjacency
-/// plus one [`AdjacencyStatistics`] per edge label.
+/// Statistics for one frozen graph entry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GraphStatistics {
     /// Node-level adjacency (parallel edges collapsed).
     pub adjacency: AdjacencyStatistics,
-    /// Per-label adjacency in label order (labels rendered bare).
-    pub labels: Vec<(String, AdjacencyStatistics)>,
 }
 
 /// One lazily-computed, cached statistics snapshot of a [`crate::Store`].
@@ -280,9 +277,6 @@ impl fmt::Display for StoreStatistics {
                     String::new()
                 }
             )?;
-            for (label, a) in &g.labels {
-                writeln!(f, "  label {label}: out {} | in {}", a.forward, a.reverse)?;
-            }
         }
         Ok(())
     }

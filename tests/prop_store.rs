@@ -398,8 +398,8 @@ proptest! {
         let (a, b) = (store.graph("G").unwrap(), fresh.graph("G").unwrap());
         prop_assert_eq!(a.node_count(), b.node_count());
         prop_assert_eq!(a.edge_count(), b.edge_count());
-        prop_assert_eq!(a.reach_relation(true, false), b.reach_relation(true, false));
-        prop_assert_eq!(a.reach_relation(false, false), b.reach_relation(false, false));
+        prop_assert_eq!(a.reach_relation(true), b.reach_relation(true));
+        prop_assert_eq!(a.reach_relation(false), b.reach_relation(false));
         // Compaction reclaims every stale code without changing any
         // answer.
         store.compact().expect("compaction never fails on a healthy store");
@@ -770,7 +770,7 @@ proptest! {
             let (a, b) = (bulk.graph("G").unwrap(), reg.graph("G").unwrap());
             prop_assert_eq!(a.node_count(), b.node_count());
             prop_assert_eq!(a.edge_count(), b.edge_count());
-            prop_assert_eq!(a.reach_relation(true, false), b.reach_relation(true, false));
+            prop_assert_eq!(a.reach_relation(true), b.reach_relation(true));
         }
         // Row-level writers on a bulk-loaded store: insert a fresh node
         // (builds the deferred indexes), spot a duplicate, delete it
