@@ -19,6 +19,11 @@
 //!   O(1) stored row counts of two bare scans can move a build side.
 //!   It is the `SET PLANNER rule;` escape hatch.
 //!
+//! Two rewrites decide nothing and happen under both: `Scan` →
+//! `IndexScan`, and a constant equality over the scan of a CSR-indexed
+//! relation → [`PhysPlan::IndexSeek`], which never reads more than the
+//! filtered scan it replaces and is estimated as that filter was.
+//!
 //! Either way the pass **never changes the set of result rows** (the
 //! planner differentials in `tests/prop_engine.rs` /
 //! `tests/prop_store.rs`), compensating projections restore the
@@ -33,6 +38,7 @@ use crate::metrics::PlanMetrics;
 use crate::plan::PhysPlan;
 use pgq_relational::{CmpOp, Operand, RelName, RowCondition, Schema};
 use pgq_store::{Store, StoreStatistics};
+use pgq_value::Value;
 
 /// Which estimator [`lower_onto_store`] plans with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,6 +111,10 @@ impl<'a> Estimator<'a> {
         };
         match plan {
             PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => relation_rows(stats, name),
+            // As the `Filter [$col = c]` it replaces: one value of the column's.
+            PhysPlan::IndexSeek { rel, col, .. } => {
+                relation_rows(stats, rel) / relation_distinct(stats, rel, *col).max(1.0)
+            }
             PhysPlan::Values(b) => b.len() as f64,
             PhysPlan::AdomScan => stats
                 .live_rows(&RelName::from(pgq_store::ADOM_REL))
@@ -145,12 +155,16 @@ impl<'a> Estimator<'a> {
             return TIED;
         };
         match plan {
-            PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => stats
-                .distinct(name, col)
-                .map_or_else(|| relation_rows(stats, name), |d| d as f64),
+            PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => relation_distinct(stats, name, col),
+            // A column held equal to a constant has one value.
+            PhysPlan::IndexSeek { col: sought, .. } if *sought == col => 1.0,
+            PhysPlan::IndexSeek { rel, .. } => {
+                relation_distinct(stats, rel, col).min(self.rows(plan))
+            }
             PhysPlan::Project { positions, input } => positions
                 .get(col)
                 .map_or_else(|| self.rows(plan), |&p| self.distinct(input, p)),
+            PhysPlan::Filter { cond, .. } if pinned(cond, col).is_some() => 1.0,
             PhysPlan::Filter { input, .. } => self.distinct(input, col).min(self.rows(plan)),
             PhysPlan::Distinct { input } => self.distinct(input, col),
             _ => self.rows(plan),
@@ -203,12 +217,37 @@ fn relation_rows(stats: &StoreStatistics, name: &RelName) -> f64 {
     stats.live_rows(name).map_or(UNKNOWN_ROWS, |n| n as f64)
 }
 
+fn relation_distinct(stats: &StoreStatistics, name: &RelName, col: usize) -> f64 {
+    stats
+        .distinct(name, col)
+        .map_or_else(|| relation_rows(stats, name), |d| d as f64)
+}
+
+/// The constant a conjunct of `cond` holds column `col` equal to
+/// (`$col = c` / `c = $col`), if one does.
+fn pinned(cond: &RowCondition, col: usize) -> Option<&Value> {
+    match cond {
+        RowCondition::And(a, b) => pinned(a, col).or_else(|| pinned(b, col)),
+        RowCondition::Cmp(Operand::Col(i), CmpOp::Eq, Operand::Const(v))
+        | RowCondition::Cmp(Operand::Const(v), CmpOp::Eq, Operand::Col(i))
+            if *i == col =>
+        {
+            Some(v)
+        }
+        _ => None,
+    }
+}
+
 /// Lowers an optimized plan onto a session store's indexes — the one
 /// storage-lowering pass:
 ///
 /// * `Scan R` → `IndexScan R` for registered relations, and `AdomScan`
 ///   → `IndexScan ⟨adom⟩` (the store freezes the active domain at
 ///   registration);
+/// * `Filter [… ∧ $i = c ∧ …]` directly over the scan of a CSR-indexed
+///   binary relation → [`PhysPlan::IndexSeek`] on `$i` (the column with
+///   more distinct values when several conjuncts qualify), the other
+///   conjuncts staying as a `Filter` above it;
 /// * every maximal tree of keyed `HashJoin`s is flattened, ordered and
 ///   rebuilt join by join — an [`PhysPlan::AdjacencyExpand`] where one
 ///   side is a bare scan of a CSR-indexed binary relation and
@@ -250,11 +289,49 @@ fn lower(plan: PhysPlan, store: &Store, schema: &Schema, est: &Estimator<'_>) ->
             PhysPlan::IndexScan(pgq_store::ADOM_REL.into())
         }
         chain if is_keyed_join(&chain) => lower_join_chain(chain, store, schema, est),
+        PhysPlan::Filter { cond, input } => {
+            lower_filter(cond, lower(*input, store, schema, est), store, est)
+        }
         // Everything else only has children to lower. That includes
         // `Fixpoint`: the CSR reachability fast path keys on the exact
         // `join = [(1,0)], project = [0,3]` shape, so its own vectors
         // are never touched.
         other => other.map_children(|child| lower(child, store, schema, est)),
+    }
+}
+
+/// A filter over its (already lowered) input: the `IndexSeek` rule of
+/// [`lower_onto_store`]. Unconditional — the seek never reads more than
+/// the filtered scan it replaces.
+fn lower_filter(
+    cond: RowCondition,
+    input: PhysPlan,
+    store: &Store,
+    est: &Estimator<'_>,
+) -> PhysPlan {
+    let rel = match &input {
+        PhysPlan::IndexScan(rel) if store.adjacency(rel).is_some() => rel,
+        _ => return input.filter(cond),
+    };
+    let mut conjuncts = cond.conjuncts();
+    let distinct = [est.distinct(&input, 0), est.distinct(&input, 1)];
+    let sought = conjuncts
+        .iter()
+        .enumerate()
+        .filter_map(|(k, c)| (0..2).find_map(|col| Some((k, col, pinned(c, col)?.clone()))))
+        // `max_by` keeps the last maximum; reversed, the first written.
+        .rev()
+        .max_by(|a, b| distinct[a.1].total_cmp(&distinct[b.1]));
+    let Some((k, col, value)) = sought else {
+        return input.filter(cond);
+    };
+    conjuncts.remove(k);
+    let rel = rel.clone();
+    let seek = PhysPlan::IndexSeek { rel, col, value };
+    if conjuncts.is_empty() {
+        seek
+    } else {
+        seek.filter(RowCondition::and_all(conjuncts))
     }
 }
 
@@ -612,7 +689,7 @@ pub fn annotate_estimates(metrics: &mut PlanMetrics, plan: &PhysPlan, store: &St
 mod tests {
     use super::*;
     use crate::exec::execute_with;
-    use pgq_relational::{Database, RaExpr};
+    use pgq_relational::{Database, RaExpr, Relation};
     use pgq_value::tuple;
 
     /// An asymmetric instance: `Big` (60 rows) vs `Small` (3 rows),
@@ -654,8 +731,170 @@ mod tests {
         // σ_{$2 = c}(Big): 60 / 10 distinct values.
         let filtered = PhysPlan::IndexScan("Big".into()).filter(RowCondition::col_eq_const(1, 3));
         assert!((est.rows(&filtered) - 6.0).abs() < 1e-9);
+        // The column held to the constant has one distinct value; the
+        // others are bounded by the surviving rows.
+        assert_eq!(est.distinct(&filtered, 1), 1.0);
+        assert_eq!(est.distinct(&filtered, 0), 6.0);
+        // The seek is that filter, estimated the same.
+        let seek = PhysPlan::IndexSeek {
+            rel: "Big".into(),
+            col: 1,
+            value: Value::int(3),
+        };
+        assert_eq!(est.rows(&seek), est.rows(&filtered));
+        assert_eq!(est.distinct(&seek, 1), 1.0);
+        assert_eq!(est.distinct(&seek, 0), 6.0);
         // Unknown relations fall back, never panic.
         assert_eq!(est.rows(&PhysPlan::Scan("Nope".into())), UNKNOWN_ROWS);
+    }
+
+    /// `σ_cond(E)` lowered under both planners, checked against the
+    /// reference.
+    fn lowered_selection(cond: RowCondition) -> [PhysPlan; 2] {
+        let d = db();
+        let store = Store::from_database(&d);
+        let q = RaExpr::rel("E").select(cond);
+        [PlannerChoice::Cost, PlannerChoice::Rule].map(|planner| {
+            let plan = crate::plan_ra(&q, &d.schema()).unwrap();
+            let plan = lower_onto_store(plan, &store, &d.schema(), planner);
+            let got = execute_with(&plan, &d, Some(&store)).unwrap();
+            assert_eq!(
+                got.into_relation(),
+                q.eval(&d).unwrap(),
+                "{planner}:\n{plan}"
+            );
+            plan
+        })
+    }
+
+    #[test]
+    fn constant_equalities_over_indexed_relations_become_seeks() {
+        let seek = |col, v: i64| PhysPlan::IndexSeek {
+            rel: "E".into(),
+            col,
+            value: Value::int(v),
+        };
+        // Either operand order, either column, under either estimator.
+        let flipped = RowCondition::Cmp(Operand::Const(Value::int(4)), CmpOp::Eq, Operand::Col(0));
+        for plan in lowered_selection(flipped) {
+            assert_eq!(plan, seek(0, 4));
+        }
+        for plan in lowered_selection(RowCondition::col_eq_const(1, 4)) {
+            assert_eq!(plan, seek(1, 4));
+        }
+        // A conjunction keeps one seek — the first written, since both
+        // columns of the chain have 20 distinct values — and the rest
+        // as a residual filter above it.
+        let ne = RowCondition::Cmp(Operand::Col(0), CmpOp::Ne, Operand::Col(1));
+        let both = RowCondition::and_all([
+            RowCondition::col_eq_const(0, 3),
+            RowCondition::col_eq_const(1, 4),
+            ne.clone(),
+        ]);
+        for plan in lowered_selection(both) {
+            let residual = RowCondition::col_eq_const(1, 4).and(ne.clone());
+            assert_eq!(plan, seek(0, 3).filter(residual));
+        }
+        // No CSR (ternary relation), no constant equality, or a
+        // disjunction: the filter stays a filter.
+        let d = db();
+        let store = Store::from_database(&d);
+        for q in [
+            RaExpr::rel("Wide").select(RowCondition::col_eq_const(1, 4)),
+            RaExpr::rel("E").select(RowCondition::col_cmp_const(1, CmpOp::Lt, 4)),
+            RaExpr::rel("E")
+                .select(RowCondition::col_eq_const(0, 3).or(RowCondition::col_eq_const(1, 9))),
+        ] {
+            let plan = assert_cost_matches(&q, &d, &store);
+            assert!(matches!(plan, PhysPlan::Filter { .. }), "{plan}");
+        }
+    }
+
+    /// A skewed column: the seek goes to the column that narrows more.
+    #[test]
+    fn the_more_selective_column_is_sought() {
+        let d = db();
+        let store = Store::from_database(&d);
+        // Big = (i, i mod 10): 60 distinct values against 10.
+        let q = RaExpr::rel("Big")
+            .select(RowCondition::col_eq_const(1, 7).and(RowCondition::col_eq_const(0, 7)));
+        let plan = assert_cost_matches(&q, &d, &store);
+        let PhysPlan::Filter { input, .. } = &plan else {
+            panic!("a residual filter stays:\n{plan}");
+        };
+        assert!(
+            matches!(**input, PhysPlan::IndexSeek { col: 0, .. }),
+            "{plan}"
+        );
+    }
+
+    /// The read-side sibling of `pgq-store`'s
+    /// `writer_probes_are_indexed_not_relation_scans`: the benchmark's
+    /// one-hop and two-hop shapes on a ring of 4-account communities
+    /// examine the same number of rows at 8 and at 800 accounts, and no
+    /// more than four per row returned.
+    #[test]
+    fn reads_are_seeks_not_relation_scans() {
+        let examined = |n: usize| {
+            let mut d = Database::new();
+            let mut transfer = |from: usize, to: usize| {
+                let e = format!("t{from}-{to}");
+                d.insert("S", tuple![e.clone(), format!("a{from}")])
+                    .unwrap();
+                d.insert("T", tuple![e, format!("a{to}")]).unwrap();
+            };
+            for i in 0..n {
+                // A ring inside each community, and the last account of
+                // each community pays into the first of the next.
+                transfer(i, if i % 4 == 3 { i - 3 } else { i + 1 });
+                if i % 4 == 3 {
+                    transfer(i, (i + 1) % n);
+                }
+            }
+            let store = Store::from_database(&d);
+            let one_hop = RaExpr::rel("S")
+                .product(RaExpr::rel("T"))
+                .select(RowCondition::col_eq(0, 2).and(RowCondition::col_eq_const(3, "a0")))
+                .project(vec![1, 3]);
+            let two_hop = RaExpr::rel("S")
+                .product(RaExpr::rel("T"))
+                .product(RaExpr::rel("S"))
+                .product(RaExpr::rel("T"))
+                .select(RowCondition::and_all([
+                    RowCondition::col_eq(0, 2),
+                    RowCondition::col_eq(3, 5),
+                    RowCondition::col_eq(4, 6),
+                    RowCondition::col_eq_const(7, "a0"),
+                ]))
+                .project(vec![1, 3, 7]);
+            // Into `a0`: from `a3` inside its community and from the
+            // last account of the ring; each has one payer of its own.
+            let a = |i: usize| format!("a{i}");
+            let into_a0 = [tuple![a(3), a(0)], tuple![a(n - 1), a(0)]];
+            let via = [tuple![a(2), a(3), a(0)], tuple![a(n - 2), a(n - 1), a(0)]];
+            let hops = [(one_hop, into_a0.to_vec()), (two_hop, via.to_vec())];
+            hops.map(|(q, expected)| {
+                let before = store.counters().snapshot();
+                let rows = crate::eval_ra_with(&q, &d, &store).unwrap();
+                assert_eq!(
+                    rows,
+                    Relation::from_rows(expected[0].arity(), expected).unwrap()
+                );
+                let work = store.counters().snapshot().since(&before);
+                let examined = work.index_scan_rows + work.csr_neighbor_rows;
+                assert!(
+                    examined <= 4 * rows.len() as u64,
+                    "{examined} rows examined for {} returned at {n} accounts",
+                    rows.len()
+                );
+                examined
+            })
+        };
+        assert_eq!(
+            examined(8),
+            examined(800),
+            "rows examined per read must not scale with the relation"
+        );
     }
 
     #[test]

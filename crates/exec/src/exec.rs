@@ -28,6 +28,7 @@ use crate::parallel::{
 use crate::plan::PhysPlan;
 use pgq_relational::{Database, RelError, RelName, RelResult, Relation, RowCondition};
 use pgq_store::{AdjacencyView, ReachScratch, Store};
+use pgq_value::Value;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::Instant;
@@ -49,13 +50,13 @@ pub fn execute_with(plan: &PhysPlan, db: &Database, store: Option<&Store>) -> Re
 
 /// Executes a physical plan on the given number of worker threads.
 ///
-/// `IndexScan` reads the store's columnar relations, `AdjacencyExpand`
-/// probes its CSR indexes, and a reachability-shaped `Fixpoint` whose
-/// step is a CSR-indexed relation runs as frontier sweeps over the
-/// index instead of hash-join rounds. The store must have been
-/// registered from (a snapshot equal to) `db`; the differential suite
-/// `tests/prop_store.rs` holds store-backed and storeless paths to
-/// identical results.
+/// `IndexScan` reads the store's columnar relations, `IndexSeek` and
+/// `AdjacencyExpand` probe its CSR indexes, and a reachability-shaped
+/// `Fixpoint` whose step is a CSR-indexed relation runs as frontier
+/// sweeps over the index instead of hash-join rounds. The store must
+/// have been registered from (a snapshot equal to) `db`; the
+/// differential suite `tests/prop_store.rs` holds store-backed and
+/// storeless paths to identical results.
 ///
 /// With `opts.threads > 1` the data-parallel operators (filter,
 /// project, hash join, distinct, adjacency expansion, fixpoints) run
@@ -170,6 +171,28 @@ impl<'a, 'd> Run<'a, 'd> {
         self.intern(self.db.get_required(name)?)
     }
 
+    /// `IndexSeek`: the `rel` rows whose column `col` holds `value`,
+    /// walked off the relation's CSR through its delta overlay — one
+    /// probe, O(answer). Without a store, or without a CSR for `rel`,
+    /// the filter over [`Run::index_scan`] it stands for.
+    fn index_seek(&mut self, rel: &RelName, col: usize, value: &Value) -> RelResult<CodedBatch> {
+        validate_project_positions(&[col], 2)?;
+        let Some((store, view)) = self.store.and_then(|s| s.adjacency(rel).map(|v| (s, v))) else {
+            let batch = self.index_scan(rel)?;
+            check_arities("index seek", 2, batch.arity())?;
+            let cond = RowCondition::col_eq_const(col, value.clone());
+            return filter_coded(&cond, batch, &self.codes, self.opts, None);
+        };
+        let mut out = CodedBatch::empty(2);
+        // A constant no layer interned equals no stored value.
+        if let Some(code) = self.codes.code(value) {
+            store.counters().record_adjacency_read(view.has_delta());
+            push_matches(&view, code, col == 1, &[], &mut out)?;
+            store.counters().record_csr_neighbor_rows(out.len() as u64);
+        }
+        Ok(out)
+    }
+
     fn node_inner(
         &mut self,
         plan: &PhysPlan,
@@ -179,6 +202,7 @@ impl<'a, 'd> Run<'a, 'd> {
         match plan {
             PhysPlan::Scan(name) => self.intern(self.db.get_required(name)?),
             PhysPlan::IndexScan(name) => self.index_scan(name),
+            PhysPlan::IndexSeek { rel, col, value } => self.index_seek(rel, *col, value),
             PhysPlan::Values(b) => CodedBatch::intern(b.arity(), b.iter(), &mut self.codes),
             PhysPlan::AdomScan => self.intern(&self.db.active_domain_relation()),
             PhysPlan::AdjacencyExpand {
@@ -393,6 +417,31 @@ fn concat_coded(arity: usize, parts: Vec<CodedBatch>) -> RelResult<CodedBatch> {
     Ok(out)
 }
 
+/// Appends `prefix ++ r̄` for every effective row `r̄` of the viewed
+/// relation whose first (or, `reverse`, second) component is `key` —
+/// the one overlay-merging probe behind `AdjacencyExpand` and
+/// `IndexSeek`.
+fn push_matches(
+    view: &AdjacencyView<'_>,
+    key: u32,
+    reverse: bool,
+    prefix: &[u32],
+    out: &mut CodedBatch,
+) -> RelResult<()> {
+    let mut err = Ok(());
+    let mut push = |pair: [u32; 2]| {
+        if err.is_ok() {
+            err = out.push_concat(prefix, &pair);
+        }
+    };
+    if reverse {
+        view.for_each_in(key, |n| push([n, key]));
+    } else {
+        view.for_each_out(key, |n| push([key, n]));
+    }
+    err
+}
+
 /// `AdjacencyExpand` over a CSR-indexed relation: one probe (through
 /// the delta overlay) per input row. Input rows are swept
 /// morsel-parallel — [`AdjacencyView`] is `Copy`, so every worker
@@ -410,26 +459,10 @@ fn adjacency_expand(
     store.counters().record_adjacency_read(view.has_delta());
     let parts = traced_morsels(m, input.len(), opts.dop(input.len()), |range| {
         let mut part = CodedBatch::empty(input.arity() + 2);
-        let mut err = Ok(());
         for i in range {
             let row = input.row(i);
-            let probe = |ncode: u32| {
-                let pair = if reverse {
-                    [ncode, row[key]]
-                } else {
-                    [row[key], ncode]
-                };
-                if err.is_ok() {
-                    err = part.push_concat(row, &pair);
-                }
-            };
-            if reverse {
-                view.for_each_in(row[key], probe);
-            } else {
-                view.for_each_out(row[key], probe);
-            }
+            push_matches(view, row[key], reverse, row, &mut part)?;
         }
-        err?;
         Ok(part)
     })?;
     let out = concat_coded(input.arity() + 2, parts)?;
@@ -1166,6 +1199,69 @@ mod tests {
                         "{threads} threads disagrees on:\n{plan}"
                     );
                 }
+            }
+        }
+    }
+
+    fn seek(rel: &str, col: usize, value: impl Into<Value>) -> PhysPlan {
+        PhysPlan::IndexSeek {
+            rel: rel.into(),
+            col,
+            value: value.into(),
+        }
+    }
+
+    /// An `IndexSeek` is the filter it stands for: storeless (where it
+    /// degrades to that filter over a scan) and off the CSR, on either
+    /// column, hit or miss.
+    #[test]
+    fn seek_equals_the_filter_it_stands_for() {
+        let d = db();
+        let store = Store::from_database(&d);
+        for (col, value) in [(0, 1), (1, 1), (0, 3), (1, 0), (0, 77)] {
+            let plan = seek("E", col, value);
+            let filter = PhysPlan::Scan("E".into()).filter(RowCondition::col_eq_const(col, value));
+            let truth = execute(&filter, &d).unwrap().into_relation();
+            assert_eq!(execute(&plan, &d).unwrap().into_relation(), truth, "{plan}");
+            assert_eq!(run(&plan, &d, &store), truth, "{plan}");
+        }
+    }
+
+    /// A constant the store never interned is resolved before the
+    /// index is touched: no rows, no counter moves.
+    #[test]
+    fn seeking_a_never_interned_constant_reads_nothing() {
+        let d = db();
+        let store = Store::from_database(&d);
+        let before = store.counters().snapshot();
+        assert!(run(&seek("E", 1, "nobody"), &d, &store).is_empty());
+        let delta = store.counters().snapshot().since(&before);
+        assert_eq!(delta.csr_neighbor_rows + delta.index_scan_rows, 0);
+        assert_eq!(delta.dense_reads + delta.overlay_reads, 0);
+        // An interned one counts the rows it emits, and nothing else.
+        assert_eq!(run(&seek("E", 1, 2), &d, &store).len(), 1);
+        let delta = store.counters().snapshot().since(&before);
+        assert_eq!((delta.csr_neighbor_rows, delta.index_scan_rows), (1, 0));
+        assert_eq!((delta.dense_reads, delta.overlay_reads), (1, 0));
+    }
+
+    /// A malformed seek is a typed error with and without a store.
+    #[test]
+    fn seek_validates_column_and_relation() {
+        let d = db();
+        let store = Store::from_database(&d);
+        for store in [Some(&store), None] {
+            for (plan, column) in [
+                (seek("E", 2, 1), true),
+                (seek("S", 0, 10), false),
+                (seek("Missing", 0, 1), false),
+            ] {
+                let err = execute_with(&plan, &d, store).unwrap_err();
+                assert_eq!(
+                    matches!(err, RelError::PositionOutOfRange { .. }),
+                    column,
+                    "{plan}: {err}"
+                );
             }
         }
     }

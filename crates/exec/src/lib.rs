@@ -8,9 +8,10 @@
 //! naively. This crate supplies the join-aware physical layer those
 //! references are measured against:
 //!
-//! * [`PhysPlan`] — the physical IR (`Scan`, `IndexScan`, `Values`,
-//!   `AdomScan`, `Filter`, `Project`, `HashJoin`, `AdjacencyExpand`,
-//!   `Product`, `Union`, `Diff`, `Distinct`, `Fixpoint`), with
+//! * [`PhysPlan`] — the physical IR (`Scan`, `IndexScan`, `IndexSeek`,
+//!   `Values`, `AdomScan`, `Filter`, `Project`, `HashJoin`,
+//!   `AdjacencyExpand`, `Product`, `Union`, `Diff`, `Distinct`,
+//!   `Fixpoint`), with
 //!   `EXPLAIN`-style [`std::fmt::Display`];
 //! * [`plan_ra`]/[`optimize_plan`] — the planner: lowers the Figure 3
 //!   algebra, recognizes equality-selections-over-products as hash
@@ -20,7 +21,8 @@
 //! * [`lower_onto_store`] — the one storage-lowering pass (substrate
 //!   S16): under a session [`pgq_store::Store`], base scans become
 //!   columnar [`PhysPlan::IndexScan`]s, `AdomScan` reads the frozen
-//!   active domain, and join chains are ordered and rebuilt — joins
+//!   active domain, a constant equality over a CSR-indexed relation
+//!   becomes an [`PhysPlan::IndexSeek`], and join chains are ordered and rebuilt — joins
 //!   against CSR-indexed edge relations as [`PhysPlan::AdjacencyExpand`]
 //!   neighbor lookups. Every shape decision compares estimates, and
 //!   [`PlannerChoice`] only selects the [`Estimator`]: the store's

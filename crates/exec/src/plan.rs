@@ -9,6 +9,7 @@
 use crate::batch::Batch;
 use crate::parallel::{ExecOptions, MORSEL_ROWS};
 use pgq_relational::{RelError, RelName, RelResult, RowCondition, Schema};
+use pgq_value::Value;
 use std::fmt;
 
 /// A physical query plan.
@@ -22,6 +23,19 @@ pub enum PhysPlan {
     /// Without a store the operator degrades to the equivalent
     /// database scan, so plans stay executable anywhere.
     IndexScan(RelName),
+    /// The rows of a store-indexed **binary** relation `rel` whose
+    /// column `col` equals `value`, read off its CSR adjacency (forward
+    /// for `col = 0`, reverse for `col = 1`) — the indexed form of
+    /// `Filter [$col = value]` over `IndexScan rel`, which it degrades
+    /// to without a store. Produced by [`crate::lower_onto_store`] only.
+    IndexSeek {
+        /// The indexed binary relation.
+        rel: RelName,
+        /// The sought column, `0` or `1`.
+        col: usize,
+        /// The constant it must equal.
+        value: Value,
+    },
     /// CSR neighbor expansion against a store-indexed **binary**
     /// relation `rel`: for each input row `t̄`, emit `t̄ ++ r̄` for every
     /// `rel` row `r̄` with `r̄[0] = t̄[key]` (forward) or `r̄[1] = t̄[key]`
@@ -178,6 +192,12 @@ impl PhysPlan {
             // deliberately absent from user schemas.
             PhysPlan::IndexScan(name) if name.as_str() == pgq_store::ADOM_REL => Ok(1),
             PhysPlan::IndexScan(name) => stored(name),
+            PhysPlan::IndexSeek { rel, col, .. } => {
+                // Like the expansion: `rel` must exist and be binary.
+                let a = same("index seek", 2, stored(rel)?)?;
+                in_range(*col, a)?;
+                Ok(a)
+            }
             PhysPlan::AdjacencyExpand {
                 input, key, rel, ..
             } => {
@@ -241,15 +261,16 @@ impl PhysPlan {
 
     /// Whether **this operator** reads store state through an update
     /// overlay: an `IndexScan` over a relation with tombstoned rows,
-    /// or an adjacency read (`AdjacencyExpand`, the CSR-routed
-    /// reachability `Fixpoint`) whose index carries a non-empty delta.
+    /// or an adjacency read (`IndexSeek`, `AdjacencyExpand`, the
+    /// CSR-routed reachability `Fixpoint`) whose index carries a
+    /// non-empty delta.
     /// `EXPLAIN` marks such nodes `⟨delta⟩` — the answer is exact, but
     /// part of it is merged from the overlay at read time until
     /// `Store::compact` folds it back.
     pub fn reads_overlay(&self, store: &pgq_store::Store) -> bool {
         match self {
             PhysPlan::IndexScan(name) => store.relation(name).is_some_and(|c| c.tombstones() > 0),
-            PhysPlan::AdjacencyExpand { rel, .. } => {
+            PhysPlan::IndexSeek { rel, .. } | PhysPlan::AdjacencyExpand { rel, .. } => {
                 store.adjacency(rel).is_some_and(|v| v.has_delta())
             }
             // The executor's CSR reachability route (step = indexed
@@ -378,6 +399,9 @@ impl PhysPlan {
         match self {
             PhysPlan::Scan(name) => format!("Scan {name}"),
             PhysPlan::IndexScan(name) => format!("IndexScan {name} [columnar]"),
+            PhysPlan::IndexSeek { rel, col, value } => {
+                format!("IndexSeek {rel} [${} = {value} ← CSR]", col + 1)
+            }
             PhysPlan::AdjacencyExpand {
                 key, rel, reverse, ..
             } => {
@@ -424,6 +448,7 @@ impl PhysPlan {
         match self {
             PhysPlan::Scan(_)
             | PhysPlan::IndexScan(_)
+            | PhysPlan::IndexSeek { .. }
             | PhysPlan::Values(_)
             | PhysPlan::AdomScan => Vec::new(),
             PhysPlan::Filter { input, .. }
@@ -450,6 +475,7 @@ impl PhysPlan {
         Ok(match self {
             PhysPlan::Scan(_)
             | PhysPlan::IndexScan(_)
+            | PhysPlan::IndexSeek { .. }
             | PhysPlan::Values(_)
             | PhysPlan::AdomScan => self,
             PhysPlan::Filter { cond, input } => PhysPlan::Filter {
@@ -611,6 +637,28 @@ mod tests {
             reverse: false,
         };
         assert!(unknown.arity(&s).is_err());
+        // A seek returns rows of a binary relation that exists, and
+        // seeks one of its two columns.
+        let seek = |rel: &str, col| PhysPlan::IndexSeek {
+            rel: rel.into(),
+            col,
+            value: Value::int(7),
+        };
+        assert_eq!(seek("R", 1).arity(&s).unwrap(), 2);
+        assert_eq!(seek("R", 1).size(), 1);
+        assert!(matches!(
+            seek("R", 2).arity(&s),
+            Err(RelError::PositionOutOfRange { .. })
+        ));
+        assert!(matches!(
+            seek("S", 0).arity(&s),
+            Err(RelError::IncompatibleArities { .. })
+        ));
+        assert!(matches!(
+            seek("Missing", 0).arity(&s),
+            Err(RelError::UnknownRelation(_))
+        ));
+        assert_eq!(seek("R", 1).to_string(), "IndexSeek R [$2 = 7 ← CSR]\n");
         let text = expand.to_string();
         assert!(text.starts_with("AdjacencyExpand [$1 → R CSR]"), "{text}");
         assert!(text.contains("└─ Scan S"), "{text}");
@@ -647,13 +695,39 @@ mod tests {
             join: vec![(1, 0)],
             project: vec![0, 3],
         };
+        let seek = PhysPlan::IndexSeek {
+            rel: "E".into(),
+            col: 1,
+            value: Value::int(3),
+        };
+        let sought = |store: &pgq_store::Store| {
+            crate::execute_with(&seek, &db, Some(store))
+                .unwrap()
+                .into_relation()
+        };
         // Fresh store: no overlay, no markers.
         assert!(!expand.reads_overlay(&store));
         assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
+        assert!(!seek.reads_overlay(&store));
+        assert!(sought(&store).is_empty());
         // An insert puts a pair in the adjacency overlay…
         store.insert_row("E", &pgq_value::tuple![2, 3]).unwrap();
         assert!(expand.reads_overlay(&store));
         assert!(tc.reads_overlay(&store));
+        // …which the seek reads through, and says so.
+        let text = seek.display_with(Some(&store), None);
+        assert!(
+            text.starts_with("IndexSeek E [$2 = 3 ← CSR] ⟨delta⟩"),
+            "{text}"
+        );
+        let hit = pgq_relational::Relation::from_rows(2, [pgq_value::tuple![2, 3]]).unwrap();
+        assert_eq!(sought(&store), hit);
+        store.insert_row("E", &pgq_value::tuple![1, 3]).unwrap();
+        store
+            .delete_row(&"E".into(), &pgq_value::tuple![2, 3])
+            .unwrap();
+        let hit = pgq_relational::Relation::from_rows(2, [pgq_value::tuple![1, 3]]).unwrap();
+        assert_eq!(sought(&store), hit);
         let text = expand.display_with(Some(&store), None);
         assert!(
             text.contains("AdjacencyExpand [$1 → E CSR] ⟨delta⟩"),
@@ -670,6 +744,8 @@ mod tests {
         assert!(!expand.reads_overlay(&store));
         assert!(!PhysPlan::IndexScan("V".into()).reads_overlay(&store));
         assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
+        assert!(!seek.display_with(Some(&store), None).contains("⟨delta⟩"));
+        assert_eq!(sought(&store), hit);
     }
 
     #[test]

@@ -341,28 +341,7 @@ mod tests {
     }
 
     fn contains_node(plan: &PhysPlan, pred: &dyn Fn(&PhysPlan) -> bool) -> bool {
-        if pred(plan) {
-            return true;
-        }
-        match plan {
-            PhysPlan::Scan(_)
-            | PhysPlan::IndexScan(_)
-            | PhysPlan::Values(_)
-            | PhysPlan::AdomScan => false,
-            PhysPlan::Filter { input, .. }
-            | PhysPlan::Project { input, .. }
-            | PhysPlan::AdjacencyExpand { input, .. }
-            | PhysPlan::Distinct { input } => contains_node(input, pred),
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::Product { left, right }
-            | PhysPlan::Union { left, right }
-            | PhysPlan::Diff { left, right } => {
-                contains_node(left, pred) || contains_node(right, pred)
-            }
-            PhysPlan::Fixpoint { base, step, .. } => {
-                contains_node(base, pred) || contains_node(step, pred)
-            }
-        }
+        pred(plan) || plan.children().into_iter().any(|c| contains_node(c, pred))
     }
 
     #[test]

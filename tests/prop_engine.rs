@@ -63,12 +63,6 @@ fn arb_ra(arity: usize, depth: u32) -> BoxedStrategy<RaExpr> {
                 .prop_map(|(a, b)| a.intersect(b))
                 .boxed(),
         ),
-        (
-            1,
-            (sub.clone(), 0i64..5)
-                .prop_map(move |(q, c)| q.select(RowCondition::col_eq_const(0, c)))
-                .boxed(),
-        ),
         // Projection from one column wider (drops, may repeat).
         (
             1,
@@ -77,6 +71,17 @@ fn arb_ra(arity: usize, depth: u32) -> BoxedStrategy<RaExpr> {
                 .boxed(),
         ),
     ];
+    if arity >= 1 {
+        // A constant selection on any column (on a small instance some
+        // constants occur nowhere): over `E` the store pass turns it
+        // into an `IndexSeek`, forward or reverse by the column drawn.
+        choices.push((
+            1,
+            (sub.clone(), 0..arity, 0i64..5)
+                .prop_map(|(q, col, c)| q.select(RowCondition::col_eq_const(col, c)))
+                .boxed(),
+        ));
+    }
     if arity >= 2 {
         // A product assembling the arity from smaller pieces, with an
         // equality selection the planner can turn into a hash join.
@@ -384,6 +389,15 @@ fn explain_analyze_renders_estimates_deterministically() {
         assert_eq!(renders[0], renders[1], "{planner}");
         assert_eq!(renders[1], renders[2], "{planner}");
     }
+    // A constant equality over an indexed relation reads as one
+    // `IndexSeek` leaf, estimated like every other node.
+    let q = RaExpr::rel("E").select(RowCondition::col_eq_const(1, 3));
+    let opts = pgq_exec::ExecOptions::sequential();
+    let (rows, profile) = pgq_exec::eval_ra_profiled(&q, &db, &store, &opts).unwrap();
+    assert_eq!(rows, q.eval(&db).unwrap());
+    let text = profile.render(false);
+    let seek = format!("IndexSeek E [$2 = 3 ← CSR] rows={} est=", rows.len());
+    assert!(text.contains(&seek), "expected `{seek}…`:\n{text}");
     // The core `EXPLAIN ANALYZE` route grafts them onto its plans too.
     let cdb = canonical_graph_db(6, 12, 10, 42);
     let cstore = pgq_store::Store::from_database(&cdb);

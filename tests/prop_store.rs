@@ -104,14 +104,17 @@ fn arb_ra(arity: usize, depth: u32) -> BoxedStrategy<RaExpr> {
                 .prop_map(|(a, b)| a.intersect(b))
                 .boxed(),
         ),
-        (
-            1,
-            (sub.clone(), 0i64..5)
-                .prop_map(move |(q, c)| q.select(RowCondition::col_eq_const(0, c)))
-                .boxed(),
-        ),
     ];
     if arity >= 1 {
+        // A constant selection on any column (on a small instance some
+        // constants occur nowhere): over `E` it lowers to an
+        // `IndexSeek`, forward or reverse by the column drawn.
+        choices.push((
+            1,
+            (sub.clone(), 0..arity, 0i64..5)
+                .prop_map(|(q, col, c)| q.select(RowCondition::col_eq_const(col, c)))
+                .boxed(),
+        ));
         // A join against the edge relation on its source or target
         // column — the AdjacencyExpand shape.
         let left = arb_ra(arity, depth - 1);
@@ -172,9 +175,10 @@ fn mixed_ve_db(n: usize, m: usize, seed: u64) -> Database {
     db
 }
 
-/// A random order/equality predicate over position 0, with constants
-/// drawn from (and beyond) the mixed pool — some are never interned.
-fn arb_order_cond() -> BoxedStrategy<RowCondition> {
+/// A random order/equality predicate over one of the first `arity`
+/// positions, with constants drawn from (and beyond) the mixed pool —
+/// some are never interned.
+fn arb_order_cond(arity: usize) -> BoxedStrategy<RowCondition> {
     let op = prop_oneof![
         Just(CmpOp::Lt),
         Just(CmpOp::Le),
@@ -183,8 +187,8 @@ fn arb_order_cond() -> BoxedStrategy<RowCondition> {
         Just(CmpOp::Ne),
         Just(CmpOp::Eq),
     ];
-    (op, 0u8..12)
-        .prop_map(|(op, k)| {
+    (op, 0..arity, 0u8..12)
+        .prop_map(|(op, col, k)| {
             // k ≥ 8 yields constants outside the instance pool: the
             // un-interned-literal path.
             let c = if k < 8 {
@@ -192,7 +196,7 @@ fn arb_order_cond() -> BoxedStrategy<RowCondition> {
             } else {
                 Value::str(format!("missing{k}"))
             };
-            RowCondition::col_cmp_const(0, op, c)
+            RowCondition::col_cmp_const(col, op, c)
         })
         .boxed()
 }
@@ -207,6 +211,10 @@ fn arb_mixed_ra(depth: u32) -> BoxedStrategy<RaExpr> {
         Just(RaExpr::ActiveDomain),
         (0u8..10).prop_map(|k| RaExpr::Singleton(Tuple::unary(mixed_value(k)))),
         Just(RaExpr::rel("E").project(vec![1])),
+        // A predicate on either endpoint column directly over `E`: its
+        // equalities lower to forward and reverse `IndexSeek`s.
+        (arb_order_cond(2), 0usize..2)
+            .prop_map(|(c, keep)| RaExpr::rel("E").select(c).project(vec![keep])),
     ]
     .boxed();
     if depth == 0 {
@@ -217,7 +225,7 @@ fn arb_mixed_ra(depth: u32) -> BoxedStrategy<RaExpr> {
         (3u32, leaf),
         (
             2,
-            (sub.clone(), arb_order_cond())
+            (sub.clone(), arb_order_cond(1))
                 .prop_map(|(q, c)| q.select(c))
                 .boxed(),
         ),
