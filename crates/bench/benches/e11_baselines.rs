@@ -1,6 +1,6 @@
 //! E11 — the Section 4.1 NL baselines, measured: the same reachability
-//! question through four engines (PGQrw view+pattern, the FO[TC]
-//! relational evaluator, hand-written linear Datalog, and the
+//! question through four routes (PGQrw view+pattern, FO[TC] lowered to
+//! one executor plan, hand-written linear Datalog, and the
 //! FO[TC]→Datalog bridge), on grids of growing size. The shapes to
 //! look for: all four are polynomial in |D| (NL ⊆ P data complexity);
 //! semi-naive Datalog and the NFA pattern engine sit well below the

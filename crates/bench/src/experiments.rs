@@ -438,11 +438,14 @@ pub fn e10_scaling() -> String {
 }
 
 /// E11: the paper's Section 4.1 NL calibration, executed. One
-/// reachability question, four independent engines: the `PGQrw`
-/// view+pattern route, the FO\[TC\] relational evaluator, a hand-written
+/// reachability question, four routes: the `PGQrw` view+pattern route
+/// (NFA engine), FO\[TC\] lowered to one physical plan, a hand-written
 /// linear Datalog program (the `WITH RECURSIVE` shape), and the
-/// FO\[TC\]→Datalog bridge. All four answers must coincide, and both
-/// Datalog programs must classify as (at most) *linear* recursion.
+/// FO\[TC\]→Datalog bridge. The last three run on the one executor (a
+/// Datalog rule fires as an FO\[TC\] formula) through three different
+/// programs; the `PGQrw` route shares no evaluation code with them. All
+/// four answers must coincide, and both Datalog programs must classify
+/// as (at most) *linear* recursion.
 pub fn e11_baselines() -> String {
     use pgq_datalog::{classify_recursion, compile_formula, evaluate, parse_program, Recursion};
     let mut out = String::new();
@@ -507,7 +510,7 @@ pub fn e11_baselines() -> String {
     }
     let _ = writeln!(
         out,
-        "\nFour independent engines agree; both Datalog programs are linear —\n\
+        "\nFour routes agree; both Datalog programs are linear —\n\
          the `WITH RECURSIVE` fragment suffices, as Section 4.1's NL framing predicts."
     );
     out

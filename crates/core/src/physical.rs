@@ -463,7 +463,7 @@ fn flatten_concat<'a>(p: &'a Pattern, out: &mut Vec<&'a Pattern>) {
 }
 
 /// Answers reachability outputs with the semi-naive fixpoint operator:
-/// the graph's edges become `(src, tgt)` rows, `pgq_exec::transitive_closure`
+/// the graph's edges become `(src, tgt)` rows, `pgq_exec::transitive_closure_opts`
 /// computes the ≥1-step pairs, and `ψ^{0..∞}` restores the reflexive
 /// pairs over the view's nodes. Returns the route taken and its
 /// answer, or `None` when the output is not a Boolean or endpoint

@@ -16,8 +16,9 @@
 //! supplied by the evaluator (it cannot be a rule head or an EDB
 //! relation).
 
+use pgq_logic::Term;
 use pgq_relational::RelName;
-use pgq_value::{Value, Var};
+use pgq_value::Var;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -25,63 +26,13 @@ use std::fmt;
 /// input database (`adom(D)` in the paper, Section 2.1).
 pub const ADOM: &str = "$adom";
 
-/// A Datalog term: a variable or a constant.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DlTerm {
-    /// A variable.
-    Var(Var),
-    /// A constant value.
-    Const(Value),
-}
-
-impl DlTerm {
-    /// A variable term.
-    pub fn var(v: impl Into<Var>) -> Self {
-        DlTerm::Var(v.into())
-    }
-
-    /// A constant term.
-    pub fn constant(c: impl Into<Value>) -> Self {
-        DlTerm::Const(c.into())
-    }
-
-    /// The variable inside, if this is a variable term.
-    pub fn as_var(&self) -> Option<&Var> {
-        match self {
-            DlTerm::Var(v) => Some(v),
-            DlTerm::Const(_) => None,
-        }
-    }
-}
-
-impl fmt::Display for DlTerm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DlTerm::Var(v) => write!(f, "{v}"),
-            DlTerm::Const(c) => write!(f, "{c}"),
-        }
-    }
-}
-
-impl From<Var> for DlTerm {
-    fn from(v: Var) -> Self {
-        DlTerm::Var(v)
-    }
-}
-
-impl From<Value> for DlTerm {
-    fn from(c: Value) -> Self {
-        DlTerm::Const(c)
-    }
-}
-
 /// An atom `p(t̄)`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Atom {
     /// The predicate name.
     pub pred: RelName,
     /// The argument terms.
-    pub terms: Vec<DlTerm>,
+    pub terms: Vec<Term>,
 }
 
 impl Atom {
@@ -90,7 +41,7 @@ impl Atom {
     where
         N: Into<RelName>,
         I: IntoIterator<Item = T>,
-        T: Into<DlTerm>,
+        T: Into<Term>,
     {
         Atom {
             pred: pred.into(),
@@ -108,7 +59,7 @@ impl Atom {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for t in &self.terms {
-            if let DlTerm::Var(v) = t {
+            if let Term::Var(v) = t {
                 if seen.insert(v) {
                     out.push(v);
                 }
@@ -406,13 +357,13 @@ mod tests {
     use super::*;
 
     fn edge(x: &str, y: &str) -> Atom {
-        Atom::new("edge", [DlTerm::var(x), DlTerm::var(y)])
+        Atom::new("edge", [Term::var(x), Term::var(y)])
     }
 
     #[test]
     fn safety_accepts_bound_heads() {
         let r = Rule::new(
-            Atom::new("path", [DlTerm::var("x"), DlTerm::var("y")]),
+            Atom::new("path", [Term::var("x"), Term::var("y")]),
             vec![Literal::pos(edge("x", "y"))],
         );
         assert!(r.check_safety().is_ok());
@@ -421,7 +372,7 @@ mod tests {
     #[test]
     fn safety_rejects_free_head_var() {
         let r = Rule::new(
-            Atom::new("p", [DlTerm::var("z")]),
+            Atom::new("p", [Term::var("z")]),
             vec![Literal::pos(edge("x", "y"))],
         );
         assert!(matches!(
@@ -433,21 +384,21 @@ mod tests {
     #[test]
     fn safety_rejects_negation_only_binding() {
         let r = Rule::new(
-            Atom::new("p", [DlTerm::var("x")]),
-            vec![Literal::neg(Atom::new("q", [DlTerm::var("x")]))],
+            Atom::new("p", [Term::var("x")]),
+            vec![Literal::neg(Atom::new("q", [Term::var("x")]))],
         );
         assert!(r.check_safety().is_err());
     }
 
     #[test]
     fn safety_accepts_ground_fact() {
-        let r = Rule::fact(Atom::new("p", [DlTerm::constant(1i64)]));
+        let r = Rule::fact(Atom::new("p", [Term::constant(1i64)]));
         assert!(r.check_safety().is_ok());
     }
 
     #[test]
     fn safety_rejects_nonground_fact() {
-        let r = Rule::fact(Atom::new("p", [DlTerm::var("x")]));
+        let r = Rule::fact(Atom::new("p", [Term::var("x")]));
         assert!(r.check_safety().is_err());
     }
 
@@ -455,11 +406,11 @@ mod tests {
     fn arity_clash_detected() {
         let mut p = Program::new();
         p.push(Rule::new(
-            Atom::new("p", [DlTerm::var("x")]),
-            vec![Literal::pos(Atom::new("e", [DlTerm::var("x")]))],
+            Atom::new("p", [Term::var("x")]),
+            vec![Literal::pos(Atom::new("e", [Term::var("x")]))],
         ));
         p.push(Rule::new(
-            Atom::new("p", [DlTerm::var("x"), DlTerm::var("y")]),
+            Atom::new("p", [Term::var("x"), Term::var("y")]),
             vec![Literal::pos(edge("x", "y"))],
         ));
         assert!(matches!(p.validate(), Err(ProgramError::ArityClash { .. })));
@@ -469,8 +420,8 @@ mod tests {
     fn reserved_head_rejected() {
         let mut p = Program::new();
         p.push(Rule::new(
-            Atom::new(ADOM, [DlTerm::var("x")]),
-            vec![Literal::pos(Atom::new("e", [DlTerm::var("x")]))],
+            Atom::new(ADOM, [Term::var("x")]),
+            vec![Literal::pos(Atom::new("e", [Term::var("x")]))],
         ));
         assert!(matches!(
             p.validate(),
@@ -481,11 +432,11 @@ mod tests {
     #[test]
     fn display_roundtrips_visually() {
         let r = Rule::new(
-            Atom::new("path", [DlTerm::var("x"), DlTerm::var("z")]),
+            Atom::new("path", [Term::var("x"), Term::var("z")]),
             vec![
-                Literal::pos(Atom::new("path", [DlTerm::var("x"), DlTerm::var("y")])),
+                Literal::pos(Atom::new("path", [Term::var("x"), Term::var("y")])),
                 Literal::pos(edge("y", "z")),
-                Literal::neg(Atom::new("blocked", [DlTerm::var("z")])),
+                Literal::neg(Atom::new("blocked", [Term::var("z")])),
             ],
         );
         assert_eq!(
@@ -499,10 +450,10 @@ mod tests {
         let a = Atom::new(
             "p",
             [
-                DlTerm::var("b"),
-                DlTerm::constant(3i64),
-                DlTerm::var("a"),
-                DlTerm::var("b"),
+                Term::var("b"),
+                Term::constant(3i64),
+                Term::var("a"),
+                Term::var("b"),
             ],
         );
         let vs: Vec<&str> = a.vars().iter().map(|v| v.name()).collect();

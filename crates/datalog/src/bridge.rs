@@ -29,7 +29,7 @@
 //! domain take a first step; reconciling the two evaluators on that
 //! corner is reproduction finding F3 in EXPERIMENTS.md.)
 
-use crate::ast::{Atom, DlTerm, Literal, Program, Rule, ADOM};
+use crate::ast::{Atom, Literal, Program, Rule, ADOM};
 use pgq_logic::{Formula, TcShapeError, Term};
 use pgq_relational::RelName;
 use pgq_value::{Value, Var, VarGen};
@@ -108,7 +108,7 @@ impl Compiler {
     }
 
     fn adom_guard(v: &Var) -> Literal {
-        Literal::pos(Atom::new(ADOM, [DlTerm::Var(v.clone())]))
+        Literal::pos(Atom::new(ADOM, [Term::Var(v.clone())]))
     }
 
     fn sorted_fv(phi: &Formula) -> Vec<Var> {
@@ -120,7 +120,7 @@ impl Compiler {
             Formula::True => {
                 let name = self.fresh_pred("true");
                 self.program
-                    .push(Rule::fact(Atom::new(name.clone(), Vec::<DlTerm>::new())));
+                    .push(Rule::fact(Atom::new(name.clone(), Vec::<Term>::new())));
                 Ok(Pred { name, vars: vec![] })
             }
             Formula::False => {
@@ -131,10 +131,7 @@ impl Compiler {
             Formula::Atom(rel, terms) => {
                 let hv = Self::sorted_fv(phi);
                 let name = self.fresh_pred("atom");
-                let body = Literal::pos(Atom::new(
-                    rel.clone(),
-                    terms.iter().map(term_to_dl).collect::<Vec<_>>(),
-                ));
+                let body = Literal::pos(Atom::new(rel.clone(), terms.clone()));
                 self.program
                     .push(Rule::new(head_atom(&name, &hv), vec![body]));
                 Ok(Pred { name, vars: hv })
@@ -147,9 +144,7 @@ impl Compiler {
                 let mut body: Vec<Literal> = hv.iter().map(Self::adom_guard).collect();
                 body.push(Literal::neg(Atom::new(
                     inner.name.clone(),
-                    hv.iter()
-                        .map(|v| DlTerm::Var(v.clone()))
-                        .collect::<Vec<_>>(),
+                    hv.iter().map(|v| Term::Var(v.clone())).collect::<Vec<_>>(),
                 )));
                 self.program.push(Rule::new(head_atom(&name, &hv), body));
                 Ok(Pred { name, vars: hv })
@@ -230,10 +225,7 @@ impl Compiler {
                 // relation is the adom diagonal.
                 let w = self.vars.fresh("eq");
                 self.program.push(Rule::new(
-                    Atom::new(
-                        name.clone(),
-                        [DlTerm::Var(w.clone()), DlTerm::Var(w.clone())],
-                    ),
+                    Atom::new(name.clone(), [Term::Var(w.clone()), Term::Var(w.clone())]),
                     vec![Self::adom_guard(&w)],
                 ));
                 Ok(Pred { name, vars: hv })
@@ -243,8 +235,8 @@ impl Compiler {
                 // {(c)} if c is in the active domain, else empty — exactly
                 // the evaluator's answer for x = c with x ranging over adom.
                 self.program.push(Rule::new(
-                    Atom::new(name.clone(), [DlTerm::Const(c.clone())]),
-                    vec![Literal::pos(Atom::new(ADOM, [DlTerm::Const(c.clone())]))],
+                    Atom::new(name.clone(), [Term::Const(c.clone())]),
+                    vec![Literal::pos(Atom::new(ADOM, [Term::Const(c.clone())]))],
                 ));
                 Ok(Pred {
                     name,
@@ -257,7 +249,7 @@ impl Compiler {
                 let name = self.fresh_pred("eq");
                 if c1 == c2 {
                     self.program
-                        .push(Rule::fact(Atom::new(name.clone(), Vec::<DlTerm>::new())));
+                        .push(Rule::fact(Atom::new(name.clone(), Vec::<Term>::new())));
                 } else {
                     self.program.declare(name.clone(), 0);
                 }
@@ -292,9 +284,9 @@ impl Compiler {
 
         // Base: the reflexive diagonal over adom^k × adom^ℓ.
         {
-            let mut terms: Vec<DlTerm> = s.iter().map(|z| DlTerm::Var(z.clone())).collect();
-            terms.extend(s.iter().map(|z| DlTerm::Var(z.clone())));
-            terms.extend(params.iter().map(|p| DlTerm::Var(p.clone())));
+            let mut terms: Vec<Term> = s.iter().map(|z| Term::Var(z.clone())).collect();
+            terms.extend(s.iter().map(|z| Term::Var(z.clone())));
+            terms.extend(params.iter().map(|p| Term::Var(p.clone())));
             let mut guards: Vec<Literal> = s.iter().map(Self::adom_guard).collect();
             guards.extend(params.iter().map(Self::adom_guard));
             self.program
@@ -303,13 +295,13 @@ impl Compiler {
         // Step (the only recursive rule — linear by construction):
         // tc(s̄, w̄, p̄) :- tc(s̄, t̄, p̄), step(t̄→ū, w̄→v̄, p̄), guards.
         {
-            let mut head: Vec<DlTerm> = s.iter().map(|z| DlTerm::Var(z.clone())).collect();
-            head.extend(w.iter().map(|z| DlTerm::Var(z.clone())));
-            head.extend(params.iter().map(|p| DlTerm::Var(p.clone())));
+            let mut head: Vec<Term> = s.iter().map(|z| Term::Var(z.clone())).collect();
+            head.extend(w.iter().map(|z| Term::Var(z.clone())));
+            head.extend(params.iter().map(|p| Term::Var(p.clone())));
 
-            let mut rec: Vec<DlTerm> = s.iter().map(|z| DlTerm::Var(z.clone())).collect();
-            rec.extend(t.iter().map(|z| DlTerm::Var(z.clone())));
-            rec.extend(params.iter().map(|p| DlTerm::Var(p.clone())));
+            let mut rec: Vec<Term> = s.iter().map(|z| Term::Var(z.clone())).collect();
+            rec.extend(t.iter().map(|z| Term::Var(z.clone())));
+            rec.extend(params.iter().map(|p| Term::Var(p.clone())));
 
             let mut lits = vec![Literal::pos(Atom::new(tc.clone(), rec))];
             lits.push(step_literal(&step, u, v, &t, &w, &body_fv));
@@ -335,9 +327,8 @@ impl Compiler {
         let hv = Self::sorted_fv(&phi);
         let name = self.fresh_pred("tcapp");
         {
-            let mut args: Vec<DlTerm> = x.iter().map(term_to_dl).collect();
-            args.extend(y.iter().map(term_to_dl));
-            args.extend(params.iter().map(|p| DlTerm::Var(p.clone())));
+            let mut args: Vec<Term> = x.iter().chain(y).cloned().collect();
+            args.extend(params.iter().map(|p| Term::Var(p.clone())));
             self.program.push(Rule::new(
                 head_atom(&name, &hv),
                 vec![Literal::pos(Atom::new(tc.clone(), args))],
@@ -348,18 +339,11 @@ impl Compiler {
     }
 }
 
-fn term_to_dl(t: &Term) -> DlTerm {
-    match t {
-        Term::Var(v) => DlTerm::Var(v.clone()),
-        Term::Const(c) => DlTerm::Const(c.clone()),
-    }
-}
-
 fn head_atom(name: &RelName, vars: &[Var]) -> Atom {
     Atom::new(
         name.clone(),
         vars.iter()
-            .map(|v| DlTerm::Var(v.clone()))
+            .map(|v| Term::Var(v.clone()))
             .collect::<Vec<_>>(),
     )
 }
@@ -369,7 +353,7 @@ fn pred_literal(p: &Pred) -> Literal {
         p.name.clone(),
         p.vars
             .iter()
-            .map(|v| DlTerm::Var(v.clone()))
+            .map(|v| Term::Var(v.clone()))
             .collect::<Vec<_>>(),
     ))
 }
@@ -385,17 +369,17 @@ fn step_literal(
     w: &[Var],
     _body_fv: &BTreeSet<Var>,
 ) -> Literal {
-    let mut arg_of: BTreeMap<&Var, DlTerm> = BTreeMap::new();
+    let mut arg_of: BTreeMap<&Var, Term> = BTreeMap::new();
     for (ui, ti) in u.iter().zip(t) {
-        arg_of.insert(ui, DlTerm::Var(ti.clone()));
+        arg_of.insert(ui, Term::Var(ti.clone()));
     }
     for (vi, wi) in v.iter().zip(w) {
-        arg_of.insert(vi, DlTerm::Var(wi.clone()));
+        arg_of.insert(vi, Term::Var(wi.clone()));
     }
-    let args: Vec<DlTerm> = step
+    let args: Vec<Term> = step
         .vars
         .iter()
-        .map(|hv| arg_of.get(hv).cloned().unwrap_or(DlTerm::Var(hv.clone())))
+        .map(|hv| arg_of.get(hv).cloned().unwrap_or(Term::Var(hv.clone())))
         .collect();
     Literal::pos(Atom::new(step.name.clone(), args))
 }
@@ -485,7 +469,7 @@ mod tests {
     }
 
     /// Compile, evaluate, and compare column-for-column with the logic
-    /// crate's relational evaluator over the sorted free variables.
+    /// crate's plan evaluator over the sorted free variables.
     fn check_against_logic(phi: &Formula, db: &Database) {
         let compiled = compile_formula(phi).unwrap();
         let model = evaluate(&compiled.program, db).unwrap();

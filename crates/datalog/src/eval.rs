@@ -1,4 +1,4 @@
-//! Semi-naive, stratum-by-stratum evaluation.
+//! Semi-naive, stratum-by-stratum evaluation on the one executor.
 //!
 //! The evaluator runs a validated, stratified program against a
 //! [`Database`]: relations stored in the database are the extensional
@@ -8,16 +8,25 @@
 //! round, a rule only fires with at least one same-stratum positive
 //! literal bound to the previous round's *delta*.
 //!
+//! A rule fires as one first-order query: its body, read as the
+//! conjunction of its literals (a negative literal is a negated atom),
+//! goes to [`pgq_logic::eval_ordered`] over the relations the literals
+//! read — stored relations, IDB totals, the delta, `$adom` — and so runs
+//! as one `pgq_exec::PhysPlan`: hash joins on shared variables, a `Diff`
+//! per negation. The naive oracle ([`crate::eval_naive`]) keeps its own
+//! nested-loop join; the two share only `prepare`, the static checks.
+//!
 //! Complexity: for a fixed program the evaluation is polynomial in the
 //! database (each stratum's fixpoint adds at least one tuple per round,
 //! and rounds do polynomial work), matching the Datalog side of the
 //! paper's NL discussion (Section 4.1).
 
-use crate::ast::{Atom, DlTerm, Literal, Program, ProgramError, ADOM};
+use crate::ast::{Atom, Literal, Program, ProgramError, Rule, ADOM};
 use crate::stratify::{stratify, Stratification};
-use pgq_relational::{Database, RelName, Relation};
-use pgq_value::{Tuple, Value, Var};
-use std::collections::BTreeMap;
+use pgq_logic::{eval_ordered, Formula, LogicError, Term};
+use pgq_relational::{Database, RelError, RelName, Relation};
+use pgq_value::{Tuple, Var};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Errors surfaced while running a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +39,8 @@ pub enum EvalError {
         /// The missing predicate.
         pred: RelName,
     },
-    /// A body literal's arity disagrees with the stored relation.
+    /// A body literal's arity disagrees with the stored relation (or,
+    /// for [`ADOM`], with the unary active domain).
     EdbArityMismatch {
         /// The predicate.
         pred: RelName,
@@ -39,6 +49,8 @@ pub enum EvalError {
         /// Arity in the database.
         database: usize,
     },
+    /// Evaluating a rule body failed.
+    Body(LogicError),
 }
 
 impl std::fmt::Display for EvalError {
@@ -54,6 +66,7 @@ impl std::fmt::Display for EvalError {
                 f,
                 "predicate {pred} has arity {program} in the program but {database} in the database"
             ),
+            EvalError::Body(e) => write!(f, "rule body: {e}"),
         }
     }
 }
@@ -66,10 +79,22 @@ impl From<ProgramError> for EvalError {
     }
 }
 
+impl From<LogicError> for EvalError {
+    fn from(e: LogicError) -> Self {
+        EvalError::Body(e)
+    }
+}
+
+impl From<RelError> for EvalError {
+    fn from(e: RelError) -> Self {
+        EvalError::Body(e.into())
+    }
+}
+
 /// The result of evaluating a program: every IDB relation at fixpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Model {
-    relations: BTreeMap<RelName, Relation>,
+    pub(crate) relations: BTreeMap<RelName, Relation>,
 }
 
 impl Model {
@@ -88,64 +113,105 @@ impl Model {
     pub fn tuple_count(&self) -> usize {
         self.relations.values().map(Relation::len).sum()
     }
-
-    /// Assemble a model from computed relations (used by the naive
-    /// reference evaluator).
-    pub(crate) fn from_relations(relations: BTreeMap<RelName, Relation>) -> Self {
-        Model { relations }
-    }
 }
 
-/// A variable binding under construction while matching body literals.
-type Bindings = BTreeMap<Var, Value>;
+/// What both evaluators start from: the program's strata, every IDB
+/// predicate bound to its empty relation, and the active domain
+/// [`ADOM`] denotes.
+pub(crate) struct Prepared {
+    pub(crate) strata: Stratification,
+    pub(crate) model: Model,
+    pub(crate) adom: Relation,
+}
+
+/// Every static check, shared by both evaluators: the program validates
+/// and stratifies, no rule head shadows a stored relation, every other
+/// body predicate is stored with the literal's arity, and [`ADOM`] is
+/// used as the unary predicate it is.
+pub(crate) fn prepare(program: &Program, db: &Database) -> Result<Prepared, EvalError> {
+    program.validate()?;
+    let strata = stratify(program)?;
+    let arities = program.arities()?;
+    let idb = program.idb_preds();
+    if let Some(pred) = idb.iter().find(|p| db.get(p).is_some()) {
+        return Err(ProgramError::HeadShadowsEdb { pred: pred.clone() }.into());
+    }
+    for atom in program
+        .rules
+        .iter()
+        .flat_map(|r| r.body.iter().map(|l| &l.atom))
+    {
+        let pred = &atom.pred;
+        let database = if pred.as_str() == ADOM {
+            1
+        } else if idb.contains(pred) {
+            continue;
+        } else {
+            db.get(pred)
+                .ok_or_else(|| EvalError::UnknownPredicate { pred: pred.clone() })?
+                .arity()
+        };
+        if database != atom.arity() {
+            return Err(EvalError::EdbArityMismatch {
+                pred: pred.clone(),
+                program: atom.arity(),
+                database,
+            });
+        }
+    }
+    let relations = idb
+        .into_iter()
+        .map(|p| {
+            let arity = arities.get(&p).copied().unwrap_or(0);
+            (p, Relation::empty(arity))
+        })
+        .collect();
+    Ok(Prepared {
+        strata,
+        model: Model { relations },
+        adom: db.active_domain_relation(),
+    })
+}
 
 /// Evaluate `program` on `db` (see module docs). Validates, stratifies,
 /// then computes each stratum's least fixpoint semi-naively.
 pub fn evaluate(program: &Program, db: &Database) -> Result<Model, EvalError> {
-    program.validate()?;
-    let strat = stratify(program)?;
-    let arities = program.arities()?;
-    let idb = program.idb_preds();
+    let Prepared {
+        strata,
+        mut model,
+        adom,
+    } = prepare(program, db)?;
+    let total = &mut model.relations;
+    for layer in &strata.layers {
+        let rules: Vec<&Rule> = layer.iter().map(|&i| &program.rules[i]).collect();
+        // Predicates defined in this stratum (for semi-naive deltas).
+        let here: BTreeSet<&RelName> = rules.iter().map(|r| &r.head.pred).collect();
 
-    // Reject heads that shadow stored relations, and check EDB arities.
-    let adom_name: RelName = ADOM.into();
-    for pred in &idb {
-        if db.get(pred).is_some() {
-            return Err(ProgramError::HeadShadowsEdb { pred: pred.clone() }.into());
+        // Round 0: every rule of the stratum over the totals.
+        let mut delta: BTreeMap<RelName, Relation> = BTreeMap::new();
+        for rule in &rules {
+            let derived = fire(rule, None, db, &adom, total)?;
+            note_new(&mut delta, total, &rule.head.pred, derived)?;
         }
-    }
-    for rule in &program.rules {
-        for lit in &rule.body {
-            let pred = &lit.atom.pred;
-            if idb.contains(pred) || *pred == adom_name {
-                continue;
-            }
-            match db.get(pred) {
-                None => return Err(EvalError::UnknownPredicate { pred: pred.clone() }),
-                Some(rel) if rel.arity() != lit.atom.arity() => {
-                    return Err(EvalError::EdbArityMismatch {
-                        pred: pred.clone(),
-                        program: lit.atom.arity(),
-                        database: rel.arity(),
-                    })
+        // Later rounds: differentiate on same-stratum positives.
+        while !delta.is_empty() {
+            absorb(total, &delta)?;
+            let mut next: BTreeMap<RelName, Relation> = BTreeMap::new();
+            for rule in &rules {
+                for (i, lit) in rule.body.iter().enumerate() {
+                    if !lit.positive || !here.contains(&lit.atom.pred) {
+                        continue;
+                    }
+                    if let Some(d) = delta.get(&lit.atom.pred) {
+                        let derived = fire(rule, Some((i, d)), db, &adom, total)?;
+                        note_new(&mut next, total, &rule.head.pred, derived)?;
+                    }
                 }
-                Some(_) => {}
             }
+            delta = next;
         }
     }
-
-    let mut total: BTreeMap<RelName, Relation> = idb
-        .iter()
-        .map(|p| {
-            (
-                p.clone(),
-                Relation::empty(arities.get(p).copied().unwrap_or(0)),
-            )
-        })
-        .collect();
-    let adom_rel = db.active_domain_relation();
-    run_strata(program, &strat, db, &adom_rel, &mut total);
-    Ok(Model { relations: total })
+    Ok(model)
 }
 
 /// Shorthand: evaluate and return a single predicate's relation.
@@ -157,210 +223,87 @@ pub fn query(program: &Program, db: &Database, goal: &RelName) -> Result<Relatio
         .ok_or_else(|| EvalError::UnknownPredicate { pred: goal.clone() })
 }
 
-fn run_strata(
-    program: &Program,
-    strat: &Stratification,
-    db: &Database,
-    adom: &Relation,
-    total: &mut BTreeMap<RelName, Relation>,
-) {
-    let adom_name: RelName = ADOM.into();
-    for layer in &strat.layers {
-        let rules: Vec<&crate::ast::Rule> = layer.iter().map(|&i| &program.rules[i]).collect();
-        // Predicates defined in this stratum (for semi-naive deltas).
-        let here: std::collections::BTreeSet<&RelName> =
-            rules.iter().map(|r| &r.head.pred).collect();
-
-        // Round 0: naive evaluation of every rule in the stratum.
-        let mut delta: BTreeMap<RelName, Relation> = BTreeMap::new();
-        for rule in &rules {
-            let derived = fire_rule(rule, None, db, adom, total, &adom_name);
-            note_new(&mut delta, total, &rule.head.pred, derived);
-        }
-        absorb(total, &delta);
-
-        // Subsequent rounds: differentiate on same-stratum positives.
-        loop {
-            let mut next: BTreeMap<RelName, Relation> = BTreeMap::new();
-            for rule in &rules {
-                for (i, lit) in rule.body.iter().enumerate() {
-                    if !lit.positive || !here.contains(&lit.atom.pred) {
-                        continue;
-                    }
-                    let Some(d) = delta.get(&lit.atom.pred) else {
-                        continue;
-                    };
-                    if d.is_empty() {
-                        continue;
-                    }
-                    let derived = fire_rule(rule, Some((i, d)), db, adom, total, &adom_name);
-                    note_new(&mut next, total, &rule.head.pred, derived);
-                }
-            }
-            if next.values().all(Relation::is_empty) {
-                break;
-            }
-            absorb(total, &next);
-            delta = next;
-        }
-    }
-}
-
-/// Keep only tuples not already in `total`, accumulating them in `delta`.
+/// Adds to `delta` the tuples of `derived` that `total` lacks; a
+/// predicate enters `delta` only with at least one tuple.
 fn note_new(
     delta: &mut BTreeMap<RelName, Relation>,
     total: &BTreeMap<RelName, Relation>,
     pred: &RelName,
-    derived: Vec<Tuple>,
-) {
-    if derived.is_empty() {
-        return;
+    derived: Relation,
+) -> Result<(), EvalError> {
+    let fresh = match total.get(pred) {
+        Some(known) => derived.difference(known)?,
+        None => derived,
+    };
+    if !fresh.is_empty() {
+        absorb(delta, &BTreeMap::from([(pred.clone(), fresh)]))?;
     }
-    let existing = &total[pred];
-    let entry = delta
-        .entry(pred.clone())
-        .or_insert_with(|| Relation::empty(existing.arity()));
-    for t in derived {
-        if !existing.contains(&t) {
-            let _ = entry.insert(t);
+    Ok(())
+}
+
+/// Inserts every tuple of `delta` into `total`.
+fn absorb(
+    total: &mut BTreeMap<RelName, Relation>,
+    delta: &BTreeMap<RelName, Relation>,
+) -> Result<(), EvalError> {
+    for (pred, fresh) in delta {
+        let rel = total
+            .entry(pred.clone())
+            .or_insert_with(|| Relation::empty(fresh.arity()));
+        for t in fresh.iter() {
+            rel.insert(t.clone())?;
         }
     }
+    Ok(())
 }
 
-fn absorb(total: &mut BTreeMap<RelName, Relation>, delta: &BTreeMap<RelName, Relation>) {
-    for (p, d) in delta {
-        if d.is_empty() {
-            continue;
-        }
-        let r = total.get_mut(p).expect("stratum predicates pre-seeded");
-        *r = r.union(d).expect("same arity");
-    }
-}
-
-/// Full (non-differentiated) firing of a rule — shared with the naive
-/// reference evaluator.
-pub(crate) fn fire_rule_full(
-    rule: &crate::ast::Rule,
-    db: &Database,
-    adom: &Relation,
-    total: &BTreeMap<RelName, Relation>,
-    adom_name: &RelName,
-) -> Vec<Tuple> {
-    fire_rule(rule, None, db, adom, total, adom_name)
-}
-
-/// Evaluate one rule body left-to-right, with positive literals first
-/// (negatives are checked once their variables are ground — rule safety
-/// guarantees this ordering binds them). `delta_at` pins one positive
-/// body literal to the given delta relation instead of the full total.
-fn fire_rule(
-    rule: &crate::ast::Rule,
+/// Fires `rule` once and returns the head tuples it derives. The body is
+/// read as the conjunction of its literals and evaluated by
+/// [`pgq_logic::eval_ordered`] over the relations the literals read;
+/// `delta_at` binds one positive literal to the previous round's delta
+/// instead of the total. Each literal reads its relation under its own
+/// name, so a predicate that is both delta and total in one body never
+/// clashes.
+fn fire(
+    rule: &Rule,
     delta_at: Option<(usize, &Relation)>,
     db: &Database,
     adom: &Relation,
     total: &BTreeMap<RelName, Relation>,
-    adom_name: &RelName,
-) -> Vec<Tuple> {
-    // Order: positives (in source order), then negatives.
-    let mut order: Vec<usize> = (0..rule.body.len())
-        .filter(|&i| rule.body[i].positive)
-        .collect();
-    order.extend((0..rule.body.len()).filter(|&i| !rule.body[i].positive));
-
-    let rel_of = |i: usize| -> Relation {
-        if let Some((j, d)) = delta_at {
-            if i == j {
-                return (*d).clone();
-            }
-        }
-        let pred = &rule.body[i].atom.pred;
-        if pred == adom_name {
-            adom.clone()
-        } else if let Some(r) = total.get(pred) {
-            r.clone()
-        } else {
-            db.get(pred)
-                .cloned()
-                .expect("EDB checked before evaluation")
-        }
-    };
-    let rels: Vec<Relation> = order.iter().map(|&i| rel_of(i)).collect();
-
-    let mut out = Vec::new();
-    let mut bind = Bindings::new();
-    join_rec(rule, &order, &rels, 0, &mut bind, &mut out);
-    out
-}
-
-/// Nested-loop join over the ordered body literals.
-fn join_rec(
-    rule: &crate::ast::Rule,
-    order: &[usize],
-    rels: &[Relation],
-    depth: usize,
-    bind: &mut Bindings,
-    out: &mut Vec<Tuple>,
-) {
-    if depth == order.len() {
-        out.push(instantiate(&rule.head, bind));
-        return;
+) -> Result<Relation, EvalError> {
+    let mut scope = Database::new();
+    let mut conjuncts: Vec<Formula> = Vec::with_capacity(rule.body.len());
+    for (i, Literal { positive, atom }) in rule.body.iter().enumerate() {
+        let pred = &atom.pred;
+        let rel = match delta_at {
+            Some((j, d)) if j == i => d,
+            _ if pred.as_str() == ADOM => adom,
+            _ => total
+                .get(pred)
+                .or_else(|| db.get(pred))
+                .ok_or_else(|| EvalError::UnknownPredicate { pred: pred.clone() })?,
+        };
+        let name = RelName::new(format!("{pred}#{i}"));
+        scope.add_relation(name.clone(), rel.clone());
+        let read = Formula::Atom(name, atom.terms.clone());
+        conjuncts.push(if *positive { read } else { read.not() });
     }
-    let lit = &rule.body[order[depth]];
-    let rel = &rels[depth];
-    if lit.positive {
-        'tuples: for t in rel.iter() {
-            let mut added: Vec<Var> = Vec::new();
-            for (term, val) in lit.atom.terms.iter().zip(t.iter()) {
-                match term {
-                    DlTerm::Const(c) => {
-                        if c != val {
-                            unwind(bind, &added);
-                            continue 'tuples;
-                        }
-                    }
-                    DlTerm::Var(v) => match bind.get(v) {
-                        Some(existing) if existing != val => {
-                            unwind(bind, &added);
-                            continue 'tuples;
-                        }
-                        Some(_) => {}
-                        None => {
-                            bind.insert(v.clone(), val.clone());
-                            added.push(v.clone());
-                        }
-                    },
-                }
-            }
-            join_rec(rule, order, rels, depth + 1, bind, out);
-            unwind(bind, &added);
-        }
-    } else {
-        // Safety guarantees groundness here.
-        let probe = instantiate(&lit.atom, bind);
-        if !rel.contains(&probe) {
-            join_rec(rule, order, rels, depth + 1, bind, out);
-        }
-    }
-}
-
-fn unwind(bind: &mut Bindings, added: &[Var]) {
-    for v in added {
-        bind.remove(v);
-    }
-}
-
-/// Substitute bindings into an atom (all variables must be bound).
-fn instantiate(atom: &Atom, bind: &Bindings) -> Tuple {
-    atom.terms
-        .iter()
-        .map(|t| match t {
-            DlTerm::Const(c) => c.clone(),
-            DlTerm::Var(v) => bind
-                .get(v)
-                .cloned()
-                .expect("safety: head/negative variables bound by positives"),
-        })
-        .collect()
+    // The body's answer over the head's variable occurrences, with the
+    // head's constants put back in place, is the set of head tuples.
+    let Atom { terms, .. } = &rule.head;
+    let order: Vec<Var> = terms.iter().filter_map(Term::as_var).cloned().collect();
+    let rows = eval_ordered(&Formula::and_all(conjuncts), &order, &scope)?;
+    let heads = rows.iter().map(|row| {
+        let mut vals = row.iter();
+        terms
+            .iter()
+            .filter_map(|t| match t {
+                Term::Const(c) => Some(c.clone()),
+                Term::Var(_) => vals.next().cloned(),
+            })
+            .collect::<Tuple>()
+    });
+    Ok(Relation::from_rows(terms.len(), heads)?)
 }
 
 /// Convenience used by tests and benches: transitive-closure program
@@ -368,14 +311,14 @@ fn instantiate(atom: &Atom, bind: &Bindings) -> Tuple {
 /// named edge relation.
 pub fn reachability_program(edge: &str, goal: &str) -> Program {
     let mut p = Program::new();
-    let x = DlTerm::var("x");
-    let y = DlTerm::var("y");
-    let z = DlTerm::var("z");
-    p.push(crate::ast::Rule::new(
+    let x = Term::var("x");
+    let y = Term::var("y");
+    let z = Term::var("z");
+    p.push(Rule::new(
         Atom::new(goal, [x.clone(), y.clone()]),
         vec![Literal::pos(Atom::new(edge, [x.clone(), y.clone()]))],
     ));
-    p.push(crate::ast::Rule::new(
+    p.push(Rule::new(
         Atom::new(goal, [x.clone(), z.clone()]),
         vec![
             Literal::pos(Atom::new(goal, [x, y.clone()])),
@@ -388,7 +331,7 @@ pub fn reachability_program(edge: &str, goal: &str) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Rule;
+    use pgq_value::Value;
 
     fn pairs(rel: &Relation) -> Vec<(i64, i64)> {
         rel.iter()
@@ -437,11 +380,11 @@ mod tests {
         let db = edge_db(&[(1, 2), (2, 3)]);
         let mut p = reachability_program("edge", "path");
         p.push(Rule::new(
-            Atom::new("unreach", [DlTerm::var("x"), DlTerm::var("y")]),
+            Atom::new("unreach", [Term::var("x"), Term::var("y")]),
             vec![
-                Literal::pos(Atom::new(ADOM, [DlTerm::var("x")])),
-                Literal::pos(Atom::new(ADOM, [DlTerm::var("y")])),
-                Literal::neg(Atom::new("path", [DlTerm::var("x"), DlTerm::var("y")])),
+                Literal::pos(Atom::new(ADOM, [Term::var("x")])),
+                Literal::pos(Atom::new(ADOM, [Term::var("y")])),
+                Literal::neg(Atom::new("path", [Term::var("x"), Term::var("y")])),
             ],
         ));
         let m = evaluate(&p, &db).unwrap();
@@ -454,10 +397,10 @@ mod tests {
     #[test]
     fn facts_and_constants_in_heads() {
         let mut p = Program::new();
-        p.push(Rule::fact(Atom::new("seed", [DlTerm::constant(7i64)])));
+        p.push(Rule::fact(Atom::new("seed", [Term::constant(7i64)])));
         p.push(Rule::new(
-            Atom::new("next", [DlTerm::var("x")]),
-            vec![Literal::pos(Atom::new("seed", [DlTerm::var("x")]))],
+            Atom::new("next", [Term::var("x")]),
+            vec![Literal::pos(Atom::new("seed", [Term::var("x")]))],
         ));
         let db = Database::new().with_relation("unused", Relation::empty(1));
         let m = evaluate(&p, &db).unwrap();
@@ -472,10 +415,10 @@ mod tests {
         let db = edge_db(&[(1, 2), (2, 3), (1, 3)]);
         let mut p = Program::new();
         p.push(Rule::new(
-            Atom::new("from_one", [DlTerm::var("y")]),
+            Atom::new("from_one", [Term::var("y")]),
             vec![Literal::pos(Atom::new(
                 "edge",
-                [DlTerm::constant(1i64), DlTerm::var("y")],
+                [Term::constant(1i64), Term::var("y")],
             ))],
         ));
         let r = query(&p, &db, &RelName::new("from_one")).unwrap();
@@ -487,10 +430,10 @@ mod tests {
         let db = edge_db(&[(1, 1), (1, 2), (3, 3)]);
         let mut p = Program::new();
         p.push(Rule::new(
-            Atom::new("self_loop", [DlTerm::var("x")]),
+            Atom::new("self_loop", [Term::var("x")]),
             vec![Literal::pos(Atom::new(
                 "edge",
-                [DlTerm::var("x"), DlTerm::var("x")],
+                [Term::var("x"), Term::var("x")],
             ))],
         ));
         let r = query(&p, &db, &RelName::new("self_loop")).unwrap();
@@ -502,8 +445,8 @@ mod tests {
         let db = Database::new();
         let mut p = Program::new();
         p.push(Rule::new(
-            Atom::new("p", [DlTerm::var("x")]),
-            vec![Literal::pos(Atom::new("nope", [DlTerm::var("x")]))],
+            Atom::new("p", [Term::var("x")]),
+            vec![Literal::pos(Atom::new("nope", [Term::var("x")]))],
         ));
         assert!(matches!(
             evaluate(&p, &db),
@@ -516,10 +459,10 @@ mod tests {
         let db = edge_db(&[(1, 2)]);
         let mut p = Program::new();
         p.push(Rule::new(
-            Atom::new("edge", [DlTerm::var("x"), DlTerm::var("y")]),
+            Atom::new("edge", [Term::var("x"), Term::var("y")]),
             vec![Literal::pos(Atom::new(
                 "edge",
-                [DlTerm::var("x"), DlTerm::var("y")],
+                [Term::var("x"), Term::var("y")],
             ))],
         ));
         assert!(matches!(
@@ -533,13 +476,28 @@ mod tests {
         let db = edge_db(&[(1, 2)]);
         let mut p = Program::new();
         p.push(Rule::new(
-            Atom::new("p", [DlTerm::var("x")]),
-            vec![Literal::pos(Atom::new("edge", [DlTerm::var("x")]))],
+            Atom::new("p", [Term::var("x")]),
+            vec![Literal::pos(Atom::new("edge", [Term::var("x")]))],
         ));
         assert!(matches!(
             evaluate(&p, &db),
             Err(EvalError::EdbArityMismatch { .. })
         ));
+    }
+
+    /// `$adom` is unary: a literal of any other arity is a typed error
+    /// for both evaluators, not a panic.
+    #[test]
+    fn adom_of_wrong_arity_is_an_error() {
+        let p = crate::parse_program("p(X, Y) :- $adom(X, Y).").unwrap();
+        let db = edge_db(&[(1, 2)]);
+        let expected = Err(EvalError::EdbArityMismatch {
+            pred: ADOM.into(),
+            program: 2,
+            database: 1,
+        });
+        assert_eq!(evaluate(&p, &db), expected);
+        assert_eq!(crate::evaluate_naive(&p, &db), expected);
     }
 
     #[test]
@@ -556,12 +514,12 @@ mod tests {
     fn zero_ary_predicates_act_as_booleans() {
         let db = edge_db(&[(1, 2)]);
         let mut p = Program::new();
-        p.push(Rule::fact(Atom::new("yes", Vec::<DlTerm>::new())));
+        p.push(Rule::fact(Atom::new("yes", Vec::<Term>::new())));
         p.push(Rule::new(
-            Atom::new("copy", [DlTerm::var("x"), DlTerm::var("y")]),
+            Atom::new("copy", [Term::var("x"), Term::var("y")]),
             vec![
-                Literal::pos(Atom::new("yes", Vec::<DlTerm>::new())),
-                Literal::pos(Atom::new("edge", [DlTerm::var("x"), DlTerm::var("y")])),
+                Literal::pos(Atom::new("yes", Vec::<Term>::new())),
+                Literal::pos(Atom::new("edge", [Term::var("x"), Term::var("y")])),
             ],
         ));
         let m = evaluate(&p, &db).unwrap();
@@ -600,10 +558,10 @@ mod tests {
             .with_relation("down", down);
         let mut p = Program::new();
         let (x, y, u, v) = (
-            DlTerm::var("x"),
-            DlTerm::var("y"),
-            DlTerm::var("u"),
-            DlTerm::var("v"),
+            Term::var("x"),
+            Term::var("y"),
+            Term::var("u"),
+            Term::var("v"),
         );
         p.push(Rule::new(
             Atom::new("sg", [x.clone(), y.clone()]),

@@ -10,12 +10,16 @@
 //!
 //! * classical stratified Datalog with negation ([`ast`], [`mod@stratify`],
 //!   [`eval`]) over the same [`pgq_relational::Database`] the rest of
-//!   the workspace uses;
-//! * a naive reference evaluator ([`eval_naive`]) for differential
-//!   testing of the semi-naive engine;
-//! * the FO\[TC\] → Datalog bridge ([`bridge`]): a third, independent
-//!   implementation of the paper's logic side, property-tested against
-//!   both `pgq-logic` evaluators. Every compiled program is stratified
+//!   the workspace uses, with terms shared with the logic crate
+//!   ([`pgq_logic::Term`]); the semi-naive engine fires each rule as a
+//!   `pgq_logic` formula, so it runs on the physical executor;
+//! * a naive reference evaluator ([`eval_naive`]) with its own
+//!   nested-loop join, for differential testing of the semi-naive
+//!   engine;
+//! * the FO\[TC\] → Datalog bridge ([`bridge`]): a third implementation
+//!   of the paper's logic side — an independent translation whose
+//!   programs run on either engine — property-tested against both
+//!   `pgq-logic` evaluators. Every compiled program is stratified
 //!   and at most *linearly* recursive — mechanical evidence that
 //!   FO\[TC\] (and hence `PGQext`, by Corollary 6.3) fits inside the
 //!   `WITH RECURSIVE` fragment the paper uses as its NL benchmark.
@@ -30,7 +34,7 @@ pub mod eval_naive;
 mod parse;
 pub mod stratify;
 
-pub use ast::{Atom, DlTerm, Literal, Program, ProgramError, Rule, ADOM};
+pub use ast::{Atom, Literal, Program, ProgramError, Rule, ADOM};
 pub use bridge::{compile_formula, subst_consts, BridgeError, CompiledFormula};
 pub use eval::{evaluate, query, reachability_program, EvalError, Model};
 pub use eval_naive::evaluate_naive;
@@ -48,7 +52,7 @@ mod prop_tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The FO[TC]→Datalog bridge agrees with the logic crate's
-        /// relational evaluator on random formulas and databases.
+        /// plan evaluator on random formulas and databases.
         #[test]
         fn bridge_matches_logic_evaluator(
             phi in arb_formula(2),
@@ -61,8 +65,9 @@ mod prop_tests {
             prop_assert_eq!(got, &want, "formula: {:?}", phi);
         }
 
-        /// Semi-naive and naive evaluation produce identical models on
-        /// the (deeply stratified, recursive) programs the bridge emits.
+        /// Semi-naive (executor) and naive (nested-loop) evaluation
+        /// produce identical models on the (deeply stratified,
+        /// recursive) programs the bridge emits.
         #[test]
         fn semi_naive_matches_naive(
             phi in arb_formula(2),

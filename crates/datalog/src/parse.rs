@@ -13,7 +13,8 @@
 //! `!` negates a literal. Predicate names are identifiers (the reserved
 //! `$adom` is allowed in bodies).
 
-use crate::ast::{Atom, DlTerm, Literal, Program, Rule};
+use crate::ast::{Atom, Literal, Program, Rule};
+use pgq_logic::Term;
 use pgq_value::{Value, Var};
 use std::fmt;
 
@@ -175,7 +176,7 @@ impl<'a> Parser<'a> {
         Ok(Atom::new(pred, terms))
     }
 
-    fn term(&mut self) -> Result<DlTerm, ParseError> {
+    fn term(&mut self) -> Result<Term, ParseError> {
         self.skip_trivia();
         match self.peek() {
             Some(b'\'') | Some(b'"') => {
@@ -190,7 +191,7 @@ impl<'a> Parser<'a> {
                             })?
                             .to_owned();
                         self.pos += 1;
-                        return Ok(DlTerm::Const(Value::str(s)));
+                        return Ok(Term::Const(Value::str(s)));
                     }
                     self.pos += 1;
                 }
@@ -210,7 +211,7 @@ impl<'a> Parser<'a> {
                 }
                 let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ASCII");
                 match text.parse::<i64>() {
-                    Ok(n) => Ok(DlTerm::Const(Value::int(n))),
+                    Ok(n) => Ok(Term::Const(Value::int(n))),
                     Err(_) => self.err(format!("bad integer literal `{text}`")),
                 }
             }
@@ -218,13 +219,13 @@ impl<'a> Parser<'a> {
                 let name = self.ident()?;
                 let first = name.as_bytes()[0];
                 if first.is_ascii_uppercase() || first == b'_' {
-                    Ok(DlTerm::Var(Var::new(name)))
+                    Ok(Term::Var(Var::new(name)))
                 } else if name == "true" {
-                    Ok(DlTerm::Const(Value::Bool(true)))
+                    Ok(Term::Const(Value::Bool(true)))
                 } else if name == "false" {
-                    Ok(DlTerm::Const(Value::Bool(false)))
+                    Ok(Term::Const(Value::Bool(false)))
                 } else {
-                    Ok(DlTerm::Const(Value::str(name)))
+                    Ok(Term::Const(Value::str(name)))
                 }
             }
             _ => self.err("expected a term"),
@@ -284,11 +285,11 @@ mod tests {
     fn constants_of_each_type() {
         let p = parse_program("p(X) :- q(X, 7, 'str', other, true, -3).").unwrap();
         let terms = &p.rules[0].body[0].atom.terms;
-        assert_eq!(terms[1], DlTerm::Const(Value::int(7)));
-        assert_eq!(terms[2], DlTerm::Const(Value::str("str")));
-        assert_eq!(terms[3], DlTerm::Const(Value::str("other")));
-        assert_eq!(terms[4], DlTerm::Const(Value::Bool(true)));
-        assert_eq!(terms[5], DlTerm::Const(Value::int(-3)));
+        assert_eq!(terms[1], Term::Const(Value::int(7)));
+        assert_eq!(terms[2], Term::Const(Value::str("str")));
+        assert_eq!(terms[3], Term::Const(Value::str("other")));
+        assert_eq!(terms[4], Term::Const(Value::Bool(true)));
+        assert_eq!(terms[5], Term::Const(Value::int(-3)));
     }
 
     #[test]
@@ -301,7 +302,7 @@ mod tests {
     #[test]
     fn underscore_leading_is_a_variable() {
         let p = parse_program("p(X) :- q(X, _rest).").unwrap();
-        assert!(matches!(&p.rules[0].body[0].atom.terms[1], DlTerm::Var(_)));
+        assert!(matches!(&p.rules[0].body[0].atom.terms[1], Term::Var(_)));
     }
 
     #[test]

@@ -225,10 +225,11 @@ fn scc_is_nontrivial(comp: &BTreeMap<RelName, usize>, id: usize, _program: &Prog
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Atom, DlTerm, Literal, Rule};
+    use crate::ast::{Atom, Literal, Rule};
+    use pgq_logic::Term;
 
-    fn v(s: &str) -> DlTerm {
-        DlTerm::var(s)
+    fn v(s: &str) -> Term {
+        Term::var(s)
     }
 
     /// path(x,y) :- edge(x,y).  path(x,z) :- path(x,y), edge(y,z).

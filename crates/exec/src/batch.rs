@@ -3,7 +3,7 @@
 //! Between operators the same bags flow as dictionary codes
 //! ([`crate::CodedBatch`]).
 //!
-//! The reference evaluators (S2/S5/S7) keep every intermediate result in
+//! The reference evaluators (S2/S7) keep every intermediate result in
 //! a `BTreeSet`, paying an ordered-set insertion per produced tuple. The
 //! physical engine instead flows plain row bags between operators and
 //! defers deduplication to the few places set semantics actually demands

@@ -788,7 +788,7 @@ fn check_iteration_budget(iterations: &mut usize, opts: &ExecOptions) -> RelResu
 /// index is shared read-only); the dedup insert into the accumulator
 /// runs sequentially in morsel order, so round contents — and thus the
 /// result — match sequential execution exactly. `pub(crate)` so
-/// `transitive_closure` can drive it without staging `Values` copies.
+/// `transitive_closure_opts` can drive it without staging `Values` copies.
 pub(crate) fn fixpoint_coded(
     base: &CodedBatch,
     step: &CodedBatch,

@@ -39,10 +39,11 @@
 //!   set-semantics boundary. Per-tuple work in the hot loops is a
 //!   `u32` compare, not a `Value` compare;
 //! * [`PhysPlan::Fixpoint`] — a semi-naive least-fixpoint operator; the
-//!   FO\[TC\] evaluator (S5) and the `PGQrw` reachability route (S7,
-//!   `Engine::Physical`) both lower their closures onto it via
-//!   [`transitive_closure`], and [`execute_with`] runs the
-//!   reachability shape as CSR frontier sweeps.
+//!   FO\[TC\] evaluator (S5) lowers every formula to one plan and its
+//!   `TC` to this operator, the `PGQrw` reachability route (S7,
+//!   `Engine::Physical`) drives it through [`transitive_closure_opts`],
+//!   and [`execute_with`] runs the reachability shape as CSR frontier
+//!   sweeps.
 //!
 //! The engine is held to the reference evaluators by differential tests
 //! (`tests/prop_engine.rs` and `tests/prop_store.rs` at the workspace
@@ -78,19 +79,13 @@ use pgq_relational::{RelError, RelResult};
 /// The semi-naive transitive closure of a step relation whose rows are
 /// flattened `(s̄, t̄, p̄)` triples: `k` source columns, `k` target
 /// columns, and `params` parameter columns that stay fixed along a path
-/// (the `p̄` of a parameterized `TC`, empty for plain reachability).
+/// (empty for plain reachability). The Δ expansion of every round runs
+/// morsel-parallel on `opts.threads` workers.
 ///
 /// Returns every `(s̄, t̄, p̄)` connected by a path of **one or more**
 /// steps sharing the parameter assignment — reflexive pairs are the
-/// caller's business (the paper's `TC` adds them over `adom^k`, the
-/// `ψ^{0..∞}` pattern over the view's nodes).
-pub fn transitive_closure(edges: Batch, k: usize, params: usize) -> RelResult<Batch> {
-    transitive_closure_opts(edges, k, params, &ExecOptions::default())
-}
-
-/// [`transitive_closure`] on the given executor options — the Δ
-/// expansion of every semi-naive round runs morsel-parallel on
-/// `opts.threads` workers.
+/// caller's business (the `ψ^{0..∞}` pattern adds them over the view's
+/// nodes).
 pub fn transitive_closure_opts(
     edges: Batch,
     k: usize,
@@ -159,7 +154,9 @@ mod tests {
     #[test]
     fn closure_of_a_chain() {
         let edges = Batch::from_rows(2, [tuple![0, 1], tuple![1, 2], tuple![2, 3]]).unwrap();
-        let tc = transitive_closure(edges, 1, 0).unwrap().into_relation();
+        let tc = transitive_closure_opts(edges, 1, 0, &ExecOptions::default())
+            .unwrap()
+            .into_relation();
         assert_eq!(tc.len(), 6);
         assert!(tc.contains(&tuple![0, 3]));
     }
@@ -176,7 +173,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let tc = transitive_closure(edges, 1, 1).unwrap().into_relation();
+        let tc = transitive_closure_opts(edges, 1, 1, &ExecOptions::default())
+            .unwrap()
+            .into_relation();
         assert!(tc.contains(&tuple![0, 2, "red"]));
         assert!(!tc.contains(&tuple![0, 2, "blue"]));
     }
@@ -185,19 +184,25 @@ mod tests {
     fn closure_of_binary_identifiers() {
         // Pair-steps (0,i) → (0,i+1): k = 2.
         let edges = Batch::from_rows(4, [tuple![0, 0, 0, 1], tuple![0, 1, 0, 2]]).unwrap();
-        let tc = transitive_closure(edges, 2, 0).unwrap().into_relation();
+        let tc = transitive_closure_opts(edges, 2, 0, &ExecOptions::default())
+            .unwrap()
+            .into_relation();
         assert!(tc.contains(&tuple![0, 0, 0, 2]));
     }
 
     #[test]
     fn closure_arity_is_checked() {
         let edges = Batch::from_rows(2, [tuple![0, 1]]).unwrap();
-        assert!(transitive_closure(edges.clone(), 2, 0).is_err());
-        assert!(transitive_closure(Batch::empty(2), 1, 0)
-            .unwrap()
-            .is_empty());
+        assert!(transitive_closure_opts(edges.clone(), 2, 0, &ExecOptions::default()).is_err());
+        assert!(
+            transitive_closure_opts(Batch::empty(2), 1, 0, &ExecOptions::default())
+                .unwrap()
+                .is_empty()
+        );
         assert_eq!(
-            transitive_closure(edges, 1, 0).unwrap().into_relation(),
+            transitive_closure_opts(edges, 1, 0, &ExecOptions::default())
+                .unwrap()
+                .into_relation(),
             Relation::from_rows(2, [tuple![0, 1]]).unwrap()
         );
     }

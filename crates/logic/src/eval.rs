@@ -1,21 +1,39 @@
-//! Bottom-up relational evaluation of FO\[TC\] with active-domain
+//! FO\[TC\] evaluation on the physical executor, with active-domain
 //! semantics (the standard database-theory convention; DESIGN.md
 //! deviation note 8).
 //!
-//! Every subformula is compiled to an [`Answer`]: a relation whose
-//! columns are the subformula's free variables in sorted order.
-//! Complements and quantifiers range over `adom(D)`; the `TC` operator is
-//! *reflexive* (`TC[φ](ā, ā)` holds for every ā ∈ adom^k — the paper's
-//! length-0 path, see Lemma 9.3 T8). The ≥1-step part of every closure
-//! is computed by the physical engine's semi-naive `Fixpoint` operator
-//! (`pgq_exec::transitive_closure`; substrate S15).
+//! Every formula lowers to one [`PhysPlan`] that runs through
+//! [`pgq_exec::execute_opts`]. A subformula's plan has one column per
+//! free variable, in sorted order, and never emits a row twice. One
+//! rule per constructor:
 //!
-//! A slow assignment-enumerating evaluator lives in `eval_naive`; the two
-//! are property-tested against each other.
+//! * atom `R(t̄)` → `Scan R`, a `Filter` for constants and repeated
+//!   variables, a `Project` onto each variable's first column;
+//! * `t1 = t2` → the diagonal of `AdomScan`, bound by the atom rule
+//!   (two constants compare directly, whatever the domain);
+//! * `¬φ` → `Diff` of `adom^k` (`AdomScan` products) and φ;
+//! * `φ ∧ ψ` → `HashJoin` on the shared variables, `Product` when
+//!   there are none;
+//! * `φ ∨ ψ` → `Union` of both sides padded with `adom` to the same
+//!   variables, then `Distinct`;
+//! * `∃x̄ φ` → φ padded with the quantified variables it does not
+//!   mention (∃y over an empty domain is false), then `Project` +
+//!   `Distinct`; `∀x̄ φ` is `¬∃x̄ ¬φ`;
+//! * `TC_{ū,v̄}[φ](x̄, ȳ)` → a semi-naive `Fixpoint` over φ's `(s̄, t̄, p̄)`
+//!   rows with the parameters `p̄` in the join key, so a path never
+//!   mixes parameter assignments; united with the reflexive rows
+//!   `(ā, ā, p̄)` over `adom^(k+|p̄|)` — `TC` is reflexive, the paper's
+//!   length-0 path (Lemma 9.3 T8) — and bound to `x̄ ȳ p̄` by the atom
+//!   rule.
+//!
+//! The assignment-enumerating oracle in `eval_naive` shares none of
+//! this; the two are property-tested against each other.
 
 use crate::formula::{Formula, TcShapeError, Term};
-use pgq_relational::{Database, RelError, Relation};
-use pgq_value::{Tuple, Value, Var};
+use pgq_exec::{execute_opts, Batch, ExecOptions, PhysPlan};
+use pgq_relational::{Database, RelError, Relation, RowCondition};
+use pgq_value::{Tuple, Var};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -68,7 +86,7 @@ impl From<TcShapeError> for LogicError {
     }
 }
 
-/// The satisfying-assignment relation of a subformula: columns are the
+/// The satisfying-assignment relation of a formula: columns are the
 /// free variables in sorted order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answer {
@@ -78,98 +96,20 @@ pub struct Answer {
     pub rel: Relation,
 }
 
-impl Answer {
-    fn boolean(b: bool) -> Answer {
-        Answer {
-            vars: Vec::new(),
-            rel: if b {
-                Relation::r#true()
-            } else {
-                Relation::r#false()
-            },
-        }
-    }
-
-    fn col(&self, v: &Var) -> usize {
-        self.vars
-            .binary_search(v)
-            .expect("column lookup for a variable not in the answer")
-    }
-
-    /// Reorders/pads this answer to exactly `target` (sorted superset of
-    /// `self.vars`); missing columns range over `adom`.
-    fn extend_to(&self, target: &[Var], adom: &Relation) -> Answer {
-        debug_assert!(target.windows(2).all(|w| w[0] < w[1]));
-        if self.vars == target {
-            return self.clone();
-        }
-        // Pad with adom^missing, then reorder columns.
-        let missing: Vec<&Var> = target.iter().filter(|v| !self.vars.contains(v)).collect();
-        let mut wide = self.rel.clone();
-        for _ in 0..missing.len() {
-            wide = wide.product(adom);
-        }
-        // Current column order: self.vars ++ missing.
-        let mut current: Vec<&Var> = self.vars.iter().collect();
-        current.extend(missing.iter().copied());
-        let positions: Vec<usize> = target
-            .iter()
-            .map(|v| current.iter().position(|c| *c == v).expect("superset"))
-            .collect();
-        Answer {
-            vars: target.to_vec(),
-            rel: wide.project(&positions).expect("positions valid"),
-        }
-    }
-
-    /// Natural join on shared variables.
-    fn join(&self, other: &Answer) -> Answer {
-        let shared: Vec<(usize, usize)> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| other.vars.binary_search(v).ok().map(|j| (i, j)))
-            .collect();
-        let joined = self
-            .rel
-            .join_on(&other.rel, &shared)
-            .expect("positions valid by construction");
-        // Columns: self.vars ++ other.vars (with duplicates on the right).
-        let mut vars: Vec<Var> = Vec::new();
-        let mut positions: Vec<usize> = Vec::new();
-        for (i, v) in self.vars.iter().enumerate() {
-            vars.push(v.clone());
-            positions.push(i);
-        }
-        for (j, v) in other.vars.iter().enumerate() {
-            if !self.vars.contains(v) {
-                vars.push(v.clone());
-                positions.push(self.vars.len() + j);
-            }
-        }
-        // Sort target vars, carrying positions.
-        let mut paired: Vec<(Var, usize)> = vars.into_iter().zip(positions).collect();
-        paired.sort_by(|a, b| a.0.cmp(&b.0));
-        let (vars, positions): (Vec<Var>, Vec<usize>) = paired.into_iter().unzip();
-        Answer {
-            vars,
-            rel: joined.project(&positions).expect("positions valid"),
-        }
-    }
-}
-
 /// Evaluates `φ` on `D`, returning the satisfying assignments over the
 /// sorted free variables.
 pub fn eval(phi: &Formula, db: &Database) -> Result<Answer, LogicError> {
     phi.validate()?;
-    let adom = db.active_domain_relation();
-    eval_inner(phi, db, &adom)
+    let lowered = lower(phi, db)?;
+    Ok(Answer {
+        rel: run(&lowered.plan, db)?,
+        vars: lowered.vars,
+    })
 }
 
 /// Evaluates a sentence (no free variables) to a Boolean.
 pub fn eval_sentence(phi: &Formula, db: &Database) -> Result<bool, LogicError> {
-    let ans = eval(phi, db)?;
-    Ok(ans.rel.as_bool())
+    Ok(eval(phi, db)?.rel.as_bool())
 }
 
 /// Evaluates `φ(x̄)` and returns the result relation with columns in the
@@ -178,321 +118,249 @@ pub fn eval_sentence(phi: &Formula, db: &Database) -> Result<bool, LogicError> {
 ///
 /// Variables listed but not free in `φ` range over the active domain.
 pub fn eval_ordered(phi: &Formula, order: &[Var], db: &Database) -> Result<Relation, LogicError> {
-    let ans = eval(phi, db)?;
-    let adom = db.active_domain_relation();
-    let mut target: Vec<Var> = ans.vars.clone();
-    for v in order {
-        if !target.contains(v) {
-            target.push(v.clone());
+    phi.validate()?;
+    let lowered = lower(phi, db)?;
+    let wide = lowered.pad(&sorted_union(order));
+    let positions = positions_in(&wide.vars, &[], order);
+    run(&wide.plan.project(positions), db)
+}
+
+/// Runs a lowered plan on the one executor, down to the set boundary.
+fn run(plan: &PhysPlan, db: &Database) -> Result<Relation, LogicError> {
+    Ok(execute_opts(plan, db, None, &ExecOptions::default())?.into_relation()?)
+}
+
+/// A lowered subformula: a plan with one column per variable of `vars`
+/// (sorted, distinct) that emits no duplicate rows.
+struct Lowered {
+    vars: Vec<Var>,
+    plan: PhysPlan,
+}
+
+impl Lowered {
+    fn boolean(b: bool) -> Lowered {
+        Lowered {
+            vars: Vec::new(),
+            plan: boolean(b),
         }
     }
-    target.sort();
-    target.dedup();
-    let wide = ans.extend_to(&target, &adom);
-    let positions: Vec<usize> = order.iter().map(|v| wide.col(v)).collect();
-    Ok(wide.rel.project(&positions).expect("positions valid"))
+
+    /// Widens to `extra ∪ vars` (`extra` sorted, like `vars`): every
+    /// variable of `extra` this subformula does not mention ranges over
+    /// `adom`.
+    fn pad(self, extra: &[Var]) -> Lowered {
+        let missing: Vec<Var> = extra
+            .iter()
+            .filter(|v| self.vars.binary_search(v).is_err())
+            .cloned()
+            .collect();
+        if missing.is_empty() {
+            return self;
+        }
+        let vars = sorted_union(self.vars.iter().chain(&missing));
+        let positions = positions_in(&self.vars, &missing, &vars);
+        Lowered {
+            plan: product(self.plan, adom_power(missing.len())).project(positions),
+            vars,
+        }
+    }
 }
 
-fn sorted_vars(set: &BTreeSet<Var>) -> Vec<Var> {
-    set.iter().cloned().collect()
-}
-
-fn eval_inner(phi: &Formula, db: &Database, adom: &Relation) -> Result<Answer, LogicError> {
-    match phi {
-        Formula::True => Ok(Answer::boolean(true)),
-        Formula::False => Ok(Answer::boolean(false)),
-
+fn lower(phi: &Formula, db: &Database) -> Result<Lowered, LogicError> {
+    Ok(match phi {
+        Formula::True => Lowered::boolean(true),
+        Formula::False => Lowered::boolean(false),
         Formula::Atom(name, terms) => {
-            let stored = db.get_required(name)?;
-            if stored.arity() != terms.len() {
+            let expected = db.get_required(name)?.arity();
+            if expected != terms.len() {
                 return Err(LogicError::AtomArity {
                     name: name.to_string(),
-                    expected: stored.arity(),
+                    expected,
                     found: terms.len(),
                 });
             }
-            // Filter rows against constants and repeated variables, then
-            // project to the first occurrence of each distinct variable.
-            let mut first_pos: BTreeMap<&Var, usize> = BTreeMap::new();
-            for (i, t) in terms.iter().enumerate() {
-                if let Term::Var(v) = t {
-                    first_pos.entry(v).or_insert(i);
-                }
-            }
-            let filtered = stored.select(|row| {
-                terms.iter().enumerate().all(|(i, t)| match t {
-                    Term::Const(c) => &row[i] == c,
-                    Term::Var(v) => row[first_pos[v]] == row[i],
-                })
-            });
-            let vars: Vec<Var> = first_pos.keys().map(|v| (*v).clone()).collect();
-            let positions: Vec<usize> = first_pos.values().copied().collect();
-            Ok(Answer {
-                vars,
-                rel: filtered.project(&positions).expect("positions valid"),
-            })
+            bind(PhysPlan::Scan(name.clone()), terms)
         }
-
-        Formula::Eq(a, b) => match (a, b) {
-            (Term::Const(c1), Term::Const(c2)) => Ok(Answer::boolean(c1 == c2)),
-            (Term::Var(x), Term::Const(c)) | (Term::Const(c), Term::Var(x)) => {
-                // Active-domain semantics: x ranges over adom.
-                let rel = adom.select(|row| &row[0] == c);
-                Ok(Answer {
-                    vars: vec![x.clone()],
-                    rel,
-                })
-            }
-            (Term::Var(x), Term::Var(y)) if x == y => Ok(Answer {
-                vars: vec![x.clone()],
-                rel: adom.clone(),
-            }),
-            (Term::Var(x), Term::Var(y)) => {
-                let mut rel = Relation::empty(2);
-                for c in adom.iter() {
-                    rel.insert(c.concat(c)).expect("arity 2");
-                }
-                let mut vars = vec![x.clone(), y.clone()];
-                vars.sort();
-                Ok(Answer { vars, rel })
-            }
-        },
-
+        Formula::Eq(Term::Const(a), Term::Const(b)) => Lowered::boolean(a == b),
+        Formula::Eq(a, b) => bind(PhysPlan::AdomScan.project([0, 0]), &[a.clone(), b.clone()]),
         Formula::Not(f) => {
-            let inner = eval_inner(f, db, adom)?;
-            let full = power_over(&inner.vars, adom);
-            Ok(Answer {
-                vars: inner.vars.clone(),
-                rel: full.difference(&inner.rel)?,
-            })
+            let inner = lower(f, db)?;
+            Lowered {
+                plan: PhysPlan::Diff {
+                    left: Box::new(adom_power(inner.vars.len())),
+                    right: Box::new(inner.plan),
+                },
+                vars: inner.vars,
+            }
         }
-
         Formula::And(a, b) => {
-            let left = eval_inner(a, db, adom)?;
-            let right = eval_inner(b, db, adom)?;
-            Ok(left.join(&right))
-        }
-
-        Formula::Or(a, b) => {
-            let left = eval_inner(a, db, adom)?;
-            let right = eval_inner(b, db, adom)?;
-            let mut all: BTreeSet<Var> = left.vars.iter().cloned().collect();
-            all.extend(right.vars.iter().cloned());
-            let target = sorted_vars(&all);
-            let l = left.extend_to(&target, adom);
-            let r = right.extend_to(&target, adom);
-            Ok(Answer {
-                vars: target,
-                rel: l.rel.union(&r.rel)?,
-            })
-        }
-
-        Formula::Exists(vs, f) => {
-            let inner = eval_inner(f, db, adom)?;
-            // Extend so quantified-but-unused variables still range over
-            // adom (∃y φ over an empty domain is false).
-            let mut all: BTreeSet<Var> = inner.vars.iter().cloned().collect();
-            all.extend(vs.iter().cloned());
-            let target = sorted_vars(&all);
-            let wide = inner.extend_to(&target, adom);
-            let keep: Vec<usize> = wide
+            let (l, r) = (lower(a, db)?, lower(b, db)?);
+            let keys: Vec<(usize, usize)> = l
                 .vars
                 .iter()
                 .enumerate()
-                .filter(|(_, v)| !vs.contains(v))
-                .map(|(i, _)| i)
+                .filter_map(|(i, v)| r.vars.binary_search(v).ok().map(|j| (i, j)))
                 .collect();
-            let vars: Vec<Var> = keep.iter().map(|&i| wide.vars[i].clone()).collect();
-            Ok(Answer {
+            let vars = sorted_union(l.vars.iter().chain(&r.vars));
+            let positions = positions_in(&l.vars, &r.vars, &vars);
+            // An empty key list would mean intersection, not product.
+            let joined = if keys.is_empty() {
+                product(l.plan, r.plan)
+            } else {
+                l.plan.hash_join(r.plan, keys)
+            };
+            Lowered {
+                plan: joined.project(positions),
                 vars,
-                rel: wide.rel.project(&keep).expect("positions valid"),
-            })
-        }
-
-        Formula::Forall(vs, f) => {
-            // ∀x̄ φ ≡ ¬∃x̄ ¬φ.
-            let rewritten = Formula::exists(vs.clone(), f.as_ref().clone().not()).not();
-            eval_inner(&rewritten, db, adom)
-        }
-
-        Formula::Tc { u, v, body, x, y } => eval_tc(u, v, body, x, y, db, adom),
-    }
-}
-
-/// `adom^|vars|` with columns standing for `vars`.
-fn power_over(vars: &[Var], adom: &Relation) -> Relation {
-    let mut acc = Relation::r#true();
-    for _ in 0..vars.len() {
-        acc = acc.product(adom);
-    }
-    acc
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_tc(
-    u: &[Var],
-    v: &[Var],
-    body: &Formula,
-    x: &[Term],
-    y: &[Term],
-    db: &Database,
-    adom: &Relation,
-) -> Result<Answer, LogicError> {
-    let k = u.len();
-    let body_ans = eval_inner(body, db, adom)?;
-
-    // Parameters: free vars of the body other than ū, v̄.
-    let mut param_set: BTreeSet<Var> = body.free_vars();
-    for w in u.iter().chain(v) {
-        param_set.remove(w);
-    }
-    let params = sorted_vars(&param_set);
-
-    // Extend the body's answer to cover ū ∪ v̄ ∪ p̄ (unconstrained closure
-    // variables range over adom).
-    let mut all: BTreeSet<Var> = param_set.clone();
-    all.extend(u.iter().cloned());
-    all.extend(v.iter().cloned());
-    let target = sorted_vars(&all);
-    let wide = body_ans.extend_to(&target, adom);
-
-    let u_cols: Vec<usize> = u.iter().map(|w| wide.col(w)).collect();
-    let v_cols: Vec<usize> = v.iter().map(|w| wide.col(w)).collect();
-    let p_cols: Vec<usize> = params.iter().map(|w| wide.col(w)).collect();
-
-    // The ≥1-step closure runs on the physical engine (S15): one
-    // semi-naive fixpoint over flattened `(s̄, t̄, p̄)` rows, with the
-    // parameters folded into the join key so paths never mix parameter
-    // assignments.
-    let l = params.len();
-    let mut edges = pgq_exec::Batch::empty(2 * k + l);
-    for row in wide.rel.iter() {
-        let s = row.project(&u_cols).expect("cols valid");
-        let t = row.project(&v_cols).expect("cols valid");
-        let p = row.project(&p_cols).expect("cols valid");
-        edges.push(s.concat(&t).concat(&p))?;
-    }
-    let closure = pgq_exec::transitive_closure(edges, k, l)?;
-
-    // Regroup the closure rows by parameter assignment for emission.
-    let mut reach: BTreeMap<Tuple, BTreeSet<(Tuple, Tuple)>> = BTreeMap::new();
-    for row in closure.iter() {
-        let (pair, p) = row.split_at(2 * k);
-        let (s, t) = pair.split_at(k);
-        reach.entry(p).or_default().insert((s, t));
-    }
-
-    // Assemble the result: free vars of the TC formula.
-    let mut free: BTreeSet<Var> = param_set.clone();
-    free.extend(x.iter().chain(y).filter_map(|t| t.as_var().cloned()));
-    let free = sorted_vars(&free);
-
-    let mut rel = Relation::empty(free.len());
-    let adom_vals: Vec<Value> = adom.iter().map(|t| t[0].clone()).collect();
-
-    // Parameter space: if p̄ is empty there is exactly one group (the
-    // empty tuple); otherwise reflexive pairs exist for *every* parameter
-    // assignment in adom^|p̄| and path pairs only for groups with edges.
-    let param_space: Vec<Tuple> = if params.is_empty() {
-        vec![Tuple::empty()]
-    } else {
-        cartesian(&adom_vals, params.len())
-    };
-
-    for p in &param_space {
-        let empty = BTreeSet::new();
-        let pairs = reach.get(p).unwrap_or(&empty);
-        // Non-reflexive reachable pairs.
-        for (s, t) in pairs {
-            try_emit(&mut rel, &free, x, y, s, t, &params, p)?;
-        }
-        // Reflexive pairs over adom^k.
-        for a in cartesian(&adom_vals, k) {
-            try_emit(&mut rel, &free, x, y, &a, &a, &params, p)?;
-        }
-    }
-
-    Ok(Answer { vars: free, rel })
-}
-
-/// All tuples in `vals^k`.
-fn cartesian(vals: &[Value], k: usize) -> Vec<Tuple> {
-    let mut acc: Vec<Tuple> = vec![Tuple::empty()];
-    for _ in 0..k {
-        let mut next = Vec::with_capacity(acc.len() * vals.len());
-        for t in &acc {
-            for val in vals {
-                let mut grown = t.clone();
-                grown.push(val.clone());
-                next.push(grown);
             }
         }
-        acc = next;
-    }
-    acc
+        Formula::Or(a, b) => {
+            let (l, r) = (lower(a, db)?, lower(b, db)?);
+            let vars = sorted_union(l.vars.iter().chain(&r.vars));
+            let (l, r) = (l.pad(&vars), r.pad(&vars));
+            Lowered {
+                plan: union(l.plan, r.plan),
+                vars,
+            }
+        }
+        Formula::Exists(vs, f) => {
+            let wide = lower(f, db)?.pad(&sorted_union(vs));
+            let vars: Vec<Var> = wide
+                .vars
+                .iter()
+                .filter(|v| !vs.contains(v))
+                .cloned()
+                .collect();
+            let positions = positions_in(&wide.vars, &[], &vars);
+            Lowered {
+                plan: wide.plan.project(positions).distinct(),
+                vars,
+            }
+        }
+        Formula::Forall(vs, f) => {
+            // ∀x̄ φ ≡ ¬∃x̄ ¬φ.
+            lower(
+                &Formula::exists(vs.clone(), f.as_ref().clone().not()).not(),
+                db,
+            )?
+        }
+        Formula::Tc { u, v, body, x, y } => {
+            let (k, mut params) = (u.len(), body.free_vars());
+            for w in u.iter().chain(v) {
+                params.remove(w);
+            }
+            let params: Vec<Var> = params.into_iter().collect();
+            let l = params.len();
+            let n = 2 * k + l;
+            // The step relation as flat (s̄, t̄, p̄) rows; closure variables
+            // the body leaves unconstrained range over adom.
+            let step = lower(body, db)?.pad(&sorted_union(u.iter().chain(v)));
+            let stepped: Vec<Var> = u.iter().chain(v).chain(&params).cloned().collect();
+            let edges = step.plan.project(positions_in(&step.vars, &[], &stepped));
+            // acc.t̄ = step.s̄ and acc.p̄ = step.p̄, emitting (acc.s̄, step.t̄, p̄).
+            let mut join: Vec<(usize, usize)> = (0..k).map(|i| (k + i, i)).collect();
+            join.extend((2 * k..n).map(|i| (i, i)));
+            let closure = PhysPlan::Fixpoint {
+                base: Box::new(edges.clone()),
+                step: Box::new(edges),
+                join,
+                project: (0..k).chain(n + k..2 * n).collect(),
+            };
+            let reflexive =
+                adom_power(k + l).project((0..k).chain(0..k).chain(k..k + l).collect::<Vec<_>>());
+            let terms: Vec<Term> = x
+                .iter()
+                .chain(y)
+                .cloned()
+                .chain(params.into_iter().map(Term::Var))
+                .collect();
+            bind(union(closure, reflexive), &terms)
+        }
+    })
 }
 
-/// Matches the concrete pair `(s̄, t̄)` with parameters `p̄` against the
-/// applied term tuples `x̄`, `ȳ`, inserting a result row when consistent.
-#[allow(clippy::too_many_arguments)]
-fn try_emit(
-    rel: &mut Relation,
-    free: &[Var],
-    x: &[Term],
-    y: &[Term],
-    s: &Tuple,
-    t: &Tuple,
-    params: &[Var],
-    p: &Tuple,
-) -> Result<(), LogicError> {
-    let mut assignment: BTreeMap<&Var, &Value> = BTreeMap::new();
-    for (i, w) in params.iter().enumerate() {
-        assignment.insert(w, &p[i]);
-    }
-    for (i, term) in x.iter().enumerate() {
-        if !match_term(&mut assignment, term, &s[i]) {
-            return Ok(());
+/// The atom rule: binds the columns of `plan` to `terms`. A `Filter`
+/// keeps the rows that match every constant and repeat every repeated
+/// variable; a `Project` keeps each variable's first column, in sorted
+/// variable order.
+fn bind(plan: PhysPlan, terms: &[Term]) -> Lowered {
+    let mut first: BTreeMap<&Var, usize> = BTreeMap::new();
+    let mut conds: Vec<RowCondition> = Vec::new();
+    for (i, t) in terms.iter().enumerate() {
+        match t {
+            Term::Const(c) => conds.push(RowCondition::col_eq_const(i, c.clone())),
+            Term::Var(v) => match first.entry(v) {
+                Entry::Occupied(e) => conds.push(RowCondition::col_eq(*e.get(), i)),
+                Entry::Vacant(e) => {
+                    e.insert(i);
+                }
+            },
         }
     }
-    for (i, term) in y.iter().enumerate() {
-        if !match_term(&mut assignment, term, &t[i]) {
-            return Ok(());
-        }
+    let plan = if conds.is_empty() {
+        plan
+    } else {
+        plan.filter(RowCondition::and_all(conds))
+    };
+    Lowered {
+        vars: first.keys().map(|v| (*v).clone()).collect(),
+        plan: plan.project(first.into_values().collect::<Vec<_>>()),
     }
-    let row: Tuple = free
+}
+
+/// The 0-ary relation `{()}` (`true`) or `∅` (`false`).
+fn boolean(b: bool) -> PhysPlan {
+    PhysPlan::Values(if b {
+        Batch::singleton(Tuple::empty())
+    } else {
+        Batch::empty(0)
+    })
+}
+
+fn product(left: PhysPlan, right: PhysPlan) -> PhysPlan {
+    PhysPlan::Product {
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+}
+
+/// Set union of two plans of one arity.
+fn union(left: PhysPlan, right: PhysPlan) -> PhysPlan {
+    PhysPlan::Union {
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+    .distinct()
+}
+
+/// `adom^n`: a product of `n` `AdomScan`s (`true` when `n = 0`).
+fn adom_power(n: usize) -> PhysPlan {
+    match n {
+        0 => boolean(true),
+        _ => (1..n).fold(PhysPlan::AdomScan, |acc, _| {
+            product(acc, PhysPlan::AdomScan)
+        }),
+    }
+}
+
+fn sorted_union<'a>(vars: impl IntoIterator<Item = &'a Var>) -> Vec<Var> {
+    let set: BTreeSet<&Var> = vars.into_iter().collect();
+    set.into_iter().cloned().collect()
+}
+
+/// Where each of `target` sits in the columns `left ++ right` (both
+/// sorted; a variable in both is read from `left`).
+fn positions_in(left: &[Var], right: &[Var], target: &[Var]) -> Vec<usize> {
+    target
         .iter()
-        .map(|w| (*assignment.get(w).expect("free var bound")).clone())
-        .collect();
-    rel.insert(row)?;
-    Ok(())
-}
-
-/// Matches one applied term against a concrete value, extending the
-/// assignment for variables and checking constants.
-fn match_term<'a>(
-    assignment: &mut BTreeMap<&'a Var, &'a Value>,
-    term: &'a Term,
-    val: &'a Value,
-) -> bool {
-    match term {
-        Term::Const(c) => c == val,
-        Term::Var(w) => true_and_insert(assignment, w, val),
-    }
-}
-
-/// Inserts `w ↦ val` unless `w` is already bound to a different value.
-fn true_and_insert<'a>(
-    assignment: &mut BTreeMap<&'a Var, &'a Value>,
-    w: &'a Var,
-    val: &'a Value,
-) -> bool {
-    match assignment.get(w) {
-        Some(existing) => *existing == val,
-        None => {
-            assignment.insert(w, val);
-            true
-        }
-    }
+        .map(|v| match left.binary_search(v) {
+            Ok(i) => i,
+            Err(_) => {
+                let j = right.binary_search(v);
+                left.len() + j.expect("every target variable is a column")
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! Deliberately slow and obviously-correct: quantifiers loop over the
 //! active domain, `TC` does a BFS over `k`-tuples. Used as the oracle in
-//! property tests against the relational evaluator in [`crate::eval()`]
+//! property tests against the plan evaluator in [`crate::eval()`]
 //! (they implement the same active-domain semantics; see DESIGN.md
 //! deviation note 8).
 

@@ -55,6 +55,12 @@ impl From<Var> for Term {
     }
 }
 
+impl From<Value> for Term {
+    fn from(c: Value) -> Self {
+        Term::Const(c)
+    }
+}
+
 impl From<&str> for Term {
     fn from(s: &str) -> Self {
         Term::Var(Var::new(s))

@@ -6,11 +6,13 @@
 //!
 //! Two independent evaluators implement the same active-domain
 //! semantics:
-//! * [`eval::eval`] — bottom-up relational compilation (fast path);
+//! * [`eval::eval`] — lowers the formula to one `pgq_exec::PhysPlan`
+//!   (one rule per constructor, `TC` as a semi-naive `Fixpoint`) and
+//!   runs it on the physical executor (fast path);
 //! * [`eval_naive::satisfies`] — assignment enumeration (oracle).
 //!
-//! Their agreement is property-tested below. Substrates S5 + S6 of the
-//! reproduction; see DESIGN.md.
+//! They share no evaluation code, and their agreement is property-tested
+//! below. Substrates S5 + S6 of the reproduction; see DESIGN.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,7 +122,7 @@ mod prop_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The relational evaluator agrees with the naive oracle on all
+        /// The plan evaluator agrees with the naive oracle on all
         /// assignments over (x, y).
         #[test]
         fn relational_matches_naive(db in arb_database(), f in arb_formula(2)) {

@@ -118,7 +118,7 @@ struct TrPattern {
 }
 
 /// Existentially closes every free variable except `keep` — applied
-/// *eagerly* at each composition point so the relational evaluator can
+/// *eagerly* at each composition point so the plan evaluator can
 /// project intermediate results down to the variables still in play
 /// (without this, unrolled repetitions would pad disjuncts to the union
 /// of all leg variables: exponential in practice).

@@ -300,7 +300,27 @@ proptest! {
             vec![Term::var("x")],
             vec![Term::var("y")],
         );
-        for phi in [plain_tc, param_tc] {
+        // Applied terms `arb_formula` never generates, matched by the
+        // plan route's column-equality filters: the TC applied to its
+        // own parameter, a repeated variable beside a parameter, and a
+        // constant endpoint. `V(p)` holds for every node of `ve_db`, so
+        // the last one also applies a TC to a parameter that gates its
+        // steps (only out of successors of `p`).
+        let applied = |gate: Formula, x: Term, y: Term| {
+            Formula::tc(
+                vec![Var::new("u")],
+                vec![Var::new("w")],
+                Formula::atom("E", ["u", "w"]).and(gate),
+                vec![x],
+                vec![y],
+            )
+        };
+        let v_p = || Formula::atom("V", ["p"]);
+        let own_param = applied(v_p(), Term::var("p"), Term::var("y"));
+        let repeated = applied(v_p(), Term::var("x"), Term::var("x"));
+        let constant = applied(v_p(), Term::constant(0), Term::var("y"));
+        let gated = applied(Formula::atom("E", ["p", "u"]), Term::var("p"), Term::var("y"));
+        for phi in [plain_tc, param_tc, own_param, repeated, constant, gated] {
             let fast = pgq_logic::eval(&phi, &db).unwrap();
             let slow = all_satisfying(&phi, &fast.vars, &db).unwrap();
             prop_assert_eq!(
