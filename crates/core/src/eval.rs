@@ -117,11 +117,12 @@ pub fn eval(q: &Query, db: &Database) -> Result<Relation, QueryError> {
 /// per-query view rebuild; the other engines behave exactly as
 /// [`eval_with`]. The store must agree with `db` — registered from it
 /// (see `pgq_store::Store::from_database`) and, after changes, kept in
-/// step either by re-registration or **incrementally** through
-/// `Store::insert_row`/`Store::delete_row`/`Store::apply_updates`
-/// (PR 5): registered relations, CSR overlays and graph entries then
-/// answer for the post-update state with cost proportional to the
-/// delta. The differential suite `tests/prop_store.rs` holds all
+/// step either by re-registration (which drops the graph entries over
+/// the replaced relations until they are registered again) or
+/// **incrementally** through `Store::apply_updates` (PR 5), the store's
+/// one in-place writer: registered relations, CSR overlays and graph
+/// entries then answer for the post-update state with cost
+/// proportional to the delta. The differential suite `tests/prop_store.rs` holds all
 /// routes — including updated-in-place and post-`compact()` stores —
 /// to identical results.
 ///

@@ -149,7 +149,7 @@ impl Leaves for Evaluate<'_> {
 /// overlay) — no per-query view rebuild, no hash-join fixpoint. The
 /// store must agree with `db`: registered from it, then kept in step
 /// by re-registration or by the incremental update path
-/// (`Store::apply_updates` and the row-level mutators).
+/// (`Store::apply_updates`).
 ///
 /// With a sink, `m` becomes the executed plan's metrics tree — the
 /// `EXPLAIN ANALYZE` route. The relation is computed by the same code
@@ -868,6 +868,62 @@ mod tests {
         assert_eq!(
             crate::eval_with_store(&q, &d, EvalConfig::default(), &store).unwrap(),
             eval_with(&q, &d, EvalConfig::default()).unwrap()
+        );
+    }
+
+    /// Replacing a relation that backs frozen graphs — one relation or
+    /// the whole database — drops every graph over it, siblings
+    /// included, and leaves graphs over other relations alone; the
+    /// pattern call then answers the new rows from the per-query route.
+    #[test]
+    fn replacing_a_backing_relation_drops_every_graph_over_it() {
+        let mut d = db();
+        for suffix in ["2", "3"] {
+            d.add_relation(format!("L{suffix}"), Relation::empty(2));
+            d.add_relation(format!("P{suffix}"), Relation::empty(3));
+        }
+        d.add_relation("N3", Relation::unary(["z"]));
+        d.add_relation("E3", Relation::empty(1));
+        d.add_relation("S3", Relation::empty(2));
+        d.add_relation("T3", Relation::empty(2));
+        let mut store = Store::from_database(&d);
+        for (g, views) in [
+            ("A", ["N", "E", "S", "T", "L", "P"]),
+            ("B", ["N", "E", "S", "T", "L2", "P2"]),
+            ("Other", ["N3", "E3", "S3", "T3", "L3", "P3"]),
+        ] {
+            store
+                .register_view_graph(g, views.map(Into::into), &d, GraphForm::Exact(1))
+                .unwrap();
+        }
+        // Every edge now targets "a".
+        let new_t =
+            Relation::from_rows(2, [tuple!["e1", "a"], tuple!["e2", "a"], tuple!["e3", "a"]])
+                .unwrap();
+        store.register_relation("T".into(), &new_t).unwrap();
+        d.add_relation("T", new_t);
+        assert!(store.graph("A").is_none());
+        assert!(store.graph("B").is_none());
+        assert!(store.graph("Other").is_some());
+        let q = reach_query();
+        let fresh = crate::eval_with_store(&q, &d, EvalConfig::physical(), &store).unwrap();
+        assert_eq!(fresh, eval_with(&q, &d, EvalConfig::reference()).unwrap());
+        assert!(fresh.contains(&tuple!["b", "a"]));
+        assert!(!fresh.contains(&tuple!["a", "d"]));
+        // A re-registered database drops every graph.
+        store
+            .register_view_graph(
+                "A",
+                ["N", "E", "S", "T", "L", "P"].map(Into::into),
+                &d,
+                GraphForm::Exact(1),
+            )
+            .unwrap();
+        store.register_database(&d).unwrap();
+        assert_eq!(store.graph_names().count(), 0);
+        assert_eq!(
+            crate::eval_with_store(&q, &d, EvalConfig::physical(), &store).unwrap(),
+            fresh
         );
     }
 

@@ -678,77 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_markers_surface_update_overlays() {
-        let mut db = pgq_relational::Database::new();
-        db.insert("E", pgq_value::tuple![1, 2]).unwrap();
-        db.insert("V", pgq_value::tuple![1]).unwrap();
-        let mut store = pgq_store::Store::from_database(&db);
-        let expand = PhysPlan::AdjacencyExpand {
-            input: Box::new(PhysPlan::IndexScan("V".into())),
-            key: 0,
-            rel: "E".into(),
-            reverse: false,
-        };
-        let tc = PhysPlan::Fixpoint {
-            base: Box::new(PhysPlan::IndexScan("E".into())),
-            step: Box::new(PhysPlan::IndexScan("E".into())),
-            join: vec![(1, 0)],
-            project: vec![0, 3],
-        };
-        let seek = PhysPlan::IndexSeek {
-            rel: "E".into(),
-            col: 1,
-            value: Value::int(3),
-        };
-        let sought = |store: &pgq_store::Store| {
-            crate::execute_with(&seek, &db, Some(store))
-                .unwrap()
-                .into_relation()
-        };
-        // Fresh store: no overlay, no markers.
-        assert!(!expand.reads_overlay(&store));
-        assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
-        assert!(!seek.reads_overlay(&store));
-        assert!(sought(&store).is_empty());
-        // An insert puts a pair in the adjacency overlay…
-        store.insert_row("E", &pgq_value::tuple![2, 3]).unwrap();
-        assert!(expand.reads_overlay(&store));
-        assert!(tc.reads_overlay(&store));
-        // …which the seek reads through, and says so.
-        let text = seek.display_with(Some(&store), None);
-        assert!(
-            text.starts_with("IndexSeek E [$2 = 3 ← CSR] ⟨delta⟩"),
-            "{text}"
-        );
-        let hit = pgq_relational::Relation::from_rows(2, [pgq_value::tuple![2, 3]]).unwrap();
-        assert_eq!(sought(&store), hit);
-        store.insert_row("E", &pgq_value::tuple![1, 3]).unwrap();
-        store
-            .delete_row(&"E".into(), &pgq_value::tuple![2, 3])
-            .unwrap();
-        let hit = pgq_relational::Relation::from_rows(2, [pgq_value::tuple![1, 3]]).unwrap();
-        assert_eq!(sought(&store), hit);
-        let text = expand.display_with(Some(&store), None);
-        assert!(
-            text.contains("AdjacencyExpand [$1 → E CSR] ⟨delta⟩"),
-            "{text}"
-        );
-        assert!(text.contains("overlay: ⟨delta⟩ operators"), "{text}");
-        // …and a delete tombstones a row, marking the scan too.
-        store
-            .delete_row(&"V".into(), &pgq_value::tuple![1])
-            .unwrap();
-        assert!(PhysPlan::IndexScan("V".into()).reads_overlay(&store));
-        // Compaction folds everything: the markers disappear.
-        store.compact().unwrap();
-        assert!(!expand.reads_overlay(&store));
-        assert!(!PhysPlan::IndexScan("V".into()).reads_overlay(&store));
-        assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
-        assert!(!seek.display_with(Some(&store), None).contains("⟨delta⟩"));
-        assert_eq!(sought(&store), hit);
-    }
-
-    #[test]
     fn explain_reports_degree_of_parallelism() {
         use crate::parallel::ExecOptions;
         let mut db = pgq_relational::Database::new();

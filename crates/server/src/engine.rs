@@ -214,26 +214,30 @@ impl Engine {
         })
     }
 
-    /// `INSERT INTO t VALUES (…)` / `DELETE FROM t VALUES (…)`:
-    /// mutates the live database, then re-stages every catalog graph
-    /// built over the mutated table through the serialized writer and
-    /// publishes the new snapshot.
+    /// `INSERT INTO t VALUES (…)` / `DELETE FROM t VALUES (…)`: checks
+    /// the row against `t`'s declared columns, mutates the live
+    /// database, then re-stages every catalog graph built over the
+    /// mutated table through the serialized writer and publishes the
+    /// new snapshot.
     fn mutate(&self, m: RowMutation) -> Result<String, String> {
         let RowMutation { table, row, delete } = m;
         let mut base = self.lock_base();
-        let changed = if delete {
-            let name = RelName::from(table.as_str());
-            // `Database::remove` cannot fail; a row of the wrong arity
-            // is the error `insert` would have raised, not a no-op.
-            if let Some(r) = base.db.get(&name).filter(|r| r.arity() != row.arity()) {
-                return Err(RelError::ArityMismatch {
-                    context: "relation delete",
-                    expected: r.arity(),
-                    found: row.arity(),
-                }
-                .to_string());
+        let columns = base.session.catalog.table_columns(&table);
+        let declared = columns.map_err(|e| e.to_string())?.len();
+        if declared != row.arity() {
+            return Err(RelError::ArityMismatch {
+                context: if delete {
+                    "relation delete"
+                } else {
+                    "relation insert"
+                },
+                expected: declared,
+                found: row.arity(),
             }
-            base.db.remove(&name, &row)
+            .to_string());
+        }
+        let changed = if delete {
+            base.db.remove(&RelName::from(table.as_str()), &row)
         } else {
             base.db
                 .insert(table.clone(), row)
@@ -429,14 +433,10 @@ fn stage_graph(session: &Session, db: &Database, g: &str) -> Result<GraphView, S
 }
 
 /// Registers a staged graph's six relations and frozen view graph into
-/// the writer's working store.
+/// the writer's working store. Replacing the first relation drops the
+/// previous freeze; the new one is built from `gv.db` once all six are
+/// in place.
 fn install_graph(s: &mut Store, g: &str, gv: &GraphView) -> Result<(), pgq_store::StoreError> {
-    // Drop the previous freeze first: `register_relation` re-freezes
-    // any view graph backed by the relation, and doing that after only
-    // some of the six views have been replaced validates a torn view
-    // (new edges against the old src/tgt) — spuriously unstaging the
-    // graph. The consistent freeze is rebuilt from `gv.db` below.
-    s.drop_graph(g);
     for (name, rel) in gv.db.iter() {
         s.register_relation(name.clone(), rel)?;
     }

@@ -329,6 +329,38 @@ fn mutation_literals_parse_like_query_literals() {
     server.stop();
 }
 
+/// A row mutation is checked against the catalog before it touches the
+/// live rows: an undeclared table is the catalog's typed error, and a
+/// row wider than its table is refused on both verbs — it neither
+/// lands nor poisons the table for the correct rows after it.
+#[test]
+fn mutations_are_checked_against_the_declared_table() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let resp = client.request("CREATE TABLE Account (iban)").expect("ddl");
+    assert_eq!(resp, ["-- table Account defined"]);
+    for (stmt, context) in [("INSERT INTO", "insert"), ("DELETE FROM", "delete")] {
+        let resp = client
+            .request(&format!("{stmt} Account VALUES ('IL01', 'oops')"))
+            .expect("wide row");
+        assert_eq!(
+            resp,
+            [format!(
+                "!! arity mismatch in relation {context}: expected 1, found 2"
+            )]
+        );
+    }
+    let resp = client
+        .request("INSERT INTO Account VALUES ('IL02')")
+        .expect("declared row");
+    assert_eq!(resp, ["-- inserted into Account"]);
+    for stmt in ["INSERT INTO Nope VALUES (1)", "DELETE FROM Nope VALUES (1)"] {
+        let resp = client.request(stmt).expect("undeclared table");
+        assert_eq!(resp, ["!! unknown table Nope"], "{stmt}");
+    }
+    server.stop();
+}
+
 /// Commands dispatch on tokens: any whitespace between `INSERT` and
 /// `INTO`, keywords in any case.
 #[test]

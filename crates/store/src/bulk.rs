@@ -15,7 +15,7 @@
 //!   re-hash storms, nothing minted on a limit failure);
 //! * columnar relations assembled column-by-column from code slices
 //!   ([`crate::ColumnarRelation::from_codes`]), with row/end indexes
-//!   **deferred** — the first post-load row-level writer builds them;
+//!   **deferred** — the first post-load update builds them;
 //! * forward/reverse CSR built sort-based from pair vectors
 //!   ([`crate::CsrIndex::from_dense_pairs`]); the graph's one index
 //!   reuses the generator's dense node indexes outright, so the node
@@ -322,8 +322,7 @@ impl Store {
         let pairs: Vec<(u32, u32)> = g.src.iter().copied().zip(g.tgt.iter().copied()).collect();
         let node_csr = CsrIndex::from_dense_pairs(dense, pairs)?;
         let ids: Vec<Tuple> = g.nodes.iter().map(|v| Tuple::unary(v.clone())).collect();
-        let entry =
-            GraphEntry::from_parts(form, Some(views.clone()), 1, ids, Arc::new(node_csr), m);
+        let entry = GraphEntry::from_parts(form, views.clone(), 1, ids, Arc::new(node_csr), m);
         // ---- Active domain from the interned codes, in value order. -
         let mut adom: Vec<u32> = codes.clone();
         adom.sort_unstable();
@@ -333,11 +332,10 @@ impl Store {
         adom.sort_by(|&a, &b| dict.value(a).cmp(dict.value(b)));
         let adom_col = ColumnarRelation::unary_from_codes(adom);
         // ---- Commit: everything built, nothing left that can fail. --
-        let [nn, en, sn, tn, ln, pn] = views.clone();
+        let [nn, en, sn, tn, ln, pn] = views;
         self.relations.clear();
         self.adjacency.clear();
         self.graphs.clear();
-        self.view_specs.clear();
         self.adom_dirty = false;
         let rows = g.row_count();
         for (name, col) in [
@@ -354,9 +352,7 @@ impl Store {
         for (name, csr) in [(sn, s_csr), (tn, t_csr), (ln, l_csr)] {
             self.adjacency.insert(name, csr);
         }
-        let graph_name = graph_name.into();
-        self.view_specs.insert(graph_name.clone(), (views, form));
-        self.graphs.insert(graph_name, entry);
+        self.graphs.insert(graph_name.into(), entry);
         Ok(BulkLoadStats {
             nodes: n,
             edges: m,
@@ -371,6 +367,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgq_graph::{Update, UpdateError};
 
     fn views() -> [RelName; 6] {
         ["N", "E", "S", "T", "L", "P"].map(Into::into)
@@ -482,21 +479,21 @@ mod tests {
     }
 
     #[test]
-    fn loaded_relations_accept_row_writers() {
-        // The deferred indexes must not break the row-level write path:
-        // the first writer builds them and probes stay correct.
+    fn loaded_relations_accept_updates() {
+        // The deferred indexes must not break the update path: the
+        // first update builds them and its probes stay correct.
         let g = sample();
         let mut s = Store::new();
         s.bulk_load("G", views(), GraphForm::Exact(1), &g, 1)
             .unwrap();
-        let n: RelName = "N".into();
-        assert!(s
-            .insert_row(n.clone(), &Tuple::unary(Value::str("d")))
-            .unwrap());
-        assert!(!s
-            .insert_row(n.clone(), &Tuple::unary(Value::str("a")))
-            .unwrap());
-        assert!(s.delete_row(&n, &Tuple::unary(Value::str("d"))).unwrap());
-        assert_eq!(s.scan(&n).unwrap().len(), 3);
+        let node = |v: &str| Tuple::unary(Value::str(v));
+        s.apply_update("G", &Update::AddNode(node("d"))).unwrap();
+        assert!(matches!(
+            s.apply_update("G", &Update::AddNode(node("a"))),
+            Err(StoreError::Update(UpdateError::IdInUse(_)))
+        ));
+        s.apply_update("G", &Update::RemoveNode(node("d"))).unwrap();
+        assert_eq!(s.scan(&"N".into()).unwrap().len(), 3);
+        assert_eq!(s.graph("G").unwrap().node_count(), 3);
     }
 }

@@ -65,18 +65,6 @@ pub struct ColumnarRelation {
 }
 
 impl ColumnarRelation {
-    /// An empty columnar relation of the given arity.
-    pub fn empty(arity: usize) -> Self {
-        ColumnarRelation {
-            arity,
-            physical: 0,
-            live: 0,
-            columns: vec![Vec::new(); arity],
-            dead: Vec::new(),
-            indexes: Some(RowIndexes::default()),
-        }
-    }
-
     /// Registers physical row `i` in the first/last-column multimaps.
     /// Rows are indexed exactly once, at append time, so each bucket
     /// lists ascending physical indices. A no-op while the indexes are

@@ -44,9 +44,6 @@ pub enum StoreError {
     /// An update against a registered graph failed validation — the
     /// same conditions `pgq_graph::updates::apply` enforces.
     Update(UpdateError),
-    /// The graph was frozen from an explicit `PropertyGraph` (no view
-    /// relation names), so the store has no base relations to edit.
-    NotUpdatable(String),
     /// A row's arity differs from its relation's.
     RowArity {
         /// The relation.
@@ -71,10 +68,6 @@ impl fmt::Display for StoreError {
                 write!(f, "CSR node universe full: {limit} dense id(s) exhausted")
             }
             StoreError::Update(e) => write!(f, "update rejected: {e}"),
-            StoreError::NotUpdatable(g) => write!(
-                f,
-                "graph {g} was frozen from an explicit property graph; re-register it to update"
-            ),
             StoreError::RowArity {
                 relation,
                 expected,

@@ -19,7 +19,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct GraphEntry {
     form: GraphForm,
-    views: Option<[RelName; 6]>,
+    views: [RelName; 6],
     id_arity: usize,
     /// Dense node id → identifier tuple (appended past the frozen
     /// universe by `AddNode`; tombstoned ids stay until a fold).
@@ -40,7 +40,7 @@ pub struct GraphEntry {
 impl GraphEntry {
     pub(crate) fn from_graph(
         g: &PropertyGraph,
-        views: Option<[RelName; 6]>,
+        views: [RelName; 6],
         form: GraphForm,
     ) -> Result<Self, StoreError> {
         let mut ids: Vec<Tuple> = Vec::with_capacity(g.node_count());
@@ -76,7 +76,7 @@ impl GraphEntry {
     /// identifier map.
     pub(crate) fn from_parts(
         form: GraphForm,
-        views: Option<[RelName; 6]>,
+        views: [RelName; 6],
         id_arity: usize,
         ids: Vec<Tuple>,
         csr: Arc<CsrIndex>,
@@ -105,10 +105,9 @@ impl GraphEntry {
         self.form
     }
 
-    /// The six view relation names the graph was registered from
-    /// (`None` when frozen from an explicit `PropertyGraph`).
-    pub(crate) fn views(&self) -> Option<&[RelName; 6]> {
-        self.views.as_ref()
+    /// The six view relation names the graph was registered from.
+    pub(crate) fn views(&self) -> &[RelName; 6] {
+        &self.views
     }
 
     /// Identifier arity `k` of the frozen graph.

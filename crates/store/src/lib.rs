@@ -27,8 +27,8 @@
 //! ## Module map
 //!
 //! `store` is the catalog ([`Store`]: registration, accessors,
-//! compaction); `update` applies row-level and Section 7 updates in
-//! place; `graph` is [`GraphEntry`]; `report` is `STATS`
+//! compaction); `update` applies Section 7 updates in place — the
+//! store's only in-place writer; `graph` is [`GraphEntry`]; `report` is `STATS`
 //! ([`StoreStats`]); `stats` is the planner's [`StoreStatistics`];
 //! `counters` is `METRICS` ([`AccessCounters`]); `error` is
 //! [`StoreError`]; `bulk`, `snapshot`, `column`, `csr`, `dict`, `par`
@@ -44,18 +44,20 @@
 //!
 //! ## Updates
 //!
-//! Since PR 5 the store serves **changing data** without
-//! re-registration: [`Store::insert_row`] / [`Store::delete_row`]
-//! append or tombstone single rows (a validity bitmap in
-//! [`ColumnarRelation`]), and [`Store::apply_update`] /
-//! [`Store::apply_updates`] bridge the Section 7 update model
-//! (`pgq_graph::updates::Update`) onto a registered view graph —
-//! editing the six backing relations in place and maintaining the
-//! graph's frozen CSR through a [`DeltaAdjacency`] overlay consulted
-//! by every adjacency read ([`AdjacencyView`]). Evaluation cost after
-//! an update tracks the **delta**, not the database: no re-interning,
-//! no `pgView` re-validation, no CSR rebuild until the overlay
-//! outgrows its threshold and is folded back into a fresh index.
+//! The paper's §7 changes a view in one of two ways, and so does the
+//! store. Rebuild: [`Store::register_relation`] /
+//! [`Store::register_database`] replace relations wholesale and
+//! **drop** every graph over them, which the owner then registers
+//! again ([`Store::register_view_graph`]). Update: [`Store::apply_update`]
+//! / [`Store::apply_updates`] — the one in-place writer — bridge
+//! `pgq_graph::updates::Update` onto a registered graph, appending or
+//! tombstoning rows of the six backing relations (a validity bitmap in
+//! [`ColumnarRelation`]) and maintaining the graph's frozen CSR through
+//! a [`DeltaAdjacency`] overlay consulted by every adjacency read
+//! ([`AdjacencyView`]). Evaluation cost after an update tracks the
+//! **delta**, not the database: no re-interning, no `pgView`
+//! re-validation, no CSR rebuild until the overlay outgrows its
+//! threshold and is folded back into a fresh index.
 //!
 //! ## Compaction
 //!

@@ -155,7 +155,7 @@ impl Default for ConcurrentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgq_value::Value;
+    use pgq_relational::Relation;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -170,7 +170,8 @@ mod tests {
         let store = ConcurrentStore::default();
         let before = store.pin();
         let out: Result<(), &str> = store.write(|s| {
-            s.intern_literal(&Value::from(1i64)).unwrap();
+            s.register_relation("R".into(), &Relation::unary([1i64]))
+                .unwrap();
             Err("boom")
         });
         assert_eq!(out, Err("boom"));
@@ -191,7 +192,7 @@ mod tests {
         let store = ConcurrentStore::default();
         let empty = store.pin();
         store
-            .write(|s| s.intern_literal(&Value::from("held")).map(|_| ()))
+            .write(|s| s.register_relation("R".into(), &Relation::unary(["held"])))
             .unwrap();
         let one = store.pin();
         assert!(!StoreSnapshot::ptr_eq(&empty, &one));

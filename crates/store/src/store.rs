@@ -7,10 +7,12 @@
 //! ([`GraphEntry`]). Queries then run against the frozen layout
 //! instead of re-materializing and re-validating base data per call.
 //!
-//! The store is not a frozen snapshot: the `update` module edits it in
-//! place ([`Store::insert_row`] / [`Store::delete_row`],
-//! [`Store::apply_update`] / [`Store::apply_updates`]), maintaining
-//! every adjacency through a [`DeltaAdjacency`] overlay. Overlays fold
+//! A graph entry is created only by [`Store::register_view_graph`] or
+//! [`Store::bulk_load`] and changes in place only through
+//! [`Store::apply_update`] / [`Store::apply_updates`] (the `update`
+//! module), which maintain every adjacency through a
+//! [`DeltaAdjacency`] overlay. Replacing a relation wholesale drops the
+//! graphs over it instead. Overlays fold
 //! back into fresh CSR indexes past a threshold, and [`Store::compact`]
 //! rebuilds the dictionary retaining only live codes, dropping
 //! tombstoned rows and folding every overlay — `STATS` (the `report`
@@ -23,9 +25,7 @@ use crate::dict::Dictionary;
 use crate::error::{GraphForm, StoreError};
 use crate::graph::GraphEntry;
 use crate::stats::StoreStatistics;
-use pgq_graph::{
-    pg_view_bounded, pg_view_exact, pg_view_ext, PropertyGraph, ViewMode, ViewRelations,
-};
+use pgq_graph::{pg_view_bounded, pg_view_exact, pg_view_ext, ViewMode, ViewRelations};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_value::{Tuple, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -48,7 +48,7 @@ pub(crate) fn overlay_oversized(changes: usize, base: usize) -> bool {
 /// codes. The CSR base is `Arc`-shared: cloning a [`Store`] (how
 /// [`crate::ConcurrentStore`] publishes snapshots) shares the frozen
 /// index and copies only the small mutable overlay.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct CsrWithDelta {
     pub(crate) csr: Arc<CsrIndex>,
     pub(crate) delta: DeltaAdjacency,
@@ -112,12 +112,6 @@ pub struct Store {
     pub(crate) relations: BTreeMap<RelName, Arc<ColumnarRelation>>,
     pub(crate) adjacency: BTreeMap<RelName, CsrWithDelta>,
     pub(crate) graphs: BTreeMap<String, GraphEntry>,
-    /// The `(views, form)` recipe of every view-registered graph —
-    /// retained even while the entry is invalid (a mutation can pass
-    /// through transiently inconsistent states, e.g. an edge inserted
-    /// before its endpoints), so a later mutation that restores view
-    /// validity refreezes the graph instead of losing it.
-    pub(crate) view_specs: BTreeMap<String, ([RelName; 6], GraphForm)>,
     /// Set when a deletion may have shrunk the active domain; the
     /// reserved ⟨adom⟩ relation is then recomputed once per batch.
     pub(crate) adom_dirty: bool,
@@ -212,24 +206,17 @@ impl Store {
     pub fn from_database(db: &Database) -> Self {
         let mut s = Store::new();
         s.register_database(db)
-            .expect("a fresh store has no graphs to re-validate and a full u32 code space");
+            .expect("a fresh store has a full u32 code space");
         s
     }
 
     /// Registers (or re-registers) the relations of `db`. A
     /// re-registration must not leave anything answering for the old
-    /// data: relations and adjacency absent from `db` are dropped,
-    /// graph entries registered through [`Store::register_view_graph`]
-    /// are re-validated and re-frozen from the new state (the `Err`
-    /// case is a view that became invalid), and graphs frozen from an
-    /// explicit [`PropertyGraph`] (no view names) cannot be rebuilt
-    /// here and are dropped — their owner re-registers them.
+    /// data: relations and adjacency absent from `db` are dropped, and
+    /// so is every graph entry — pattern calls fall back to per-query
+    /// evaluation until the owner registers the graphs again through
+    /// [`Store::register_view_graph`].
     pub fn register_database(&mut self, db: &Database) -> Result<(), StoreError> {
-        let rebuild: Vec<(String, [RelName; 6], GraphForm)> = self
-            .view_specs
-            .iter()
-            .map(|(n, (v, f))| (n.clone(), v.clone(), *f))
-            .collect();
         self.stats_cache.invalidate();
         self.graphs.clear();
         self.relations.clear();
@@ -238,31 +225,25 @@ impl Store {
         for (name, rel) in db.iter() {
             self.register_relation_raw(name.clone(), rel)?;
         }
-        self.register_relation_raw(ADOM_REL.into(), &db.active_domain_relation())?;
-        for (name, views, form) in rebuild {
-            self.register_view_graph(name, views, db, form)?;
-        }
-        Ok(())
+        self.register_relation_raw(ADOM_REL.into(), &db.active_domain_relation())
     }
 
     /// Registers one relation: columnar always, CSR when binary.
     /// Fails with [`StoreError::DictionaryFull`] when interning the
-    /// relation's values exhausts the dictionary's code space. A
-    /// re-registration refreezes every view graph backed by this
-    /// relation (dropping entries whose view became invalid) — stale
+    /// relation's values exhausts the dictionary's code space. Every
+    /// graph backed by `name` is dropped first, siblings included —
     /// frozen state must not keep answering for replaced data.
     pub fn register_relation(&mut self, name: RelName, rel: &Relation) -> Result<(), StoreError> {
         self.stats_cache.invalidate();
-        self.register_relation_raw(name.clone(), rel)?;
+        self.graphs.retain(|_, e| !e.views().contains(&name));
+        self.register_relation_raw(name, rel)?;
         // A wholesale replacement can both add and drop values.
         self.adom_dirty = true;
-        self.refresh_adom()?;
-        self.refreeze_graphs_backed_by(&name, true)
+        self.refresh_adom()
     }
 
-    /// The registration body, without graph repair — used by
-    /// [`Store::register_database`], which rebuilds graphs itself once
-    /// every relation is in place.
+    /// The registration body, without the graph drop or the ⟨adom⟩
+    /// refresh — [`Store::register_database`] does both wholesale.
     fn register_relation_raw(&mut self, name: RelName, rel: &Relation) -> Result<(), StoreError> {
         let col = ColumnarRelation::from_relation(rel, Arc::make_mut(&mut self.dict))?;
         if rel.arity() == 2 {
@@ -279,7 +260,11 @@ impl Store {
 
     /// Validates the six named view relations with the strict `pgView`
     /// operator selected by `form` — **once** — and freezes the result
-    /// as a [`GraphEntry`] under `graph_name`.
+    /// as a [`GraphEntry`] under `graph_name`. The entry records the
+    /// six names, so planners can match pattern calls onto it and
+    /// [`Store::apply_updates`] knows which relations to edit. Fails on
+    /// an invalid view, a missing relation, or a node universe that
+    /// outgrows the dense id space.
     pub fn register_view_graph(
         &mut self,
         graph_name: impl Into<String>,
@@ -294,45 +279,14 @@ impl Store {
         };
         let [n, e, s, t, l, p] = &views;
         let vr = ViewRelations::from([get(n)?, get(e)?, get(s)?, get(t)?, get(l)?, get(p)?]);
-        let g = Self::apply_view(&vr, form)?;
-        self.register_graph(graph_name, &g, Some(views), form)
-    }
-
-    pub(crate) fn apply_view(
-        vr: &ViewRelations,
-        form: GraphForm,
-    ) -> Result<PropertyGraph, StoreError> {
-        Ok(match form {
-            GraphForm::Exact(n) => pg_view_exact(n, vr, ViewMode::Strict)?,
-            GraphForm::Bounded(n) => pg_view_bounded(n, vr, ViewMode::Strict)?,
-            GraphForm::Ext => pg_view_ext(vr, ViewMode::Strict)?,
-        })
-    }
-
-    /// Freezes an already-built (hence already-validated) property
-    /// graph. `views` records which six base relations produced it, so
-    /// planners can match pattern calls onto the entry by name and the
-    /// update path knows which relations to edit. Fails only when the
-    /// node universe outgrows the dense id space.
-    pub fn register_graph(
-        &mut self,
-        graph_name: impl Into<String>,
-        g: &PropertyGraph,
-        views: Option<[RelName; 6]>,
-        form: GraphForm,
-    ) -> Result<(), StoreError> {
-        let name = graph_name.into();
+        let g = match form {
+            GraphForm::Exact(n) => pg_view_exact(n, &vr, ViewMode::Strict)?,
+            GraphForm::Bounded(n) => pg_view_bounded(n, &vr, ViewMode::Strict)?,
+            GraphForm::Ext => pg_view_ext(&vr, ViewMode::Strict)?,
+        };
+        let entry = GraphEntry::from_graph(&g, views, form)?;
         self.stats_cache.invalidate();
-        let entry = GraphEntry::from_graph(g, views.clone(), form)?;
-        match views {
-            Some(v) => {
-                self.view_specs.insert(name.clone(), (v, form));
-            }
-            None => {
-                self.view_specs.remove(&name);
-            }
-        }
-        self.graphs.insert(name, entry);
+        self.graphs.insert(graph_name.into(), entry);
         Ok(())
     }
 
@@ -345,21 +299,6 @@ impl Store {
     /// shares it, plain access otherwise.
     pub(crate) fn dict_mut(&mut self) -> &mut Dictionary {
         Arc::make_mut(&mut self.dict)
-    }
-
-    /// Interns a plan-time literal constant into the shared dictionary,
-    /// so coded filters can compare it against column codes without a
-    /// decode. This is an **optional** entry point for sessions that
-    /// hold a mutable store while preparing queries — nothing in the
-    /// engine calls it today, because the coded executor degrades
-    /// gracefully for *un*-interned constants (an equality against a
-    /// value no stored row contains is constant-false, and order
-    /// comparisons decode on compare). Interning is an optimization,
-    /// never a correctness requirement. Note that [`Store::compact`]
-    /// rebuilds the dictionary, invalidating previously returned codes.
-    pub fn intern_literal(&mut self, v: &Value) -> Result<u32, StoreError> {
-        self.stats_cache.invalidate();
-        self.dict_mut().intern(v)
     }
 
     /// The code of a value, when any registered row contains it.
@@ -404,7 +343,7 @@ impl Store {
     pub fn graph_for_views(&self, views: &[RelName; 6], form: GraphForm) -> Option<&GraphEntry> {
         self.graphs
             .values()
-            .find(|e| e.form() == form && e.views() == Some(views))
+            .find(|e| e.form() == form && e.views() == views)
     }
 
     /// Registered graph names with entries, in name order.
@@ -412,14 +351,12 @@ impl Store {
         self.graphs.keys().map(String::as_str)
     }
 
-    /// Drops a registered graph (entry and view recipe). `true` when
-    /// one existed. Owners of graphs frozen from explicit
-    /// [`PropertyGraph`]s use this when their source data changes and
-    /// the rebuild fails — a dropped entry falls back to per-query
-    /// evaluation instead of answering stale.
+    /// Drops a registered graph entry. `true` when one existed. A
+    /// session whose view of the graph became invalid uses this, so
+    /// pattern calls fall back to per-query evaluation instead of
+    /// answering stale.
     pub fn drop_graph(&mut self, name: &str) -> bool {
         self.stats_cache.invalidate();
-        self.view_specs.remove(name);
         self.graphs.remove(name).is_some()
     }
 
@@ -445,7 +382,7 @@ impl Store {
     /// CSR from the recoded live rows, and folds every graph overlay —
     /// the compaction story: `dictionary_stale` drops to 0 and no
     /// query result changes. Previously returned codes (from
-    /// [`Store::encode`] / [`Store::intern_literal`]) are invalidated.
+    /// [`Store::encode`]) are invalidated.
     pub fn compact(&mut self) -> Result<CompactionStats, StoreError> {
         self.stats_cache.invalidate();
         // Settle the active domain first: a dirty ⟨adom⟩ would keep
@@ -564,46 +501,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn reregistration_refreezes_view_graphs() {
-        let mut db = chain_db();
-        let mut store = Store::from_database(&db);
-        store
-            .register_view_graph("G", views(), &db, GraphForm::Exact(1))
-            .unwrap();
-        assert_eq!(store.graph("G").unwrap().reach_relation(true).len(), 6);
-        // New edge d→a closes the cycle; re-registration must see it.
-        db.insert("E", tuple!["e4"]).unwrap();
-        db.insert("S", tuple!["e4", "d"]).unwrap();
-        db.insert("T", tuple!["e4", "a"]).unwrap();
-        store.register_database(&db).unwrap();
-        assert_eq!(store.graph("G").unwrap().reach_relation(true).len(), 16);
-        // A view that became invalid surfaces as a typed error.
-        db.insert("N", tuple!["e1"]).unwrap(); // node id clashes with an edge id
-        assert!(matches!(
-            store.register_database(&db),
-            Err(StoreError::View(_))
-        ));
-        // Graphs frozen from explicit PropertyGraphs cannot be rebuilt
-        // from the database and are dropped on re-registration.
-        let db = chain_db();
-        let mut store = Store::from_database(&db);
-        let g = pgq_graph::PropertyGraph::empty(1);
-        store
-            .register_graph("ad-hoc", &g, None, GraphForm::Exact(1))
-            .unwrap();
-        store.register_database(&db).unwrap();
-        assert!(store.graph("ad-hoc").is_none());
-
-        // Relations absent from the new database are dropped too.
-        let mut smaller = Database::new();
-        smaller.insert("OnlyThis", tuple![1]).unwrap();
-        store.register_database(&smaller).unwrap();
-        assert!(!store.has_relation(&"N".into()));
-        assert!(store.adjacency(&"S".into()).is_none());
-        assert!(store.has_relation(&"OnlyThis".into()));
-    }
-
-    #[test]
     fn reregistration_drops_stale_adjacency() {
         let mut store = Store::new();
         let binary = Relation::from_rows(2, [tuple![1, 2]]).unwrap();
@@ -613,36 +510,13 @@ pub(crate) mod tests {
         store.register_relation("R".into(), &ternary).unwrap();
         assert!(store.adjacency(&"R".into()).is_none());
         assert_eq!(store.relation(&"R".into()).unwrap().arity(), 3);
-    }
-
-    /// The PR 5 stale-state audit: directly re-registering a relation
-    /// that backs a frozen view graph must refreeze (or invalidate)
-    /// the graph instead of letting plans read dead pairs.
-    #[test]
-    fn reregistering_a_backing_relation_refreezes_the_graph() {
-        let db = chain_db();
-        let mut store = Store::from_database(&db);
-        store
-            .register_view_graph("G", views(), &db, GraphForm::Exact(1))
-            .unwrap();
-        assert_eq!(store.graph("G").unwrap().reach_relation(true).len(), 6);
-        // Replace T wholesale: every edge now targets "a" — the frozen
-        // entry must answer for the *new* pairs.
-        let new_t =
-            Relation::from_rows(2, [tuple!["e1", "a"], tuple!["e2", "a"], tuple!["e3", "a"]])
-                .unwrap();
-        store.register_relation("T".into(), &new_t).unwrap();
-        let reach = store.graph("G").unwrap().reach_relation(true);
-        assert!(reach.contains(&tuple!["b", "a"]));
-        assert!(!reach.contains(&tuple!["a", "d"]));
-        // A replacement that invalidates the view drops the entry and
-        // errors instead of answering stale.
-        let clash = Relation::from_rows(1, [tuple!["e1"], tuple!["a"]]).unwrap();
-        assert!(matches!(
-            store.register_relation("N".into(), &clash),
-            Err(StoreError::View(_))
-        ));
-        assert!(store.graph("G").is_none());
+        // Relations absent from a re-registered database are dropped.
+        let mut smaller = Database::new();
+        smaller.insert("OnlyThis", tuple![1]).unwrap();
+        store.register_database(&smaller).unwrap();
+        assert!(!store.has_relation(&"R".into()));
+        assert!(store.adjacency(&"R".into()).is_none());
+        assert!(store.has_relation(&"OnlyThis".into()));
     }
 
     #[test]
@@ -705,7 +579,7 @@ pub(crate) mod tests {
             store.register_database(&db),
             Err(StoreError::DictionaryFull { limit: 3 })
         ));
-        // Within the limit, registration (and literal interning) works.
+        // Within the limit, registration works up to the last code.
         let mut small = Database::new();
         small.insert("V", tuple![1]).unwrap();
         let mut store = Store {
@@ -713,9 +587,10 @@ pub(crate) mod tests {
             ..Store::new()
         };
         store.register_database(&small).unwrap();
-        assert!(store.intern_literal(&Value::int(99)).is_ok());
+        let one = |v: i64| Relation::unary([v]);
+        assert!(store.register_relation("W".into(), &one(99)).is_ok());
         assert!(matches!(
-            store.intern_literal(&Value::int(100)),
+            store.register_relation("X".into(), &one(100)),
             Err(StoreError::DictionaryFull { .. })
         ));
         // Compaction preserves the configured limit.
@@ -765,53 +640,12 @@ pub(crate) mod tests {
         assert_eq!(stats.last_compaction, Some(effect));
     }
 
-    /// A hard refreeze failure on one backed graph must not leave
-    /// *other* graphs over the same relation answering stale.
-    #[test]
-    fn refreeze_failure_still_repairs_sibling_graphs() {
-        // Two graphs sharing N/E/S/T, with separate (empty) label and
-        // property relations.
-        let mut db = chain_db();
-        db.add_relation("L2", Relation::empty(2));
-        db.add_relation("P2", Relation::empty(3));
-        let mut store = Store::from_database(&db);
-        let views_a: [RelName; 6] = ["N", "E", "S", "T", "L", "P"].map(Into::into);
-        let views_b: [RelName; 6] = ["N", "E", "S", "T", "L2", "P2"].map(Into::into);
-        store
-            .register_view_graph("A", views_a, &db, GraphForm::Exact(1))
-            .unwrap();
-        store
-            .register_view_graph("B", views_b, &db, GraphForm::Exact(1))
-            .unwrap();
-        // A valid replacement of the shared T refreezes both.
-        let new_t =
-            Relation::from_rows(2, [tuple!["e1", "a"], tuple!["e2", "a"], tuple!["e3", "a"]])
-                .unwrap();
-        store.register_relation("T".into(), &new_t).unwrap();
-        for g in ["A", "B"] {
-            let reach = store.graph(g).unwrap().reach_relation(true);
-            assert!(reach.contains(&tuple!["b", "a"]), "{g}");
-            assert!(!reach.contains(&tuple!["a", "d"]), "{g}");
-        }
-        // The failure path: a replacement of the shared N that
-        // invalidates both views. Both entries must be dropped — the
-        // error from the first (name order) must not shield the second
-        // from repair.
-        let clash = Relation::from_rows(1, [tuple!["e1"], tuple!["a"]]).unwrap();
-        assert!(matches!(
-            store.register_relation("N".into(), &clash),
-            Err(StoreError::View(_))
-        ));
-        assert!(store.graph("A").is_none());
-        assert!(store.graph("B").is_none());
-    }
-
     // ---- store statistics cache (PR 10) ----
 
     /// Reads share one cached [`StoreStatistics`] Arc; every mutation
-    /// class — row-level writes, graph updates, compaction, and
-    /// registration — swaps the slot and bumps the epoch, so stale
-    /// estimates can never leak into the cost planner.
+    /// class — graph updates, compaction, and registration — swaps the
+    /// slot and bumps the epoch, so stale estimates can never leak into
+    /// the cost planner.
     #[test]
     fn statistics_cache_survives_reads_and_invalidates_on_writes() {
         let (_, mut store) = registered_store();
@@ -822,13 +656,15 @@ pub(crate) mod tests {
         assert_eq!(first.epoch, store.statistics_epoch());
         let n_rows = first.live_rows(&n).unwrap();
 
-        store.insert_row("N", &tuple!["z"]).unwrap();
+        store.apply_update("G", &Update::AddNode(nid("z"))).unwrap();
         let after_insert = store.statistics();
         assert!(!Arc::ptr_eq(&first, &after_insert));
         assert!(after_insert.epoch > first.epoch);
         assert_eq!(after_insert.live_rows(&n).unwrap(), n_rows + 1);
 
-        store.delete_row(&n, &tuple!["z"]).unwrap();
+        store
+            .apply_update("G", &Update::RemoveNode(nid("z")))
+            .unwrap();
         let after_delete = store.statistics();
         assert!(after_delete.epoch > after_insert.epoch);
         assert_eq!(after_delete.live_rows(&n).unwrap(), n_rows);
@@ -861,20 +697,24 @@ pub(crate) mod tests {
         assert!(after_register.epoch > after_compact.epoch);
         assert!(after_register.live_rows(&"Extra".into()).is_some());
 
-        // A re-registration that fails part-way (G's view no longer
-        // validates) has already replaced the relations: the cache
-        // must not keep describing the old ones.
-        let mut db = chain_db();
-        db.insert("N", tuple!["e1"]).unwrap(); // node id clashes with an edge id
+        // A re-registration that fails part-way (the dictionary fills
+        // on N's new row, after E and L were replaced) must not leave
+        // the cache describing the old relations.
+        let db = chain_db();
+        let mut store = Store::with_dict_limit(Store::from_database(&db).dict().len());
+        store.register_database(&db).unwrap();
+        let before = store.statistics();
+        let mut grown = chain_db();
+        grown.insert("N", tuple!["z"]).unwrap();
         assert!(matches!(
-            store.register_database(&db),
-            Err(StoreError::View(_))
+            store.register_database(&grown),
+            Err(StoreError::DictionaryFull { .. })
         ));
         let after_failed = store.statistics();
-        assert!(after_failed.epoch > after_register.epoch);
+        assert!(after_failed.epoch > before.epoch);
         assert_eq!(
             after_failed.live_rows(&n),
-            Some(store.relation(&n).unwrap().len())
+            store.relation(&n).map(ColumnarRelation::len)
         );
     }
 
@@ -889,7 +729,7 @@ pub(crate) mod tests {
         let pin = concurrent.pin();
         let pinned = pin.as_store().statistics();
         concurrent
-            .write(|s| s.insert_row("N", &tuple!["z"]).map(|_| ()))
+            .write(|s| s.apply_update("G", &Update::AddNode(nid("z"))))
             .unwrap();
         // The writer's published state sees the row under a new epoch …
         let fresh = concurrent.pin().as_store().statistics();

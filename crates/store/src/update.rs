@@ -1,16 +1,15 @@
-//! Incremental maintenance: row-level writes ([`Store::insert_row`] /
-//! [`Store::delete_row`]) and the Section 7 update model
-//! ([`Store::apply_update`] / [`Store::apply_updates`]) applied to a
-//! registered view graph in place — the six backing relations, their
-//! adjacency overlays, the graph entry, the active domain — plus the
-//! refreeze and fold steps that follow a write.
+//! Incremental maintenance — the store's only in-place writer: the
+//! Section 7 update model ([`Store::apply_update`] /
+//! [`Store::apply_updates`]) applied to a registered graph in place —
+//! the six backing relations, their adjacency overlays, the graph
+//! entry, the active domain — plus the fold steps that follow a write.
 
 use crate::column::ColumnarRelation;
 use crate::error::StoreError;
 use crate::graph::GraphEntry;
 use crate::store::{overlay_oversized, CsrWithDelta, Store, ADOM_REL};
-use pgq_graph::{Update, UpdateError, ViewRelations};
-use pgq_relational::{RelName, Relation};
+use pgq_graph::{Update, UpdateError};
+use pgq_relational::RelName;
 use pgq_value::{Tuple, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -30,45 +29,6 @@ impl Store {
         }
         self.encode_row(t)
             .is_some_and(|codes| col.find_live(&codes).is_some())
-    }
-
-    /// Inserts one row into a registered relation (registering a fresh
-    /// empty relation of the row's arity when the name is new):
-    /// append-or-revive in the columnar store, adjacency overlay
-    /// maintenance for binary relations, active-domain refresh, and a
-    /// refreeze of any view graph backed by the relation. Returns
-    /// whether the row was new.
-    pub fn insert_row(&mut self, name: impl Into<RelName>, t: &Tuple) -> Result<bool, StoreError> {
-        let name = name.into();
-        self.stats_cache.invalidate();
-        if !self.relations.contains_key(&name) {
-            self.relations
-                .insert(name.clone(), Arc::new(ColumnarRelation::empty(t.arity())));
-            if t.arity() == 2 {
-                self.adjacency.insert(name.clone(), CsrWithDelta::default());
-            }
-        }
-        let added = self.append_row_raw(&name, t)?;
-        if added {
-            self.refresh_adom()?;
-            self.refreeze_graphs_backed_by(&name, false)?;
-            self.fold_adjacency_if_oversized(&name)?;
-        }
-        Ok(added)
-    }
-
-    /// Deletes one row from a registered relation (tombstone, adjacency
-    /// overlay, active-domain refresh, graph refreeze). Returns whether
-    /// the row existed.
-    pub fn delete_row(&mut self, name: &RelName, t: &Tuple) -> Result<bool, StoreError> {
-        self.stats_cache.invalidate();
-        let removed = self.tombstone_row_raw(name, t);
-        if removed {
-            self.refresh_adom()?;
-            self.refreeze_graphs_backed_by(name, false)?;
-            self.fold_adjacency_if_oversized(name)?;
-        }
-        Ok(removed)
     }
 
     /// Applies one Section 7 update to a graph registered through
@@ -115,7 +75,7 @@ impl Store {
 
     fn finish_updates(&mut self, graph: &str) -> Result<(), StoreError> {
         self.refresh_adom()?;
-        if let Some(views) = self.graphs.get(graph).and_then(|e| e.views().cloned()) {
+        if let Some(views) = self.graphs.get(graph).map(|e| e.views().clone()) {
             for name in &views {
                 self.fold_adjacency_if_oversized(name)?;
             }
@@ -133,10 +93,7 @@ impl Store {
             .graphs
             .get(graph)
             .ok_or_else(|| StoreError::UnknownGraph(graph.to_string()))?;
-        let views = entry
-            .views()
-            .cloned()
-            .ok_or_else(|| StoreError::NotUpdatable(graph.to_string()))?;
+        let views = entry.views().clone();
         let k = entry.id_arity();
         for v in &views {
             if !self.relations.contains_key(v) {
@@ -280,8 +237,8 @@ impl Store {
 
     /// The columnar relation for mutation (copy-on-write), its row/end
     /// indexes built. Bulk-loaded relations keep indexes off the ingest
-    /// path; the first row-level writer pays the one-time build here so
-    /// its duplicate/revive probes stay O(1).
+    /// path; the first update pays the one-time build here so its
+    /// duplicate/revive probes stay O(1).
     fn indexed_relation_mut(&mut self, name: &RelName) -> Option<&mut ColumnarRelation> {
         let col = Arc::make_mut(self.relations.get_mut(name)?);
         col.ensure_indexes();
@@ -290,8 +247,8 @@ impl Store {
 
     /// Appends a row (reviving an identical tombstoned one when
     /// present), maintaining the adjacency overlay of binary relations.
-    /// `Ok(false)` when an identical live row already exists.
-    fn append_row_raw(&mut self, name: &RelName, t: &Tuple) -> Result<bool, StoreError> {
+    /// A no-op when an identical live row already exists.
+    fn append_row_raw(&mut self, name: &RelName, t: &Tuple) -> Result<(), StoreError> {
         let arity = self
             .relations
             .get(name)
@@ -312,7 +269,7 @@ impl Store {
             .indexed_relation_mut(name)
             .ok_or_else(|| StoreError::UnknownRelation(name.clone()))?;
         if col.find_live(&codes).is_some() {
-            return Ok(false);
+            return Ok(());
         }
         match col.find_dead(&codes) {
             Some(i) => {
@@ -326,33 +283,32 @@ impl Store {
         if name.as_str() != ADOM_REL {
             self.adom_add_codes(&codes);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Tombstones the live row equal to `t`, maintaining the adjacency
-    /// overlay. `false` when no such live row exists.
-    fn tombstone_row_raw(&mut self, name: &RelName, t: &Tuple) -> bool {
+    /// overlay. A no-op when no such live row exists.
+    fn tombstone_row_raw(&mut self, name: &RelName, t: &Tuple) {
         let Some(col) = self.relations.get(name) else {
-            return false;
+            return;
         };
         if col.arity() != t.arity() {
-            return false;
+            return;
         }
         let Some(codes) = self.encode_row(t) else {
-            return false;
+            return;
         };
         let Some(col) = self.indexed_relation_mut(name) else {
-            return false;
+            return;
         };
         let Some(i) = col.find_live(&codes) else {
-            return false;
+            return;
         };
         col.tombstone(i);
         if codes.len() == 2 {
             self.pair_remove(name, codes[0], codes[1]);
         }
         self.adom_dirty = true;
-        true
     }
 
     /// Tombstones every live row whose leading codes equal `prefix`
@@ -574,69 +530,6 @@ impl Store {
         Ok(())
     }
 
-    /// Refreezes every view graph whose six backing relations include
-    /// `name`, rebuilding from the store's current live rows. Entries
-    /// whose view became invalid (or lost a backing relation) are
-    /// dropped — nothing stale keeps answering; pattern calls fall
-    /// back to per-query evaluation, which stays correct. With `hard`,
-    /// an invalid view also surfaces as the typed error (the
-    /// whole-relation swap path); without it the failure is soft (row-
-    /// level mutations pass through transiently inconsistent states —
-    /// the retained spec refreezes the graph once validity returns).
-    pub(crate) fn refreeze_graphs_backed_by(
-        &mut self,
-        name: &RelName,
-        hard: bool,
-    ) -> Result<(), StoreError> {
-        let affected: Vec<String> = self
-            .view_specs
-            .iter()
-            .filter(|(_, (v, _))| v.contains(name))
-            .map(|(n, _)| n.clone())
-            .collect();
-        let mut first_err = None;
-        for g in affected {
-            // Keep going past a failure: every affected graph must be
-            // refrozen or invalidated, or the ones after the first
-            // failure would keep answering stale.
-            if let Err(e) = self.refreeze_view_graph(&g) {
-                if hard && first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn refreeze_view_graph(&mut self, graph: &str) -> Result<(), StoreError> {
-        let (views, form) = self
-            .view_specs
-            .get(graph)
-            .cloned()
-            .ok_or_else(|| StoreError::UnknownGraph(graph.to_string()))?;
-        // Dropped first: on any failure below nothing stale answers.
-        self.graphs.remove(graph);
-        let rows = |name: &RelName| -> Result<Relation, StoreError> {
-            let col = self
-                .relations
-                .get(name)
-                .ok_or_else(|| StoreError::UnknownRelation(name.clone()))?;
-            Ok(
-                Relation::from_rows(col.arity(), col.decode_rows(&self.dict))
-                    .expect("columnar rows share the relation arity"),
-            )
-        };
-        let [n, e, s, t, l, p] = &views;
-        let vr = ViewRelations::from([rows(n)?, rows(e)?, rows(s)?, rows(t)?, rows(l)?, rows(p)?]);
-        let g = Self::apply_view(&vr, form)?;
-        let entry = GraphEntry::from_graph(&g, Some(views), form)?;
-        self.graphs.insert(graph.to_string(), entry);
-        Ok(())
-    }
-
     /// Folds a relation's adjacency overlay into a fresh CSR when it
     /// has outgrown the threshold.
     fn fold_adjacency_if_oversized(&mut self, name: &RelName) -> Result<(), StoreError> {
@@ -669,7 +562,7 @@ mod tests {
     use crate::dict::Dictionary;
     use crate::error::GraphForm;
     use crate::store::tests::{chain_db, nid, registered_store, views};
-    use pgq_relational::Database;
+    use pgq_relational::{Database, Relation};
     use pgq_value::tuple;
 
     #[test]
@@ -750,18 +643,10 @@ mod tests {
             store.apply_update("G", &Update::AddNode(tuple![1, 2])),
             Err(StoreError::Update(UpdateError::ArityMismatch { .. }))
         ));
-        // Unknown graph / non-view graph.
+        // Unknown graph.
         assert!(matches!(
             store.apply_update("nope", &Update::AddNode(nid("x"))),
             Err(StoreError::UnknownGraph(_))
-        ));
-        let g = pgq_graph::PropertyGraph::empty(1);
-        store
-            .register_graph("frozen", &g, None, GraphForm::Exact(1))
-            .unwrap();
-        assert!(matches!(
-            store.apply_update("frozen", &Update::AddNode(nid("x"))),
-            Err(StoreError::NotUpdatable(_))
         ));
         // A rejected update left everything untouched.
         assert_eq!(store.graph("G").unwrap().node_count(), 4);
@@ -807,47 +692,23 @@ mod tests {
     }
 
     #[test]
-    fn row_level_mutation_repairs_backed_graphs() {
-        let (_, mut store) = registered_store();
-        // Insert the closing edge through the relation-level API: the
-        // frozen graph must be refrozen (it has no incremental hint).
-        store.insert_row("E", &tuple!["e4"]).unwrap();
-        store.insert_row("S", &tuple!["e4", "d"]).unwrap();
-        store.insert_row("T", &tuple!["e4", "a"]).unwrap();
-        assert_eq!(store.graph("G").unwrap().reach_relation(true).len(), 16);
-        // Deleting it again rolls the graph back.
-        store.delete_row(&"E".into(), &tuple!["e4"]).unwrap();
-        store.delete_row(&"S".into(), &tuple!["e4", "d"]).unwrap();
-        store.delete_row(&"T".into(), &tuple!["e4", "a"]).unwrap();
-        assert_eq!(store.graph("G").unwrap().reach_relation(true).len(), 6);
-        // Duplicate insert and phantom delete are no-ops.
-        assert!(!store.insert_row("N", &tuple!["a"]).unwrap());
-        assert!(!store.delete_row(&"N".into(), &tuple!["ghost"]).unwrap());
-        // Insert into a brand-new relation registers it on the fly.
-        assert!(store.insert_row("Fresh", &tuple![1, 2]).unwrap());
-        assert!(store.adjacency(&"Fresh".into()).is_some());
-        assert!(matches!(
-            store.insert_row("Fresh", &tuple![1]),
-            Err(StoreError::RowArity { .. })
-        ));
-    }
-
-    #[test]
     fn delete_and_reinsert_revives_the_tombstoned_row() {
         let (_, mut store) = registered_store();
+        store.apply_update("G", &Update::AddNode(nid("z"))).unwrap();
         let physical = store.relation(&"N".into()).unwrap().physical_len();
-        store.delete_row(&"N".into(), &tuple!["d"]).ok();
-        // "d" is a target of e3 — the graph view becomes invalid, the
-        // entry is dropped and the error surfaces.
-        // (Validation happens on refreeze: the relation edit stands.)
-        assert!(store.graph("G").is_none());
-        store.insert_row("N", &tuple!["d"]).unwrap();
+        store
+            .apply_update("G", &Update::RemoveNode(nid("z")))
+            .unwrap();
+        assert_eq!(store.relation(&"N".into()).unwrap().tombstones(), 1);
+        assert_eq!(store.graph("G").unwrap().node_count(), 4);
+        store.apply_update("G", &Update::AddNode(nid("z"))).unwrap();
         // The revived row reuses its physical slot.
         assert_eq!(
             store.relation(&"N".into()).unwrap().physical_len(),
             physical
         );
         assert_eq!(store.relation(&"N".into()).unwrap().tombstones(), 0);
+        assert_eq!(store.graph("G").unwrap().node_count(), 5);
     }
 
     /// Dictionary exhaustion mid-update must reject atomically: no

@@ -19,7 +19,9 @@
 //!   `Fixpoint` over the store, stay on codes — one decode per result
 //!   cell, counted on `Store::counters()`;
 //!
-//! plus the empty-graph, self-loop, and parallel-edge edge cases.
+//! plus the empty-graph, self-loop, and parallel-edge edge cases, and
+//! the store operators' `⟨delta⟩` markers and answers after
+//! `apply_updates`.
 
 use pgq_core::{builders, eval_with, eval_with_store, EvalConfig, Query};
 use pgq_exec::{
@@ -537,7 +539,7 @@ proptest! {
         let concurrent = ConcurrentStore::new(store);
         let pin = concurrent.pin();
         concurrent
-            .write(|s| s.insert_row("N", &tuple!["planner-differential-extra"]).map(|_| ()))
+            .write(|s| s.apply_update("G", &Update::AddNode(tuple!["planner-differential-extra"])))
             .unwrap();
         for q in &shapes {
             let reference = q.eval(&db).unwrap();
@@ -747,8 +749,8 @@ proptest! {
     /// relation scans, the frozen active domain, reachability through
     /// the graph entry, and the store-lowered RA shapes, with the
     /// interning probe at 1, 2 and 8 threads. The
-    /// deferred row indexes must also leave the row-level write path
-    /// intact: a bulk-loaded store keeps accepting inserts and deletes.
+    /// deferred row indexes must also leave the update path intact: a
+    /// bulk-loaded store keeps accepting node inserts and deletes.
     #[test]
     fn bulk_load_matches_register_route(
         nodes in 1usize..24,
@@ -780,15 +782,15 @@ proptest! {
             prop_assert_eq!(a.edge_count(), b.edge_count());
             prop_assert_eq!(a.reach_relation(true), b.reach_relation(true));
         }
-        // Row-level writers on a bulk-loaded store: insert a fresh node
-        // (builds the deferred indexes), spot a duplicate, delete it
-        // again — live contents return to the generator's.
+        // Updates on a bulk-loaded store: add a fresh node (builds the
+        // deferred indexes), spot a duplicate, remove it again — live
+        // contents return to the generator's.
         let mut bulk = Store::new();
         bulk.bulk_load("G", views(), GraphForm::Exact(1), &g, 2).unwrap();
         let fresh = Tuple::unary(Value::str("zz-fresh"));
-        prop_assert!(bulk.insert_row("N", &fresh).unwrap());
-        prop_assert!(!bulk.insert_row("N", &fresh).unwrap());
-        prop_assert!(bulk.delete_row(&"N".into(), &fresh).unwrap());
+        bulk.apply_update("G", &Update::AddNode(fresh.clone())).unwrap();
+        prop_assert!(bulk.apply_update("G", &Update::AddNode(fresh.clone())).is_err());
+        bulk.apply_update("G", &Update::RemoveNode(fresh)).unwrap();
         assert_store_matches(&bulk, &db, "bulk after writer round-trip");
     }
 }
@@ -1172,4 +1174,176 @@ fn empty_graph_self_loops_and_parallel_edges() {
         eval_ra_with(&RaExpr::rel("V").project(Vec::new()), &bdb, &store).unwrap(),
         Relation::r#true()
     );
+}
+
+/// A four-node chain `0 → 1 → 2 → 3` (edges `10`, `11`, `12`) in the
+/// canonical layout, registered with its graph.
+fn int_chain() -> (Database, Store) {
+    let mut db = Database::new();
+    for n in 0..4i64 {
+        db.insert("N", tuple![n]).unwrap();
+    }
+    for (e, s, t) in [(10i64, 0i64, 1i64), (11, 1, 2), (12, 2, 3)] {
+        db.insert("E", tuple![e]).unwrap();
+        db.insert("S", tuple![e, s]).unwrap();
+        db.insert("T", tuple![e, t]).unwrap();
+    }
+    db.add_relation("L", Relation::empty(2));
+    db.add_relation("P", Relation::empty(3));
+    let store = store_for(&db);
+    (db, store)
+}
+
+fn add_edge(id: i64, src: i64, tgt: i64) -> Update {
+    Update::AddEdge {
+        id: tuple![id],
+        src: tuple![src],
+        tgt: tuple![tgt],
+    }
+}
+
+/// Runs a plan under a store down to the set boundary.
+fn run(plan: &PhysPlan, db: &Database, store: &Store) -> Relation {
+    execute_opts(plan, db, Some(store), &ExecOptions::default())
+        .unwrap()
+        .into_relation()
+        .unwrap()
+}
+
+/// `EXPLAIN` marks the operators that read through an update overlay
+/// `⟨delta⟩`: `AddEdge`/`RemoveEdge` put pairs in the `S`/`T`
+/// adjacency overlays, which `IndexSeek`, `AdjacencyExpand` and the
+/// CSR fixpoint read through; a removal tombstones rows, which
+/// `IndexScan` skips; compaction folds everything and the markers go.
+#[test]
+fn delta_markers_surface_update_overlays() {
+    let (db, mut store) = int_chain();
+    let expand = PhysPlan::AdjacencyExpand {
+        input: Box::new(PhysPlan::IndexScan("E".into())),
+        key: 0,
+        rel: "T".into(),
+        reverse: false,
+    };
+    let tc = PhysPlan::Fixpoint {
+        base: Box::new(PhysPlan::IndexScan("T".into())),
+        step: Box::new(PhysPlan::IndexScan("T".into())),
+        join: vec![(1, 0)],
+        project: vec![0, 3],
+    };
+    let seek = PhysPlan::IndexSeek {
+        rel: "T".into(),
+        col: 1,
+        value: Value::int(0),
+    };
+    // Fresh store: no overlay, no markers.
+    assert!(!expand.reads_overlay(&store));
+    assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
+    assert!(!seek.reads_overlay(&store));
+    assert!(run(&seek, &db, &store).is_empty());
+    // An added edge puts a pair in T's adjacency overlay…
+    store.apply_update("G", &add_edge(13, 3, 0)).unwrap();
+    assert!(expand.reads_overlay(&store));
+    assert!(tc.reads_overlay(&store));
+    // …which the seek reads through, and says so.
+    let text = seek.display_with(Some(&store), None);
+    assert!(
+        text.starts_with("IndexSeek T [$2 = 0 ← CSR] ⟨delta⟩"),
+        "{text}"
+    );
+    let hit = |e: i64| Relation::from_rows(2, [tuple![e, 0]]).unwrap();
+    assert_eq!(run(&seek, &db, &store), hit(13));
+    store
+        .apply_updates("G", &[add_edge(14, 2, 0), Update::RemoveEdge(tuple![13])])
+        .unwrap();
+    assert_eq!(run(&seek, &db, &store), hit(14));
+    let text = expand.display_with(Some(&store), None);
+    assert!(
+        text.contains("AdjacencyExpand [$1 → T CSR] ⟨delta⟩"),
+        "{text}"
+    );
+    assert!(text.contains("overlay: ⟨delta⟩ operators"), "{text}");
+    // …and the removal tombstoned a row, marking the scan too.
+    assert!(PhysPlan::IndexScan("E".into()).reads_overlay(&store));
+    // Compaction folds everything: the markers disappear.
+    store.compact().unwrap();
+    assert!(!expand.reads_overlay(&store));
+    assert!(!PhysPlan::IndexScan("E".into()).reads_overlay(&store));
+    assert!(!expand.display_with(Some(&store), None).contains("⟨delta⟩"));
+    assert!(!seek.display_with(Some(&store), None).contains("⟨delta⟩"));
+    assert_eq!(run(&seek, &db, &store), hit(14));
+}
+
+/// After in-place updates (tombstones + adjacency deltas), every
+/// store-backed operator answers for the post-update state —
+/// identical to a store registered from the updated relations.
+#[test]
+fn updated_store_matches_rebuilt_store() {
+    let (db, mut store) = int_chain();
+    // Delete the chain head, splice in a shortcut 0→3, and add a
+    // brand-new node 9 with an edge 3→9 — through the store and the
+    // reference update semantics in lockstep.
+    let batch = [
+        Update::RemoveEdge(tuple![10]),
+        add_edge(13, 0, 3),
+        Update::AddNode(tuple![9]),
+        add_edge(14, 3, 9),
+    ];
+    store.apply_updates("G", &batch).unwrap();
+    let mut rels = view_relations_of(&db);
+    for u in &batch {
+        updates::apply(&mut rels, u).unwrap();
+    }
+    let db = db_of(&rels);
+    assert!(store.adjacency(&"S".into()).unwrap().has_delta());
+    assert!(store.adjacency(&"T".into()).unwrap().has_delta());
+    let rebuilt = store_for(&db);
+    let scan = |r: &str| PhysPlan::IndexScan(r.into());
+    let expand = |rel: &str, reverse: bool| PhysPlan::AdjacencyExpand {
+        input: Box::new(scan("E")),
+        key: 0,
+        rel: rel.into(),
+        reverse,
+    };
+    // One hop (src, tgt): the hash join of S and T on the edge id…
+    let hop = scan("S")
+        .hash_join(scan("T"), vec![(0, 0)])
+        .project(vec![1, 3]);
+    // …and the CSR fixpoint over T seeded with (src, edge) pairs.
+    let csr_hop = PhysPlan::Fixpoint {
+        base: Box::new(scan("S").project(vec![1, 0])),
+        step: Box::new(scan("T")),
+        join: vec![(1, 0)],
+        project: vec![0, 3],
+    };
+    let closure = PhysPlan::Fixpoint {
+        base: Box::new(hop.clone()),
+        step: Box::new(hop.clone()),
+        join: vec![(1, 0)],
+        project: vec![0, 3],
+    };
+    let plans = [
+        scan("N"),
+        scan("S"),
+        expand("S", false),
+        expand("T", false),
+        expand("T", true),
+        csr_hop.clone(),
+        closure.clone(),
+    ];
+    for plan in &plans {
+        assert_eq!(
+            run(plan, &db, &store),
+            run(plan, &db, &rebuilt),
+            "disagrees on:\n{plan}"
+        );
+    }
+    // The CSR route reads the shortcut through the delta…
+    let one = run(&csr_hop, &db, &store);
+    assert!(one.contains(&tuple![0, 3]));
+    assert!(!one.contains(&tuple![0, 1]));
+    // …and the closure reflects it: 0 now reaches 9, and 1 no longer
+    // follows from 0.
+    let reach = run(&closure, &db, &store);
+    assert!(reach.contains(&tuple![0, 9]));
+    assert!(!reach.contains(&tuple![0, 1]));
 }
