@@ -70,9 +70,6 @@ pub fn execute_opts<'a>(
     store: Option<&'a Store>,
     opts: &'a ExecOptions,
 ) -> RelResult<Coded<'a>> {
-    if opts.collect_metrics {
-        return Ok(execute_profiled(plan, db, store, opts)?.0);
-    }
     let mut run = Run::new(db, store, opts);
     let out = run.node(plan, None)?;
     Ok(Coded::new(out, run.codes))
@@ -81,9 +78,7 @@ pub fn execute_opts<'a>(
 /// [`execute_opts`], additionally returning the per-operator
 /// [`PlanMetrics`] tree — the engine-level half of `EXPLAIN ANALYZE`
 /// (callers wrap it in a [`crate::metrics::QueryProfile`] once the
-/// set-semantics cardinality is known). Collection is implied: the
-/// `opts.collect_metrics` flag only governs whether [`execute_opts`]
-/// itself runs the instrumented path.
+/// set-semantics cardinality is known).
 pub fn execute_profiled<'a>(
     plan: &PhysPlan,
     db: &Database,
@@ -121,10 +116,6 @@ struct Run<'a, 'd> {
 
 impl<'a, 'd> Run<'a, 'd> {
     fn new(db: &'d Database, store: Option<&'a Store>, opts: &'a ExecOptions) -> Self {
-        // An explicit store wins; otherwise a pinned snapshot (PR 8)
-        // supplies the state, so readers evaluate one published version
-        // regardless of what a concurrent writer publishes meanwhile.
-        let store = store.or_else(|| opts.pinned_store());
         Run {
             db,
             store,

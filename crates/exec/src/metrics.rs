@@ -6,10 +6,9 @@
 //! hash-join build sizes and partition counts,
 //! fixpoint iterations with per-iteration Δ-frontier sizes, and
 //! per-worker task counts from the morsel scheduler. Collection is
-//! opt-in ([`crate::ExecOptions::collect_metrics`], or the
-//! [`crate::execute_profiled`] / [`crate::eval_ra_profiled`] entry
-//! points) and strictly observational: the metrics-free path takes no
-//! timestamps, and the collecting path merges per-worker counts
+//! opt-in (the [`crate::execute_profiled`] / [`crate::eval_ra_profiled`]
+//! entry points) and strictly observational: the metrics-free path
+//! takes no timestamps, and the collecting path merges per-worker counts
 //! deterministically, so collection never perturbs the byte-identical
 //! N-workers guarantee.
 //!

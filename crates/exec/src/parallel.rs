@@ -26,7 +26,6 @@
 //! executor-specific tuning knobs ([`ExecOptions`]).
 
 use crate::cost::PlannerChoice;
-use pgq_store::{Store, StoreSnapshot};
 
 /// Rows per morsel (re-exported from the store-level engine).
 pub use pgq_store::par::MORSEL_ROWS;
@@ -39,28 +38,17 @@ pub(crate) use pgq_store::par::{
 /// Executor tuning knobs, threaded from the public entry points
 /// ([`crate::execute_opts`], `eval_with_store`, the shell's
 /// `SET THREADS n;`) down to every operator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Worker threads per parallel operator; `1` means sequential
     /// execution on the calling thread.
     pub threads: usize,
-    /// Collect per-operator runtime metrics ([`crate::metrics`]) while
-    /// executing. Off by default: the metrics-free path takes no
-    /// timestamps and allocates no counters, so turning this off is
-    /// genuinely zero-cost.
-    pub collect_metrics: bool,
     /// Upper bound on semi-naive fixpoint iterations; `None` (the
     /// default) means unlimited. When a fixpoint would start iteration
     /// `limit + 1`, execution stops with
     /// [`pgq_relational::RelError::IterationLimit`] instead of looping
     /// silently on pathological inputs.
     pub max_fixpoint_iters: Option<usize>,
-    /// A pinned [`StoreSnapshot`] (PR 8). When the caller passes no
-    /// explicit store, the entry points fall back to this handle, so a
-    /// reader can keep evaluating one published state while a
-    /// concurrent writer publishes newer ones. `None` (the default)
-    /// preserves the single-session behavior.
-    pub snapshot: Option<StoreSnapshot>,
     /// Which estimator [`crate::lower_onto_store`] plans with (PR 10):
     /// [`PlannerChoice::Cost`] (the store's statistics — the default)
     /// or [`PlannerChoice::Rule`] (none: plans keep their syntactic
@@ -74,9 +62,7 @@ impl ExecOptions {
     pub fn sequential() -> Self {
         ExecOptions {
             threads: 1,
-            collect_metrics: false,
             max_fixpoint_iters: None,
-            snapshot: None,
             planner: PlannerChoice::default(),
         }
     }
@@ -93,14 +79,6 @@ impl ExecOptions {
         }
     }
 
-    /// The same options with metrics collection switched on or off.
-    pub fn with_metrics(self, collect: bool) -> Self {
-        ExecOptions {
-            collect_metrics: collect,
-            ..self
-        }
-    }
-
     /// The same options with a fixpoint iteration budget (`None` for
     /// unlimited — the default).
     pub fn with_max_fixpoint_iters(self, limit: Option<usize>) -> Self {
@@ -110,21 +88,9 @@ impl ExecOptions {
         }
     }
 
-    /// The same options pinned to a published [`StoreSnapshot`]
-    /// (`None` unpins).
-    pub fn with_snapshot(self, snapshot: Option<StoreSnapshot>) -> Self {
-        ExecOptions { snapshot, ..self }
-    }
-
     /// The same options with an explicit planning pass.
     pub fn with_planner(self, planner: PlannerChoice) -> Self {
         ExecOptions { planner, ..self }
-    }
-
-    /// The store state the pinned snapshot holds, if any — the
-    /// fallback the entry points use when no explicit store is passed.
-    pub fn pinned_store(&self) -> Option<&Store> {
-        self.snapshot.as_deref()
     }
 
     /// The environment-driven default: `PGQ_THREADS` when set (CI runs
@@ -145,9 +111,7 @@ impl ExecOptions {
             });
         ExecOptions {
             threads,
-            collect_metrics: false,
             max_fixpoint_iters: None,
-            snapshot: None,
             planner: PlannerChoice::default(),
         }
     }
@@ -164,26 +128,6 @@ impl Default for ExecOptions {
         ExecOptions::auto()
     }
 }
-
-/// Scalar knobs compare structurally; snapshots compare by *pointer
-/// identity* (two handles are equal iff they pin the same published
-/// state — structural store comparison would be both expensive and
-/// wrong for the "same pin?" question callers ask).
-impl PartialEq for ExecOptions {
-    fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-            && self.collect_metrics == other.collect_metrics
-            && self.max_fixpoint_iters == other.max_fixpoint_iters
-            && self.planner == other.planner
-            && match (&self.snapshot, &other.snapshot) {
-                (None, None) => true,
-                (Some(a), Some(b)) => StoreSnapshot::ptr_eq(a, b),
-                _ => false,
-            }
-    }
-}
-
-impl Eq for ExecOptions {}
 
 #[cfg(test)]
 mod tests {
@@ -264,12 +208,11 @@ mod tests {
     #[test]
     fn option_builders_preserve_the_other_knobs() {
         let opts = ExecOptions::with_threads(4)
-            .with_metrics(true)
-            .with_max_fixpoint_iters(Some(7));
+            .with_max_fixpoint_iters(Some(7))
+            .with_planner(PlannerChoice::Rule);
         assert_eq!(opts.threads, 4);
-        assert!(opts.collect_metrics);
         assert_eq!(opts.max_fixpoint_iters, Some(7));
-        assert!(!ExecOptions::sequential().collect_metrics);
+        assert_eq!(opts.planner, PlannerChoice::Rule);
         assert_eq!(ExecOptions::default().max_fixpoint_iters, None);
     }
 

@@ -572,9 +572,7 @@ mod tests {
         assert_eq!(keys, &[(2, 0)], "{plan}");
         // The executor's measured build size agrees, and the swapped
         // plan still computes the reference answer.
-        let opts = ExecOptions::sequential()
-            .with_planner(PlannerChoice::Rule)
-            .with_metrics(true);
+        let opts = ExecOptions::sequential().with_planner(PlannerChoice::Rule);
         let (rel, profile) = eval_ra_profiled(&q, &d, &store, &opts).unwrap();
         assert_eq!(rel, q.eval(&d).unwrap());
         fn find_build(m: &crate::metrics::PlanMetrics) -> Option<u64> {

@@ -14,8 +14,9 @@
 //!   every value stream (morsel-parallel probe, pre-sized append — no
 //!   re-hash storms, nothing minted on a limit failure);
 //! * columnar relations assembled column-by-column from code slices
-//!   ([`crate::ColumnarRelation::from_codes`]), with row/end indexes
-//!   **deferred** — the first post-load update builds them;
+//!   ([`crate::ColumnarRelation::from_codes`]), with no probe index —
+//!   as on the register route, the writer's first probe of a relation
+//!   builds that relation's;
 //! * forward/reverse CSR built sort-based from pair vectors
 //!   ([`crate::CsrIndex::from_dense_pairs`]); the graph's one index
 //!   reuses the generator's dense node indexes outright, so the node
@@ -286,7 +287,7 @@ impl Store {
                 "bulk graph identifiers must be distinct (nodes ∪ edges)"
             );
         }
-        // ---- Columnar relations (indexes deferred off the load path).
+        // ---- Columnar relations (no probe index: first probe builds).
         let n_col = ColumnarRelation::from_codes(1, vec![node_codes.to_vec()]);
         let e_col = ColumnarRelation::from_codes(1, vec![edge_codes.to_vec()]);
         let src_codes: Vec<u32> = g.src.iter().map(|&i| node_codes[i as usize]).collect();
@@ -480,8 +481,8 @@ mod tests {
 
     #[test]
     fn loaded_relations_accept_updates() {
-        // The deferred indexes must not break the update path: the
-        // first update builds them and its probes stay correct.
+        // A load builds no probe index; the first update's probes
+        // build the ones they need and stay correct.
         let g = sample();
         let mut s = Store::new();
         s.bulk_load("G", views(), GraphForm::Exact(1), &g, 1)

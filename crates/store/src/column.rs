@@ -13,19 +13,24 @@
 //! re-encoding the relation. Readers iterate
 //! [`ColumnarRelation::live_rows`]; `Store::compact` drops the dead
 //! rows for good.
+//!
+//! A relation's probe indexes follow one rule: the first probe that
+//! needs them ([`ColumnarRelation::find_live`] and friends — only the
+//! store's writer calls them) builds them, and nothing else does.
+//! Registration and bulk loads build none, so a relation no writer
+//! touches carries its coded columns and nothing more.
 
 use crate::dict::Dictionary;
 use crate::error::StoreError;
 use pgq_relational::Relation;
 use pgq_value::Tuple;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-/// The probe-acceleration side of a [`ColumnarRelation`], built
-/// eagerly on the register path and **lazily** on the bulk-load path
-/// (PR 9): a ten-million-row `HashMap<Vec<u32>, usize>` costs more to
-/// build than the entire columnar load, and pure readers never touch
-/// it. The store materializes it on first write
-/// ([`ColumnarRelation::ensure_indexes`]).
+/// The probe-acceleration side of a [`ColumnarRelation`], built by the
+/// first writer probe that needs it (a ten-million-row
+/// `HashMap<Vec<u32>, usize>` costs more to build than the entire
+/// columnar load, and pure readers never touch it).
 #[derive(Debug, Clone, Default)]
 struct RowIndexes {
     /// Row codes → physical index, so membership probes are O(1)
@@ -59,100 +64,69 @@ pub struct ColumnarRelation {
     columns: Vec<Vec<u32>>,
     /// `dead[i]` marks row `i` tombstoned.
     dead: Vec<bool>,
-    /// Probe indexes; `None` until a writer needs them (bulk loads
-    /// defer them, probes fall back to scans meanwhile).
-    indexes: Option<RowIndexes>,
+    /// Probe indexes, empty until the first probe builds them.
+    indexes: OnceLock<RowIndexes>,
 }
 
 impl ColumnarRelation {
-    /// Registers physical row `i` in the first/last-column multimaps.
-    /// Rows are indexed exactly once, at append time, so each bucket
-    /// lists ascending physical indices. A no-op while the indexes are
-    /// deferred.
-    fn index_ends(&mut self, i: usize) {
-        if self.arity < 2 {
-            return;
-        }
-        let Some(ix) = &mut self.indexes else {
-            return;
+    /// The probe indexes, built over every physical row on first use.
+    fn indexes(&self) -> &RowIndexes {
+        self.indexes.get_or_init(|| self.build_indexes())
+    }
+
+    /// The one index builder: one pass per map, rows in ascending order
+    /// so every bucket is sorted. Out of line, so `OnceLock`'s cold
+    /// initialisation path does not absorb the loops.
+    #[inline(never)]
+    fn build_indexes(&self) -> RowIndexes {
+        let mut ix = RowIndexes {
+            index: HashMap::with_capacity(self.physical),
+            ..RowIndexes::default()
         };
-        ix.first.entry(self.columns[0][i]).or_default().push(i);
-        ix.last
-            .entry(self.columns[self.arity - 1][i])
-            .or_default()
-            .push(i);
-    }
-
-    /// Whether the probe indexes are materialized (they always are on
-    /// the register path; bulk-loaded relations defer them to first
-    /// write).
-    pub fn has_indexes(&self) -> bool {
-        self.indexes.is_some()
-    }
-
-    /// Materializes the probe indexes if they are deferred — the
-    /// store's writer entry points call this before mutating a
-    /// bulk-loaded relation, paying the build cost once instead of on
-    /// the load path.
-    pub fn ensure_indexes(&mut self) {
-        if self.indexes.is_some() {
-            return;
-        }
-        let mut index = HashMap::with_capacity(self.physical);
         for i in 0..self.physical {
             let row: Vec<u32> = (0..self.arity).map(|p| self.columns[p][i]).collect();
-            index.insert(row, i);
+            ix.index.insert(row, i);
         }
-        self.indexes = Some(RowIndexes {
-            index,
-            first: HashMap::new(),
-            last: HashMap::new(),
-        });
-        for i in 0..self.physical {
-            self.index_ends(i);
+        if let [first, .., last] = &self.columns[..] {
+            for (i, (&f, &l)) in first.iter().zip(last).enumerate() {
+                ix.first.entry(f).or_default().push(i);
+                ix.last.entry(l).or_default().push(i);
+            }
         }
+        ix
+    }
+
+    /// Whether a probe has built the indexes yet.
+    pub fn has_indexes(&self) -> bool {
+        self.indexes.get().is_some()
     }
 
     /// Encodes a relation column by column, interning every value.
     /// Fails with [`StoreError::DictionaryFull`] when the dictionary's
     /// code space is exhausted mid-encode.
     pub fn from_relation(rel: &Relation, dict: &mut Dictionary) -> Result<Self, StoreError> {
-        let arity = rel.arity();
-        let mut columns = vec![Vec::with_capacity(rel.len()); arity];
-        let mut index = HashMap::with_capacity(rel.len());
-        for (i, t) in rel.iter().enumerate() {
-            let mut row = Vec::with_capacity(arity);
+        let n = rel.len();
+        let mut columns = vec![Vec::with_capacity(n); rel.arity()];
+        for t in rel.iter() {
             for (p, v) in t.iter().enumerate() {
-                let code = dict.intern(v)?;
-                columns[p].push(code);
-                row.push(code);
+                columns[p].push(dict.intern(v)?);
             }
-            index.insert(row, i);
         }
-        let mut col = ColumnarRelation {
-            arity,
-            physical: rel.len(),
-            live: rel.len(),
+        Ok(ColumnarRelation {
+            arity: rel.arity(),
+            physical: n,
+            live: n,
             columns,
-            dead: vec![false; rel.len()],
-            indexes: Some(RowIndexes {
-                index,
-                first: HashMap::new(),
-                last: HashMap::new(),
-            }),
-        };
-        for i in 0..col.physical {
-            col.index_ends(i);
-        }
-        Ok(col)
+            dead: vec![false; n],
+            indexes: OnceLock::new(),
+        })
     }
 
     /// Builds a unary relation directly from codes — used by the store
     /// to refresh the frozen active domain after updates without a
     /// decode/re-encode round trip, and by the bulk loader for the
     /// active-domain relation. The codes must be distinct (both
-    /// callers produce deduplicated code sets). Probe indexes are
-    /// deferred.
+    /// callers produce deduplicated code sets).
     pub fn unary_from_codes(codes: Vec<u32>) -> Self {
         let n = codes.len();
         ColumnarRelation {
@@ -161,14 +135,13 @@ impl ColumnarRelation {
             live: n,
             dead: vec![false; n],
             columns: vec![codes],
-            indexes: None,
+            indexes: OnceLock::new(),
         }
     }
 
     /// Builds a relation directly from pre-encoded, equally long,
     /// duplicate-free code columns — the zero-materialization bulk
-    /// path: no `Value` rows, no interning, no probe indexes (they are
-    /// deferred to first write).
+    /// path: no `Value` rows, no interning.
     pub fn from_codes(arity: usize, columns: Vec<Vec<u32>>) -> Self {
         assert_eq!(columns.len(), arity, "one code vector per position");
         let n = columns.first().map_or(0, Vec::len);
@@ -179,7 +152,7 @@ impl ColumnarRelation {
             live: n,
             dead: vec![false; n],
             columns,
-            indexes: None,
+            indexes: OnceLock::new(),
         }
     }
 
@@ -231,25 +204,27 @@ impl ColumnarRelation {
         &self.columns[position]
     }
 
-    /// Appends a live row of codes. The caller guarantees the arity,
-    /// that no physical row (live or dead) already holds these codes —
-    /// the store's append path probes [`ColumnarRelation::find_live`]
-    /// / [`ColumnarRelation::find_dead`] first — and that the probe
-    /// indexes are materialized ([`ColumnarRelation::ensure_indexes`];
-    /// the store's writer entry points do so).
+    /// Appends a live row of codes. The caller guarantees the arity
+    /// and that no physical row (live or dead) already holds these
+    /// codes — the store's append path probes
+    /// [`ColumnarRelation::find_live`] / [`ColumnarRelation::find_dead`]
+    /// first.
     pub fn append(&mut self, codes: &[u32]) {
         debug_assert_eq!(codes.len(), self.arity);
         for (p, &c) in codes.iter().enumerate() {
             self.columns[p].push(c);
         }
-        if let Some(ix) = &mut self.indexes {
+        if let Some(ix) = self.indexes.get_mut() {
             debug_assert!(!ix.index.contains_key(codes));
             ix.index.insert(codes.to_vec(), self.physical);
+            if let [first, .., last] = *codes {
+                ix.first.entry(first).or_default().push(self.physical);
+                ix.last.entry(last).or_default().push(self.physical);
+            }
         }
         self.dead.push(false);
         self.physical += 1;
         self.live += 1;
-        self.index_ends(self.physical - 1);
     }
 
     /// Physical index of the first **live** row equal to `codes`.
@@ -268,17 +243,11 @@ impl ColumnarRelation {
         if codes.len() != self.arity {
             return None;
         }
-        match &self.indexes {
-            Some(ix) => ix
-                .index
-                .get(codes)
-                .copied()
-                .filter(|&i| self.dead[i] == dead),
-            // Deferred indexes (bulk load, read-only so far): scan.
-            None => (0..self.physical).find(|&i| {
-                self.dead[i] == dead && (0..self.arity).all(|p| self.columns[p][i] == codes[p])
-            }),
-        }
+        self.indexes()
+            .index
+            .get(codes)
+            .copied()
+            .filter(|&i| self.dead[i] == dead)
     }
 
     /// Live physical rows whose first `prefix.len()` codes equal
@@ -310,25 +279,11 @@ impl ColumnarRelation {
             return (Vec::new(), 0);
         }
         if len == self.arity {
-            // Exact probe: the row-hash index answers in one lookup
-            // (or one scan while the indexes are deferred).
-            let cands = if self.indexes.is_some() {
-                1
-            } else {
-                self.physical
-            };
-            return (self.find_live(part).into_iter().collect(), cands);
+            // Exact probe: the row-hash index answers in one lookup.
+            return (self.find_live(part).into_iter().collect(), 1);
         }
         let base = if from_end { self.arity - len } else { 0 };
-        let Some(ix) = &self.indexes else {
-            // Deferred indexes: scan every physical row.
-            let rows: Vec<usize> = (0..self.physical)
-                .filter(|&i| {
-                    !self.dead[i] && (0..len).all(|p| self.columns[base + p][i] == part[p])
-                })
-                .collect();
-            return (rows, self.physical);
-        };
+        let ix = self.indexes();
         let bucket = if from_end {
             ix.last.get(&part[len - 1])
         } else {
@@ -396,12 +351,9 @@ impl ColumnarRelation {
         self.physical = keep.len();
         self.live = keep.len();
         self.dead = vec![false; keep.len()];
-        // Rebuild the probe indexes only if they were materialized;
-        // deferred stays deferred (the compacted relation has had no
-        // writes either).
-        if self.indexes.is_some() {
-            self.indexes = None;
-            self.ensure_indexes();
+        // Rebuild the probe indexes only if a probe had built them.
+        if self.indexes.take().is_some() {
+            self.indexes();
         }
         dropped
     }
@@ -413,11 +365,11 @@ impl ColumnarRelation {
         self.physical * self.arity * std::mem::size_of::<u32>()
     }
 
-    /// Estimated resident bytes of the probe indexes (0 while
-    /// deferred): the row-hash map with its heap-allocated key vectors
-    /// plus the two end-column multimaps.
+    /// Estimated resident bytes of the probe indexes (0 until a probe
+    /// builds them): the row-hash map with its heap-allocated key
+    /// vectors plus the two end-column multimaps.
     pub fn index_bytes(&self) -> usize {
-        let Some(ix) = &self.indexes else {
+        let Some(ix) = self.indexes.get() else {
             return 0;
         };
         let key = std::mem::size_of::<Vec<u32>>() + self.arity * std::mem::size_of::<u32>();
@@ -502,28 +454,28 @@ mod tests {
     }
 
     #[test]
-    fn deferred_indexes_scan_until_ensured() {
+    fn the_first_probe_builds_the_indexes() {
         let mut col = ColumnarRelation::from_codes(2, vec![vec![1, 2, 1], vec![9, 9, 7]]);
+        // An append before any probe leaves the indexes unbuilt…
+        col.append(&[5, 5]);
         assert!(!col.has_indexes());
-        assert_eq!(col.len(), 3);
         assert_eq!(col.index_bytes(), 0);
-        // Probes answer by scan while deferred…
+        // …and the first probe builds them over every physical row.
         assert_eq!(col.find_live(&[2, 9]), Some(1));
-        assert_eq!(col.find_live(&[2, 7]), None);
-        let (rows, cands) = col.live_rows_with_prefix(&[1]);
-        assert_eq!((rows.clone(), cands), (vec![0, 2], 3));
-        let (srows, _) = col.live_rows_with_suffix(&[9]);
-        assert_eq!(srows, vec![0, 1]);
-        // …and identically once materialized.
-        col.ensure_indexes();
         assert!(col.has_indexes());
         assert!(col.index_bytes() > 0);
-        assert_eq!(col.find_live(&[2, 9]), Some(1));
-        assert_eq!(col.live_rows_with_prefix(&[1]).0, rows);
-        assert_eq!(col.live_rows_with_suffix(&[9]).0, srows);
-        // Writes after ensure keep the indexes coherent.
-        col.append(&[5, 5]);
         assert_eq!(col.find_live(&[5, 5]), Some(3));
+        assert_eq!(col.find_live(&[2, 7]), None);
+        assert_eq!(col.live_rows_with_prefix(&[1]), (vec![0, 2], 2));
+        assert_eq!(col.live_rows_with_suffix(&[9]).0, vec![0, 1]);
+        // Appends after the build keep the indexes coherent.
+        col.append(&[6, 9]);
+        assert_eq!(col.find_live(&[6, 9]), Some(4));
+        assert_eq!(col.live_rows_with_suffix(&[9]).0, vec![0, 1, 4]);
+        // Registration builds nothing either.
+        let rel = Relation::from_rows(1, [tuple![1]]).unwrap();
+        let reg = ColumnarRelation::from_relation(&rel, &mut Dictionary::new()).unwrap();
+        assert!(!reg.has_indexes());
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl GraphEntry {
     }
 
     /// Dense id of a **live** node.
-    fn live_dense(&self, id: &Tuple) -> Option<u32> {
+    pub(crate) fn live_dense(&self, id: &Tuple) -> Option<u32> {
         self.id_of
             .get(id)
             .copied()

@@ -88,8 +88,8 @@ impl Store {
 pub struct MemoryBytes {
     /// Value dictionary: value vector, code map, string payloads.
     pub dictionary: usize,
-    /// Columnar relations: coded columns plus row/end indexes (0 for
-    /// the indexes while a bulk-loaded relation defers them).
+    /// Columnar relations: coded columns plus the row/end probe indexes
+    /// a writer has built (none until its first probe of the relation).
     pub columns: usize,
     /// Frozen CSR indexes: one per binary relation plus one per
     /// registered graph.

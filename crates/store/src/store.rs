@@ -480,7 +480,10 @@ pub(crate) mod tests {
     #[test]
     fn database_registration_round_trips() {
         let db = chain_db();
-        let store = Store::from_database(&db);
+        let mut store = Store::from_database(&db);
+        store
+            .register_view_graph("G", views(), &db, GraphForm::Exact(1))
+            .unwrap();
         for (name, rel) in db.iter() {
             let rows = store.scan(name).unwrap();
             assert_eq!(
@@ -498,6 +501,25 @@ pub(crate) mod tests {
             Relation::from_rows(1, adom).unwrap(),
             db.active_domain_relation()
         );
+        // Registration builds no probe index: the columns are all the
+        // relations hold.
+        assert!(store.relations.values().all(|c| !c.has_indexes()));
+        let coded: usize = store.relations.values().map(|c| c.coded_bytes()).sum();
+        assert_eq!(store.memory_bytes().columns, coded);
+        // A write builds only the indexes its probes need; node checks
+        // read the graph entry, so `N` stays unindexed.
+        store
+            .apply_update(
+                "G",
+                &Update::AddEdge {
+                    id: nid("e4"),
+                    src: nid("d"),
+                    tgt: nid("a"),
+                },
+            )
+            .unwrap();
+        assert!(store.relation(&"E".into()).unwrap().has_indexes());
+        assert!(!store.relation(&"N".into()).unwrap().has_indexes());
     }
 
     #[test]

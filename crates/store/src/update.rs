@@ -115,7 +115,7 @@ impl Store {
         match update {
             Update::AddNode(id) => {
                 check_arity(id)?;
-                if self.rel_contains(&rn, id) || self.rel_contains(&re, id) {
+                if self.is_node(graph, id) || self.rel_contains(&re, id) {
                     return Err(UpdateError::IdInUse(id.clone()).into());
                 }
                 // Fallible steps (code minting, dense-id minting) run
@@ -127,7 +127,7 @@ impl Store {
             }
             Update::RemoveNode(id) => {
                 check_arity(id)?;
-                if !self.rel_contains(&rn, id) {
+                if !self.is_node(graph, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
                 if !self.edges_touching(&rs, &rt, id, k).is_empty() {
@@ -139,7 +139,7 @@ impl Store {
             }
             Update::DetachRemoveNode(id) => {
                 check_arity(id)?;
-                if !self.rel_contains(&rn, id) {
+                if !self.is_node(graph, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
                 for e in self.edges_touching(&rs, &rt, id, k) {
@@ -153,13 +153,13 @@ impl Store {
                 check_arity(id)?;
                 check_arity(src)?;
                 check_arity(tgt)?;
-                if self.rel_contains(&rn, id) || self.rel_contains(&re, id) {
+                if self.is_node(graph, id) || self.rel_contains(&re, id) {
                     return Err(UpdateError::IdInUse(id.clone()).into());
                 }
-                if !self.rel_contains(&rn, src) {
+                if !self.is_node(graph, src) {
                     return Err(UpdateError::DanglingEndpoint(src.clone()).into());
                 }
-                if !self.rel_contains(&rn, tgt) {
+                if !self.is_node(graph, tgt) {
                     return Err(UpdateError::DanglingEndpoint(tgt.clone()).into());
                 }
                 // src/tgt are live N rows, hence already interned; the
@@ -180,21 +180,21 @@ impl Store {
             }
             Update::AddLabel(id, label) => {
                 check_arity(id)?;
-                if !self.rel_contains(&rn, id) && !self.rel_contains(&re, id) {
+                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
                 self.append_row_raw(&rl, &id.concat(&Tuple::unary(label.clone())))?;
             }
             Update::RemoveLabel(id, label) => {
                 check_arity(id)?;
-                if !self.rel_contains(&rn, id) && !self.rel_contains(&re, id) {
+                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
                 self.tombstone_row_raw(&rl, &id.concat(&Tuple::unary(label.clone())));
             }
             Update::SetProp(id, key, value) => {
                 check_arity(id)?;
-                if !self.rel_contains(&rn, id) && !self.rel_contains(&re, id) {
+                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
                 // Mint the key/value codes before dropping the old
@@ -208,7 +208,7 @@ impl Store {
             }
             Update::RemoveProp(id, key) => {
                 check_arity(id)?;
-                if !self.rel_contains(&rn, id) && !self.rel_contains(&re, id) {
+                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
                 self.remove_prop_rows(&rp, id, key, k);
@@ -235,14 +235,18 @@ impl Store {
             .ok_or_else(|| StoreError::UnknownGraph(graph.to_string()))
     }
 
-    /// The columnar relation for mutation (copy-on-write), its row/end
-    /// indexes built. Bulk-loaded relations keep indexes off the ingest
-    /// path; the first update pays the one-time build here so its
-    /// duplicate/revive probes stay O(1).
-    fn indexed_relation_mut(&mut self, name: &RelName) -> Option<&mut ColumnarRelation> {
-        let col = Arc::make_mut(self.relations.get_mut(name)?);
-        col.ensure_indexes();
-        Some(col)
+    /// Whether `id` is a live node of `graph`. The entry holds exactly
+    /// the live `N` rows (`AddNode`/`RemoveNode` maintain both), so node
+    /// checks need no probe index on `N`.
+    fn is_node(&self, graph: &str, id: &Tuple) -> bool {
+        self.graphs
+            .get(graph)
+            .is_some_and(|e| e.live_dense(id).is_some())
+    }
+
+    /// The columnar relation for mutation (copy-on-write).
+    fn relation_mut(&mut self, name: &RelName) -> Option<&mut ColumnarRelation> {
+        self.relations.get_mut(name).map(Arc::make_mut)
     }
 
     /// Appends a row (reviving an identical tombstoned one when
@@ -266,7 +270,7 @@ impl Store {
             codes.push(self.dict_mut().intern(v)?);
         }
         let col = self
-            .indexed_relation_mut(name)
+            .relation_mut(name)
             .ok_or_else(|| StoreError::UnknownRelation(name.clone()))?;
         if col.find_live(&codes).is_some() {
             return Ok(());
@@ -298,7 +302,7 @@ impl Store {
         let Some(codes) = self.encode_row(t) else {
             return;
         };
-        let Some(col) = self.indexed_relation_mut(name) else {
+        let Some(col) = self.relation_mut(name) else {
             return;
         };
         let Some(i) = col.find_live(&codes) else {
@@ -322,7 +326,7 @@ impl Store {
         prefix: &[u32],
         also: impl Fn(&[u32]) -> bool,
     ) -> usize {
-        let Some(col) = self.indexed_relation_mut(name) else {
+        let Some(col) = self.relation_mut(name) else {
             return 0;
         };
         let arity = col.arity();
@@ -485,7 +489,7 @@ impl Store {
     /// this is O(arity) hash probes, not a store scan.
     fn adom_add_codes(&mut self, codes: &[u32]) {
         let adom: RelName = ADOM_REL.into();
-        let Some(col) = self.indexed_relation_mut(&adom) else {
+        let Some(col) = self.relation_mut(&adom) else {
             return;
         };
         for &c in codes {
@@ -562,7 +566,6 @@ mod tests {
     use crate::dict::Dictionary;
     use crate::error::GraphForm;
     use crate::store::tests::{chain_db, nid, registered_store, views};
-    use pgq_relational::{Database, Relation};
     use pgq_value::tuple;
 
     #[test]
@@ -784,32 +787,37 @@ mod tests {
         assert!(adom.contains(&tuple!["z"]), "{adom:?}");
     }
 
-    /// Satellite 4 (PR 8): writer-path membership probes route through
-    /// the column end indexes, not relation scans. Detaching a node,
-    /// removing an edge and removing a label on a 100× larger chain —
-    /// every edge carrying the same label — must examine exactly the
-    /// same number of candidate rows: probe cost tracks the element's
-    /// degree, not the store size or the label's extent.
+    /// Writer-path membership probes route through the column end
+    /// indexes, not relation scans. Detaching a node, removing an edge
+    /// and removing a label on a 100× larger chain — every edge
+    /// carrying the same label — must examine exactly the same number
+    /// of candidate rows: probe cost tracks the element's degree, not
+    /// the store size or the label's extent. That holds on both routes:
+    /// a bulk load builds no index, so the first write's probes build
+    /// the ones they need instead of scanning.
     #[test]
     fn writer_probes_are_indexed_not_relation_scans() {
-        let probe_rows = |n: usize| {
-            let mut db = Database::new();
+        let probe_rows = |n: u32, bulk: bool| {
+            let mut g = crate::BulkGraph::new();
             for i in 0..n {
-                db.insert("N", tuple![format!("n{i}")]).unwrap();
+                g.add_node(format!("n{i}"));
             }
             for i in 0..n - 1 {
-                let e = format!("e{i}");
-                db.insert("E", tuple![e.clone()]).unwrap();
-                db.insert("S", tuple![e.clone(), format!("n{i}")]).unwrap();
-                db.insert("T", tuple![e.clone(), format!("n{}", i + 1)])
-                    .unwrap();
-                db.insert("L", tuple![e, "Hop"]).unwrap();
+                let e = g.add_edge(format!("e{i}"), i, i + 1);
+                g.labels.push((e, Value::str("Hop")));
             }
-            db.add_relation("P", Relation::empty(3));
-            let mut store = Store::from_database(&db);
-            store
-                .register_view_graph("G", views(), &db, GraphForm::Exact(1))
-                .unwrap();
+            let mut store = Store::new();
+            if bulk {
+                store
+                    .bulk_load("G", views(), GraphForm::Exact(1), &g, 1)
+                    .unwrap();
+            } else {
+                let db = g.to_database(&views());
+                store.register_database(&db).unwrap();
+                store
+                    .register_view_graph("G", views(), &db, GraphForm::Exact(1))
+                    .unwrap();
+            }
             store.counters().reset();
             store
                 .apply_updates(
@@ -827,11 +835,13 @@ mod tests {
             assert!(store.graph("G").is_some());
             snap.writer_probe_rows
         };
-        let small = probe_rows(8);
-        let large = probe_rows(800);
-        assert_eq!(
-            small, large,
-            "candidate rows per update must not scale with store size"
-        );
+        for bulk in [false, true] {
+            let (small, large) = (probe_rows(8, bulk), probe_rows(800, bulk));
+            assert_eq!(
+                small, large,
+                "candidate rows per update must not scale with store size (bulk: {bulk})"
+            );
+        }
+        assert_eq!(probe_rows(800, true), probe_rows(800, false));
     }
 }

@@ -748,8 +748,8 @@ proptest! {
     /// `Store::from_database` + `Store::register_view_graph` — on
     /// relation scans, the frozen active domain, reachability through
     /// the graph entry, and the store-lowered RA shapes, with the
-    /// interning probe at 1, 2 and 8 threads. The
-    /// deferred row indexes must also leave the update path intact: a
+    /// interning probe at 1, 2 and 8 threads. A bulk load builds no
+    /// probe index, and the update path must build them on demand: a
     /// bulk-loaded store keeps accepting node inserts and deletes.
     #[test]
     fn bulk_load_matches_register_route(
@@ -782,8 +782,8 @@ proptest! {
             prop_assert_eq!(a.edge_count(), b.edge_count());
             prop_assert_eq!(a.reach_relation(true), b.reach_relation(true));
         }
-        // Updates on a bulk-loaded store: add a fresh node (builds the
-        // deferred indexes), spot a duplicate, remove it again — live
+        // Updates on a bulk-loaded store: add a fresh node (its probes
+        // build the indexes they need), spot a duplicate, remove it again — live
         // contents return to the generator's.
         let mut bulk = Store::new();
         bulk.bulk_load("G", views(), GraphForm::Exact(1), &g, 2).unwrap();
@@ -809,9 +809,8 @@ fn snapshot_reference_db(snap: &Store) -> Database {
 
 /// Holds a pinned snapshot to the PR 8 isolation contract: every route
 /// into the executor — the `eval_with_store` pattern entry, the RA
-/// planner with the snapshot as its store, and `execute_opts`
-/// resolving the state from the [`ExecOptions`] snapshot pin alone —
-/// answers byte-identically to the single-threaded S2 reference over
+/// planner with the snapshot as its store, and `execute_opts` over
+/// the rule plan with the snapshot passed explicitly — answers byte-identically to the single-threaded S2 reference over
 /// the snapshot's own materialized contents, at 1, 2 and 8 executor
 /// threads, no matter what a concurrent writer publishes meanwhile.
 fn assert_snapshot_isolated(snap: &StoreSnapshot, context: &str) {
@@ -843,22 +842,19 @@ fn assert_snapshot_isolated(snap: &StoreSnapshot, context: &str) {
         let reference = q.eval(&db).unwrap();
         let plan = rule_plan(q, &db, snap);
         for threads in [1usize, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_snapshot(Some(snap.clone()));
+            let opts = ExecOptions::with_threads(threads);
             assert_eq!(
                 &eval_ra_opts(q, &db, snap, &opts).unwrap(),
                 &reference,
                 "{context}: {threads} thread(s) on {q}"
             );
-            // The same answer with *no* explicit store argument: the
-            // executor takes its state from the pinned snapshot inside
-            // the options.
             assert_eq!(
-                &execute_opts(&plan, &db, None, &opts)
+                &execute_opts(&plan, &db, Some(snap), &opts)
                     .unwrap()
                     .into_relation()
                     .unwrap(),
                 &reference,
-                "{context}: snapshot-pin route, {threads} thread(s) on {q}"
+                "{context}: execute_opts route, {threads} thread(s) on {q}"
             );
         }
     }
