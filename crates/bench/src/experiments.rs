@@ -1,7 +1,7 @@
-//! The experiment harness behind `EXPERIMENTS.md` and the Criterion
-//! benches: one function per experiment E1–E14 (see DESIGN.md §3),
-//! each checking the paper's claim mechanically and returning a small
-//! report.
+//! The experiment harness behind `EXPERIMENTS.md`: one function per
+//! experiment E1–E14 (see DESIGN.md §3), each checking the paper's
+//! claim mechanically and returning a small report. The reports count;
+//! they do not time.
 
 use pgq_core::{builders, eval as eval_query, eval_with, EvalConfig, Query};
 use pgq_logic::{detect_period, eval_ordered, powers_of_two_bits, Formula, Term};
@@ -405,7 +405,8 @@ pub fn e9_hierarchy() -> String {
 }
 
 /// E10: data-complexity scaling table (counts, not wall-times — the
-/// Criterion benches measure time).
+/// wall-clock scaling is the benchmark's planned `paper_scaling`
+/// workload, ROADMAP item 8).
 pub fn e10_scaling() -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -432,7 +433,7 @@ pub fn e10_scaling() -> String {
     let _ = writeln!(
         out,
         "\nEvaluation is polynomial in |D| for fixed queries (NL ⊆ P data complexity);\n\
-         see `cargo bench` for wall-clock curves and the NFA-vs-reference ablation."
+         its wall-clock scaling is ROADMAP item 8's planned `paper_scaling` benchmark workload."
     );
     out
 }

@@ -1,9 +1,8 @@
 //! # pgq-bench
 //!
 //! The paper's experiments (system S11; DESIGN.md §3): E1–E14, one
-//! library function per theorem witness, shared by the `report` binary
-//! (which regenerates the measured section of `EXPERIMENTS.md`) and the
-//! Criterion benches under `benches/` (which time those experiments).
+//! library function per theorem witness, run by the `report` binary
+//! (which regenerates the measured section of `EXPERIMENTS.md`).
 //! Engineering performance is measured by the repository's benchmark
 //! (`BENCHMARK.json`), not here.
 

@@ -29,7 +29,7 @@ use pgq_exec::{
 use pgq_graph::PropertyGraph;
 use pgq_pattern::{Direction, OutputItem, OutputPattern, Pattern, RepBound};
 use pgq_relational::{Database, RelName, Relation, Schema};
-use pgq_store::{GraphForm, Store};
+use pgq_store::{GraphEntry, GraphForm, Store};
 use pgq_value::{Tuple, Value, Var};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -247,67 +247,66 @@ fn eval_pattern(
 pub(crate) fn record_answer(m: &mut PlanMetrics, label: String, rel: &Relation, start: Instant) {
     m.label = label;
     m.executed = true;
-    m.batches = 1;
     m.rows_out = rel.len() as u64;
     m.elapsed_ns = start.elapsed().as_nanos() as u64;
+}
+
+/// Whether a graph frozen in the store answers this call from its CSR
+/// closure — the one decision both evaluation and `EXPLAIN` take. Only
+/// views that are all plain base relations can name a graph frozen from
+/// exactly them under this operator; filtered steps and property items
+/// need the view graph, so they fall through to the per-query route.
+/// `Some` holds the graph, whether a step is required, and the pair
+/// columns projected (`None` for a Boolean output).
+fn frozen_reach<'s>(
+    out: &OutputPattern,
+    views: &[Query; 6],
+    op: ViewOp,
+    store: &'s Store,
+) -> Option<(&'s GraphEntry, bool, Option<Vec<usize>>)> {
+    let [Query::Rel(n), Query::Rel(e), Query::Rel(s), Query::Rel(t), Query::Rel(l), Query::Rel(p)] =
+        views
+    else {
+        return None;
+    };
+    let names = [n, e, s, t, l, p].map(Clone::clone);
+    let entry = store.graph_for_views(&names, view_form(op))?;
+    let shape = reach_shape(&out.pattern).filter(|shape| !shape.filtered)?;
+    let cols = match reach_proj(out, &shape)? {
+        ReachProj::Boolean => None,
+        ReachProj::Items(items) => Some(pair_columns(&items, entry.id_arity())?),
+    };
+    Some((entry, shape.at_least_one, cols))
 }
 
 /// Answers a reachability-shaped output from a graph frozen in the
 /// store — Boolean non-emptiness or a projection of the endpoint-pair
 /// set, read straight from the frozen (overlay-aware) CSR closure.
-/// `None` when the shape, the projection, or the registration doesn't
-/// allow it: filtered steps and property items need the view graph, so
-/// they fall through to the per-query route.
+/// `None` when [`frozen_reach`] declines the call.
 fn try_frozen_reach(
     out: &OutputPattern,
     views: &[Query; 6],
     op: ViewOp,
     store: &Store,
 ) -> Result<Option<Relation>, QueryError> {
-    // Only views that are all plain base relations can name a graph
-    // frozen from exactly them under this operator.
-    let [Query::Rel(n), Query::Rel(e), Query::Rel(s), Query::Rel(t), Query::Rel(l), Query::Rel(p)] =
-        views
-    else {
+    let Some((entry, at_least_one, cols)) = frozen_reach(out, views, op, store) else {
         return Ok(None);
     };
-    let names = [n, e, s, t, l, p].map(Clone::clone);
-    let Some(entry) = store.graph_for_views(&names, view_form(op)) else {
-        return Ok(None);
+    out.pattern.validate()?;
+    store.counters().record_adjacency_read(entry.has_overlay());
+    let Some(cols) = cols else {
+        let holds = entry.has_reach_pair() || (!at_least_one && entry.node_count() > 0);
+        return Ok(Some(if holds {
+            Relation::r#true()
+        } else {
+            Relation::r#false()
+        }));
     };
-    let Some(shape) = reach_shape(&out.pattern) else {
-        return Ok(None);
-    };
-    if shape.filtered {
-        return Ok(None);
-    }
-    let Some(proj) = reach_proj(out, &shape) else {
-        return Ok(None);
-    };
-    match proj {
-        ReachProj::Boolean => {
-            out.pattern.validate()?;
-            store.counters().record_adjacency_read(entry.has_overlay());
-            let holds = entry.has_reach_pair() || (!shape.at_least_one && entry.node_count() > 0);
-            Ok(Some(if holds {
-                Relation::r#true()
-            } else {
-                Relation::r#false()
-            }))
-        }
-        ReachProj::Items(items) => {
-            let Some(cols) = pair_columns(&items, entry.id_arity()) else {
-                return Ok(None);
-            };
-            out.pattern.validate()?;
-            let pairs = entry.reach_relation(shape.at_least_one);
-            store.counters().record_adjacency_read(entry.has_overlay());
-            store
-                .counters()
-                .record_csr_neighbor_rows(pairs.len() as u64);
-            Ok(Some(pairs.project(&cols).map_err(QueryError::Rel)?))
-        }
-    }
+    let pairs = entry.reach_relation(at_least_one);
+    store
+        .counters()
+        .record_csr_neighbor_rows(pairs.len() as u64);
+    Ok(Some(pairs.project(&cols).map_err(QueryError::Rel)?))
 }
 
 /// The reachability spine `(x) step^{n..∞} (y)` with a single
@@ -605,8 +604,9 @@ pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
 /// [`explain`] with everything a session adds. Under a [`Store`] the
 /// plan is additionally lowered onto its indexes (`IndexScan`,
 /// `AdjacencyExpand`, CSR fixpoints) by the planner `opts` selects (the
-/// default without `opts`), and operators that read through an update
-/// overlay are marked `⟨delta⟩`. Under concrete `opts` every
+/// default without `opts`), operators that read through an update
+/// overlay are marked `⟨delta⟩`, and a pattern call the store's frozen
+/// CSR answers names that route. Under concrete `opts` every
 /// morsel-parallel operator is annotated with its degree of parallelism
 /// (`⟨dop≤n⟩`) and a trailing line states the worker budget — what the
 /// shell renders after `SET THREADS n;` / `SET PLANNER rule;`. It is
@@ -662,7 +662,10 @@ impl Leaves for Explain<'_> {
     ) -> Result<PhysPlan, QueryError> {
         // Identifier arity is Q1's arity (`Query::arity`).
         let arity = out.output_arity(views[0].arity(&self.aug)?);
-        let route = route_label(out);
+        let route = match self.store {
+            Some(store) if frozen_reach(out, views, op, store).is_some() => FROZEN_ROUTE,
+            _ => route_label(out),
+        };
         // Render the view subplans first: nested pattern calls push
         // their own sections during this recursion, so numbering off
         // `sections.len()` afterwards keeps every placeholder unique.
@@ -1073,6 +1076,53 @@ mod tests {
             explain_with(&q, &d.schema(), None, None).unwrap(),
             explain(&q, &d.schema()).unwrap()
         );
+    }
+
+    /// `EXPLAIN` names the route `EXPLAIN ANALYZE` reports as having
+    /// answered, with and without a graph frozen from the views.
+    #[test]
+    fn explain_route_is_the_route_that_runs() {
+        let d = db();
+        let views = ["N", "E", "S", "T", "L", "P"];
+        let xy = |p: Pattern| pgq_pattern::OutputPattern::vars(p, ["x", "y"]).unwrap();
+        let reach_star = Pattern::node("x")
+            .then(Pattern::any_edge().star())
+            .then(Pattern::node("y"));
+        let one_hop = Pattern::node("x")
+            .then(Pattern::edge("e"))
+            .then(Pattern::node("y"))
+            .filter(pgq_pattern::Condition::HasLabel("e".into(), "T".into()));
+        let backward = Pattern::node("x")
+            .then(Pattern::any_edge_back())
+            .then(Pattern::node("y"));
+        let outs = [
+            builders::reachability_output(),
+            builders::reachability_plus_output(),
+            pgq_pattern::OutputPattern::boolean(reach_star).unwrap(),
+            builders::labeled_reachability_output("T"),
+            xy(one_hop),
+            xy(backward),
+        ];
+        for store in [Store::from_database(&d), store_for(&d)] {
+            for out in &outs {
+                let q = Query::pattern_ro(out.clone(), views);
+                let text = explain_with(&q, &d.schema(), Some(&store), None).unwrap();
+                let explained = text
+                    .split_once("[route: ")
+                    .and_then(|(_, rest)| rest.split_once(']'))
+                    .map(|(route, _)| route)
+                    .unwrap_or_else(|| panic!("no route in {text}"));
+                let (_, profile) =
+                    crate::eval_with_store_profiled(&q, &d, EvalConfig::physical(), &store)
+                        .unwrap();
+                assert_eq!(
+                    profile.root.label,
+                    format!("Pattern [{explained}]"),
+                    "{q}; graphs: {:?}",
+                    store.graph_names().collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

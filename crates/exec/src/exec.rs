@@ -131,7 +131,6 @@ impl<'a, 'd> Run<'a, 'd> {
         let start = m.as_ref().map(|_| Instant::now());
         if let Some(n) = m.as_deref_mut() {
             n.executed = true;
-            n.batches += 1;
         }
         let out = self.node_inner(plan, m.as_deref_mut())?;
         if let Some(n) = m {

@@ -141,7 +141,6 @@ pub fn transitive_closure_profiled(
     let out = closure(&edges, k, params, opts, Some(&mut m))?;
     m.elapsed_ns = start.elapsed().as_nanos() as u64;
     m.rows_out = out.len() as u64;
-    m.batches = 1;
     Ok((out, m))
 }
 

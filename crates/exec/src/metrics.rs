@@ -2,9 +2,9 @@
 //! `EXPLAIN ANALYZE`.
 //!
 //! A [`PlanMetrics`] tree mirrors the [`crate::PhysPlan`] operator tree
-//! one node per operator, recording rows in/out, batches, wall time,
-//! hash-join build sizes and partition counts,
-//! fixpoint iterations with per-iteration Δ-frontier sizes, and
+//! one node per operator, recording rows in/out, wall time, hash-join
+//! build sizes and partition counts, fixpoint iterations with
+//! per-iteration Δ-frontier sizes, and
 //! per-worker task counts from the morsel scheduler. Collection is
 //! opt-in (the [`crate::execute_profiled`] / [`crate::eval_ra_profiled`]
 //! entry points) and strictly observational: the metrics-free path
@@ -21,9 +21,8 @@
 //! deterministic fields, and that rendering is byte-identical across
 //! 1 vs 8 workers.
 //!
-//! [`QueryProfile::to_json`] serializes a profile with the same
-//! serde-free [`JsonWriter`] as the shell's `STATS JSON;` / `METRICS
-//! JSON;`.
+//! The module also holds [`JsonWriter`], the serializer behind the
+//! shell's `STATS JSON;` / `METRICS JSON;`.
 
 use crate::plan::PhysPlan;
 use std::fmt::Write as _;
@@ -48,8 +47,6 @@ pub struct PlanMetrics {
     /// column. Deterministic: estimates are a pure function of the
     /// statistics snapshot, never of scheduling.
     pub est_rows: Option<u64>,
-    /// Output batches produced (1 per execution of this node).
-    pub batches: u64,
     /// Inclusive wall time for the subtree under this node, in
     /// nanoseconds. Runtime field.
     pub elapsed_ns: u64,
@@ -108,12 +105,6 @@ impl PlanMetrics {
         }
     }
 
-    /// `rows_out / rows_in` — the survival ratio a `Distinct`/`Diff`
-    /// node reports as its dedup ratio. `None` when no rows came in.
-    pub fn dedup_ratio(&self) -> Option<f64> {
-        (self.rows_in > 0).then(|| self.rows_out as f64 / self.rows_in as f64)
-    }
-
     /// One rendered line: deterministic fields always, runtime fields
     /// (time, dop, partitions, worker task counts) only with `timing`.
     fn line(&self, timing: bool) -> String {
@@ -170,69 +161,6 @@ impl PlanMetrics {
             c.render_into(out, &child_prefix, i + 1 == n, timing);
         }
     }
-
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("label");
-        w.string(&self.label);
-        w.key("executed");
-        w.boolean(self.executed);
-        w.key("rows_in");
-        w.number(self.rows_in);
-        w.key("rows_out");
-        w.number(self.rows_out);
-        if let Some(e) = self.est_rows {
-            w.key("est_rows");
-            w.number(e);
-        }
-        w.key("batches");
-        w.number(self.batches);
-        w.key("elapsed_ns");
-        w.number(self.elapsed_ns);
-        w.key("dop");
-        w.number(self.dop.max(1) as u64);
-        if let Some(b) = self.build_rows {
-            w.key("build_rows");
-            w.number(b);
-        }
-        if let Some(p) = self.partitions {
-            w.key("partitions");
-            w.number(p);
-        }
-        if let Some(deltas) = &self.iterations {
-            w.key("iterations");
-            w.begin_array();
-            for &d in deltas {
-                w.number(d);
-            }
-            w.end_array();
-        }
-        if let Some(g) = self.sweep_groups {
-            w.key("sweep_groups");
-            w.number(g);
-        }
-        if let Some(r) = self.dedup_ratio() {
-            if self.label.starts_with("Distinct") || self.label.starts_with("Diff") {
-                w.key("dedup_ratio");
-                w.float(r);
-            }
-        }
-        if !self.worker_tasks.is_empty() {
-            w.key("worker_tasks");
-            w.begin_array();
-            for &t in &self.worker_tasks {
-                w.number(t);
-            }
-            w.end_array();
-        }
-        w.key("children");
-        w.begin_array();
-        for c in &self.children {
-            c.write_json(w);
-        }
-        w.end_array();
-        w.end_object();
-    }
 }
 
 /// A finished query's profile: the per-operator [`PlanMetrics`] tree
@@ -272,25 +200,6 @@ impl QueryProfile {
         self.root.render_into(&mut out, "", true, timing);
         out
     }
-
-    /// The profile as a JSON document (hand-rolled [`JsonWriter`], no
-    /// serde). Runtime fields are included; strip or ignore
-    /// `elapsed_ns`/`dop`/`partitions`/`worker_tasks` for
-    /// run-to-run-stable comparisons.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::pretty();
-        w.begin_object();
-        w.key("rows");
-        w.number(self.rows);
-        w.key("threads");
-        w.number(self.threads as u64);
-        w.key("elapsed_ns");
-        w.number(self.elapsed_ns);
-        w.key("plan");
-        self.root.write_json(&mut w);
-        w.end_object();
-        w.finish()
-    }
 }
 
 /// Nanoseconds, humanized (`812ns`, `14.2µs`, `3.1ms`, `2.45s`).
@@ -303,30 +212,33 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// A minimal hand-rolled JSON writer — the one serializer behind
-/// [`QueryProfile::to_json`] and the shell's `STATS JSON;` / `METRICS
-/// JSON;`. No serde: the workspace is dependency-free by policy, and
-/// the JSON this stack emits is flat enough that a push-style writer is
-/// the whole job.
-#[derive(Debug, Default)]
+/// A minimal hand-rolled, pretty-printing (two-space indent) JSON
+/// writer — the one serializer behind the shell's `STATS JSON;` /
+/// `METRICS JSON;`. No serde: the workspace is dependency-free by
+/// policy, and the JSON this stack emits is flat enough that a
+/// push-style writer is the whole job.
+#[derive(Debug)]
 pub struct JsonWriter {
     out: String,
     counts: Vec<usize>,
     pending_key: bool,
-    pretty: bool,
 }
 
 impl JsonWriter {
-    /// A compact writer (no whitespace).
-    pub fn new() -> Self {
-        JsonWriter::default()
-    }
-
-    /// A pretty-printing writer (two-space indent).
+    /// An empty document.
     pub fn pretty() -> Self {
         JsonWriter {
-            pretty: true,
-            ..JsonWriter::default()
+            out: String::new(),
+            counts: Vec::new(),
+            pending_key: false,
+        }
+    }
+
+    /// A line break indented to the current nesting depth.
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.counts.len() {
+            self.out.push_str("  ");
         }
     }
 
@@ -340,22 +252,13 @@ impl JsonWriter {
                 self.out.push(',');
             }
             *n += 1;
-            if self.pretty {
-                self.out.push('\n');
-                for _ in 0..self.counts.len() {
-                    self.out.push_str("  ");
-                }
-            }
+            self.newline();
         }
     }
 
     fn close(&mut self, ch: char) {
-        let n = self.counts.pop().unwrap_or(0);
-        if self.pretty && n > 0 {
-            self.out.push('\n');
-            for _ in 0..self.counts.len() {
-                self.out.push_str("  ");
-            }
+        if self.counts.pop().unwrap_or(0) > 0 {
+            self.newline();
         }
         self.out.push(ch);
     }
@@ -388,10 +291,7 @@ impl JsonWriter {
     pub fn key(&mut self, k: &str) {
         self.prelude();
         push_escaped(&mut self.out, k);
-        self.out.push(':');
-        if self.pretty {
-            self.out.push(' ');
-        }
+        self.out.push_str(": ");
         self.pending_key = true;
     }
 
@@ -411,12 +311,6 @@ impl JsonWriter {
     pub fn float(&mut self, v: f64) {
         self.prelude();
         let _ = write!(self.out, "{v:.4}");
-    }
-
-    /// Writes a boolean value.
-    pub fn boolean(&mut self, v: bool) {
-        self.prelude();
-        self.out.push_str(if v { "true" } else { "false" });
     }
 
     /// Finishes and returns the document.
@@ -499,7 +393,6 @@ mod tests {
         assert!(timed.contains("dop=4"), "{timed}");
         assert!(timed.contains("parts=8"), "{timed}");
         assert!(timed.contains("tasks=[2,1]"), "{timed}");
-        assert_eq!(profile.root.dedup_ratio(), Some(0.4));
     }
 
     #[test]
@@ -514,49 +407,22 @@ mod tests {
 
     #[test]
     fn json_writer_escapes_and_nests() {
-        let mut w = JsonWriter::new();
+        let mut w = JsonWriter::pretty();
         w.begin_object();
         w.key("a\"b");
         w.string("x\ny");
-        w.key("n");
-        w.number(7);
         w.key("list");
         w.begin_array();
         w.number(1);
-        w.number(2);
+        w.float(0.5);
         w.end_array();
-        w.key("ok");
-        w.boolean(true);
+        w.key("empty");
+        w.begin_array();
+        w.end_array();
         w.end_object();
         assert_eq!(
             w.finish(),
-            "{\"a\\\"b\":\"x\\ny\",\"n\":7,\"list\":[1,2],\"ok\":true}"
-        );
-    }
-
-    #[test]
-    fn profile_json_is_well_formed_enough() {
-        let mut root = PlanMetrics::leaf("Fixpoint [semi-naive]");
-        root.executed = true;
-        root.iterations = Some(vec![3, 2, 0]);
-        let profile = QueryProfile {
-            rows: 5,
-            threads: 2,
-            elapsed_ns: 999,
-            root,
-        };
-        let json = profile.to_json();
-        assert!(json.contains("\"rows\": 5"), "{json}");
-        assert!(json.contains("\"iterations\": ["), "{json}");
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
+            "{\n  \"a\\\"b\": \"x\\ny\",\n  \"list\": [\n    1,\n    0.5000\n  ],\n  \"empty\": []\n}"
         );
     }
 }

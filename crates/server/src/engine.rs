@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 /// Per-session knobs (each TCP connection, or the shell, has its own).
 #[derive(Debug, Default, Clone)]
 pub struct SessionState {
-    /// `SET THREADS n;` — 0 means the environment default.
+    /// `SET THREADS n;` — 0 means the environment default; clamped to the machine.
     pub threads: usize,
     /// `SET PLANNER {cost|rule};` — cost-based is the default.
     pub planner: PlannerChoice,
@@ -95,6 +95,8 @@ pub struct Engine {
     base: Mutex<BaseState>,
     store: ConcurrentStore,
     view: RwLock<Arc<ReadView>>,
+    /// The cap on `SET THREADS n;`: the machine's parallelism, at most 8.
+    max_threads: usize,
 }
 
 impl Default for Engine {
@@ -135,6 +137,9 @@ impl Engine {
                 snap,
                 graphs: BTreeMap::new(),
             })),
+            max_threads: std::thread::available_parallelism()
+                .map_or(1, usize::from)
+                .min(8),
         }
     }
 
@@ -179,8 +184,8 @@ impl Engine {
             Command::Metrics(mode) => self.metrics(mode),
             Command::Compact => vec![format!("-- compacted: {}", self.compact()?)],
             Command::SetThreads(n) => {
-                conn.threads = n;
-                let resolved = ExecOptions::with_threads(n).threads;
+                conn.threads = n.min(self.max_threads);
+                let resolved = ExecOptions::with_threads(conn.threads).threads;
                 vec![format!(
                     "-- threads set to {n} (executor runs {resolved} worker(s))"
                 )]

@@ -396,6 +396,27 @@ fn commands_dispatch_on_tokens_not_prefixes() {
     server.stop();
 }
 
+/// A client cannot scale server threads: `SET THREADS n` is clamped to
+/// what the default resolves to without `PGQ_THREADS` — the machine's
+/// parallelism, at most 8 — and the acknowledgement says so.
+#[test]
+fn set_threads_is_bounded_by_the_machine() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let resp = client.request("SET THREADS 100000").expect("set threads");
+    let workers: usize = resp[0]
+        .strip_prefix("-- threads set to 100000 (executor runs ")
+        .and_then(|rest| rest.strip_suffix(" worker(s))"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected acknowledgement: {resp:?}"));
+    let machine = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    assert!(
+        (1..=8.min(machine)).contains(&workers),
+        "{workers} workers on a {machine}-way machine"
+    );
+    server.stop();
+}
+
 /// `SELECT`, `EXPLAIN` and `EXPLAIN ANALYZE` share one preparation
 /// step, so on a graph whose view is invalid all three answer with the
 /// view error — and all three answer again once the view is repaired.

@@ -19,8 +19,8 @@
 //!   residency, overlays, bytes by component) and planner statistics;
 //! * `METRICS;` / `METRICS JSON;` / `METRICS RESET;` — cumulative store
 //!   access counters; `COMPACT;` — fold overlays, rebuild the dictionary;
-//! * `SET THREADS n;` — executor workers (`0`: `PGQ_THREADS`, else the
-//!   machine's parallelism); `SET PLANNER cost;` / `SET PLANNER rule;` —
+//! * `SET THREADS n;` — executor workers, clamped to the machine (`0`:
+//!   `PGQ_THREADS`, else the machine's parallelism); `SET PLANNER cost;` / `SET PLANNER rule;` —
 //!   statistics-driven (default) or fixed rule-based lowering. Results
 //!   are identical at every setting; only plan shapes move.
 //!
