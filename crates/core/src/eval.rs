@@ -6,18 +6,20 @@
 //! property graph (erroring if the Definition 3.1/5.1 conditions fail),
 //! and the output pattern is evaluated on that graph.
 //!
-//! The optimizer recognizes *navigational* pattern calls — Boolean
-//! outputs or plain endpoint projections `( (x) … (y) )_{x,y}` whose
-//! pattern compiles to an NFA — and answers them with the product-graph
-//! BFS engine instead of the reference evaluator. Agreement between the
-//! two paths is property-tested; `EvalConfig::reference()` disables the
+//! Who answers the second phase is one decision, `physical::route`,
+//! shared with the physical engine and `EXPLAIN`. It sends
+//! *navigational* pattern calls — a pattern that compiles to an NFA,
+//! with a Boolean output or items that read only its two endpoints
+//! (identifiers, components, properties) — to the product-graph BFS
+//! engine instead of the reference evaluator. Agreement between the
+//! routes is property-tested; `EvalConfig::reference()` disables the
 //! fast path for differential testing and ablation benches.
 
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_graph::{
     pg_view_bounded, pg_view_exact, pg_view_ext, PropertyGraph, ViewMode, ViewRelations,
 };
-use pgq_pattern::{Nfa, OutputItem, OutputPattern, Pattern};
+use pgq_pattern::{OutputPattern, Pattern};
 use pgq_relational::{Database, RelError, Relation};
 use pgq_value::Var;
 
@@ -254,69 +256,16 @@ pub fn build_view(
     Ok(graph)
 }
 
-/// Phase two: evaluate the output pattern, via the NFA engine when the
-/// call is navigational.
+/// Phase two: evaluate the output pattern on the route
+/// `physical::route` picks for this engine — the NFA when the call is
+/// navigational, Figure 2 otherwise.
 fn eval_output(
     out: &OutputPattern,
     g: &PropertyGraph,
     cfg: EvalConfig,
 ) -> Result<Relation, QueryError> {
-    if cfg.engine != Engine::Reference {
-        if let Some(rel) = try_fast(out, g)? {
-            return Ok(rel);
-        }
-    }
-    Ok(out.eval(g)?)
-}
-
-/// The navigational fast path. Handles two shapes:
-///
-/// * Boolean outputs `ψ∅`: non-emptiness of the endpoint-pair set;
-/// * endpoint projections `( (x) … (y) )_{x,y}` (or `_{y,x}`): the
-///   NFA's pair set, flattened (identifiers of arity `k` contribute `k`
-///   columns each, matching `OutputItem::Var` semantics).
-pub(crate) fn try_fast(
-    out: &OutputPattern,
-    g: &PropertyGraph,
-) -> Result<Option<Relation>, QueryError> {
-    // The pattern must be NFA-compilable at all.
-    let Ok(nfa) = Nfa::compile(&out.pattern) else {
-        return Ok(None);
-    };
-    if out.items.is_empty() {
-        out.pattern.validate()?;
-        let pairs = nfa.eval_pairs(g);
-        return Ok(Some(if pairs.is_empty() {
-            Relation::r#false()
-        } else {
-            Relation::r#true()
-        }));
-    }
-    // Endpoint-projection shape.
-    let [OutputItem::Var(a), OutputItem::Var(b)] = out.items.as_slice() else {
-        return Ok(None);
-    };
-    let (Some(left), Some(right)) = (
-        leftmost_node_var(&out.pattern),
-        rightmost_node_var(&out.pattern),
-    ) else {
-        return Ok(None);
-    };
-    let swap = if (a, b) == (&left, &right) {
-        false
-    } else if (a, b) == (&right, &left) {
-        true
-    } else {
-        return Ok(None);
-    };
-    out.pattern.validate()?;
-    let pairs = nfa.eval_pairs(g);
-    let mut rel = Relation::empty(2 * g.id_arity());
-    for (s, t) in pairs {
-        let row = if swap { t.concat(&s) } else { s.concat(&t) };
-        rel.insert(row)?;
-    }
-    Ok(Some(rel))
+    let route = crate::physical::route(out, g.id_arity(), None, cfg.engine);
+    route.answer(out, g, &crate::physical::exec_opts(cfg), None)
 }
 
 /// The variable bound by the leftmost node atom of a concatenation

@@ -55,9 +55,10 @@ pub use query::{Fragment, Query, QueryError, ViewOp};
 mod prop_tests {
     use super::*;
     use pgq_pattern::testgen::{arb_graph, arb_nfa_pattern};
-    use pgq_pattern::OutputPattern;
+    use pgq_pattern::{OutputItem, OutputPattern, Pattern};
     use pgq_relational::{Database, Relation};
-    use pgq_value::{Tuple, Value};
+    use pgq_store::{GraphForm, Store};
+    use pgq_value::{Tuple, Value, Var};
     use proptest::prelude::*;
 
     /// Encodes a property graph back into its six canonical relations —
@@ -115,17 +116,41 @@ mod prop_tests {
             prop_assert_eq!(&rebuilt, &g);
         }
 
-        /// Fast-path and reference evaluation agree on navigational
-        /// pattern calls over random graphs/patterns (optimizer
-        /// soundness; ablation E10).
+        /// Every engine agrees with Figure 2 on navigational pattern
+        /// calls `(x) ψ (y)` over random graphs/patterns, for Boolean
+        /// and endpoint outputs — identifiers either way round,
+        /// components, properties (optimizer soundness; ablation E10).
+        /// The physical engine runs storeless and under a store with
+        /// the graph registered.
         #[test]
-        fn fast_path_agrees_with_reference(g in arb_graph(), p in arb_nfa_pattern(2)) {
+        fn fast_path_agrees_with_reference(
+            g in arb_graph(),
+            p in arb_nfa_pattern(2),
+            shape in 0usize..5,
+        ) {
             let db = graph_to_db(&g);
-            let out = OutputPattern::boolean(p).unwrap();
-            let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
-            let fast = eval_with(&q, &db, EvalConfig::default()).unwrap();
-            let slow = eval_with(&q, &db, EvalConfig::reference()).unwrap();
-            prop_assert_eq!(fast, slow);
+            let p = Pattern::node("x").then(p).then(Pattern::node("y"));
+            let (x, y) = (|| Var::new("x"), || Var::new("y"));
+            let items = match shape {
+                0 => vec![],
+                1 => vec![OutputItem::Var(x()), OutputItem::Var(y())],
+                2 => vec![OutputItem::Var(y()), OutputItem::Var(x())],
+                3 => vec![OutputItem::Component(x(), 0), OutputItem::Component(y(), 0)],
+                _ => vec![OutputItem::Prop(x(), "w".into()), OutputItem::Var(y())],
+            };
+            let views = ["N", "E", "S", "T", "L", "P"];
+            let q = Query::pattern_ro(OutputPattern::new(p, items).unwrap(), views);
+            let reference = eval_with(&q, &db, EvalConfig::reference()).unwrap();
+            let nfa = eval_with(&q, &db, EvalConfig::default()).unwrap();
+            prop_assert_eq!(&nfa, &reference, "{}", q);
+            let physical = eval_with(&q, &db, EvalConfig::physical()).unwrap();
+            prop_assert_eq!(&physical, &reference, "{}", q);
+            let mut store = Store::from_database(&db);
+            store
+                .register_view_graph("G", views.map(Into::into), &db, GraphForm::Exact(1))
+                .unwrap();
+            let stored = eval_with_store(&q, &db, EvalConfig::physical(), &store).unwrap();
+            prop_assert_eq!(&stored, &reference, "{}", q);
         }
 
         /// Figure 4's pattern clause really is two-phase: evaluating the

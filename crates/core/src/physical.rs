@@ -14,23 +14,23 @@
 //! `Leaves` handler what a stored relation, a constant or a pattern
 //! call becomes (evaluated rows, or a placeholder plus its section of
 //! text), and `pgq_exec::physical_plan` is the one optimize →
-//! lower-onto-store step both then take. What `EXPLAIN` prints is what
-//! runs because it is the same code. Every evaluating function takes
+//! lower-onto-store step both then take; who answers a pattern call is
+//! the one decision `route` takes for both. What `EXPLAIN` prints is
+//! what runs because it is the same code. Every evaluating function takes
 //! the optional [`PlanMetrics`] sink the executor's operators take:
 //! `None` measures nothing, `Some` is the `EXPLAIN ANALYZE` route.
 
-use crate::eval::{build_view, try_fast, EvalConfig};
+use crate::eval::{build_view, leftmost_node_var, rightmost_node_var, Engine, EvalConfig};
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_exec::{
-    annotate_estimates, execute_opts, execute_profiled, intersect_plan, physical_plan,
-    transitive_closure_opts, transitive_closure_profiled, Batch, ExecOptions, PhysPlan,
-    PlanMetrics, PlannerChoice,
+    annotate_estimates, execute_opts, execute_profiled, intersect_plan, physical_plan, Batch,
+    ExecOptions, PhysPlan, PlanMetrics, PlannerChoice,
 };
 use pgq_graph::PropertyGraph;
-use pgq_pattern::{Direction, OutputItem, OutputPattern, Pattern, RepBound};
+use pgq_pattern::{Direction, Nfa, OutputItem, OutputPattern, Pattern, RepBound};
 use pgq_relational::{Database, RelName, Relation, Schema};
 use pgq_store::{GraphEntry, GraphForm, Store};
-use pgq_value::{Tuple, Value, Var};
+use pgq_value::{Key, Tuple, Value, Var};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -185,30 +185,16 @@ pub(crate) fn eval_physical(
     Ok(batch.into_relation()?)
 }
 
-const FROZEN_ROUTE: &str = "frozen CSR reachability";
-const NFA_ROUTE: &str = "NFA product-graph BFS";
-const REFERENCE_ROUTE: &str = "reference (Figure 2) semantics";
-
-fn fixpoint_route(shape: &ReachShape) -> &'static str {
-    if shape.filtered {
-        "semi-naive fixpoint over filtered step edges"
-    } else {
-        "semi-naive fixpoint over view edges"
-    }
-}
-
-/// A pattern call on the physical route. When the six views are plain
-/// base relations matching a graph frozen in the store, reachability
-/// outputs are answered from its CSR index directly — the view was
-/// validated once at registration, so nothing is rebuilt. Otherwise
-/// the view is built from physically-evaluated subqueries; reachability
-/// shapes run on the fixpoint operator; everything else falls back to
-/// NFA, then reference.
+/// A pattern call on the physical route. [`route`] picks who answers.
+/// A graph frozen in the store from exactly the call's views answers
+/// from its CSR index directly — the view was validated once at
+/// registration, so nothing is rebuilt. Every other route builds the
+/// view from physically-evaluated subqueries and answers on it.
 ///
 /// There is no operator tree to annotate, so with a sink the answering
 /// route itself becomes the node `m` — the profile never lies about
-/// which engine answered — and the fixpoint route hangs its semi-naive
-/// iteration trace (per-round Δ sizes) underneath.
+/// which engine answered — and the closure route hangs its executed
+/// `Fixpoint` plan (per-round Δ sizes) underneath.
 fn eval_pattern(
     out: &OutputPattern,
     views: &[Query; 6],
@@ -219,25 +205,37 @@ fn eval_pattern(
     mut m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
     let start = m.as_ref().map(|_| Instant::now());
-    let frozen = match store {
-        Some(store) => try_frozen_reach(out, views, op, store)?,
-        None => None,
+    let entry = store.and_then(|store| frozen_entry(views, op, store));
+    let mut view = None;
+    let k = match entry {
+        Some(entry) => entry.id_arity(),
+        None => view.insert(build_view(views, op, db, cfg)?).id_arity(),
     };
-    let (route, rel) = match frozen {
-        Some(rel) => (FROZEN_ROUTE, rel),
-        None => {
-            let graph = build_view(views, op, db, cfg)?;
-            match try_fixpoint_reach(out, &graph, &exec_opts(cfg), m.as_deref_mut())? {
-                Some(answer) => answer,
-                None => match try_fast(out, &graph)? {
-                    Some(rel) => (NFA_ROUTE, rel),
-                    None => (REFERENCE_ROUTE, out.eval(&graph)?),
-                },
+    let route = route(out, k, entry, Engine::Physical);
+    let rel = match (&route, store) {
+        (Route::Frozen(entry, spine, cols), Some(store)) => {
+            out.pattern.validate()?;
+            store.counters().record_adjacency_read(entry.has_overlay());
+            if cols.is_empty() {
+                boolean(entry.has_reach_pair() || (!spine.at_least_one && entry.node_count() > 0))
+            } else {
+                let pairs = entry.reach_relation(spine.at_least_one);
+                store
+                    .counters()
+                    .record_csr_neighbor_rows(pairs.len() as u64);
+                pairs.project(cols)?
             }
+        }
+        _ => {
+            let g = match view {
+                Some(g) => g,
+                None => build_view(views, op, db, cfg)?,
+            };
+            route.answer(out, &g, &exec_opts(cfg), m.as_deref_mut())?
         }
     };
     if let (Some(m), Some(start)) = (m, start) {
-        record_answer(m, format!("Pattern [{route}]"), &rel, start);
+        record_answer(m, format!("Pattern [{}]", route.label()), &rel, start);
     }
     Ok(rel)
 }
@@ -251,62 +249,119 @@ pub(crate) fn record_answer(m: &mut PlanMetrics, label: String, rel: &Relation, 
     m.elapsed_ns = start.elapsed().as_nanos() as u64;
 }
 
-/// Whether a graph frozen in the store answers this call from its CSR
-/// closure — the one decision both evaluation and `EXPLAIN` take. Only
-/// views that are all plain base relations can name a graph frozen from
-/// exactly them under this operator; filtered steps and property items
-/// need the view graph, so they fall through to the per-query route.
-/// `Some` holds the graph, whether a step is required, and the pair
-/// columns projected (`None` for a Boolean output).
-fn frozen_reach<'s>(
-    out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
-    store: &'s Store,
-) -> Option<(&'s GraphEntry, bool, Option<Vec<usize>>)> {
+/// The graph the store froze from exactly these views under this
+/// operator. Only views that are all plain base relations can name one.
+fn frozen_entry<'s>(views: &[Query; 6], op: ViewOp, store: &'s Store) -> Option<&'s GraphEntry> {
     let [Query::Rel(n), Query::Rel(e), Query::Rel(s), Query::Rel(t), Query::Rel(l), Query::Rel(p)] =
         views
     else {
         return None;
     };
     let names = [n, e, s, t, l, p].map(Clone::clone);
-    let entry = store.graph_for_views(&names, view_form(op))?;
-    let shape = reach_shape(&out.pattern).filter(|shape| !shape.filtered)?;
-    let cols = match reach_proj(out, &shape)? {
-        ReachProj::Boolean => None,
-        ReachProj::Items(items) => Some(pair_columns(&items, entry.id_arity())?),
-    };
-    Some((entry, shape.at_least_one, cols))
+    store.graph_for_views(&names, view_form(op))
 }
 
-/// Answers a reachability-shaped output from a graph frozen in the
-/// store — Boolean non-emptiness or a projection of the endpoint-pair
-/// set, read straight from the frozen (overlay-aware) CSR closure.
-/// `None` when [`frozen_reach`] declines the call.
-fn try_frozen_reach(
-    out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
-    store: &Store,
-) -> Result<Option<Relation>, QueryError> {
-    let Some((entry, at_least_one, cols)) = frozen_reach(out, views, op, store) else {
-        return Ok(None);
+/// Who answers a pattern call — decided by [`route`] alone.
+pub(crate) enum Route<'p, 's> {
+    /// The frozen CSR closure of a graph in the store, projected by
+    /// the pair columns it holds (none: a Boolean output).
+    Frozen(&'s GraphEntry, ReachShape<'p>, Vec<usize>),
+    /// The semi-naive closure of the spine's step pairs, on the view.
+    Closure(ReachShape<'p>, Vec<Cell>),
+    /// The NFA's endpoint pairs, on the view.
+    Nfa(Nfa, Vec<Cell>),
+    /// Figure 2, on the view.
+    Reference,
+}
+
+/// The one route decision evaluation, the NFA engine and `EXPLAIN`
+/// take. `k` is the view's identifier arity and `frozen` the graph the
+/// store froze from the call's views, if any. Only [`Engine::Physical`]
+/// takes the closure routes, and [`Engine::Reference`] takes nothing
+/// but Figure 2. A frozen graph answers a bare reachability spine whose
+/// output it holds — filtered steps and property items need the view
+/// graph. Every output an endpoint route cannot project (see [`cells`])
+/// is Figure 2's.
+pub(crate) fn route<'p, 's>(
+    out: &'p OutputPattern,
+    k: usize,
+    frozen: Option<&'s GraphEntry>,
+    engine: Engine,
+) -> Route<'p, 's> {
+    if engine == Engine::Reference {
+        return Route::Reference;
+    }
+    if engine == Engine::Physical {
+        if let Some(spine) = reach_shape(&out.pattern) {
+            if let Some(cells) = cells(out, Some(&spine.x), Some(&spine.y), k) {
+                return match (frozen, columns(&cells, k)) {
+                    (Some(entry), Some(cols)) if !spine.filtered => {
+                        Route::Frozen(entry, spine, cols)
+                    }
+                    _ => Route::Closure(spine, cells),
+                };
+            }
+        }
+    }
+    let Ok(nfa) = Nfa::compile(&out.pattern) else {
+        return Route::Reference;
     };
-    out.pattern.validate()?;
-    store.counters().record_adjacency_read(entry.has_overlay());
-    let Some(cols) = cols else {
-        let holds = entry.has_reach_pair() || (!at_least_one && entry.node_count() > 0);
-        return Ok(Some(if holds {
-            Relation::r#true()
-        } else {
-            Relation::r#false()
-        }));
-    };
-    let pairs = entry.reach_relation(at_least_one);
-    store
-        .counters()
-        .record_csr_neighbor_rows(pairs.len() as u64);
-    Ok(Some(pairs.project(&cols).map_err(QueryError::Rel)?))
+    let (x, y) = (
+        leftmost_node_var(&out.pattern),
+        rightmost_node_var(&out.pattern),
+    );
+    match cells(out, x.as_ref(), y.as_ref(), k) {
+        Some(cells) => Route::Nfa(nfa, cells),
+        None => Route::Reference,
+    }
+}
+
+impl Route<'_, '_> {
+    /// The route's name: `EXPLAIN`'s `[route: …]` and the
+    /// `Pattern [...]` node of `EXPLAIN ANALYZE`.
+    pub(crate) fn label(&self) -> &'static str {
+        match self {
+            Route::Frozen(..) => "frozen CSR reachability",
+            Route::Closure(spine, _) if spine.filtered => {
+                "semi-naive fixpoint over filtered step edges"
+            }
+            Route::Closure(..) => "semi-naive fixpoint over view edges",
+            Route::Nfa(..) => "NFA product-graph BFS",
+            Route::Reference => "reference (Figure 2) semantics",
+        }
+    }
+
+    /// Answers the call on its built view `g`. The frozen route reads
+    /// the store, not a view; on one it answers as Figure 2 does.
+    pub(crate) fn answer(
+        &self,
+        out: &OutputPattern,
+        g: &PropertyGraph,
+        opts: &ExecOptions,
+        m: Option<&mut PlanMetrics>,
+    ) -> Result<Relation, QueryError> {
+        match self {
+            Route::Closure(spine, cells) => {
+                out.pattern.validate()?;
+                let k = g.id_arity();
+                let pairs = closure(spine, g, opts, m)?;
+                // `ψ^{0..∞}` adds the 0-step pair of every node.
+                let reflexive = g
+                    .nodes()
+                    .filter(|_| !spine.at_least_one)
+                    .map(|n| (n.values(), n.values()));
+                let steps = pairs.iter().map(|row| row.values().split_at(k));
+                project(cells, steps.chain(reflexive), g)
+            }
+            Route::Nfa(nfa, cells) => {
+                out.pattern.validate()?;
+                let pairs = nfa.eval_pairs(g);
+                let ends = pairs.iter().map(|(s, t)| (s.values(), t.values()));
+                project(cells, ends, g)
+            }
+            Route::Frozen(..) | Route::Reference => Ok(out.eval(g)?),
+        }
+    }
 }
 
 /// The reachability spine `(x) step^{n..∞} (y)` with a single
@@ -316,7 +371,7 @@ fn try_frozen_reach(
 /// `μ∅`), so the step edge may carry a variable and per-step filter
 /// conditions: the call is then exactly the closure of the filtered
 /// step-pair set.
-struct ReachShape<'a> {
+pub(crate) struct ReachShape<'a> {
     x: Var,
     y: Var,
     at_least_one: bool,
@@ -360,98 +415,6 @@ fn single_forward_step(p: &Pattern) -> Option<bool> {
     }
 }
 
-/// One column source of a reachability-shaped output item; `target`
-/// selects the `y` endpoint of the closure pair.
-enum ReachItem {
-    /// The full `k`-column endpoint identifier.
-    Id { target: bool },
-    /// One identifier component (`x#i`).
-    Component { target: bool, index: usize },
-    /// An endpoint property — needs the graph, never CSR-answerable.
-    Prop { target: bool, key: pgq_value::Key },
-}
-
-/// How a reachability-shaped output consumes the endpoint pair:
-/// `Boolean` for `ψ∅`, otherwise one entry per output item. `None`
-/// when an item reads anything but the spine endpoints (the step
-/// variable's bindings are discarded by the repetition, so such
-/// outputs are not projections of the pair set).
-enum ReachProj {
-    Boolean,
-    Items(Vec<ReachItem>),
-}
-
-fn reach_proj(out: &OutputPattern, shape: &ReachShape) -> Option<ReachProj> {
-    if out.items.is_empty() {
-        return Some(ReachProj::Boolean);
-    }
-    let target = |v: &Var| -> Option<bool> {
-        if v == &shape.x {
-            Some(false)
-        } else if v == &shape.y {
-            Some(true)
-        } else {
-            None
-        }
-    };
-    let mut items = Vec::with_capacity(out.items.len());
-    for item in &out.items {
-        items.push(match item {
-            OutputItem::Var(v) => ReachItem::Id { target: target(v)? },
-            OutputItem::Component(v, i) => ReachItem::Component {
-                target: target(v)?,
-                index: *i,
-            },
-            OutputItem::Prop(v, k) => ReachItem::Prop {
-                target: target(v)?,
-                key: k.clone(),
-            },
-        });
-    }
-    Some(ReachProj::Items(items))
-}
-
-/// The closure-pair columns (arity `2k`) an identifier projection
-/// reads — `None` when a property item or out-of-range component makes
-/// it unanswerable from bare pairs.
-fn pair_columns(items: &[ReachItem], k: usize) -> Option<Vec<usize>> {
-    let base = |target: bool| if target { k } else { 0 };
-    let mut cols = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            ReachItem::Id { target } => cols.extend(base(*target)..base(*target) + k),
-            ReachItem::Component { target, index } => {
-                if *index >= k {
-                    return None;
-                }
-                cols.push(base(*target) + index);
-            }
-            ReachItem::Prop { .. } => return None,
-        }
-    }
-    Some(cols)
-}
-
-/// Projects one closure pair through the output items. `None` skips
-/// the pair — Figure 2's rule for a property undefined on its endpoint.
-fn project_pair(
-    items: &[ReachItem],
-    s: &pgq_value::Tuple,
-    t: &pgq_value::Tuple,
-    g: &PropertyGraph,
-) -> Option<pgq_value::Tuple> {
-    let end = |target: bool| if target { t } else { s };
-    let mut row: Vec<pgq_value::Value> = Vec::new();
-    for item in items {
-        match item {
-            ReachItem::Id { target } => row.extend(end(*target).iter().cloned()),
-            ReachItem::Component { target, index } => row.push(end(*target)[*index].clone()),
-            ReachItem::Prop { target, key } => row.push(g.prop(end(*target), key)?.clone()),
-        }
-    }
-    Some(row.into())
-}
-
 fn flatten_concat<'a>(p: &'a Pattern, out: &mut Vec<&'a Pattern>) {
     if let Pattern::Concat(a, b) = p {
         flatten_concat(a, out);
@@ -461,48 +424,124 @@ fn flatten_concat<'a>(p: &'a Pattern, out: &mut Vec<&'a Pattern>) {
     }
 }
 
-/// Answers reachability outputs with the semi-naive fixpoint operator:
-/// the graph's edges become `(src, tgt)` rows, `pgq_exec::transitive_closure_opts`
-/// computes the ≥1-step pairs, and `ψ^{0..∞}` restores the reflexive
-/// pairs over the view's nodes. Returns the route taken and its
-/// answer, or `None` when the output is not a Boolean or endpoint
-/// projection of the reachability spine. With a sink, the closure's
-/// own metrics (iteration count, per-round Δ sizes) become `m`'s child
-/// and its output `m`'s input — the relation is computed identically.
-fn try_fixpoint_reach(
-    out: &OutputPattern,
+/// One output column read off an endpoint pair `(s̄, t̄)`; `target`
+/// picks `t̄`. An identifier item is its `k` component cells.
+pub(crate) enum Cell {
+    /// Component `index` of the endpoint identifier.
+    Component { target: bool, index: usize },
+    /// A property of the endpoint.
+    Prop { target: bool, key: Key },
+}
+
+/// The output items as reads off the endpoint pair of a match whose
+/// source node binds `x` and whose target node binds `y`: the
+/// identifier, an in-range component or a property of either. `None` —
+/// Figure 2's business — when an item reads another variable or a
+/// component beyond the identifier arity `k`.
+fn cells(out: &OutputPattern, x: Option<&Var>, y: Option<&Var>, k: usize) -> Option<Vec<Cell>> {
+    let mut cells = Vec::new();
+    for item in &out.items {
+        let (OutputItem::Var(v) | OutputItem::Component(v, _) | OutputItem::Prop(v, _)) = item;
+        let target = if Some(v) == x {
+            false
+        } else if Some(v) == y {
+            true
+        } else {
+            return None;
+        };
+        match item {
+            OutputItem::Var(_) => {
+                cells.extend((0..k).map(|index| Cell::Component { target, index }));
+            }
+            OutputItem::Component(_, index) if *index < k => cells.push(Cell::Component {
+                target,
+                index: *index,
+            }),
+            OutputItem::Component(..) => return None,
+            OutputItem::Prop(_, key) => cells.push(Cell::Prop {
+                target,
+                key: key.clone(),
+            }),
+        }
+    }
+    Some(cells)
+}
+
+/// The positions of the cells in a pair row `s̄ ++ t̄` — how the frozen
+/// route projects. `None` with a property cell: it needs the view.
+fn columns(cells: &[Cell], k: usize) -> Option<Vec<usize>> {
+    cells
+        .iter()
+        .map(|cell| match cell {
+            Cell::Component { target, index } => Some(usize::from(*target) * k + index),
+            Cell::Prop { .. } => None,
+        })
+        .collect()
+}
+
+/// The one projection of the view's endpoint routes: every pair
+/// `(s̄, t̄)` becomes one row through `cells`, a pair whose property
+/// is undefined gives none (Figure 2's rule), and a Boolean output (no
+/// cells) holds iff some pair exists.
+fn project<'v>(
+    cells: &[Cell],
+    mut pairs: impl Iterator<Item = (&'v [Value], &'v [Value])>,
+    g: &PropertyGraph,
+) -> Result<Relation, QueryError> {
+    if cells.is_empty() {
+        return Ok(boolean(pairs.next().is_some()));
+    }
+    let mut rel = Relation::empty(cells.len());
+    'pairs: for (s, t) in pairs {
+        let end = |target: bool| if target { t } else { s };
+        let mut row = Vec::with_capacity(cells.len());
+        for cell in cells {
+            row.push(match cell {
+                Cell::Component { target, index } => end(*target)[*index].clone(),
+                Cell::Prop { target, key } => {
+                    match g.prop(&Tuple::new(end(*target).to_vec()), key) {
+                        Some(v) => v.clone(),
+                        None => continue 'pairs,
+                    }
+                }
+            });
+        }
+        rel.insert(row.into())?;
+    }
+    Ok(rel)
+}
+
+/// A Boolean output: `{()}` when it holds, `∅` otherwise.
+fn boolean(holds: bool) -> Relation {
+    if holds {
+        Relation::r#true()
+    } else {
+        Relation::r#false()
+    }
+}
+
+/// The ≥ 1-step pairs `s̄ ++ t̄` of the spine: its step-pair set
+/// closed by one `Fixpoint` plan over two `Values` leaves of it, on the
+/// one executor. With a sink, the executed plan's metrics (iteration
+/// count, per-round Δ sizes) become `m`'s child and its output `m`'s
+/// input.
+fn closure(
+    spine: &ReachShape,
     g: &PropertyGraph,
     opts: &ExecOptions,
     m: Option<&mut PlanMetrics>,
-) -> Result<Option<(&'static str, Relation)>, QueryError> {
-    let Some(shape) = reach_shape(&out.pattern) else {
-        return Ok(None);
-    };
-    let Some(proj) = reach_proj(out, &shape) else {
-        return Ok(None);
-    };
-    let k = g.id_arity();
-    if let ReachProj::Items(items) = &proj {
-        // Out-of-range components fall through so the reference
-        // evaluator raises its typed error.
-        let in_range =
-            |i: &ReachItem| !matches!(i, ReachItem::Component { index, .. } if *index >= k);
-        if !items.iter().all(in_range) {
-            return Ok(None);
-        }
-    }
-    out.pattern.validate()?;
-
+) -> Result<Batch, QueryError> {
     // The step-pair set: every (src, tgt) the repetition body matches
     // in one step. A bare edge reads the adjacency directly; a filtered
     // step evaluates its conditions per edge — bindings are local to
     // the step (Figure 2's repetition discards them), so the whole call
     // is the closure of this pair set.
-    let mut edges = Batch::empty(2 * k);
-    if shape.filtered {
-        let matches = pgq_pattern::eval_pattern(shape.step, g)?;
+    let k = g.id_arity();
+    let mut steps = Batch::empty(2 * k);
+    if spine.filtered {
+        let matches = pgq_pattern::eval_pattern(spine.step, g)?;
         for (s, t) in pgq_pattern::endpoint_pairs(&matches) {
-            edges.push(s.concat(&t))?;
+            steps.push(s.concat(&t))?;
         }
     } else {
         // A validated view gives every edge both endpoints; a graph
@@ -516,80 +555,27 @@ fn try_fixpoint_reach(
         for e in g.edges() {
             let s = g.src(e).ok_or_else(|| missing("src", e))?;
             let t = g.tgt(e).ok_or_else(|| missing("tgt", e))?;
-            edges.push(s.concat(t))?;
+            steps.push(s.concat(t))?;
         }
     }
-    let closure = match m {
+    // acc.t̄ = step.s̄, emitting (acc.s̄, step.t̄).
+    let plan = PhysPlan::Fixpoint {
+        base: Box::new(PhysPlan::Values(steps.clone())),
+        step: Box::new(PhysPlan::Values(steps)),
+        join: (0..k).map(|i| (k + i, i)).collect(),
+        project: (0..k).chain(3 * k..4 * k).collect(),
+    };
+    let db = Database::new();
+    let pairs = match m {
         Some(m) => {
-            let (closure, fixpoint) = transitive_closure_profiled(edges, k, 0, opts)?;
+            let (pairs, fixpoint) = execute_profiled(&plan, &db, None, opts)?;
             m.rows_in = fixpoint.rows_out;
             m.children.push(fixpoint);
-            closure
+            pairs
         }
-        None => transitive_closure_opts(edges, k, 0, opts)?,
+        None => execute_opts(&plan, &db, None, opts)?,
     };
-
-    let route = fixpoint_route(&shape);
-    let ReachProj::Items(items) = proj else {
-        // Boolean output: a 0-length path exists iff the view has a node.
-        let holds = !closure.is_empty() || (!shape.at_least_one && g.node_count() > 0);
-        let rel = if holds {
-            Relation::r#true()
-        } else {
-            Relation::r#false()
-        };
-        return Ok(Some((route, rel)));
-    };
-
-    let mut rel = Relation::empty(out.output_arity(k));
-    for row in closure.iter() {
-        let (s, t) = row.split_at(k);
-        if let Some(projected) = project_pair(&items, &s, &t, g) {
-            rel.insert(projected)?;
-        }
-    }
-    if !shape.at_least_one {
-        for n in g.nodes() {
-            if let Some(projected) = project_pair(&items, n, n, g) {
-                rel.insert(projected)?;
-            }
-        }
-    }
-    Ok(Some((route, rel)))
-}
-
-/// Whether the output is a Boolean or an endpoint projection of the
-/// given pair — the shapes the fixpoint and NFA routes answer.
-fn endpoint_output(out: &OutputPattern, x: &Var, y: &Var) -> bool {
-    match out.items.as_slice() {
-        [] => true,
-        [OutputItem::Var(a), OutputItem::Var(b)] => (a, b) == (x, y) || (a, b) == (y, x),
-        _ => false,
-    }
-}
-
-/// The route [`eval_pattern`] takes for this output once the view is
-/// built — mirrors the actual dispatch so `EXPLAIN` never lies.
-fn route_label(out: &OutputPattern) -> &'static str {
-    if let Some(shape) = reach_shape(&out.pattern) {
-        if reach_proj(out, &shape).is_some() {
-            return fixpoint_route(&shape);
-        }
-    }
-    if pgq_pattern::Nfa::compile(&out.pattern).is_ok() {
-        let endpoints = (
-            crate::eval::leftmost_node_var(&out.pattern),
-            crate::eval::rightmost_node_var(&out.pattern),
-        );
-        if let (Some(l), Some(r)) = endpoints {
-            if endpoint_output(out, &l, &r) {
-                return NFA_ROUTE;
-            }
-        } else if out.items.is_empty() {
-            return NFA_ROUTE;
-        }
-    }
-    REFERENCE_ROUTE
+    Ok(pairs.decode()?)
 }
 
 /// Renders the physical plan of a query as an `EXPLAIN`-style tree —
@@ -661,11 +647,10 @@ impl Leaves for Explain<'_> {
         op: ViewOp,
     ) -> Result<PhysPlan, QueryError> {
         // Identifier arity is Q1's arity (`Query::arity`).
-        let arity = out.output_arity(views[0].arity(&self.aug)?);
-        let route = match self.store {
-            Some(store) if frozen_reach(out, views, op, store).is_some() => FROZEN_ROUTE,
-            _ => route_label(out),
-        };
+        let k = views[0].arity(&self.aug)?;
+        let arity = out.output_arity(k);
+        let entry = self.store.and_then(|store| frozen_entry(views, op, store));
+        let route = route(out, k, entry, Engine::Physical).label();
         // Render the view subplans first: nested pattern calls push
         // their own sections during this recursion, so numbering off
         // `sections.len()` afterwards keeps every placeholder unique.
@@ -1095,13 +1080,37 @@ mod tests {
         let backward = Pattern::node("x")
             .then(Pattern::any_edge_back())
             .then(Pattern::node("y"));
+        let two_hop = Pattern::node("x")
+            .then(Pattern::any_edge().repeat(2, 2))
+            .then(Pattern::node("y"));
+        let with = |p: &Pattern, items: Vec<OutputItem>| {
+            pgq_pattern::OutputPattern::new(p.clone(), items).unwrap()
+        };
+        // A component past the identifier arity (k = 1): Figure 2's
+        // typed error, so the reference route is the one that runs.
+        let past_k = with(&reach_star, vec![OutputItem::Component("x".into(), 1)]);
         let outs = [
             builders::reachability_output(),
             builders::reachability_plus_output(),
-            pgq_pattern::OutputPattern::boolean(reach_star).unwrap(),
+            pgq_pattern::OutputPattern::boolean(reach_star.clone()).unwrap(),
             builders::labeled_reachability_output("T"),
             xy(one_hop),
             xy(backward),
+            past_k.clone(),
+            with(
+                &two_hop,
+                vec![
+                    OutputItem::Component("x".into(), 0),
+                    OutputItem::Component("y".into(), 0),
+                ],
+            ),
+            with(
+                &reach_star,
+                vec![
+                    OutputItem::Prop("x".into(), "w".into()),
+                    OutputItem::Var("y".into()),
+                ],
+            ),
         ];
         for store in [Store::from_database(&d), store_for(&d)] {
             for out in &outs {
@@ -1112,11 +1121,18 @@ mod tests {
                     .and_then(|(_, rest)| rest.split_once(']'))
                     .map(|(route, _)| route)
                     .unwrap_or_else(|| panic!("no route in {text}"));
-                let (_, profile) =
-                    crate::eval_with_store_profiled(&q, &d, EvalConfig::physical(), &store)
-                        .unwrap();
+                let result =
+                    crate::eval_with_store_profiled(&q, &d, EvalConfig::physical(), &store);
+                assert_eq!(result.is_err(), out == &past_k, "{q}");
+                let ran = match result {
+                    Ok((_, profile)) => profile.root.label,
+                    Err(QueryError::Output(pgq_pattern::OutputError::ComponentOutOfRange {
+                        ..
+                    })) => "Pattern [reference (Figure 2) semantics]".to_string(),
+                    Err(e) => panic!("{q}: {e}"),
+                };
                 assert_eq!(
-                    profile.root.label,
+                    ran,
                     format!("Pattern [{explained}]"),
                     "{q}; graphs: {:?}",
                     store.graph_names().collect::<Vec<_>>()

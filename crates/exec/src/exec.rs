@@ -777,9 +777,8 @@ fn check_iteration_budget(iterations: &mut usize, opts: &ExecOptions) -> RelResu
 /// round's candidate generation is morsel-parallel over `Δ` (the step
 /// index is shared read-only); the dedup insert into the accumulator
 /// runs sequentially in morsel order, so round contents — and thus the
-/// result — match sequential execution exactly. `pub(crate)` so
-/// `transitive_closure_opts` can drive it without staging `Values` copies.
-pub(crate) fn fixpoint_coded(
+/// result — match sequential execution exactly.
+fn fixpoint_coded(
     base: &CodedBatch,
     step: &CodedBatch,
     join: &[(usize, usize)],
@@ -957,6 +956,40 @@ mod tests {
         assert_eq!(out.len(), 6);
         assert!(out.contains(&tuple![0, 3]));
         assert!(!out.contains(&tuple![3, 0]));
+
+        // Binary identifiers (k = 2): pair-steps (0,i) → (0,i+1),
+        // joined on both components of the target.
+        let steps = Batch::from_rows(4, [tuple![0, 0, 0, 1], tuple![0, 1, 0, 2]]).unwrap();
+        let tc = PhysPlan::Fixpoint {
+            base: Box::new(PhysPlan::Values(steps.clone())),
+            step: Box::new(PhysPlan::Values(steps)),
+            join: vec![(2, 0), (3, 1)],
+            project: vec![0, 1, 6, 7],
+        };
+        let out = execute(&tc, &d).unwrap().into_relation();
+        assert_eq!(out.len(), 3);
+        assert!(out.contains(&tuple![0, 0, 0, 2]));
+
+        // A parameter column stays fixed along a path: two colored
+        // edges chain only within a color.
+        let colored = Batch::from_rows(
+            3,
+            [
+                tuple![0, 1, "red"],
+                tuple![1, 2, "blue"],
+                tuple![1, 2, "red"],
+            ],
+        )
+        .unwrap();
+        let tc = PhysPlan::Fixpoint {
+            base: Box::new(PhysPlan::Values(colored.clone())),
+            step: Box::new(PhysPlan::Values(colored)),
+            join: vec![(1, 0), (2, 2)],
+            project: vec![0, 4, 5],
+        };
+        let out = execute(&tc, &d).unwrap().into_relation();
+        assert!(out.contains(&tuple![0, 2, "red"]));
+        assert!(!out.contains(&tuple![0, 2, "blue"]));
     }
 
     #[test]
