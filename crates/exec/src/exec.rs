@@ -21,10 +21,7 @@
 use crate::batch::Batch;
 use crate::coded::{Coded, CodedBatch, CodedCond, Codes};
 use crate::metrics::PlanMetrics;
-use crate::parallel::{
-    hash_codes, partition_count, run_morsels, run_morsels_traced, run_tasks, run_tasks_scratch,
-    run_tasks_scratch_traced, run_tasks_traced, ExecOptions,
-};
+use crate::parallel::{run_morsels, run_tasks, ExecOptions};
 use crate::plan::PhysPlan;
 use pgq_relational::{Database, RelError, RelName, RelResult, Relation, RowCondition};
 use pgq_store::{AdjacencyView, ReachScratch, Store};
@@ -58,12 +55,15 @@ pub fn execute_with(plan: &PhysPlan, db: &Database, store: Option<&Store>) -> Re
 /// differential suite `tests/prop_store.rs` holds store-backed and
 /// storeless paths to identical results.
 ///
-/// With `opts.threads > 1` the data-parallel operators (filter,
-/// project, hash join, distinct, adjacency expansion, fixpoints) run
-/// morsel-parallel on scoped workers; per-morsel outputs merge in
-/// morsel order, so results are byte-identical to sequential execution
+/// With `opts.threads > 1` the operators that split their input
+/// (`Filter`, `Project`, `Diff`, the key-less `HashJoin`,
+/// `AdjacencyExpand` and the CSR fixpoint's source-group sweeps) run
+/// on scoped workers; per-morsel outputs merge in morsel order, so
+/// results are byte-identical to sequential execution
 /// (`tests/prop_engine.rs`/`tests/prop_store.rs` hold parallel ≡
-/// sequential ≡ reference at thread counts {1, 2, 8}).
+/// sequential ≡ reference at thread counts {1, 2, 8}). Keyed
+/// `HashJoin`, `Distinct` and the hash `Fixpoint` have one algorithm,
+/// the sequential one, at every worker count.
 pub fn execute_opts<'a>(
     plan: &PhysPlan,
     db: &Database,
@@ -272,9 +272,10 @@ impl<'a, 'd> Run<'a, 'd> {
                 concat_coded(l.arity(), parts)
             }
             PhysPlan::Distinct { input } => {
-                let batch = self.node(input, child_m(&mut m, 0))?;
+                let mut batch = self.node(input, child_m(&mut m, 0))?;
                 note_rows_in(&mut m, batch.len());
-                distinct_coded(batch, opts, m)
+                batch.dedup();
+                Ok(batch)
             }
             PhysPlan::Fixpoint {
                 base,
@@ -289,14 +290,9 @@ impl<'a, 'd> Run<'a, 'd> {
                 // no step batch, no hash probes. Sweeps are sharded by
                 // source node across the workers — every group is an
                 // independent multi-source frontier.
-                if let (Some(store), PhysPlan::IndexScan(name)) = (self.store, step.as_ref()) {
-                    if base.arity() == 2
-                        && join.as_slice() == [(1, 0)]
-                        && project.as_slice() == [0, 3]
-                    {
-                        if let Some(view) = store.adjacency(name) {
-                            return csr_fixpoint_coded(base, &view, store, opts, m);
-                        }
+                if let (Some(store), Some(rel)) = (self.store, plan.csr_sweep_step()) {
+                    if let Some(view) = store.adjacency(rel).filter(|_| base.arity() == 2) {
+                        return csr_fixpoint_coded(base, &view, store, opts, m);
                     }
                 }
                 let step = self.node(step, child_m(&mut m, 1))?;
@@ -320,9 +316,9 @@ impl<'a, 'd> Run<'a, 'd> {
     }
 }
 
-/// [`crate::parallel::run_morsels`], routed through the traced variant
-/// (recording degree of parallelism and per-worker morsel counts) when
-/// a metrics node is collecting.
+/// [`crate::parallel::run_morsels`], recording the degree of
+/// parallelism and per-worker morsel counts when a metrics node is
+/// collecting.
 fn traced_morsels<T, F>(
     m: Option<&mut PlanMetrics>,
     len: usize,
@@ -333,45 +329,21 @@ where
     T: Send,
     F: Fn(Range<usize>) -> RelResult<T> + Sync,
 {
-    match m {
-        Some(node) => {
-            node.dop = node.dop.max(dop);
-            let (out, claimed) = run_morsels_traced(len, dop, work)?;
-            node.record_workers(&claimed);
-            Ok(out)
-        }
-        None => run_morsels(len, dop, work),
+    let mut claimed = Vec::new();
+    let out = run_morsels(len, dop, work, m.is_some().then_some(&mut claimed))?;
+    if let Some(node) = m {
+        node.dop = node.dop.max(dop);
+        node.record_workers(&claimed);
     }
+    Ok(out)
 }
 
-/// [`crate::parallel::run_tasks`], traced like [`traced_morsels`].
-fn traced_tasks<T, F>(
-    m: Option<&mut PlanMetrics>,
-    count: usize,
-    dop: usize,
-    work: F,
-) -> RelResult<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> RelResult<T> + Sync,
-{
-    match m {
-        Some(node) => {
-            node.dop = node.dop.max(dop.min(count).max(1));
-            let (out, claimed) = run_tasks_traced(count, dop, work)?;
-            node.record_workers(&claimed);
-            Ok(out)
-        }
-        None => run_tasks(count, dop, work),
-    }
-}
-
-/// [`traced_tasks`] with per-worker scratch state: each worker builds
-/// one `S` up front and reuses it across every task it claims — how
-/// the fixpoint sweeps keep their frontier/visited buffers out of the
-/// allocator across groups (the PR 9 churn fix; the buffers' own
+/// [`crate::parallel::run_tasks`], traced like [`traced_morsels`]:
+/// each worker builds one `S` up front and reuses it across every task
+/// it claims — how the CSR fixpoint's sweeps keep their frontier/visited
+/// buffers out of the allocator across groups (the buffers' own
 /// allocation counter is pinned down in `pgq-store`'s CSR tests).
-fn traced_tasks_scratch<T, S, I, F>(
+fn traced_tasks<T, S, I, F>(
     m: Option<&mut PlanMetrics>,
     count: usize,
     dop: usize,
@@ -383,15 +355,13 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> RelResult<T> + Sync,
 {
-    match m {
-        Some(node) => {
-            node.dop = node.dop.max(dop.min(count).max(1));
-            let (out, claimed) = run_tasks_scratch_traced(count, dop, init, work)?;
-            node.record_workers(&claimed);
-            Ok(out)
-        }
-        None => run_tasks_scratch(count, dop, init, work),
+    let mut claimed = Vec::new();
+    let out = run_tasks(count, dop, init, work, m.is_some().then_some(&mut claimed))?;
+    if let Some(node) = m {
+        node.dop = node.dop.max(dop.min(count).max(1));
+        node.record_workers(&claimed);
     }
+    Ok(out)
 }
 
 /// Concatenates per-morsel coded outputs in morsel order — the
@@ -488,7 +458,7 @@ fn csr_fixpoint_coded(
     if let Some(n) = m.as_deref_mut() {
         n.sweep_groups = Some(groups.len() as u64);
     }
-    let parts = traced_tasks_scratch(
+    let parts = traced_tasks(
         m,
         groups.len(),
         opts.threads,
@@ -603,7 +573,7 @@ fn hash_join_coded(
     r: &CodedBatch,
     keys: &[(usize, usize)],
     opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
+    m: Option<&mut PlanMetrics>,
 ) -> RelResult<CodedBatch> {
     // Empty key set: the all-columns intersection, on codes.
     if keys.is_empty() {
@@ -623,109 +593,15 @@ fn hash_join_coded(
     }
     validate_keys(keys, l.arity(), r.arity())?;
     let right_positions: Vec<usize> = keys.iter().map(|&(_, j)| j).collect();
-    let dop = opts.dop(l.len().max(r.len()));
-    if dop == 1 {
-        let index = r.hash_index(&right_positions);
-        let mut out = CodedBatch::empty(l.arity() + r.arity());
-        let mut key: Vec<u32> = Vec::with_capacity(keys.len());
-        for a in l.iter() {
-            key.clear();
-            key.extend(keys.iter().map(|&(i, _)| a[i]));
-            for &bi in index.probe(&key) {
-                out.push_concat(a, r.row(bi))?;
-            }
+    let index = r.hash_index(&right_positions);
+    let mut out = CodedBatch::empty(l.arity() + r.arity());
+    let mut key: Vec<u32> = Vec::with_capacity(keys.len());
+    for a in l.iter() {
+        key.clear();
+        key.extend(keys.iter().map(|&(i, _)| a[i]));
+        for &bi in index.probe(&key) {
+            out.push_concat(a, r.row(bi))?;
         }
-        return Ok(out);
-    }
-    // Radix-partitioned parallel build: one cheap sequential pass
-    // assigns each build row a partition by a deterministic hash of its
-    // key codes, then the partitions' hash tables build concurrently.
-    // Same key ⇒ same partition, and per-key index lists stay in
-    // ascending row order, so probe output is byte-identical to the
-    // single-table sequential join.
-    let pcount = partition_count(dop);
-    let mask = pcount - 1;
-    if let Some(n) = m.as_deref_mut() {
-        n.partitions = Some(pcount as u64);
-    }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); pcount];
-    let mut rkey: Vec<u32> = Vec::with_capacity(keys.len());
-    for i in 0..r.len() {
-        let row = r.row(i);
-        rkey.clear();
-        rkey.extend(right_positions.iter().map(|&p| row[p]));
-        buckets[(hash_codes(&rkey) as usize) & mask].push(i);
-    }
-    let tables: Vec<HashMap<Vec<u32>, Vec<usize>>> =
-        traced_tasks(m.as_deref_mut(), pcount, dop, |p| {
-            let mut map: HashMap<Vec<u32>, Vec<usize>> = HashMap::with_capacity(buckets[p].len());
-            for &i in &buckets[p] {
-                let row = r.row(i);
-                let key: Vec<u32> = right_positions.iter().map(|&pos| row[pos]).collect();
-                map.entry(key).or_default().push(i);
-            }
-            Ok(map)
-        })?;
-    // Morsel-parallel probe, each row routed to its key's partition.
-    let parts = traced_morsels(m, l.len(), dop, |range| {
-        let mut part = CodedBatch::empty(l.arity() + r.arity());
-        let mut key: Vec<u32> = Vec::with_capacity(keys.len());
-        for i in range {
-            let a = l.row(i);
-            key.clear();
-            key.extend(keys.iter().map(|&(pos, _)| a[pos]));
-            if let Some(matches) = tables[(hash_codes(&key) as usize) & mask].get(&key) {
-                for &bi in matches {
-                    part.push_concat(a, r.row(bi))?;
-                }
-            }
-        }
-        Ok(part)
-    })?;
-    concat_coded(l.arity() + r.arity(), parts)
-}
-
-/// `Distinct`: sequential first-occurrence dedup on one worker; with
-/// more, rows are hash-partitioned by the deterministic [`hash_codes`]
-/// radix function, each partition dedups independently (identical rows
-/// share a partition), and the surviving global row indices merge by a
-/// sort — exactly the sequential first-occurrence order.
-fn distinct_coded(
-    mut cb: CodedBatch,
-    opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<CodedBatch> {
-    let dop = opts.dop(cb.len());
-    if dop == 1 {
-        cb.dedup();
-        return Ok(cb);
-    }
-    let hashed = traced_morsels(m.as_deref_mut(), cb.len(), dop, |range| {
-        Ok(range.map(|i| hash_codes(cb.row(i))).collect::<Vec<u64>>())
-    })?;
-    let hashes: Vec<u64> = hashed.concat();
-    let pcount = partition_count(dop);
-    let mask = pcount - 1;
-    if let Some(n) = m.as_deref_mut() {
-        n.partitions = Some(pcount as u64);
-    }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); pcount];
-    for (i, &h) in hashes.iter().enumerate() {
-        buckets[(h as usize) & mask].push(i);
-    }
-    let survivors = traced_tasks(m, pcount, dop, |p| {
-        let mut seen: HashSet<&[u32]> = HashSet::with_capacity(buckets[p].len());
-        Ok(buckets[p]
-            .iter()
-            .copied()
-            .filter(|&i| seen.insert(cb.row(i)))
-            .collect::<Vec<usize>>())
-    })?;
-    let mut order: Vec<usize> = survivors.concat();
-    order.sort_unstable();
-    let mut out = CodedBatch::empty(cb.arity());
-    for i in order {
-        out.push(cb.row(i))?;
     }
     Ok(out)
 }
@@ -773,11 +649,7 @@ fn check_iteration_budget(iterations: &mut usize, opts: &ExecOptions) -> RelResu
 
 /// Semi-naive evaluation: each round joins only the rows discovered in
 /// the previous round (`Δ`) against the step batch, so the step side is
-/// indexed once and no derivation is recomputed. With workers, each
-/// round's candidate generation is morsel-parallel over `Δ` (the step
-/// index is shared read-only); the dedup insert into the accumulator
-/// runs sequentially in morsel order, so round contents — and thus the
-/// result — match sequential execution exactly.
+/// indexed once and no derivation is recomputed.
 fn fixpoint_coded(
     base: &CodedBatch,
     step: &CodedBatch,
@@ -811,46 +683,14 @@ fn fixpoint_coded(
                 .push(delta.len() as u64);
         }
         let mut next: Vec<Vec<u32>> = Vec::new();
-        if opts.dop(delta.len()) == 1 {
-            for acc in &delta {
-                key.clear();
-                key.extend(join.iter().map(|&(i, _)| acc[i]));
-                for &si in index.probe(&key) {
-                    wide.clear();
-                    wide.extend_from_slice(acc);
-                    wide.extend_from_slice(step.row(si));
-                    let grown: Vec<u32> = project.iter().map(|&p| wide[p]).collect();
-                    if known.insert(grown.clone()) {
-                        next.push(grown);
-                    }
-                }
-            }
-        } else {
-            // Parallel Δ expansion; the accumulator insert stays
-            // sequential in morsel order, so each round's contents
-            // equal the sequential round's.
-            let parts = traced_morsels(
-                m.as_deref_mut(),
-                delta.len(),
-                opts.dop(delta.len()),
-                |range| {
-                    let mut cand: Vec<Vec<u32>> = Vec::new();
-                    let mut key: Vec<u32> = Vec::with_capacity(join.len());
-                    let mut wide: Vec<u32> = Vec::with_capacity(arity + step.arity());
-                    for acc in &delta[range] {
-                        key.clear();
-                        key.extend(join.iter().map(|&(i, _)| acc[i]));
-                        for &si in index.probe(&key) {
-                            wide.clear();
-                            wide.extend_from_slice(acc);
-                            wide.extend_from_slice(step.row(si));
-                            cand.push(project.iter().map(|&p| wide[p]).collect());
-                        }
-                    }
-                    Ok(cand)
-                },
-            )?;
-            for grown in parts.into_iter().flatten() {
+        for acc in &delta {
+            key.clear();
+            key.extend(join.iter().map(|&(i, _)| acc[i]));
+            for &si in index.probe(&key) {
+                wide.clear();
+                wide.extend_from_slice(acc);
+                wide.extend_from_slice(step.row(si));
+                let grown: Vec<u32> = project.iter().map(|&p| wide[p]).collect();
                 if known.insert(grown.clone()) {
                     next.push(grown);
                 }
@@ -1168,6 +1008,64 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `EXPLAIN`'s `⟨dop≤n⟩` marker is the executor's own account: at
+    /// 4 threads over multi-morsel inputs, exactly the operators
+    /// [`PhysPlan::parallel_capable`] names run on more than one worker.
+    #[test]
+    fn parallel_marker_is_what_the_executor_splits() {
+        use crate::metrics::PlanMetrics;
+        use crate::parallel::MORSEL_ROWS;
+        fn check(plan: &PhysPlan, m: &PlanMetrics) {
+            assert_eq!(m.dop > 1, plan.parallel_capable(), "{m:?}");
+            for (p, c) in plan.children().into_iter().zip(&m.children) {
+                check(p, c);
+            }
+        }
+        let mut d = Database::new();
+        let n = (2 * MORSEL_ROWS + 7) as i64;
+        for i in 0..n {
+            d.insert("E", tuple![i, (i * 7) % n]).unwrap();
+            d.insert("V", tuple![i]).unwrap();
+            // A matching: its closure is itself, reached in one round.
+            d.insert("M", tuple![i, i + n]).unwrap();
+        }
+        let store = Store::from_database(&d);
+        let fixpoint = |step: PhysPlan| PhysPlan::Fixpoint {
+            base: Box::new(PhysPlan::IndexScan("M".into())),
+            step: Box::new(step),
+            join: vec![(1, 0)],
+            project: vec![0, 3],
+        };
+        let expand = PhysPlan::AdjacencyExpand {
+            input: Box::new(PhysPlan::IndexScan("V".into())),
+            key: 0,
+            rel: "E".into(),
+            reverse: false,
+        };
+        let plans = [
+            fixpoint(PhysPlan::IndexScan("M".into())),
+            fixpoint(PhysPlan::Scan("M".into())),
+            expand.project(vec![2]).distinct(),
+            PhysPlan::IndexScan("E".into())
+                .filter(RowCondition::col_cmp_const(
+                    0,
+                    pgq_relational::CmpOp::Lt,
+                    n - 7,
+                ))
+                .hash_join(PhysPlan::IndexScan("V".into()), vec![(1, 0)]),
+            PhysPlan::IndexScan("V".into()).hash_join(PhysPlan::IndexScan("V".into()), vec![]),
+            PhysPlan::Diff {
+                left: Box::new(PhysPlan::IndexScan("E".into()).project(vec![0])),
+                right: Box::new(PhysPlan::IndexScan("V".into())),
+            },
+        ];
+        let opts = ExecOptions::with_threads(4);
+        for plan in &plans {
+            let (_, m) = execute_profiled(plan, &d, Some(&store), &opts).unwrap();
+            check(plan, &m);
         }
     }
 

@@ -3,20 +3,19 @@
 //!
 //! A [`PlanMetrics`] tree mirrors the [`crate::PhysPlan`] operator tree
 //! one node per operator, recording rows in/out, wall time, hash-join
-//! build sizes and partition counts, fixpoint iterations with
-//! per-iteration Δ-frontier sizes, and
-//! per-worker task counts from the morsel scheduler. Collection is
-//! opt-in (the [`crate::execute_profiled`] / [`crate::eval_ra_profiled`]
-//! entry points) and strictly observational: the metrics-free path
-//! takes no timestamps, and the collecting path merges per-worker counts
-//! deterministically, so collection never perturbs the byte-identical
-//! N-workers guarantee.
+//! build sizes, fixpoint iterations with per-iteration Δ-frontier
+//! sizes, and per-worker task counts from the morsel scheduler.
+//! Collection is opt-in (the [`crate::execute_profiled`] /
+//! [`crate::eval_ra_profiled`] entry points) and strictly
+//! observational: the metrics-free path takes no timestamps, and the
+//! collecting path merges per-worker counts deterministically, so
+//! collection never perturbs the byte-identical N-workers guarantee.
 //!
 //! Every field is either **deterministic** (row counts, iteration
 //! Δ sizes, build sizes — identical at any thread count,
 //! pinned by `tests/prop_engine.rs`) or **runtime** (wall time, degree
-//! of parallelism, radix partition counts, per-worker task counts —
-//! scheduling facts that vary run to run). The renderer segregates
+//! of parallelism, per-worker task counts — scheduling facts that vary
+//! run to run). The renderer segregates
 //! them: [`QueryProfile::render`] with `timing = false` prints only the
 //! deterministic fields, and that rendering is byte-identical across
 //! 1 vs 8 workers.
@@ -55,11 +54,8 @@ pub struct PlanMetrics {
     pub dop: usize,
     /// Hash-join build-side rows (joins only).
     pub build_rows: Option<u64>,
-    /// Radix partition count (parallel joins and `Distinct` only).
-    /// Runtime field: the count follows the degree of parallelism.
-    pub partitions: Option<u64>,
     /// Semi-naive fixpoint Δ-frontier sizes, one entry per iteration.
-    /// Deterministic: parallel rounds merge in morsel order.
+    /// Deterministic: the rounds run on one thread.
     pub iterations: Option<Vec<u64>>,
     /// CSR frontier-sweep source groups (CSR-answered fixpoints only).
     pub sweep_groups: Option<u64>,
@@ -106,7 +102,7 @@ impl PlanMetrics {
     }
 
     /// One rendered line: deterministic fields always, runtime fields
-    /// (time, dop, partitions, worker task counts) only with `timing`.
+    /// (time, dop, worker task counts) only with `timing`.
     fn line(&self, timing: bool) -> String {
         if !self.executed {
             return format!("{} [not executed]", self.label);
@@ -136,9 +132,6 @@ impl PlanMetrics {
                 fmt_ns(self.elapsed_ns),
                 self.dop.max(1)
             );
-            if let Some(p) = self.partitions {
-                let _ = write!(s, ", parts={p}");
-            }
             if !self.worker_tasks.is_empty() {
                 let counts: Vec<String> = self.worker_tasks.iter().map(u64::to_string).collect();
                 let _ = write!(s, ", tasks=[{}]", counts.join(","));
@@ -370,7 +363,6 @@ mod tests {
         root.rows_out = 4;
         root.elapsed_ns = 12_345;
         root.dop = 4;
-        root.partitions = Some(8);
         root.worker_tasks = vec![2, 1];
         let mut scan = PlanMetrics::leaf("Scan R");
         scan.executed = true;
@@ -391,7 +383,6 @@ mod tests {
         let timed = profile.render(true);
         assert!(timed.contains("t=12.3µs"), "{timed}");
         assert!(timed.contains("dop=4"), "{timed}");
-        assert!(timed.contains("parts=8"), "{timed}");
         assert!(timed.contains("tasks=[2,1]"), "{timed}");
     }
 

@@ -19,29 +19,33 @@
 //! genuine executor bug, never from user-constructible inputs (the
 //! panic-free audit of PR 6).
 //!
-//! Since PR 9 the generic scheduling core lives in
-//! [`pgq_store::par`] so the store's bulk-ingest paths can share it;
-//! this module re-exports it (specialized by type inference to
-//! `RelError` at the executor's call sites) and keeps the
-//! executor-specific tuning knobs ([`ExecOptions`]).
+//! The generic scheduling core lives in [`pgq_store::par`] so the
+//! store's bulk-ingest path shares it; this module re-exports its two
+//! entry points (specialized by type inference to `RelError` at the
+//! executor's call sites) and keeps the executor-specific tuning knobs
+//! ([`ExecOptions`]).
 
 use crate::cost::PlannerChoice;
 
 /// Rows per morsel (re-exported from the store-level engine).
 pub use pgq_store::par::MORSEL_ROWS;
 
-pub(crate) use pgq_store::par::{
-    hash_codes, partition_count, run_morsels, run_morsels_traced, run_tasks, run_tasks_scratch,
-    run_tasks_scratch_traced, run_tasks_traced,
-};
+pub(crate) use pgq_store::par::{run_morsels, run_tasks};
+
+/// The most workers one operator ever gets, however the count was
+/// asked for: the operators stop scaling usefully beyond it on the
+/// workload sizes this stack targets, and every worker is one scoped
+/// OS thread.
+const MAX_THREADS: usize = 8;
 
 /// Executor tuning knobs, threaded from the public entry points
 /// ([`crate::execute_opts`], `eval_with_store`, the shell's
 /// `SET THREADS n;`) down to every operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker threads per parallel operator; `1` means sequential
-    /// execution on the calling thread.
+    /// Worker threads per parallel operator (at most 8 from every
+    /// constructor); `1` means sequential execution on the calling
+    /// thread.
     pub threads: usize,
     /// Upper bound on semi-naive fixpoint iterations; `None` (the
     /// default) means unlimited. When a fixpoint would start iteration
@@ -67,13 +71,14 @@ impl ExecOptions {
         }
     }
 
-    /// Execution on `threads` workers (`0` means [`ExecOptions::auto`]).
+    /// Execution on `threads` workers (`0` means [`ExecOptions::auto`]),
+    /// at most 8.
     pub fn with_threads(threads: usize) -> Self {
         if threads == 0 {
             ExecOptions::auto()
         } else {
             ExecOptions {
-                threads,
+                threads: threads.min(MAX_THREADS),
                 ..ExecOptions::sequential()
             }
         }
@@ -95,25 +100,17 @@ impl ExecOptions {
 
     /// The environment-driven default: `PGQ_THREADS` when set (CI runs
     /// the suite under `PGQ_THREADS=1` as well as the default),
-    /// otherwise the machine's available parallelism, capped at 8 —
-    /// the executor's operators stop scaling usefully beyond that on
-    /// the workload sizes this stack targets.
+    /// otherwise the machine's available parallelism — either way at
+    /// most 8, through [`ExecOptions::with_threads`].
     pub fn auto() -> Self {
         let threads = std::env::var("PGQ_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(8)
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
             });
-        ExecOptions {
-            threads,
-            max_fixpoint_iters: None,
-            planner: PlannerChoice::default(),
-        }
+        ExecOptions::with_threads(threads)
     }
 
     /// The degree of parallelism an operator over `rows` input rows
@@ -132,53 +129,6 @@ impl Default for ExecOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgq_relational::{RelError, RelResult};
-
-    #[test]
-    fn tasks_merge_in_order_at_every_thread_count() {
-        for threads in [1, 2, 3, 8] {
-            let out: Vec<usize> = run_tasks(10, threads, |i| RelResult::Ok(i * i)).unwrap();
-            assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(run_tasks(0, 4, RelResult::Ok).unwrap().is_empty());
-    }
-
-    #[test]
-    fn morsels_cover_the_input_exactly_once() {
-        let len = 3 * MORSEL_ROWS + 17;
-        for threads in [1, 2, 8] {
-            let ranges = run_morsels(len, threads, RelResult::Ok).unwrap();
-            let covered: usize = ranges.iter().map(|r| r.len()).sum();
-            assert_eq!(covered, len);
-            let mut expected_start = 0;
-            for r in &ranges {
-                assert_eq!(r.start, expected_start);
-                expected_start = r.end;
-            }
-        }
-    }
-
-    #[test]
-    fn first_error_in_task_order_wins() {
-        let err = |i: usize| RelError::PositionOutOfRange {
-            position: i,
-            arity: 0,
-        };
-        for threads in [1, 2, 8] {
-            let got = run_tasks(
-                16,
-                threads,
-                |i| {
-                    if i % 2 == 1 {
-                        Err(err(i))
-                    } else {
-                        Ok(i)
-                    }
-                },
-            );
-            assert_eq!(got, Err(err(1)), "threads = {threads}");
-        }
-    }
 
     #[test]
     fn options_resolve_dop_from_input_size() {
@@ -192,17 +142,13 @@ mod tests {
         assert!(ExecOptions::default().threads >= 1);
     }
 
+    /// Every worker is a scoped OS thread, so no request — an explicit
+    /// count, `SET THREADS`, `PGQ_THREADS` — may ask for more than 8.
     #[test]
-    fn traced_tasks_report_every_claim_exactly_once() {
-        for threads in [1, 2, 8] {
-            let (out, claimed) = run_tasks_traced(10, threads, |i| RelResult::Ok(i * i)).unwrap();
-            assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
-            assert_eq!(claimed.iter().sum::<u64>(), 10, "threads = {threads}");
-        }
-        let len = 3 * MORSEL_ROWS + 17;
-        let (ranges, claimed) = run_morsels_traced(len, 4, RelResult::Ok).unwrap();
-        assert_eq!(ranges.iter().map(std::ops::Range::len).sum::<usize>(), len);
-        assert_eq!(claimed.iter().sum::<u64>(), 4);
+    fn worker_count_is_capped_at_eight() {
+        assert_eq!(ExecOptions::with_threads(100_000).threads, 8);
+        assert_eq!(ExecOptions::with_threads(3).threads, 3);
+        assert!((1..=8).contains(&ExecOptions::auto().threads));
     }
 
     #[test]
@@ -214,13 +160,5 @@ mod tests {
         assert_eq!(opts.max_fixpoint_iters, Some(7));
         assert_eq!(opts.planner, PlannerChoice::Rule);
         assert_eq!(ExecOptions::default().max_fixpoint_iters, None);
-    }
-
-    #[test]
-    fn code_hash_is_deterministic_and_spreads() {
-        assert_eq!(hash_codes(&[1, 2, 3]), hash_codes(&[1, 2, 3]));
-        assert_ne!(hash_codes(&[1, 2, 3]), hash_codes(&[3, 2, 1]));
-        assert!(partition_count(4).is_power_of_two());
-        assert!(partition_count(3) >= 3);
     }
 }

@@ -273,23 +273,31 @@ impl PhysPlan {
             PhysPlan::IndexSeek { rel, .. } | PhysPlan::AdjacencyExpand { rel, .. } => {
                 store.adjacency(rel).is_some_and(|v| v.has_delta())
             }
-            // The executor's CSR reachability route (step = indexed
-            // binary relation, TC shape) sweeps the adjacency view.
+            PhysPlan::Fixpoint { .. } => self
+                .csr_sweep_step()
+                .and_then(|rel| store.adjacency(rel))
+                .is_some_and(|v| v.has_delta()),
+            _ => false,
+        }
+    }
+
+    /// The step relation of a `Fixpoint` in the reachability shape the
+    /// executor answers by CSR frontier sweeps (when the store indexes
+    /// that relation): an `IndexScan` step, join `[(1, 0)]`, project
+    /// `[0, 3]`.
+    pub(crate) fn csr_sweep_step(&self) -> Option<&RelName> {
+        match self {
             PhysPlan::Fixpoint {
                 step,
                 join,
                 project,
                 ..
-            } => {
-                if let PhysPlan::IndexScan(name) = step.as_ref() {
-                    join.as_slice() == [(1, 0)]
-                        && project.as_slice() == [0, 3]
-                        && store.adjacency(name).is_some_and(|v| v.has_delta())
-                } else {
-                    false
-                }
-            }
-            _ => false,
+            } if join.as_slice() == [(1, 0)] && project.as_slice() == [0, 3] => match step.as_ref()
+            {
+                PhysPlan::IndexScan(name) => Some(name),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
@@ -301,13 +309,13 @@ impl PhysPlan {
     /// The `EXPLAIN` tree annotated with what the arguments add. Under a
     /// `store`, nodes reading through an update overlay (tombstones or
     /// adjacency deltas) are marked `⟨delta⟩`, with a trailing legend
-    /// line when any is. Under concrete `opts`, every morsel-parallel
-    /// operator (`Filter`, `Project`, `HashJoin`, `Diff`, `Distinct`,
-    /// `AdjacencyExpand`, `Fixpoint`) additionally carries its degree of
-    /// parallelism as `⟨dop≤n⟩` — an upper bound, since an operator
-    /// never gets more workers than its input has morsels — and a
-    /// trailing line states the worker budget (at one thread, only that
-    /// line). With neither this is plain [`std::fmt::Display`].
+    /// line when any is. Under concrete `opts`, every operator that
+    /// splits its input across workers ([`PhysPlan::parallel_capable`])
+    /// additionally carries its degree of parallelism as `⟨dop≤n⟩` — an
+    /// upper bound, since an operator never gets more workers than its
+    /// input has morsels — and a trailing line states the worker budget
+    /// (at one thread, only that line). With neither this is plain
+    /// [`std::fmt::Display`].
     pub fn display_with(
         &self,
         store: Option<&pgq_store::Store>,
@@ -331,20 +339,23 @@ impl PhysPlan {
         out
     }
 
-    /// Whether the executor runs this operator morsel-parallel when
-    /// given more than one worker thread (`EXPLAIN`'s `⟨dop≤n⟩` marker;
-    /// kept in lockstep with the executor's operator implementations).
+    /// Whether the executor splits this operator's input across workers
+    /// when given more than one thread (`EXPLAIN`'s `⟨dop≤n⟩` marker):
+    /// `Filter`, `Project`, `Diff`, the key-less `HashJoin`
+    /// (intersection), `AdjacencyExpand` and the CSR-shaped `Fixpoint`'s
+    /// source-group sweeps. Keyed `HashJoin`, `Distinct` and the hash
+    /// `Fixpoint` run one sequential algorithm. The executor's profile
+    /// is held to this answer on every operator.
     pub fn parallel_capable(&self) -> bool {
-        matches!(
-            self,
+        match self {
             PhysPlan::Filter { .. }
-                | PhysPlan::Project { .. }
-                | PhysPlan::HashJoin { .. }
-                | PhysPlan::Diff { .. }
-                | PhysPlan::Distinct { .. }
-                | PhysPlan::AdjacencyExpand { .. }
-                | PhysPlan::Fixpoint { .. }
-        )
+            | PhysPlan::Project { .. }
+            | PhysPlan::Diff { .. }
+            | PhysPlan::AdjacencyExpand { .. } => true,
+            PhysPlan::HashJoin { keys, .. } => keys.is_empty(),
+            PhysPlan::Fixpoint { .. } => self.csr_sweep_step().is_some(),
+            _ => false,
+        }
     }
 
     fn render_annotated(
@@ -689,12 +700,13 @@ mod tests {
             .project(vec![1])
             .distinct();
 
-        // Parallel options mark every morsel-parallel operator with its
-        // worker bound — scans never get one.
+        // Parallel options mark every operator that splits its input
+        // with its worker bound — scans, `Distinct` and keyed joins
+        // never get one.
         let text = plan.display_with(Some(&store), Some(&ExecOptions::with_threads(4)));
-        assert!(text.contains("Distinct ⟨dop≤4⟩"), "{text}");
+        assert!(text.starts_with("Distinct\n"), "{text}");
         assert!(text.contains("Project [$2] ⟨dop≤4⟩"), "{text}");
-        assert!(text.contains("HashJoin [$1 = $1ʳ] ⟨dop≤4⟩"), "{text}");
+        assert!(text.contains("HashJoin [$1 = $1ʳ]\n"), "{text}");
         assert!(text.contains("IndexScan R [columnar]\n"), "{text}");
         assert!(text.contains("parallelism: up to 4 workers"), "{text}");
 

@@ -393,11 +393,11 @@ impl CsrIndex {
 
 /// Reusable per-worker buffers for CSR reachability sweeps (PR 9).
 ///
-/// The fixpoint operators sweep one seed group per task; before this
+/// The CSR fixpoint sweeps one seed group per task; before this
 /// struct existed each sweep allocated a fresh visited array plus
 /// frontier/next/output `Vec`s, so allocation count grew linearly with
 /// the number of groups *and* iterations. A `ReachScratch` is created
-/// once per worker ([`crate::par::run_tasks_scratch`]) and reused for
+/// once per worker ([`crate::par::run_tasks`]) and reused for
 /// every sweep that worker claims: the visited array is **epoch
 /// stamped** (bumping an integer invalidates the whole array in O(1),
 /// the same trick [`CsrIndex::all_pairs_reach`] uses), and the queues

@@ -119,10 +119,12 @@ impl Dictionary {
         threads: usize,
     ) -> Result<Vec<u32>, StoreError> {
         // Probe phase (parallel, read-only): existing code or "fresh".
-        let probed: Vec<Vec<Option<u32>>> =
-            crate::par::run_morsels::<_, StoreError, _>(values.len(), threads, |range| {
-                Ok(range.map(|i| self.code(values[i])).collect())
-            })?;
+        let probed: Vec<Vec<Option<u32>>> = crate::par::run_morsels::<_, StoreError, _>(
+            values.len(),
+            threads,
+            |range| Ok(range.map(|i| self.code(values[i])).collect()),
+            None,
+        )?;
         let mut codes: Vec<Option<u32>> = probed.into_iter().flatten().collect();
         // Fresh values may repeat within the batch; count distinct
         // misses for the atomic limit check without minting anything.

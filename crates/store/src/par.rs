@@ -1,29 +1,26 @@
 //! The store-level morsel engine (DESIGN.md §5).
 //!
-//! PR 6 introduced morsel-driven parallelism inside `pgq-exec`; PR 9
-//! moves the generic scheduling core down here so the store's own bulk
-//! paths (morsel-parallel dictionary interning, bulk CSR construction)
-//! can use the identical engine without a dependency cycle —
-//! `pgq-exec` depends on `pgq-store`, not the other way round.
-//! `pgq-exec::parallel` re-exports everything in this module, so the
-//! executor's call sites are unchanged.
+//! The scheduling core lives here rather than in `pgq-exec` so the
+//! store's own bulk paths (morsel-parallel dictionary interning) use
+//! the identical engine without a dependency cycle — `pgq-exec`
+//! depends on `pgq-store`, not the other way round.
 //!
-//! The contract is the one PR 6 pinned down: inputs are split into
-//! fixed-size **morsels** (or explicit task indices), workers claim
-//! them from an atomic counter under `std::thread::scope`, and the
-//! scheduler reassembles outputs **in task order** before anything
-//! downstream sees them. That deterministic merge keeps parallel
-//! execution byte-identical to sequential execution everywhere
-//! sequential execution is itself deterministic. Errors cross the
-//! scope the same way results do: a worker that hits an error stops
-//! claiming tasks and the first error in task order is returned.
+//! Inputs are split into fixed-size **morsels** (or explicit task
+//! indices), workers claim them from an atomic counter under
+//! `std::thread::scope`, and the scheduler reassembles outputs **in
+//! task order** before anything downstream sees them. That
+//! deterministic merge keeps parallel execution byte-identical to
+//! sequential execution everywhere sequential execution is itself
+//! deterministic. Errors cross the scope the same way results do: a
+//! worker that hits an error stops claiming tasks and the first error
+//! in task order is returned.
 //!
-//! New in PR 9: the `*_scratch` variants thread one mutable
+//! There are two entry points. [`run_tasks`] threads one mutable
 //! **per-worker scratch value** through every task a worker claims, so
-//! hot loops (CSR frontier sweeps, bulk interning) reuse their
-//! frontier/visited buffers across tasks instead of allocating fresh
-//! `Vec`s per task — the allocation-churn fix the scaling curves
-//! demanded ([`crate::ReachScratch`]).
+//! hot loops (CSR frontier sweeps) reuse their frontier/visited buffers
+//! across tasks ([`crate::ReachScratch`]); [`run_morsels`] sits over it
+//! for plain row ranges. Both optionally report how many tasks each
+//! worker claimed.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,79 +41,17 @@ fn morsel_ranges(len: usize) -> Vec<Range<usize>> {
 /// — the deterministic merge every parallel operator builds on. Runs
 /// inline on the calling thread when one worker (or one task) suffices.
 ///
+/// `init(worker_index)` runs once when a worker starts, and every task
+/// that worker claims receives `&mut` access to that one scratch value
+/// — per-task buffers hoisted into per-worker state. With `claimed`,
+/// the vector is overwritten with how many tasks each worker slot
+/// claimed: a *scheduling* fact that varies run to run, never a result.
+///
 /// The first error in task order wins; tasks left unclaimed because
 /// every worker stopped on an error are simply dropped (an error is
 /// returned in that case by construction, since workers only stop
 /// early when they hit one).
-pub fn run_tasks<T, E, F>(count: usize, threads: usize, work: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    run_tasks_inner(count, threads, |_| (), |(), i| work(i), None)
-}
-
-/// [`run_tasks`], additionally reporting how many tasks each worker
-/// slot claimed (the scheduler-utilization half of the metrics layer).
-/// The counts describe *scheduling*, not results — they vary run to
-/// run and are rendered only in the timing section of a profile.
-pub fn run_tasks_traced<T, E, F>(
-    count: usize,
-    threads: usize,
-    work: F,
-) -> Result<(Vec<T>, Vec<u64>), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let mut claimed: Vec<u64> = Vec::new();
-    let out = run_tasks_inner(count, threads, |_| (), |(), i| work(i), Some(&mut claimed))?;
-    Ok((out, claimed))
-}
-
-/// [`run_tasks`] with one mutable scratch value **per worker**:
-/// `init(worker_index)` runs once when a worker starts, and every task
-/// that worker claims receives `&mut` access to the same scratch. Use
-/// it to hoist per-task buffers (frontiers, visited maps, intern
-/// staging) into per-worker state that is allocated once per sweep
-/// instead of once per task.
-pub fn run_tasks_scratch<T, E, S, I, F>(
-    count: usize,
-    threads: usize,
-    init: I,
-    work: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
-{
-    run_tasks_inner(count, threads, init, work, None)
-}
-
-/// [`run_tasks_scratch`] with the per-worker claim counts of
-/// [`run_tasks_traced`].
-pub fn run_tasks_scratch_traced<T, E, S, I, F>(
-    count: usize,
-    threads: usize,
-    init: I,
-    work: F,
-) -> Result<(Vec<T>, Vec<u64>), E>
-where
-    T: Send,
-    E: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
-{
-    let mut claimed: Vec<u64> = Vec::new();
-    let out = run_tasks_inner(count, threads, init, work, Some(&mut claimed))?;
-    Ok((out, claimed))
-}
-
-fn run_tasks_inner<T, E, S, I, F>(
+pub fn run_tasks<T, E, S, I, F>(
     count: usize,
     threads: usize,
     init: I,
@@ -188,73 +123,50 @@ where
 
 /// Splits `0..len` into fixed-size morsels, folds `work` over them on
 /// up to `threads` workers, and returns the per-morsel outputs in
-/// morsel order.
-pub fn run_morsels<T, E, F>(len: usize, threads: usize, work: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Result<T, E> + Sync,
-{
-    let morsels = morsel_ranges(len);
-    run_tasks(morsels.len(), threads, |i| work(morsels[i].clone()))
-}
-
-/// [`run_morsels`], additionally reporting per-worker morsel counts
-/// (see [`run_tasks_traced`]).
-pub fn run_morsels_traced<T, E, F>(
+/// morsel order; `claimed` as in [`run_tasks`].
+pub fn run_morsels<T, E, F>(
     len: usize,
     threads: usize,
     work: F,
-) -> Result<(Vec<T>, Vec<u64>), E>
+    claimed: Option<&mut Vec<u64>>,
+) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,
     F: Fn(Range<usize>) -> Result<T, E> + Sync,
 {
     let morsels = morsel_ranges(len);
-    run_tasks_traced(morsels.len(), threads, |i| work(morsels[i].clone()))
-}
-
-/// A deterministic hash of a coded key — FNV-1a over the key codes.
-/// Radix partitioning (parallel hash-join builds, partitioned
-/// `Distinct`) must not depend on `RandomState`'s per-process seed:
-/// partition assignment is part of no observable output, but a fixed
-/// function keeps worker loads reproducible run-to-run.
-#[inline]
-pub fn hash_codes(codes: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in codes {
-        h ^= u64::from(c);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
-}
-
-/// Number of radix partitions for `threads` workers — a power of two
-/// a little above the worker count, so one skewed partition cannot
-/// serialize the merge.
-pub fn partition_count(threads: usize) -> usize {
-    threads.max(1).next_power_of_two() * 2
+    let work = |(): &mut (), i: usize| work(morsels[i].clone());
+    run_tasks(morsels.len(), threads, |_| (), work, claimed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `run_tasks` without scratch or claim counts.
+    fn tasks<T: Send, E: Send>(
+        count: usize,
+        threads: usize,
+        work: impl Fn(usize) -> Result<T, E> + Sync,
+    ) -> Result<Vec<T>, E> {
+        run_tasks(count, threads, |_| (), |(), i| work(i), None)
+    }
+
     #[test]
     fn tasks_merge_in_order_at_every_thread_count() {
         for threads in [1, 2, 3, 8] {
-            let out = run_tasks::<_, (), _>(10, threads, |i| Ok(i * i)).unwrap();
+            let out = tasks::<_, ()>(10, threads, |i| Ok(i * i)).unwrap();
             assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
         }
-        assert!(run_tasks::<_, (), _>(0, 4, Ok).unwrap().is_empty());
+        assert!(tasks::<_, ()>(0, 4, Ok).unwrap().is_empty());
     }
 
     #[test]
     fn morsels_cover_the_input_exactly_once() {
         let len = 3 * MORSEL_ROWS + 17;
         for threads in [1, 2, 8] {
-            let ranges = run_morsels::<_, (), _>(len, threads, Ok).unwrap();
+            let ranges = run_morsels::<_, (), _>(len, threads, Ok, None).unwrap();
             let covered: usize = ranges.iter().map(|r| r.len()).sum();
             assert_eq!(covered, len);
             let mut expected_start = 0;
@@ -268,8 +180,7 @@ mod tests {
     #[test]
     fn first_error_in_task_order_wins() {
         for threads in [1, 2, 8] {
-            let got =
-                run_tasks::<_, usize, _>(16, threads, |i| if i % 2 == 1 { Err(i) } else { Ok(i) });
+            let got = tasks::<_, usize>(16, threads, |i| if i % 2 == 1 { Err(i) } else { Ok(i) });
             assert_eq!(got, Err(1), "threads = {threads}");
         }
     }
@@ -277,12 +188,21 @@ mod tests {
     #[test]
     fn traced_tasks_report_every_claim_exactly_once() {
         for threads in [1, 2, 8] {
-            let (out, claimed) = run_tasks_traced::<_, (), _>(10, threads, |i| Ok(i * i)).unwrap();
+            let mut claimed = Vec::new();
+            let out = run_tasks::<_, (), _, _, _>(
+                10,
+                threads,
+                |_| (),
+                |(), i| Ok(i * i),
+                Some(&mut claimed),
+            )
+            .unwrap();
             assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
             assert_eq!(claimed.iter().sum::<u64>(), 10, "threads = {threads}");
         }
         let len = 3 * MORSEL_ROWS + 17;
-        let (ranges, claimed) = run_morsels_traced::<_, (), _>(len, 4, Ok).unwrap();
+        let mut claimed = Vec::new();
+        let ranges = run_morsels::<_, (), _>(len, 4, Ok, Some(&mut claimed)).unwrap();
         assert_eq!(ranges.iter().map(std::ops::Range::len).sum::<usize>(), len);
         assert_eq!(claimed.iter().sum::<u64>(), 4);
     }
@@ -292,7 +212,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         for threads in [1, 2, 8] {
             let inits = AtomicUsize::new(0);
-            let out = run_tasks_scratch::<_, (), _, _, _>(
+            let out = run_tasks::<_, (), _, _, _>(
                 64,
                 threads,
                 |_w| {
@@ -303,6 +223,7 @@ mod tests {
                     scratch.push(i);
                     Ok(i)
                 },
+                None,
             )
             .unwrap();
             assert_eq!(out, (0..64).collect::<Vec<_>>());
@@ -312,25 +233,5 @@ mod tests {
                 "threads = {threads}"
             );
         }
-        let (out, claimed) = run_tasks_scratch_traced::<_, (), _, _, _>(
-            10,
-            4,
-            |_| 0usize,
-            |s, i| {
-                *s += 1;
-                Ok(i)
-            },
-        )
-        .unwrap();
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-        assert_eq!(claimed.iter().sum::<u64>(), 10);
-    }
-
-    #[test]
-    fn code_hash_is_deterministic_and_spreads() {
-        assert_eq!(hash_codes(&[1, 2, 3]), hash_codes(&[1, 2, 3]));
-        assert_ne!(hash_codes(&[1, 2, 3]), hash_codes(&[3, 2, 1]));
-        assert!(partition_count(4).is_power_of_two());
-        assert!(partition_count(3) >= 3);
     }
 }
