@@ -11,9 +11,13 @@
 //! *navigational* pattern calls — a pattern that compiles to an NFA,
 //! with a Boolean output or items that read only its two endpoints
 //! (identifiers, components, properties) — to the product-graph BFS
-//! engine instead of the reference evaluator. Agreement between the
-//! routes is property-tested; `EvalConfig::reference()` disables the
-//! fast path for differential testing and ablation benches.
+//! engine instead of the reference evaluator. Under a store the
+//! physical engine skips both phases for a call over a frozen graph:
+//! the view was validated at registration, and the call either
+//! compiles onto the view relations or reads the CSR closure.
+//! Agreement between the routes is property-tested;
+//! `EvalConfig::reference()` disables the fast path for differential
+//! testing and ablation benches.
 
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_graph::{
@@ -34,9 +38,11 @@ pub enum Engine {
     /// calls (the historical default).
     Nfa,
     /// The S15 physical engine (`pgq-exec`): the relational shell is
-    /// planned into hash-join plans, reachability pattern calls run on
-    /// the semi-naive fixpoint operator, and everything else falls back
-    /// to the NFA/reference routes.
+    /// planned into hash-join plans, pattern calls over a graph frozen
+    /// in the store are compiled into that plan, reachability pattern
+    /// calls run on the CSR closure or the semi-naive fixpoint
+    /// operator, and everything else falls back to the NFA/reference
+    /// routes.
     Physical,
 }
 
@@ -114,9 +120,10 @@ pub fn eval(q: &Query, db: &Database) -> Result<Relation, QueryError> {
 /// Evaluates a query with the given configuration through a shared
 /// session [`pgq_store::Store`] (substrate S16). Only
 /// [`Engine::Physical`] consults the store — base relations scan its
-/// columnar indexes and reachability pattern calls over registered
-/// graphs are answered from frozen CSR adjacency, skipping the
-/// per-query view rebuild; the other engines behave exactly as
+/// columnar indexes, and pattern calls over registered graphs skip the
+/// per-query view rebuild: repetition-free ones are compiled onto the
+/// graph's view relations and planned with the query, reachability
+/// ones are answered from frozen CSR adjacency; the other engines behave exactly as
 /// [`eval_with`]. The store must agree with `db` — registered from it
 /// (see `pgq_store::Store::from_database`) and, after changes, kept in
 /// step either by re-registration (which drops the graph entries over
@@ -151,8 +158,9 @@ pub fn eval_with_store(
 /// [`Engine::Physical`] the profile is the executed physical plan
 /// annotated per operator (rows in/out, wall time, degree of
 /// parallelism, hash-join build sizes, fixpoint iteration Δ sizes,
-/// per-worker morsel counts); pattern calls answered off-plan (frozen
-/// CSR, NFA, reference) appear as a route-labelled node. The other
+/// per-worker morsel counts); a compiled pattern call profiles as its
+/// own operators, and calls answered off-plan (frozen CSR, closure,
+/// NFA, reference) appear as a route-labelled node. The other
 /// engines are tree walkers with no operator tree, so they report a
 /// single node. The result relation is identical to
 /// [`eval_with_store`]'s — metrics collection never perturbs results —

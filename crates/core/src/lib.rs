@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod builders;
+mod compile;
 pub mod eval;
 pub mod optimize;
 pub mod physical;

@@ -1,25 +1,31 @@
 //! The `Engine::Physical` route: Figure 3's relational shell planned
-//! onto the S15 physical engine (`pgq-exec`), with reachability pattern
-//! calls lowered to the semi-naive fixpoint operator.
+//! onto the S15 physical engine (`pgq-exec`). A pattern call over a
+//! graph frozen in the store is planned too when it has no unbounded
+//! repetition and its plan stays small — compiled onto the graph's view
+//! relations and spliced into the shell — and reachability calls run on
+//! the CSR closure or the semi-naive fixpoint operator.
 //!
-//! The route is exactly as expressive as the references — anything it
-//! cannot plan natively (general pattern calls, property conditions) is
-//! answered by the NFA or Figure 2 evaluators and spliced into the plan
-//! as a materialized [`PhysPlan::Values`] batch — and the differential
-//! suites (`tests/prop_engine.rs`) hold all three routes to identical
-//! results. See DESIGN.md §5.
+//! The route is exactly as expressive as the references — a call it
+//! cannot plan (no frozen graph, unbounded repetition beyond the two
+//! reachability spines, a plan past the compiler's size cap) is answered by the NFA or Figure 2 evaluators
+//! on a per-statement view and spliced into the plan as a materialized
+//! [`PhysPlan::Values`] batch — and the differential suites
+//! (`tests/prop_engine.rs`, `tests/prop_store.rs`) hold all routes to
+//! identical results. See DESIGN.md §5.
 //!
 //! Evaluation and `EXPLAIN` share one translation of the shell:
 //! `shell_plan` has one rule per Figure 3 constructor and asks a
 //! `Leaves` handler what a stored relation, a constant or a pattern
-//! call becomes (evaluated rows, or a placeholder plus its section of
-//! text), and `pgq_exec::physical_plan` is the one optimize →
-//! lower-onto-store step both then take; who answers a pattern call is
-//! the one decision `route` takes for both. What `EXPLAIN` prints is
-//! what runs because it is the same code. Every evaluating function takes
-//! the optional [`PlanMetrics`] sink the executor's operators take:
-//! `None` measures nothing, `Some` is the `EXPLAIN ANALYZE` route.
+//! call becomes (the compiled query's own plan, evaluated rows, or a
+//! placeholder plus its section of text), and `pgq_exec::physical_plan`
+//! is the one optimize → lower-onto-store step both then take; who
+//! answers a pattern call is the one decision `route` takes for both.
+//! What `EXPLAIN` prints is what runs because it is the same code. Every
+//! evaluating function takes the optional [`PlanMetrics`] sink the
+//! executor's operators take: `None` measures nothing, `Some` is the
+//! `EXPLAIN ANALYZE` route.
 
+use crate::compile::compile;
 use crate::eval::{build_view, leftmost_node_var, rightmost_node_var, Engine, EvalConfig};
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_exec::{
@@ -135,8 +141,12 @@ impl Leaves for Evaluate<'_> {
         views: &[Query; 6],
         op: ViewOp,
     ) -> Result<PhysPlan, QueryError> {
-        let rel = eval_pattern(out, views, op, self.db, self.cfg, self.store, None)?;
-        Ok(PhysPlan::Values(Batch::from_relation(&rel)))
+        Ok(
+            match eval_pattern(out, views, op, self.db, self.cfg, self.store, None)? {
+                Answer::Plan(q) => shell_plan(&q, self)?,
+                Answer::Rows(rel) => PhysPlan::Values(Batch::from_relation(&rel)),
+            },
+        )
     }
 }
 
@@ -161,13 +171,16 @@ pub(crate) fn eval_physical(
     db: &Database,
     cfg: EvalConfig,
     store: Option<&Store>,
-    m: Option<&mut PlanMetrics>,
+    mut m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
     // A bare pattern call needs no relational plan around it — answer
     // it directly instead of staging the result through a `Values` leaf
-    // (which would copy it twice).
+    // (which would copy it twice) — unless it compiles to one.
     if let Query::Pattern { out, views, op } = q {
-        return eval_pattern(out, views, *op, db, cfg, store, m);
+        return match eval_pattern(out, views, *op, db, cfg, store, m.as_deref_mut())? {
+            Answer::Plan(q) => eval_physical(&q, db, cfg, store, m),
+            Answer::Rows(rel) => Ok(rel),
+        };
     }
     let shell = shell_plan(q, &mut Evaluate { db, cfg, store })?;
     let plan = physical_plan(shell, &db.schema(), store, cfg.planner)?;
@@ -185,16 +198,28 @@ pub(crate) fn eval_physical(
     Ok(batch.into_relation()?)
 }
 
+/// How the physical route answers a pattern call.
+enum Answer {
+    /// The call compiled onto its view relations: plan it in place.
+    Plan(Query),
+    /// The rows another route computed.
+    Rows(Relation),
+}
+
 /// A pattern call on the physical route. [`route`] picks who answers.
 /// A graph frozen in the store from exactly the call's views answers
-/// from its CSR index directly — the view was validated once at
-/// registration, so nothing is rebuilt. Every other route builds the
-/// view from physically-evaluated subqueries and answers on it.
+/// without a view: a repetition-free call compiles onto the view
+/// relations, a bare reachability spine reads the CSR closure — the
+/// view was validated once at registration, so nothing is rebuilt.
+/// Every other route builds the view from physically-evaluated
+/// subqueries and answers on it; under a store each such build is
+/// counted (`view_builds` on [`Store::counters`]).
 ///
-/// There is no operator tree to annotate, so with a sink the answering
-/// route itself becomes the node `m` — the profile never lies about
-/// which engine answered — and the closure route hangs its executed
-/// `Fixpoint` plan (per-round Δ sizes) underneath.
+/// A compiled call has an operator tree, which the caller plans. The
+/// other routes have none, so with a sink the answering route itself
+/// becomes the node `m` — the profile never lies about which engine
+/// answered — and the closure route hangs its executed `Fixpoint` plan
+/// (per-round Δ sizes) underneath.
 fn eval_pattern(
     out: &OutputPattern,
     views: &[Query; 6],
@@ -203,15 +228,24 @@ fn eval_pattern(
     cfg: EvalConfig,
     store: Option<&Store>,
     mut m: Option<&mut PlanMetrics>,
-) -> Result<Relation, QueryError> {
+) -> Result<Answer, QueryError> {
     let start = m.as_ref().map(|_| Instant::now());
+    let build = || {
+        if let Some(store) = store {
+            store.counters().record_view_build();
+        }
+        build_view(views, op, db, cfg)
+    };
     let entry = store.and_then(|store| frozen_entry(views, op, store));
     let mut view = None;
     let k = match entry {
         Some(entry) => entry.id_arity(),
-        None => view.insert(build_view(views, op, db, cfg)?).id_arity(),
+        None => view.insert(build()?).id_arity(),
     };
-    let route = route(out, k, entry, Engine::Physical);
+    let route = match route(out, k, entry.map(|e| (e, views)), Engine::Physical) {
+        Route::Compiled(q) => return Ok(Answer::Plan(q)),
+        route => route,
+    };
     let rel = match (&route, store) {
         (Route::Frozen(entry, spine, cols), Some(store)) => {
             out.pattern.validate()?;
@@ -229,7 +263,7 @@ fn eval_pattern(
         _ => {
             let g = match view {
                 Some(g) => g,
-                None => build_view(views, op, db, cfg)?,
+                None => build()?,
             };
             route.answer(out, &g, &exec_opts(cfg), m.as_deref_mut())?
         }
@@ -237,7 +271,7 @@ fn eval_pattern(
     if let (Some(m), Some(start)) = (m, start) {
         record_answer(m, format!("Pattern [{}]", route.label()), &rel, start);
     }
-    Ok(rel)
+    Ok(Answer::Rows(rel))
 }
 
 /// Marks `m` as the one executed node of a route with no operator
@@ -263,6 +297,10 @@ fn frozen_entry<'s>(views: &[Query; 6], op: ViewOp, store: &'s Store) -> Option<
 
 /// Who answers a pattern call — decided by [`route`] alone.
 pub(crate) enum Route<'p, 's> {
+    /// The call compiled onto the view relations of a graph frozen in
+    /// the store ([`compile`]): planned in place, like the shell around
+    /// it.
+    Compiled(Query),
     /// The frozen CSR closure of a graph in the store, projected by
     /// the pair columns it holds (none: a Boolean output).
     Frozen(&'s GraphEntry, ReachShape<'p>, Vec<usize>),
@@ -276,26 +314,31 @@ pub(crate) enum Route<'p, 's> {
 
 /// The one route decision evaluation, the NFA engine and `EXPLAIN`
 /// take. `k` is the view's identifier arity and `frozen` the graph the
-/// store froze from the call's views, if any. Only [`Engine::Physical`]
-/// takes the closure routes, and [`Engine::Reference`] takes nothing
-/// but Figure 2. A frozen graph answers a bare reachability spine whose
-/// output it holds — filtered steps and property items need the view
-/// graph. Every output an endpoint route cannot project (see [`cells`])
-/// is Figure 2's.
+/// store froze from the call's views, with those views, if any. Only
+/// [`Engine::Physical`] takes the compiled and closure routes, and
+/// [`Engine::Reference`] takes nothing but Figure 2. Over a frozen
+/// graph every call [`compile`] accepts — no unbounded repetition, at
+/// most 32 relation scans — is compiled; a frozen graph also answers a bare reachability spine
+/// whose output it holds — filtered steps and property items need the
+/// view graph. Every output an endpoint route cannot project (see
+/// [`cells`]) is Figure 2's.
 pub(crate) fn route<'p, 's>(
     out: &'p OutputPattern,
     k: usize,
-    frozen: Option<&'s GraphEntry>,
+    frozen: Option<(&'s GraphEntry, &[Query; 6])>,
     engine: Engine,
 ) -> Route<'p, 's> {
     if engine == Engine::Reference {
         return Route::Reference;
     }
     if engine == Engine::Physical {
+        if let Some(q) = frozen.and_then(|(_, views)| compile(out, views, k)) {
+            return Route::Compiled(q);
+        }
         if let Some(spine) = reach_shape(&out.pattern) {
             if let Some(cells) = cells(out, Some(&spine.x), Some(&spine.y), k) {
                 return match (frozen, columns(&cells, k)) {
-                    (Some(entry), Some(cols)) if !spine.filtered => {
+                    (Some((entry, _)), Some(cols)) if !spine.filtered => {
                         Route::Frozen(entry, spine, cols)
                     }
                     _ => Route::Closure(spine, cells),
@@ -321,6 +364,7 @@ impl Route<'_, '_> {
     /// `Pattern [...]` node of `EXPLAIN ANALYZE`.
     pub(crate) fn label(&self) -> &'static str {
         match self {
+            Route::Compiled(_) => "compiled plan",
             Route::Frozen(..) => "frozen CSR reachability",
             Route::Closure(spine, _) if spine.filtered => {
                 "semi-naive fixpoint over filtered step edges"
@@ -331,8 +375,9 @@ impl Route<'_, '_> {
         }
     }
 
-    /// Answers the call on its built view `g`. The frozen route reads
-    /// the store, not a view; on one it answers as Figure 2 does.
+    /// Answers the call on its built view `g`. The compiled and frozen
+    /// routes read the store, not a view; on one they answer as Figure 2
+    /// does.
     pub(crate) fn answer(
         &self,
         out: &OutputPattern,
@@ -359,7 +404,7 @@ impl Route<'_, '_> {
                 let ends = pairs.iter().map(|(s, t)| (s.values(), t.values()));
                 project(cells, ends, g)
             }
-            Route::Frozen(..) | Route::Reference => Ok(out.eval(g)?),
+            Route::Compiled(_) | Route::Frozen(..) | Route::Reference => Ok(out.eval(g)?),
         }
     }
 }
@@ -591,8 +636,11 @@ pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
 /// plan is additionally lowered onto its indexes (`IndexScan`,
 /// `AdjacencyExpand`, CSR fixpoints) by the planner `opts` selects (the
 /// default without `opts`), operators that read through an update
-/// overlay are marked `⟨delta⟩`, and a pattern call the store's frozen
-/// CSR answers names that route. Under concrete `opts` every
+/// overlay are marked `⟨delta⟩`, and a pattern call over a graph the
+/// store froze names the route that answers it: a compiled call's
+/// operators are part of the tree (its section names the call and the
+/// route, with no placeholder), and a frozen CSR closure is named as
+/// such. Under concrete `opts` every
 /// morsel-parallel operator is annotated with its degree of parallelism
 /// (`⟨dop≤n⟩`) and a trailing line states the worker budget — what the
 /// shell renders after `SET THREADS n;` / `SET PLANNER rule;`. It is
@@ -620,10 +668,11 @@ pub fn explain_with(
     Ok(text)
 }
 
-/// The explaining [`Leaves`]: nothing is evaluated. A pattern call
-/// becomes a scan of a placeholder relation `⟨matchN⟩` — added to
-/// `aug`, the query's schema as the shell is then optimized under it —
-/// and a section of text naming its route and view subplans.
+/// The explaining [`Leaves`]: nothing is evaluated. A compiled pattern
+/// call becomes its query's plan; any other becomes a scan of a
+/// placeholder relation `⟨matchN⟩` — added to `aug`, the query's schema
+/// as the shell is then optimized under it — and a section of text
+/// naming its route and view subplans.
 struct Explain<'a> {
     aug: Schema,
     sections: Vec<String>,
@@ -650,7 +699,14 @@ impl Leaves for Explain<'_> {
         let k = views[0].arity(&self.aug)?;
         let arity = out.output_arity(k);
         let entry = self.store.and_then(|store| frozen_entry(views, op, store));
-        let route = route(out, k, entry, Engine::Physical).label();
+        let decided = route(out, k, entry.map(|e| (e, views)), Engine::Physical);
+        let route = decided.label();
+        if let Route::Compiled(q) = decided {
+            // Spliced: its operators are part of the plan above.
+            self.sections
+                .push(format!("{out} via {op} [route: {route}]"));
+            return shell_plan(&q, self);
+        }
         // Render the view subplans first: nested pattern calls push
         // their own sections during this recursion, so numbering off
         // `sections.len()` afterwards keeps every placeholder unique.
@@ -1064,7 +1120,9 @@ mod tests {
     }
 
     /// `EXPLAIN` names the route `EXPLAIN ANALYZE` reports as having
-    /// answered, with and without a graph frozen from the views.
+    /// answered, with and without a graph frozen from the views. A
+    /// compiled call has no route node: its profile is the spliced
+    /// plan's, rooted at an operator that carries `est=`.
     #[test]
     fn explain_route_is_the_route_that_runs() {
         let d = db();
@@ -1112,6 +1170,7 @@ mod tests {
                 ],
             ),
         ];
+        let mut compiled = 0;
         for store in [Store::from_database(&d), store_for(&d)] {
             for out in &outs {
                 let q = Query::pattern_ro(out.clone(), views);
@@ -1124,21 +1183,56 @@ mod tests {
                 let result =
                     crate::eval_with_store_profiled(&q, &d, EvalConfig::physical(), &store);
                 assert_eq!(result.is_err(), out == &past_k, "{q}");
-                let ran = match result {
-                    Ok((_, profile)) => profile.root.label,
+                let root = match result {
+                    Ok((_, profile)) => profile.root,
                     Err(QueryError::Output(pgq_pattern::OutputError::ComponentOutOfRange {
                         ..
-                    })) => "Pattern [reference (Figure 2) semantics]".to_string(),
+                    })) => PlanMetrics {
+                        label: "Pattern [reference (Figure 2) semantics]".into(),
+                        ..PlanMetrics::default()
+                    },
                     Err(e) => panic!("{q}: {e}"),
                 };
-                assert_eq!(
-                    ran,
-                    format!("Pattern [{explained}]"),
-                    "{q}; graphs: {:?}",
-                    store.graph_names().collect::<Vec<_>>()
-                );
+                let graphs = store.graph_names().collect::<Vec<_>>();
+                if explained == "compiled plan" {
+                    // Spliced into the plan: the root is its own
+                    // operator, costed like any other.
+                    assert!(!root.label.starts_with("Pattern"), "{q}: {}", root.label);
+                    assert!(root.est_rows.is_some(), "{q}: {}", root.label);
+                    assert!(!text.contains("⟨match"), "{text}");
+                } else {
+                    assert_eq!(
+                        root.label,
+                        format!("Pattern [{explained}]"),
+                        "{q}; {graphs:?}"
+                    );
+                }
+                compiled += usize::from(explained == "compiled plan");
             }
         }
+        // The one-hop, the backward hop and the `{2,2}` two-hop, over
+        // the registered graph only.
+        assert_eq!(compiled, 3);
+    }
+
+    /// A repetition bound far past the compiled plan's size cap keeps
+    /// the NFA route — no plan a hundred thousand levels deep for the
+    /// recursive passes to overflow the stack on — and answers as
+    /// Figure 2 does.
+    #[test]
+    fn a_huge_repetition_bound_is_not_compiled() {
+        let d = db();
+        let store = store_for(&d);
+        let p = Pattern::node("x")
+            .then(Pattern::any_edge().repeat(0, 100_000))
+            .then(Pattern::node("y"));
+        let out = pgq_pattern::OutputPattern::vars(p, ["x", "y"]).unwrap();
+        let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
+        let text = explain_with(&q, &d.schema(), Some(&store), None).unwrap();
+        assert!(text.contains("[route: NFA product-graph BFS]"), "{text}");
+        let rows = crate::eval_with_store(&q, &d, EvalConfig::physical(), &store).unwrap();
+        assert_eq!(rows.len(), 10, "four loops and six forward pairs");
+        assert_eq!(Ok(rows), eval_with(&q, &d, EvalConfig::reference()));
     }
 
     #[test]

@@ -127,6 +127,138 @@ pub mod testgen {
         .boxed()
     }
 
+    /// The patterns of [`arb_bounded_output`]: variables drawn from a
+    /// pool of three, so they repeat across atoms, and filter atoms on
+    /// variables the filtered pattern may not bind.
+    fn arb_bounded_pattern(
+        depth: u32,
+        labels: [&'static str; 2],
+        keys: [&'static str; 2],
+    ) -> BoxedStrategy<Pattern> {
+        // Index 3 is the anonymous atom.
+        let var = (0usize..4).prop_map(|i| (i < 3).then(|| pool_var(i)));
+        let leaf = prop_oneof![
+            var.clone().prop_map(Pattern::Node),
+            (var, prop::bool::ANY).prop_map(|(v, forward)| {
+                let dir = if forward {
+                    Direction::Forward
+                } else {
+                    Direction::Backward
+                };
+                Pattern::Edge(v, dir)
+            }),
+        ];
+        if depth == 0 {
+            return leaf.boxed();
+        }
+        let sub = arb_bounded_pattern(depth - 1, labels, keys);
+        prop_oneof![
+            2 => leaf,
+            3 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a.then(b)),
+            // The mirror image binds the same variables.
+            1 => sub.clone().prop_map(|p| {
+                let mirror = reversed(&p);
+                p.or(mirror)
+            }),
+            2 => (sub.clone(), arb_condition(2, labels, keys)).prop_map(|(p, c)| p.filter(c)),
+            1 => (sub, 0usize..3, 0usize..2).prop_map(|(p, n, extra)| p.repeat(n, n + extra)),
+        ]
+        .boxed()
+    }
+
+    fn pool_var(i: usize) -> pgq_value::Var {
+        pgq_value::Var::new(["a", "b", "c"][i])
+    }
+
+    /// Conditions over the variable pool of [`arb_bounded_pattern`]:
+    /// label tests, constant comparisons, cross-variable property
+    /// equalities and their Boolean combinations.
+    fn arb_condition(
+        depth: u32,
+        labels: [&'static str; 2],
+        keys: [&'static str; 2],
+    ) -> BoxedStrategy<Condition> {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let var = (0usize..3).prop_map(pool_var);
+        let atom = prop_oneof![
+            (var.clone(), 0usize..2).prop_map(move |(x, l)| Condition::has_label(x, labels[l])),
+            (var.clone(), 0usize..2, 0usize..6, 0i64..5)
+                .prop_map(move |(x, k, op, c)| Condition::prop_cmp(x, keys[k], OPS[op], c)),
+            (var.clone(), 0usize..2, var, 0usize..2)
+                .prop_map(move |(x, kx, y, ky)| Condition::prop_eq(x, keys[kx], y, keys[ky])),
+        ];
+        if depth == 0 {
+            return atom.boxed();
+        }
+        let sub = arb_condition(depth - 1, labels, keys);
+        prop_oneof![
+            3 => atom,
+            1 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a.and(b)),
+            1 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a.or(b)),
+            1 => sub.prop_map(Condition::not),
+        ]
+        .boxed()
+    }
+
+    /// Random output patterns beyond the NFA's fragment: a
+    /// repetition-free or finitely-bounded pattern of height ≤ `depth`
+    /// with repeated variables, backward edges and `∨`/`¬`/cross-atom
+    /// filters over whole sub-patterns, under up to three distinct items
+    /// of its free variables — identifiers, component 0, properties
+    /// under `keys` — or none, a Boolean output. `labels` and `keys` are
+    /// the graph's vocabulary.
+    pub fn arb_bounded_output(
+        depth: u32,
+        labels: [&'static str; 2],
+        keys: [&'static str; 2],
+    ) -> BoxedStrategy<OutputPattern> {
+        let items = proptest::collection::vec((0usize..3, 0usize..3, 0usize..2), 0..4);
+        (arb_bounded_pattern(depth, labels, keys), items)
+            .prop_map(move |(p, picks)| {
+                let fv: Vec<_> = p.free_vars().into_iter().collect();
+                let mut items = Vec::new();
+                for (kind, v, key) in picks.into_iter().filter(|_| !fv.is_empty()) {
+                    let x = fv[v % fv.len()].clone();
+                    let item = match kind {
+                        0 => OutputItem::Var(x),
+                        1 => OutputItem::Component(x, 0),
+                        _ => OutputItem::Prop(x, keys[key].into()),
+                    };
+                    if !items.contains(&item) {
+                        items.push(item);
+                    }
+                }
+                OutputPattern::new(p, items).expect("distinct items of free variables")
+            })
+            .boxed()
+    }
+
+    /// The pattern with every edge atom turned around. It binds the same
+    /// variables, so it can be a union operand beside the original.
+    fn reversed(p: &Pattern) -> Pattern {
+        match p {
+            Pattern::Node(v) => Pattern::Node(v.clone()),
+            Pattern::Edge(v, d) => {
+                let flipped = match d {
+                    Direction::Forward => Direction::Backward,
+                    Direction::Backward => Direction::Forward,
+                };
+                Pattern::Edge(v.clone(), flipped)
+            }
+            Pattern::Concat(a, b) => reversed(a).then(reversed(b)),
+            Pattern::Union(a, b) => reversed(a).or(reversed(b)),
+            Pattern::Repeat(q, n, m) => Pattern::Repeat(Box::new(reversed(q)), *n, *m),
+            Pattern::Filter(q, c) => reversed(q).filter(c.clone()),
+        }
+    }
+
     /// Replaces every variable with `None` (and drops filters, whose
     /// conditions would dangle), producing an equal-fv pattern for union.
     pub fn strip_vars(p: &Pattern) -> Pattern {

@@ -500,6 +500,8 @@ fn metrics_json(snap: &AccessSnapshot) -> String {
     w.number(snap.writer_probes);
     w.key("writer_probe_rows");
     w.number(snap.writer_probe_rows);
+    w.key("view_builds");
+    w.number(snap.view_builds);
     w.end_object();
     w.finish()
 }

@@ -117,6 +117,27 @@ fn statement_batches_and_session_commands_round_trip() {
     ] {
         assert!(stats.contains(key), "missing {key} in STATS JSON: {stats}");
     }
+    let metrics = client
+        .request("METRICS JSON")
+        .expect("metrics json")
+        .join("\n");
+    for key in [
+        "index_scan_rows",
+        "csr_neighbor_rows",
+        "csr_sweep_sources",
+        "overlay_reads",
+        "dense_reads",
+        "dict_decodes",
+        "writer_probes",
+        "writer_probe_rows",
+        "view_builds",
+    ] {
+        let key = format!("\"{key}\"");
+        assert!(
+            metrics.contains(&key),
+            "missing {key} in METRICS JSON: {metrics}"
+        );
+    }
     let resp = client.request("COMPACT").expect("compact");
     assert!(resp[0].starts_with("-- compacted:"), "{resp:?}");
     // EXPLAIN and EXPLAIN ANALYZE both answer.

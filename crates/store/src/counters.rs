@@ -24,6 +24,7 @@ pub struct AccessCounters {
     dict_decodes: AtomicU64,
     writer_probes: AtomicU64,
     writer_probe_rows: AtomicU64,
+    view_builds: AtomicU64,
 }
 
 impl Clone for AccessCounters {
@@ -38,6 +39,7 @@ impl Clone for AccessCounters {
             dict_decodes: AtomicU64::new(s.dict_decodes),
             writer_probes: AtomicU64::new(s.writer_probes),
             writer_probe_rows: AtomicU64::new(s.writer_probe_rows),
+            view_builds: AtomicU64::new(s.view_builds),
         }
     }
 }
@@ -83,6 +85,13 @@ impl AccessCounters {
             .fetch_add(candidates, Ordering::Relaxed);
     }
 
+    /// Records one property-graph view built from a pattern call's
+    /// view relations while this store was consulted — the
+    /// per-statement cost a call pays when no frozen graph answers it.
+    pub fn record_view_build(&self) {
+        self.view_builds.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A plain-integer snapshot of the current totals.
     pub fn snapshot(&self) -> AccessSnapshot {
         AccessSnapshot {
@@ -94,6 +103,7 @@ impl AccessCounters {
             dict_decodes: self.dict_decodes.load(Ordering::Relaxed),
             writer_probes: self.writer_probes.load(Ordering::Relaxed),
             writer_probe_rows: self.writer_probe_rows.load(Ordering::Relaxed),
+            view_builds: self.view_builds.load(Ordering::Relaxed),
         }
     }
 
@@ -107,6 +117,7 @@ impl AccessCounters {
         self.dict_decodes.store(0, Ordering::Relaxed);
         self.writer_probes.store(0, Ordering::Relaxed);
         self.writer_probe_rows.store(0, Ordering::Relaxed);
+        self.view_builds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -132,6 +143,8 @@ pub struct AccessSnapshot {
     /// O(relation), which is the point of routing them through the
     /// indexes.
     pub writer_probe_rows: u64,
+    /// Property-graph views pattern calls built per statement.
+    pub view_builds: u64,
 }
 
 impl AccessSnapshot {
@@ -153,6 +166,7 @@ impl AccessSnapshot {
             writer_probe_rows: self
                 .writer_probe_rows
                 .saturating_sub(earlier.writer_probe_rows),
+            view_builds: self.view_builds.saturating_sub(earlier.view_builds),
         }
     }
 }
@@ -169,10 +183,11 @@ impl fmt::Display for AccessSnapshot {
             self.overlay_reads, self.dense_reads
         )?;
         writeln!(f, "  dictionary decodes     : {}", self.dict_decodes)?;
-        write!(
+        writeln!(
             f,
             "  writer probes          : {} ({} candidate row(s))",
             self.writer_probes, self.writer_probe_rows
-        )
+        )?;
+        write!(f, "  view builds            : {}", self.view_builds)
     }
 }

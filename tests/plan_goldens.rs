@@ -14,13 +14,15 @@
 //! (same plan under both), the selective one-hop, the mis-ordered
 //! two-hop chain — at the plan level, and at the `EXPLAIN` level the
 //! README's `S ⋈ T` join, alone and beside a pattern call whose views
-//! are themselves planned.
+//! are themselves planned, and the served one-hop and two-hop pattern
+//! calls, compiled onto a registered graph's view relations.
 
 use pgq_core::{builders, explain, Query};
 use pgq_exec::{lower_onto_store, plan_ra, ExecOptions, PhysPlan, PlannerChoice};
+use pgq_parser::{lower_query, parse_statement, Session, Statement};
 use pgq_relational::{Database, RaExpr, RelName, Relation, RowCondition, Schema};
 use pgq_store::{GraphForm, Store};
-use pgq_value::Value;
+use pgq_value::{Tuple, Value};
 
 const NODES: usize = 1_000;
 
@@ -58,8 +60,12 @@ fn lowered(q: &RaExpr, store: &Store, planner: PlannerChoice) -> PhysPlan {
 
 /// `EXPLAIN` of `q` under `planner` at two workers.
 fn explained(q: &Query, store: &Store, planner: PlannerChoice) -> String {
+    explained_over(q, &view_schema(), store, planner)
+}
+
+fn explained_over(q: &Query, schema: &Schema, store: &Store, planner: PlannerChoice) -> String {
     let opts = ExecOptions::with_threads(2).with_planner(planner);
-    pgq_core::explain_with(q, &view_schema(), Some(store), Some(&opts))
+    pgq_core::explain_with(q, schema, Some(store), Some(&opts))
         .expect("golden queries are well-typed")
 }
 
@@ -184,5 +190,110 @@ fn readme_join_explains_to_the_recorded_text() {
             &format!("readme_join_beside_pattern.{planner}"),
             &explained(&beside, &store, planner),
         );
+    }
+}
+
+/// The served transfers graph as the server stages it: 250 accounts in
+/// rings of ten, four transfers each (the first to the ring successor,
+/// the rest seeded inside the ring), amounts spread over `1000..10000`;
+/// identifiers `(table, key)`, so `k = 2`. Returns the store with the
+/// graph registered, the staged schema, and the statement's pattern call
+/// over the staged names.
+fn served(body: &str) -> (Store, Schema, Query) {
+    const ACCOUNTS: usize = 250;
+    let mut session = Session::new();
+    let mut db = Database::new();
+    let ddl = [
+        "CREATE TABLE Account (iban)",
+        "CREATE TABLE Transfer (t_id, src_iban, tgt_iban, ts, amount)",
+        "CREATE PROPERTY GRAPH Transfers ( \
+         NODES TABLE Account KEY (iban) LABEL Account, \
+         EDGES TABLE Transfer KEY (t_id) \
+           SOURCE KEY src_iban REFERENCES Account \
+           TARGET KEY tgt_iban REFERENCES Account \
+           LABELS Transfer PROPERTIES (ts, amount))",
+    ];
+    for stmt in ddl {
+        session
+            .execute(&parse_statement(stmt).unwrap(), &db)
+            .unwrap();
+    }
+    let iban = |i: usize| Value::str(format!("AC{i:08}"));
+    let mut lcg = 9u64;
+    for s in 0..ACCOUNTS {
+        db.insert("Account", Tuple::unary(iban(s))).unwrap();
+        for j in 0..4 {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let lo = s / 10 * 10;
+            let t = lo
+                + if j == 0 {
+                    (s - lo + 1) % 10
+                } else {
+                    (lcg >> 33) as usize % 10
+                };
+            let id = 4 * s + j;
+            let row = vec![
+                Value::int(id as i64),
+                iban(s),
+                iban(t),
+                Value::int(1_600_000_000 + 60 * id as i64),
+                Value::int(1000 + (id * 7919 % 1000 * 9) as i64),
+            ];
+            db.insert("Transfer", Tuple::new(row)).unwrap();
+        }
+    }
+    let rels = session.catalog.view_relations("Transfers", &db).unwrap();
+    let names = ["N", "E", "S", "T", "L", "P"].map(|c| format!("⟨{c}:Transfers⟩"));
+    let mut staged = Database::new();
+    for (name, rel) in names.iter().zip([
+        rels.nodes,
+        rels.edges,
+        rels.src,
+        rels.tgt,
+        rels.labels,
+        rels.props,
+    ]) {
+        staged.add_relation(name.as_str(), rel);
+    }
+    let names = names.map(RelName::new);
+    let mut store = Store::from_database(&staged);
+    store
+        .register_view_graph("Transfers", names.clone(), &staged, GraphForm::Bounded(2))
+        .expect("the staged view is valid");
+    let stmt = format!("SELECT * FROM GRAPH_TABLE (Transfers {body} RETURN (x.iban, y.iban))");
+    let Statement::GraphQuery(gq) = parse_statement(&stmt).unwrap() else {
+        panic!("not a query");
+    };
+    let out = lower_query(&gq, &session.catalog).unwrap();
+    (
+        store,
+        staged.schema(),
+        Query::pattern_n(2, out, names.map(Query::Rel)),
+    )
+}
+
+/// The served repetition-free reads, compiled: the pattern call's own
+/// operators in the plan, no `⟨matchN⟩` placeholder.
+#[test]
+fn served_shapes_explain_to_the_recorded_text() {
+    for (name, body) in [
+        (
+            "serve_one_hop",
+            "MATCH (x) -[t:Transfer]-> (y) WHERE t.amount > 9000",
+        ),
+        (
+            "serve_two_hop",
+            "MATCH (x) -[t:Transfer]->{2,2} (y) WHERE t.amount > 7000",
+        ),
+    ] {
+        let (store, schema, q) = served(body);
+        for planner in PLANNERS {
+            let text = explained_over(&q, &schema, &store, planner);
+            assert!(text.contains("[route: compiled plan]"), "{text}");
+            assert!(!text.contains("⟨match"), "{text}");
+            check(&format!("{name}.{planner}"), &text);
+        }
     }
 }

@@ -23,12 +23,13 @@
 //! the store operators' `⟨delta⟩` markers and answers after
 //! `apply_updates`.
 
-use pgq_core::{builders, eval_with, eval_with_store, EvalConfig, Query};
+use pgq_core::{builders, eval_with, eval_with_store, explain_with, EvalConfig, Query};
 use pgq_exec::{
     eval_ra, eval_ra_opts, eval_ra_with, execute_opts, lower_onto_store, plan_ra, Batch,
     ExecOptions, PhysPlan, PlannerChoice,
 };
 use pgq_graph::{updates, Update, ViewRelations};
+use pgq_pattern::testgen::arb_bounded_output;
 use pgq_relational::{CmpOp, Database, RaExpr, RelName, Relation, RowCondition};
 use pgq_store::{ConcurrentStore, GraphForm, Store, StoreError, StoreSnapshot, ADOM_REL};
 use pgq_value::{tuple, Tuple, Value};
@@ -736,6 +737,68 @@ proptest! {
             eval_with_store(&q, &db, EvalConfig::physical(), &store).unwrap(),
             eval_with(&q, &db, EvalConfig::reference()).unwrap()
         );
+    }
+}
+
+/// Holds a pattern call over the registered graph to the references:
+/// its answer — rows or typed error — equals the NFA engine's and
+/// Figure 2's under both planners. The call takes the compiled route
+/// unless its plan would pass the compiler's size cap (nested
+/// repetitions, filters copied by `∨`/`¬`); such a call keeps the other
+/// routes and is held to the same answers. Returns whether it compiled.
+fn assert_store_agrees(q: &Query, db: &Database, store: &Store, context: &str) -> bool {
+    let text = explain_with(q, &db.schema(), Some(store), None).unwrap();
+    let compiled = text.contains("[route: compiled plan]");
+    let context = format!("{context}, compiled: {compiled}");
+    let reference = eval_with(q, db, EvalConfig::reference());
+    assert_eq!(
+        eval_with(q, db, EvalConfig::default()),
+        reference,
+        "{context}: NFA engine, {q}"
+    );
+    for planner in [PlannerChoice::Cost, PlannerChoice::Rule] {
+        let cfg = EvalConfig::physical().with_planner(planner);
+        assert_eq!(
+            eval_with_store(q, db, cfg, store),
+            reference,
+            "{context}: physical under {planner}, {q}"
+        );
+    }
+    compiled
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Compiled ≡ NFA ≡ reference on random repetition-free and
+    /// finitely-bounded pattern calls — repeated variables, backward
+    /// edges, filters over whole sub-patterns with `∨`/`¬` and
+    /// cross-atom property equalities, identifier, component, property
+    /// and Boolean outputs — over a registered graph, then again after a
+    /// random `apply_updates` batch, so the compiled plan's `IndexScan`s
+    /// read through tombstones and overlays.
+    #[test]
+    fn compiled_patterns_agree_with_the_references(
+        out in arb_bounded_output(3, ["T", "U"], ["w", "k"]),
+        batch in proptest::collection::vec(arb_canonical_update(), 0..12),
+        n in 1usize..6,
+        m in 0usize..8,
+        seed in 0u64..1000,
+    ) {
+        let db0 = canonical_graph_db(n, m, 5, seed);
+        let mut store = store_for(&db0);
+        let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
+        let compiled = assert_store_agrees(&q, &db0, &store, "registered");
+        let mut rels = view_relations_of(&db0);
+        let mut accepted = Vec::new();
+        for u in batch {
+            if updates::apply(&mut rels, &u).is_ok() {
+                accepted.push(u);
+            }
+        }
+        store.apply_updates("G", &accepted).expect("the reference accepted each update");
+        let still = assert_store_agrees(&q, &db_of(&rels), &store, "updated");
+        prop_assert_eq!(still, compiled, "the route does not depend on the rows");
     }
 }
 
