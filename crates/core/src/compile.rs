@@ -1,12 +1,14 @@
 //! Patterns as plans: a pattern call over a graph frozen in the store,
-//! compiled to a Figure 3 query over the call's six view relations with
+//! compiled to a physical plan over the call's six view relations with
 //! one rule per Figure 1 constructor — Lemma 9.3's τ read relationally.
-//! The physical route splices the result into the surrounding shell, so
+//! The physical route splices the plan into the surrounding shell, so
 //! the optimizer and the storage lowering plan the whole call as
-//! `IndexScan`/`Filter`/`HashJoin`/`Project` over the store: no view
-//! graph is built and nothing is copied.
+//! `IndexScan`/`Filter`/`HashJoin`/`Project`/`Fixpoint` over the store:
+//! no view graph is built and nothing is copied. The plan is the
+//! shell's own physical IR, not a Figure 3 query: repetition needs a
+//! fixpoint, and the `Query` algebra stays fixpoint-free.
 //!
-//! A compiled sub-pattern `ψ` is a query whose rows are the matches
+//! A compiled sub-pattern `ψ` is a plan whose rows are the matches
 //! `(s, t, μ)` of `ψ`: `k` columns for each endpoint and a `k`-block per
 //! free variable, `k` the identifier arity. Positions may coincide —
 //! `(x)` is `N` itself, its endpoints and `x` all reading the same
@@ -17,6 +19,10 @@
 //! each concatenation every variable nothing above it reads — so a chain
 //! of hops keeps endpoint pairs, not every walk.
 //!
+//! Repetition is one operator: `ψ^{n..m}` is a bounded
+//! [`PhysPlan::Fixpoint`] over the body's endpoint pairs, whatever the
+//! bounds, so the plan's size does not depend on them.
+//!
 //! The view was validated when it was frozen, which two rules rely on:
 //! every endpoint of a match is a node, so a node atom next to another
 //! pattern joins nothing and only names that endpoint; and a property is
@@ -24,14 +30,14 @@
 //! multiplies rows.
 //!
 //! Not compiled ([`compile`] answers `None`, and the call keeps the
-//! other routes): unbounded repetition, a call whose plan would scan
-//! more than [`MAX_SCANS`] relations, an output component at index
-//! `≥ k` or of a variable `ψ` does not bind (Figure 2's typed error and
-//! empty answer), and ill-formed patterns.
+//! other routes): a call whose plan would scan more than [`MAX_SCANS`]
+//! relations, an output component at index `≥ k` or of a variable `ψ`
+//! does not bind (Figure 2's typed error and empty answer), and
+//! ill-formed patterns.
 
-use crate::query::Query;
+use pgq_exec::PhysPlan;
 use pgq_pattern::{Condition, Direction, OutputItem, OutputPattern, Pattern, RepBound};
-use pgq_relational::RowCondition;
+use pgq_relational::{RelName, RowCondition};
 use pgq_value::Var;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,21 +49,16 @@ const LABELS: usize = 4;
 const PROPS: usize = 5;
 
 /// The most relation scans a compiled call may hold ([`scans`] plus one
-/// per property output). The plan grows with every unrolled repetition
-/// and every copy a disjunction or a negation takes; the cost
-/// estimator's work grows exponentially with its join nesting, and
-/// every pass over it recurses once per level. Within the cap the
-/// compiled plan beats the NFA route: on 250 accounts and 1 000
-/// transfers (2-core Xeon, end to end) a filtered `{1,5}` (30 scans)
-/// answers in 10 ms against 29 ms and a six-hop chain in 17 ms against
-/// 47 ms, while a filtered `{1,10}` would spend 150 ms planning and a
-/// sixteen-hop chain 4 s. A `{0,100000}` falls back rather than
-/// becoming a plan 100 000 levels deep.
+/// per property output). The plan grows with every copy a disjunction
+/// or a negation takes, and every pass over it — optimizing, lowering,
+/// estimating, executing — recurses once per level, on a server thread
+/// with a 2 MiB stack. The cap bounds that depth; past it the NFA route
+/// answers.
 const MAX_SCANS: usize = 32;
 
 /// `ψΩ` over `views` — a graph frozen from them with identifier arity
 /// `k` — as one query, or `None` when the call does not compile.
-pub(crate) fn compile(out: &OutputPattern, views: &[Query; 6], k: usize) -> Option<Query> {
+pub(crate) fn compile(out: &OutputPattern, views: &[RelName; 6], k: usize) -> Option<PhysPlan> {
     out.pattern.validate().ok()?;
     let props = out
         .items
@@ -79,19 +80,15 @@ pub(crate) fn compile(out: &OutputPattern, views: &[Query; 6], k: usize) -> Opti
 }
 
 /// The relation scans `ψ`'s compiled plan holds, rule by rule (node
-/// atoms beside a pattern counted as if they scanned `N`); saturating,
-/// so a huge repetition bound is simply too many.
+/// atoms beside a pattern counted as if they scanned `N`); saturating.
 fn scans(p: &Pattern) -> usize {
     match p {
         Pattern::Node(_) => 1,
         Pattern::Edge(..) => 2,
         Pattern::Concat(a, b) | Pattern::Union(a, b) => scans(a).saturating_add(scans(b)),
         Pattern::Filter(p, theta) => filtered(scans(p), theta),
-        // Every factor is a copy of the body, and `ε` scans `N`.
-        Pattern::Repeat(p, _, RepBound::Finite(m)) => m
-            .saturating_mul(scans(p).saturating_add(1))
-            .saturating_add(1),
-        Pattern::Repeat(..) => usize::MAX,
+        // The body once, and `ε` scans `N`.
+        Pattern::Repeat(p, ..) => scans(p).saturating_add(1),
     }
 }
 
@@ -107,11 +104,11 @@ fn filtered(s: usize, theta: &Condition) -> usize {
     }
 }
 
-/// The matches of a sub-pattern: the query and where each endpoint and
+/// The matches of a sub-pattern: the plan and where each endpoint and
 /// each free variable's identifier sit in its rows.
 #[derive(Clone)]
 struct Matches {
-    q: Query,
+    q: PhysPlan,
     arity: usize,
     src: Vec<usize>,
     tgt: Vec<usize>,
@@ -121,7 +118,7 @@ struct Matches {
 impl Matches {
     /// Rows `src ++ tgt ++ …` with the endpoints at `0..2k` and no
     /// bindings yet.
-    fn pairs(q: Query, k: usize) -> Matches {
+    fn pairs(q: PhysPlan, k: usize) -> Matches {
         Matches {
             q,
             arity: 2 * k,
@@ -185,22 +182,22 @@ fn same(a: &[usize], b: &[usize]) -> Vec<RowCondition> {
 }
 
 /// `σ_{∧ conds}(q)`, or `q` itself when there is nothing to test.
-fn select(q: Query, conds: Vec<RowCondition>) -> Query {
+fn select(q: PhysPlan, conds: Vec<RowCondition>) -> PhysPlan {
     if conds.is_empty() {
         q
     } else {
-        q.select(RowCondition::and_all(conds))
+        q.filter(RowCondition::and_all(conds))
     }
 }
 
 struct Compiler<'v> {
-    views: &'v [Query; 6],
+    views: &'v [RelName; 6],
     k: usize,
 }
 
 impl Compiler<'_> {
-    fn view(&self, i: usize) -> Query {
-        self.views[i].clone()
+    fn view(&self, i: usize) -> PhysPlan {
+        PhysPlan::Scan(self.views[i].clone())
     }
 
     /// The matches of `p`, keeping at least the variables of `keep` —
@@ -272,42 +269,41 @@ impl Compiler<'_> {
                 let (q, arity) = self.holds(&m, theta);
                 Matches { q, arity, ..m }
             }
-            Pattern::Repeat(p, n, RepBound::Finite(m)) => {
-                self.repeat(self.pattern(p, &BTreeSet::new())?, *n, *m)
-            }
-            Pattern::Repeat(_, _, RepBound::Infinite) => return None,
+            Pattern::Repeat(p, n, m) => self.repeat(self.pattern(p, &BTreeSet::new())?, *n, *m),
         })
     }
 
-    /// `ψ^{n..m} = ψⁿ · (ε + ψ)^{m−n}` over the body's endpoint pairs
-    /// (repetition discards bindings), `ε = {(v, v) : v ∈ N}`: linear in
-    /// `m`. Each composition joins `a.tgt = b.src`; only a composition
-    /// that is joined again is cut back to its endpoint pairs.
-    fn repeat(&self, body: Matches, n: usize, m: usize) -> Matches {
+    /// `ψ^{n..m}` over the body's endpoint pairs `R` (repetition
+    /// discards bindings): the rows `⋃_{i=n}^{m} ε ∘ Rⁱ`, `ε = {(v, v) :
+    /// v ∈ N}`, as one fixpoint that skips `n` compositions and then
+    /// runs at most `m − n` rounds — `R` is planned once, whatever the
+    /// bounds. Each composition joins `a.tgt = b.src`.
+    fn repeat(&self, body: Matches, n: usize, m: RepBound) -> Matches {
         let k = self.k;
-        let step = ends(body);
         let eps = self
             .view(NODES)
             .project([block(0, k), block(0, k)].concat());
-        let mut factors = std::iter::repeat_n(step.clone(), n)
-            .chain(std::iter::repeat_n(eps.clone().union(step), m - n));
-        let first = Matches::pairs(factors.next().unwrap_or(eps), k);
-        factors.fold(first, |a, b| Matches {
-            q: select(ends(a).product(b), same(&block(k, k), &block(2 * k, k))),
-            arity: 4 * k,
-            src: block(0, k),
-            tgt: block(3 * k, k),
-            vars: BTreeMap::new(),
-        })
+        let fixpoint = PhysPlan::Fixpoint {
+            base: Box::new(eps),
+            step: Box::new(ends(body)),
+            join: (0..k).map(|i| (k + i, i)).collect(),
+            project: [block(0, k), block(3 * k, k)].concat(),
+            skip: n,
+            rounds: match m {
+                RepBound::Finite(m) => Some(m - n),
+                RepBound::Infinite => None,
+            },
+        };
+        Matches::pairs(fixpoint, k)
     }
 
     /// The rows of `m` satisfying `θ` (Section 2.3.1), with `m`'s
     /// columns as a prefix, and their arity. Atoms join the label and
     /// property relations, so their witnesses ride along as extra
     /// columns; an atom on a variable `m` does not bind holds nowhere.
-    fn holds(&self, m: &Matches, theta: &Condition) -> (Query, usize) {
+    fn holds(&self, m: &Matches, theta: &Condition) -> (PhysPlan, usize) {
         let (k, a) = (self.k, m.arity);
-        let nowhere = || (m.q.clone().select(RowCondition::True.not()), a);
+        let nowhere = || (m.q.clone().filter(RowCondition::True.not()), a);
         match theta {
             Condition::HasLabel(x, label) => {
                 let Some(xs) = m.vars.get(x) else {
@@ -359,7 +355,7 @@ impl Compiler<'_> {
     }
 
     /// [`Compiler::holds`] without the witness columns.
-    fn only(&self, m: &Matches, theta: &Condition) -> Query {
+    fn only(&self, m: &Matches, theta: &Condition) -> PhysPlan {
         let (q, arity) = self.holds(m, theta);
         if arity == m.arity {
             q
@@ -380,7 +376,7 @@ impl Compiler<'_> {
     /// positions, a property joins `P` (a match without it gives no
     /// row), and a Boolean output projects to no column, `{()}` iff a
     /// match exists.
-    fn output(&self, m: Matches, items: &[OutputItem]) -> Option<Query> {
+    fn output(&self, m: Matches, items: &[OutputItem]) -> Option<PhysPlan> {
         let k = self.k;
         let (mut q, mut arity, mut cols) = (m.q, m.arity, Vec::new());
         for item in items {
@@ -402,7 +398,7 @@ impl Compiler<'_> {
 
 /// The endpoint pairs `src ++ tgt` of the matches, projected only when
 /// the rows hold anything else.
-fn ends(m: Matches) -> Query {
+fn ends(m: Matches) -> PhysPlan {
     let cols = [m.src, m.tgt].concat();
     if cols.iter().copied().eq(0..m.arity) {
         m.q

@@ -13,8 +13,8 @@
 //! (identifiers, components, properties) — to the product-graph BFS
 //! engine instead of the reference evaluator. Under a store the
 //! physical engine skips both phases for a call over a frozen graph:
-//! the view was validated at registration, and the call either
-//! compiles onto the view relations or reads the CSR closure.
+//! the view was validated at registration, and the call compiles onto
+//! the view relations — repetition as one bounded `Fixpoint`.
 //! Agreement between the routes is property-tested;
 //! `EvalConfig::reference()` disables the fast path for differential
 //! testing and ablation benches.
@@ -39,10 +39,9 @@ pub enum Engine {
     Nfa,
     /// The S15 physical engine (`pgq-exec`): the relational shell is
     /// planned into hash-join plans, pattern calls over a graph frozen
-    /// in the store are compiled into that plan, reachability pattern
-    /// calls run on the CSR closure or the semi-naive fixpoint
-    /// operator, and everything else falls back to the NFA/reference
-    /// routes.
+    /// in the store are compiled into that plan (repetition as a
+    /// bounded semi-naive `Fixpoint`), and everything else falls back
+    /// to the NFA/reference routes.
     Physical,
 }
 
@@ -121,10 +120,9 @@ pub fn eval(q: &Query, db: &Database) -> Result<Relation, QueryError> {
 /// session [`pgq_store::Store`] (substrate S16). Only
 /// [`Engine::Physical`] consults the store — base relations scan its
 /// columnar indexes, and pattern calls over registered graphs skip the
-/// per-query view rebuild: repetition-free ones are compiled onto the
-/// graph's view relations and planned with the query, reachability
-/// ones are answered from frozen CSR adjacency; the other engines behave exactly as
-/// [`eval_with`]. The store must agree with `db` — registered from it
+/// per-query view rebuild: they are compiled onto the graph's view
+/// relations and planned with the query; the other engines behave
+/// exactly as [`eval_with`]. The store must agree with `db` — registered from it
 /// (see `pgq_store::Store::from_database`) and, after changes, kept in
 /// step either by re-registration (which drops the graph entries over
 /// the replaced relations until they are registered again) or
@@ -159,8 +157,9 @@ pub fn eval_with_store(
 /// annotated per operator (rows in/out, wall time, degree of
 /// parallelism, hash-join build sizes, fixpoint iteration Δ sizes,
 /// per-worker morsel counts); a compiled pattern call profiles as its
-/// own operators, and calls answered off-plan (frozen CSR, closure,
-/// NFA, reference) appear as a route-labelled node. The other
+/// own operators (a repetition as its `Fixpoint`, with per-round Δ
+/// sizes), and calls answered off-plan (NFA, reference) appear as a
+/// route-labelled node. The other
 /// engines are tree walkers with no operator tree, so they report a
 /// single node. The result relation is identical to
 /// [`eval_with_store`]'s — metrics collection never perturbs results —
@@ -273,7 +272,7 @@ fn eval_output(
     cfg: EvalConfig,
 ) -> Result<Relation, QueryError> {
     let route = crate::physical::route(out, g.id_arity(), None, cfg.engine);
-    route.answer(out, g, &crate::physical::exec_opts(cfg), None)
+    route.answer(out, g)
 }
 
 /// The variable bound by the leftmost node atom of a concatenation

@@ -1,22 +1,21 @@
 //! The `Engine::Physical` route: Figure 3's relational shell planned
 //! onto the S15 physical engine (`pgq-exec`). A pattern call over a
-//! graph frozen in the store is planned too when it has no unbounded
-//! repetition and its plan stays small — compiled onto the graph's view
-//! relations and spliced into the shell — and reachability calls run on
-//! the CSR closure or the semi-naive fixpoint operator.
+//! graph frozen in the store is planned too — compiled onto the graph's
+//! view relations, repetition as one bounded `Fixpoint`, and spliced
+//! into the shell — unless its plan would pass the compiler's size cap.
 //!
 //! The route is exactly as expressive as the references — a call it
-//! cannot plan (no frozen graph, unbounded repetition beyond the two
-//! reachability spines, a plan past the compiler's size cap) is answered by the NFA or Figure 2 evaluators
-//! on a per-statement view and spliced into the plan as a materialized
-//! [`PhysPlan::Values`] batch — and the differential suites
-//! (`tests/prop_engine.rs`, `tests/prop_store.rs`) hold all routes to
-//! identical results. See DESIGN.md §5.
+//! cannot plan (no frozen graph, a plan past the size cap) is answered
+//! by the NFA or Figure 2 evaluators on a per-statement view and
+//! spliced into the plan as a materialized [`PhysPlan::Values`] batch —
+//! and the differential suites (`tests/prop_engine.rs`,
+//! `tests/prop_store.rs`) hold all routes to identical results. See
+//! DESIGN.md §5.
 //!
 //! Evaluation and `EXPLAIN` share one translation of the shell:
 //! `shell_plan` has one rule per Figure 3 constructor and asks a
 //! `Leaves` handler what a stored relation, a constant or a pattern
-//! call becomes (the compiled query's own plan, evaluated rows, or a
+//! call becomes (the compiled call's own plan, evaluated rows, or a
 //! placeholder plus its section of text), and `pgq_exec::physical_plan`
 //! is the one optimize → lower-onto-store step both then take; who
 //! answers a pattern call is the one decision `route` takes for both.
@@ -33,9 +32,9 @@ use pgq_exec::{
     ExecOptions, PhysPlan, PlanMetrics, PlannerChoice,
 };
 use pgq_graph::PropertyGraph;
-use pgq_pattern::{Direction, Nfa, OutputItem, OutputPattern, Pattern, RepBound};
+use pgq_pattern::{Nfa, OutputItem, OutputPattern};
 use pgq_relational::{Database, RelName, Relation, Schema};
-use pgq_store::{GraphEntry, GraphForm, Store};
+use pgq_store::{GraphForm, Store};
 use pgq_value::{Key, Tuple, Value, Var};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -75,41 +74,26 @@ trait Leaves {
 /// [`physical_plan`] — under either planner the plans are semantically
 /// identical (the differential suites enforce it), only shapes change.
 fn shell_plan(q: &Query, leaves: &mut impl Leaves) -> Result<PhysPlan, QueryError> {
-    let mut binary = |a: &Query, b: &Query| -> Result<_, QueryError> {
-        Ok((
-            Box::new(shell_plan(a, leaves)?),
-            Box::new(shell_plan(b, leaves)?),
-        ))
-    };
     Ok(match q {
         Query::Rel(name) => leaves.rel(name)?,
         Query::Const(c) => leaves.constant(c)?,
         Query::Pattern { out, views, op } => leaves.pattern(out, views, *op)?,
         Query::Project(pos, q) => shell_plan(q, leaves)?.project(pos.clone()),
         Query::Select(cond, q) => shell_plan(q, leaves)?.filter(cond.clone()),
-        Query::Product(a, b) => {
-            let (left, right) = binary(a, b)?;
-            PhysPlan::Product { left, right }
-        }
-        Query::Union(a, b) => {
-            let (left, right) = binary(a, b)?;
-            PhysPlan::Union { left, right }
-        }
+        Query::Product(a, b) => shell_plan(a, leaves)?.product(shell_plan(b, leaves)?),
+        Query::Union(a, b) => shell_plan(a, leaves)?.union(shell_plan(b, leaves)?),
         // Plan the derived intersection `Q − (Q − Q′)` as a real
         // intersection join (`Query::intersect`).
         Query::Diff(a, b) => match q.as_intersection() {
             Some((l, r)) => intersect_plan(shell_plan(l, leaves)?, shell_plan(r, leaves)?),
-            None => {
-                let (left, right) = binary(a, b)?;
-                PhysPlan::Diff { left, right }
-            }
+            None => shell_plan(a, leaves)?.diff(shell_plan(b, leaves)?),
         },
     })
 }
 
 /// The evaluating [`Leaves`]: pattern calls and constants become
 /// materialized `Values` (evaluated with the same configuration, so
-/// nested shells are planned too).
+/// nested shells are planned too), unless the call compiles.
 struct Evaluate<'a> {
     db: &'a Database,
     cfg: EvalConfig,
@@ -143,7 +127,7 @@ impl Leaves for Evaluate<'_> {
     ) -> Result<PhysPlan, QueryError> {
         Ok(
             match eval_pattern(out, views, op, self.db, self.cfg, self.store, None)? {
-                Answer::Plan(q) => shell_plan(&q, self)?,
+                Answer::Plan(plan) => plan,
                 Answer::Rows(rel) => PhysPlan::Values(Batch::from_relation(&rel)),
             },
         )
@@ -153,12 +137,11 @@ impl Leaves for Evaluate<'_> {
 /// Evaluates a query through the physical engine — backed, when given,
 /// by a session [`Store`] (substrate S16): base scans run on columnar
 /// indexes, dictionary codes flow through the whole operator pipeline
-/// (decoding exactly once at the set-semantics boundary), and
-/// reachability pattern calls over graphs registered in the store are
-/// answered from their frozen CSR adjacency (read through any update
-/// overlay) — no per-query view rebuild, no hash-join fixpoint. The
-/// store must agree with `db`: registered from it, then kept in step
-/// by re-registration or by the incremental update path
+/// (decoding exactly once at the set-semantics boundary), and pattern
+/// calls over graphs registered in the store are planned onto its view
+/// relations (read through any update overlay) — no per-query view
+/// rebuild. The store must agree with `db`: registered from it, then
+/// kept in step by re-registration or by the incremental update path
 /// (`Store::apply_updates`).
 ///
 /// With a sink, `m` becomes the executed plan's metrics tree — the
@@ -173,16 +156,19 @@ pub(crate) fn eval_physical(
     store: Option<&Store>,
     mut m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
-    // A bare pattern call needs no relational plan around it — answer
-    // it directly instead of staging the result through a `Values` leaf
-    // (which would copy it twice) — unless it compiles to one.
-    if let Query::Pattern { out, views, op } = q {
-        return match eval_pattern(out, views, *op, db, cfg, store, m.as_deref_mut())? {
-            Answer::Plan(q) => eval_physical(&q, db, cfg, store, m),
-            Answer::Rows(rel) => Ok(rel),
-        };
-    }
-    let shell = shell_plan(q, &mut Evaluate { db, cfg, store })?;
+    let shell = match q {
+        // A bare pattern call needs no relational plan around it —
+        // answer it directly instead of staging the result through a
+        // `Values` leaf (which would copy it twice) — unless it
+        // compiles to one.
+        Query::Pattern { out, views, op } => {
+            match eval_pattern(out, views, *op, db, cfg, store, m.as_deref_mut())? {
+                Answer::Plan(plan) => plan,
+                Answer::Rows(rel) => return Ok(rel),
+            }
+        }
+        _ => shell_plan(q, &mut Evaluate { db, cfg, store })?,
+    };
     let plan = physical_plan(shell, &db.schema(), store, cfg.planner)?;
     let opts = exec_opts(cfg);
     let Some(m) = m else {
@@ -201,25 +187,21 @@ pub(crate) fn eval_physical(
 /// How the physical route answers a pattern call.
 enum Answer {
     /// The call compiled onto its view relations: plan it in place.
-    Plan(Query),
+    Plan(PhysPlan),
     /// The rows another route computed.
     Rows(Relation),
 }
 
 /// A pattern call on the physical route. [`route`] picks who answers.
-/// A graph frozen in the store from exactly the call's views answers
-/// without a view: a repetition-free call compiles onto the view
-/// relations, a bare reachability spine reads the CSR closure — the
-/// view was validated once at registration, so nothing is rebuilt.
-/// Every other route builds the view from physically-evaluated
-/// subqueries and answers on it; under a store each such build is
-/// counted (`view_builds` on [`Store::counters`]).
-///
-/// A compiled call has an operator tree, which the caller plans. The
-/// other routes have none, so with a sink the answering route itself
-/// becomes the node `m` — the profile never lies about which engine
-/// answered — and the closure route hangs its executed `Fixpoint` plan
-/// (per-round Δ sizes) underneath.
+/// A call over a graph frozen in the store from exactly its views
+/// compiles onto the view relations — the view was validated once at
+/// registration, so nothing is rebuilt — and has an operator tree,
+/// which the caller plans. Every other route builds the view from
+/// physically-evaluated subqueries and answers on it; under a store
+/// each such build is counted (`view_builds` on [`Store::counters`]).
+/// Those routes have no operator tree, so with a sink the answering
+/// route itself becomes the node `m` — the profile never lies about
+/// which engine answered.
 fn eval_pattern(
     out: &OutputPattern,
     views: &[Query; 6],
@@ -227,47 +209,20 @@ fn eval_pattern(
     db: &Database,
     cfg: EvalConfig,
     store: Option<&Store>,
-    mut m: Option<&mut PlanMetrics>,
+    m: Option<&mut PlanMetrics>,
 ) -> Result<Answer, QueryError> {
+    if let Some((names, k)) = store.and_then(|store| frozen_views(views, op, store)) {
+        if let Route::Compiled(plan) = route(out, k, Some(&names), Engine::Physical) {
+            return Ok(Answer::Plan(plan));
+        }
+    }
     let start = m.as_ref().map(|_| Instant::now());
-    let build = || {
-        if let Some(store) = store {
-            store.counters().record_view_build();
-        }
-        build_view(views, op, db, cfg)
-    };
-    let entry = store.and_then(|store| frozen_entry(views, op, store));
-    let mut view = None;
-    let k = match entry {
-        Some(entry) => entry.id_arity(),
-        None => view.insert(build()?).id_arity(),
-    };
-    let route = match route(out, k, entry.map(|e| (e, views)), Engine::Physical) {
-        Route::Compiled(q) => return Ok(Answer::Plan(q)),
-        route => route,
-    };
-    let rel = match (&route, store) {
-        (Route::Frozen(entry, spine, cols), Some(store)) => {
-            out.pattern.validate()?;
-            store.counters().record_adjacency_read(entry.has_overlay());
-            if cols.is_empty() {
-                boolean(entry.has_reach_pair() || (!spine.at_least_one && entry.node_count() > 0))
-            } else {
-                let pairs = entry.reach_relation(spine.at_least_one);
-                store
-                    .counters()
-                    .record_csr_neighbor_rows(pairs.len() as u64);
-                pairs.project(cols)?
-            }
-        }
-        _ => {
-            let g = match view {
-                Some(g) => g,
-                None => build()?,
-            };
-            route.answer(out, &g, &exec_opts(cfg), m.as_deref_mut())?
-        }
-    };
+    if let Some(store) = store {
+        store.counters().record_view_build();
+    }
+    let g = build_view(views, op, db, cfg)?;
+    let route = route(out, g.id_arity(), None, Engine::Physical);
+    let rel = route.answer(out, &g)?;
     if let (Some(m), Some(start)) = (m, start) {
         record_answer(m, format!("Pattern [{}]", route.label()), &rel, start);
     }
@@ -283,29 +238,26 @@ pub(crate) fn record_answer(m: &mut PlanMetrics, label: String, rel: &Relation, 
     m.elapsed_ns = start.elapsed().as_nanos() as u64;
 }
 
-/// The graph the store froze from exactly these views under this
-/// operator. Only views that are all plain base relations can name one.
-fn frozen_entry<'s>(views: &[Query; 6], op: ViewOp, store: &'s Store) -> Option<&'s GraphEntry> {
+/// The view relations of the graph the store froze from exactly these
+/// views under this operator, and its identifier arity. Only views that
+/// are all plain base relations can name one.
+fn frozen_views(views: &[Query; 6], op: ViewOp, store: &Store) -> Option<([RelName; 6], usize)> {
     let [Query::Rel(n), Query::Rel(e), Query::Rel(s), Query::Rel(t), Query::Rel(l), Query::Rel(p)] =
         views
     else {
         return None;
     };
     let names = [n, e, s, t, l, p].map(Clone::clone);
-    store.graph_for_views(&names, view_form(op))
+    let k = store.graph_for_views(&names, view_form(op))?.id_arity();
+    Some((names, k))
 }
 
 /// Who answers a pattern call — decided by [`route`] alone.
-pub(crate) enum Route<'p, 's> {
+pub(crate) enum Route {
     /// The call compiled onto the view relations of a graph frozen in
     /// the store ([`compile`]): planned in place, like the shell around
     /// it.
-    Compiled(Query),
-    /// The frozen CSR closure of a graph in the store, projected by
-    /// the pair columns it holds (none: a Boolean output).
-    Frozen(&'s GraphEntry, ReachShape<'p>, Vec<usize>),
-    /// The semi-naive closure of the spine's step pairs, on the view.
-    Closure(ReachShape<'p>, Vec<Cell>),
+    Compiled(PhysPlan),
     /// The NFA's endpoint pairs, on the view.
     Nfa(Nfa, Vec<Cell>),
     /// Figure 2, on the view.
@@ -313,37 +265,25 @@ pub(crate) enum Route<'p, 's> {
 }
 
 /// The one route decision evaluation, the NFA engine and `EXPLAIN`
-/// take. `k` is the view's identifier arity and `frozen` the graph the
-/// store froze from the call's views, with those views, if any. Only
-/// [`Engine::Physical`] takes the compiled and closure routes, and
-/// [`Engine::Reference`] takes nothing but Figure 2. Over a frozen
-/// graph every call [`compile`] accepts — no unbounded repetition, at
-/// most 32 relation scans — is compiled; a frozen graph also answers a bare reachability spine
-/// whose output it holds — filtered steps and property items need the
-/// view graph. Every output an endpoint route cannot project (see
-/// [`cells`]) is Figure 2's.
-pub(crate) fn route<'p, 's>(
-    out: &'p OutputPattern,
+/// take. `k` is the identifier arity and `frozen` the view relations of
+/// the graph the store froze from the call's views, if any. Only
+/// [`Engine::Physical`] takes the compiled route, over a frozen graph,
+/// for every call [`compile`] accepts (at most 32 relation scans), and
+/// [`Engine::Reference`] takes nothing but Figure 2. Otherwise a call
+/// the NFA compiles whose output reads only its endpoints (see
+/// [`cells`]) takes the NFA, and every other is Figure 2's.
+pub(crate) fn route(
+    out: &OutputPattern,
     k: usize,
-    frozen: Option<(&'s GraphEntry, &[Query; 6])>,
+    frozen: Option<&[RelName; 6]>,
     engine: Engine,
-) -> Route<'p, 's> {
+) -> Route {
     if engine == Engine::Reference {
         return Route::Reference;
     }
     if engine == Engine::Physical {
-        if let Some(q) = frozen.and_then(|(_, views)| compile(out, views, k)) {
-            return Route::Compiled(q);
-        }
-        if let Some(spine) = reach_shape(&out.pattern) {
-            if let Some(cells) = cells(out, Some(&spine.x), Some(&spine.y), k) {
-                return match (frozen, columns(&cells, k)) {
-                    (Some((entry, _)), Some(cols)) if !spine.filtered => {
-                        Route::Frozen(entry, spine, cols)
-                    }
-                    _ => Route::Closure(spine, cells),
-                };
-            }
+        if let Some(plan) = frozen.and_then(|views| compile(out, views, k)) {
+            return Route::Compiled(plan);
         }
     }
     let Ok(nfa) = Nfa::compile(&out.pattern) else {
@@ -359,113 +299,33 @@ pub(crate) fn route<'p, 's>(
     }
 }
 
-impl Route<'_, '_> {
+impl Route {
     /// The route's name: `EXPLAIN`'s `[route: …]` and the
     /// `Pattern [...]` node of `EXPLAIN ANALYZE`.
     pub(crate) fn label(&self) -> &'static str {
         match self {
             Route::Compiled(_) => "compiled plan",
-            Route::Frozen(..) => "frozen CSR reachability",
-            Route::Closure(spine, _) if spine.filtered => {
-                "semi-naive fixpoint over filtered step edges"
-            }
-            Route::Closure(..) => "semi-naive fixpoint over view edges",
             Route::Nfa(..) => "NFA product-graph BFS",
             Route::Reference => "reference (Figure 2) semantics",
         }
     }
 
-    /// Answers the call on its built view `g`. The compiled and frozen
-    /// routes read the store, not a view; on one they answer as Figure 2
-    /// does.
+    /// Answers the call on its built view `g`. A compiled call reads
+    /// the store, not a view; on one it answers as Figure 2 does.
     pub(crate) fn answer(
         &self,
         out: &OutputPattern,
         g: &PropertyGraph,
-        opts: &ExecOptions,
-        m: Option<&mut PlanMetrics>,
     ) -> Result<Relation, QueryError> {
         match self {
-            Route::Closure(spine, cells) => {
-                out.pattern.validate()?;
-                let k = g.id_arity();
-                let pairs = closure(spine, g, opts, m)?;
-                // `ψ^{0..∞}` adds the 0-step pair of every node.
-                let reflexive = g
-                    .nodes()
-                    .filter(|_| !spine.at_least_one)
-                    .map(|n| (n.values(), n.values()));
-                let steps = pairs.iter().map(|row| row.values().split_at(k));
-                project(cells, steps.chain(reflexive), g)
-            }
             Route::Nfa(nfa, cells) => {
                 out.pattern.validate()?;
                 let pairs = nfa.eval_pairs(g);
                 let ends = pairs.iter().map(|(s, t)| (s.values(), t.values()));
                 project(cells, ends, g)
             }
-            Route::Compiled(_) | Route::Frozen(..) | Route::Reference => Ok(out.eval(g)?),
+            Route::Compiled(_) | Route::Reference => Ok(out.eval(g)?),
         }
-    }
-}
-
-/// The reachability spine `(x) step^{n..∞} (y)` with a single
-/// forward-edge step and `n ≤ 1` — the `ψreach`/`ψreach+` shapes of
-/// Lemma 9.4 and the transfers workloads. Repetition discards its
-/// bindings (Figure 2's `⟦ψ^{n..m}⟧` ranges over endpoint pairs with
-/// `μ∅`), so the step edge may carry a variable and per-step filter
-/// conditions: the call is then exactly the closure of the filtered
-/// step-pair set.
-pub(crate) struct ReachShape<'a> {
-    x: Var,
-    y: Var,
-    at_least_one: bool,
-    /// The repetition body — a forward edge under zero or more filters.
-    step: &'a Pattern,
-    /// Whether the step carries filter conditions. A bare step is
-    /// answerable straight from a frozen CSR closure; a filtered one
-    /// needs the view graph to evaluate its conditions per edge.
-    filtered: bool,
-}
-
-fn reach_shape(p: &Pattern) -> Option<ReachShape<'_>> {
-    let mut atoms = Vec::new();
-    flatten_concat(p, &mut atoms);
-    match atoms.as_slice() {
-        [Pattern::Node(Some(x)), Pattern::Repeat(inner, lo, RepBound::Infinite), Pattern::Node(Some(y))]
-            // (x) →* (x) constrains to cycles; not plain reachability.
-            if *lo <= 1 && x != y =>
-        {
-            let filtered = single_forward_step(inner)?;
-            Some(ReachShape {
-                x: x.clone(),
-                y: y.clone(),
-                at_least_one: *lo == 1,
-                step: inner,
-                filtered,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Whether a repetition body is a single forward-edge step — bare
-/// (`Some(false)`) or wrapped in filter conditions (`Some(true)`).
-/// Anything else is not closure-shaped.
-fn single_forward_step(p: &Pattern) -> Option<bool> {
-    match p {
-        Pattern::Edge(_, Direction::Forward) => Some(false),
-        Pattern::Filter(inner, _) => single_forward_step(inner).map(|_| true),
-        _ => None,
-    }
-}
-
-fn flatten_concat<'a>(p: &'a Pattern, out: &mut Vec<&'a Pattern>) {
-    if let Pattern::Concat(a, b) = p {
-        flatten_concat(a, out);
-        flatten_concat(b, out);
-    } else {
-        out.push(p);
     }
 }
 
@@ -512,29 +372,21 @@ fn cells(out: &OutputPattern, x: Option<&Var>, y: Option<&Var>, k: usize) -> Opt
     Some(cells)
 }
 
-/// The positions of the cells in a pair row `s̄ ++ t̄` — how the frozen
-/// route projects. `None` with a property cell: it needs the view.
-fn columns(cells: &[Cell], k: usize) -> Option<Vec<usize>> {
-    cells
-        .iter()
-        .map(|cell| match cell {
-            Cell::Component { target, index } => Some(usize::from(*target) * k + index),
-            Cell::Prop { .. } => None,
-        })
-        .collect()
-}
-
-/// The one projection of the view's endpoint routes: every pair
-/// `(s̄, t̄)` becomes one row through `cells`, a pair whose property
-/// is undefined gives none (Figure 2's rule), and a Boolean output (no
-/// cells) holds iff some pair exists.
+/// The NFA route's projection: every pair `(s̄, t̄)` becomes one row
+/// through `cells`, a pair whose property is undefined gives none
+/// (Figure 2's rule), and a Boolean output (no cells) holds iff some
+/// pair exists.
 fn project<'v>(
     cells: &[Cell],
     mut pairs: impl Iterator<Item = (&'v [Value], &'v [Value])>,
     g: &PropertyGraph,
 ) -> Result<Relation, QueryError> {
     if cells.is_empty() {
-        return Ok(boolean(pairs.next().is_some()));
+        return Ok(if pairs.next().is_some() {
+            Relation::r#true()
+        } else {
+            Relation::r#false()
+        });
     }
     let mut rel = Relation::empty(cells.len());
     'pairs: for (s, t) in pairs {
@@ -556,78 +408,11 @@ fn project<'v>(
     Ok(rel)
 }
 
-/// A Boolean output: `{()}` when it holds, `∅` otherwise.
-fn boolean(holds: bool) -> Relation {
-    if holds {
-        Relation::r#true()
-    } else {
-        Relation::r#false()
-    }
-}
-
-/// The ≥ 1-step pairs `s̄ ++ t̄` of the spine: its step-pair set
-/// closed by one `Fixpoint` plan over two `Values` leaves of it, on the
-/// one executor. With a sink, the executed plan's metrics (iteration
-/// count, per-round Δ sizes) become `m`'s child and its output `m`'s
-/// input.
-fn closure(
-    spine: &ReachShape,
-    g: &PropertyGraph,
-    opts: &ExecOptions,
-    m: Option<&mut PlanMetrics>,
-) -> Result<Batch, QueryError> {
-    // The step-pair set: every (src, tgt) the repetition body matches
-    // in one step. A bare edge reads the adjacency directly; a filtered
-    // step evaluates its conditions per edge — bindings are local to
-    // the step (Figure 2's repetition discards them), so the whole call
-    // is the closure of this pair set.
-    let k = g.id_arity();
-    let mut steps = Batch::empty(2 * k);
-    if spine.filtered {
-        let matches = pgq_pattern::eval_pattern(spine.step, g)?;
-        for (s, t) in pgq_pattern::endpoint_pairs(&matches) {
-            steps.push(s.concat(&t))?;
-        }
-    } else {
-        // A validated view gives every edge both endpoints; a graph
-        // that does not is a typed view error, not a panic.
-        let missing = |which, edge: &pgq_graph::ElementId| {
-            QueryError::View(pgq_graph::ViewError::MissingEndpoint {
-                which,
-                edge: edge.clone(),
-            })
-        };
-        for e in g.edges() {
-            let s = g.src(e).ok_or_else(|| missing("src", e))?;
-            let t = g.tgt(e).ok_or_else(|| missing("tgt", e))?;
-            steps.push(s.concat(t))?;
-        }
-    }
-    // acc.t̄ = step.s̄, emitting (acc.s̄, step.t̄).
-    let plan = PhysPlan::Fixpoint {
-        base: Box::new(PhysPlan::Values(steps.clone())),
-        step: Box::new(PhysPlan::Values(steps)),
-        join: (0..k).map(|i| (k + i, i)).collect(),
-        project: (0..k).chain(3 * k..4 * k).collect(),
-    };
-    let db = Database::new();
-    let pairs = match m {
-        Some(m) => {
-            let (pairs, fixpoint) = execute_profiled(&plan, &db, None, opts)?;
-            m.rows_in = fixpoint.rows_out;
-            m.children.push(fixpoint);
-            pairs
-        }
-        None => execute_opts(&plan, &db, None, opts)?,
-    };
-    Ok(pairs.decode()?)
-}
-
 /// Renders the physical plan of a query as an `EXPLAIN`-style tree —
 /// without evaluating anything. The relational shell is planned exactly
 /// as `Engine::Physical` would plan it; each pattern call appears as a
-/// `⟨matchN⟩` placeholder whose route (fixpoint / NFA / reference) and
-/// view subplans are listed below the main tree.
+/// `⟨matchN⟩` placeholder whose route (NFA / reference) and view
+/// subplans are listed below the main tree.
 pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
     explain_with(q, schema, None, None)
 }
@@ -637,10 +422,9 @@ pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
 /// `AdjacencyExpand`, CSR fixpoints) by the planner `opts` selects (the
 /// default without `opts`), operators that read through an update
 /// overlay are marked `⟨delta⟩`, and a pattern call over a graph the
-/// store froze names the route that answers it: a compiled call's
-/// operators are part of the tree (its section names the call and the
-/// route, with no placeholder), and a frozen CSR closure is named as
-/// such. Under concrete `opts` every
+/// store froze is a compiled plan: its operators are part of the tree,
+/// and its section names the call and the route, with no placeholder.
+/// Under concrete `opts` every
 /// morsel-parallel operator is annotated with its degree of parallelism
 /// (`⟨dop≤n⟩`) and a trailing line states the worker budget — what the
 /// shell renders after `SET THREADS n;` / `SET PLANNER rule;`. It is
@@ -669,7 +453,7 @@ pub fn explain_with(
 }
 
 /// The explaining [`Leaves`]: nothing is evaluated. A compiled pattern
-/// call becomes its query's plan; any other becomes a scan of a
+/// call becomes its plan; any other becomes a scan of a
 /// placeholder relation `⟨matchN⟩` — added to `aug`, the query's schema
 /// as the shell is then optimized under it — and a section of text
 /// naming its route and view subplans.
@@ -698,14 +482,17 @@ impl Leaves for Explain<'_> {
         // Identifier arity is Q1's arity (`Query::arity`).
         let k = views[0].arity(&self.aug)?;
         let arity = out.output_arity(k);
-        let entry = self.store.and_then(|store| frozen_entry(views, op, store));
-        let decided = route(out, k, entry.map(|e| (e, views)), Engine::Physical);
+        let frozen = self
+            .store
+            .and_then(|store| frozen_views(views, op, store))
+            .map(|(names, _)| names);
+        let decided = route(out, k, frozen.as_ref(), Engine::Physical);
         let route = decided.label();
-        if let Route::Compiled(q) = decided {
+        if let Route::Compiled(plan) = decided {
             // Spliced: its operators are part of the plan above.
             self.sections
                 .push(format!("{out} via {op} [route: {route}]"));
-            return shell_plan(&q, self);
+            return Ok(plan);
         }
         // Render the view subplans first: nested pattern calls push
         // their own sections during this recursion, so numbering off
@@ -739,7 +526,9 @@ mod tests {
     use super::*;
     use crate::eval::{eval_with, Engine};
     use crate::{builders, Query};
+    use pgq_pattern::Pattern;
     use pgq_relational::RowCondition;
+    use pgq_store::GraphForm;
     use pgq_value::tuple;
 
     /// The canonical 4-chain a→b→c→d.
@@ -1092,7 +881,7 @@ mod tests {
 
         let text = explain(&reach_query(), &d.schema()).unwrap();
         assert!(text.contains("⟨match1⟩"), "{text}");
-        assert!(text.contains("semi-naive fixpoint"), "{text}");
+        assert!(text.contains("[route: NFA product-graph BFS]"), "{text}");
         assert!(text.contains("Scan N"), "{text}");
 
         // Invalid queries error instead of rendering.
@@ -1210,29 +999,39 @@ mod tests {
                 compiled += usize::from(explained == "compiled plan");
             }
         }
-        // The one-hop, the backward hop and the `{2,2}` two-hop, over
-        // the registered graph only.
-        assert_eq!(compiled, 3);
+        // Every call but the out-of-range component, over the
+        // registered graph only.
+        assert_eq!(compiled, outs.len() - 1);
     }
 
-    /// A repetition bound far past the compiled plan's size cap keeps
-    /// the NFA route — no plan a hundred thousand levels deep for the
-    /// recursive passes to overflow the stack on — and answers as
-    /// Figure 2 does.
+    /// Repetition is one bounded `Fixpoint` whatever its bounds: a
+    /// `{0,100000}` or `{100000,100000}` plan is the `{0,10}` or
+    /// `{10,10}` plan with other bound literals, and answers as Figure 2
+    /// does.
     #[test]
-    fn a_huge_repetition_bound_is_not_compiled() {
+    fn a_huge_repetition_bound_compiles_to_the_same_plan() {
         let d = db();
         let store = store_for(&d);
-        let p = Pattern::node("x")
-            .then(Pattern::any_edge().repeat(0, 100_000))
-            .then(Pattern::node("y"));
-        let out = pgq_pattern::OutputPattern::vars(p, ["x", "y"]).unwrap();
-        let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
-        let text = explain_with(&q, &d.schema(), Some(&store), None).unwrap();
-        assert!(text.contains("[route: NFA product-graph BFS]"), "{text}");
-        let rows = crate::eval_with_store(&q, &d, EvalConfig::physical(), &store).unwrap();
-        assert_eq!(rows.len(), 10, "four loops and six forward pairs");
-        assert_eq!(Ok(rows), eval_with(&q, &d, EvalConfig::reference()));
+        let q = |n, m| {
+            let p = Pattern::node("x")
+                .then(Pattern::any_edge().repeat(n, m))
+                .then(Pattern::node("y"));
+            let out = pgq_pattern::OutputPattern::vars(p, ["x", "y"]).unwrap();
+            Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"])
+        };
+        let text = |n, m| explain_with(&q(n, m), &d.schema(), Some(&store), None).unwrap();
+        let small = text(0, 10);
+        assert!(small.contains("[route: compiled plan]"), "{small}");
+        assert!(small.contains("Fixpoint"), "{small}");
+        assert_eq!(text(0, 100_000), small.replace("10", "100000"));
+        assert_eq!(text(100_000, 100_000), text(10, 10).replace("10", "100000"));
+        for (n, m, rows) in [(0, 100_000, 10), (100_000, 100_000, 0), (3, 3, 1)] {
+            let got = crate::eval_with_store(&q(n, m), &d, EvalConfig::physical(), &store);
+            assert_eq!(got.as_ref().map(Relation::len), Ok(rows), "{{{n},{m}}}");
+            if n < 10 {
+                assert_eq!(got, eval_with(&q(n, m), &d, EvalConfig::reference()));
+            }
+        }
     }
 
     #[test]

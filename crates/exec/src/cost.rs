@@ -39,6 +39,7 @@ use crate::plan::PhysPlan;
 use pgq_relational::{CmpOp, Operand, RelName, RowCondition, Schema};
 use pgq_store::{Store, StoreStatistics};
 use pgq_value::Value;
+use std::collections::HashMap;
 
 /// Which estimator [`lower_onto_store`] plans with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,9 +107,73 @@ impl<'a> Estimator<'a> {
 
     /// Expected output rows of a plan node (≥ 0, finite).
     pub fn rows(&self, plan: &PhysPlan) -> f64 {
+        Memo::new(self.stats).rows(plan)
+    }
+
+    /// Distinct-value estimate for one output column of a subplan.
+    /// Exact (modulo staleness) for stored relations; bounded by the
+    /// subplan's row estimate everywhere else.
+    pub fn distinct(&self, plan: &PhysPlan, col: usize) -> f64 {
+        Memo::new(self.stats).distinct(plan, col)
+    }
+
+    /// Predicate selectivity against a concrete input subplan.
+    pub fn selectivity(&self, cond: &RowCondition, input: &PhysPlan) -> f64 {
+        Memo::new(self.stats).selectivity(cond, input)
+    }
+
+    /// Expected fan-out of one adjacency probe into `rel`.
+    fn expected_degree(&self, rel: &RelName, reverse: bool) -> f64 {
+        self.stats
+            .and_then(|s| s.expected_degree(rel, reverse))
+            .unwrap_or(1.0)
+    }
+}
+
+/// One estimate's memo: each inner plan node's rows, and each column's
+/// distinct count, are computed once, so an estimate is linear in the
+/// plan. (A join asks its inputs for rows and for the distinct counts
+/// of their key columns, which fall back to rows; unmemoized, the work
+/// doubles with every level of join nesting.) Leaves are answered in
+/// O(1) and not stored, so a three-node plan stores one entry. Nodes
+/// are keyed by address, which is stable because the plan stays
+/// borrowed for the memo's whole life. Without statistics every
+/// estimate is [`TIED`].
+struct Memo<'s> {
+    stats: Option<&'s StoreStatistics>,
+    rows: HashMap<*const PhysPlan, f64>,
+    distinct: HashMap<(*const PhysPlan, usize), f64>,
+    /// Calls of [`Memo::rows`] and [`Memo::distinct`], memo hits included.
+    visits: usize,
+}
+
+impl<'s> Memo<'s> {
+    fn new(stats: Option<&'s StoreStatistics>) -> Self {
+        Memo {
+            stats,
+            rows: HashMap::new(),
+            distinct: HashMap::new(),
+            visits: 0,
+        }
+    }
+
+    fn rows(&mut self, plan: &PhysPlan) -> f64 {
+        self.visits += 1;
         let Some(stats) = self.stats else {
             return TIED;
         };
+        if is_leaf(plan) {
+            return self.rows_of(stats, plan);
+        }
+        if let Some(&rows) = self.rows.get(&std::ptr::from_ref(plan)) {
+            return rows;
+        }
+        let rows = self.rows_of(stats, plan);
+        self.rows.insert(plan, rows);
+        rows
+    }
+
+    fn rows_of(&mut self, stats: &StoreStatistics, plan: &PhysPlan) -> f64 {
         match plan {
             PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => relation_rows(stats, name),
             // As the `Filter [$col = c]` it replaces: one value of the column's.
@@ -126,7 +191,7 @@ impl<'a> Estimator<'a> {
                 rel,
                 reverse,
                 ..
-            } => self.rows(input) * self.expected_degree(rel, *reverse),
+            } => self.rows(input) * stats.expected_degree(rel, *reverse).unwrap_or(1.0),
             PhysPlan::HashJoin { left, right, keys } => {
                 let (l, r) = (self.rows(left), self.rows(right));
                 if keys.is_empty() {
@@ -147,13 +212,24 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Distinct-value estimate for one output column of a subplan.
-    /// Exact (modulo staleness) for stored relations; bounded by the
-    /// subplan's row estimate everywhere else.
-    pub fn distinct(&self, plan: &PhysPlan, col: usize) -> f64 {
+    fn distinct(&mut self, plan: &PhysPlan, col: usize) -> f64 {
+        self.visits += 1;
         let Some(stats) = self.stats else {
             return TIED;
         };
+        if is_leaf(plan) {
+            return self.distinct_of(stats, plan, col);
+        }
+        let key = (std::ptr::from_ref(plan), col);
+        if let Some(&d) = self.distinct.get(&key) {
+            return d;
+        }
+        let d = self.distinct_of(stats, plan, col);
+        self.distinct.insert(key, d);
+        d
+    }
+
+    fn distinct_of(&mut self, stats: &StoreStatistics, plan: &PhysPlan, col: usize) -> f64 {
         match plan {
             PhysPlan::Scan(name) | PhysPlan::IndexScan(name) => relation_distinct(stats, name, col),
             // A column held equal to a constant has one value.
@@ -161,9 +237,10 @@ impl<'a> Estimator<'a> {
             PhysPlan::IndexSeek { rel, .. } => {
                 relation_distinct(stats, rel, col).min(self.rows(plan))
             }
-            PhysPlan::Project { positions, input } => positions
-                .get(col)
-                .map_or_else(|| self.rows(plan), |&p| self.distinct(input, p)),
+            PhysPlan::Project { positions, input } => match positions.get(col) {
+                Some(&p) => self.distinct(input, p),
+                None => self.rows(plan),
+            },
             PhysPlan::Filter { cond, .. } if pinned(cond, col).is_some() => 1.0,
             PhysPlan::Filter { input, .. } => self.distinct(input, col).min(self.rows(plan)),
             PhysPlan::Distinct { input } => self.distinct(input, col),
@@ -172,7 +249,7 @@ impl<'a> Estimator<'a> {
     }
 
     /// Predicate selectivity against a concrete input subplan.
-    pub fn selectivity(&self, cond: &RowCondition, input: &PhysPlan) -> f64 {
+    fn selectivity(&mut self, cond: &RowCondition, input: &PhysPlan) -> f64 {
         let s = match cond {
             RowCondition::True => 1.0,
             RowCondition::And(a, b) => self.selectivity(a, input) * self.selectivity(b, input),
@@ -180,37 +257,38 @@ impl<'a> Estimator<'a> {
                 (self.selectivity(a, input) + self.selectivity(b, input)).min(1.0)
             }
             RowCondition::Not(inner) => 1.0 - self.selectivity(inner, input),
-            RowCondition::Cmp(a, op, b) => self.cmp_selectivity(a, *op, b, input),
+            RowCondition::Cmp(a, op, b) => match (a, op, b) {
+                // $i = const: one value out of the column's distinct set.
+                (Operand::Col(i), CmpOp::Eq, Operand::Const(_))
+                | (Operand::Const(_), CmpOp::Eq, Operand::Col(i)) => {
+                    1.0 / self.distinct(input, *i).max(1.0)
+                }
+                // $i = $j: the larger distinct count dominates.
+                (Operand::Col(i), CmpOp::Eq, Operand::Col(j)) => {
+                    1.0 / self
+                        .distinct(input, *i)
+                        .max(self.distinct(input, *j))
+                        .max(1.0)
+                }
+                (_, CmpOp::Ne, _) => NE_SELECTIVITY,
+                (Operand::Const(_), CmpOp::Eq, Operand::Const(_)) => 1.0,
+                _ => RANGE_SELECTIVITY,
+            },
         };
         s.clamp(0.0, 1.0)
     }
+}
 
-    fn cmp_selectivity(&self, a: &Operand, op: CmpOp, b: &Operand, input: &PhysPlan) -> f64 {
-        match (a, op, b) {
-            // $i = const: one value out of the column's distinct set.
-            (Operand::Col(i), CmpOp::Eq, Operand::Const(_))
-            | (Operand::Const(_), CmpOp::Eq, Operand::Col(i)) => {
-                1.0 / self.distinct(input, *i).max(1.0)
-            }
-            // $i = $j: the larger distinct count dominates.
-            (Operand::Col(i), CmpOp::Eq, Operand::Col(j)) => {
-                1.0 / self
-                    .distinct(input, *i)
-                    .max(self.distinct(input, *j))
-                    .max(1.0)
-            }
-            (_, CmpOp::Ne, _) => NE_SELECTIVITY,
-            (Operand::Const(_), CmpOp::Eq, Operand::Const(_)) => 1.0,
-            _ => RANGE_SELECTIVITY,
-        }
-    }
-
-    /// Expected fan-out of one adjacency probe into `rel`.
-    fn expected_degree(&self, rel: &RelName, reverse: bool) -> f64 {
-        self.stats
-            .and_then(|s| s.expected_degree(rel, reverse))
-            .unwrap_or(1.0)
-    }
+/// A plan node without inputs, estimated in O(1).
+fn is_leaf(plan: &PhysPlan) -> bool {
+    matches!(
+        plan,
+        PhysPlan::Scan(_)
+            | PhysPlan::IndexScan(_)
+            | PhysPlan::IndexSeek { .. }
+            | PhysPlan::Values(_)
+            | PhysPlan::AdomScan
+    )
 }
 
 fn relation_rows(stats: &StoreStatistics, name: &RelName) -> f64 {
@@ -253,8 +331,8 @@ fn pinned(cond: &RowCondition, col: usize) -> Option<&Value> {
 ///   side is a bare scan of a CSR-indexed binary relation and
 ///   expanding is estimated no dearer, a hash join with the smaller
 ///   side building otherwise;
-/// * the step of a reachability-shaped `Fixpoint` becomes an
-///   `IndexScan`, which [`crate::execute_with`] runs as CSR frontier
+/// * the step of an unbounded reachability-shaped `Fixpoint` becomes
+///   an `IndexScan`, which [`crate::execute_with`] runs as CSR frontier
 ///   sweeps.
 ///
 /// `planner` picks the estimator (module docs), and this is the only
@@ -294,8 +372,8 @@ fn lower(plan: PhysPlan, store: &Store, schema: &Schema, est: &Estimator<'_>) ->
         }
         // Everything else only has children to lower. That includes
         // `Fixpoint`: the CSR reachability fast path keys on the exact
-        // `join = [(1,0)], project = [0,3]` shape, so its own vectors
-        // are never touched.
+        // unbounded `join = [(1,0)], project = [0,3]` shape, so its own
+        // fields are never touched.
         other => other.map_children(|child| lower(child, store, schema, est)),
     }
 }
@@ -719,6 +797,27 @@ mod tests {
         costed
     }
 
+    /// An estimate visits each node of a plan a bounded number of
+    /// times: on a sixteen-join chain the count is linear in the nodes,
+    /// where without the memo it doubles with every join.
+    #[test]
+    fn estimation_is_linear_in_plan_size() {
+        let d = db();
+        let store = Store::from_database(&d);
+        let stats = store.statistics();
+        let hop = || PhysPlan::IndexScan("E".into());
+        let (mut chain, mut nodes) = (hop(), 1);
+        for _ in 0..16 {
+            chain = chain.hash_join(hop(), vec![(1, 0)]).project(vec![0, 3]);
+            nodes += 3;
+        }
+        let mut memo = Memo::new(Some(&stats));
+        let rows = memo.rows(&chain);
+        assert!(rows.is_finite() && rows >= 0.0);
+        assert!(memo.visits <= 4 * nodes, "{} visits", memo.visits);
+        assert_eq!(Estimator::new(&stats).rows(&chain), rows);
+    }
+
     #[test]
     fn estimator_reads_store_statistics() {
         let d = db();
@@ -1003,6 +1102,8 @@ mod tests {
             step: Box::new(PhysPlan::Scan("E".into())),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         let costed = cost_plan(tc, &store, &d.schema());
         let PhysPlan::Fixpoint {

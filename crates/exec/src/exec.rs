@@ -19,7 +19,7 @@
 //! boundary.
 
 use crate::batch::Batch;
-use crate::coded::{Coded, CodedBatch, CodedCond, Codes};
+use crate::coded::{Coded, CodedBatch, CodedCond, CodedHashIndex, Codes};
 use crate::metrics::PlanMetrics;
 use crate::parallel::{run_morsels, run_tasks, ExecOptions};
 use crate::plan::PhysPlan;
@@ -48,8 +48,8 @@ pub fn execute_with(plan: &PhysPlan, db: &Database, store: Option<&Store>) -> Re
 /// Executes a physical plan on the given number of worker threads.
 ///
 /// `IndexScan` reads the store's columnar relations, `IndexSeek` and
-/// `AdjacencyExpand` probe its CSR indexes, and a reachability-shaped
-/// `Fixpoint` whose step is a CSR-indexed relation runs as frontier
+/// `AdjacencyExpand` probe its CSR indexes, and an unbounded
+/// reachability-shaped `Fixpoint` whose step is a CSR-indexed relation runs as frontier
 /// sweeps over the index instead of hash-join rounds. The store must
 /// have been registered from (a snapshot equal to) `db`; the
 /// differential suite `tests/prop_store.rs` holds store-backed and
@@ -282,6 +282,8 @@ impl<'a, 'd> Run<'a, 'd> {
                 step,
                 join,
                 project,
+                skip,
+                rounds,
             } => {
                 let base = self.node(base, child_m(&mut m, 0))?;
                 note_rows_in(&mut m, base.len());
@@ -297,7 +299,13 @@ impl<'a, 'd> Run<'a, 'd> {
                 }
                 let step = self.node(step, child_m(&mut m, 1))?;
                 note_rows_in(&mut m, step.len());
-                fixpoint_coded(&base, &step, join, project, opts, m)
+                let shape = FixpointShape {
+                    join,
+                    project,
+                    skip: *skip,
+                    rounds: *rounds,
+                };
+                fixpoint_coded(base, &step, &shape, opts, m)
             }
         }
     }
@@ -647,35 +655,129 @@ fn check_iteration_budget(iterations: &mut usize, opts: &ExecOptions) -> RelResu
     Ok(())
 }
 
-/// Semi-naive evaluation: each round joins only the rows discovered in
-/// the previous round (`Δ`) against the step batch, so the step side is
-/// indexed once and no derivation is recomputed.
+/// A `Fixpoint`'s parameters besides its inputs.
+struct FixpointShape<'p> {
+    join: &'p [(usize, usize)],
+    project: &'p [usize],
+    skip: usize,
+    rounds: Option<usize>,
+}
+
+impl FixpointShape<'_> {
+    /// `emit(π_project(acc ++ s))` for every `acc` of `rows` and every
+    /// `s` of `step` (indexed by `index` on the join's step positions)
+    /// that agree on the join.
+    fn grow<'r>(
+        &self,
+        rows: impl IntoIterator<Item = &'r [u32]>,
+        step: &CodedBatch,
+        index: &CodedHashIndex,
+        mut emit: impl FnMut(Vec<u32>),
+    ) {
+        let mut key: Vec<u32> = Vec::with_capacity(self.join.len());
+        for acc in rows {
+            key.clear();
+            key.extend(self.join.iter().map(|&(i, _)| acc[i]));
+            for &si in index.probe(&key) {
+                let s = step.row(si);
+                let at = |p: usize| {
+                    if p < acc.len() {
+                        acc[p]
+                    } else {
+                        s[p - acc.len()]
+                    }
+                };
+                emit(self.project.iter().map(|&p| at(p)).collect());
+            }
+        }
+    }
+
+    /// `a ∘ b`, deduplicated.
+    fn compose(&self, a: &CodedBatch, b: &CodedBatch) -> RelResult<CodedBatch> {
+        let index = b.hash_index(&self.join.iter().map(|&(_, j)| j).collect::<Vec<_>>());
+        let mut out = CodedBatch::empty(self.project.len());
+        let mut err = Ok(());
+        self.grow(a.iter(), b, &index, |row| {
+            if err.is_ok() {
+                err = out.push(&row);
+            }
+        });
+        err?;
+        out.dedup();
+        Ok(out)
+    }
+
+    /// Whether `∘` is the composition of `2k`-ary endpoint-pair
+    /// relations — the shape in which it is associative, so a power of
+    /// the step can be squared.
+    fn is_pairs(&self, arity: usize, step_arity: usize) -> bool {
+        let k = arity / 2;
+        arity == 2 * k
+            && step_arity == arity
+            && self.join.iter().copied().eq((0..k).map(|i| (k + i, i)))
+            && self.project.iter().copied().eq((0..k).chain(3 * k..4 * k))
+    }
+
+    /// `base ∘ step^skip` by repeated squaring. A power that squares to
+    /// itself is every higher power too, so the squaring stops there.
+    fn skipped(&self, base: CodedBatch, step: &CodedBatch) -> RelResult<CodedBatch> {
+        if self.skip == 0 {
+            return Ok(base);
+        }
+        if !self.is_pairs(base.arity(), step.arity()) {
+            return Err(RelError::IncompatibleArities {
+                op: "fixpoint skip over a non-pair step",
+                left: base.arity(),
+                right: step.arity(),
+            });
+        }
+        let (mut acc, mut power, mut e) = (base, step.clone(), self.skip);
+        power.dedup();
+        loop {
+            if e & 1 == 1 {
+                acc = self.compose(&acc, &power)?;
+            }
+            e >>= 1;
+            if e == 0 || acc.is_empty() {
+                return Ok(acc);
+            }
+            let squared = self.compose(&power, &power)?;
+            if squared.len() == power.len() {
+                let had: HashSet<&[u32]> = power.iter().collect();
+                if squared.iter().all(|row| had.contains(row)) {
+                    return self.compose(&acc, &power);
+                }
+            }
+            power = squared;
+        }
+    }
+}
+
+/// Bounded semi-naive evaluation: `base ∘ step^skip` seeds the result,
+/// then each round joins only the rows discovered in the previous round
+/// (`Δ`) against the step batch, so the step side is indexed once and
+/// no derivation is recomputed.
 fn fixpoint_coded(
-    base: &CodedBatch,
+    base: CodedBatch,
     step: &CodedBatch,
-    join: &[(usize, usize)],
-    project: &[usize],
+    shape: &FixpointShape<'_>,
     opts: &ExecOptions,
     mut m: Option<&mut PlanMetrics>,
 ) -> RelResult<CodedBatch> {
     let arity = base.arity();
-    validate_fixpoint_shape(join, project, arity, step.arity())?;
+    validate_fixpoint_shape(shape.join, shape.project, arity, step.arity())?;
+    let start = shape.skipped(base, step)?;
+    let index = step.hash_index(&shape.join.iter().map(|&(_, j)| j).collect::<Vec<_>>());
 
-    let step_positions: Vec<usize> = join.iter().map(|&(_, j)| j).collect();
-    let index = step.hash_index(&step_positions);
-
-    let mut known: HashSet<Vec<u32>> = HashSet::with_capacity(base.len());
-    let mut delta: Vec<Vec<u32>> = Vec::with_capacity(base.len());
-    for row in base.iter() {
+    let mut known: HashSet<Vec<u32>> = HashSet::with_capacity(start.len());
+    let mut delta: Vec<Vec<u32>> = Vec::with_capacity(start.len());
+    for row in start.iter() {
         if known.insert(row.to_vec()) {
             delta.push(row.to_vec());
         }
     }
-
-    let mut key: Vec<u32> = Vec::with_capacity(join.len());
-    let mut wide: Vec<u32> = Vec::with_capacity(arity + step.arity());
     let mut iterations: usize = 0;
-    while !delta.is_empty() {
+    while !delta.is_empty() && shape.rounds.is_none_or(|r| iterations < r) {
         check_iteration_budget(&mut iterations, opts)?;
         if let Some(n) = m.as_deref_mut() {
             n.iterations
@@ -683,19 +785,11 @@ fn fixpoint_coded(
                 .push(delta.len() as u64);
         }
         let mut next: Vec<Vec<u32>> = Vec::new();
-        for acc in &delta {
-            key.clear();
-            key.extend(join.iter().map(|&(i, _)| acc[i]));
-            for &si in index.probe(&key) {
-                wide.clear();
-                wide.extend_from_slice(acc);
-                wide.extend_from_slice(step.row(si));
-                let grown: Vec<u32> = project.iter().map(|&p| wide[p]).collect();
-                if known.insert(grown.clone()) {
-                    next.push(grown);
-                }
+        shape.grow(delta.iter().map(Vec::as_slice), step, &index, |grown| {
+            if known.insert(grown.clone()) {
+                next.push(grown);
             }
-        }
+        });
         delta = next;
     }
 
@@ -790,6 +884,8 @@ mod tests {
             step: Box::new(edges),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         let out = execute(&tc, &d).unwrap().into_relation();
         // 3+2+1 pairs on the 4-chain.
@@ -805,6 +901,8 @@ mod tests {
             step: Box::new(PhysPlan::Values(steps)),
             join: vec![(2, 0), (3, 1)],
             project: vec![0, 1, 6, 7],
+            skip: 0,
+            rounds: None,
         };
         let out = execute(&tc, &d).unwrap().into_relation();
         assert_eq!(out.len(), 3);
@@ -826,6 +924,8 @@ mod tests {
             step: Box::new(PhysPlan::Values(colored)),
             join: vec![(1, 0), (2, 2)],
             project: vec![0, 4, 5],
+            skip: 0,
+            rounds: None,
         };
         let out = execute(&tc, &d).unwrap().into_relation();
         assert!(out.contains(&tuple![0, 2, "red"]));
@@ -844,6 +944,8 @@ mod tests {
             step: Box::new(edges),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         let out = execute(&tc, &d).unwrap().into_relation();
         assert_eq!(out.len(), 9); // complete digraph on 3 nodes
@@ -858,6 +960,8 @@ mod tests {
             step: Box::new(edges.clone()),
             join: vec![(1, 9)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         assert!(execute(&bad, &d).is_err());
         let bad = PhysPlan::Fixpoint {
@@ -865,6 +969,8 @@ mod tests {
             step: Box::new(edges),
             join: vec![(1, 0)],
             project: vec![0],
+            skip: 0,
+            rounds: None,
         };
         assert!(execute(&bad, &d).is_err());
     }
@@ -878,6 +984,8 @@ mod tests {
             step: Box::new(PhysPlan::Scan("Empty".into())),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         assert!(execute(&tc, &d).unwrap().is_empty());
         // π_∅ over a non-empty input is Boolean true.
@@ -908,6 +1016,8 @@ mod tests {
             step: Box::new(PhysPlan::IndexScan("E".into())),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         let plans = [
             PhysPlan::IndexScan("R".into()).filter(RowCondition::col_cmp_const(
@@ -1038,6 +1148,8 @@ mod tests {
             step: Box::new(step),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         let expand = PhysPlan::AdjacencyExpand {
             input: Box::new(PhysPlan::IndexScan("V".into())),
@@ -1162,6 +1274,8 @@ mod tests {
                 step: Box::new(PhysPlan::Scan("E".into())),
                 join: vec![(1, 0)],
                 project: vec![0, 9],
+                skip: 0,
+                rounds: None,
             },
         ];
         for plan in &plans {
@@ -1170,6 +1284,79 @@ mod tests {
                 "{plan}"
             );
         }
+    }
+
+    /// A bounded fixpoint is `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ`,
+    /// computed by iterating the composition — on a cycle with a tail
+    /// (so powers repeat with period 3 and never square to themselves),
+    /// on a graph whose powers do, and with `skip` far past the node
+    /// count. A skip over a step that is not a pair relation is a typed
+    /// error.
+    #[test]
+    fn bounded_fixpoint_is_the_union_of_powers() {
+        use std::collections::BTreeSet;
+        let compose = |a: &BTreeSet<(i64, i64)>, b: &BTreeSet<(i64, i64)>| {
+            let mut out = BTreeSet::new();
+            for &(s, m) in a {
+                out.extend(b.iter().filter(|(x, _)| *x == m).map(|&(_, t)| (s, t)));
+            }
+            out
+        };
+        let graphs: [&[(i64, i64)]; 2] = [
+            &[(0, 1), (1, 2), (2, 0), (3, 0)],
+            &[(0, 1), (1, 1), (1, 2), (2, 0)],
+        ];
+        for edges in graphs {
+            let mut d = Database::new();
+            for &(s, t) in edges {
+                d.insert("E", tuple![s, t]).unwrap();
+            }
+            for v in 0..4i64 {
+                d.insert("Id", tuple![v, v]).unwrap();
+            }
+            let step: BTreeSet<(i64, i64)> = edges.iter().copied().collect();
+            for skip in [0, 1, 2, 5, 40] {
+                for rounds in [Some(0), Some(1), Some(3), None] {
+                    let mut power: BTreeSet<(i64, i64)> = (0..4).map(|v| (v, v)).collect();
+                    for _ in 0..skip {
+                        power = compose(&power, &step);
+                    }
+                    let mut want = power.clone();
+                    for _ in 0..rounds.unwrap_or(16) {
+                        power = compose(&power, &step);
+                        want.extend(&power);
+                    }
+                    let plan = PhysPlan::Fixpoint {
+                        base: Box::new(PhysPlan::Scan("Id".into())),
+                        step: Box::new(PhysPlan::Scan("E".into())),
+                        join: vec![(1, 0)],
+                        project: vec![0, 3],
+                        skip,
+                        rounds,
+                    };
+                    let want = Relation::from_rows(2, want.iter().map(|&(s, t)| tuple![s, t]));
+                    let got = execute(&plan, &d).unwrap().into_relation();
+                    assert_eq!(
+                        got,
+                        want.unwrap(),
+                        "{edges:?}, skip {skip}, rounds {rounds:?}"
+                    );
+                }
+            }
+        }
+        let d = db();
+        let params = PhysPlan::Fixpoint {
+            base: Box::new(PhysPlan::Scan("E".into())),
+            step: Box::new(PhysPlan::Scan("E".into())),
+            join: vec![(1, 0)],
+            project: vec![0, 1],
+            skip: 1,
+            rounds: None,
+        };
+        assert!(matches!(
+            execute(&params, &d),
+            Err(RelError::IncompatibleArities { .. })
+        ));
     }
 
     /// `max_fixpoint_iters` converts a too-deep closure into a typed
@@ -1187,6 +1374,8 @@ mod tests {
             step: Box::new(edges),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         for threads in [1, 4] {
             let mut opts = ExecOptions::with_threads(threads);

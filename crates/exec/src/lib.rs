@@ -38,12 +38,16 @@
 //!   pipeline decodes exactly once, at the [`Coded::into_relation`]
 //!   set-semantics boundary. Per-tuple work in the hot loops is a
 //!   `u32` compare, not a `Value` compare;
-//! * [`PhysPlan::Fixpoint`] — a semi-naive least-fixpoint operator; the
-//!   FO\[TC\] evaluator (S5) lowers every formula to one plan and its
-//!   `TC` to this operator, the `PGQrw` reachability route (S7,
-//!   `Engine::Physical`) runs a pattern's closure as a `Fixpoint` over
-//!   two `Values` leaves of its step pairs, and [`execute_with`] runs
-//!   the reachability shape over a CSR-indexed step as frontier sweeps.
+//! * [`PhysPlan::Fixpoint`] — a semi-naive fixpoint operator, bounded
+//!   by two fields: `skip` compositions with the step applied to the
+//!   base first (by repeated squaring) and at most `rounds` rounds after
+//!   (`None`: until nothing is new), so its rows are `⋃_{i=skip}^{skip+
+//!   rounds} base ∘ stepⁱ`. The FO\[TC\] evaluator (S5) lowers every
+//!   formula to one plan and its `TC` to the unbounded operator; a
+//!   pattern call over a registered graph (S7, `Engine::Physical`)
+//!   compiles every repetition `ψ^{n..m}` to one with `skip = n` and
+//!   `rounds = m − n`; and [`execute_with`] runs the unbounded
+//!   reachability shape over a CSR-indexed step as frontier sweeps.
 //!
 //! The engine is held to the reference evaluators by differential tests
 //! (`tests/prop_engine.rs` and `tests/prop_store.rs` at the workspace

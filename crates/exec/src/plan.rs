@@ -112,12 +112,20 @@ pub enum PhysPlan {
         /// Input operator.
         input: Box<PhysPlan>,
     },
-    /// Semi-naive least fixpoint: the smallest row set `R ⊇ base`
-    /// closed under `acc ∈ R, s ∈ step, acc[i] = s[j] ∀(i,j) ∈ join
-    /// ⟹ π_project(acc ++ s) ∈ R`. `project` indexes into the
-    /// concatenation and must reproduce the base arity. Each iteration
-    /// joins only the *delta* discovered by the previous one against
-    /// the (hash-indexed, evaluated-once) step batch.
+    /// Semi-naive fixpoint, optionally bounded: the rows
+    /// `⋃_{i = skip}^{skip + rounds} base ∘ stepⁱ`, where `R ∘ step` is
+    /// `{π_project(acc ++ s) : acc ∈ R, s ∈ step, acc[i] = s[j] ∀(i,j)
+    /// ∈ join}`. `project` indexes into the concatenation and must
+    /// reproduce the base arity. With `(skip, rounds) = (0, None)` this
+    /// is the least row set `⊇ base` closed under `∘ step`.
+    ///
+    /// The step batch is evaluated once and hash-indexed. `base ∘
+    /// step^skip` is computed by repeated squaring, which needs the
+    /// pair shape (`base` and `step` of arity `2k`, `acc.t̄ = s.s̄`,
+    /// emitting `(acc.s̄, s.t̄)`); then each semi-naive round joins only
+    /// the *delta* the previous one discovered. A row of `base ∘ stepⁱ`
+    /// is first derived by round `i − skip` at the latest, so capping
+    /// the rounds is exact.
     Fixpoint {
         /// Initial rows (also the result arity).
         base: Box<PhysPlan>,
@@ -127,6 +135,11 @@ pub enum PhysPlan {
         join: Vec<(usize, usize)>,
         /// Positions into `acc ++ step_row` forming the new row.
         project: Vec<usize>,
+        /// Compositions with `step` applied to `base` before any row
+        /// is accumulated.
+        skip: usize,
+        /// The most semi-naive rounds; `None` runs until nothing is new.
+        rounds: Option<usize>,
     },
 }
 
@@ -151,6 +164,30 @@ impl PhysPlan {
     pub fn distinct(self) -> Self {
         PhysPlan::Distinct {
             input: Box::new(self),
+        }
+    }
+
+    /// Product (builder).
+    pub fn product(self, right: PhysPlan) -> Self {
+        PhysPlan::Product {
+            left: Box::new(self),
+            right: Box::new(right),
+        }
+    }
+
+    /// Union (builder).
+    pub fn union(self, right: PhysPlan) -> Self {
+        PhysPlan::Union {
+            left: Box::new(self),
+            right: Box::new(right),
+        }
+    }
+
+    /// Difference (builder).
+    pub fn diff(self, right: PhysPlan) -> Self {
+        PhysPlan::Diff {
+            left: Box::new(self),
+            right: Box::new(right),
         }
     }
 
@@ -247,6 +284,7 @@ impl PhysPlan {
                 step,
                 join,
                 project,
+                ..
             } => {
                 let (ba, sa) = (base.arity(schema)?, step.arity(schema)?);
                 for &(i, j) in join {
@@ -284,13 +322,15 @@ impl PhysPlan {
     /// The step relation of a `Fixpoint` in the reachability shape the
     /// executor answers by CSR frontier sweeps (when the store indexes
     /// that relation): an `IndexScan` step, join `[(1, 0)]`, project
-    /// `[0, 3]`.
+    /// `[0, 3]`, unbounded.
     pub(crate) fn csr_sweep_step(&self) -> Option<&RelName> {
         match self {
             PhysPlan::Fixpoint {
                 step,
                 join,
                 project,
+                skip: 0,
+                rounds: None,
                 ..
             } if join.as_slice() == [(1, 0)] && project.as_slice() == [0, 3] => match step.as_ref()
             {
@@ -440,14 +480,25 @@ impl PhysPlan {
             PhysPlan::Union { .. } => "Union".to_string(),
             PhysPlan::Diff { .. } => "Diff".to_string(),
             PhysPlan::Distinct { .. } => "Distinct".to_string(),
-            PhysPlan::Fixpoint { join, project, .. } => {
+            PhysPlan::Fixpoint {
+                join,
+                project,
+                skip,
+                rounds,
+                ..
+            } => {
                 let eqs: Vec<String> = join
                     .iter()
                     .map(|(i, j)| format!("${} = ${}ˢ", i + 1, j + 1))
                     .collect();
                 let cols: Vec<String> = project.iter().map(|p| format!("${}", p + 1)).collect();
+                let steps = match (skip, rounds) {
+                    (0, None) => String::new(),
+                    (n, None) => format!("; steps {n}..∞"),
+                    (n, Some(r)) => format!("; steps {n}..{}", n.saturating_add(*r)),
+                };
                 format!(
-                    "Fixpoint [semi-naive; {} → π[{}]]",
+                    "Fixpoint [semi-naive; {} → π[{}]{steps}]",
                     eqs.join(" ∧ "),
                     cols.join(",")
                 )
@@ -531,11 +582,15 @@ impl PhysPlan {
                 step,
                 join,
                 project,
+                skip,
+                rounds,
             } => PhysPlan::Fixpoint {
                 base: on(base)?,
                 step: on(step)?,
                 join,
                 project,
+                skip,
+                rounds,
             },
         })
     }
@@ -596,6 +651,8 @@ mod tests {
             step: Box::new(PhysPlan::Scan("R".into())),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         assert_eq!(fx.arity(&s).unwrap(), 2);
         let bad = PhysPlan::Fixpoint {
@@ -603,6 +660,8 @@ mod tests {
             step: Box::new(PhysPlan::Scan("R".into())),
             join: vec![(1, 0)],
             project: vec![0],
+            skip: 0,
+            rounds: None,
         };
         assert!(bad.arity(&s).is_err());
     }

@@ -136,24 +136,13 @@ fn lower_with(expr: &RaExpr, rel_leaf: &dyn Fn(&pgq_relational::RelName) -> Phys
         RaExpr::ActiveDomain => PhysPlan::AdomScan,
         RaExpr::Project(pos, q) => lower_with(q, rel_leaf).project(pos.clone()),
         RaExpr::Select(cond, q) => lower_with(q, rel_leaf).filter(cond.clone()),
-        RaExpr::Product(a, b) => PhysPlan::Product {
-            left: Box::new(lower_with(a, rel_leaf)),
-            right: Box::new(lower_with(b, rel_leaf)),
-        },
-        RaExpr::Union(a, b) => PhysPlan::Union {
-            left: Box::new(lower_with(a, rel_leaf)),
-            right: Box::new(lower_with(b, rel_leaf)),
-        },
-        RaExpr::Diff(a, b) => {
+        RaExpr::Product(a, b) => lower_with(a, rel_leaf).product(lower_with(b, rel_leaf)),
+        RaExpr::Union(a, b) => lower_with(a, rel_leaf).union(lower_with(b, rel_leaf)),
+        RaExpr::Diff(a, b) => match expr.as_intersection() {
             // Q − (Q − Q′) = Q ∩ Q′: plan a real intersection.
-            if let Some((l, r)) = expr.as_intersection() {
-                return intersect_plan(lower_with(l, rel_leaf), lower_with(r, rel_leaf));
-            }
-            PhysPlan::Diff {
-                left: Box::new(lower_with(a, rel_leaf)),
-                right: Box::new(lower_with(b, rel_leaf)),
-            }
-        }
+            Some((l, r)) => intersect_plan(lower_with(l, rel_leaf), lower_with(r, rel_leaf)),
+            None => lower_with(a, rel_leaf).diff(lower_with(b, rel_leaf)),
+        },
     }
 }
 
@@ -596,6 +585,8 @@ mod tests {
             step: Box::new(PhysPlan::Scan("E".into())),
             join: vec![(1, 0)],
             project: vec![0, 3],
+            skip: 0,
+            rounds: None,
         };
         let lowered = rule_plan(tc.clone(), &store, &d);
         let via_csr = execute_with(&lowered, &d, Some(&store)).unwrap();

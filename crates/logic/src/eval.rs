@@ -265,6 +265,8 @@ fn lower(phi: &Formula, db: &Database) -> Result<Lowered, LogicError> {
                 step: Box::new(edges),
                 join,
                 project: (0..k).chain(n + k..2 * n).collect(),
+                skip: 0,
+                rounds: None,
             };
             let reflexive =
                 adom_power(k + l).project((0..k).chain(0..k).chain(k..k + l).collect::<Vec<_>>());

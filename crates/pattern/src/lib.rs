@@ -161,7 +161,14 @@ pub mod testgen {
                 p.or(mirror)
             }),
             2 => (sub.clone(), arb_condition(2, labels, keys)).prop_map(|(p, c)| p.filter(c)),
-            1 => (sub, 0usize..3, 0usize..2).prop_map(|(p, n, extra)| p.repeat(n, n + extra)),
+            // Bounds from small to far past any generated graph's node
+            // count, and unbounded: `*`, `+` and `{n,∞}`.
+            2 => (sub, 0usize..3, 0usize..5).prop_map(|(p, n, upper)| match upper {
+                0 | 1 => p.repeat(n, n + upper),
+                2 => p.repeat_at_least(n),
+                3 => p.repeat(n, n + 20),
+                _ => p.repeat(n + 20, n + 20),
+            }),
         ]
         .boxed()
     }

@@ -7,17 +7,23 @@
 //! parser's catalog. The comparison holds on the loaded graph, after an
 //! `INSERT` and after the matching `DELETE`.
 //!
-//! The same graph pins which shapes still build a view graph per
-//! statement: `view_builds` on `METRICS JSON;`.
+//! The same graph pins that no served shape builds a view graph per
+//! statement (`view_builds` on `METRICS JSON;`), and the served graph's
+//! size holds repetition bounds far past its node count to their own
+//! oracles.
 
 use pgq_core::{eval_with, EvalConfig, Query};
 use pgq_parser::{lower_query, parse_command, Command, Session, Statement};
-use pgq_relational::Database;
+use pgq_relational::{Database, Relation};
 use pgq_server::{Engine, SessionState};
 use pgq_value::Tuple;
+use std::collections::BTreeSet;
+use std::time::{Duration, Instant};
 
 const ACCOUNTS: usize = 40;
 const TRANSFERS: usize = 160;
+/// The benchmark's served graph: 250 accounts, four transfers each.
+const SERVED_ACCOUNTS: usize = 250;
 
 const DDL: [&str; 3] = [
     "CREATE TABLE Account (iban)",
@@ -60,15 +66,17 @@ fn iban(i: usize) -> String {
     format!("AC{i:04}")
 }
 
-/// Transfer `j`: a ring edge or a seeded one inside a community of
-/// eight, amounts spread over `1000..10000`.
-fn transfer(j: usize) -> String {
-    let s = j % ACCOUNTS;
+/// Transfer `j` of a graph of `accounts`: a ring edge or a seeded one
+/// inside a community of eight (the last one may be smaller), amounts
+/// spread over `1000..10000`.
+fn transfer(j: usize, accounts: usize) -> String {
+    let s = j % accounts;
     let lo = s / 8 * 8;
-    let t = if j < ACCOUNTS {
-        lo + (s - lo + 1) % 8
+    let size = 8.min(accounts - lo);
+    let t = if j < accounts {
+        lo + (s - lo + 1) % size
     } else {
-        lo + (j * 7 + j / 8) % 8
+        lo + (j * 7 + j / 8) % size
     };
     let amount = 1000 + (j * 5657) % 9000;
     format!(
@@ -90,18 +98,23 @@ struct Twin {
 
 impl Twin {
     fn load() -> Twin {
+        Twin::sized(ACCOUNTS, TRANSFERS)
+    }
+
+    /// The graph of `accounts` accounts and `transfers` transfers.
+    fn sized(accounts: usize, transfers: usize) -> Twin {
         let mut twin = Twin {
             engine: Engine::new(),
             conn: SessionState::default(),
             session: Session::new(),
             db: Database::new(),
         };
-        let accounts = (0..ACCOUNTS).map(|i| format!("INSERT INTO Account VALUES ('{}')", iban(i)));
+        let rows = (0..accounts).map(|i| format!("INSERT INTO Account VALUES ('{}')", iban(i)));
         let stmts: Vec<String> = DDL[..2]
             .iter()
             .map(|s| s.to_string())
-            .chain(accounts)
-            .chain((0..TRANSFERS).map(transfer))
+            .chain(rows)
+            .chain((0..transfers).map(|j| transfer(j, accounts)))
             .chain([DDL[2].to_string()])
             .collect();
         for stmt in &stmts {
@@ -143,6 +156,12 @@ impl Twin {
 
     /// Figure 2 over view relations the oracle staged itself.
     fn reference(&self, stmt: &str) -> Vec<String> {
+        sorted(&self.answer(stmt, EvalConfig::reference()))
+    }
+
+    /// The rows of a `SELECT` under `cfg`, over view relations the
+    /// oracle staged itself.
+    fn answer(&self, stmt: &str, cfg: EvalConfig) -> Relation {
         let Ok(Command::Sql(Statement::GraphQuery(gq))) = parse_command(stmt) else {
             panic!("not a query: {stmt}");
         };
@@ -163,10 +182,7 @@ impl Twin {
             staged.add_relation(name, rel);
         }
         let q = Query::pattern_n(k, out, names.map(Query::rel));
-        let rel = eval_with(&q, &staged, EvalConfig::reference()).expect("evaluates");
-        let mut rows: Vec<String> = rel.iter().map(Tuple::to_string).collect();
-        rows.sort();
-        rows
+        eval_with(&q, &staged, cfg).expect("evaluates")
     }
 
     /// `view_builds` off `METRICS JSON;`.
@@ -178,6 +194,13 @@ impl Twin {
             .unwrap_or_else(|| panic!("no view_builds in {resp:?}"));
         let digits: String = line.chars().filter(char::is_ascii_digit).collect();
         digits.parse().expect("a count")
+    }
+
+    /// The `EXPLAIN` text of a `SELECT`.
+    fn explain(&mut self, stmt: &str) -> String {
+        self.engine
+            .statement(&mut self.conn, &format!("EXPLAIN {stmt}"))
+            .join("\n")
     }
 
     fn assert_agrees(&mut self, context: &str) {
@@ -211,22 +234,89 @@ fn served_shapes_match_the_reference_before_and_after_writes() {
     assert!(twin.served(&audit).is_empty());
 }
 
-/// The repetition-free shapes compile onto the store and build no view
-/// graph; the filtered closure still builds one per statement, and the
-/// bare closure reads the frozen CSR.
+fn sorted(rel: &Relation) -> Vec<String> {
+    let mut rows: Vec<String> = rel.iter().map(Tuple::to_string).collect();
+    rows.sort();
+    rows
+}
+
+/// Every served shape — repetition included — compiles onto the store
+/// and builds no view graph.
 #[test]
-fn only_the_filtered_closure_builds_a_view() {
+fn no_served_shape_builds_a_view() {
     let mut twin = Twin::load();
-    for (name, builds) in [
-        ("one_hop", 0),
-        ("two_hop", 0),
-        ("plus_filtered", 1),
-        ("plus_all", 0),
-        ("audit", 0),
-    ] {
-        let body = SHAPES.iter().find(|(n, _)| *n == name).expect("a shape").1;
+    for (name, body) in SHAPES {
         let before = twin.view_builds();
         twin.served(&select(body));
-        assert_eq!(twin.view_builds() - before, builds, "{name}");
+        assert_eq!(twin.view_builds() - before, 0, "{name}");
     }
+}
+
+/// `{0,100000}` and `{100000,100000}` over the served graph compile to
+/// the plans of `{0,10}` and `{10,10}` (only the bound literals differ),
+/// and answer within a second on a server's 2 MiB stack: the first as
+/// the NFA answers `{0,∞}`, the second as iterating the one-step pairs
+/// until their powers repeat says.
+#[test]
+fn huge_repetition_bounds_answer_like_their_oracles() {
+    let run = || {
+        let mut twin = Twin::sized(SERVED_ACCOUNTS, 4 * SERVED_ACCOUNTS);
+        let stmt = |bounds: &str| {
+            select(&format!(
+                "MATCH (x) -[t]->{bounds} (y) RETURN (x.iban, y.iban)"
+            ))
+        };
+        let plan = |twin: &mut Twin, n: &str, m: &str| {
+            let text = twin.explain(&stmt(&format!("{{{n},{m}}}")));
+            assert!(text.contains("[route: compiled plan]"), "{text}");
+            text.replace(&format!("{{{n},{m}}}"), "{n,m}")
+                .replace(&format!("steps {n}..{m}]"), "steps n..m]")
+        };
+        assert_eq!(plan(&mut twin, "0", "100000"), plan(&mut twin, "0", "10"));
+        assert_eq!(
+            plan(&mut twin, "100000", "100000"),
+            plan(&mut twin, "10", "10")
+        );
+
+        let start = Instant::now();
+        let star = twin.served(&stmt("{0,100000}"));
+        let exact = twin.served(&stmt("{100000,100000}"));
+        let elapsed = start.elapsed();
+
+        let nfa = twin.answer(&stmt("*"), EvalConfig::default());
+        assert_eq!(star, sorted(&nfa));
+        // The powers of the one-step pairs, from the identity, until
+        // one repeats; the 100 000th is then read off the cycle.
+        let step = twin.answer(&stmt(""), EvalConfig::reference());
+        let mut powers: Vec<BTreeSet<Tuple>> =
+            vec![nfa.iter().filter(|t| t[0] == t[1]).cloned().collect()];
+        let first = loop {
+            let last = powers.last().expect("the identity");
+            let next: BTreeSet<Tuple> = last
+                .iter()
+                .flat_map(|a| {
+                    step.iter()
+                        .filter(|b| b[0] == a[1])
+                        .map(|b| Tuple::new(vec![a[0].clone(), b[1].clone()]))
+                })
+                .collect();
+            if let Some(i) = powers.iter().position(|p| *p == next) {
+                break i;
+            }
+            powers.push(next);
+        };
+        let period = powers.len() - first;
+        let want = Relation::from_rows(2, powers[first + (100_000 - first) % period].clone());
+        assert_eq!(exact, sorted(&want.expect("pairs")));
+        elapsed
+    };
+    let elapsed = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run)
+        .expect("a thread")
+        .join()
+        .expect("no stack overflow");
+    // Unoptimized builds get ten times the budget.
+    let budget = Duration::from_secs(if cfg!(debug_assertions) { 10 } else { 1 });
+    assert!(elapsed < budget, "{elapsed:?}");
 }

@@ -495,7 +495,9 @@ fn shell_demo_script_answers_like_a_client_session() {
         .expect("the example's DEMO literal");
     // Wall times are the only run-dependent text: `(t=…` / `(total=…`.
     let untimed = |line: String| match line.find("(t") {
-        Some(at) if line.trim_start().starts_with(['O', '└', '├']) => line[..at].to_string(),
+        Some(at) if line.trim_start().starts_with(['O', '└', '├', '│']) => {
+            line[..at].to_string()
+        }
         _ => line,
     };
 

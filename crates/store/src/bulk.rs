@@ -368,6 +368,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::reach;
     use pgq_graph::{Update, UpdateError};
 
     fn views() -> [RelName; 6] {
@@ -421,7 +422,7 @@ mod tests {
         let (bg, rg) = (bulk.graph("G").unwrap(), reg.graph("G").unwrap());
         assert_eq!(bg.node_count(), rg.node_count());
         assert_eq!(bg.edge_count(), rg.edge_count());
-        assert_eq!(bg.reach_relation(true), rg.reach_relation(true));
+        assert_eq!(reach(bg), reach(rg));
     }
 
     /// `memory_bytes().csr` is exactly the indexes the API can reach:

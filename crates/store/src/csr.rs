@@ -301,42 +301,6 @@ impl CsrIndex {
         }
     }
 
-    /// All `(source, target)` pairs connected by a path of **one or
-    /// more** forward steps, as dense ids: a breadth-first sweep per
-    /// source over the frozen neighbor slices.
-    pub fn all_pairs_reach(&self) -> Vec<(u32, u32)> {
-        let n = self.node_count();
-        let mut out = Vec::new();
-        let mut seen = vec![u32::MAX; n];
-        let mut frontier: Vec<u32> = Vec::new();
-        let mut next: Vec<u32> = Vec::new();
-        for s in 0..n as u32 {
-            frontier.clear();
-            // ≥ 1 step: seed with the direct neighbors, not the source.
-            for &t in self.fwd.neighbors(s) {
-                if seen[t as usize] != s {
-                    seen[t as usize] = s;
-                    frontier.push(t);
-                    out.push((s, t));
-                }
-            }
-            while !frontier.is_empty() {
-                next.clear();
-                for &u in &frontier {
-                    for &t in self.fwd.neighbors(u) {
-                        if seen[t as usize] != s {
-                            seen[t as usize] = s;
-                            next.push(t);
-                            out.push((s, t));
-                        }
-                    }
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
-        }
-        out
-    }
-
     /// Dense ids reachable from `seeds` by **zero or more** forward
     /// steps (the seeds themselves are included). The workhorse of the
     /// store-backed fixpoint: one multi-source sweep per distinct
@@ -399,8 +363,8 @@ impl CsrIndex {
 /// the number of groups *and* iterations. A `ReachScratch` is created
 /// once per worker ([`crate::par::run_tasks`]) and reused for
 /// every sweep that worker claims: the visited array is **epoch
-/// stamped** (bumping an integer invalidates the whole array in O(1),
-/// the same trick [`CsrIndex::all_pairs_reach`] uses), and the queues
+/// stamped** (bumping an integer invalidates the whole array in O(1)),
+/// and the queues
 /// keep their capacity between sweeps.
 #[derive(Debug, Clone, Default)]
 pub struct ReachScratch {
@@ -821,12 +785,23 @@ mod tests {
         assert!(CsrIndex::build_with_limit([1, 1, 2, 2, 3, 3], &[], 3).is_ok());
     }
 
+    /// The `≥ 1`-step pairs `(s, t)` of an index: a sweep from each
+    /// node's out-neighbors.
+    fn plus_pairs(idx: &CsrIndex) -> Vec<(u32, u32)> {
+        (0..idx.node_count() as u32)
+            .flat_map(|s| {
+                let reached = idx.reach_from(idx.out_neighbors(s).iter().copied());
+                reached.into_iter().map(move |t| (s, t))
+            })
+            .collect()
+    }
+
     #[test]
-    fn all_pairs_on_chain_and_cycle() {
+    fn plus_pairs_on_chain_and_cycle() {
         let idx = chain();
-        assert_eq!(idx.all_pairs_reach().len(), 6); // 3 + 2 + 1
+        assert_eq!(plus_pairs(&idx).len(), 6); // 3 + 2 + 1
         let cycle = CsrIndex::build([1, 2, 3], &[(1, 2), (2, 3), (3, 1)]).unwrap();
-        assert_eq!(cycle.all_pairs_reach().len(), 9);
+        assert_eq!(plus_pairs(&cycle).len(), 9);
     }
 
     #[test]
@@ -835,7 +810,7 @@ mod tests {
         // collapse in the reachability answer.
         let idx = CsrIndex::build([1, 2], &[(1, 1), (1, 2), (1, 2)]).unwrap();
         assert_eq!(idx.edge_count(), 2);
-        let pairs = idx.all_pairs_reach();
+        let pairs = plus_pairs(&idx);
         let d1 = idx.dense_of(1).unwrap();
         let d2 = idx.dense_of(2).unwrap();
         assert!(pairs.contains(&(d1, d1)));
@@ -852,7 +827,7 @@ mod tests {
         assert!(got.contains(&d20));
         let empty = CsrIndex::build([], &[]).unwrap();
         assert!(empty.reach_from([]).is_empty());
-        assert!(empty.all_pairs_reach().is_empty());
+        assert!(plus_pairs(&empty).is_empty());
     }
 
     #[test]

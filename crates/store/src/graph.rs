@@ -8,7 +8,7 @@ use crate::error::{GraphForm, StoreError};
 use crate::stats::{AdjacencyStatistics, GraphStatistics};
 use crate::store::overlay_oversized;
 use pgq_graph::PropertyGraph;
-use pgq_relational::{RelName, Relation};
+use pgq_relational::RelName;
 use pgq_value::Tuple;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -169,13 +169,6 @@ impl GraphEntry {
         )
     }
 
-    /// Whether some pair of nodes is connected by a path of ≥ 1 edge —
-    /// equivalently, whether any edge exists. The Boolean `ψreach`
-    /// answers come from here without running the closure.
-    pub fn has_reach_pair(&self) -> bool {
-        self.adjacency().edge_count() > 0
-    }
-
     /// Dense id of a **live** node.
     pub(crate) fn live_dense(&self, id: &Tuple) -> Option<u32> {
         self.id_of
@@ -229,10 +222,8 @@ impl GraphEntry {
     }
 
     /// Folds the overlay back into a fresh CSR index: live nodes are
-    /// re-densified in identifier order (restoring the sorted-emission
-    /// fast path of [`GraphEntry::reach_relation`]), effective pairs
-    /// rebuild the index, and tombstones, appended ids and the delta
-    /// are dropped.
+    /// re-densified in identifier order, effective pairs rebuild the
+    /// index, and tombstones, appended ids and the delta are dropped.
     pub(crate) fn fold(&mut self) -> Result<(), StoreError> {
         if !self.has_overlay() {
             return Ok(());
@@ -266,81 +257,35 @@ impl GraphEntry {
         self.id_of = id_of;
         Ok(())
     }
-
-    /// No overlay and no appended ids: the frozen invariants (dense id
-    /// order = identifier order) still hold.
-    fn is_fresh(&self) -> bool {
-        self.delta.is_empty() && self.dead.is_empty() && self.ids.len() == self.csr.node_count()
-    }
-
-    /// The reachability relation of the graph as `(s̄, t̄)` rows of
-    /// arity `2k`: all pairs connected by **one or more** edges, plus
-    /// — when `at_least_one` is false — the reflexive pairs over the
-    /// live node set (the `ψ^{0..∞}` semantics).
-    ///
-    /// On a fresh (overlay-free) entry dense ids are minted in
-    /// identifier order, so emitting pairs grouped by source with
-    /// sorted targets yields rows already in relation order — the
-    /// result set then builds in one linear pass. With an overlay the
-    /// sweep reads through the delta per live source instead.
-    pub fn reach_relation(&self, at_least_one: bool) -> Relation {
-        if !self.is_fresh() {
-            return self.reach_relation_overlay(at_least_one);
-        }
-        let pairs = self.csr.all_pairs_reach();
-        let diagonal = if at_least_one { 0 } else { self.ids.len() };
-        let mut rows: Vec<Tuple> = Vec::with_capacity(pairs.len() + diagonal);
-        // Walk the contiguous per-source runs, sorting each run's
-        // targets and merging the reflexive pair in at its place.
-        let mut i = 0;
-        for s in 0..self.ids.len() as u32 {
-            let start = i;
-            while i < pairs.len() && pairs[i].0 == s {
-                i += 1;
-            }
-            let mut targets: Vec<u32> = pairs[start..i].iter().map(|p| p.1).collect();
-            targets.sort_unstable();
-            if !at_least_one {
-                if let Err(pos) = targets.binary_search(&s) {
-                    targets.insert(pos, s);
-                }
-            }
-            let a = &self.ids[s as usize];
-            rows.extend(targets.into_iter().map(|t| a.concat(&self.ids[t as usize])));
-        }
-        Relation::from_rows(2 * self.id_arity, rows).expect("identifier tuples have arity k")
-    }
-
-    /// The overlay-aware reachability sweep: one multi-source frontier
-    /// sweep per live source through [`GraphEntry::adjacency`].
-    fn reach_relation_overlay(&self, at_least_one: bool) -> Relation {
-        let view = self.adjacency();
-        let mut rows: Vec<Tuple> = Vec::new();
-        for s in 0..self.ids.len() as u32 {
-            if self.dead.contains(&s) {
-                continue;
-            }
-            let mut seeds: Vec<u32> = Vec::new();
-            view.for_each_out(s, |t| seeds.push(t));
-            let mut targets = view.reach_from(seeds);
-            if !at_least_one && !targets.contains(&s) {
-                targets.push(s);
-            }
-            let a = &self.ids[s as usize];
-            rows.extend(targets.into_iter().map(|t| a.concat(&self.ids[t as usize])));
-        }
-        Relation::from_rows(2 * self.id_arity, rows).expect("identifier tuples have arity k")
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::tests::{chain_db, nid, registered_store, views};
     use crate::store::Store;
     use pgq_graph::Update;
-    use pgq_relational::Database;
+    use pgq_relational::{Database, Relation};
     use pgq_value::{tuple, Value};
+
+    /// The `≥ 1`-step reachability pairs `(s̄, t̄)` through the entry's
+    /// adjacency — the frozen CSR read through the overlay — one sweep
+    /// per live source.
+    pub(crate) fn reach(entry: &GraphEntry) -> Relation {
+        let view = entry.adjacency();
+        let mut rows = Vec::new();
+        for s in (0..entry.ids.len() as u32).filter(|s| !entry.dead.contains(s)) {
+            let mut seeds = Vec::new();
+            view.for_each_out(s, |t| seeds.push(t));
+            let a = &entry.ids[s as usize];
+            rows.extend(
+                view.reach_from(seeds)
+                    .into_iter()
+                    .map(|t| a.concat(&entry.ids[t as usize])),
+            );
+        }
+        Relation::from_rows(2 * entry.id_arity, rows).unwrap()
+    }
 
     #[test]
     fn view_graph_registration_and_reachability() {
@@ -352,16 +297,12 @@ mod tests {
         let entry = store.graph("G").unwrap();
         assert_eq!(entry.node_count(), 4);
         assert_eq!(entry.edge_count(), 3);
-        assert!(entry.has_reach_pair());
         assert!(!entry.has_overlay());
 
-        // ≥1-step pairs on the chain: 3+2+1; 0-step adds 4 reflexive.
-        let plus = entry.reach_relation(true);
+        // ≥1-step pairs on the chain: 3+2+1.
+        let plus = reach(entry);
         assert_eq!(plus.len(), 6);
         assert!(plus.contains(&tuple!["a", "d"]));
-        let star = entry.reach_relation(false);
-        assert_eq!(star.len(), 10);
-        assert!(star.contains(&tuple!["a", "a"]));
 
         // The planner's match point.
         assert!(store
@@ -387,9 +328,8 @@ mod tests {
             .register_view_graph("empty", views(), &db, GraphForm::Exact(1))
             .unwrap();
         let e = store.graph("empty").unwrap();
-        assert!(!e.has_reach_pair());
-        assert!(e.reach_relation(true).is_empty());
-        assert!(e.reach_relation(false).is_empty());
+        assert_eq!(e.adjacency().edge_count(), 0);
+        assert!(reach(e).is_empty());
 
         // Self loop: a →e→ a.
         db.insert("N", tuple!["a"]).unwrap();
@@ -401,8 +341,10 @@ mod tests {
             .register_view_graph("loop", views(), &db, GraphForm::Exact(1))
             .unwrap();
         let e = store.graph("loop").unwrap();
-        assert_eq!(e.reach_relation(true).len(), 1);
-        assert_eq!(e.reach_relation(false).len(), 1);
+        assert_eq!(
+            reach(e),
+            Relation::from_rows(2, [tuple!["a", "a"]]).unwrap()
+        );
     }
 
     #[test]
@@ -428,7 +370,6 @@ mod tests {
         assert_eq!(entry.node_count(), 44);
         assert_eq!(entry.edge_count(), 43);
         // Reachability from "a" spans the whole chain.
-        let reach = entry.reach_relation(true);
-        assert!(reach.contains(&tuple!["a", "n39"]));
+        assert!(reach(entry).contains(&tuple!["a", "n39"]));
     }
 }

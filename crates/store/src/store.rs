@@ -441,6 +441,7 @@ impl Store {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::graph::tests::reach;
     use pgq_graph::Update;
     use pgq_value::tuple;
 
@@ -637,7 +638,7 @@ pub(crate) mod tests {
                 ],
             )
             .unwrap();
-        let before = store.graph("G").unwrap().reach_relation(true);
+        let before = reach(store.graph("G").unwrap());
         let scans: Vec<Vec<Tuple>> = views().iter().map(|v| store.scan(v).unwrap()).collect();
         assert!(store.stats().dictionary_stale() > 0);
         let effect = store.compact().unwrap();
@@ -651,7 +652,7 @@ pub(crate) mod tests {
         assert_eq!(stats.overlay_entries(), 0);
         let entry = store.graph("G").unwrap();
         assert!(!entry.has_overlay());
-        assert_eq!(entry.reach_relation(true), before);
+        assert_eq!(reach(entry), before);
         for (v, old) in views().iter().zip(scans) {
             assert_eq!(
                 Relation::from_rows(old.first().map_or(1, Tuple::arity), store.scan(v).unwrap()),

@@ -565,6 +565,7 @@ mod tests {
     use super::*;
     use crate::dict::Dictionary;
     use crate::error::GraphForm;
+    use crate::graph::tests::reach;
     use crate::store::tests::{chain_db, nid, registered_store, views};
     use pgq_value::tuple;
 
@@ -585,7 +586,7 @@ mod tests {
         assert!(entry.has_overlay());
         assert_eq!(entry.edge_count(), 4);
         // The cycle closes: every ordered pair is reachable.
-        assert_eq!(entry.reach_relation(true).len(), 16);
+        assert_eq!(reach(entry).len(), 16);
         // The backing relations saw the rows.
         assert!(store.rel_contains(&"E".into(), &nid("e4")));
         assert!(store.rel_contains(&"S".into(), &tuple!["e4", "d"]));
@@ -605,9 +606,9 @@ mod tests {
         let entry = store.graph("G").unwrap();
         assert_eq!(entry.node_count(), 3);
         assert_eq!(entry.edge_count(), 1); // only c→d survives
-        let reach = entry.reach_relation(true);
-        assert_eq!(reach.len(), 1);
-        assert!(reach.contains(&tuple!["c", "d"]));
+        let pairs = reach(entry);
+        assert_eq!(pairs.len(), 1);
+        assert!(pairs.contains(&tuple!["c", "d"]));
         // e1's label row went with the edge.
         assert!(!store.rel_contains(&"L".into(), &tuple!["e1", "Transfer"]));
         // Tombstones are visible in stats until compaction.

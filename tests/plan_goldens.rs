@@ -14,8 +14,9 @@
 //! (same plan under both), the selective one-hop, the mis-ordered
 //! two-hop chain — at the plan level, and at the `EXPLAIN` level the
 //! README's `S ⋈ T` join, alone and beside a pattern call whose views
-//! are themselves planned, and the served one-hop and two-hop pattern
-//! calls, compiled onto a registered graph's view relations.
+//! are themselves planned, and the four served pattern calls (one hop,
+//! the `{2,2}` two-hop, the filtered and the bare closure), compiled
+//! onto a registered graph's view relations.
 
 use pgq_core::{builders, explain, Query};
 use pgq_exec::{lower_onto_store, plan_ra, ExecOptions, PhysPlan, PlannerChoice};
@@ -274,8 +275,9 @@ fn served(body: &str) -> (Store, Schema, Query) {
     )
 }
 
-/// The served repetition-free reads, compiled: the pattern call's own
-/// operators in the plan, no `⟨matchN⟩` placeholder.
+/// The four served reads, compiled: the pattern call's own operators in
+/// the plan, no `⟨matchN⟩` placeholder. A repetition is one `Fixpoint`
+/// that scans its step once.
 #[test]
 fn served_shapes_explain_to_the_recorded_text() {
     for (name, body) in [
@@ -287,6 +289,11 @@ fn served_shapes_explain_to_the_recorded_text() {
             "serve_two_hop",
             "MATCH (x) -[t:Transfer]->{2,2} (y) WHERE t.amount > 7000",
         ),
+        (
+            "serve_plus_filtered",
+            "MATCH (x) -[t:Transfer]->+ (y) WHERE t.amount > 5000",
+        ),
+        ("serve_plus_all", "MATCH (x) -[t]->+ (y)"),
     ] {
         let (store, schema, q) = served(body);
         for planner in PLANNERS {

@@ -357,7 +357,16 @@ fn assert_unary_pipes(m: &pgq_exec::PlanMetrics) {
 #[test]
 fn core_profiled_route_matches_and_is_deterministic() {
     let db = canonical_graph_db(6, 12, 10, 42);
-    let store = pgq_store::Store::from_database(&db);
+    // The graph is registered, so the call compiles to a `Fixpoint`.
+    let mut store = pgq_store::Store::from_database(&db);
+    store
+        .register_view_graph(
+            "G",
+            ["N", "E", "S", "T", "L", "P"].map(Into::into),
+            &db,
+            pgq_store::GraphForm::Exact(1),
+        )
+        .unwrap();
     let q = Query::pattern_ro(
         builders::reachability_plus_output(),
         ["N", "E", "S", "T", "L", "P"],

@@ -365,6 +365,20 @@ fn assert_store_matches(store: &Store, db: &Database, context: &str) {
     }
 }
 
+/// The `ψreach` and `ψreach+` answers over the registered graph `G`,
+/// through the compiled route: a `Fixpoint` over the store's view
+/// relations.
+fn reach_answers(db: &Database, store: &Store) -> [Relation; 2] {
+    [
+        builders::reachability_output(),
+        builders::reachability_plus_output(),
+    ]
+    .map(|out| {
+        let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
+        eval_with_store(&q, db, EvalConfig::physical(), store).unwrap()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -404,13 +418,13 @@ proptest! {
         let db = db_of(&rels);
         assert_store_matches(&store, &db, "incremental");
         // A store rebuilt from the updated database agrees entry for
-        // entry on the reachability answers.
+        // entry, and on the reachability answers of the compiled route.
         let fresh = store_for(&db);
         let (a, b) = (store.graph("G").unwrap(), fresh.graph("G").unwrap());
         prop_assert_eq!(a.node_count(), b.node_count());
         prop_assert_eq!(a.edge_count(), b.edge_count());
-        prop_assert_eq!(a.reach_relation(true), b.reach_relation(true));
-        prop_assert_eq!(a.reach_relation(false), b.reach_relation(false));
+        prop_assert_eq!(a.adjacency().edge_count(), b.adjacency().edge_count());
+        prop_assert_eq!(reach_answers(&db, &store), reach_answers(&db, &fresh));
         // Compaction reclaims every stale code without changing any
         // answer.
         store.compact().expect("compaction never fails on a healthy store");
@@ -644,6 +658,8 @@ proptest! {
                 step: Box::new(step.clone()),
                 join: vec![(1, 0)],
                 project: vec![0, 3],
+                skip: 0,
+                rounds: None,
             };
             cases.push((plan, truth));
         }
@@ -699,8 +715,9 @@ proptest! {
         prop_assert_eq!(eval_ra_with(&q, &db, &store).unwrap(), q.eval(&db).unwrap(), "{}", q);
     }
 
-    /// All four engines agree on reachability over random canonical
-    /// graphs: frozen-CSR store, hash-join physical, NFA, reference.
+    /// The engines agree on reachability over random canonical graphs:
+    /// the compiled `Fixpoint` over the store, the storeless physical
+    /// route, the NFA and the reference.
     #[test]
     fn reach_engines_agree(n in 1usize..10, m in 0usize..20, seed in 0u64..1000) {
         let db = canonical_graph_db(n, m, 10, seed);
@@ -712,11 +729,17 @@ proptest! {
             let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
             let reference = eval_with(&q, &db, EvalConfig::reference()).unwrap();
             prop_assert_eq!(&eval_with(&q, &db, EvalConfig::physical()).unwrap(), &reference);
-            prop_assert_eq!(
-                &eval_with_store(&q, &db, EvalConfig::physical(), &store).unwrap(),
-                &reference
-            );
+            prop_assert_eq!(&eval_with(&q, &db, EvalConfig::default()).unwrap(), &reference);
         }
+        prop_assert_eq!(
+            reach_answers(&db, &store).to_vec(),
+            [builders::reachability_output(), builders::reachability_plus_output()]
+                .map(|out| {
+                    let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
+                    eval_with(&q, &db, EvalConfig::reference()).unwrap()
+                })
+                .to_vec()
+        );
     }
 
     /// A relational shell around a store-answered pattern call.
@@ -770,13 +793,14 @@ fn assert_store_agrees(q: &Query, db: &Database, store: &Store, context: &str) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Compiled ≡ NFA ≡ reference on random repetition-free and
-    /// finitely-bounded pattern calls — repeated variables, backward
-    /// edges, filters over whole sub-patterns with `∨`/`¬` and
-    /// cross-atom property equalities, identifier, component, property
-    /// and Boolean outputs — over a registered graph, then again after a
-    /// random `apply_updates` batch, so the compiled plan's `IndexScan`s
-    /// read through tombstones and overlays.
+    /// Compiled ≡ NFA ≡ reference on random pattern calls — repeated
+    /// variables, backward edges, filters over whole sub-patterns with
+    /// `∨`/`¬` and cross-atom property equalities, repetition with
+    /// small bounds, `*`, `+`, `{n,∞}`, bounds far above |N| and nested
+    /// repetition, identifier, component, property and Boolean outputs
+    /// — over a registered graph under both planners, then again after
+    /// a random `apply_updates` batch, so the compiled plan's
+    /// `IndexScan`s read through tombstones and overlays.
     #[test]
     fn compiled_patterns_agree_with_the_references(
         out in arb_bounded_output(3, ["T", "U"], ["w", "k"]),
@@ -843,7 +867,8 @@ proptest! {
             let (a, b) = (bulk.graph("G").unwrap(), reg.graph("G").unwrap());
             prop_assert_eq!(a.node_count(), b.node_count());
             prop_assert_eq!(a.edge_count(), b.edge_count());
-            prop_assert_eq!(a.reach_relation(true), b.reach_relation(true));
+            prop_assert_eq!(a.adjacency().edge_count(), b.adjacency().edge_count());
+            prop_assert_eq!(reach_answers(&db, &bulk), reach_answers(&db, &reg));
         }
         // Updates on a bulk-loaded store: add a fresh node (its probes
         // build the indexes they need), spot a duplicate, remove it again — live
@@ -1288,6 +1313,8 @@ fn delta_markers_surface_update_overlays() {
         step: Box::new(PhysPlan::IndexScan("T".into())),
         join: vec![(1, 0)],
         project: vec![0, 3],
+        skip: 0,
+        rounds: None,
     };
     let seek = PhysPlan::IndexSeek {
         rel: "T".into(),
@@ -1373,12 +1400,16 @@ fn updated_store_matches_rebuilt_store() {
         step: Box::new(scan("T")),
         join: vec![(1, 0)],
         project: vec![0, 3],
+        skip: 0,
+        rounds: None,
     };
     let closure = PhysPlan::Fixpoint {
         base: Box::new(hop.clone()),
         step: Box::new(hop.clone()),
         join: vec![(1, 0)],
         project: vec![0, 3],
+        skip: 0,
+        rounds: None,
     };
     let plans = [
         scan("N"),
