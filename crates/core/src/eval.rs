@@ -252,15 +252,23 @@ pub fn build_view(
     db: &Database,
     cfg: EvalConfig,
 ) -> Result<PropertyGraph, QueryError> {
-    let ev = |q: &Query| eval_with(q, db, cfg);
+    view_graph(views, op, cfg.view_mode, |q| eval_with(q, db, cfg))
+}
+
+/// [`build_view`] with the six subqueries evaluated by `ev`.
+pub(crate) fn view_graph(
+    views: &[Query; 6],
+    op: ViewOp,
+    mode: ViewMode,
+    ev: impl Fn(&Query) -> Result<Relation, QueryError>,
+) -> Result<PropertyGraph, QueryError> {
     let [n, e, s, t, l, p] = views;
     let vr = ViewRelations::from([ev(n)?, ev(e)?, ev(s)?, ev(t)?, ev(l)?, ev(p)?]);
-    let graph = match op {
-        ViewOp::Unary => pg_view_exact(1, &vr, cfg.view_mode)?,
-        ViewOp::Bounded(n) => pg_view_bounded(n, &vr, cfg.view_mode)?,
-        ViewOp::Ext => pg_view_ext(&vr, cfg.view_mode)?,
-    };
-    Ok(graph)
+    Ok(match op {
+        ViewOp::Unary => pg_view_exact(1, &vr, mode)?,
+        ViewOp::Bounded(n) => pg_view_bounded(n, &vr, mode)?,
+        ViewOp::Ext => pg_view_ext(&vr, mode)?,
+    })
 }
 
 /// Phase two: evaluate the output pattern on the route

@@ -25,7 +25,7 @@
 //! `EXPLAIN ANALYZE` route.
 
 use crate::compile::compile;
-use crate::eval::{build_view, leftmost_node_var, rightmost_node_var, Engine, EvalConfig};
+use crate::eval::{leftmost_node_var, rightmost_node_var, view_graph, Engine, EvalConfig};
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_exec::{
     annotate_estimates, execute_opts, execute_profiled, intersect_plan, physical_plan, Batch,
@@ -198,6 +198,7 @@ enum Answer {
 /// registration, so nothing is rebuilt — and has an operator tree,
 /// which the caller plans. Every other route builds the view from
 /// physically-evaluated subqueries and answers on it; under a store
+/// the subqueries read the store (`db` may hold only their schema), and
 /// each such build is counted (`view_builds` on [`Store::counters`]).
 /// Those routes have no operator tree, so with a sink the answering
 /// route itself becomes the node `m` — the profile never lies about
@@ -220,7 +221,9 @@ fn eval_pattern(
     if let Some(store) = store {
         store.counters().record_view_build();
     }
-    let g = build_view(views, op, db, cfg)?;
+    let g = view_graph(views, op, cfg.view_mode, |q| {
+        eval_physical(q, db, cfg, store, None)
+    })?;
     let route = route(out, g.id_arity(), None, Engine::Physical);
     let rel = route.answer(out, &g)?;
     if let (Some(m), Some(start)) = (m, start) {

@@ -16,7 +16,7 @@
 //! Example 5.1's composite identifiers, and is recorded in DESIGN.md.
 
 use crate::ast::{CreateGraph, CreateTable};
-use pgq_graph::{pg_view_exact, PropertyGraph, ViewMode, ViewRelations};
+use pgq_graph::{pg_view_exact, PropertyGraph, Update, ViewMode, ViewRelations};
 use pgq_relational::{Database, Relation};
 use pgq_value::{Tuple, Value};
 use std::collections::BTreeMap;
@@ -121,6 +121,53 @@ pub enum ColumnResolution {
     Property,
 }
 
+/// One element table of a graph resolved against its stored rows
+/// ([`Catalog::row_maps`]).
+struct RowMap<'a> {
+    table: &'a str,
+    rows: &'a Relation,
+    k: usize,
+    key: Vec<usize>,
+    /// An edge table's source and target node tables and key positions.
+    ends: Vec<(&'a str, Vec<usize>)>,
+    labels: &'a [String],
+    props: Vec<(usize, &'a String)>,
+}
+
+impl RowMap<'_> {
+    /// The composite identifier `(table, key…, 0, …)` of arity `k`.
+    fn make_id(&self, table: &str, row: &Tuple, key: &[usize]) -> Tuple {
+        let mut vals = Vec::with_capacity(self.k);
+        vals.push(Value::str(table));
+        vals.extend(key.iter().map(|&p| row[p].clone()));
+        vals.resize(self.k, Value::int(0));
+        Tuple::new(vals)
+    }
+
+    /// What `row` contributes to the view, as the Section 7 updates
+    /// that insert it: an `AddNode` or `AddEdge`, then its labels and
+    /// properties.
+    fn insertion(&self, row: &Tuple) -> Vec<Update> {
+        let id = self.make_id(self.table, row, &self.key);
+        let mut out = vec![match self.ends.as_slice() {
+            [(s, sk), (t, tk)] => Update::AddEdge {
+                id: id.clone(),
+                src: self.make_id(s, row, sk),
+                tgt: self.make_id(t, row, tk),
+            },
+            _ => Update::AddNode(id.clone()),
+        }];
+        for label in self.labels {
+            out.push(Update::AddLabel(id.clone(), Value::str(label)));
+        }
+        for &(p, name) in &self.props {
+            let value = row[p].clone();
+            out.push(Update::SetProp(id.clone(), Value::str(name), value));
+        }
+        out
+    }
+}
+
 /// Registered tables and graphs.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -150,27 +197,15 @@ impl Catalog {
     /// Registers a property graph definition after validating every
     /// table, column, and reference it mentions.
     pub fn define_graph(&mut self, cg: &CreateGraph) -> Result<(), CatalogError> {
-        let col_positions = |table: &str, cols: &[String]| -> Result<(), CatalogError> {
-            let columns = self.table_columns(table)?;
-            for c in cols {
-                if !columns.contains(c) {
-                    return Err(CatalogError::UnknownColumn {
-                        table: table.to_string(),
-                        column: c.clone(),
-                    });
-                }
-            }
-            Ok(())
-        };
         for nt in &cg.node_tables {
-            col_positions(&nt.table, &nt.key)?;
-            col_positions(&nt.table, &nt.properties)?;
+            self.positions(&nt.table, &nt.key)?;
+            self.positions(&nt.table, &nt.properties)?;
         }
         for et in &cg.edge_tables {
-            col_positions(&et.table, &et.key)?;
-            col_positions(&et.table, &et.source_key)?;
-            col_positions(&et.table, &et.target_key)?;
-            col_positions(&et.table, &et.properties)?;
+            self.positions(&et.table, &et.key)?;
+            self.positions(&et.table, &et.source_key)?;
+            self.positions(&et.table, &et.target_key)?;
+            self.positions(&et.table, &et.properties)?;
             for (reference, key) in [
                 (&et.source_ref, &et.source_key),
                 (&et.target_ref, &et.target_key),
@@ -194,6 +229,20 @@ impl Catalog {
         }
         self.graphs.insert(cg.name.clone(), cg.clone());
         Ok(())
+    }
+
+    /// The positions of `cols` among `table`'s declared columns.
+    fn positions(&self, table: &str, cols: &[String]) -> Result<Vec<usize>, CatalogError> {
+        let columns = self.table_columns(table)?;
+        let position = |c: &String| columns.iter().position(|x| x == c);
+        cols.iter()
+            .map(|c| {
+                position(c).ok_or_else(|| CatalogError::UnknownColumn {
+                    table: table.to_string(),
+                    column: c.clone(),
+                })
+            })
+            .collect()
     }
 
     /// A registered graph definition.
@@ -222,114 +271,142 @@ impl Catalog {
         self.graphs.keys().map(String::as_str)
     }
 
+    /// The graphs with an element table over `table`, in name order.
+    pub fn graphs_over(&self, table: &str) -> Vec<String> {
+        let over = |cg: &CreateGraph| {
+            cg.node_tables.iter().any(|nt| nt.table == table)
+                || cg.edge_tables.iter().any(|et| et.table == table)
+        };
+        self.graphs
+            .values()
+            .filter(|cg| over(cg))
+            .map(|cg| cg.name.clone())
+            .collect()
+    }
+
     /// Materializes the six canonical relations of a graph from the base
-    /// tables stored in `db`.
+    /// tables stored in `db`: the union of every row's insertion.
     pub fn view_relations(
         &self,
         graph: &str,
         db: &Database,
     ) -> Result<ViewRelations, CatalogError> {
-        let cg = self.graph(graph)?;
         let k = self.id_arity(graph)?;
-        let mut nodes = Relation::empty(k);
-        let mut edges = Relation::empty(k);
-        let mut src = Relation::empty(2 * k);
-        let mut tgt = Relation::empty(2 * k);
-        let mut labels = Relation::empty(k + 1);
-        let mut props = Relation::empty(k + 2);
-
-        let base = |table: &str| -> Result<(&Relation, Vec<String>), CatalogError> {
-            let columns = self.table_columns(table)?.to_vec();
-            let rel = db
-                .get(&table.into())
-                .ok_or_else(|| CatalogError::UnknownTable(table.to_string()))?;
-            if rel.arity() != columns.len() {
-                return Err(CatalogError::TableArity {
-                    table: table.to_string(),
-                    declared: columns.len(),
-                    stored: rel.arity(),
-                });
-            }
-            Ok((rel, columns))
-        };
-        // Graphs are validated against the tables at definition time,
-        // but a table can be *redefined* afterwards with different
-        // columns — materialization must then surface a typed error,
-        // not panic on the stale definition.
-        let positions = |table: &str,
-                         columns: &[String],
-                         cols: &[String]|
-         -> Result<Vec<usize>, CatalogError> {
-            cols.iter()
-                .map(|c| {
-                    columns
-                        .iter()
-                        .position(|x| x == c)
-                        .ok_or_else(|| CatalogError::UnknownColumn {
-                            table: table.to_string(),
-                            column: c.clone(),
-                        })
-                })
-                .collect()
-        };
-        let make_id = |table: &str, row: &Tuple, key_pos: &[usize]| -> Tuple {
-            let mut vals = Vec::with_capacity(k);
-            vals.push(Value::str(table));
-            for &p in key_pos {
-                vals.push(row[p].clone());
-            }
-            while vals.len() < k {
-                vals.push(Value::int(0));
-            }
-            Tuple::new(vals)
-        };
+        let [mut nodes, mut edges, mut src, mut tgt, mut labels, mut props] =
+            [k, k, 2 * k, 2 * k, k + 1, k + 2].map(Relation::empty);
         let ins = |rel: &mut Relation, t: Tuple| {
             rel.insert(t).expect("arity fixed by construction");
         };
-
-        for nt in &cg.node_tables {
-            let (rel, columns) = base(&nt.table)?;
-            let key_pos = positions(&nt.table, &columns, &nt.key)?;
-            let prop_pos = positions(&nt.table, &columns, &nt.properties)?;
-            for row in rel.iter() {
-                let id = make_id(&nt.table, row, &key_pos);
-                for label in &nt.labels {
-                    ins(&mut labels, id.concat(&Tuple::unary(Value::str(label))));
+        for map in self.row_maps(graph, db)? {
+            for update in map.rows.iter().flat_map(|row| map.insertion(row)) {
+                match update {
+                    Update::AddNode(id) => ins(&mut nodes, id),
+                    Update::AddEdge { id, src: s, tgt: t } => {
+                        ins(&mut src, id.concat(&s));
+                        ins(&mut tgt, id.concat(&t));
+                        ins(&mut edges, id);
+                    }
+                    Update::AddLabel(id, l) => ins(&mut labels, id.concat(&Tuple::unary(l))),
+                    Update::SetProp(id, key, v) => {
+                        ins(&mut props, id.concat(&Tuple::new(vec![key, v])));
+                    }
+                    // An insertion holds nothing else.
+                    _ => {}
                 }
-                for (&p, name) in prop_pos.iter().zip(&nt.properties) {
-                    ins(
-                        &mut props,
-                        id.concat(&Tuple::new(vec![Value::str(name), row[p].clone()])),
-                    );
-                }
-                ins(&mut nodes, id);
-            }
-        }
-        for et in &cg.edge_tables {
-            let (rel, columns) = base(&et.table)?;
-            let key_pos = positions(&et.table, &columns, &et.key)?;
-            let src_pos = positions(&et.table, &columns, &et.source_key)?;
-            let tgt_pos = positions(&et.table, &columns, &et.target_key)?;
-            let prop_pos = positions(&et.table, &columns, &et.properties)?;
-            for row in rel.iter() {
-                let id = make_id(&et.table, row, &key_pos);
-                let s = make_id(&et.source_ref, row, &src_pos);
-                let t = make_id(&et.target_ref, row, &tgt_pos);
-                ins(&mut src, id.concat(&s));
-                ins(&mut tgt, id.concat(&t));
-                for label in &et.labels {
-                    ins(&mut labels, id.concat(&Tuple::unary(Value::str(label))));
-                }
-                for (&p, name) in prop_pos.iter().zip(&et.properties) {
-                    ins(
-                        &mut props,
-                        id.concat(&Tuple::new(vec![Value::str(name), row[p].clone()])),
-                    );
-                }
-                ins(&mut edges, id);
             }
         }
         Ok(ViewRelations::new(nodes, edges, src, tgt, labels, props))
+    }
+
+    /// The Section 7 updates that carry one row inserted into (deleted
+    /// from) `table` over to `graph`'s view of `db` after the change:
+    /// the row's insertion, or its identifier's removal. `None` where
+    /// that cannot be exact: the graph's tables do not resolve, it maps
+    /// `table` twice, or another row still yields a deleted identifier
+    /// (an inserted one is then in the view, and `AddNode`/`AddEdge`
+    /// reject it).
+    pub fn row_delta(
+        &self,
+        graph: &str,
+        db: &Database,
+        table: &str,
+        row: &Tuple,
+        delete: bool,
+    ) -> Option<Vec<Update>> {
+        let maps = self.row_maps(graph, db).ok()?;
+        let [map] = &maps.iter().filter(|m| m.table == table).collect::<Vec<_>>()[..] else {
+            return None;
+        };
+        if !delete {
+            return Some(map.insertion(row));
+        }
+        // Within one table, the same key is the same identifier.
+        let same_key = |other: &Tuple| map.key.iter().all(|&p| other[p] == row[p]);
+        if map.rows.iter().any(same_key) {
+            return None;
+        }
+        let id = map.make_id(table, row, &map.key);
+        Some(vec![match map.ends.is_empty() {
+            true => Update::RemoveNode(id),
+            false => Update::RemoveEdge(id),
+        }])
+    }
+
+    /// Every element table of a graph, node tables first, resolved
+    /// against its declared columns and its rows in `db`. Definition
+    /// 3.1's relations are row-local: [`Catalog::view_relations`] folds
+    /// these maps over all rows, [`Catalog::row_delta`] applies one.
+    fn row_maps<'a>(
+        &'a self,
+        graph: &str,
+        db: &'a Database,
+    ) -> Result<Vec<RowMap<'a>>, CatalogError> {
+        let cg = self.graph(graph)?;
+        let k = self.id_arity(graph)?;
+        let nodes = cg
+            .node_tables
+            .iter()
+            .map(|nt| (&nt.table, &nt.key, vec![], &nt.labels, &nt.properties));
+        let edges = cg.edge_tables.iter().map(|et| {
+            let ends = vec![
+                (&et.source_ref, &et.source_key),
+                (&et.target_ref, &et.target_key),
+            ];
+            (&et.table, &et.key, ends, &et.labels, &et.properties)
+        });
+        let mut maps = Vec::with_capacity(cg.node_tables.len() + cg.edge_tables.len());
+        for (table, key, ends, labels, properties) in nodes.chain(edges) {
+            let columns = self.table_columns(table)?;
+            let rows = db
+                .get(&table.as_str().into())
+                .ok_or_else(|| CatalogError::UnknownTable(table.clone()))?;
+            if rows.arity() != columns.len() {
+                return Err(CatalogError::TableArity {
+                    table: table.clone(),
+                    declared: columns.len(),
+                    stored: rows.arity(),
+                });
+            }
+            // A table redefined after the graph was validated against it
+            // must surface a typed error, not panic.
+            let positions = |cols: &[String]| self.positions(table, cols);
+            let key = positions(key)?;
+            let ends = ends
+                .into_iter()
+                .map(|(node, cols)| Ok((node.as_str(), positions(cols)?)))
+                .collect::<Result<_, _>>()?;
+            let props = positions(properties)?.into_iter().zip(properties).collect();
+            maps.push(RowMap {
+                table,
+                rows,
+                k,
+                key,
+                ends,
+                labels,
+                props,
+            });
+        }
+        Ok(maps)
     }
 
     /// Builds the property graph (the `pgView` application). Strict mode

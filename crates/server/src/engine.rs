@@ -15,8 +15,9 @@
 //!   applying a mutation — never across query execution;
 //! * the **store** holds, per catalog graph `G`, the six canonical
 //!   view relations staged under reserved names (`⟨N:G⟩` … `⟨P:G⟩`)
-//!   plus the frozen view graph, maintained by the single serialized
-//!   writer and republished as an immutable snapshot after every
+//!   plus the frozen view graph — the only copy of the view — kept by
+//!   the single serialized writer, which applies each write's row delta
+//!   in place, and republished as an immutable snapshot after every
 //!   committed batch;
 //! * reads grab the current read view (an `Arc` swap), drop every
 //!   lock, and evaluate on the morsel-parallel coded pipeline against
@@ -27,7 +28,7 @@ use pgq_core::{eval_with_store, eval_with_store_profiled, explain_with, EvalConf
 use pgq_exec::{ExecOptions, PlannerChoice};
 use pgq_parser::ast::GraphQuery;
 use pgq_parser::{
-    lower_query, parse_command, CatalogError, Command, MetricsMode, Outcome, PlannerToken,
+    lower_query, parse_command, Catalog, CatalogError, Command, MetricsMode, Outcome, PlannerToken,
     RowMutation, Session, Statement,
 };
 use pgq_relational::{Database, RelError, RelName, Relation};
@@ -35,7 +36,8 @@ use pgq_store::{
     AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, Store, StoreSnapshot,
     StoreStatistics, StoreStats,
 };
-use std::collections::BTreeMap;
+use pgq_value::Tuple;
+use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -48,28 +50,15 @@ pub struct SessionState {
     pub planner: PlannerChoice,
 }
 
-/// One catalog graph staged for snapshot evaluation: the six canonical
-/// view relations under this graph's reserved names, plus the
-/// identifier arity bound the view graph was frozen with.
-#[derive(Debug)]
-struct GraphView {
-    names: [RelName; 6],
-    k: usize,
-    /// The staged relations as a database — the schema side of
-    /// evaluation (the store side lives in the published snapshot).
-    db: Database,
-}
-
-/// An immutable read configuration: a pinned store snapshot plus, for
-/// every catalog graph, what that snapshot serves of it — the staged
-/// view, or why the graph's last staging failed (a table without rows
-/// yet, a dangling edge endpoint), which is then the answer of every
-/// query on it. Swapped atomically as one `Arc` — a reader's snapshot
-/// and graph map always agree.
+/// An immutable read configuration: a pinned store snapshot, which
+/// holds every staged catalog graph, plus why each other catalog graph's
+/// last staging failed (a table without rows yet, a dangling edge
+/// endpoint) — then the answer of every query on it. Swapped atomically
+/// as one `Arc`, so a reader's snapshot and failures always agree.
 #[derive(Debug)]
 struct ReadView {
     snap: StoreSnapshot,
-    graphs: BTreeMap<String, Result<Arc<GraphView>, String>>,
+    unstaged: BTreeMap<String, String>,
 }
 
 /// The protected base state: live rows plus the parser catalog.
@@ -77,14 +66,17 @@ struct ReadView {
 struct BaseState {
     db: Database,
     session: Session,
+    /// Graphs over a table redefined since they were last folded: their
+    /// staged rows were mapped under the old columns.
+    redefined: BTreeSet<String>,
 }
 
 /// What `SELECT`, `EXPLAIN` and `EXPLAIN ANALYZE` share: the lowered
-/// query over the graph's staged relations, and the pinned snapshot
-/// that serves them.
+/// query over the graph's staged relations, their schema, and the
+/// pinned snapshot that serves their rows.
 struct Prepared {
     query: Query,
-    staged: Arc<GraphView>,
+    db: Database,
     snap: StoreSnapshot,
 }
 
@@ -135,7 +127,7 @@ impl Engine {
             store,
             view: RwLock::new(Arc::new(ReadView {
                 snap,
-                graphs: BTreeMap::new(),
+                unstaged: BTreeMap::new(),
             })),
             max_threads: std::thread::available_parallelism()
                 .map_or(1, usize::from)
@@ -161,7 +153,7 @@ impl Engine {
             Command::Empty => Vec::new(),
             Command::Sql(Statement::GraphQuery(gq)) => {
                 let p = self.prepare(&gq)?;
-                let rel = eval_with_store(&p.query, &p.staged.db, cfg, &p.snap);
+                let rel = eval_with_store(&p.query, &p.db, cfg, &p.snap);
                 rows(&rel.map_err(|e| e.to_string())?)
             }
             Command::Sql(ddl) => self.define(&ddl)?,
@@ -169,14 +161,12 @@ impl Engine {
             Command::Explain { analyze, query } => {
                 let p = self.prepare(&query)?;
                 if analyze {
-                    let (_rel, profile) =
-                        eval_with_store_profiled(&p.query, &p.staged.db, cfg, &p.snap)
-                            .map_err(|e| e.to_string())?;
+                    let (_rel, profile) = eval_with_store_profiled(&p.query, &p.db, cfg, &p.snap)
+                        .map_err(|e| e.to_string())?;
                     block("query profile", &profile.render(true))
                 } else {
                     let opts = ExecOptions::with_threads(conn.threads).with_planner(conn.planner);
-                    let plan =
-                        explain_with(&p.query, &p.staged.db.schema(), Some(&p.snap), Some(&opts));
+                    let plan = explain_with(&p.query, &p.db.schema(), Some(&p.snap), Some(&opts));
                     block("physical plan", &plan.map_err(|e| e.to_string())?)
                 }
             }
@@ -204,12 +194,17 @@ impl Engine {
     /// definition in the catalog and stages a newly defined graph.
     fn define(&self, ddl: &Statement) -> Result<Vec<String>, String> {
         let mut base = self.lock_base();
-        let BaseState { db, session } = &mut *base;
-        Ok(match session.execute(ddl, db).map_err(|e| e.to_string())? {
-            Outcome::TableDefined(n) => vec![format!("-- table {n} defined")],
+        let base = &mut *base;
+        let outcome = base.session.execute(ddl, &base.db);
+        Ok(match outcome.map_err(|e| e.to_string())? {
+            Outcome::TableDefined(n) => {
+                let over = base.session.catalog.graphs_over(&n);
+                base.redefined.extend(over);
+                vec![format!("-- table {n} defined")]
+            }
             Outcome::GraphDefined(n) => {
                 let mut lines = vec![format!("-- property graph {n} defined")];
-                let note = self.restage(&base, &[n]);
+                let note = self.sync_graphs(base, &[n], None);
                 if !note.is_empty() {
                     lines.push(format!("-- staging{note}"));
                 }
@@ -221,9 +216,9 @@ impl Engine {
 
     /// `INSERT INTO t VALUES (…)` / `DELETE FROM t VALUES (…)`: checks
     /// the row against `t`'s declared columns, mutates the live
-    /// database, then re-stages every catalog graph built over the
-    /// mutated table through the serialized writer and publishes the
-    /// new snapshot.
+    /// database, then carries the row over to every catalog graph built
+    /// over `t` through the serialized writer and publishes the new
+    /// snapshot.
     fn mutate(&self, m: RowMutation) -> Result<String, String> {
         let RowMutation { table, row, delete } = m;
         let mut base = self.lock_base();
@@ -245,22 +240,11 @@ impl Engine {
             base.db.remove(&RelName::from(table.as_str()), &row)
         } else {
             base.db
-                .insert(table.clone(), row)
+                .insert(table.clone(), row.clone())
                 .map_err(|e| e.to_string())?
         };
-        let affected: Vec<String> = base
-            .session
-            .catalog
-            .graph_names()
-            .filter(|g| {
-                base.session.catalog.graph(g).is_ok_and(|cg| {
-                    cg.node_tables.iter().any(|nt| nt.table == table)
-                        || cg.edge_tables.iter().any(|et| et.table == table)
-                })
-            })
-            .map(String::from)
-            .collect();
-        let note = self.restage(&base, &affected);
+        let affected = base.session.catalog.graphs_over(&table);
+        let note = self.sync_graphs(&mut base, &affected, Some((&table, &row, delete)));
         let verb = if delete {
             "deleted from"
         } else {
@@ -270,59 +254,63 @@ impl Engine {
         Ok(format!("{verb} {table}{effect}{note}"))
     }
 
-    /// Re-stages the named catalog graphs from the current base state
+    /// Brings the named catalog graphs up to date with the base state
     /// through one serialized writer batch, then publishes the new
-    /// snapshot + graph map as an atomic [`ReadView`] swap. A graph
-    /// whose staging fails (a view that became invalid, a table with
-    /// no rows yet) is dropped from the store and keeps the failure in
-    /// the read view; the returned note says so.
+    /// snapshot + graph map as an atomic [`ReadView`] swap. A staged
+    /// graph follows a `change` — the `(table, row, delete)` of a write
+    /// — by that row's delta ([`Catalog::row_delta`]), applied as one
+    /// `apply_updates` batch. Every other graph — new, unstaged, over a
+    /// redefined table, or one whose delta cannot be exact or is
+    /// rejected — is folded afresh ([`stage`]). A graph whose fold fails
+    /// (a view that became invalid, a table with no rows yet) is dropped
+    /// from the store and keeps the failure in the read view; the
+    /// returned note says so.
     ///
     /// Caller holds the base lock, which also serializes publication:
     /// two writers cannot interleave their view swaps.
-    fn restage(&self, base: &BaseState, graphs: &[String]) -> String {
+    fn sync_graphs(
+        &self,
+        base: &mut BaseState,
+        graphs: &[String],
+        change: Option<(&str, &Tuple, bool)>,
+    ) -> String {
         if graphs.is_empty() {
             return String::new();
         }
-        let staged: Vec<_> = graphs
-            .iter()
-            .map(|g| stage_graph(&base.session, &base.db, g))
-            .collect();
-        let installed = self
-            .store
-            .write(|s| -> Result<Vec<_>, Infallible> {
-                let mut out = Vec::with_capacity(staged.len());
-                for (g, gv) in graphs.iter().zip(staged) {
-                    let gv = gv.and_then(|gv| {
-                        install_graph(s, g, &gv)
-                            .map(|()| Arc::new(gv))
-                            .map_err(|e| e.to_string())
-                    });
-                    if gv.is_err() {
-                        s.drop_graph(g);
-                    }
-                    out.push(gv);
-                }
-                Ok(out)
-            })
-            .unwrap_or_else(|e| match e {});
-        let mut map = self.pin_view().graphs.clone();
+        let mut unstaged = self.pin_view().unstaged.clone();
+        let (db, catalog, redefined) = (&base.db, &base.session.catalog, &mut base.redefined);
         let mut note = String::new();
-        for (g, gv) in graphs.iter().zip(installed) {
-            if let Err(e) = &gv {
-                note.push_str(&format!("; graph {g} unstaged: {e}"));
+        let write = self.store.write(|s| -> Result<(), Infallible> {
+            for g in graphs {
+                let staged = !redefined.remove(g) && !unstaged.contains_key(g);
+                let delta = match change {
+                    Some((t, row, delete)) if staged => catalog.row_delta(g, db, t, row, delete),
+                    _ => None,
+                };
+                if delta.is_some_and(|u| s.apply_updates(g, &u).is_ok()) {
+                    continue;
+                }
+                match stage(s, catalog, db, g) {
+                    Ok(()) => unstaged.remove(g),
+                    Err(e) => {
+                        note.push_str(&format!("; graph {g} unstaged: {e}"));
+                        unstaged.insert(g.clone(), e)
+                    }
+                };
             }
-            map.insert(g.clone(), gv);
-        }
-        self.publish(map);
+            Ok(())
+        });
+        write.unwrap_or_else(|e| match e {});
+        self.publish(unstaged);
         note
     }
 
     /// Swaps in a new [`ReadView`] pairing the latest published
-    /// snapshot with `graphs`.
-    fn publish(&self, graphs: BTreeMap<String, Result<Arc<GraphView>, String>>) {
+    /// snapshot with the `unstaged` graphs.
+    fn publish(&self, unstaged: BTreeMap<String, String>) {
         let snap = self.store.pin();
         *self.view.write().unwrap_or_else(PoisonError::into_inner) =
-            Arc::new(ReadView { snap, graphs });
+            Arc::new(ReadView { snap, unstaged });
     }
 
     fn pin_view(&self) -> Arc<ReadView> {
@@ -349,16 +337,19 @@ impl Engine {
             let out = lower_query(gq, &base.session.catalog).map_err(|e| e.to_string())?;
             (out, self.pin_view())
         };
-        let staged = match view.graphs.get(&gq.graph) {
-            Some(Ok(gv)) => Arc::clone(gv),
-            Some(Err(e)) => return Err(e.clone()),
-            // The view holds every catalog graph.
-            None => return Err(CatalogError::UnknownGraph(gq.graph.clone()).to_string()),
+        let Some(entry) = view.snap.graph(&gq.graph) else {
+            // The snapshot holds every staged catalog graph.
+            let why = view.unstaged.get(&gq.graph).cloned();
+            return Err(
+                why.unwrap_or_else(|| CatalogError::UnknownGraph(gq.graph.clone()).to_string())
+            );
         };
-        let query = Query::pattern_n(staged.k, out, staged.names.clone().map(Query::rel));
+        let (names, k) = (staged_names(&gq.graph), entry.id_arity());
+        // Their schema: the rows are the snapshot's.
+        let schema = [k, k, 2 * k, 2 * k, k + 1, k + 2].map(Relation::empty);
         Ok(Prepared {
-            query,
-            staged,
+            query: Query::pattern_n(k, out, names.clone().map(Query::rel)),
+            db: view_db(&names, schema),
             snap: view.snap.clone(),
         })
     }
@@ -407,45 +398,41 @@ impl Engine {
     fn compact(&self) -> Result<pgq_store::CompactionStats, String> {
         let base = self.lock_base();
         let stats = self.store.compact().map_err(|e| e.to_string())?;
-        let map = self.pin_view().graphs.clone();
+        let unstaged = self.pin_view().unstaged.clone();
         drop(base);
-        self.publish(map);
+        self.publish(unstaged);
         Ok(stats)
     }
 }
 
-/// Builds the staged database + reserved names for catalog graph `g`
-/// from the live base state.
-fn stage_graph(session: &Session, db: &Database, g: &str) -> Result<GraphView, String> {
-    let rels = session
-        .catalog
-        .view_relations(g, db)
-        .map_err(|e| e.to_string())?;
-    let k = session.catalog.id_arity(g).map_err(|e| e.to_string())?;
-    let names = staged_names(g);
-    let mut sdb = Database::new();
-    for (name, rel) in names.clone().into_iter().zip([
-        rels.nodes,
-        rels.edges,
-        rels.src,
-        rels.tgt,
-        rels.labels,
-        rels.props,
-    ]) {
-        sdb.add_relation(name, rel);
+/// Folds catalog graph `g`'s view over every base row and registers it
+/// into the writer's working store: the six relations under `g`'s
+/// reserved names, then the frozen view graph. A view that does not
+/// fold or validate leaves `g` out of the store.
+fn stage(s: &mut Store, catalog: &Catalog, db: &Database, g: &str) -> Result<(), String> {
+    let mut fold = || -> Result<_, Box<dyn std::error::Error>> {
+        let (r, names) = (catalog.view_relations(g, db)?, staged_names(g));
+        let six = view_db(&names, [r.nodes, r.edges, r.src, r.tgt, r.labels, r.props]);
+        for (name, rel) in six.iter() {
+            s.register_relation(name.clone(), rel)?;
+        }
+        let k = catalog.id_arity(g)?;
+        Ok(s.register_view_graph(g, names, &six, GraphForm::Bounded(k))?)
+    };
+    let staged = fold().map_err(|e| e.to_string());
+    if staged.is_err() {
+        s.drop_graph(g);
     }
-    Ok(GraphView { names, k, db: sdb })
+    staged
 }
 
-/// Registers a staged graph's six relations and frozen view graph into
-/// the writer's working store. Replacing the first relation drops the
-/// previous freeze; the new one is built from `gv.db` once all six are
-/// in place.
-fn install_graph(s: &mut Store, g: &str, gv: &GraphView) -> Result<(), pgq_store::StoreError> {
-    for (name, rel) in gv.db.iter() {
-        s.register_relation(name.clone(), rel)?;
+/// The six view relations under their staged names, as a database.
+fn view_db(names: &[RelName; 6], rels: [Relation; 6]) -> Database {
+    let mut db = Database::new();
+    for (name, rel) in names.iter().zip(rels) {
+        db.add_relation(name.clone(), rel);
     }
-    s.register_view_graph(g, gv.names.clone(), &gv.db, GraphForm::Bounded(gv.k))
+    db
 }
 
 /// Splits a script into the segments [`Engine::statement`] takes, on

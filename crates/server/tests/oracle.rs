@@ -5,7 +5,10 @@
 //! (`EvalConfig::reference()`) over the same view relations, which the
 //! oracle stages itself from its own copy of the rows through the
 //! parser's catalog. The comparison holds on the loaded graph, after an
-//! `INSERT` and after the matching `DELETE`.
+//! `INSERT` and after the matching `DELETE`, and after every write of a
+//! seeded write sequence, where an unstaged graph's error must be the
+//! strict `pgView` error over the oracle's rows. A write applies its
+//! row's delta in place, which the tombstones in `STATS` show.
 //!
 //! The same graph pins that no served shape builds a view graph per
 //! statement (`view_builds` on `METRICS JSON;`), and the served graph's
@@ -16,7 +19,8 @@ use pgq_core::{eval_with, EvalConfig, Query};
 use pgq_parser::{lower_query, parse_command, Command, Session, Statement};
 use pgq_relational::{Database, Relation};
 use pgq_server::{Engine, SessionState};
-use pgq_value::Tuple;
+use pgq_store::{GraphForm, Store};
+use pgq_value::{Tuple, Value};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -35,6 +39,9 @@ const DDL: [&str; 3] = [
        TARGET KEY tgt_iban REFERENCES Account \
        LABELS Transfer PROPERTIES (ts, amount))",
 ];
+
+/// The oracle's names for the six view relations.
+const NAMES: [&str; 6] = ["N", "E", "S", "T", "L", "P"];
 
 /// The read shapes in served order, then the audit statement.
 const SHAPES: [(&str, &str); 5] = [
@@ -101,14 +108,19 @@ impl Twin {
         Twin::sized(ACCOUNTS, TRANSFERS)
     }
 
-    /// The graph of `accounts` accounts and `transfers` transfers.
-    fn sized(accounts: usize, transfers: usize) -> Twin {
-        let mut twin = Twin {
+    /// No tables, no graphs.
+    fn empty() -> Twin {
+        Twin {
             engine: Engine::new(),
             conn: SessionState::default(),
             session: Session::new(),
             db: Database::new(),
-        };
+        }
+    }
+
+    /// The graph of `accounts` accounts and `transfers` transfers.
+    fn sized(accounts: usize, transfers: usize) -> Twin {
+        let mut twin = Twin::empty();
         let rows = (0..accounts).map(|i| format!("INSERT INTO Account VALUES ('{}')", iban(i)));
         let stmts: Vec<String> = DDL[..2]
             .iter()
@@ -123,30 +135,69 @@ impl Twin {
         twin
     }
 
-    /// Applies a DDL or row statement to both sides.
-    fn write(&mut self, stmt: &str) {
+    /// Applies a DDL or row statement to both sides; returns the served
+    /// response line and whether the oracle's rows changed.
+    fn write(&mut self, stmt: &str) -> (String, bool) {
         let resp = self.engine.statement(&mut self.conn, stmt);
         assert!(
             resp.iter().all(|l| !l.starts_with("!! ")),
             "{stmt}: {resp:?}"
         );
-        match parse_command(stmt).expect("the fixture parses") {
+        let changed = match parse_command(stmt).expect("the fixture parses") {
             Command::Sql(ddl) => {
                 self.session.execute(&ddl, &self.db).expect("valid DDL");
+                true
             }
-            Command::Mutation(m) if m.delete => {
-                self.db.remove(&m.table.as_str().into(), &m.row);
-            }
-            Command::Mutation(m) => {
-                self.db.insert(m.table, m.row).expect("declared arity");
-            }
+            Command::Mutation(m) if m.delete => self.db.remove(&m.table.as_str().into(), &m.row),
+            Command::Mutation(m) => self.db.insert(m.table, m.row).expect("declared arity"),
             other => panic!("not a write: {other:?}"),
+        };
+        (resp.join("\n"), changed)
+    }
+
+    /// The served response to a statement, as is.
+    fn response(&mut self, stmt: &str) -> Vec<String> {
+        self.engine.statement(&mut self.conn, stmt)
+    }
+
+    /// Why the strict `pgView` rejects the oracle's rows of `Transfers`,
+    /// or `None` when it accepts them.
+    fn view_error(&self) -> Option<String> {
+        let (staged, k) = match self.staged("Transfers") {
+            Ok(staged) => staged,
+            Err(e) => return Some(e),
+        };
+        let form = GraphForm::Bounded(k);
+        let names = NAMES.map(Into::into);
+        let frozen = Store::new().register_view_graph("Transfers", names, &staged, form);
+        frozen.err().map(|e| e.to_string())
+    }
+
+    /// The six view relations of `graph` over the oracle's rows, under
+    /// [`NAMES`], and the identifier arity.
+    fn staged(&self, graph: &str) -> Result<(Database, usize), String> {
+        let catalog = &self.session.catalog;
+        let rels = catalog
+            .view_relations(graph, &self.db)
+            .map_err(|e| e.to_string())?;
+        let k = catalog.id_arity(graph).map_err(|e| e.to_string())?;
+        let mut staged = Database::new();
+        for (name, rel) in NAMES.into_iter().zip([
+            rels.nodes,
+            rels.edges,
+            rels.src,
+            rels.tgt,
+            rels.labels,
+            rels.props,
+        ]) {
+            staged.add_relation(name, rel);
         }
+        Ok((staged, k))
     }
 
     /// The served rows of a `SELECT`, sorted.
     fn served(&mut self, stmt: &str) -> Vec<String> {
-        let resp = self.engine.statement(&mut self.conn, stmt);
+        let resp = self.response(stmt);
         let (head, rows) = resp.split_first().expect("a row count");
         assert!(head.starts_with("-- "), "{stmt}: {resp:?}");
         let mut rows = rows.to_vec();
@@ -165,23 +216,9 @@ impl Twin {
         let Ok(Command::Sql(Statement::GraphQuery(gq))) = parse_command(stmt) else {
             panic!("not a query: {stmt}");
         };
-        let catalog = &self.session.catalog;
-        let out = lower_query(&gq, catalog).expect("the shapes lower");
-        let rels = catalog.view_relations(&gq.graph, &self.db).expect("stages");
-        let k = catalog.id_arity(&gq.graph).expect("a graph");
-        let names = ["N", "E", "S", "T", "L", "P"];
-        let mut staged = Database::new();
-        for (name, rel) in names.into_iter().zip([
-            rels.nodes,
-            rels.edges,
-            rels.src,
-            rels.tgt,
-            rels.labels,
-            rels.props,
-        ]) {
-            staged.add_relation(name, rel);
-        }
-        let q = Query::pattern_n(k, out, names.map(Query::rel));
+        let out = lower_query(&gq, &self.session.catalog).expect("the shapes lower");
+        let (staged, k) = self.staged(&gq.graph).expect("stages");
+        let q = Query::pattern_n(k, out, NAMES.map(Query::rel));
         eval_with(&q, &staged, cfg).expect("evaluates")
     }
 
@@ -204,7 +241,11 @@ impl Twin {
     }
 
     fn assert_agrees(&mut self, context: &str) {
-        for (name, body) in SHAPES {
+        self.assert_agrees_on(&SHAPES, context);
+    }
+
+    fn assert_agrees_on(&mut self, shapes: &[(&str, &str)], context: &str) {
+        for &(name, body) in shapes {
             let stmt = select(body);
             let served = self.served(&stmt);
             assert_eq!(served, self.reference(&stmt), "{context}: {name}");
@@ -319,4 +360,229 @@ fn huge_repetition_bounds_answer_like_their_oracles() {
     // Unoptimized builds get ten times the budget.
     let budget = Duration::from_secs(if cfg!(debug_assertions) { 10 } else { 1 });
     assert!(elapsed < budget, "{elapsed:?}");
+}
+
+/// A number from a seeded linear congruential generator.
+fn next(state: &mut u64) -> usize {
+    *state = state
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407);
+    (*state >> 33) as usize
+}
+
+/// A served write carries its row's delta over to the staged graph in
+/// place: the store keeps the deleted transfer's view rows as
+/// tombstones (a re-staged graph has none) until `COMPACT` drops them,
+/// and no answer changes on the way.
+#[test]
+fn a_write_applies_its_delta_in_place() {
+    let mut twin = Twin::load();
+    let tombstones = |twin: &mut Twin| -> u64 {
+        let resp = twin.response("STATS JSON");
+        let line = resp
+            .iter()
+            .find(|l| l.contains("\"tombstone_rows\""))
+            .unwrap_or_else(|| panic!("no tombstone_rows in {resp:?}"));
+        let digits: String = line.chars().filter(char::is_ascii_digit).collect();
+        digits.parse().expect("a count")
+    };
+    assert_eq!(tombstones(&mut twin), 0, "freshly staged");
+    let before: Vec<_> = SHAPES
+        .iter()
+        .map(|(_, b)| twin.served(&select(b)))
+        .collect();
+    let row = format!(
+        "Transfer VALUES ({TRANSFERS}, '{}', '{}', 1700000000, 500)",
+        iban(3),
+        iban(4)
+    );
+    twin.write(&format!("INSERT INTO {row}"));
+    twin.write(&format!("DELETE FROM {row}"));
+    assert!(tombstones(&mut twin) > 0, "the delete tombstoned view rows");
+    let compacted = twin.response("COMPACT").join("\n");
+    assert!(
+        !compacted.contains("dropped 0 tombstoned") && compacted.contains("tombstoned row(s)"),
+        "{compacted}"
+    );
+    assert_eq!(tombstones(&mut twin), 0, "COMPACT dropped them");
+    let after: Vec<_> = SHAPES
+        .iter()
+        .map(|(_, b)| twin.served(&select(b)))
+        .collect();
+    assert_eq!(before, after);
+    twin.assert_agrees("compacted");
+}
+
+/// 240 seeded writes over both tables — transfer inserts and deletes,
+/// dangling endpoints, transfers that reuse an identifier, account
+/// deletes with and without incident edges, repairs, no-op writes, and
+/// account rows that differ only in a column that is neither key nor
+/// property, so two rows yield one node. After every write each served
+/// shape, and the labelled nodes, answer as Figure 2 over the oracle's
+/// own rows, or, while those rows are no valid view, with the strict
+/// `pgView` error the write's note announced.
+#[test]
+fn write_sequences_match_the_reference() {
+    /// Accounts; transfers stay among the first eight, so two nodes
+    /// never have edges.
+    const IBANS: usize = 10;
+    const LINKED: usize = 8;
+    let mut shapes = SHAPES.to_vec();
+    shapes.push(("nodes", "MATCH (x:Account) RETURN (x.iban)"));
+    let mut twin = Twin::empty();
+    let mut stmts = vec![
+        "CREATE TABLE Account (iban, branch)".to_string(),
+        DDL[1].to_string(),
+    ];
+    stmts.extend((0..IBANS).map(|i| format!("INSERT INTO Account VALUES ('{}', 0)", iban(i))));
+    stmts.extend((0..2 * LINKED).map(|j| transfer(j, LINKED)));
+    stmts.push(DDL[2].to_string());
+    for stmt in &stmts {
+        twin.write(stmt);
+    }
+    assert_eq!(twin.view_error(), None, "the loaded rows are a view");
+    let rows_of = |twin: &Twin, table: &str| -> Vec<Tuple> {
+        let rel = twin.db.get(&table.into()).expect("loaded");
+        rel.iter().cloned().collect()
+    };
+    let values = |t: &Tuple| format!("VALUES {}", t.to_string().replace('"', "'"));
+    let transfer_row = |j: usize, s: &str, t: &str, amount: usize| {
+        format!(
+            "VALUES ({j}, '{s}', '{t}', {}, {amount})",
+            1_600_000_000 + j
+        )
+    };
+
+    let mut seed = 0x5eed_u64;
+    let mut undo: Vec<String> = Vec::new();
+    let mut kinds = [0usize; 8];
+    let (mut repairing, mut invalid) = (false, 0);
+    let mut fresh = 1_000;
+    for step in 0..240 {
+        let transfers = rows_of(&twin, "Transfer");
+        let accounts = rows_of(&twin, "Account");
+        let mut pick = |n: usize| next(&mut seed) % n;
+        let kind = if repairing { 7 } else { pick(8) };
+        fresh += 1;
+        let write = match kind {
+            // A transfer between existing accounts, or the delete of one.
+            0 | 1 => {
+                let (s, t) = (iban(pick(LINKED)), iban(pick(LINKED)));
+                let amount = 1000 + pick(9000);
+                format!(
+                    "INSERT INTO Transfer {}",
+                    transfer_row(fresh, &s, &t, amount)
+                )
+            }
+            2 => format!(
+                "DELETE FROM Transfer {}",
+                values(&transfers[pick(transfers.len())])
+            ),
+            // A dangling endpoint, or a second transfer under a live
+            // identifier.
+            3 => {
+                let j = match pick(2) {
+                    0 => fresh,
+                    _ => transfers[pick(transfers.len())][0]
+                        .to_string()
+                        .parse()
+                        .expect("id"),
+                };
+                format!(
+                    "INSERT INTO Transfer {}",
+                    transfer_row(j, &iban(0), "ZZ99", 4242)
+                )
+            }
+            // An account whose node may still have incident edges.
+            4 => format!(
+                "DELETE FROM Account {}",
+                values(&accounts[pick(accounts.len())])
+            ),
+            // A second row of an existing node, or the delete of one of
+            // two rows that yield the same node.
+            5 => {
+                let key = Value::str(iban(pick(IBANS)));
+                let rows: Vec<_> = accounts.iter().filter(|a| a[0] == key).collect();
+                match rows.as_slice() {
+                    [_, .., last] => format!("DELETE FROM Account {}", values(last)),
+                    _ => format!("INSERT INTO Account VALUES ({key}, {})", 1 + pick(3))
+                        .replace('"', "'"),
+                }
+            }
+            // No-op writes: a row that is there already, one that is not.
+            6 => match pick(2) {
+                0 => format!("INSERT INTO Account {}", values(&accounts[0])),
+                _ => format!(
+                    "DELETE FROM Transfer {}",
+                    transfer_row(0, "none", "none", 0)
+                ),
+            },
+            // A repair: undo writes until the rows are a view again.
+            _ => match undo.pop() {
+                Some(inverse) => inverse,
+                None => {
+                    repairing = false;
+                    continue;
+                }
+            },
+        };
+        kinds[kind] += 1;
+        let (note, changed) = twin.write(&write);
+        let context = format!("write {step}: {write} → {note}");
+        assert_eq!(note.contains("(no-op)"), !changed, "{context}");
+        if changed && kind != 7 {
+            undo.push(match write.strip_prefix("INSERT INTO ") {
+                Some(rest) => format!("DELETE FROM {rest}"),
+                None => write.replacen("DELETE FROM ", "INSERT INTO ", 1),
+            });
+        }
+        let error = twin.view_error();
+        repairing = (repairing || kind == 7) && error.is_some();
+        let Some(e) = error else {
+            assert!(!note.contains("unstaged"), "{context}");
+            twin.assert_agrees_on(&shapes, &context);
+            continue;
+        };
+        invalid += 1;
+        assert!(
+            note.ends_with(&format!("; graph Transfers unstaged: {e}")),
+            "{context}"
+        );
+        for &(name, body) in &shapes {
+            assert_eq!(
+                twin.response(&select(body)),
+                [format!("!! {e}")],
+                "{context}: {name}"
+            );
+        }
+    }
+    assert!(
+        kinds.iter().all(|&n| n >= 10),
+        "every kind of write: {kinds:?}"
+    );
+    assert!((20..200).contains(&invalid), "{invalid} invalid states");
+}
+
+/// A call past the compile limit takes the view-build fallback, which
+/// reads the six view relations through the snapshot: a query carries
+/// only their schema. A 17-hop chain scans 34 relations, more than the
+/// 32 a compiled call may, and after a delta write it answers as
+/// Figure 2 does.
+#[test]
+fn a_call_past_the_compile_limit_reads_the_store() {
+    let mut twin = Twin::sized(8, 8);
+    twin.write(&format!(
+        "INSERT INTO Transfer VALUES (8, '{}', '{}', 1700000000, 500)",
+        iban(3),
+        iban(6)
+    ));
+    let hops: String = (1..=17).map(|i| format!(" -[e{i}]-> (v{i})")).collect();
+    let stmt = select(&format!("MATCH (v0){hops} RETURN (v0.iban, v17.iban)"));
+    let plan = twin.explain(&stmt);
+    assert!(!plan.contains("[route: compiled plan]"), "{plan}");
+    let before = twin.view_builds();
+    let served = twin.served(&stmt);
+    assert_eq!(twin.view_builds() - before, 1, "one view build");
+    assert!(!served.is_empty());
+    assert_eq!(served, twin.reference(&stmt));
 }

@@ -489,12 +489,14 @@ mod tests {
         s.bulk_load("G", views(), GraphForm::Exact(1), &g, 1)
             .unwrap();
         let node = |v: &str| Tuple::unary(Value::str(v));
-        s.apply_update("G", &Update::AddNode(node("d"))).unwrap();
+        s.apply_updates("G", std::slice::from_ref(&Update::AddNode(node("d"))))
+            .unwrap();
         assert!(matches!(
-            s.apply_update("G", &Update::AddNode(node("a"))),
+            s.apply_updates("G", std::slice::from_ref(&Update::AddNode(node("a")))),
             Err(StoreError::Update(UpdateError::IdInUse(_)))
         ));
-        s.apply_update("G", &Update::RemoveNode(node("d"))).unwrap();
+        s.apply_updates("G", std::slice::from_ref(&Update::RemoveNode(node("d"))))
+            .unwrap();
         assert_eq!(s.scan(&"N".into()).unwrap().len(), 3);
         assert_eq!(s.graph("G").unwrap().node_count(), 3);
     }

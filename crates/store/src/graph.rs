@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// A property-graph index: interned identifiers plus one CSR adjacency
 /// — frozen at registration, then maintained through a delta overlay by
-/// `Store::apply_update`.
+/// `Store::apply_updates`.
 #[derive(Debug, Clone)]
 pub struct GraphEntry {
     form: GraphForm,

@@ -48,8 +48,8 @@
 //! store. Rebuild: [`Store::register_relation`] /
 //! [`Store::register_database`] replace relations wholesale and
 //! **drop** every graph over them, which the owner then registers
-//! again ([`Store::register_view_graph`]). Update: [`Store::apply_update`]
-//! / [`Store::apply_updates`] — the one in-place writer — bridge
+//! again ([`Store::register_view_graph`]). Update:
+//! [`Store::apply_updates`] — the one in-place writer — bridges
 //! `pgq_graph::updates::Update` onto a registered graph, appending or
 //! tombstoning rows of the six backing relations (a validity bitmap in
 //! [`ColumnarRelation`]) and maintaining the graph's frozen CSR through

@@ -11,7 +11,7 @@
 //! Statistics are **lazy and cached**: `Store::statistics` computes
 //! them on first use and caches the `Arc` on the store's COW state;
 //! every mutation (`register_relation` / `register_database`,
-//! `apply_update(s)`, `compact`, `bulk_load`, graph registration)
+//! `apply_updates`, `compact`, `bulk_load`, graph registration)
 //! invalidates the cache by swapping in a fresh slot and bumping the
 //! epoch. Because the cache slot is `Arc`-shared the same way the
 //! columns and CSR bases are, a pinned `StoreSnapshot` keeps the

@@ -9,8 +9,8 @@
 //!
 //! A graph entry is created only by [`Store::register_view_graph`] or
 //! [`Store::bulk_load`] and changes in place only through
-//! [`Store::apply_update`] / [`Store::apply_updates`] (the `update`
-//! module), which maintain every adjacency through a
+//! [`Store::apply_updates`] (the `update` module), which maintains
+//! every adjacency through a
 //! [`DeltaAdjacency`] overlay. Replacing a relation wholesale drops the
 //! graphs over it instead. Overlays fold
 //! back into fresh CSR indexes past a threshold, and [`Store::compact`]
@@ -510,13 +510,13 @@ pub(crate) mod tests {
         // A write builds only the indexes its probes need; node checks
         // read the graph entry, so `N` stays unindexed.
         store
-            .apply_update(
+            .apply_updates(
                 "G",
-                &Update::AddEdge {
+                std::slice::from_ref(&Update::AddEdge {
                     id: nid("e4"),
                     src: nid("d"),
                     tgt: nid("a"),
-                },
+                }),
             )
             .unwrap();
         assert!(store.relation(&"E".into()).unwrap().has_indexes());
@@ -679,14 +679,16 @@ pub(crate) mod tests {
         assert_eq!(first.epoch, store.statistics_epoch());
         let n_rows = first.live_rows(&n).unwrap();
 
-        store.apply_update("G", &Update::AddNode(nid("z"))).unwrap();
+        store
+            .apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("z"))))
+            .unwrap();
         let after_insert = store.statistics();
         assert!(!Arc::ptr_eq(&first, &after_insert));
         assert!(after_insert.epoch > first.epoch);
         assert_eq!(after_insert.live_rows(&n).unwrap(), n_rows + 1);
 
         store
-            .apply_update("G", &Update::RemoveNode(nid("z")))
+            .apply_updates("G", std::slice::from_ref(&Update::RemoveNode(nid("z"))))
             .unwrap();
         let after_delete = store.statistics();
         assert!(after_delete.epoch > after_insert.epoch);
@@ -694,13 +696,13 @@ pub(crate) mod tests {
         assert!(after_delete.relations[&n].tombstone_rows > 0);
 
         store
-            .apply_update(
+            .apply_updates(
                 "G",
-                &Update::AddEdge {
+                std::slice::from_ref(&Update::AddEdge {
                     id: nid("e4"),
                     src: nid("d"),
                     tgt: nid("a"),
-                },
+                }),
             )
             .unwrap();
         let after_update = store.statistics();
@@ -752,7 +754,7 @@ pub(crate) mod tests {
         let pin = concurrent.pin();
         let pinned = pin.as_store().statistics();
         concurrent
-            .write(|s| s.apply_update("G", &Update::AddNode(nid("z"))))
+            .write(|s| s.apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("z")))))
             .unwrap();
         // The writer's published state sees the row under a new epoch …
         let fresh = concurrent.pin().as_store().statistics();

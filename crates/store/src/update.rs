@@ -1,8 +1,8 @@
 //! Incremental maintenance — the store's only in-place writer: the
-//! Section 7 update model ([`Store::apply_update`] /
-//! [`Store::apply_updates`]) applied to a registered graph in place —
-//! the six backing relations, their adjacency overlays, the graph
-//! entry, the active domain — plus the fold steps that follow a write.
+//! Section 7 update model ([`Store::apply_updates`]) applied to a
+//! registered graph in place — the six backing relations, their
+//! adjacency overlays, the graph entry, the active domain — plus the
+//! fold steps that follow a write.
 
 use crate::column::ColumnarRelation;
 use crate::error::StoreError;
@@ -31,28 +31,20 @@ impl Store {
             .is_some_and(|codes| col.find_live(&codes).is_some())
     }
 
-    /// Applies one Section 7 update to a graph registered through
-    /// [`Store::register_view_graph`]: the six backing relations are
-    /// edited in place (append/tombstone) and the graph's frozen entry
-    /// is maintained through its delta overlay — no re-registration,
-    /// no `pgView` re-validation. Validation mirrors
+    /// Applies Section 7 updates, in order, to a graph registered
+    /// through [`Store::register_view_graph`]: the six backing relations
+    /// are edited in place (append/tombstone) and the graph's frozen
+    /// entry is maintained through its delta overlay — no
+    /// re-registration, no `pgView` re-validation. Validation mirrors
     /// `pgq_graph::updates::apply`, so a rejected update leaves
     /// relations and graphs untouched — all fallible steps (checks,
     /// code minting, dense-id minting) run before the first row lands;
     /// exhaustion errors may leave freshly minted dictionary codes,
-    /// stale at worst and reclaimed by [`Store::compact`]. Oversized
-    /// overlays are folded on the way out.
-    pub fn apply_update(&mut self, graph: &str, update: &Update) -> Result<(), StoreError> {
-        self.stats_cache.invalidate();
-        self.apply_update_raw(graph, update)?;
-        self.finish_updates(graph)
-    }
-
-    /// [`Store::apply_update`] for a batch, refreshing the active
-    /// domain and folding overlays once at the end. Fails fast on the
-    /// first rejected update — updates before it stay applied
-    /// (per-update atomicity, not per-batch), and the finishing pass
-    /// (⟨adom⟩ refresh, overlay folds) still runs for them, so the
+    /// stale at worst and reclaimed by [`Store::compact`]. The batch
+    /// fails fast on the first rejected update — updates before it stay
+    /// applied (per-update atomicity, not per-batch). The finishing
+    /// pass (⟨adom⟩ refresh, oversized overlays folded) runs once at
+    /// the end, also for the applied prefix of a failed batch, so the
     /// store is internally consistent even when the batch errors.
     pub fn apply_updates(&mut self, graph: &str, updates: &[Update]) -> Result<(), StoreError> {
         self.stats_cache.invalidate();
@@ -67,13 +59,9 @@ impl Store {
                 }
             }
         }
-        if applied > 0 {
-            self.finish_updates(graph)?;
+        if applied == 0 {
+            return result;
         }
-        result
-    }
-
-    fn finish_updates(&mut self, graph: &str) -> Result<(), StoreError> {
         self.refresh_adom()?;
         if let Some(views) = self.graphs.get(graph).map(|e| e.views().clone()) {
             for name in &views {
@@ -85,7 +73,7 @@ impl Store {
                 e.fold()?;
             }
         }
-        Ok(())
+        result
     }
 
     fn apply_update_raw(&mut self, graph: &str, update: &Update) -> Result<(), StoreError> {
@@ -573,13 +561,13 @@ mod tests {
     fn apply_update_add_edge_extends_reachability() {
         let (_, mut store) = registered_store();
         store
-            .apply_update(
+            .apply_updates(
                 "G",
-                &Update::AddEdge {
+                std::slice::from_ref(&Update::AddEdge {
                     id: nid("e4"),
                     src: nid("d"),
                     tgt: nid("a"),
-                },
+                }),
             )
             .unwrap();
         let entry = store.graph("G").unwrap();
@@ -601,7 +589,10 @@ mod tests {
     fn apply_update_detach_remove_cascades() {
         let (_, mut store) = registered_store();
         store
-            .apply_update("G", &Update::DetachRemoveNode(nid("b")))
+            .apply_updates(
+                "G",
+                std::slice::from_ref(&Update::DetachRemoveNode(nid("b"))),
+            )
             .unwrap();
         let entry = store.graph("G").unwrap();
         assert_eq!(entry.node_count(), 3);
@@ -622,34 +613,34 @@ mod tests {
         let (_, mut store) = registered_store();
         // RemoveNode refuses incident edges.
         assert!(matches!(
-            store.apply_update("G", &Update::RemoveNode(nid("a"))),
+            store.apply_updates("G", std::slice::from_ref(&Update::RemoveNode(nid("a")))),
             Err(StoreError::Update(UpdateError::NodeHasEdges(_)))
         ));
         // Id disjointness.
         assert!(matches!(
-            store.apply_update("G", &Update::AddNode(nid("e1"))),
+            store.apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("e1")))),
             Err(StoreError::Update(UpdateError::IdInUse(_)))
         ));
         // Dangling endpoints.
         assert!(matches!(
-            store.apply_update(
+            store.apply_updates(
                 "G",
-                &Update::AddEdge {
+                std::slice::from_ref(&Update::AddEdge {
                     id: nid("e9"),
                     src: nid("a"),
                     tgt: nid("ghost"),
-                }
+                })
             ),
             Err(StoreError::Update(UpdateError::DanglingEndpoint(_)))
         ));
         // Arity mismatch.
         assert!(matches!(
-            store.apply_update("G", &Update::AddNode(tuple![1, 2])),
+            store.apply_updates("G", std::slice::from_ref(&Update::AddNode(tuple![1, 2]))),
             Err(StoreError::Update(UpdateError::ArityMismatch { .. }))
         ));
         // Unknown graph.
         assert!(matches!(
-            store.apply_update("nope", &Update::AddNode(nid("x"))),
+            store.apply_updates("nope", std::slice::from_ref(&Update::AddNode(nid("x")))),
             Err(StoreError::UnknownGraph(_))
         ));
         // A rejected update left everything untouched.
@@ -698,14 +689,18 @@ mod tests {
     #[test]
     fn delete_and_reinsert_revives_the_tombstoned_row() {
         let (_, mut store) = registered_store();
-        store.apply_update("G", &Update::AddNode(nid("z"))).unwrap();
+        store
+            .apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("z"))))
+            .unwrap();
         let physical = store.relation(&"N".into()).unwrap().physical_len();
         store
-            .apply_update("G", &Update::RemoveNode(nid("z")))
+            .apply_updates("G", std::slice::from_ref(&Update::RemoveNode(nid("z"))))
             .unwrap();
         assert_eq!(store.relation(&"N".into()).unwrap().tombstones(), 1);
         assert_eq!(store.graph("G").unwrap().node_count(), 4);
-        store.apply_update("G", &Update::AddNode(nid("z"))).unwrap();
+        store
+            .apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("z"))))
+            .unwrap();
         // The revived row reuses its physical slot.
         assert_eq!(
             store.relation(&"N".into()).unwrap().physical_len(),
@@ -731,13 +726,13 @@ mod tests {
             .register_view_graph("G", views(), &db, GraphForm::Exact(1))
             .unwrap();
         // The new edge id needs one fresh code: DictionaryFull.
-        let err = store.apply_update(
+        let err = store.apply_updates(
             "G",
-            &Update::AddEdge {
+            std::slice::from_ref(&Update::AddEdge {
                 id: nid("e4"),
                 src: nid("d"),
                 tgt: nid("a"),
-            },
+            }),
         );
         assert!(matches!(err, Err(StoreError::DictionaryFull { .. })));
         // Nothing landed: E unchanged, no dangling S/T rows, entry
@@ -750,15 +745,15 @@ mod tests {
         assert!(!entry.has_overlay());
         // Same discipline for AddNode and SetProp.
         assert!(matches!(
-            store.apply_update("G", &Update::AddNode(nid("z"))),
+            store.apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("z")))),
             Err(StoreError::DictionaryFull { .. })
         ));
         assert!(!store.rel_contains(&"N".into(), &nid("z")));
         assert_eq!(store.graph("G").unwrap().node_count(), 4);
         assert!(matches!(
-            store.apply_update(
+            store.apply_updates(
                 "G",
-                &Update::SetProp(nid("a"), Value::str("k"), Value::int(1))
+                std::slice::from_ref(&Update::SetProp(nid("a"), Value::str("k"), Value::int(1)))
             ),
             Err(StoreError::DictionaryFull { .. })
         ));

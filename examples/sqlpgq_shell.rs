@@ -11,7 +11,9 @@
 //!
 //! * `INSERT INTO t VALUES (v, …);` / `DELETE FROM t VALUES (v, …);` —
 //!   row mutations (the formal model is read-only, Section 7 "Updates";
-//!   the engine re-stages the graphs over `t` and publishes a snapshot);
+//!   the engine applies the row's delta to the graphs over `t` in place
+//!   and publishes a snapshot — `STATS;` then shows the tombstones and
+//!   overlays that `COMPACT;` folds);
 //! * `EXPLAIN SELECT …;` — the physical plan against the published
 //!   snapshot; `EXPLAIN ANALYZE SELECT …;` runs the query and prints the
 //!   per-operator profile (rows, wall time, fixpoint Δ sizes) instead;

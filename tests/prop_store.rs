@@ -383,7 +383,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The PR 5 update differential: a random accepted `Update`
-    /// sequence applied incrementally (`Store::apply_update`) must
+    /// sequence applied incrementally (`Store::apply_updates`) must
     /// leave the store answering exactly like (a) the reference
     /// relations evolved by `pgq_graph::updates::apply`, (b) a store
     /// re-registered from scratch on the updated database, and (c) the
@@ -404,12 +404,12 @@ proptest! {
             let mut next = rels.clone();
             match updates::apply(&mut next, u) {
                 Ok(()) => {
-                    store.apply_update("G", u).expect("reference accepted the update");
+                    store.apply_updates("G", std::slice::from_ref(u)).expect("reference accepted the update");
                     rels = next;
                 }
                 Err(_) => {
                     prop_assert!(
-                        store.apply_update("G", u).is_err(),
+                        store.apply_updates("G", std::slice::from_ref(u)).is_err(),
                         "store accepted an update the reference rejects: {u:?}"
                     );
                 }
@@ -453,7 +453,7 @@ proptest! {
         for u in &seq {
             let mut next = rels.clone();
             if updates::apply(&mut next, u).is_ok() {
-                store.apply_update("G", u).expect("reference accepted the update");
+                store.apply_updates("G", std::slice::from_ref(u)).expect("reference accepted the update");
                 rels = next;
             }
         }
@@ -516,7 +516,7 @@ proptest! {
         for u in &seq {
             let mut next = rels.clone();
             if updates::apply(&mut next, u).is_ok() {
-                store.apply_update("G", u).expect("reference accepted the update");
+                store.apply_updates("G", std::slice::from_ref(u)).expect("reference accepted the update");
                 rels = next;
             }
         }
@@ -554,7 +554,7 @@ proptest! {
         let concurrent = ConcurrentStore::new(store);
         let pin = concurrent.pin();
         concurrent
-            .write(|s| s.apply_update("G", &Update::AddNode(tuple!["planner-differential-extra"])))
+            .write(|s| s.apply_updates("G", std::slice::from_ref(&Update::AddNode(tuple!["planner-differential-extra"]))))
             .unwrap();
         for q in &shapes {
             let reference = q.eval(&db).unwrap();
@@ -876,9 +876,9 @@ proptest! {
         let mut bulk = Store::new();
         bulk.bulk_load("G", views(), GraphForm::Exact(1), &g, 2).unwrap();
         let fresh = Tuple::unary(Value::str("zz-fresh"));
-        bulk.apply_update("G", &Update::AddNode(fresh.clone())).unwrap();
-        prop_assert!(bulk.apply_update("G", &Update::AddNode(fresh.clone())).is_err());
-        bulk.apply_update("G", &Update::RemoveNode(fresh)).unwrap();
+        bulk.apply_updates("G", std::slice::from_ref(&Update::AddNode(fresh.clone()))).unwrap();
+        prop_assert!(bulk.apply_updates("G", std::slice::from_ref(&Update::AddNode(fresh.clone()))).is_err());
+        bulk.apply_updates("G", std::slice::from_ref(&Update::RemoveNode(fresh))).unwrap();
         assert_store_matches(&bulk, &db, "bulk after writer round-trip");
     }
 }
@@ -994,7 +994,7 @@ proptest! {
                 // batch, and readers must stay consistent either way.
                 let _ = store.write(|s| {
                     for u in batch {
-                        s.apply_update("G", u)?;
+                        s.apply_updates("G", std::slice::from_ref(u))?;
                     }
                     Ok::<(), StoreError>(())
                 });
@@ -1035,18 +1035,24 @@ fn compaction_swap_is_invisible_to_pinned_readers() {
     // with its edges, cycle a property, graft on a fresh chain.
     store
         .write(|s| {
-            s.apply_update("G", &Update::DetachRemoveNode(id(0)))?;
-            s.apply_update("G", &Update::AddNode(id(50)))?;
-            s.apply_update(
+            s.apply_updates("G", std::slice::from_ref(&Update::DetachRemoveNode(id(0))))?;
+            s.apply_updates("G", std::slice::from_ref(&Update::AddNode(id(50))))?;
+            s.apply_updates(
                 "G",
-                &Update::AddEdge {
+                std::slice::from_ref(&Update::AddEdge {
                     id: id(777_000),
                     src: id(50),
                     tgt: id(1),
-                },
+                }),
             )?;
-            s.apply_update("G", &Update::SetProp(id(1), Value::str("w"), Value::int(9)))?;
-            s.apply_update("G", &Update::RemoveProp(id(1), Value::str("w")))?;
+            s.apply_updates(
+                "G",
+                std::slice::from_ref(&Update::SetProp(id(1), Value::str("w"), Value::int(9))),
+            )?;
+            s.apply_updates(
+                "G",
+                std::slice::from_ref(&Update::RemoveProp(id(1), Value::str("w"))),
+            )?;
             Ok::<(), StoreError>(())
         })
         .expect("churn batch is valid");
@@ -1327,7 +1333,9 @@ fn delta_markers_surface_update_overlays() {
     assert!(!seek.reads_overlay(&store));
     assert!(run(&seek, &db, &store).is_empty());
     // An added edge puts a pair in T's adjacency overlay…
-    store.apply_update("G", &add_edge(13, 3, 0)).unwrap();
+    store
+        .apply_updates("G", std::slice::from_ref(&add_edge(13, 3, 0)))
+        .unwrap();
     assert!(expand.reads_overlay(&store));
     assert!(tc.reads_overlay(&store));
     // …which the seek reads through, and says so.
