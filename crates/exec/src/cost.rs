@@ -181,9 +181,7 @@ impl<'s> Memo<'s> {
                 relation_rows(stats, rel) / relation_distinct(stats, rel, *col).max(1.0)
             }
             PhysPlan::Values(b) => b.len() as f64,
-            PhysPlan::AdomScan => stats
-                .live_rows(&RelName::from(pgq_store::ADOM_REL))
-                .map_or(stats.dictionary_codes as f64, |n| n as f64),
+            PhysPlan::AdomScan => relation_rows(stats, &pgq_store::ADOM_REL.into()),
             PhysPlan::Filter { cond, input } => self.rows(input) * self.selectivity(cond, input),
             PhysPlan::Project { input, .. } | PhysPlan::Distinct { input } => self.rows(input),
             PhysPlan::AdjacencyExpand {
@@ -291,8 +289,14 @@ fn is_leaf(plan: &PhysPlan) -> bool {
     )
 }
 
+/// A relation's live rows; the derived active domain, which statistics
+/// do not cover, is bounded by the dictionary.
 fn relation_rows(stats: &StoreStatistics, name: &RelName) -> f64 {
-    stats.live_rows(name).map_or(UNKNOWN_ROWS, |n| n as f64)
+    match stats.live_rows(name) {
+        Some(n) => n as f64,
+        None if name.as_str() == pgq_store::ADOM_REL => stats.dictionary_codes as f64,
+        None => UNKNOWN_ROWS,
+    }
 }
 
 fn relation_distinct(stats: &StoreStatistics, name: &RelName, col: usize) -> f64 {

@@ -19,7 +19,7 @@ pub enum PhysPlan {
     Scan(RelName),
     /// Scan a relation registered in the session [`pgq_store::Store`]
     /// (columnar codes, handed to the pipeline as-is). The reserved name
-    /// [`pgq_store::ADOM_REL`] scans the store's frozen active domain.
+    /// [`pgq_store::ADOM_REL`] scans the store's derived active domain.
     /// Without a store the operator degrades to the equivalent
     /// database scan, so plans stay executable anywhere.
     IndexScan(RelName),

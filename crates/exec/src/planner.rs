@@ -486,7 +486,7 @@ mod tests {
             q.eval(&d).unwrap()
         );
 
-        // AdomScan lowers onto the frozen active domain.
+        // AdomScan lowers onto the store's derived active domain.
         let plan = rule_plan(
             plan_ra(&RaExpr::ActiveDomain, &d.schema()).unwrap(),
             &store,

@@ -21,9 +21,8 @@
 //!   ([`crate::CsrIndex::from_dense_pairs`]); the graph's one index
 //!   reuses the generator's dense node indexes outright, so the node
 //!   universe is contiguous and the id map costs zero bytes;
-//! * the reserved active-domain relation derived from the interned
-//!   codes (sorted by value, like a fresh registration) instead of a
-//!   live-row sweep.
+//! * no active-domain relation: like every store, a loaded one derives
+//!   [`crate::ADOM_REL`] from its live rows only when a reader asks.
 //!
 //! Equivalence with the register route — same query answers at thread
 //! counts {1, 2, 8} — is held by the differential
@@ -35,7 +34,7 @@ use crate::csr::CsrIndex;
 use crate::error::{GraphForm, StoreError};
 use crate::graph::GraphEntry;
 use crate::report::MemoryBytes;
-use crate::store::{CsrWithDelta, Store, ADOM_REL};
+use crate::store::{CsrWithDelta, Store};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_value::{Tuple, Value};
 use std::collections::HashSet;
@@ -185,22 +184,18 @@ pub struct BulkLoadStats {
     pub nodes: usize,
     /// Edges loaded.
     pub edges: usize,
-    /// Rows across the six relations (the reserved active-domain
-    /// relation excluded).
+    /// Rows across the six relations.
     pub rows: usize,
     /// Fresh dictionary codes this load minted.
     pub codes_minted: usize,
-    /// Distinct values referenced by the load (the active-domain size).
-    pub distinct_values: usize,
     /// Estimated post-load resident bytes by component.
     pub bytes: MemoryBytes,
 }
 
 impl Store {
     /// Bulk-loads `g` as the store's catalog: the six canonical
-    /// relations under `views` (columnar, CSR-indexed where binary),
-    /// the reserved [`ADOM_REL`] relation, and a frozen graph entry
-    /// under `graph_name` — equivalent to registering
+    /// relations under `views` (columnar, CSR-indexed where binary) and
+    /// a frozen graph entry under `graph_name` — equivalent to registering
     /// [`BulkGraph::to_database`] via [`Store::register_database`] +
     /// [`Store::register_view_graph`], but built **directly** from the
     /// generator layout with no intermediate row materialization and no
@@ -250,7 +245,7 @@ impl Store {
         node_limit: usize,
     ) -> Result<BulkLoadStats, StoreError> {
         g.check_shape();
-        self.stats_cache.invalidate();
+        self.derived.invalidate();
         let (n, m) = (g.nodes.len(), g.edges.len());
         // Fail before touching anything: atomicity by ordering.
         if n > node_limit {
@@ -272,7 +267,8 @@ impl Store {
             stream.push(v);
         }
         let before = self.dict.len();
-        let codes = Arc::make_mut(&mut self.dict).bulk_intern_refs(&stream, threads)?;
+        let codes = self.dict.bulk_intern_refs(&stream, threads)?;
+        self.dict.fold();
         drop(stream);
         let node_codes = &codes[..n];
         let edge_codes = &codes[n..n + m];
@@ -324,20 +320,11 @@ impl Store {
         let node_csr = CsrIndex::from_dense_pairs(dense, pairs)?;
         let ids: Vec<Tuple> = g.nodes.iter().map(|v| Tuple::unary(v.clone())).collect();
         let entry = GraphEntry::from_parts(form, views.clone(), 1, ids, Arc::new(node_csr), m);
-        // ---- Active domain from the interned codes, in value order. -
-        let mut adom: Vec<u32> = codes.clone();
-        adom.sort_unstable();
-        adom.dedup();
-        let distinct = adom.len();
-        let dict = Arc::clone(&self.dict);
-        adom.sort_by(|&a, &b| dict.value(a).cmp(dict.value(b)));
-        let adom_col = ColumnarRelation::unary_from_codes(adom);
         // ---- Commit: everything built, nothing left that can fail. --
         let [nn, en, sn, tn, ln, pn] = views;
         self.relations.clear();
         self.adjacency.clear();
         self.graphs.clear();
-        self.adom_dirty = false;
         let rows = g.row_count();
         for (name, col) in [
             (nn, n_col),
@@ -346,7 +333,6 @@ impl Store {
             (tn.clone(), t_col),
             (ln.clone(), l_col),
             (pn, p_col),
-            (ADOM_REL.into(), adom_col),
         ] {
             self.relations.insert(name, Arc::new(col));
         }
@@ -359,7 +345,6 @@ impl Store {
             edges: m,
             rows,
             codes_minted: self.dict.len() - before,
-            distinct_values: distinct,
             bytes: self.memory_bytes(),
         })
     }

@@ -18,26 +18,28 @@
 //! needs them ([`ColumnarRelation::find_live`] and friends — only the
 //! store's writer calls them) builds them, and nothing else does.
 //! Registration and bulk loads build none, so a relation no writer
-//! touches carries its coded columns and nothing more.
+//! touches carries its coded columns and nothing more. Once built they
+//! follow the store's copy-on-write rule: an `Arc`-shared base over the
+//! rows indexed at build time plus an owned tail over rows appended
+//! since, so a copy of the relation copies its flat columns, its bitmap
+//! and the tail — never the per-row maps of the base.
 
 use crate::dict::Dictionary;
 use crate::error::StoreError;
+use crate::store::overlay_oversized;
 use pgq_relational::Relation;
 use pgq_value::Tuple;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// The probe-acceleration side of a [`ColumnarRelation`], built by the
-/// first writer probe that needs it (a ten-million-row
-/// `HashMap<Vec<u32>, usize>` costs more to build than the entire
-/// columnar load, and pure readers never touch it).
+/// One side of a [`RowIndexes`]: probe maps over a range of rows.
 #[derive(Debug, Clone, Default)]
-struct RowIndexes {
+struct RowMaps {
     /// Row codes → physical index, so membership probes are O(1)
     /// instead of a column scan. At most one physical row exists per
     /// code vector (sources are set-semantics relations, and the
     /// store's append path revives a tombstoned twin instead of
-    /// appending a duplicate), so the map is total over the rows.
+    /// appending a duplicate), so the map is total over its rows.
     index: HashMap<Vec<u32>, usize>,
     /// First-column code → physical rows starting with it (ascending).
     /// Together with `last` this serves the store's writer-path
@@ -49,6 +51,65 @@ struct RowIndexes {
     first: HashMap<u32, Vec<usize>>,
     /// Last-column code → physical rows ending with it (ascending).
     last: HashMap<u32, Vec<usize>>,
+}
+
+impl RowMaps {
+    fn insert(&mut self, codes: &[u32], row: usize) {
+        self.index.insert(codes.to_vec(), row);
+        if let [first, .., last] = *codes {
+            self.first.entry(first).or_default().push(row);
+            self.last.entry(last).or_default().push(row);
+        }
+    }
+
+    fn ends(&self, from_end: bool) -> &HashMap<u32, Vec<usize>> {
+        if from_end {
+            &self.last
+        } else {
+            &self.first
+        }
+    }
+
+    fn bytes(&self, arity: usize) -> usize {
+        let key = std::mem::size_of::<Vec<u32>>() + arity * std::mem::size_of::<u32>();
+        let row_map = self.index.capacity() * (key + std::mem::size_of::<usize>() + 8);
+        let bucket_entry = std::mem::size_of::<u32>() + std::mem::size_of::<Vec<usize>>() + 8;
+        let end_maps = (self.first.capacity() + self.last.capacity()) * bucket_entry
+            + (self.first.values().map(Vec::len).sum::<usize>()
+                + self.last.values().map(Vec::len).sum::<usize>())
+                * std::mem::size_of::<usize>();
+        row_map + end_maps
+    }
+}
+
+/// The probe-acceleration side of a [`ColumnarRelation`], built by the
+/// first writer probe that needs it (a ten-million-row
+/// `HashMap<Vec<u32>, usize>` costs more to build than the entire
+/// columnar load, and pure readers never touch it): an `Arc`-shared
+/// base over the rows indexed at build time plus an owned tail over
+/// the rows appended since. Tombstones and revivals change neither.
+#[derive(Debug, Clone)]
+struct RowIndexes {
+    base: Arc<RowMaps>,
+    tail: RowMaps,
+}
+
+impl RowIndexes {
+    fn row(&self, codes: &[u32]) -> Option<usize> {
+        self.base
+            .index
+            .get(codes)
+            .or_else(|| self.tail.index.get(codes))
+            .copied()
+    }
+
+    /// The rows whose first (or, `from_end`, last) column holds `code`,
+    /// ascending: the base's rows precede every tail row.
+    fn bucket(&self, code: u32, from_end: bool) -> impl Iterator<Item = usize> + '_ {
+        let base = self.base.ends(from_end).get(&code);
+        let tail = self.tail.ends(from_end).get(&code);
+        base.into_iter().chain(tail).flatten().copied()
+    }
 }
 
 /// A relation stored as dictionary-coded columns with a validity
@@ -74,26 +135,27 @@ impl ColumnarRelation {
         self.indexes.get_or_init(|| self.build_indexes())
     }
 
-    /// The one index builder: one pass per map, rows in ascending order
-    /// so every bucket is sorted. Out of line, so `OnceLock`'s cold
-    /// initialisation path does not absorb the loops.
+    /// The one index builder: one pass over the rows in ascending order,
+    /// so every bucket is sorted; the result is all base. Out of line,
+    /// so `OnceLock`'s cold initialisation path does not absorb the
+    /// loop.
     #[inline(never)]
     fn build_indexes(&self) -> RowIndexes {
-        let mut ix = RowIndexes {
+        let mut maps = RowMaps {
             index: HashMap::with_capacity(self.physical),
-            ..RowIndexes::default()
+            ..RowMaps::default()
         };
+        let mut row = vec![0; self.arity];
         for i in 0..self.physical {
-            let row: Vec<u32> = (0..self.arity).map(|p| self.columns[p][i]).collect();
-            ix.index.insert(row, i);
-        }
-        if let [first, .., last] = &self.columns[..] {
-            for (i, (&f, &l)) in first.iter().zip(last).enumerate() {
-                ix.first.entry(f).or_default().push(i);
-                ix.last.entry(l).or_default().push(i);
+            for (p, code) in row.iter_mut().enumerate() {
+                *code = self.columns[p][i];
             }
+            maps.insert(&row, i);
         }
-        ix
+        RowIndexes {
+            base: Arc::new(maps),
+            tail: RowMaps::default(),
+        }
     }
 
     /// Whether a probe has built the indexes yet.
@@ -122,26 +184,10 @@ impl ColumnarRelation {
         })
     }
 
-    /// Builds a unary relation directly from codes — used by the store
-    /// to refresh the frozen active domain after updates without a
-    /// decode/re-encode round trip, and by the bulk loader for the
-    /// active-domain relation. The codes must be distinct (both
-    /// callers produce deduplicated code sets).
-    pub fn unary_from_codes(codes: Vec<u32>) -> Self {
-        let n = codes.len();
-        ColumnarRelation {
-            arity: 1,
-            physical: n,
-            live: n,
-            dead: vec![false; n],
-            columns: vec![codes],
-            indexes: OnceLock::new(),
-        }
-    }
-
     /// Builds a relation directly from pre-encoded, equally long,
     /// duplicate-free code columns — the zero-materialization bulk
-    /// path: no `Value` rows, no interning.
+    /// path and the derived active domain: no `Value` rows, no
+    /// interning.
     pub fn from_codes(arity: usize, columns: Vec<Vec<u32>>) -> Self {
         assert_eq!(columns.len(), arity, "one code vector per position");
         let n = columns.first().map_or(0, Vec::len);
@@ -208,23 +254,24 @@ impl ColumnarRelation {
     /// and that no physical row (live or dead) already holds these
     /// codes — the store's append path probes
     /// [`ColumnarRelation::find_live`] / [`ColumnarRelation::find_dead`]
-    /// first.
+    /// first. Built indexes record the row in their tail, which folds
+    /// into a fresh base once it outgrows the overlay policy.
     pub fn append(&mut self, codes: &[u32]) {
         debug_assert_eq!(codes.len(), self.arity);
         for (p, &c) in codes.iter().enumerate() {
             self.columns[p].push(c);
         }
-        if let Some(ix) = self.indexes.get_mut() {
-            debug_assert!(!ix.index.contains_key(codes));
-            ix.index.insert(codes.to_vec(), self.physical);
-            if let [first, .., last] = *codes {
-                ix.first.entry(first).or_default().push(self.physical);
-                ix.last.entry(last).or_default().push(self.physical);
-            }
-        }
+        let fold = self.indexes.get_mut().is_some_and(|ix| {
+            debug_assert!(ix.row(codes).is_none());
+            ix.tail.insert(codes, self.physical);
+            overlay_oversized(ix.tail.index.len(), ix.base.index.len())
+        });
         self.dead.push(false);
         self.physical += 1;
         self.live += 1;
+        if fold {
+            self.indexes = OnceLock::from(self.build_indexes());
+        }
     }
 
     /// Physical index of the first **live** row equal to `codes`.
@@ -243,11 +290,7 @@ impl ColumnarRelation {
         if codes.len() != self.arity {
             return None;
         }
-        self.indexes()
-            .index
-            .get(codes)
-            .copied()
-            .filter(|&i| self.dead[i] == dead)
+        self.indexes().row(codes).filter(|&i| self.dead[i] == dead)
     }
 
     /// Live physical rows whose first `prefix.len()` codes equal
@@ -283,21 +326,15 @@ impl ColumnarRelation {
             return (self.find_live(part).into_iter().collect(), 1);
         }
         let base = if from_end { self.arity - len } else { 0 };
-        let ix = self.indexes();
-        let bucket = if from_end {
-            ix.last.get(&part[len - 1])
-        } else {
-            ix.first.get(&part[0])
-        };
-        let Some(bucket) = bucket else {
-            return (Vec::new(), 0);
-        };
-        let rows = bucket
-            .iter()
-            .copied()
+        let key = if from_end { part[len - 1] } else { part[0] };
+        let mut candidates = 0;
+        let rows = self
+            .indexes()
+            .bucket(key, from_end)
+            .inspect(|_| candidates += 1)
             .filter(|&i| !self.dead[i] && (0..len).all(|p| self.columns[base + p][i] == part[p]))
             .collect();
-        (rows, bucket.len())
+        (rows, candidates)
     }
 
     /// Tombstones physical row `i`; `false` when it was already dead.
@@ -335,27 +372,31 @@ impl ColumnarRelation {
         self.live_rows().map(|i| self.decode_row(i, dict)).collect()
     }
 
-    /// Drops tombstoned rows and rewrites every surviving code through
-    /// `remap` (old code → new code) — the per-relation step of
-    /// `Store::compact`. Returns the number of rows dropped.
-    pub fn compact_remap(&mut self, remap: &mut dyn FnMut(u32) -> u32) -> usize {
-        let dropped = self.tombstones();
+    /// The relation without its tombstoned rows, every surviving code
+    /// rewritten through `remap` (old code → new code, called column by
+    /// column in row order) — the per-relation step of
+    /// `Store::compact`. Probe indexes are built (all base) exactly
+    /// when this relation carried them.
+    pub fn compacted(&self, remap: &mut dyn FnMut(u32) -> u32) -> ColumnarRelation {
         let keep: Vec<usize> = self.live_rows().collect();
-        for col in &mut self.columns {
-            let mut next = Vec::with_capacity(keep.len());
-            for &i in &keep {
-                next.push(remap(col[i]));
-            }
-            *col = next;
+        let columns = self
+            .columns
+            .iter()
+            .map(|col| keep.iter().map(|&i| remap(col[i])).collect())
+            .collect();
+        let n = keep.len();
+        let out = ColumnarRelation {
+            arity: self.arity,
+            physical: n,
+            live: n,
+            columns,
+            dead: vec![false; n],
+            indexes: OnceLock::new(),
+        };
+        if self.has_indexes() {
+            out.indexes();
         }
-        self.physical = keep.len();
-        self.live = keep.len();
-        self.dead = vec![false; keep.len()];
-        // Rebuild the probe indexes only if a probe had built them.
-        if self.indexes.take().is_some() {
-            self.indexes();
-        }
-        dropped
+        out
     }
 
     /// Approximate resident size in bytes (codes only, tombstoned rows
@@ -369,17 +410,25 @@ impl ColumnarRelation {
     /// builds them): the row-hash map with its heap-allocated key
     /// vectors plus the two end-column multimaps.
     pub fn index_bytes(&self) -> usize {
-        let Some(ix) = self.indexes.get() else {
-            return 0;
-        };
-        let key = std::mem::size_of::<Vec<u32>>() + self.arity * std::mem::size_of::<u32>();
-        let row_map = ix.index.capacity() * (key + std::mem::size_of::<usize>() + 8);
-        let bucket_entry = std::mem::size_of::<u32>() + std::mem::size_of::<Vec<usize>>() + 8;
-        let end_maps = (ix.first.capacity() + ix.last.capacity()) * bucket_entry
-            + (ix.first.values().map(Vec::len).sum::<usize>()
-                + ix.last.values().map(Vec::len).sum::<usize>())
-                * std::mem::size_of::<usize>();
-        row_map + end_maps
+        self.indexes.get().map_or(0, |ix| {
+            ix.base.bytes(self.arity) + ix.tail.bytes(self.arity)
+        })
+    }
+
+    /// Whether both relations' probe indexes are built over one shared
+    /// base.
+    #[cfg(test)]
+    pub(crate) fn shares_index_base(&self, other: &Self) -> bool {
+        match (self.indexes.get(), other.indexes.get()) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.base, &b.base),
+            _ => false,
+        }
+    }
+
+    /// Rows the probe-index tail holds (0 when unbuilt).
+    #[cfg(test)]
+    pub(crate) fn index_tail_len(&self) -> usize {
+        self.indexes.get().map_or(0, |ix| ix.tail.index.len())
     }
 }
 
@@ -447,7 +496,8 @@ mod tests {
         col.tombstone(0);
         let (rows, cands) = col.live_rows_with_prefix(&[code("e1")]);
         assert_eq!((rows.len(), cands), (1, 2));
-        col.compact_remap(&mut |c| c);
+        let col = col.compacted(&mut |c| c);
+        assert!(col.has_indexes());
         let e1 = col.code_at(0, 0);
         let (rows, cands) = col.live_rows_with_prefix(&[e1]);
         assert_eq!((rows.len(), cands), (1, 1));
@@ -502,8 +552,8 @@ mod tests {
         // Tombstoned rows stay resident until compaction.
         col.tombstone(row);
         assert_eq!(col.coded_bytes(), 2 * 2 * 4);
-        let dropped = col.compact_remap(&mut |c| c);
-        assert_eq!(dropped, 1);
+        assert_eq!(col.tombstones(), 1);
+        let col = col.compacted(&mut |c| c);
         assert_eq!(col.physical_len(), 1);
         assert_eq!(col.coded_bytes(), 2 * 4);
     }

@@ -17,16 +17,165 @@
 //! The dictionary is **append-only**: re-registering a store never
 //! removes codes, so values that left the database keep their slot
 //! (see the compaction discussion in the crate docs).
+//!
+//! It follows the store's one copy-on-write rule through an
+//! `Interner`: an `Arc`-shared frozen base plus an owned tail of the
+//! codes minted since the last fold. Cloning a dictionary — what every
+//! published snapshot does — copies the tail only; the tail folds into
+//! a fresh base under the overlay fold policy.
 
 use crate::error::StoreError;
+use crate::store::overlay_oversized;
 use pgq_value::Value;
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::Arc;
+
+/// Keys in dense-id order plus the reverse map — one side of an
+/// [`Interner`].
+#[derive(Debug, Clone)]
+struct Keys<K> {
+    keys: Vec<K>,
+    ids: HashMap<K, u32>,
+}
+
+impl<K> Default for Keys<K> {
+    fn default() -> Self {
+        Keys {
+            keys: Vec::new(),
+            ids: HashMap::new(),
+        }
+    }
+}
+
+/// Keys ↔ dense `u32` ids, in first-added order: the shape of the
+/// value dictionary and of a graph entry's identifier table. Held as
+/// an `Arc`-shared frozen base plus an owned tail of the keys added
+/// since the last fold, so a clone copies the tail only — the rule the
+/// CSR bases and the probe indexes follow too.
+#[derive(Debug, Clone)]
+pub(crate) struct Interner<K> {
+    base: Arc<Keys<K>>,
+    tail: Keys<K>,
+}
+
+impl<K> Default for Interner<K> {
+    fn default() -> Self {
+        Interner {
+            base: Arc::default(),
+            tail: Keys::default(),
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone> Interner<K> {
+    /// A frozen base holding `keys` (distinct) in id order, tail empty.
+    pub(crate) fn from_keys(keys: Vec<K>) -> Self {
+        let ids = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (k.clone(), i as u32))
+            .collect();
+        Interner {
+            base: Arc::new(Keys { keys, ids }),
+            tail: Keys::default(),
+        }
+    }
+
+    /// Ids handed out, base and tail.
+    pub(crate) fn len(&self) -> usize {
+        self.base.keys.len() + self.tail.keys.len()
+    }
+
+    /// Ids added since the last fold.
+    pub(crate) fn tail_len(&self) -> usize {
+        self.tail.keys.len()
+    }
+
+    /// The id of `k`, if added.
+    pub(crate) fn get(&self, k: &K) -> Option<u32> {
+        self.base
+            .ids
+            .get(k)
+            .or_else(|| self.tail.ids.get(k))
+            .copied()
+    }
+
+    /// The key behind an id handed out by this interner.
+    pub(crate) fn key(&self, id: u32) -> &K {
+        let i = id as usize;
+        match i.checked_sub(self.base.keys.len()) {
+            Some(t) => &self.tail.keys[t],
+            None => &self.base.keys[i],
+        }
+    }
+
+    /// Every key, in id order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> + '_ {
+        self.base.keys.iter().chain(&self.tail.keys)
+    }
+
+    /// Adds a key the caller knows is absent and returns its id.
+    pub(crate) fn push(&mut self, k: K) -> u32 {
+        let id = self.len() as u32;
+        self.tail.keys.push(k.clone());
+        self.tail.ids.insert(k, id);
+        id
+    }
+
+    /// Pre-sizes the tail for `additional` keys.
+    fn reserve(&mut self, additional: usize) {
+        self.tail.keys.reserve(additional);
+        self.tail.ids.reserve(additional);
+    }
+
+    /// Folds the tail into the base once it has outgrown the overlay
+    /// policy.
+    fn fold_if_oversized(&mut self) {
+        if overlay_oversized(self.tail_len(), self.base.keys.len()) {
+            self.fold();
+        }
+    }
+
+    /// Folds the tail into the base. The base is copied only when a
+    /// snapshot still shares it (an empty base is replaced by the tail
+    /// outright).
+    fn fold(&mut self) {
+        if self.tail.keys.is_empty() {
+            return;
+        }
+        let tail = std::mem::take(&mut self.tail);
+        if self.base.keys.is_empty() {
+            self.base = Arc::new(tail);
+        } else {
+            let base = Arc::make_mut(&mut self.base);
+            base.keys.extend(tail.keys);
+            base.ids.extend(tail.ids);
+        }
+    }
+
+    /// Whether `self` and `other` share one frozen base.
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+
+    /// Estimated resident heap bytes, `heap` counting what one key owns
+    /// beyond its inline size.
+    pub(crate) fn resident_bytes(&self, heap: impl Fn(&K) -> usize) -> usize {
+        let key = std::mem::size_of::<K>();
+        let side = |k: &Keys<K>| {
+            k.keys.capacity() * key + k.ids.capacity() * (key + std::mem::size_of::<u32>() + 8)
+        };
+        // Owned payloads live once in the vector and once as map keys.
+        side(&self.base) + side(&self.tail) + 2 * self.keys().map(heap).sum::<usize>()
+    }
+}
 
 /// An append-only value dictionary: `Value ↔ u32` in first-seen order.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
-    values: Vec<Value>,
-    codes: HashMap<Value, u32>,
+    names: Interner<Value>,
     /// Maximum number of codes this dictionary may mint. Defaults to
     /// the full `u32` space; tests lower it to exercise the
     /// [`StoreError::DictionaryFull`] path without 2³² interns.
@@ -36,8 +185,7 @@ pub struct Dictionary {
 impl Default for Dictionary {
     fn default() -> Self {
         Dictionary {
-            values: Vec::new(),
-            codes: HashMap::new(),
+            names: Interner::default(),
             limit: Dictionary::MAX_CODES,
         }
     }
@@ -62,31 +210,29 @@ impl Dictionary {
         }
     }
 
+    /// A frozen dictionary holding `values` (distinct) under codes
+    /// `0..` in order — the rebuilt dictionary of `Store::compact`.
+    pub(crate) fn from_values(values: Vec<Value>, limit: usize) -> Self {
+        Dictionary {
+            names: Interner::from_keys(values),
+            limit,
+        }
+    }
+
     /// Interns `v`, returning its (possibly pre-existing) code, or
     /// [`StoreError::DictionaryFull`] when the code space is exhausted
     /// — the error every registration path propagates instead of
     /// panicking mid-load.
     pub fn intern(&mut self, v: &Value) -> Result<u32, StoreError> {
-        if let Some(&c) = self.codes.get(v) {
+        if let Some(c) = self.names.get(v) {
             return Ok(c);
         }
-        if self.values.len() >= self.limit {
+        if self.len() >= self.limit {
             return Err(StoreError::DictionaryFull { limit: self.limit });
         }
-        let c = self.values.len() as u32;
-        self.values.push(v.clone());
-        self.codes.insert(v.clone(), c);
+        let c = self.names.push(v.clone());
+        self.names.fold_if_oversized();
         Ok(c)
-    }
-
-    /// Pre-sizes both sides of the dictionary for `additional` fresh
-    /// interns. Bulk ingest calls this once up front so a million-value
-    /// load performs zero `HashMap` re-hashes and zero `Vec` regrowth
-    /// mid-stream — the "re-hash storm" fix of PR 9. A no-op when the
-    /// capacity is already there.
-    pub fn reserve(&mut self, additional: usize) {
-        self.values.reserve(additional);
-        self.codes.reserve(additional);
     }
 
     /// Interns a batch of values and returns their codes in input
@@ -134,30 +280,24 @@ impl Dictionary {
                 fresh.insert(values[i]);
             }
         }
-        if self.values.len() + fresh.len() > self.limit {
+        if self.len() + fresh.len() > self.limit {
             return Err(StoreError::DictionaryFull { limit: self.limit });
         }
-        // Append phase (sequential, pre-sized): mint in first-seen order.
-        self.reserve(fresh.len());
-        let base = self.values.len() as u32;
-        let mut minted: HashMap<&Value, u32> = HashMap::with_capacity(fresh.len());
+        // Append phase (sequential, pre-sized): mint in first-seen
+        // order; a repeat finds the code its first occurrence minted.
+        self.names.reserve(fresh.len());
         drop(fresh);
         for (i, slot) in codes.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
+            if slot.is_none() {
+                let v = values[i];
+                *slot = Some(
+                    self.names
+                        .get(v)
+                        .unwrap_or_else(|| self.names.push(v.clone())),
+                );
             }
-            let v = values[i];
-            let c = if let Some(&c) = minted.get(v) {
-                c
-            } else {
-                let c = base + minted.len() as u32;
-                minted.insert(v, c);
-                self.values.push(v.clone());
-                self.codes.insert(v.clone(), c);
-                c
-            };
-            *slot = Some(c);
         }
+        self.names.fold_if_oversized();
         Ok(codes
             .into_iter()
             .map(|c| c.expect("every slot filled"))
@@ -172,44 +312,47 @@ impl Dictionary {
 
     /// Estimated resident heap bytes: the value vector, the string
     /// payloads it owns, and the code map (entries plus per-slot
-    /// bookkeeping). An estimate — Rust gives no exact malloc
-    /// accounting without a custom allocator — but a faithful one for
-    /// the structures that dominate at scale.
+    /// bookkeeping), base and tail. An estimate — Rust gives no exact
+    /// malloc accounting without a custom allocator — but a faithful
+    /// one for the structures that dominate at scale.
     pub fn resident_bytes(&self) -> usize {
-        let value = std::mem::size_of::<Value>();
-        let heap: usize = self
-            .values
-            .iter()
-            .filter_map(|v| v.as_str().map(str::len))
-            .sum();
-        // Strings live once in `values` and once as map keys.
-        let vec_side = self.values.capacity() * value;
-        let map_side = self.codes.capacity() * (value + std::mem::size_of::<u32>() + 8);
-        vec_side + map_side + 2 * heap
+        self.names
+            .resident_bytes(|v| v.as_str().map_or(0, str::len))
     }
 
     /// The code of `v`, if it has been interned.
     pub fn code(&self, v: &Value) -> Option<u32> {
-        self.codes.get(v).copied()
+        self.names.get(v)
     }
 
     /// The value behind a code. Codes are only minted by
     /// [`Dictionary::intern`], so a code held by any store structure is
     /// always decodable.
     pub fn value(&self, code: u32) -> &Value {
-        &self.values[code as usize]
+        self.names.key(code)
     }
 
     /// Number of distinct interned values (total codes ever minted —
     /// the append-only dictionary never forgets; see
     /// `Store::stats` for live vs. total accounting).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.names.len()
     }
 
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
+    }
+
+    /// Folds every code minted since the last fold into the base.
+    pub(crate) fn fold(&mut self) {
+        self.names.fold();
+    }
+
+    /// The value side: base and tail.
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> &Interner<Value> {
+        &self.names
     }
 }
 
@@ -285,5 +428,35 @@ mod tests {
             Err(StoreError::DictionaryFull { limit: 2 })
         ));
         assert_eq!(d.len(), 2);
+    }
+
+    /// A clone shares the frozen base and copies the tail; codes and
+    /// values read the same through either side of a fold, and a fold
+    /// leaves the clone's base untouched.
+    #[test]
+    fn clones_share_the_base_and_folds_keep_every_code() {
+        let mut d = Dictionary::new();
+        let first: Vec<u32> = (0..100)
+            .map(|i| d.intern(&Value::int(i)).unwrap())
+            .collect();
+        let pinned = d.clone();
+        assert!(pinned.names().shares_base(d.names()));
+        // Below the fold threshold the new codes sit in the tail.
+        let tail: Vec<u32> = (100..110)
+            .map(|i| d.intern(&Value::int(i)).unwrap())
+            .collect();
+        assert!(pinned.names().shares_base(d.names()));
+        assert_eq!(d.names().tail_len() - pinned.names().tail_len(), 10);
+        // Enough fresh codes fold the tail: only `d` gets a new base.
+        for i in 110..400 {
+            d.intern(&Value::int(i)).unwrap();
+        }
+        assert!(!pinned.names().shares_base(d.names()));
+        assert_eq!(pinned.len(), 100);
+        for (i, &c) in first.iter().chain(&tail).enumerate() {
+            assert_eq!(d.code(&Value::int(i as i64)), Some(c));
+            assert_eq!(d.value(c), &Value::int(i as i64));
+        }
+        assert_eq!(pinned.code(&Value::int(105)), None);
     }
 }

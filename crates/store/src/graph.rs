@@ -2,15 +2,22 @@
 //! interned identifiers plus **one** node-level CSR adjacency, read
 //! through a delta overlay after updates. Labels and properties are
 //! not indexed here: they are rows of the view's `L`/`P` relations.
+//!
+//! Both halves follow the store's one copy-on-write rule: an
+//! `Arc`-shared frozen base (the identifier table's base, the CSR) plus
+//! a small owned tail (nodes added since the freeze, the adjacency
+//! delta), folded together by `GraphEntry::fold`. Cloning an entry —
+//! what every published snapshot does — copies the tails only.
 
 use crate::csr::{AdjacencyView, CsrIndex, DeltaAdjacency};
+use crate::dict::Interner;
 use crate::error::{GraphForm, StoreError};
 use crate::stats::{AdjacencyStatistics, GraphStatistics};
 use crate::store::overlay_oversized;
 use pgq_graph::PropertyGraph;
 use pgq_relational::RelName;
 use pgq_value::Tuple;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A property-graph index: interned identifiers plus one CSR adjacency
@@ -21,11 +28,10 @@ pub struct GraphEntry {
     form: GraphForm,
     views: [RelName; 6],
     id_arity: usize,
-    /// Dense node id → identifier tuple (appended past the frozen
-    /// universe by `AddNode`; tombstoned ids stay until a fold).
-    ids: Vec<Tuple>,
-    /// Identifier tuple → dense id.
-    id_of: HashMap<Tuple, u32>,
+    /// Identifier tuple ↔ dense node id: the base is the frozen
+    /// universe, the tail the nodes `AddNode` appended past it
+    /// (tombstoned ids stay until a fold).
+    ids: Interner<Tuple>,
     /// Dense ids of removed nodes.
     dead: HashSet<u32>,
     /// Node-level adjacency over dense ids (edge identities collapsed).
@@ -43,18 +49,16 @@ impl GraphEntry {
         views: [RelName; 6],
         form: GraphForm,
     ) -> Result<Self, StoreError> {
-        let mut ids: Vec<Tuple> = Vec::with_capacity(g.node_count());
-        let mut id_of: HashMap<Tuple, u32> = HashMap::with_capacity(g.node_count());
-        for n in g.nodes() {
-            let dense = u32::try_from(ids.len()).map_err(|_| StoreError::NodeUniverseFull {
+        if g.node_count() > CsrIndex::MAX_NODES {
+            return Err(StoreError::NodeUniverseFull {
                 limit: CsrIndex::MAX_NODES,
-            })?;
-            id_of.insert(n.clone(), dense);
-            ids.push(n.clone());
+            });
         }
+        let ids = Interner::from_keys(g.nodes().cloned().collect());
+        let dense = |n: &Tuple| ids.get(n).expect("edge endpoints are nodes");
         let pairs: Vec<(u32, u32)> = g
             .edge_triples()
-            .map(|(_, s, t)| (id_of[s], id_of[t]))
+            .map(|(_, s, t)| (dense(s), dense(t)))
             .collect();
         Ok(GraphEntry {
             form,
@@ -63,7 +67,6 @@ impl GraphEntry {
             csr: Arc::new(CsrIndex::build(0..ids.len() as u32, &pairs)?),
             delta: DeltaAdjacency::new(),
             edge_count: g.edge_count(),
-            id_of,
             dead: HashSet::new(),
             ids,
         })
@@ -82,21 +85,15 @@ impl GraphEntry {
         csr: Arc<CsrIndex>,
         edge_count: usize,
     ) -> Self {
-        let id_of = ids
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i as u32))
-            .collect();
         GraphEntry {
             form,
             views,
             id_arity,
-            id_of,
+            ids: Interner::from_keys(ids),
             dead: HashSet::new(),
             csr,
             delta: DeltaAdjacency::new(),
             edge_count,
-            ids,
         }
     }
 
@@ -134,7 +131,7 @@ impl GraphEntry {
     /// nodes — the numbers `STATS` reports and the fold threshold
     /// weighs.
     pub fn overlay_size(&self) -> usize {
-        self.delta.change_count() + self.dead.len() + (self.ids.len() - self.csr.node_count())
+        self.delta.change_count() + self.dead.len() + self.ids.tail_len()
     }
 
     /// Whether any read goes through an overlay.
@@ -169,31 +166,35 @@ impl GraphEntry {
         )
     }
 
+    /// The identifier table: frozen base plus appended tail.
+    #[cfg(test)]
+    pub(crate) fn ids(&self) -> &Interner<Tuple> {
+        &self.ids
+    }
+
     /// Dense id of a **live** node.
     pub(crate) fn live_dense(&self, id: &Tuple) -> Option<u32> {
-        self.id_of
-            .get(id)
-            .copied()
-            .filter(|d| !self.dead.contains(d))
+        self.ids.get(id).filter(|d| !self.dead.contains(d))
     }
 
     /// Registers a node identifier (revives a tombstoned one in place).
     pub(crate) fn add_node(&mut self, id: &Tuple) -> Result<(), StoreError> {
-        if let Some(&d) = self.id_of.get(id) {
+        if let Some(d) = self.ids.get(id) {
             self.dead.remove(&d);
             return Ok(());
         }
-        let dense = u32::try_from(self.ids.len()).map_err(|_| StoreError::NodeUniverseFull {
-            limit: CsrIndex::MAX_NODES,
-        })?;
-        self.id_of.insert(id.clone(), dense);
+        if self.ids.len() >= CsrIndex::MAX_NODES {
+            return Err(StoreError::NodeUniverseFull {
+                limit: CsrIndex::MAX_NODES,
+            });
+        }
         self.ids.push(id.clone());
         Ok(())
     }
 
     /// Tombstones a node (the caller has removed its incident edges).
     pub(crate) fn remove_node(&mut self, id: &Tuple) {
-        if let Some(&d) = self.id_of.get(id) {
+        if let Some(d) = self.ids.get(id) {
             self.dead.insert(d);
         }
     }
@@ -215,7 +216,7 @@ impl GraphEntry {
         if !last {
             return;
         }
-        if let (Some(&ds), Some(&dt)) = (self.id_of.get(src), self.id_of.get(tgt)) {
+        if let (Some(ds), Some(dt)) = (self.ids.get(src), self.ids.get(tgt)) {
             let in_base = self.csr.has_pair(ds, dt);
             self.delta.remove(ds, dt, in_base);
         }
@@ -230,31 +231,22 @@ impl GraphEntry {
         }
         let mut live: Vec<Tuple> = (0..self.ids.len() as u32)
             .filter(|d| !self.dead.contains(d))
-            .map(|d| self.ids[d as usize].clone())
+            .map(|d| self.ids.key(d).clone())
             .collect();
         live.sort();
-        let id_of: HashMap<Tuple, u32> = live
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i as u32))
-            .collect();
+        let ids = Interner::from_keys(live);
         // Dead endpoints cannot carry effective pairs (updates remove
         // incident edges first); filter defensively all the same.
         let pairs: Vec<(u32, u32)> = self
             .adjacency()
             .effective_pairs()
             .into_iter()
-            .filter_map(|(s, t)| {
-                let s = id_of.get(&self.ids[s as usize])?;
-                let t = id_of.get(&self.ids[t as usize])?;
-                Some((*s, *t))
-            })
+            .filter_map(|(s, t)| Some((ids.get(self.ids.key(s))?, ids.get(self.ids.key(t))?)))
             .collect();
-        self.csr = Arc::new(CsrIndex::build(0..live.len() as u32, &pairs)?);
+        self.csr = Arc::new(CsrIndex::build(0..ids.len() as u32, &pairs)?);
         self.delta = DeltaAdjacency::new();
         self.dead.clear();
-        self.ids = live;
-        self.id_of = id_of;
+        self.ids = ids;
         Ok(())
     }
 }
@@ -277,11 +269,11 @@ pub(crate) mod tests {
         for s in (0..entry.ids.len() as u32).filter(|s| !entry.dead.contains(s)) {
             let mut seeds = Vec::new();
             view.for_each_out(s, |t| seeds.push(t));
-            let a = &entry.ids[s as usize];
+            let a = entry.ids.key(s);
             rows.extend(
                 view.reach_from(seeds)
                     .into_iter()
-                    .map(|t| a.concat(&entry.ids[t as usize])),
+                    .map(|t| a.concat(entry.ids.key(t))),
             );
         }
         Relation::from_rows(2 * entry.id_arity, rows).unwrap()

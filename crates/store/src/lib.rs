@@ -57,7 +57,13 @@
 //! ([`AdjacencyView`]). Evaluation cost after an update tracks the
 //! **delta**, not the database: no re-interning, no `pgView`
 //! re-validation, no CSR rebuild until the overlay outgrows its
-//! threshold and is folded back into a fresh index.
+//! threshold and is folded back into a fresh index. So does the copy a
+//! write makes: every piece the writer touches is an `Arc`-shared
+//! frozen base plus a small owned tail (the `store` module docs), so a
+//! [`ConcurrentStore`] batch on a clone of the published snapshot
+//! copies its batch, not the store. The active domain
+//! ([`ADOM_REL`]) is derived from the live rows on read, never
+//! maintained.
 //!
 //! ## Compaction
 //!

@@ -1,6 +1,7 @@
 //! The storage-layout report: [`Store::stats`] / [`Store::memory_bytes`]
 //! and the [`StoreStats`] family they return (the shell's `STATS`).
 
+use crate::column::ColumnarRelation;
 use crate::graph::GraphEntry;
 use crate::store::{CompactionStats, Store};
 use std::fmt;
@@ -54,7 +55,8 @@ impl Store {
                 .relations
                 .values()
                 .map(|c| c.coded_bytes() + c.index_bytes())
-                .sum(),
+                .sum::<usize>()
+                + self.derived_adom().map_or(0, ColumnarRelation::coded_bytes),
             csr: self
                 .adjacency
                 .values()
@@ -89,7 +91,8 @@ pub struct MemoryBytes {
     /// Value dictionary: value vector, code map, string payloads.
     pub dictionary: usize,
     /// Columnar relations: coded columns plus the row/end probe indexes
-    /// a writer has built (none until its first probe of the relation).
+    /// a writer has built (none until its first probe of the relation),
+    /// and the derived active domain once a reader has asked for it.
     pub columns: usize,
     /// Frozen CSR indexes: one per binary relation plus one per
     /// registered graph.

@@ -1,10 +1,13 @@
 //! Concurrent snapshot publication over [`Store`] (ARCHITECTURE.md §2
 //! step 11; DESIGN.md §5).
 //!
-//! A [`Store`] is cheap to clone since its bulky immutable pieces (the
-//! value dictionary, relation columns, frozen CSR bases) are
-//! `Arc`-shared. [`ConcurrentStore`] turns that into multi-version
-//! concurrency control with a single-writer / many-reader discipline:
+//! A [`Store`] is cheap to clone: every piece a write touches is an
+//! `Arc`-shared frozen base plus a small owned tail (the store's one
+//! copy-on-write rule, `store` module docs), so a clone copies tails
+//! and the flat columns of the relations a batch then touches — a
+//! write copies its batch, not the store. [`ConcurrentStore`] turns
+//! that into multi-version concurrency control with a single-writer /
+//! many-reader discipline:
 //!
 //! 1. **pin** — readers call [`ConcurrentStore::pin`] and get a
 //!    [`StoreSnapshot`]: an immutable, `Arc`-shared store state they
@@ -12,9 +15,10 @@
 //! 2. **evaluate** — pinned evaluation never takes the writer lock, so
 //!    readers proceed while a writer batch is in flight;
 //! 3. **publish** — [`ConcurrentStore::write`] serializes writers on a
-//!    mutex, applies the whole batch to a private working copy, and —
-//!    only if the batch succeeds — atomically swaps the published
-//!    snapshot. A failed batch publishes *nothing* (batch atomicity;
+//!    mutex, applies the whole batch to a working clone of the
+//!    published snapshot, and — only if the batch returns `Ok` —
+//!    publishes that clone. A failed or panicking batch publishes
+//!    *nothing* and leaves nothing behind (batch atomicity;
 //!    deliberately stricter than the single-session
 //!    [`Store::apply_updates`] applied-prefix contract, so concurrent
 //!    readers never observe a half-applied batch);
@@ -76,15 +80,16 @@ impl From<Store> for StoreSnapshot {
 /// Lock discipline: `writer` serializes mutation batches and is held
 /// across the whole clone → apply → publish cycle; `published` is a
 /// read-mostly slot held only for the instant of a pointer swap or
-/// clone. Readers never touch `writer`; writers touch `published`
-/// once, after the batch committed. Poisoning is survivable by
-/// construction — a panicking batch dies with its private working
-/// copy, the published snapshot still holds the last committed state —
-/// so both locks recover via [`PoisonError::into_inner`] instead of
+/// clone, and is the one copy of the last committed state. Readers
+/// never touch `writer`; writers touch `published` to clone it and,
+/// after the batch committed, to swap it. Poisoning is survivable by
+/// construction — a panicking batch dies with its working clone, the
+/// published snapshot still holds the last committed state — so both
+/// locks recover via [`PoisonError::into_inner`] instead of
 /// propagating the panic to every future caller.
 #[derive(Debug)]
 pub struct ConcurrentStore {
-    writer: Mutex<Store>,
+    writer: Mutex<()>,
     published: RwLock<StoreSnapshot>,
 }
 
@@ -93,8 +98,8 @@ impl ConcurrentStore {
     /// snapshot.
     pub fn new(store: Store) -> Self {
         ConcurrentStore {
-            published: RwLock::new(StoreSnapshot::new(store.clone())),
-            writer: Mutex::new(store),
+            published: RwLock::new(StoreSnapshot::new(store)),
+            writer: Mutex::new(()),
         }
     }
 
@@ -107,28 +112,26 @@ impl ConcurrentStore {
             .clone()
     }
 
-    /// Runs a mutation batch under the serialized writer and, **iff it
-    /// returns `Ok`**, publishes the post-batch state as a new
-    /// snapshot. On `Err` the working copy is rolled back to the last
-    /// committed state and nothing is published — readers never see a
-    /// partially applied batch.
+    /// Runs a mutation batch under the serialized writer on a working
+    /// clone of the published snapshot and, **iff it returns `Ok`**,
+    /// publishes that clone as the new snapshot. On `Err` — or a panic
+    /// — the clone is dropped and nothing is published: readers never
+    /// see a partially applied batch, and the next writer starts from
+    /// the last committed state.
     pub fn write<T, E>(&self, batch: impl FnOnce(&mut Store) -> Result<T, E>) -> Result<T, E> {
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let committed = writer.clone();
-        match batch(&mut writer) {
-            Ok(out) => {
-                let snapshot = StoreSnapshot::new(writer.clone());
-                *self
-                    .published
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner) = snapshot;
-                Ok(out)
-            }
-            Err(e) => {
-                *writer = committed;
-                Err(e)
-            }
-        }
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut work = Store::clone(&self.pin());
+        let out = batch(&mut work)?;
+        let retired = std::mem::replace(
+            &mut *self
+                .published
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+            StoreSnapshot::new(work),
+        );
+        // Freed (when no reader pins it) outside the published lock.
+        drop(retired);
+        Ok(out)
     }
 
     /// Compaction as a snapshot swap: rebuilds the dictionary and
@@ -155,7 +158,10 @@ impl Default for ConcurrentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgq_relational::Relation;
+    use crate::{BulkGraph, GraphForm};
+    use pgq_graph::Update;
+    use pgq_relational::{RelName, Relation};
+    use pgq_value::{tuple, Tuple, Value};
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -166,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_batch_publishes_nothing_and_rolls_back() {
+    fn failed_batch_publishes_nothing() {
         let store = ConcurrentStore::default();
         let before = store.pin();
         let out: Result<(), &str> = store.write(|s| {
@@ -177,14 +183,131 @@ mod tests {
         assert_eq!(out, Err("boom"));
         let after = store.pin();
         assert!(StoreSnapshot::ptr_eq(&before, &after));
-        // The rollback also reset the writer's working copy: the next
-        // committed batch starts from the last published state.
+        // The next committed batch starts from the last published state.
         store
             .write(|s| -> Result<(), StoreError> {
                 assert_eq!(s.stats().dictionary_total, 0);
                 Ok(())
             })
             .unwrap();
+    }
+
+    /// A batch that panics half-way leaves nothing behind: the poisoned
+    /// writer lock recovers, and the next write starts from the last
+    /// committed state, not from the half-applied working clone.
+    #[test]
+    fn a_panicking_batch_publishes_nothing() {
+        let store = ConcurrentStore::default();
+        store
+            .write(|s| s.register_relation("R".into(), &Relation::unary([1i64])))
+            .unwrap();
+        let committed = store.pin();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.write(|s| -> Result<(), StoreError> {
+                s.register_relation("R".into(), &Relation::unary([2i64]))?;
+                panic!("the batch dies after its first step");
+            })
+        }));
+        assert!(died.is_err());
+        assert!(StoreSnapshot::ptr_eq(&committed, &store.pin()));
+        store
+            .write(|s| -> Result<(), StoreError> {
+                assert_eq!(s.scan(&"R".into()).unwrap(), vec![tuple![1]]);
+                assert_eq!(s.dict().len(), 1);
+                Ok(())
+            })
+            .unwrap();
+    }
+
+    /// The copy-on-write rule, held exactly: one `embed_churn`-shaped
+    /// batch (16 fresh edges, each with its label and amount, and the
+    /// previous batch's 16 edges removed: 64 updates) on 10⁴ nodes /
+    /// 5 × 10⁴ edges publishes a snapshot that shares every frozen base
+    /// with the one before it — probe indexes, dictionary, graph
+    /// identifiers, CSRs — and whose tails hold at most what the batch
+    /// added.
+    #[test]
+    fn a_write_copies_its_batch_not_the_store() {
+        const NODES: u32 = 10_000;
+        const EDGES: u32 = 50_000;
+        const BATCH: i64 = 16;
+        let views: [RelName; 6] = ["N", "E", "S", "T", "L", "P"].map(Into::into);
+        let node = |i: i64| Tuple::unary(Value::str(format!("acct{i}")));
+        let edge = |j: i64| Tuple::unary(Value::int(j));
+        let mut g = BulkGraph::new();
+        for i in 0..NODES {
+            let n = g.add_node(node(i.into())[0].clone());
+            g.node_props
+                .push((n, Value::str("isBlocked"), Value::bool(i % 97 == 0)));
+        }
+        let mut x = 1u64;
+        for j in 0..EDGES {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (s, t) = ((x >> 40) as u32 % NODES, (x >> 16) as u32 % NODES);
+            let e = g.add_edge(Value::int(j.into()), s, t);
+            g.labels.push((e, Value::str("Transfer")));
+            g.edge_props
+                .push((e, Value::str("amount"), Value::int((j % 1000).into())));
+        }
+        let mut store = Store::new();
+        store
+            .bulk_load("G", views.clone(), GraphForm::Exact(1), &g, 1)
+            .unwrap();
+        let batch = |round: i64| {
+            let mut updates = Vec::new();
+            for k in 0..BATCH {
+                let id = edge(1_000_000 + round * BATCH + k);
+                updates.push(Update::AddEdge {
+                    id: id.clone(),
+                    src: node(k * 37),
+                    tgt: node(k * 91 + round),
+                });
+                updates.push(Update::AddLabel(id.clone(), Value::str("Transfer")));
+                updates.push(Update::SetProp(id, Value::str("amount"), Value::int(k)));
+            }
+            if round > 0 {
+                let gone = (0..BATCH).map(|k| edge(1_000_000 + (round - 1) * BATCH + k));
+                updates.extend(gone.map(Update::RemoveEdge));
+            }
+            updates
+        };
+        let cs = ConcurrentStore::new(store);
+        // The first batch builds the probe indexes its probes need;
+        // compaction rebuilds exactly those as bases and folds every
+        // tail.
+        cs.write(|s| s.apply_updates("G", &batch(0))).unwrap();
+        cs.compact().unwrap();
+        let a = cs.pin();
+        assert_eq!(batch(1).len(), 64);
+        cs.write(|s| s.apply_updates("G", &batch(1))).unwrap();
+        let b = cs.pin();
+        let (n, rest) = views.split_first().unwrap();
+        assert!(!b.relation(n).unwrap().has_indexes(), "no writer probed N");
+        for name in rest {
+            let (ra, rb) = (a.relation(name).unwrap(), b.relation(name).unwrap());
+            assert!(ra.shares_index_base(rb), "{name}: probe-index base");
+            assert_eq!(ra.index_tail_len(), 0, "{name}: compaction folds");
+            assert!(rb.index_tail_len() <= BATCH as usize, "{name}: tail");
+        }
+        for name in ["S", "T", "L"].map(RelName::from) {
+            let (ca, cb) = (a.adjacency(&name).unwrap(), b.adjacency(&name).unwrap());
+            assert!(std::ptr::eq(ca.base(), cb.base()), "{name}: CSR base");
+        }
+        assert!(
+            a.dict.names().shares_base(b.dict.names()),
+            "dictionary base"
+        );
+        assert_eq!(a.dict.names().tail_len(), 0);
+        assert!(
+            b.dict.names().tail_len() <= BATCH as usize,
+            "fresh edge ids"
+        );
+        let (ga, gb) = (a.graph("G").unwrap(), b.graph("G").unwrap());
+        assert!(ga.ids().shares_base(gb.ids()), "graph identifier base");
+        assert_eq!(gb.ids().tail_len(), 0, "the batch adds no node");
+        assert!(std::ptr::eq(ga.adjacency().base(), gb.adjacency().base()));
     }
 
     #[test]

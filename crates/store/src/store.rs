@@ -17,6 +17,19 @@
 //! rebuilds the dictionary retaining only live codes, dropping
 //! tombstoned rows and folding every overlay — `STATS` (the `report`
 //! module) reports the gap so sessions can decide when it pays.
+//!
+//! Everything a write touches follows **one copy-on-write rule**: an
+//! `Arc`-shared frozen base plus a small owned tail — a CSR and its
+//! [`DeltaAdjacency`], a relation's probe-index base and the rows
+//! appended since, the dictionary's base and the codes minted since, a
+//! graph's identifier base and the nodes added since. A tail folds into
+//! a fresh base under the overlay fold policy (`overlay_oversized`) and
+//! in [`Store::compact`].
+//! Cloning a store therefore copies tails only, and the first write to
+//! a relation copies its flat columns and validity bitmap (a memcpy) —
+//! a write copies its batch, not the store. The active domain
+//! [`ADOM_REL`] is not stored at all: it is derived from the live rows
+//! when a reader asks for it.
 
 use crate::column::ColumnarRelation;
 use crate::counters::AccessCounters;
@@ -28,13 +41,15 @@ use crate::stats::StoreStatistics;
 use pgq_graph::{pg_view_bounded, pg_view_exact, pg_view_ext, ViewMode, ViewRelations};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_value::{Tuple, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// The reserved relation name under which the store registers the
-/// active domain `adom(D)` as a unary relation, so `AdomScan` plans can
-/// lower onto an `IndexScan` instead of re-deriving the domain.
+/// The reserved relation name under which the store answers the
+/// active domain `adom(D)` of its live rows as a unary relation, so
+/// `AdomScan` plans can lower onto an `IndexScan`. Nothing maintains
+/// it: [`Store::relation`] derives it, in value order, the first time
+/// a state is asked for it.
 pub const ADOM_REL: &str = "⟨adom⟩";
 
 /// Fold policy: an overlay is oversized once it records at least 32
@@ -99,50 +114,51 @@ impl fmt::Display for CompactionStats {
 /// The session catalog: dictionary-coded relations, CSR adjacency for
 /// binary relations, and graph views — registered once, then maintained
 /// in place by the update entry points.
-/// Since PR 8 the bulky immutable pieces — the value dictionary, each
-/// relation's columns, and every frozen CSR base — sit behind `Arc`s:
-/// cloning a `Store` is cheap (shared payloads, copy-on-write via
-/// [`Arc::make_mut`] on mutation), which is what lets
-/// [`crate::ConcurrentStore`] publish every committed state as an
-/// immutable [`crate::StoreSnapshot`] while readers keep older
+/// Cloning a `Store` shares every frozen base and copies the tails
+/// (the module's copy-on-write rule; an untouched relation is one
+/// shared `Arc`), which is what lets [`crate::ConcurrentStore`] run
+/// each batch on a working clone and publish every committed state as
+/// an immutable [`crate::StoreSnapshot`] while readers keep older
 /// snapshots pinned.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    pub(crate) dict: Arc<Dictionary>,
+    pub(crate) dict: Dictionary,
     pub(crate) relations: BTreeMap<RelName, Arc<ColumnarRelation>>,
     pub(crate) adjacency: BTreeMap<RelName, CsrWithDelta>,
     pub(crate) graphs: BTreeMap<String, GraphEntry>,
-    /// Set when a deletion may have shrunk the active domain; the
-    /// reserved ⟨adom⟩ relation is then recomputed once per batch.
-    pub(crate) adom_dirty: bool,
     pub(crate) last_compaction: Option<CompactionStats>,
     /// Session-cumulative access counters (`&self`-recorded, relaxed
     /// atomics), surfaced by the shell's `METRICS;`. `Arc`-shared so
     /// every snapshot clone of the store records into the same totals —
     /// a server's `METRICS` aggregates across all published snapshots.
     pub(crate) counters: Arc<AccessCounters>,
-    /// Lazily-computed planner statistics (PR 10). Shared by snapshot
-    /// clones exactly like the columns and CSR bases; every mutation
-    /// swaps in a fresh slot (see [`StatsCache::invalidate`]).
-    pub(crate) stats_cache: StatsCache,
+    /// What is derived from the state on first read — planner
+    /// statistics (PR 10) and the active domain. Shared by snapshot
+    /// clones like the frozen bases; every mutation swaps in fresh
+    /// slots (see [`Derived::invalidate`]).
+    pub(crate) derived: Derived,
 }
 
-/// The cached [`StoreStatistics`] slot plus its invalidation epoch.
+/// The per-version slots of what a reader derives from the state — the
+/// cached [`StoreStatistics`] and the [`ADOM_REL`] relation — plus the
+/// invalidation epoch.
 ///
-/// Cloning a [`Store`] clones the `Arc` — a pinned snapshot keeps the
-/// statistics computed against the state it pins, for free. A mutation
-/// replaces the slot (never writes through it), so no clone ever
-/// observes statistics newer than its data, and bumps the epoch — the
-/// staleness suite asserts the bump per mutation class.
+/// Cloning a [`Store`] clones the `Arc`s — a pinned snapshot keeps what
+/// was derived against the state it pins, for free. A mutation replaces
+/// the slots (never writes through them), so no clone ever observes a
+/// derivation newer than its data, and bumps the epoch — the staleness
+/// suite asserts the bump per mutation class.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct StatsCache {
-    slot: Arc<OnceLock<Arc<StoreStatistics>>>,
+pub(crate) struct Derived {
+    statistics: Arc<OnceLock<Arc<StoreStatistics>>>,
+    adom: Arc<OnceLock<ColumnarRelation>>,
     epoch: u64,
 }
 
-impl StatsCache {
+impl Derived {
     pub(crate) fn invalidate(&mut self) {
-        self.slot = Arc::new(OnceLock::new());
+        self.statistics = Arc::default();
+        self.adom = Arc::default();
         self.epoch += 1;
     }
 }
@@ -159,7 +175,7 @@ impl Store {
     /// without 2³² interns.
     pub fn with_dict_limit(limit: usize) -> Self {
         Store {
-            dict: Arc::new(Dictionary::with_limit(limit)),
+            dict: Dictionary::with_limit(limit),
             ..Store::default()
         }
     }
@@ -174,13 +190,13 @@ impl Store {
     /// The planner statistics of the current state — computed on first
     /// use, then served from the cache until the next mutation (the two
     /// `Arc`s compare `ptr_eq` while the cache holds). See
-    /// [`StoreStatistics`] for what is summarized and `StatsCache`
+    /// [`StoreStatistics`] for what is summarized and `Derived`
     /// (crate-private) for the snapshot-consistency contract.
     pub fn statistics(&self) -> Arc<StoreStatistics> {
         Arc::clone(
-            self.stats_cache
-                .slot
-                .get_or_init(|| Arc::new(StoreStatistics::compute(self, self.stats_cache.epoch))),
+            self.derived
+                .statistics
+                .get_or_init(|| Arc::new(StoreStatistics::compute(self, self.derived.epoch))),
         )
     }
 
@@ -188,12 +204,11 @@ impl Store {
     /// `statistics().epoch` equals this exactly when the cached
     /// snapshot is current. Test hook for the staleness suite.
     pub fn statistics_epoch(&self) -> u64 {
-        self.stats_cache.epoch
+        self.derived.epoch
     }
 
     /// Registers every relation of `db` (columnar + adjacency for the
-    /// binary ones) and the reserved [`ADOM_REL`] active-domain
-    /// relation. The usual way to obtain a store.
+    /// binary ones). The usual way to obtain a store.
     ///
     /// # Panics
     ///
@@ -217,15 +232,14 @@ impl Store {
     /// evaluation until the owner registers the graphs again through
     /// [`Store::register_view_graph`].
     pub fn register_database(&mut self, db: &Database) -> Result<(), StoreError> {
-        self.stats_cache.invalidate();
+        self.derived.invalidate();
         self.graphs.clear();
         self.relations.clear();
         self.adjacency.clear();
-        self.adom_dirty = false;
         for (name, rel) in db.iter() {
             self.register_relation_raw(name.clone(), rel)?;
         }
-        self.register_relation_raw(ADOM_REL.into(), &db.active_domain_relation())
+        Ok(())
     }
 
     /// Registers one relation: columnar always, CSR when binary.
@@ -234,18 +248,18 @@ impl Store {
     /// graph backed by `name` is dropped first, siblings included —
     /// frozen state must not keep answering for replaced data.
     pub fn register_relation(&mut self, name: RelName, rel: &Relation) -> Result<(), StoreError> {
-        self.stats_cache.invalidate();
+        self.derived.invalidate();
         self.graphs.retain(|_, e| !e.views().contains(&name));
-        self.register_relation_raw(name, rel)?;
-        // A wholesale replacement can both add and drop values.
-        self.adom_dirty = true;
-        self.refresh_adom()
+        self.register_relation_raw(name, rel)
     }
 
-    /// The registration body, without the graph drop or the ⟨adom⟩
-    /// refresh — [`Store::register_database`] does both wholesale.
+    /// The registration body, without the graph drop —
+    /// [`Store::register_database`] drops every graph wholesale. Like
+    /// every registration it leaves the dictionary frozen: the codes it
+    /// minted fold into the base.
     fn register_relation_raw(&mut self, name: RelName, rel: &Relation) -> Result<(), StoreError> {
-        let col = ColumnarRelation::from_relation(rel, Arc::make_mut(&mut self.dict))?;
+        let col = ColumnarRelation::from_relation(rel, &mut self.dict)?;
+        self.dict.fold();
         if rel.arity() == 2 {
             self.adjacency
                 .insert(name.clone(), CsrWithDelta::of_relation(&col)?);
@@ -285,7 +299,7 @@ impl Store {
             GraphForm::Ext => pg_view_ext(&vr, ViewMode::Strict)?,
         };
         let entry = GraphEntry::from_graph(&g, views, form)?;
-        self.stats_cache.invalidate();
+        self.derived.invalidate();
         self.graphs.insert(graph_name.into(), entry);
         Ok(())
     }
@@ -293,12 +307,6 @@ impl Store {
     /// The shared dictionary.
     pub fn dict(&self) -> &Dictionary {
         &self.dict
-    }
-
-    /// The dictionary for mutation: copy-on-write when a snapshot still
-    /// shares it, plain access otherwise.
-    pub(crate) fn dict_mut(&mut self) -> &mut Dictionary {
-        Arc::make_mut(&mut self.dict)
     }
 
     /// The code of a value, when any registered row contains it.
@@ -311,19 +319,42 @@ impl Store {
         self.dict.value(code)
     }
 
-    /// A registered columnar relation.
+    /// A registered columnar relation, or the active domain under
+    /// [`ADOM_REL`].
     pub fn relation(&self, name: &RelName) -> Option<&ColumnarRelation> {
+        if name.as_str() == ADOM_REL {
+            return Some(self.adom());
+        }
         self.relations.get(name).map(|a| &**a)
     }
 
-    /// Whether `name` is registered.
+    /// Whether `name` is registered; [`ADOM_REL`] always is.
     pub fn has_relation(&self, name: &RelName) -> bool {
-        self.relations.contains_key(name)
+        name.as_str() == ADOM_REL || self.relations.contains_key(name)
     }
 
     /// Decodes a registered relation's live rows (stored order).
     pub fn scan(&self, name: &RelName) -> Option<Vec<Tuple>> {
-        self.relations.get(name).map(|c| c.decode_rows(&self.dict))
+        self.relation(name).map(|c| c.decode_rows(&self.dict))
+    }
+
+    /// The active domain of the live rows, in value order — derived on
+    /// the first read of this state, then served from its slot until
+    /// the next mutation.
+    fn adom(&self) -> &ColumnarRelation {
+        self.derived.adom.get_or_init(|| {
+            let mut codes: Vec<u32> = (0..)
+                .zip(self.live_bitmap())
+                .filter_map(|(c, live)| live.then_some(c))
+                .collect();
+            codes.sort_by(|&a, &b| self.dict.value(a).cmp(self.dict.value(b)));
+            ColumnarRelation::from_codes(1, vec![codes])
+        })
+    }
+
+    /// The derived active domain, when a reader has asked for it.
+    pub(crate) fn derived_adom(&self) -> Option<&ColumnarRelation> {
+        self.derived.adom.get()
     }
 
     /// The adjacency of a registered *binary* relation: the frozen CSR
@@ -356,18 +387,14 @@ impl Store {
     /// pattern calls fall back to per-query evaluation instead of
     /// answering stale.
     pub fn drop_graph(&mut self, name: &str) -> bool {
-        self.stats_cache.invalidate();
+        self.derived.invalidate();
         self.graphs.remove(name).is_some()
     }
 
-    /// Which codes live rows reference. `exclude` skips one relation
-    /// (the adom refresh must not count the adom relation itself).
-    pub(crate) fn live_bitmap(&self, exclude: Option<&RelName>) -> Vec<bool> {
+    /// Which codes live rows reference.
+    fn live_bitmap(&self) -> Vec<bool> {
         let mut live = vec![false; self.dict.len()];
-        for (name, col) in &self.relations {
-            if exclude == Some(name) {
-                continue;
-            }
+        for col in self.relations.values() {
             for i in col.live_rows() {
                 for p in 0..col.arity() {
                     live[col.code_at(i, p) as usize] = true;
@@ -381,28 +408,30 @@ impl Store {
     /// every column, drops tombstoned rows, rebuilds every relation
     /// CSR from the recoded live rows, and folds every graph overlay —
     /// the compaction story: `dictionary_stale` drops to 0 and no
-    /// query result changes. Previously returned codes (from
-    /// [`Store::encode`]) are invalidated.
+    /// query result changes. Every tail folds: the dictionary, the
+    /// graph identifiers and the probe indexes leave as bases alone,
+    /// and exactly the relations that carried probe indexes get them
+    /// rebuilt here, so the next write is a warm one. Previously
+    /// returned codes (from [`Store::encode`]) are invalidated.
     pub fn compact(&mut self) -> Result<CompactionStats, StoreError> {
-        self.stats_cache.invalidate();
-        // Settle the active domain first: a dirty ⟨adom⟩ would keep
-        // departed values alive through the rebuild.
-        self.refresh_adom()?;
+        self.derived.invalidate();
         let old_total = self.dict.len();
         let mut folded = 0usize;
         let mut dropped = 0usize;
-        let mut next = Dictionary::with_limit(self.dict.limit());
-        let mut map: HashMap<u32, u32> = HashMap::new();
-        let dict = Arc::clone(&self.dict);
+        // Old code → new code, minted in first-seen order over the live
+        // rows; `values` is the new dictionary in code order.
+        let mut remap: Vec<Option<u32>> = vec![None; old_total];
+        let mut values: Vec<Value> = Vec::new();
         for col in self.relations.values_mut() {
-            dropped += Arc::make_mut(col).compact_remap(&mut |old| {
-                *map.entry(old).or_insert_with(|| {
-                    next.intern(dict.value(old))
-                        .expect("compaction only shrinks the code space")
+            dropped += col.tombstones();
+            *col = Arc::new(col.compacted(&mut |old| {
+                *remap[old as usize].get_or_insert_with(|| {
+                    values.push(self.dict.value(old).clone());
+                    values.len() as u32 - 1
                 })
-            });
+            }));
         }
-        self.dict = Arc::new(next);
+        self.dict = Dictionary::from_values(values, self.dict.limit());
         let names: Vec<RelName> = self.adjacency.keys().cloned().collect();
         for name in names {
             folded += self
@@ -434,7 +463,7 @@ impl Store {
     /// re-registrations leave stale codes behind; `stats` surfaces the
     /// gap so sessions can decide when [`Store::compact`] is worth it.
     pub fn live_codes(&self) -> usize {
-        self.live_bitmap(None).iter().filter(|&&b| b).count()
+        self.live_bitmap().iter().filter(|&&b| b).count()
     }
 }
 
@@ -496,17 +525,21 @@ pub(crate) mod tests {
         // Binary relations carry adjacency; others don't.
         assert!(store.adjacency(&"S".into()).is_some());
         assert!(store.adjacency(&"N".into()).is_none());
-        // The reserved adom relation matches the database's.
+        // Registration builds no probe index and no active domain: the
+        // columns are all the relations hold.
+        assert!(store.relations.values().all(|c| !c.has_indexes()));
+        let coded: usize = store.relations.values().map(|c| c.coded_bytes()).sum();
+        assert_eq!(store.memory_bytes().columns, coded);
+        // The reserved adom relation, derived on this read, matches the
+        // database's and is resident from then on.
+        assert!(store.has_relation(&ADOM_REL.into()));
         let adom = store.scan(&ADOM_REL.into()).unwrap();
         assert_eq!(
             Relation::from_rows(1, adom).unwrap(),
             db.active_domain_relation()
         );
-        // Registration builds no probe index: the columns are all the
-        // relations hold.
-        assert!(store.relations.values().all(|c| !c.has_indexes()));
-        let coded: usize = store.relations.values().map(|c| c.coded_bytes()).sum();
-        assert_eq!(store.memory_bytes().columns, coded);
+        let adom_bytes = 4 * db.active_domain_relation().len();
+        assert_eq!(store.memory_bytes().columns, coded + adom_bytes);
         // A write builds only the indexes its probes need; node checks
         // read the graph entry, so `N` stays unindexed.
         store
@@ -590,10 +623,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dictionary_exhaustion_propagates_through_registration() {
-        let mut store = Store {
-            dict: Dictionary::with_limit(3).into(),
-            ..Store::new()
-        };
+        let mut store = Store::with_dict_limit(3);
         let mut db = Database::new();
         for i in 0..4i64 {
             db.insert("V", tuple![i]).unwrap();
@@ -605,10 +635,7 @@ pub(crate) mod tests {
         // Within the limit, registration works up to the last code.
         let mut small = Database::new();
         small.insert("V", tuple![1]).unwrap();
-        let mut store = Store {
-            dict: Dictionary::with_limit(2).into(),
-            ..Store::new()
-        };
+        let mut store = Store::with_dict_limit(2);
         store.register_database(&small).unwrap();
         let one = |v: i64| Relation::unary([v]);
         assert!(store.register_relation("W".into(), &one(99)).is_ok());

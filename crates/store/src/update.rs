@@ -1,13 +1,22 @@
 //! Incremental maintenance — the store's only in-place writer: the
 //! Section 7 update model ([`Store::apply_updates`]) applied to a
 //! registered graph in place — the six backing relations, their
-//! adjacency overlays, the graph entry, the active domain — plus the
-//! fold steps that follow a write.
+//! adjacency overlays, the graph entry — plus the fold steps that
+//! follow a write.
+//!
+//! A write touches only tails (the store's copy-on-write rule): rows
+//! append to a relation's columns and its probe-index tail, fresh codes
+//! to the dictionary's tail, fresh nodes to the graph's identifier
+//! tail, pairs to the adjacency deltas. On a working clone that shares
+//! every base with the published snapshot, the copy a batch costs is
+//! the flat columns and bitmaps of the relations it touches plus those
+//! tails. Nothing here maintains the active domain: the store derives
+//! [`crate::ADOM_REL`] from the live rows when a reader asks for it.
 
 use crate::column::ColumnarRelation;
 use crate::error::StoreError;
 use crate::graph::GraphEntry;
-use crate::store::{overlay_oversized, CsrWithDelta, Store, ADOM_REL};
+use crate::store::{overlay_oversized, CsrWithDelta, Store};
 use pgq_graph::{Update, UpdateError};
 use pgq_relational::RelName;
 use pgq_value::{Tuple, Value};
@@ -43,11 +52,11 @@ impl Store {
     /// stale at worst and reclaimed by [`Store::compact`]. The batch
     /// fails fast on the first rejected update — updates before it stay
     /// applied (per-update atomicity, not per-batch). The finishing
-    /// pass (⟨adom⟩ refresh, oversized overlays folded) runs once at
-    /// the end, also for the applied prefix of a failed batch, so the
-    /// store is internally consistent even when the batch errors.
+    /// pass (oversized overlays folded) runs once at the end, also for
+    /// the applied prefix of a failed batch, so the store is internally
+    /// consistent even when the batch errors.
     pub fn apply_updates(&mut self, graph: &str, updates: &[Update]) -> Result<(), StoreError> {
-        self.stats_cache.invalidate();
+        self.derived.invalidate();
         let mut result = Ok(());
         let mut applied = 0usize;
         for u in updates {
@@ -62,7 +71,6 @@ impl Store {
         if applied == 0 {
             return result;
         }
-        self.refresh_adom()?;
         if let Some(views) = self.graphs.get(graph).map(|e| e.views().clone()) {
             for name in &views {
                 self.fold_adjacency_if_oversized(name)?;
@@ -212,7 +220,7 @@ impl Store {
     /// are at worst stale, and [`Store::compact`] reclaims them).
     fn intern_tuple(&mut self, t: &Tuple) -> Result<(), StoreError> {
         for v in t.iter() {
-            self.dict_mut().intern(v)?;
+            self.dict.intern(v)?;
         }
         Ok(())
     }
@@ -255,7 +263,7 @@ impl Store {
         }
         let mut codes = Vec::with_capacity(arity);
         for v in t.iter() {
-            codes.push(self.dict_mut().intern(v)?);
+            codes.push(self.dict.intern(v)?);
         }
         let col = self
             .relation_mut(name)
@@ -271,9 +279,6 @@ impl Store {
         }
         if arity == 2 {
             self.pair_add(name, codes[0], codes[1]);
-        }
-        if name.as_str() != ADOM_REL {
-            self.adom_add_codes(&codes);
         }
         Ok(())
     }
@@ -300,7 +305,6 @@ impl Store {
         if codes.len() == 2 {
             self.pair_remove(name, codes[0], codes[1]);
         }
-        self.adom_dirty = true;
     }
 
     /// Tombstones every live row whose leading codes equal `prefix`
@@ -332,9 +336,6 @@ impl Store {
             for row in &hits {
                 self.pair_remove(name, row[0], row[1]);
             }
-        }
-        if !hits.is_empty() {
-            self.adom_dirty = true;
         }
         hits.len()
     }
@@ -472,56 +473,6 @@ impl Store {
         self.tombstone_prefix(rp, &idc, |row| row[k] == kc);
     }
 
-    /// Records inserted-row codes in the reserved [`ADOM_REL`] relation
-    /// — values only ever *join* the active domain on an insert, so
-    /// this is O(arity) hash probes, not a store scan.
-    fn adom_add_codes(&mut self, codes: &[u32]) {
-        let adom: RelName = ADOM_REL.into();
-        let Some(col) = self.relation_mut(&adom) else {
-            return;
-        };
-        for &c in codes {
-            if col.find_live(&[c]).is_some() {
-                continue;
-            }
-            match col.find_dead(&[c]) {
-                Some(i) => {
-                    col.revive(i);
-                }
-                None => col.append(&[c]),
-            }
-        }
-    }
-
-    /// Recomputes the reserved [`ADOM_REL`] relation from the live rows
-    /// of every other registered relation, so `AdomScan` plans keep
-    /// answering for the post-update state. Inserts maintain the
-    /// domain incrementally ([`Store::adom_add_codes`]); only
-    /// deletions mark it dirty (a departed value may or may not occur
-    /// elsewhere), and the recompute runs **once per mutation batch**,
-    /// not per row. No-op when clean or when the store never
-    /// registered an active domain.
-    pub(crate) fn refresh_adom(&mut self) -> Result<(), StoreError> {
-        let adom: RelName = ADOM_REL.into();
-        if !self.adom_dirty || !self.relations.contains_key(&adom) {
-            self.adom_dirty = false;
-            return Ok(());
-        }
-        self.adom_dirty = false;
-        let live = self.live_bitmap(Some(&adom));
-        let mut codes: Vec<u32> = live
-            .iter()
-            .enumerate()
-            .filter_map(|(c, &b)| b.then_some(c as u32))
-            .collect();
-        // Fresh registrations store adom rows in value order; keep the
-        // refreshed layout identical so scans stay deterministic.
-        codes.sort_by(|&a, &b| self.dict.value(a).cmp(self.dict.value(b)));
-        self.relations
-            .insert(adom, Arc::new(ColumnarRelation::unary_from_codes(codes)));
-        Ok(())
-    }
-
     /// Folds a relation's adjacency overlay into a fresh CSR when it
     /// has outgrown the threshold.
     fn fold_adjacency_if_oversized(&mut self, name: &RelName) -> Result<(), StoreError> {
@@ -551,10 +502,10 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dict::Dictionary;
     use crate::error::GraphForm;
     use crate::graph::tests::reach;
     use crate::store::tests::{chain_db, nid, registered_store, views};
+    use crate::ADOM_REL;
     use pgq_value::tuple;
 
     #[test]
@@ -580,7 +531,7 @@ mod tests {
         assert!(store.rel_contains(&"S".into(), &tuple!["e4", "d"]));
         // The S/T adjacency overlays saw the pairs.
         assert!(store.adjacency(&"S".into()).unwrap().has_delta());
-        // The frozen active domain saw the new value.
+        // The derived active domain sees the new value.
         let adom = store.scan(&ADOM_REL.into()).unwrap();
         assert!(adom.contains(&tuple!["e4"]));
     }
@@ -717,10 +668,7 @@ mod tests {
     fn exhaustion_mid_update_is_atomic() {
         let db = chain_db();
         let minted = Store::from_database(&db).dict().len();
-        let mut store = Store {
-            dict: Dictionary::with_limit(minted).into(),
-            ..Store::new()
-        };
+        let mut store = Store::with_dict_limit(minted);
         store.register_database(&db).unwrap();
         store
             .register_view_graph("G", views(), &db, GraphForm::Exact(1))
@@ -760,10 +708,10 @@ mod tests {
         assert!(store.scan(&"P".into()).unwrap().is_empty());
     }
 
-    /// A mid-batch rejection must not skip the finishing pass: the
-    /// already-applied prefix stays visible through ⟨adom⟩ too.
+    /// A mid-batch rejection keeps the applied prefix, and ⟨adom⟩ —
+    /// derived from the live rows — sees it too.
     #[test]
-    fn rejected_batch_still_refreshes_adom_for_the_applied_prefix() {
+    fn rejected_batch_keeps_the_applied_prefix_in_adom() {
         let (_, mut store) = registered_store();
         let err = store.apply_updates(
             "G",
@@ -777,7 +725,7 @@ mod tests {
             Err(StoreError::Update(UpdateError::NoSuchElement(_)))
         ));
         // AddNode("z") stays applied (per-update atomicity) — and the
-        // frozen active domain already knows it.
+        // active domain knows it.
         assert!(store.rel_contains(&"N".into(), &nid("z")));
         let adom = store.scan(&ADOM_REL.into()).unwrap();
         assert!(adom.contains(&tuple!["z"]), "{adom:?}");

@@ -321,7 +321,7 @@ fn arb_canonical_update() -> BoxedStrategy<Update> {
 /// Holds an incrementally updated store to the reference semantics on
 /// every workload of the suite: relation scans, reachability (both
 /// bounds), the store-lowered RA shapes under tombstones, and the
-/// frozen active domain.
+/// derived active domain.
 fn assert_store_matches(store: &Store, db: &Database, context: &str) {
     // Relation contents, live rows only.
     for name in views() {
@@ -701,7 +701,7 @@ proptest! {
         prop_assert_eq!(&via_store, &eval_ra(&q, &db).unwrap(), "hash-join engine disagrees on {}", &q);
     }
 
-    /// Unary expressions exercise the frozen active domain and the
+    /// Unary expressions exercise the derived active domain and the
     /// reverse expansion.
     #[test]
     fn ra_unary_store_equals_reference(
@@ -833,7 +833,7 @@ proptest! {
     /// generator output (both scaling generators) answers exactly like
     /// the register route — `BulkGraph::to_database` +
     /// `Store::from_database` + `Store::register_view_graph` — on
-    /// relation scans, the frozen active domain, reachability through
+    /// relation scans, the derived active domain, reachability through
     /// the graph entry, and the store-lowered RA shapes, with the
     /// interning probe at 1, 2 and 8 threads. A bulk load builds no
     /// probe index, and the update path must build them on demand: a
@@ -880,6 +880,92 @@ proptest! {
         prop_assert!(bulk.apply_updates("G", std::slice::from_ref(&Update::AddNode(fresh.clone()))).is_err());
         bulk.apply_updates("G", std::slice::from_ref(&Update::RemoveNode(fresh))).unwrap();
         assert_store_matches(&bulk, &db, "bulk after writer round-trip");
+    }
+}
+
+/// The canonical database `db` in generator layout — the bulk route's
+/// input for the same graph the register route registers.
+fn bulk_of(db: &Database) -> pgq_store::BulkGraph {
+    let rows = |name: &str| db.get(&name.into()).expect("canonical relation").iter();
+    let mut g = pgq_store::BulkGraph::new();
+    let mut nodes = std::collections::HashMap::new();
+    for t in rows("N") {
+        nodes.insert(t[0].clone(), g.add_node(t[0].clone()));
+    }
+    let endpoint = |rel: &str| -> std::collections::HashMap<Value, u32> {
+        rows(rel).map(|t| (t[0].clone(), nodes[&t[1]])).collect()
+    };
+    let (src, tgt) = (endpoint("S"), endpoint("T"));
+    let mut edges = std::collections::HashMap::new();
+    for t in rows("E") {
+        let e = g.add_edge(t[0].clone(), src[&t[0]], tgt[&t[0]]);
+        edges.insert(t[0].clone(), e);
+    }
+    g.labels = rows("L").map(|t| (edges[&t[0]], t[1].clone())).collect();
+    for t in rows("P") {
+        let (k, v) = (t[1].clone(), t[2].clone());
+        match nodes.get(&t[0]) {
+            Some(&n) => g.node_props.push((n, k, v)),
+            None => g.edge_props.push((edges[&t[0]], k, v)),
+        }
+    }
+    g
+}
+
+/// Holds the derived `⟨adom⟩` to its definition: in value order, and
+/// equal to `Database::active_domain_relation()` of the store's own
+/// decoded relations.
+fn assert_adom_derived(store: &Store, context: &str) {
+    let rows = store.scan(&ADOM_REL.into()).expect("⟨adom⟩ always answers");
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "{context}: ⟨adom⟩ out of value order"
+    );
+    assert_eq!(
+        Relation::from_rows(1, rows).unwrap(),
+        snapshot_reference_db(store).active_domain_relation(),
+        "{context}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Nothing maintains `⟨adom⟩`: the store derives it from its live
+    /// rows. After a random update history — `RemoveEdge`,
+    /// `DetachRemoveNode` and `RemoveProp` included, so values leave
+    /// the domain — and again after `compact`, it equals the active
+    /// domain of the decoded relations on the register and the bulk
+    /// route alike.
+    #[test]
+    fn derived_adom_tracks_updates_and_compaction(
+        seq in proptest::collection::vec(arb_canonical_update(), 0..25),
+        n in 1usize..6,
+        m in 0usize..8,
+        seed in 0u64..1000,
+    ) {
+        let db0 = canonical_graph_db(n, m, 5, seed);
+        let mut bulk = Store::new();
+        bulk.bulk_load("G", views(), GraphForm::Exact(1), &bulk_of(&db0), 1).unwrap();
+        for (route, mut store) in [("register", store_for(&db0)), ("bulk", bulk)] {
+            assert_adom_derived(&store, route);
+            let mut rels = view_relations_of(&db0);
+            for u in &seq {
+                let mut next = rels.clone();
+                if updates::apply(&mut next, u).is_ok() {
+                    store.apply_updates("G", std::slice::from_ref(u)).expect("reference accepted the update");
+                    assert_adom_derived(&store, &format!("{route} after {u:?}"));
+                    rels = next;
+                }
+            }
+            store.compact().expect("compaction never fails on a healthy store");
+            assert_adom_derived(&store, &format!("{route} after compaction"));
+            let db = db_of(&rels);
+            prop_assert_eq!(
+                Relation::from_rows(1, store.scan(&ADOM_REL.into()).unwrap()).unwrap(),
+                db.active_domain_relation()
+            );
+        }
     }
 }
 
