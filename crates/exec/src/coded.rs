@@ -1,9 +1,10 @@
 //! Dictionary-coded batches — the executor's only working
 //! representation.
 //!
-//! A [`CodedBatch`] is a bag of flat `u32` rows: joins hash `u32` keys,
-//! dedup hashes `u32` rows, and the pipeline decodes **exactly once**,
-//! at the set-semantics boundary ([`Coded::into_relation`]). Codes
+//! A [`CodedBatch`] is a bag of flat `u32` rows: joins and dedup key
+//! them in a [`RowTable`] (no heap allocation per row), and the
+//! pipeline decodes **exactly once**, at the set-semantics boundary
+//! ([`Coded::into_relation`]). Codes
 //! resolve in a [`Codes`] view: the session store's dictionary as the
 //! base layer, plus a per-execution scratch layer for every value the
 //! store never interned (database scans, `Values` batches, the whole
@@ -27,9 +28,8 @@
 
 use crate::batch::Batch;
 use pgq_relational::{CmpOp, Operand, RelError, RelResult, Relation, RowCondition};
-use pgq_store::{ColumnarRelation, Dictionary, Store};
+use pgq_store::{ColumnarRelation, Dictionary, Postings, RowTable, Store};
 use pgq_value::{Tuple, Value};
-use std::collections::{HashMap, HashSet};
 
 /// The value ↔ code bijection one execution runs under: codes below
 /// the store dictionary's length resolve there, codes above it in a
@@ -232,33 +232,40 @@ impl CodedBatch {
         Ok(())
     }
 
+    /// The batch's distinct rows as a [`RowTable`] (ids in
+    /// first-occurrence order) — the set a `Diff` or an intersection
+    /// probes.
+    pub(crate) fn row_table(&self) -> RowTable {
+        let mut table = RowTable::with_capacity(self.arity, self.rows);
+        for row in self.iter() {
+            table.insert(row);
+        }
+        table
+    }
+
     /// Removes duplicate rows, keeping first occurrences in order.
     pub fn dedup(&mut self) {
-        let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(self.rows);
-        let mut out = Vec::with_capacity(self.codes.len());
-        let mut kept = 0;
-        for i in 0..self.rows {
-            let row = self.row(i);
-            if seen.insert(row.to_vec()) {
-                out.extend_from_slice(row);
-                kept += 1;
-            }
-        }
-        self.codes = out;
-        self.rows = kept;
+        let table = self.row_table();
+        self.rows = table.len();
+        self.codes = table.into_arena();
     }
 
     /// Builds a hash index over the projection of each row to
-    /// `key_positions`: key codes → indices of matching rows.
-    /// Positions must have been validated against the arity.
+    /// `key_positions`: key codes → indices of matching rows, in row
+    /// order. Positions must have been validated against the arity.
     pub fn hash_index(&self, key_positions: &[usize]) -> CodedHashIndex {
-        let mut map: HashMap<Vec<u32>, Vec<usize>> = HashMap::with_capacity(self.rows);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            let key: Vec<u32> = key_positions.iter().map(|&p| row[p]).collect();
-            map.entry(key).or_default().push(i);
-        }
-        CodedHashIndex { map }
+        let mut keys = RowTable::with_capacity(key_positions.len(), self.rows);
+        let mut key = Vec::with_capacity(key_positions.len());
+        let key_of: Vec<u32> = self
+            .iter()
+            .map(|row| {
+                key.clear();
+                key.extend(key_positions.iter().map(|&p| row[p]));
+                keys.insert(&key).0
+            })
+            .collect();
+        let rows = Postings::group(keys.len(), &key_of, |i| i as u32);
+        CodedHashIndex { keys, rows }
     }
 
     /// Checks every code in the batch is decodable by `dict` — the
@@ -359,20 +366,18 @@ impl CodedBatch {
     }
 }
 
-/// A hash index from coded keys to row indices of the indexed batch.
+/// A hash index from coded keys to row indices of the indexed batch:
+/// the keys interned in a [`RowTable`], each key id's rows one
+/// [`Postings`] slice.
 pub struct CodedHashIndex {
-    map: HashMap<Vec<u32>, Vec<usize>>,
+    keys: RowTable,
+    rows: Postings,
 }
 
 impl CodedHashIndex {
     /// Row indices whose key equals `key`, empty when absent.
-    pub fn probe(&self, key: &[u32]) -> &[usize] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+    pub fn probe(&self, key: &[u32]) -> &[u32] {
+        self.keys.find(key).map_or(&[], |id| self.rows.get(id))
     }
 }
 
@@ -565,10 +570,24 @@ mod tests {
         let s = store();
         let b = CodedBatch::from_columnar(s.relation(&"R".into()).unwrap());
         let idx = b.hash_index(&[0]);
-        assert_eq!(idx.distinct_keys(), 2);
         let c5 = s.encode(&Value::int(5)).unwrap();
         assert_eq!(idx.probe(&[c5]).len(), 1);
         assert!(idx.probe(&[u32::MAX]).is_empty());
+        assert!(idx.probe(&[s.dict().len() as u32]).is_empty());
+        // Zero-width keys: every row under the one empty key.
+        assert_eq!(b.hash_index(&[]).probe(&[]), &[0, 1]);
+    }
+
+    /// `dedup` keeps first occurrences in order.
+    #[test]
+    fn dedup_keeps_first_occurrences_in_order() {
+        let mut b = CodedBatch::empty(2);
+        for i in (0..3_000u32).chain((0..3_000).rev()) {
+            b.push(&[i % 1_000, i / 1_000]).unwrap();
+        }
+        b.dedup();
+        let want: Vec<[u32; 2]> = (0..3_000).map(|i| [i % 1_000, i / 1_000]).collect();
+        assert!(b.iter().eq(want.iter().map(|r| &r[..])));
     }
 
     /// The scratch layer sits above the store's codes: stored values

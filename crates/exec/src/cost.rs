@@ -335,9 +335,9 @@ fn pinned(cond: &RowCondition, col: usize) -> Option<&Value> {
 ///   side is a bare scan of a CSR-indexed binary relation and
 ///   expanding is estimated no dearer, a hash join with the smaller
 ///   side building otherwise;
-/// * the step of an unbounded reachability-shaped `Fixpoint` becomes
-///   an `IndexScan`, which [`crate::execute_with`] runs as CSR frontier
-///   sweeps.
+/// * the step of a `k = 1` pair `Fixpoint` that scans a CSR-indexed
+///   relation becomes an `IndexScan`, whose CSR [`crate::execute_with`]
+///   sweeps directly.
 ///
 /// `planner` picks the estimator (module docs), and this is the only
 /// place it is looked at. Apply **after** [`crate::optimize_plan`]: the
@@ -375,9 +375,9 @@ fn lower(plan: PhysPlan, store: &Store, schema: &Schema, est: &Estimator<'_>) ->
             lower_filter(cond, lower(*input, store, schema, est), store, est)
         }
         // Everything else only has children to lower. That includes
-        // `Fixpoint`: the CSR reachability fast path keys on the exact
-        // unbounded `join = [(1,0)], project = [0,3]` shape, so its own
-        // fields are never touched.
+        // `Fixpoint`: its fields pick the sweep's adjacency (a step
+        // relation's CSR for the `join = [(1,0)], project = [0,3]`
+        // shape), so they are never touched.
         other => other.map_children(|child| lower(child, store, schema, est)),
     }
 }

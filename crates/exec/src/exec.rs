@@ -1,8 +1,9 @@
 //! The batch executor.
 //!
 //! Every operator consumes whole input batches and produces one output
-//! batch; joins and fixpoints build hash indexes instead of scanning
-//! ordered sets. All failure modes are relational-layer conditions
+//! batch; joins and dedup key rows in a [`RowTable`] instead of scanning
+//! ordered sets, and a fixpoint sweeps per-source frontiers over dense
+//! endpoint ids. All failure modes are relational-layer conditions
 //! (unknown relations, out-of-range positions, arity mismatches), so the
 //! executor reports plain [`RelError`]s — the per-layer error policy of
 //! DESIGN.md §7 is satisfied by the callers wrapping them (`QueryError`,
@@ -19,14 +20,13 @@
 //! boundary.
 
 use crate::batch::Batch;
-use crate::coded::{Coded, CodedBatch, CodedCond, CodedHashIndex, Codes};
+use crate::coded::{Coded, CodedBatch, CodedCond, Codes};
 use crate::metrics::PlanMetrics;
-use crate::parallel::{run_morsels, run_tasks, ExecOptions};
+use crate::parallel::{run_morsels, ExecOptions};
 use crate::plan::PhysPlan;
 use pgq_relational::{Database, RelError, RelName, RelResult, Relation, RowCondition};
-use pgq_store::{AdjacencyView, ReachScratch, Store};
+use pgq_store::{AdjacencyView, Postings, RowTable, Store};
 use pgq_value::Value;
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -48,22 +48,21 @@ pub fn execute_with(plan: &PhysPlan, db: &Database, store: Option<&Store>) -> Re
 /// Executes a physical plan on the given number of worker threads.
 ///
 /// `IndexScan` reads the store's columnar relations, `IndexSeek` and
-/// `AdjacencyExpand` probe its CSR indexes, and an unbounded
-/// reachability-shaped `Fixpoint` whose step is a CSR-indexed relation runs as frontier
-/// sweeps over the index instead of hash-join rounds. The store must
+/// `AdjacencyExpand` probe its CSR indexes, and a `k = 1` pair
+/// `Fixpoint` whose step is a CSR-indexed relation sweeps that index
+/// instead of a step batch. The store must
 /// have been registered from (a snapshot equal to) `db`; the
 /// differential suite `tests/prop_store.rs` holds store-backed and
 /// storeless paths to identical results.
 ///
 /// With `opts.threads > 1` the operators that split their input
-/// (`Filter`, `Project`, `Diff`, the key-less `HashJoin`,
-/// `AdjacencyExpand` and the CSR fixpoint's source-group sweeps) run
-/// on scoped workers; per-morsel outputs merge in morsel order, so
-/// results are byte-identical to sequential execution
+/// (`Filter`, `Project`, `Diff`, the key-less `HashJoin` and
+/// `AdjacencyExpand`) run on scoped workers; per-morsel outputs merge
+/// in morsel order, so results are byte-identical to sequential execution
 /// (`tests/prop_engine.rs`/`tests/prop_store.rs` hold parallel ≡
 /// sequential ≡ reference at thread counts {1, 2, 8}). Keyed
-/// `HashJoin`, `Distinct` and the hash `Fixpoint` have one algorithm,
-/// the sequential one, at every worker count.
+/// `HashJoin`, `Distinct` and `Fixpoint` have one algorithm, the
+/// sequential one, at every worker count.
 pub fn execute_opts<'a>(
     plan: &PhysPlan,
     db: &Database,
@@ -257,19 +256,7 @@ impl<'a, 'd> Run<'a, 'd> {
             }
             PhysPlan::Diff { left, right } => {
                 let (l, r) = self.children(left, right, &mut m)?;
-                check_arities("difference", l.arity(), r.arity())?;
-                let exclude: HashSet<&[u32]> = r.iter().collect();
-                let parts = traced_morsels(m, l.len(), opts.dop(l.len()), |range| {
-                    let mut part = CodedBatch::empty(l.arity());
-                    for i in range {
-                        let row = l.row(i);
-                        if !exclude.contains(row) {
-                            part.push(row)?;
-                        }
-                    }
-                    Ok(part)
-                })?;
-                concat_coded(l.arity(), parts)
+                rows_in_or_not("difference", &l, &r, false, opts, m)
             }
             PhysPlan::Distinct { input } => {
                 let mut batch = self.node(input, child_m(&mut m, 0))?;
@@ -287,24 +274,26 @@ impl<'a, 'd> Run<'a, 'd> {
             } => {
                 let base = self.node(base, child_m(&mut m, 0))?;
                 note_rows_in(&mut m, base.len());
-                // The ψreach/TC shape over a CSR-indexed step relation
-                // runs on the index (read through its delta overlay):
-                // no step batch, no hash probes. Sweeps are sharded by
-                // source node across the workers — every group is an
-                // independent multi-source frontier.
-                if let (Some(store), Some(rel)) = (self.store, plan.csr_sweep_step()) {
-                    if let Some(view) = store.adjacency(rel).filter(|_| base.arity() == 2) {
-                        return csr_fixpoint_coded(base, &view, store, opts, m);
-                    }
-                }
-                let step = self.node(step, child_m(&mut m, 1))?;
-                note_rows_in(&mut m, step.len());
                 let shape = FixpointShape {
                     join,
                     project,
                     skip: *skip,
                     rounds: *rounds,
                 };
+                // A `k = 1` step that is a CSR-indexed relation is swept
+                // on the index (read through its delta overlay), with
+                // codes as ids: no step batch, no interning.
+                if let (Some(store), Some(rel)) = (self.store, plan.csr_sweep_step()) {
+                    if let Some(view) = store.adjacency(rel).filter(|_| base.arity() == 2) {
+                        let adj = Adjacency::Store(view);
+                        let (out, groups) = sweep(&base, 1, adj, &shape, opts, m)?;
+                        store.counters().record_csr_sweep_sources(groups as u64);
+                        store.counters().record_adjacency_read(view.has_delta());
+                        return Ok(out);
+                    }
+                }
+                let step = self.node(step, child_m(&mut m, 1))?;
+                note_rows_in(&mut m, step.len());
                 fixpoint_coded(base, &step, &shape, opts, m)
             }
         }
@@ -341,32 +330,6 @@ where
     let out = run_morsels(len, dop, work, m.is_some().then_some(&mut claimed))?;
     if let Some(node) = m {
         node.dop = node.dop.max(dop);
-        node.record_workers(&claimed);
-    }
-    Ok(out)
-}
-
-/// [`crate::parallel::run_tasks`], traced like [`traced_morsels`]:
-/// each worker builds one `S` up front and reuses it across every task
-/// it claims — how the CSR fixpoint's sweeps keep their frontier/visited
-/// buffers out of the allocator across groups (the buffers' own
-/// allocation counter is pinned down in `pgq-store`'s CSR tests).
-fn traced_tasks<T, S, I, F>(
-    m: Option<&mut PlanMetrics>,
-    count: usize,
-    dop: usize,
-    init: I,
-    work: F,
-) -> RelResult<Vec<T>>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> RelResult<T> + Sync,
-{
-    let mut claimed = Vec::new();
-    let out = run_tasks(count, dop, init, work, m.is_some().then_some(&mut claimed))?;
-    if let Some(node) = m {
-        node.dop = node.dop.max(dop.min(count).max(1));
         node.record_workers(&claimed);
     }
     Ok(out)
@@ -436,55 +399,6 @@ fn adjacency_expand(
     let out = concat_coded(input.arity() + 2, parts)?;
     store.counters().record_csr_neighbor_rows(out.len() as u64);
     Ok(out)
-}
-
-/// The CSR form of the reachability fixpoint: group the base pairs by
-/// their first component and run one multi-source frontier sweep per
-/// group through the adjacency view (frozen CSR plus delta overlay).
-/// The view handles codes outside the frozen universe (delta-only
-/// nodes expand through the overlay; everything else — scratch codes
-/// included — is a 0-step seed).
-fn csr_fixpoint_coded(
-    base: CodedBatch,
-    view: &AdjacencyView<'_>,
-    store: &Store,
-    opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
-) -> RelResult<CodedBatch> {
-    // x code → seed codes.
-    let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-    let mut group_of: HashMap<u32, usize> = HashMap::new();
-    for row in base.iter() {
-        let x = row[0];
-        let gi = *group_of.entry(x).or_insert_with(|| {
-            groups.push((x, Vec::new()));
-            groups.len() - 1
-        });
-        groups[gi].1.push(row[1]);
-    }
-    // One sweep per source group, sharded across the workers.
-    if let Some(n) = m.as_deref_mut() {
-        n.sweep_groups = Some(groups.len() as u64);
-    }
-    let parts = traced_tasks(
-        m,
-        groups.len(),
-        opts.threads,
-        |_| (ReachScratch::new(), Vec::new()),
-        |(scratch, reached): &mut (ReachScratch, Vec<u32>), gi| {
-            let (x, seeds) = &groups[gi];
-            view.reach_from_into(seeds.iter().copied(), scratch, reached);
-            let mut part = CodedBatch::empty(2);
-            for &c in reached.iter() {
-                part.push(&[*x, c])?;
-            }
-            Ok(part)
-        },
-    )?;
-    let counters = store.counters();
-    counters.record_csr_sweep_sources(groups.len() as u64);
-    counters.record_adjacency_read(view.has_delta());
-    concat_coded(2, parts)
 }
 
 fn check_arities(op: &'static str, left: usize, right: usize) -> RelResult<()> {
@@ -585,19 +499,7 @@ fn hash_join_coded(
 ) -> RelResult<CodedBatch> {
     // Empty key set: the all-columns intersection, on codes.
     if keys.is_empty() {
-        check_arities("intersection", l.arity(), r.arity())?;
-        let right: HashSet<&[u32]> = r.iter().collect();
-        let parts = traced_morsels(m, l.len(), opts.dop(l.len()), |range| {
-            let mut part = CodedBatch::empty(l.arity());
-            for i in range {
-                let a = l.row(i);
-                if right.contains(a) {
-                    part.push(a)?;
-                }
-            }
-            Ok(part)
-        })?;
-        return concat_coded(l.arity(), parts);
+        return rows_in_or_not("intersection", l, r, true, opts, m);
     }
     validate_keys(keys, l.arity(), r.arity())?;
     let right_positions: Vec<usize> = keys.iter().map(|&(_, j)| j).collect();
@@ -608,10 +510,35 @@ fn hash_join_coded(
         key.clear();
         key.extend(keys.iter().map(|&(i, _)| a[i]));
         for &bi in index.probe(&key) {
-            out.push_concat(a, r.row(bi))?;
+            out.push_concat(a, r.row(bi as usize))?;
         }
     }
     Ok(out)
+}
+
+/// The rows of `l` that `r` holds (`present`) or does not — the
+/// key-less `HashJoin` and `Diff`, probing `r`'s [`RowTable`].
+fn rows_in_or_not(
+    op: &'static str,
+    l: &CodedBatch,
+    r: &CodedBatch,
+    present: bool,
+    opts: &ExecOptions,
+    m: Option<&mut PlanMetrics>,
+) -> RelResult<CodedBatch> {
+    check_arities(op, l.arity(), r.arity())?;
+    let right = r.row_table();
+    let parts = traced_morsels(m, l.len(), opts.dop(l.len()), |range| {
+        let mut part = CodedBatch::empty(l.arity());
+        for i in range {
+            let row = l.row(i);
+            if right.find(row).is_some() == present {
+                part.push(row)?;
+            }
+        }
+        Ok(part)
+    })?;
+    concat_coded(l.arity(), parts)
 }
 
 fn validate_fixpoint_shape(
@@ -664,140 +591,205 @@ struct FixpointShape<'p> {
 }
 
 impl FixpointShape<'_> {
-    /// `emit(π_project(acc ++ s))` for every `acc` of `rows` and every
-    /// `s` of `step` (indexed by `index` on the join's step positions)
-    /// that agree on the join.
-    fn grow<'r>(
-        &self,
-        rows: impl IntoIterator<Item = &'r [u32]>,
-        step: &CodedBatch,
-        index: &CodedHashIndex,
-        mut emit: impl FnMut(Vec<u32>),
-    ) {
-        let mut key: Vec<u32> = Vec::with_capacity(self.join.len());
-        for acc in rows {
-            key.clear();
-            key.extend(self.join.iter().map(|&(i, _)| acc[i]));
-            for &si in index.probe(&key) {
-                let s = step.row(si);
-                let at = |p: usize| {
-                    if p < acc.len() {
-                        acc[p]
-                    } else {
-                        s[p - acc.len()]
-                    }
-                };
-                emit(self.project.iter().map(|&p| at(p)).collect());
-            }
-        }
-    }
-
-    /// `a ∘ b`, deduplicated.
-    fn compose(&self, a: &CodedBatch, b: &CodedBatch) -> RelResult<CodedBatch> {
-        let index = b.hash_index(&self.join.iter().map(|&(_, j)| j).collect::<Vec<_>>());
-        let mut out = CodedBatch::empty(self.project.len());
-        let mut err = Ok(());
-        self.grow(a.iter(), b, &index, |row| {
-            if err.is_ok() {
-                err = out.push(&row);
-            }
-        });
-        err?;
-        out.dedup();
-        Ok(out)
-    }
-
-    /// Whether `∘` is the composition of `2k`-ary endpoint-pair
-    /// relations — the shape in which it is associative, so a power of
-    /// the step can be squared.
-    fn is_pairs(&self, arity: usize, step_arity: usize) -> bool {
-        let k = arity / 2;
-        arity == 2 * k
-            && step_arity == arity
-            && self.join.iter().copied().eq((0..k).map(|i| (k + i, i)))
-            && self.project.iter().copied().eq((0..k).chain(3 * k..4 * k))
-    }
-
-    /// `base ∘ step^skip` by repeated squaring. A power that squares to
-    /// itself is every higher power too, so the squaring stops there.
-    fn skipped(&self, base: CodedBatch, step: &CodedBatch) -> RelResult<CodedBatch> {
-        if self.skip == 0 {
-            return Ok(base);
-        }
-        if !self.is_pairs(base.arity(), step.arity()) {
-            return Err(RelError::IncompatibleArities {
-                op: "fixpoint skip over a non-pair step",
-                left: base.arity(),
-                right: step.arity(),
-            });
-        }
-        let (mut acc, mut power, mut e) = (base, step.clone(), self.skip);
-        power.dedup();
-        loop {
-            if e & 1 == 1 {
-                acc = self.compose(&acc, &power)?;
-            }
-            e >>= 1;
-            if e == 0 || acc.is_empty() {
-                return Ok(acc);
-            }
-            let squared = self.compose(&power, &power)?;
-            if squared.len() == power.len() {
-                let had: HashSet<&[u32]> = power.iter().collect();
-                if squared.iter().all(|row| had.contains(row)) {
-                    return self.compose(&acc, &power);
-                }
-            }
-            power = squared;
-        }
+    /// `k` when `∘` composes endpoint pairs: a row of arity `n = 2k + l`
+    /// reads `(s̄, t̄, p̄)`, an edge from the source endpoint `(s̄, p̄)` to
+    /// the target endpoint `(t̄, p̄)`, and `acc.t̄ = s.s̄ ∧ acc.p̄ = s.p̄`
+    /// emits `(acc.s̄, s.t̄, s.p̄)`. A pattern's identifier pairs have
+    /// `l = 0`; the logic side's `TC` carries its parameters as `p̄`.
+    fn pair_width(&self, arity: usize, step_arity: usize) -> Option<usize> {
+        let k = arity.checked_sub(self.join.len())?;
+        let join = (0..k)
+            .map(|i| (k + i, i))
+            .chain((2 * k..arity).map(|i| (i, i)));
+        let project = (0..k).chain(arity + k..2 * arity);
+        (step_arity == arity
+            && 2 * k <= arity
+            && self.join.iter().copied().eq(join)
+            && self.project.iter().copied().eq(project))
+        .then_some(k)
     }
 }
 
-/// Bounded semi-naive evaluation: `base ∘ step^skip` seeds the result,
-/// then each round joins only the rows discovered in the previous round
-/// (`Δ`) against the step batch, so the step side is indexed once and
-/// no derivation is recomputed.
+/// The source endpoint `(s̄, p̄)` of a pair row, gathered into `key`.
+fn source<'k>(row: &[u32], k: usize, key: &'k mut Vec<u32>) -> &'k [u32] {
+    key.clear();
+    key.extend_from_slice(&row[..k]);
+    key.extend_from_slice(&row[2 * k..]);
+    key
+}
+
+/// `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ` of a pair-shaped step: its
+/// endpoint tuples are interned once — the [`RowTable`] ids are the
+/// dense ids — and it is swept as a CSR over them ([`sweep`]). Every
+/// `Fixpoint` the system builds has that shape (compiled repetition
+/// and the logic side's `TC`); any other is a typed error.
 fn fixpoint_coded(
     base: CodedBatch,
     step: &CodedBatch,
     shape: &FixpointShape<'_>,
     opts: &ExecOptions,
-    mut m: Option<&mut PlanMetrics>,
+    m: Option<&mut PlanMetrics>,
 ) -> RelResult<CodedBatch> {
     let arity = base.arity();
     validate_fixpoint_shape(shape.join, shape.project, arity, step.arity())?;
-    let start = shape.skipped(base, step)?;
-    let index = step.hash_index(&shape.join.iter().map(|&(_, j)| j).collect::<Vec<_>>());
-
-    let mut known: HashSet<Vec<u32>> = HashSet::with_capacity(start.len());
-    let mut delta: Vec<Vec<u32>> = Vec::with_capacity(start.len());
-    for row in start.iter() {
-        if known.insert(row.to_vec()) {
-            delta.push(row.to_vec());
-        }
-    }
-    let mut iterations: usize = 0;
-    while !delta.is_empty() && shape.rounds.is_none_or(|r| iterations < r) {
-        check_iteration_budget(&mut iterations, opts)?;
-        if let Some(n) = m.as_deref_mut() {
-            n.iterations
-                .get_or_insert_with(Vec::new)
-                .push(delta.len() as u64);
-        }
-        let mut next: Vec<Vec<u32>> = Vec::new();
-        shape.grow(delta.iter().map(Vec::as_slice), step, &index, |grown| {
-            if known.insert(grown.clone()) {
-                next.push(grown);
-            }
+    let Some(k) = shape.pair_width(arity, step.arity()) else {
+        return Err(RelError::IncompatibleArities {
+            op: "fixpoint over a non-pair step",
+            left: arity,
+            right: step.arity(),
         });
-        delta = next;
+    };
+    let mut ends = RowTable::with_capacity(arity - k, 2 * step.len());
+    let mut key = Vec::with_capacity(arity - k);
+    let (from, to): (Vec<u32>, Vec<u32>) = step
+        .iter()
+        .map(|row| {
+            (
+                ends.insert(source(row, k, &mut key)).0,
+                ends.insert(&row[k..]).0,
+            )
+        })
+        .unzip();
+    let csr = Postings::group(ends.len(), &from, |i| to[i]);
+    Ok(sweep(&base, k, Adjacency::Dense(ends, csr), shape, opts, m)?.0)
+}
+
+/// Where a pair-shaped fixpoint's step edges come from.
+enum Adjacency<'v> {
+    /// The step's endpoint tuples interned to dense ids, and its CSR
+    /// over them.
+    Dense(RowTable, Postings),
+    /// A CSR-indexed store relation (`k = 1`): codes are the ids.
+    Store(AdjacencyView<'v>),
+}
+
+impl Adjacency<'_> {
+    /// The id of a target endpoint, interned if new.
+    fn id(&mut self, end: &[u32]) -> u32 {
+        match self {
+            Adjacency::Dense(ends, _) => ends.insert(end).0,
+            Adjacency::Store(..) => end[0],
+        }
     }
 
-    let mut out = CodedBatch::empty(arity);
-    for row in known {
-        out.push(&row)?;
+    /// The endpoint behind an id.
+    fn end<'a>(&'a self, id: &'a u32) -> &'a [u32] {
+        match self {
+            Adjacency::Dense(ends, _) => ends.row(*id),
+            Adjacency::Store(..) => std::slice::from_ref(id),
+        }
     }
-    Ok(out)
+
+    /// Marks and appends to `next` every unmarked successor of
+    /// `frontier`.
+    fn expand(&self, frontier: &[u32], seen: &mut Vec<u64>, next: &mut Vec<u32>) {
+        let mut visit = |t: u32| {
+            if mark(seen, t) {
+                next.push(t);
+            }
+        };
+        for &u in frontier {
+            match self {
+                Adjacency::Dense(_, csr) => csr.get(u).iter().for_each(|&t| visit(t)),
+                Adjacency::Store(view) => view.for_each_out(u, &mut visit),
+            }
+        }
+    }
+}
+
+/// Sets bit `id`, growing the set as needed; whether it was clear.
+fn mark(seen: &mut Vec<u64>, id: u32) -> bool {
+    let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+    if word >= seen.len() {
+        seen.resize(word + 1, 0);
+    }
+    let clear = seen[word] & bit == 0;
+    seen[word] |= bit;
+    clear
+}
+
+fn unmark(seen: &mut [u64], ids: &[u32]) {
+    for &id in ids {
+        seen[id as usize / 64] &= !(1u64 << (id % 64));
+    }
+}
+
+/// A pair-shaped fixpoint as frontier sweeps over dense ids. The base
+/// rows are grouped by source endpoint and each group's targets seed a
+/// frontier. `skip` exact-length steps move it: a frontier equal to
+/// the one `λ` steps earlier repeats with period `λ`, so the rest of
+/// the skip is taken modulo `λ` (Brent's cycle detection). Level-by-
+/// level steps with a reused visited bitset then reach what lies within
+/// `rounds` more. Level `j` over all groups is the semi-naive round-`j`
+/// Δ the profile records, and `max_fixpoint_iters` is checked once per
+/// level. Returns the rows and the number of groups.
+fn sweep(
+    base: &CodedBatch,
+    k: usize,
+    mut adj: Adjacency<'_>,
+    shape: &FixpointShape<'_>,
+    opts: &ExecOptions,
+    m: Option<&mut PlanMetrics>,
+) -> RelResult<(CodedBatch, usize)> {
+    let n = base.arity();
+    let mut sources = RowTable::with_capacity(n - k, base.len());
+    let (mut key, mut group_of, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+    for row in base.iter() {
+        group_of.push(sources.insert(source(row, k, &mut key)).0);
+        seeds.push(adj.id(&row[k..]));
+    }
+    let groups = Postings::group(sources.len(), &group_of, |i| seeds[i]);
+    let (mut seen, mut deltas) = (Vec::new(), Vec::new());
+    let (mut frontier, mut next, mut reached, mut checkpoint) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut out = CodedBatch::empty(n);
+    for g in 0..sources.len() as u32 {
+        frontier.clear();
+        frontier.extend_from_slice(groups.get(g));
+        frontier.sort_unstable();
+        frontier.dedup();
+        checkpoint.clone_from(&frontier);
+        let (mut level, mut power, mut lambda) = (0, 1, 0);
+        while level < shape.skip && !frontier.is_empty() {
+            next.clear();
+            adj.expand(&frontier, &mut seen, &mut next);
+            unmark(&mut seen, &next);
+            next.sort_unstable();
+            std::mem::swap(&mut frontier, &mut next);
+            (level, lambda) = (level + 1, lambda + 1);
+            if frontier == checkpoint {
+                level = shape.skip - (shape.skip - level) % lambda;
+            } else if lambda == power {
+                checkpoint.clone_from(&frontier);
+                (power, lambda) = (2 * power, 0);
+            }
+        }
+        for &v in &frontier {
+            mark(&mut seen, v);
+        }
+        reached.clone_from(&frontier);
+        let mut level = 0;
+        while !frontier.is_empty() && shape.rounds.is_none_or(|r| level < r) {
+            if deltas.len() == level {
+                deltas.push(0);
+            }
+            deltas[level] += frontier.len() as u64;
+            check_iteration_budget(&mut level, opts)?;
+            next.clear();
+            adj.expand(&frontier, &mut seen, &mut next);
+            reached.extend_from_slice(&next);
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        unmark(&mut seen, &reached);
+        let s = &sources.row(g)[..k];
+        for id in &reached {
+            out.push_concat(s, adj.end(id))?;
+        }
+    }
+    if let Some(node) = m.filter(|_| !deltas.is_empty()) {
+        node.iterations = Some(deltas);
+    }
+    Ok((out, sources.len()))
 }
 
 #[cfg(test)]
@@ -990,11 +982,31 @@ mod tests {
         assert!(execute(&tc, &d).unwrap().is_empty());
         // π_∅ over a non-empty input is Boolean true.
         d.insert("R", tuple![1]).unwrap();
+        d.insert("R", tuple![2]).unwrap();
         let unit = PhysPlan::Scan("R".into()).project(Vec::<usize>::new());
         assert_eq!(
             execute(&unit, &d).unwrap().into_relation(),
             Relation::r#true()
         );
+        // Zero-width rows and keys: every row is the one empty row.
+        let both = |l: PhysPlan, r: PhysPlan| (Box::new(l), Box::new(r));
+        let (left, right) = both(unit.clone(), unit.clone());
+        let zero_tc = PhysPlan::Fixpoint {
+            base: left.clone(),
+            step: right.clone(),
+            join: vec![],
+            project: vec![],
+            skip: 2,
+            rounds: None,
+        };
+        for (plan, rows) in [
+            (unit.clone().distinct(), 1),
+            (PhysPlan::Diff { left, right }, 0),
+            (unit.clone().hash_join(unit.clone(), vec![]), 2),
+            (zero_tc, 1),
+        ] {
+            assert_eq!(execute(&plan, &d).map(|b| b.len()), Ok(rows), "{plan}");
+        }
     }
 
     /// Runs a plan under a store down to the set boundary.
@@ -1361,15 +1373,16 @@ mod tests {
 
     /// `max_fixpoint_iters` converts a too-deep closure into a typed
     /// [`RelError::IterationLimit`] carrying the iteration count, on
-    /// both the sequential and the parallel executor.
+    /// both the sequential and the parallel executor, whether the sweep
+    /// walks the step batch or the store's CSR of the step relation.
     #[test]
     fn fixpoint_iteration_limit_errors_typed() {
         let mut d = Database::new();
         for (s, t) in [(0i64, 1i64), (1, 2), (2, 0)] {
             d.insert("C", tuple![s, t]).unwrap();
         }
-        let edges = PhysPlan::Scan("C".into());
-        let tc = PhysPlan::Fixpoint {
+        let store = Store::from_database(&d);
+        let tc = |edges: PhysPlan| PhysPlan::Fixpoint {
             base: Box::new(edges.clone()),
             step: Box::new(edges),
             join: vec![(1, 0)],
@@ -1377,21 +1390,28 @@ mod tests {
             skip: 0,
             rounds: None,
         };
-        for threads in [1, 4] {
-            let mut opts = ExecOptions::with_threads(threads);
-            opts.max_fixpoint_iters = Some(1);
-            let err = execute_opts(&tc, &d, None, &opts).unwrap_err();
-            match err {
-                RelError::IterationLimit { limit, iterations } => {
-                    assert_eq!(limit, 1);
-                    assert!(iterations > limit);
-                }
-                other => panic!("expected IterationLimit, got {other}"),
+        let runs = [
+            (tc(PhysPlan::Scan("C".into())), None),
+            (tc(PhysPlan::IndexScan("C".into())), Some(&store)),
+        ];
+        for (tc, store) in &runs {
+            for threads in [1, 4] {
+                let mut opts = ExecOptions::with_threads(threads);
+                opts.max_fixpoint_iters = Some(1);
+                let err = execute_opts(tc, &d, *store, &opts).unwrap_err();
+                assert_eq!(
+                    err,
+                    RelError::IterationLimit {
+                        limit: 1,
+                        iterations: 2
+                    },
+                    "{tc}"
+                );
+                // An adequate budget completes normally with identical rows.
+                opts.max_fixpoint_iters = Some(8);
+                let out = execute_opts(tc, &d, *store, &opts).unwrap();
+                assert_eq!(out.into_relation().unwrap().len(), 9);
             }
-            // An adequate budget completes normally with identical rows.
-            opts.max_fixpoint_iters = Some(8);
-            let out = execute_opts(&tc, &d, None, &opts).unwrap();
-            assert_eq!(out.into_relation().unwrap().len(), 9);
         }
     }
 }

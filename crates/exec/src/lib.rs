@@ -40,14 +40,15 @@
 //!   `u32` compare, not a `Value` compare;
 //! * [`PhysPlan::Fixpoint`] — a semi-naive fixpoint operator, bounded
 //!   by two fields: `skip` compositions with the step applied to the
-//!   base first (by repeated squaring) and at most `rounds` rounds after
-//!   (`None`: until nothing is new), so its rows are `⋃_{i=skip}^{skip+
-//!   rounds} base ∘ stepⁱ`. The FO\[TC\] evaluator (S5) lowers every
-//!   formula to one plan and its `TC` to the unbounded operator; a
+//!   base first and at most `rounds` rounds after (`None`: until nothing
+//!   is new), so its rows are `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ`.
+//!   Its step composes endpoint pairs (parameters allowed), and it
+//!   runs as per-source frontier sweeps over dense endpoint ids. The FO\[TC\]
+//!   evaluator (S5) lowers every formula to one plan and its `TC` to the unbounded operator; a
 //!   pattern call over a registered graph (S7, `Engine::Physical`)
 //!   compiles every repetition `ψ^{n..m}` to one with `skip = n` and
-//!   `rounds = m − n`; and [`execute_with`] runs the unbounded
-//!   reachability shape over a CSR-indexed step as frontier sweeps.
+//!   `rounds = m − n`; and [`execute_with`] sweeps a CSR-indexed
+//!   `k = 1` step on the store's index.
 //!
 //! The engine is held to the reference evaluators by differential tests
 //! (`tests/prop_engine.rs` and `tests/prop_store.rs` at the workspace

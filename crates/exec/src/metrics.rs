@@ -32,9 +32,9 @@ use std::fmt::Write as _;
 pub struct PlanMetrics {
     /// The operator label, identical to the `EXPLAIN` node label.
     pub label: String,
-    /// Whether the executor visited this node at all. A reachability
-    /// fixpoint answered by CSR frontier sweeps never executes its step
-    /// child; the node stays in the tree, marked unexecuted.
+    /// Whether the executor visited this node at all. A fixpoint swept
+    /// on a store relation's CSR never executes its step child; the
+    /// node stays in the tree, marked unexecuted.
     pub executed: bool,
     /// Total input rows consumed from executed children (0 for leaves).
     pub rows_in: u64,
@@ -54,11 +54,10 @@ pub struct PlanMetrics {
     pub dop: usize,
     /// Hash-join build-side rows (joins only).
     pub build_rows: Option<u64>,
-    /// Semi-naive fixpoint Δ-frontier sizes, one entry per iteration.
-    /// Deterministic: the rounds run on one thread.
+    /// Fixpoint Δ-frontier sizes, one entry per sweep level (the rows
+    /// that semi-naive round adds). Deterministic: the sweep runs on
+    /// one thread.
     pub iterations: Option<Vec<u64>>,
-    /// CSR frontier-sweep source groups (CSR-answered fixpoints only).
-    pub sweep_groups: Option<u64>,
     /// Tasks claimed per worker slot, summed over this operator's
     /// scheduler calls. Runtime field: claim order is racy by design.
     pub worker_tasks: Vec<u64>,
@@ -117,9 +116,6 @@ impl PlanMetrics {
         }
         if let Some(b) = self.build_rows {
             let _ = write!(s, " build={b}");
-        }
-        if let Some(g) = self.sweep_groups {
-            let _ = write!(s, " sweeps={g}");
         }
         if let Some(deltas) = &self.iterations {
             let sizes: Vec<String> = deltas.iter().map(u64::to_string).collect();
@@ -390,9 +386,9 @@ mod tests {
     fn unexecuted_nodes_say_so() {
         let mut m = PlanMetrics::leaf("Fixpoint");
         m.executed = true;
-        m.sweep_groups = Some(3);
+        m.iterations = Some(vec![3, 1]);
         m.children.push(PlanMetrics::leaf("IndexScan E"));
-        assert!(m.line(false).contains("sweeps=3"));
+        assert!(m.line(false).contains("iters=2 Δ=[3,1]"));
         assert_eq!(m.children[0].line(false), "IndexScan E [not executed]");
     }
 

@@ -20,9 +20,9 @@
 //! panic-free audit of PR 6).
 //!
 //! The generic scheduling core lives in [`pgq_store::par`] so the
-//! store's bulk-ingest path shares it; this module re-exports its two
-//! entry points (specialized by type inference to `RelError` at the
-//! executor's call sites) and keeps the executor-specific tuning knobs
+//! store's bulk-ingest path shares it; this module re-exports
+//! [`pgq_store::par::run_morsels`] (specialized by type inference to
+//! `RelError` at the executor's call sites) and keeps the executor-specific tuning knobs
 //! ([`ExecOptions`]).
 
 use crate::cost::PlannerChoice;
@@ -30,7 +30,7 @@ use crate::cost::PlannerChoice;
 /// Rows per morsel (re-exported from the store-level engine).
 pub use pgq_store::par::MORSEL_ROWS;
 
-pub(crate) use pgq_store::par::{run_morsels, run_tasks};
+pub(crate) use pgq_store::par::run_morsels;
 
 /// The most workers one operator ever gets, however the count was
 /// asked for: the operators stop scaling usefully beyond it on the

@@ -119,13 +119,17 @@ pub enum PhysPlan {
     /// reproduce the base arity. With `(skip, rounds) = (0, None)` this
     /// is the least row set `⊇ base` closed under `∘ step`.
     ///
-    /// The step batch is evaluated once and hash-indexed. `base ∘
-    /// step^skip` is computed by repeated squaring, which needs the
-    /// pair shape (`base` and `step` of arity `2k`, `acc.t̄ = s.s̄`,
-    /// emitting `(acc.s̄, s.t̄)`); then each semi-naive round joins only
-    /// the *delta* the previous one discovered. A row of `base ∘ stepⁱ`
-    /// is first derived by round `i − skip` at the latest, so capping
-    /// the rounds is exact.
+    /// The executor runs the pair shape: rows `(s̄, t̄, p̄)` of arity
+    /// `2k + l`, `acc.t̄ = s.s̄ ∧ acc.p̄ = s.p̄`, emitting `(acc.s̄, s.t̄,
+    /// s.p̄)` — every fixpoint the system builds (compiled repetition,
+    /// `l = 0`; the logic side's `TC`, parameters `p̄`); any other
+    /// `join`/`project` is a typed error. The step is evaluated once,
+    /// its endpoints are interned to dense ids, and each source's
+    /// frontier is swept over a CSR: `skip` exact-length steps, then
+    /// level by level with a visited bitset. Level `i` is the
+    /// semi-naive round-`i` Δ: a row of `base ∘ stepⁱ` is first reached
+    /// by level `i − skip` at the latest, so capping the levels at
+    /// `rounds` is exact.
     Fixpoint {
         /// Initial rows (also the result arity).
         base: Box<PhysPlan>,
@@ -299,9 +303,9 @@ impl PhysPlan {
 
     /// Whether **this operator** reads store state through an update
     /// overlay: an `IndexScan` over a relation with tombstoned rows,
-    /// or an adjacency read (`IndexSeek`, `AdjacencyExpand`, the
-    /// CSR-routed reachability `Fixpoint`) whose index carries a
-    /// non-empty delta.
+    /// or an adjacency read (`IndexSeek`, `AdjacencyExpand`, a
+    /// `Fixpoint` swept on its step relation's CSR) whose index carries
+    /// a non-empty delta.
     /// `EXPLAIN` marks such nodes `⟨delta⟩` — the answer is exact, but
     /// part of it is merged from the overlay at read time until
     /// `Store::compact` folds it back.
@@ -319,18 +323,15 @@ impl PhysPlan {
         }
     }
 
-    /// The step relation of a `Fixpoint` in the reachability shape the
-    /// executor answers by CSR frontier sweeps (when the store indexes
-    /// that relation): an `IndexScan` step, join `[(1, 0)]`, project
-    /// `[0, 3]`, unbounded.
+    /// The step relation of a `k = 1` pair `Fixpoint` whose sweep
+    /// walks that relation's CSR when the store indexes it: an
+    /// `IndexScan` step, join `[(1, 0)]`, project `[0, 3]`, any bounds.
     pub(crate) fn csr_sweep_step(&self) -> Option<&RelName> {
         match self {
             PhysPlan::Fixpoint {
                 step,
                 join,
                 project,
-                skip: 0,
-                rounds: None,
                 ..
             } if join.as_slice() == [(1, 0)] && project.as_slice() == [0, 3] => match step.as_ref()
             {
@@ -382,10 +383,10 @@ impl PhysPlan {
     /// Whether the executor splits this operator's input across workers
     /// when given more than one thread (`EXPLAIN`'s `⟨dop≤n⟩` marker):
     /// `Filter`, `Project`, `Diff`, the key-less `HashJoin`
-    /// (intersection), `AdjacencyExpand` and the CSR-shaped `Fixpoint`'s
-    /// source-group sweeps. Keyed `HashJoin`, `Distinct` and the hash
-    /// `Fixpoint` run one sequential algorithm. The executor's profile
-    /// is held to this answer on every operator.
+    /// (intersection) and `AdjacencyExpand`. Keyed `HashJoin`,
+    /// `Distinct` and `Fixpoint` (its per-source sweeps) run one
+    /// sequential algorithm.
+    /// The executor's profile is held to this answer on every operator.
     pub fn parallel_capable(&self) -> bool {
         match self {
             PhysPlan::Filter { .. }
@@ -393,7 +394,6 @@ impl PhysPlan {
             | PhysPlan::Diff { .. }
             | PhysPlan::AdjacencyExpand { .. } => true,
             PhysPlan::HashJoin { keys, .. } => keys.is_empty(),
-            PhysPlan::Fixpoint { .. } => self.csr_sweep_step().is_some(),
             _ => false,
         }
     }

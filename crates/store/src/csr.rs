@@ -302,9 +302,8 @@ impl CsrIndex {
     }
 
     /// Dense ids reachable from `seeds` by **zero or more** forward
-    /// steps (the seeds themselves are included). The workhorse of the
-    /// store-backed fixpoint: one multi-source sweep per distinct
-    /// accumulator prefix. Allocates fresh buffers — hot loops should
+    /// steps (the seeds themselves are included). Allocates fresh
+    /// buffers — hot loops should
     /// use [`CsrIndex::reach_from_into`] with a reused
     /// [`ReachScratch`] instead.
     pub fn reach_from(&self, seeds: impl IntoIterator<Item = u32>) -> Vec<u32> {
@@ -355,17 +354,11 @@ impl CsrIndex {
     }
 }
 
-/// Reusable per-worker buffers for CSR reachability sweeps (PR 9).
-///
-/// The CSR fixpoint sweeps one seed group per task; before this
-/// struct existed each sweep allocated a fresh visited array plus
-/// frontier/next/output `Vec`s, so allocation count grew linearly with
-/// the number of groups *and* iterations. A `ReachScratch` is created
-/// once per worker ([`crate::par::run_tasks`]) and reused for
-/// every sweep that worker claims: the visited array is **epoch
-/// stamped** (bumping an integer invalidates the whole array in O(1)),
-/// and the queues
-/// keep their capacity between sweeps.
+/// Reusable buffers for CSR reachability sweeps: one sweep per
+/// seed group would otherwise allocate a fresh visited array plus
+/// frontier/next/output `Vec`s. The visited array is **epoch stamped**
+/// (bumping an integer invalidates the whole array in O(1)), and the
+/// queues keep their capacity between sweeps.
 #[derive(Debug, Clone, Default)]
 pub struct ReachScratch {
     /// `seen[d] == epoch` ⇔ dense id `d` was visited this sweep.

@@ -32,7 +32,8 @@
 //! ([`StoreStats`]); `stats` is the planner's [`StoreStatistics`];
 //! `counters` is `METRICS` ([`AccessCounters`]); `error` is
 //! [`StoreError`]; `bulk`, `snapshot`, `column`, `csr`, `dict`, `par`
-//! are what their names say.
+//! are what their names say, and `rows` is the executor's row table
+//! ([`RowTable`], [`Postings`]).
 //!
 //! ## Code order vs. value order
 //!
@@ -94,6 +95,7 @@ pub mod error;
 pub mod graph;
 pub mod par;
 pub mod report;
+pub mod rows;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -107,6 +109,7 @@ pub use dict::Dictionary;
 pub use error::{GraphForm, StoreError};
 pub use graph::GraphEntry;
 pub use report::{GraphStats, MemoryBytes, RelationStats, StoreStats};
+pub use rows::{Postings, RowTable};
 pub use snapshot::{ConcurrentStore, StoreSnapshot};
 pub use stats::{
     AdjacencyStatistics, DegreeHistogram, GraphStatistics, RelationStatistics, StoreStatistics,

@@ -15,11 +15,9 @@
 //! worker that hits an error stops claiming tasks and the first error
 //! in task order is returned.
 //!
-//! There are two entry points. [`run_tasks`] threads one mutable
-//! **per-worker scratch value** through every task a worker claims, so
-//! hot loops (CSR frontier sweeps) reuse their frontier/visited buffers
-//! across tasks ([`crate::ReachScratch`]); [`run_morsels`] sits over it
-//! for plain row ranges. Both optionally report how many tasks each
+//! There are two entry points: [`run_tasks`] over task indices, and
+//! [`run_morsels`] over it for row ranges — the one the executor and
+//! the dictionary's parallel interning call. Both optionally report how many tasks each
 //! worker claimed.
 
 use std::ops::Range;
@@ -41,9 +39,7 @@ fn morsel_ranges(len: usize) -> Vec<Range<usize>> {
 /// — the deterministic merge every parallel operator builds on. Runs
 /// inline on the calling thread when one worker (or one task) suffices.
 ///
-/// `init(worker_index)` runs once when a worker starts, and every task
-/// that worker claims receives `&mut` access to that one scratch value
-/// — per-task buffers hoisted into per-worker state. With `claimed`,
+/// With `claimed`,
 /// the vector is overwritten with how many tasks each worker slot
 /// claimed: a *scheduling* fact that varies run to run, never a result.
 ///
@@ -51,37 +47,33 @@ fn morsel_ranges(len: usize) -> Vec<Range<usize>> {
 /// every worker stopped on an error are simply dropped (an error is
 /// returned in that case by construction, since workers only stop
 /// early when they hit one).
-pub fn run_tasks<T, E, S, I, F>(
+pub fn run_tasks<T, E, F>(
     count: usize,
     threads: usize,
-    init: I,
     work: F,
     claimed: Option<&mut Vec<u64>>,
 ) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
+    F: Fn(usize) -> Result<T, E> + Sync,
 {
     let threads = threads.min(count).max(1);
     if threads == 1 {
         if let Some(c) = claimed {
             *c = vec![count as u64];
         }
-        let mut scratch = init(0);
-        return (0..count).map(|i| work(&mut scratch, i)).collect();
+        return (0..count).map(work).collect();
     }
     let next = AtomicUsize::new(0);
-    let worker = |w: usize| {
-        let mut scratch = init(w);
+    let worker = || {
         let mut mine: Vec<(usize, Result<T, E>)> = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= count {
                 break;
             }
-            let out = work(&mut scratch, i);
+            let out = work(i);
             let failed = out.is_err();
             mine.push((i, out));
             if failed {
@@ -91,7 +83,7 @@ where
         mine
     };
     let per_worker: Vec<Vec<(usize, Result<T, E>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads).map(|i| s.spawn(move || worker(i))).collect();
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
         handles
             .into_iter()
             .map(|h| match h.join() {
@@ -136,21 +128,25 @@ where
     F: Fn(Range<usize>) -> Result<T, E> + Sync,
 {
     let morsels = morsel_ranges(len);
-    let work = |(): &mut (), i: usize| work(morsels[i].clone());
-    run_tasks(morsels.len(), threads, |_| (), work, claimed)
+    run_tasks(
+        morsels.len(),
+        threads,
+        |i| work(morsels[i].clone()),
+        claimed,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `run_tasks` without scratch or claim counts.
+    /// `run_tasks` without claim counts.
     fn tasks<T: Send, E: Send>(
         count: usize,
         threads: usize,
         work: impl Fn(usize) -> Result<T, E> + Sync,
     ) -> Result<Vec<T>, E> {
-        run_tasks(count, threads, |_| (), |(), i| work(i), None)
+        run_tasks(count, threads, work, None)
     }
 
     #[test]
@@ -189,14 +185,8 @@ mod tests {
     fn traced_tasks_report_every_claim_exactly_once() {
         for threads in [1, 2, 8] {
             let mut claimed = Vec::new();
-            let out = run_tasks::<_, (), _, _, _>(
-                10,
-                threads,
-                |_| (),
-                |(), i| Ok(i * i),
-                Some(&mut claimed),
-            )
-            .unwrap();
+            let out =
+                run_tasks::<_, (), _>(10, threads, |i| Ok(i * i), Some(&mut claimed)).unwrap();
             assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
             assert_eq!(claimed.iter().sum::<u64>(), 10, "threads = {threads}");
         }
@@ -205,33 +195,5 @@ mod tests {
         let ranges = run_morsels::<_, (), _>(len, 4, Ok, Some(&mut claimed)).unwrap();
         assert_eq!(ranges.iter().map(std::ops::Range::len).sum::<usize>(), len);
         assert_eq!(claimed.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn scratch_is_per_worker_and_reused_across_tasks() {
-        use std::sync::atomic::AtomicUsize;
-        for threads in [1, 2, 8] {
-            let inits = AtomicUsize::new(0);
-            let out = run_tasks::<_, (), _, _, _>(
-                64,
-                threads,
-                |_w| {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<usize>::new()
-                },
-                |scratch, i| {
-                    scratch.push(i);
-                    Ok(i)
-                },
-                None,
-            )
-            .unwrap();
-            assert_eq!(out, (0..64).collect::<Vec<_>>());
-            // One scratch per worker actually started — never per task.
-            assert!(
-                inits.load(Ordering::Relaxed) <= threads.min(64),
-                "threads = {threads}"
-            );
-        }
     }
 }

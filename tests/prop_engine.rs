@@ -13,12 +13,13 @@
 //! plus the empty-relation and zero-arity edge cases.
 
 use pgq_core::{builders, eval_with, optimize, EvalConfig, Query};
-use pgq_exec::eval_ra;
+use pgq_exec::{eval_ra, PhysPlan};
 use pgq_logic::{all_satisfying, Formula, Term};
 use pgq_relational::{Database, RaExpr, Relation, RowCondition};
 use pgq_value::{tuple, Tuple, Value, Var};
 use pgq_workloads::random::{canonical_graph_db, ve_db};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A random `RaExpr` of the given arity over the `{V/1, E/2}` schema.
 fn arb_ra(arity: usize, depth: u32) -> BoxedStrategy<RaExpr> {
@@ -329,6 +330,122 @@ proptest! {
                 "{}",
                 phi
             );
+        }
+    }
+}
+
+/// The rows `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ` of a pair-shaped
+/// fixpoint over `(s̄, t̄, p̄)` rows (`|s̄| = |t̄| = k`), computed as a
+/// naive union of powers, and the number of new rows at each level the
+/// semi-naive rounds expand (level `i` is expanded when it holds new
+/// rows and `i < rounds`).
+fn union_of_powers(
+    base: &BTreeSet<Vec<i64>>,
+    step: &BTreeSet<Vec<i64>>,
+    k: usize,
+    skip: usize,
+    rounds: Option<usize>,
+) -> (BTreeSet<Vec<i64>>, Vec<u64>) {
+    let compose = |a: &BTreeSet<Vec<i64>>| -> BTreeSet<Vec<i64>> {
+        let mut out = BTreeSet::new();
+        for acc in a {
+            for s in step {
+                if acc[k..2 * k] == s[..k] && acc[2 * k..] == s[2 * k..] {
+                    out.insert(acc[..k].iter().chain(&s[k..]).copied().collect());
+                }
+            }
+        }
+        out
+    };
+    let mut power = base.clone();
+    for _ in 0..skip {
+        power = compose(&power);
+    }
+    let (mut union, mut deltas) = (BTreeSet::new(), Vec::new());
+    loop {
+        let new: Vec<Vec<i64>> = power.difference(&union).cloned().collect();
+        union.extend(new.iter().cloned());
+        if new.is_empty() || rounds.is_some_and(|r| deltas.len() >= r) {
+            return (union, deltas);
+        }
+        deltas.push(new.len() as u64);
+        power = compose(&power);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dense fixpoint sweep equals a naive union of powers, and its
+    /// profile's `Δ=[…]` equals the reference's per-level new-row counts,
+    /// at 1 and 8 threads: `k ∈ {1, 2}` and a parameterised `(s, t, p)`
+    /// step, every `skip ≤ 4` and `rounds ∈ {None, 0..=3}`, duplicate
+    /// base and step rows, base endpoints the step never names, on the
+    /// store's CSR of the step relation and on a step batch.
+    #[test]
+    fn dense_sweep_matches_union_of_powers(
+        shape in 0usize..3,
+        skip in 0usize..5,
+        rounds in 0usize..5,
+        nodes in 1i64..6,
+        edges in 0usize..14,
+        seed in 0u64..1000,
+    ) {
+        let (k, n) = [(1, 2), (2, 4), (1, 3)][shape];
+        let rounds = (rounds < 4).then_some(rounds);
+        let mut state = seed;
+        let mut draw = |below: i64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as i64 % below
+        };
+        // Step endpoints range over `0..nodes`, base endpoints over two
+        // more; a 2-component identifier's first component is 0 or 1.
+        let mut row = |domain: i64| -> Vec<i64> {
+            (0..n).map(|i| if k == 2 && i % 2 == 0 { draw(2) } else { draw(domain) }).collect()
+        };
+        let step: BTreeSet<Vec<i64>> = (0..edges).map(|_| row(nodes)).collect();
+        let base: BTreeSet<Vec<i64>> = (0..edges / 2 + 1).map(|_| row(nodes + 2)).collect();
+        let mut db = Database::new();
+        for (name, rows) in [("B", &base), ("E", &step)] {
+            db.add_relation(name, Relation::empty(n));
+            for r in rows {
+                db.insert(name, Tuple::new(r.iter().map(|&v| Value::int(v)).collect())).unwrap();
+            }
+        }
+        let store = pgq_store::Store::from_database(&db);
+        let twice = |name: &str| PhysPlan::Union {
+            left: Box::new(PhysPlan::Scan(name.into())),
+            right: Box::new(PhysPlan::Scan(name.into())),
+        };
+        let fixpoint = |step: PhysPlan| PhysPlan::Fixpoint {
+            base: Box::new(twice("B")),
+            step: Box::new(step),
+            join: (0..k).map(|i| (k + i, i)).chain((2 * k..n).map(|i| (i, i))).collect(),
+            project: (0..k).chain(n + k..2 * n).collect(),
+            skip,
+            rounds,
+        };
+        let (want, deltas) = union_of_powers(&base, &step, k, skip, rounds);
+        let want = Relation::from_rows(
+            n,
+            want.iter().map(|r| Tuple::new(r.iter().map(|&v| Value::int(v)).collect())),
+        )
+        .unwrap();
+        let deltas = (!deltas.is_empty()).then_some(deltas);
+        // (plan, store, whether the step is read off the store's CSR)
+        let mut runs = vec![(fixpoint(twice("E")), None), (fixpoint(twice("E")), Some(&store))];
+        if k == 1 && n == 2 {
+            runs.push((fixpoint(PhysPlan::IndexScan("E".into())), Some(&store)));
+        }
+        for (plan, store) in &runs {
+            for threads in [1, 8] {
+                let opts = pgq_exec::ExecOptions::with_threads(threads);
+                let (out, m) = pgq_exec::execute_profiled(plan, &db, *store, &opts).unwrap();
+                prop_assert_eq!(out.into_relation().unwrap(), want.clone(), "{}", plan);
+                prop_assert_eq!(&m.iterations, &deltas, "{}", plan);
+                let on_csr = matches!(plan, PhysPlan::Fixpoint { step, .. } if matches!(**step, PhysPlan::IndexScan(_)));
+                prop_assert_eq!(m.children[1].executed, !on_csr, "{}", plan);
+            }
         }
     }
 }
