@@ -335,9 +335,8 @@ fn pinned(cond: &RowCondition, col: usize) -> Option<&Value> {
 ///   side is a bare scan of a CSR-indexed binary relation and
 ///   expanding is estimated no dearer, a hash join with the smaller
 ///   side building otherwise;
-/// * the step of a `k = 1` pair `Fixpoint` that scans a CSR-indexed
-///   relation becomes an `IndexScan`, whose CSR [`crate::execute_with`]
-///   sweeps directly.
+/// * a projection of a projection becomes one (`PhysPlan::project`
+///   composes them), so a chain's column restore costs no extra copy.
 ///
 /// `planner` picks the estimator (module docs), and this is the only
 /// place it is looked at. Apply **after** [`crate::optimize_plan`]: the
@@ -374,10 +373,13 @@ fn lower(plan: PhysPlan, store: &Store, schema: &Schema, est: &Estimator<'_>) ->
         PhysPlan::Filter { cond, input } => {
             lower_filter(cond, lower(*input, store, schema, est), store, est)
         }
-        // Everything else only has children to lower. That includes
-        // `Fixpoint`: its fields pick the sweep's adjacency (a step
-        // relation's CSR for the `join = [(1,0)], project = [0,3]`
-        // shape), so they are never touched.
+        // Rebuilt through the builder, which fuses it with a projection
+        // the lowered input ends in (a join chain's column restore).
+        PhysPlan::Project { positions, input } => {
+            lower(*input, store, schema, est).project(positions)
+        }
+        // Everything else only has children to lower. A `Fixpoint`
+        // keeps its fields: they are the pair shape its sweep reads.
         other => other.map_children(|child| lower(child, store, schema, est)),
     }
 }

@@ -47,10 +47,8 @@ pub fn execute_with(plan: &PhysPlan, db: &Database, store: Option<&Store>) -> Re
 
 /// Executes a physical plan on the given number of worker threads.
 ///
-/// `IndexScan` reads the store's columnar relations, `IndexSeek` and
-/// `AdjacencyExpand` probe its CSR indexes, and a `k = 1` pair
-/// `Fixpoint` whose step is a CSR-indexed relation sweeps that index
-/// instead of a step batch. The store must
+/// `IndexScan` reads the store's columnar relations, and `IndexSeek` and
+/// `AdjacencyExpand` probe its CSR indexes. The store must
 /// have been registered from (a snapshot equal to) `db`; the
 /// differential suite `tests/prop_store.rs` holds store-backed and
 /// storeless paths to identical results.
@@ -280,18 +278,6 @@ impl<'a, 'd> Run<'a, 'd> {
                     skip: *skip,
                     rounds: *rounds,
                 };
-                // A `k = 1` step that is a CSR-indexed relation is swept
-                // on the index (read through its delta overlay), with
-                // codes as ids: no step batch, no interning.
-                if let (Some(store), Some(rel)) = (self.store, plan.csr_sweep_step()) {
-                    if let Some(view) = store.adjacency(rel).filter(|_| base.arity() == 2) {
-                        let adj = Adjacency::Store(view);
-                        let (out, groups) = sweep(&base, 1, adj, &shape, opts, m)?;
-                        store.counters().record_csr_sweep_sources(groups as u64);
-                        store.counters().record_adjacency_read(view.has_delta());
-                        return Ok(out);
-                    }
-                }
                 let step = self.node(step, child_m(&mut m, 1))?;
                 note_rows_in(&mut m, step.len());
                 fixpoint_coded(base, &step, &shape, opts, m)
@@ -618,11 +604,19 @@ fn source<'k>(row: &[u32], k: usize, key: &'k mut Vec<u32>) -> &'k [u32] {
     key
 }
 
-/// `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ` of a pair-shaped step: its
-/// endpoint tuples are interned once — the [`RowTable`] ids are the
-/// dense ids — and it is swept as a CSR over them ([`sweep`]). Every
-/// `Fixpoint` the system builds has that shape (compiled repetition
-/// and the logic side's `TC`); any other is a typed error.
+/// `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ` of a pair-shaped step, as
+/// frontier sweeps over dense ids. The step's endpoint tuples are
+/// interned once — the [`RowTable`] ids are the dense ids — into a
+/// CSR. The base rows are grouped by source endpoint and each group's
+/// targets seed a frontier. `skip` exact-length steps move it: a
+/// frontier equal to the one `λ` steps earlier repeats with period
+/// `λ`, so the rest of the skip is taken modulo `λ` (Brent's cycle
+/// detection). Level-by-level steps with a reused visited bitset then
+/// reach what lies within `rounds` more. Level `j` over all groups is
+/// the semi-naive round-`j` Δ the profile records, and
+/// `max_fixpoint_iters` is checked once per level. Every `Fixpoint` the
+/// system builds has that shape (compiled repetition and the logic
+/// side's `TC`); any other is a typed error.
 fn fixpoint_coded(
     base: CodedBatch,
     step: &CodedBatch,
@@ -651,98 +645,17 @@ fn fixpoint_coded(
         })
         .unzip();
     let csr = Postings::group(ends.len(), &from, |i| to[i]);
-    Ok(sweep(&base, k, Adjacency::Dense(ends, csr), shape, opts, m)?.0)
-}
-
-/// Where a pair-shaped fixpoint's step edges come from.
-enum Adjacency<'v> {
-    /// The step's endpoint tuples interned to dense ids, and its CSR
-    /// over them.
-    Dense(RowTable, Postings),
-    /// A CSR-indexed store relation (`k = 1`): codes are the ids.
-    Store(AdjacencyView<'v>),
-}
-
-impl Adjacency<'_> {
-    /// The id of a target endpoint, interned if new.
-    fn id(&mut self, end: &[u32]) -> u32 {
-        match self {
-            Adjacency::Dense(ends, _) => ends.insert(end).0,
-            Adjacency::Store(..) => end[0],
-        }
-    }
-
-    /// The endpoint behind an id.
-    fn end<'a>(&'a self, id: &'a u32) -> &'a [u32] {
-        match self {
-            Adjacency::Dense(ends, _) => ends.row(*id),
-            Adjacency::Store(..) => std::slice::from_ref(id),
-        }
-    }
-
-    /// Marks and appends to `next` every unmarked successor of
-    /// `frontier`.
-    fn expand(&self, frontier: &[u32], seen: &mut Vec<u64>, next: &mut Vec<u32>) {
-        let mut visit = |t: u32| {
-            if mark(seen, t) {
-                next.push(t);
-            }
-        };
-        for &u in frontier {
-            match self {
-                Adjacency::Dense(_, csr) => csr.get(u).iter().for_each(|&t| visit(t)),
-                Adjacency::Store(view) => view.for_each_out(u, &mut visit),
-            }
-        }
-    }
-}
-
-/// Sets bit `id`, growing the set as needed; whether it was clear.
-fn mark(seen: &mut Vec<u64>, id: u32) -> bool {
-    let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-    if word >= seen.len() {
-        seen.resize(word + 1, 0);
-    }
-    let clear = seen[word] & bit == 0;
-    seen[word] |= bit;
-    clear
-}
-
-fn unmark(seen: &mut [u64], ids: &[u32]) {
-    for &id in ids {
-        seen[id as usize / 64] &= !(1u64 << (id % 64));
-    }
-}
-
-/// A pair-shaped fixpoint as frontier sweeps over dense ids. The base
-/// rows are grouped by source endpoint and each group's targets seed a
-/// frontier. `skip` exact-length steps move it: a frontier equal to
-/// the one `λ` steps earlier repeats with period `λ`, so the rest of
-/// the skip is taken modulo `λ` (Brent's cycle detection). Level-by-
-/// level steps with a reused visited bitset then reach what lies within
-/// `rounds` more. Level `j` over all groups is the semi-naive round-`j`
-/// Δ the profile records, and `max_fixpoint_iters` is checked once per
-/// level. Returns the rows and the number of groups.
-fn sweep(
-    base: &CodedBatch,
-    k: usize,
-    mut adj: Adjacency<'_>,
-    shape: &FixpointShape<'_>,
-    opts: &ExecOptions,
-    m: Option<&mut PlanMetrics>,
-) -> RelResult<(CodedBatch, usize)> {
-    let n = base.arity();
-    let mut sources = RowTable::with_capacity(n - k, base.len());
-    let (mut key, mut group_of, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+    let mut sources = RowTable::with_capacity(arity - k, base.len());
+    let (mut group_of, mut seeds) = (Vec::new(), Vec::new());
     for row in base.iter() {
         group_of.push(sources.insert(source(row, k, &mut key)).0);
-        seeds.push(adj.id(&row[k..]));
+        seeds.push(ends.insert(&row[k..]).0);
     }
     let groups = Postings::group(sources.len(), &group_of, |i| seeds[i]);
     let (mut seen, mut deltas) = (Vec::new(), Vec::new());
     let (mut frontier, mut next, mut reached, mut checkpoint) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let mut out = CodedBatch::empty(n);
+    let mut out = CodedBatch::empty(arity);
     for g in 0..sources.len() as u32 {
         frontier.clear();
         frontier.extend_from_slice(groups.get(g));
@@ -752,7 +665,7 @@ fn sweep(
         let (mut level, mut power, mut lambda) = (0, 1, 0);
         while level < shape.skip && !frontier.is_empty() {
             next.clear();
-            adj.expand(&frontier, &mut seen, &mut next);
+            expand(&csr, &frontier, &mut seen, &mut next);
             unmark(&mut seen, &next);
             next.sort_unstable();
             std::mem::swap(&mut frontier, &mut next);
@@ -776,20 +689,48 @@ fn sweep(
             deltas[level] += frontier.len() as u64;
             check_iteration_budget(&mut level, opts)?;
             next.clear();
-            adj.expand(&frontier, &mut seen, &mut next);
+            expand(&csr, &frontier, &mut seen, &mut next);
             reached.extend_from_slice(&next);
             std::mem::swap(&mut frontier, &mut next);
         }
         unmark(&mut seen, &reached);
         let s = &sources.row(g)[..k];
         for id in &reached {
-            out.push_concat(s, adj.end(id))?;
+            out.push_concat(s, ends.row(*id))?;
         }
     }
     if let Some(node) = m.filter(|_| !deltas.is_empty()) {
         node.iterations = Some(deltas);
     }
-    Ok((out, sources.len()))
+    Ok(out)
+}
+
+/// Marks and appends to `next` every unmarked successor of `frontier`.
+fn expand(csr: &Postings, frontier: &[u32], seen: &mut Vec<u64>, next: &mut Vec<u32>) {
+    for &u in frontier {
+        for &t in csr.get(u) {
+            if mark(seen, t) {
+                next.push(t);
+            }
+        }
+    }
+}
+
+/// Sets bit `id`, growing the set as needed; whether it was clear.
+fn mark(seen: &mut Vec<u64>, id: u32) -> bool {
+    let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+    if word >= seen.len() {
+        seen.resize(word + 1, 0);
+    }
+    let clear = seen[word] & bit == 0;
+    seen[word] |= bit;
+    clear
+}
+
+fn unmark(seen: &mut [u64], ids: &[u32]) {
+    for &id in ids {
+        seen[id as usize / 64] &= !(1u64 << (id % 64));
+    }
 }
 
 #[cfg(test)]
@@ -1373,8 +1314,8 @@ mod tests {
 
     /// `max_fixpoint_iters` converts a too-deep closure into a typed
     /// [`RelError::IterationLimit`] carrying the iteration count, on
-    /// both the sequential and the parallel executor, whether the sweep
-    /// walks the step batch or the store's CSR of the step relation.
+    /// both the sequential and the parallel executor, storeless and with
+    /// the step scanned from the store.
     #[test]
     fn fixpoint_iteration_limit_errors_typed() {
         let mut d = Database::new();

@@ -47,8 +47,7 @@
 //!   evaluator (S5) lowers every formula to one plan and its `TC` to the unbounded operator; a
 //!   pattern call over a registered graph (S7, `Engine::Physical`)
 //!   compiles every repetition `ψ^{n..m}` to one with `skip = n` and
-//!   `rounds = m − n`; and [`execute_with`] sweeps a CSR-indexed
-//!   `k = 1` step on the store's index.
+//!   `rounds = m − n`.
 //!
 //! The engine is held to the reference evaluators by differential tests
 //! (`tests/prop_engine.rs` and `tests/prop_store.rs` at the workspace

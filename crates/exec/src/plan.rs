@@ -156,11 +156,23 @@ impl PhysPlan {
         }
     }
 
-    /// Projection (builder).
+    /// Projection (builder). A projection of a projection is one
+    /// `Project` of the composed positions, so no plan built here
+    /// copies its rows twice.
     pub fn project(self, positions: impl Into<Vec<usize>>) -> Self {
-        PhysPlan::Project {
-            positions: positions.into(),
-            input: Box::new(self),
+        let positions = positions.into();
+        match self {
+            PhysPlan::Project {
+                positions: inner,
+                input,
+            } if positions.iter().all(|&p| p < inner.len()) => PhysPlan::Project {
+                positions: positions.iter().map(|&p| inner[p]).collect(),
+                input,
+            },
+            input => PhysPlan::Project {
+                positions,
+                input: Box::new(input),
+            },
         }
     }
 
@@ -303,9 +315,8 @@ impl PhysPlan {
 
     /// Whether **this operator** reads store state through an update
     /// overlay: an `IndexScan` over a relation with tombstoned rows,
-    /// or an adjacency read (`IndexSeek`, `AdjacencyExpand`, a
-    /// `Fixpoint` swept on its step relation's CSR) whose index carries
-    /// a non-empty delta.
+    /// or an adjacency read (`IndexSeek`, `AdjacencyExpand`) whose
+    /// index carries a non-empty delta.
     /// `EXPLAIN` marks such nodes `⟨delta⟩` — the answer is exact, but
     /// part of it is merged from the overlay at read time until
     /// `Store::compact` folds it back.
@@ -315,30 +326,7 @@ impl PhysPlan {
             PhysPlan::IndexSeek { rel, .. } | PhysPlan::AdjacencyExpand { rel, .. } => {
                 store.adjacency(rel).is_some_and(|v| v.has_delta())
             }
-            PhysPlan::Fixpoint { .. } => self
-                .csr_sweep_step()
-                .and_then(|rel| store.adjacency(rel))
-                .is_some_and(|v| v.has_delta()),
             _ => false,
-        }
-    }
-
-    /// The step relation of a `k = 1` pair `Fixpoint` whose sweep
-    /// walks that relation's CSR when the store indexes it: an
-    /// `IndexScan` step, join `[(1, 0)]`, project `[0, 3]`, any bounds.
-    pub(crate) fn csr_sweep_step(&self) -> Option<&RelName> {
-        match self {
-            PhysPlan::Fixpoint {
-                step,
-                join,
-                project,
-                ..
-            } if join.as_slice() == [(1, 0)] && project.as_slice() == [0, 3] => match step.as_ref()
-            {
-                PhysPlan::IndexScan(name) => Some(name),
-                _ => None,
-            },
-            _ => None,
         }
     }
 

@@ -1,5 +1,5 @@
 //! The executor's structures keyed by row allocate per batch, not per
-//! row: a pair closure (on the store's CSR and on a step batch), a
+//! row: a pair closure (`k = 1` and `k = 2` identifiers), a
 //! keyed `HashJoin` and a `Distinct` make as many heap allocations over
 //! `4n` input rows as over `n`.
 //!
@@ -77,8 +77,8 @@ fn keyed_structures_allocate_per_batch_not_per_row() {
         rounds: None,
     };
     let plans = [
-        ("pair closure on the store's CSR", closure("E", 1)),
-        ("pair closure on a step batch", closure("E2", 2)),
+        ("pair closure, k = 1", closure("E", 1)),
+        ("pair closure, k = 2", closure("E2", 2)),
         (
             "keyed HashJoin",
             scan("E").hash_join(scan("E"), vec![(1, 0)]),

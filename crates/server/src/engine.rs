@@ -475,8 +475,6 @@ fn metrics_json(snap: &AccessSnapshot) -> String {
     w.number(snap.index_scan_rows);
     w.key("csr_neighbor_rows");
     w.number(snap.csr_neighbor_rows);
-    w.key("csr_sweep_sources");
-    w.number(snap.csr_sweep_sources);
     w.key("overlay_reads");
     w.number(snap.overlay_reads);
     w.key("dense_reads");

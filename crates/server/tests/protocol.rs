@@ -124,7 +124,6 @@ fn statement_batches_and_session_commands_round_trip() {
     for key in [
         "index_scan_rows",
         "csr_neighbor_rows",
-        "csr_sweep_sources",
         "overlay_reads",
         "dense_reads",
         "dict_decodes",

@@ -8,7 +8,7 @@
 //!
 //! Since PR 5 the columns are **append-plus-tombstone**: updates append
 //! rows at the end and mark deleted rows dead in a validity bitmap
-//! instead of rewriting the vectors (a row-hash makes the membership
+//! instead of rewriting the vectors (a row table makes the membership
 //! probe O(1)), so an update edits rows in place instead of
 //! re-encoding the relation. Readers iterate
 //! [`ColumnarRelation::live_rows`]; `Store::compact` drops the dead
@@ -18,76 +18,121 @@
 //! needs them ([`ColumnarRelation::find_live`] and friends — only the
 //! store's writer calls them) builds them, and nothing else does.
 //! Registration and bulk loads build none, so a relation no writer
-//! touches carries its coded columns and nothing more. Once built they
-//! follow the store's copy-on-write rule: an `Arc`-shared base over the
-//! rows indexed at build time plus an owned tail over rows appended
-//! since, so a copy of the relation copies its flat columns, its bitmap
-//! and the tail — never the per-row maps of the base.
+//! touches carries its coded columns and nothing more. They allocate
+//! nothing per row: the rows are interned in a [`RowTable`] whose ids
+//! are the physical rows, and each end column keeps its postings as
+//! chains — a code's newest row, and per row the next older row with
+//! its code. Once built they follow the store's copy-on-write rule: an
+//! `Arc`-shared base over the rows indexed at build time plus an owned
+//! tail over rows appended since, whose chains run on into the base's,
+//! so a copy of the relation copies its flat columns, its bitmap and
+//! the tail's flat arrays — never the base.
 
 use crate::dict::Dictionary;
 use crate::error::StoreError;
+use crate::rows::RowTable;
 use crate::store::overlay_oversized;
 use pgq_relational::Relation;
 use pgq_value::Tuple;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// One side of a [`RowIndexes`]: probe maps over a range of rows.
-#[derive(Debug, Clone, Default)]
+/// The end of a chain: no older row.
+const NONE: u32 = u32::MAX;
+
+/// One end column's postings as chains: `newest[c]` is the newest row
+/// holding the code whose id in `codes` is `c`, and `next[r − start]`
+/// the next older row holding row `r`'s code, or [`NONE`]. A tail's
+/// chain runs on into its base's, so one walk visits every row with the
+/// code, descending, and an append allocates nothing of its own.
+#[derive(Debug, Clone)]
+struct Chains {
+    codes: RowTable,
+    newest: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Chains {
+    fn newest(&self, code: u32) -> Option<u32> {
+        self.codes.find(&[code]).map(|id| self.newest[id as usize])
+    }
+
+    /// Makes `row` the newest holder of `code`; a code new here links
+    /// to its newest row `below`.
+    fn push(&mut self, code: u32, row: u32, below: Option<&Chains>) {
+        let older = match self.codes.insert(&[code]) {
+            (id, false) => std::mem::replace(&mut self.newest[id as usize], row),
+            (_, true) => {
+                self.newest.push(row);
+                below.and_then(|b| b.newest(code)).unwrap_or(NONE)
+            }
+        };
+        self.next.push(older);
+    }
+
+    fn bytes(&self) -> usize {
+        self.codes.bytes() + (self.newest.capacity() + self.next.capacity()) * 4
+    }
+}
+
+/// One side of a [`RowIndexes`], over the physical rows `start..`: the
+/// rows interned in `rows` (a row's id is its physical row − `start`)
+/// and the postings of the first and the last column, which serve the
+/// writer's prefix/suffix probes (edge endpoints, labels, property
+/// rows) in O(candidates); they stay empty for arity < 2. At most one
+/// physical row exists per code vector (sources are set-semantics
+/// relations, and the store's append path revives a tombstoned twin
+/// instead of appending a duplicate), so inserting a present row
+/// panics. Tombstoned rows stay listed and are filtered at probe time.
+#[derive(Debug, Clone)]
 struct RowMaps {
-    /// Row codes → physical index, so membership probes are O(1)
-    /// instead of a column scan. At most one physical row exists per
-    /// code vector (sources are set-semantics relations, and the
-    /// store's append path revives a tombstoned twin instead of
-    /// appending a duplicate), so the map is total over its rows.
-    index: HashMap<Vec<u32>, usize>,
-    /// First-column code → physical rows starting with it (ascending).
-    /// Together with `last` this serves the store's writer-path
-    /// prefix/suffix probes (edge endpoints, labels, property rows) in
-    /// O(candidates) instead of a full column scan. Empty for
-    /// arity < 2, where `index` already answers exact probes.
-    /// Tombstoned rows stay listed and are filtered at probe time,
-    /// mirroring the validity bitmap.
-    first: HashMap<u32, Vec<usize>>,
-    /// Last-column code → physical rows ending with it (ascending).
-    last: HashMap<u32, Vec<usize>>,
+    start: u32,
+    rows: RowTable,
+    ends: [Chains; 2],
 }
 
 impl RowMaps {
-    fn insert(&mut self, codes: &[u32], row: usize) {
-        self.index.insert(codes.to_vec(), row);
+    /// Empty maps over the rows from physical row `start` on, sized
+    /// for `rows` of them.
+    fn new(arity: usize, start: usize, rows: usize) -> Self {
+        let chains = || Chains {
+            codes: RowTable::with_capacity(1, 0),
+            newest: Vec::new(),
+            next: Vec::with_capacity(if arity < 2 { 0 } else { rows }),
+        };
+        RowMaps {
+            start: u32::try_from(start).expect("fewer than u32::MAX rows"),
+            rows: RowTable::with_capacity(arity, rows),
+            ends: [chains(), chains()],
+        }
+    }
+
+    /// Adds the next physical row; `below` is the base a tail's chains
+    /// run on into.
+    fn insert(&mut self, codes: &[u32], below: Option<&RowMaps>) {
+        let (id, new) = self.rows.insert(codes);
+        assert!(new, "a row indexed twice");
         if let [first, .., last] = *codes {
-            self.first.entry(first).or_default().push(row);
-            self.last.entry(last).or_default().push(row);
+            for (end, code) in [first, last].into_iter().enumerate() {
+                let below = below.map(|b| &b.ends[end]);
+                self.ends[end].push(code, self.start + id, below);
+            }
         }
     }
 
-    fn ends(&self, from_end: bool) -> &HashMap<u32, Vec<usize>> {
-        if from_end {
-            &self.last
-        } else {
-            &self.first
-        }
+    fn row(&self, codes: &[u32]) -> Option<usize> {
+        self.rows.find(codes).map(|id| (self.start + id) as usize)
     }
 
-    fn bytes(&self, arity: usize) -> usize {
-        let key = std::mem::size_of::<Vec<u32>>() + arity * std::mem::size_of::<u32>();
-        let row_map = self.index.capacity() * (key + std::mem::size_of::<usize>() + 8);
-        let bucket_entry = std::mem::size_of::<u32>() + std::mem::size_of::<Vec<usize>>() + 8;
-        let end_maps = (self.first.capacity() + self.last.capacity()) * bucket_entry
-            + (self.first.values().map(Vec::len).sum::<usize>()
-                + self.last.values().map(Vec::len).sum::<usize>())
-                * std::mem::size_of::<usize>();
-        row_map + end_maps
+    fn bytes(&self) -> usize {
+        self.rows.bytes() + self.ends.iter().map(Chains::bytes).sum::<usize>()
     }
 }
 
 /// The probe-acceleration side of a [`ColumnarRelation`], built by the
-/// first writer probe that needs it (a ten-million-row
-/// `HashMap<Vec<u32>, usize>` costs more to build than the entire
-/// columnar load, and pure readers never touch it): an `Arc`-shared
-/// base over the rows indexed at build time plus an owned tail over
-/// the rows appended since. Tombstones and revivals change neither.
+/// first writer probe that needs it (pure readers never touch it): an
+/// `Arc`-shared base over the rows indexed at build time plus an owned
+/// tail over the rows appended since. Tombstones and revivals change
+/// neither.
 #[derive(Debug, Clone)]
 struct RowIndexes {
     base: Arc<RowMaps>,
@@ -96,19 +141,30 @@ struct RowIndexes {
 
 impl RowIndexes {
     fn row(&self, codes: &[u32]) -> Option<usize> {
-        self.base
-            .index
-            .get(codes)
-            .or_else(|| self.tail.index.get(codes))
-            .copied()
+        self.base.row(codes).or_else(|| self.tail.row(codes))
     }
 
-    /// The rows whose first (or, `from_end`, last) column holds `code`,
-    /// ascending: the base's rows precede every tail row.
-    fn bucket(&self, code: u32, from_end: bool) -> impl Iterator<Item = usize> + '_ {
-        let base = self.base.ends(from_end).get(&code);
-        let tail = self.tail.ends(from_end).get(&code);
-        base.into_iter().chain(tail).flatten().copied()
+    fn append(&mut self, codes: &[u32]) {
+        debug_assert!(self.base.row(codes).is_none());
+        self.tail.insert(codes, Some(&self.base));
+    }
+
+    /// The newest row whose first (`end` 0) or last (`end` 1) column
+    /// holds `code`, or [`NONE`].
+    fn newest(&self, code: u32, end: usize) -> u32 {
+        (self.tail.ends[end].newest(code))
+            .or_else(|| self.base.ends[end].newest(code))
+            .unwrap_or(NONE)
+    }
+
+    /// The next older row holding `row`'s code in column `end`.
+    fn older(&self, row: u32, end: usize) -> u32 {
+        let side = if row >= self.tail.start {
+            &self.tail
+        } else {
+            &*self.base
+        };
+        side.ends[end].next[(row - side.start) as usize]
     }
 }
 
@@ -141,20 +197,17 @@ impl ColumnarRelation {
     /// loop.
     #[inline(never)]
     fn build_indexes(&self) -> RowIndexes {
-        let mut maps = RowMaps {
-            index: HashMap::with_capacity(self.physical),
-            ..RowMaps::default()
-        };
+        let mut maps = RowMaps::new(self.arity, 0, self.physical);
         let mut row = vec![0; self.arity];
         for i in 0..self.physical {
             for (p, code) in row.iter_mut().enumerate() {
                 *code = self.columns[p][i];
             }
-            maps.insert(&row, i);
+            maps.insert(&row, None);
         }
         RowIndexes {
             base: Arc::new(maps),
-            tail: RowMaps::default(),
+            tail: RowMaps::new(self.arity, self.physical, 0),
         }
     }
 
@@ -262,9 +315,8 @@ impl ColumnarRelation {
             self.columns[p].push(c);
         }
         let fold = self.indexes.get_mut().is_some_and(|ix| {
-            debug_assert!(ix.row(codes).is_none());
-            ix.tail.insert(codes, self.physical);
-            overlay_oversized(ix.tail.index.len(), ix.base.index.len())
+            ix.append(codes);
+            overlay_oversized(ix.tail.rows.len(), ix.base.rows.len())
         });
         self.dead.push(false);
         self.physical += 1;
@@ -327,13 +379,19 @@ impl ColumnarRelation {
         }
         let base = if from_end { self.arity - len } else { 0 };
         let key = if from_end { part[len - 1] } else { part[0] };
-        let mut candidates = 0;
-        let rows = self
-            .indexes()
-            .bucket(key, from_end)
-            .inspect(|_| candidates += 1)
-            .filter(|&i| !self.dead[i] && (0..len).all(|p| self.columns[base + p][i] == part[p]))
-            .collect();
+        let (ix, end) = (self.indexes(), usize::from(from_end));
+        let (mut rows, mut candidates) = (Vec::new(), 0);
+        let mut row = ix.newest(key, end);
+        while row != NONE {
+            let i = row as usize;
+            candidates += 1;
+            if !self.dead[i] && (0..len).all(|p| self.columns[base + p][i] == part[p]) {
+                rows.push(i);
+            }
+            row = ix.older(row, end);
+        }
+        // The chains run newest first.
+        rows.reverse();
         (rows, candidates)
     }
 
@@ -406,13 +464,13 @@ impl ColumnarRelation {
         self.physical * self.arity * std::mem::size_of::<u32>()
     }
 
-    /// Estimated resident bytes of the probe indexes (0 until a probe
-    /// builds them): the row-hash map with its heap-allocated key
-    /// vectors plus the two end-column multimaps.
+    /// Resident bytes of the probe indexes (0 until a probe builds
+    /// them): the capacities of the row table and of the two end
+    /// columns' chains, base and tail.
     pub fn index_bytes(&self) -> usize {
-        self.indexes.get().map_or(0, |ix| {
-            ix.base.bytes(self.arity) + ix.tail.bytes(self.arity)
-        })
+        self.indexes
+            .get()
+            .map_or(0, |ix| ix.base.bytes() + ix.tail.bytes())
     }
 
     /// Whether both relations' probe indexes are built over one shared
@@ -428,7 +486,7 @@ impl ColumnarRelation {
     /// Rows the probe-index tail holds (0 when unbuilt).
     #[cfg(test)]
     pub(crate) fn index_tail_len(&self) -> usize {
-        self.indexes.get().map_or(0, |ix| ix.tail.index.len())
+        self.indexes.get().map_or(0, |ix| ix.tail.rows.len())
     }
 }
 
@@ -556,5 +614,122 @@ mod tests {
         let col = col.compacted(&mut |c| c);
         assert_eq!(col.physical_len(), 1);
         assert_eq!(col.coded_bytes(), 2 * 4);
+    }
+
+    /// Every probe answer equals a scan of the columns: exact finds
+    /// for every physical row and for an absent one, and prefix/suffix
+    /// probes of every shorter length, whose candidate count is the
+    /// number of physical rows, live or dead, sharing the end code.
+    fn assert_probes_match_a_scan(col: &ColumnarRelation) {
+        let (arity, n) = (col.arity(), col.physical_len());
+        let rows: Vec<Vec<u32>> = (0..n)
+            .map(|i| (0..arity).map(|p| col.code_at(i, p)).collect())
+            .collect();
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(col.find_live(row), col.is_live(i).then_some(i));
+            assert_eq!(col.find_dead(row), (!col.is_live(i)).then_some(i));
+        }
+        assert_eq!(col.find_live(&vec![u32::MAX; arity]), None);
+        for len in 1..arity {
+            let probes = rows.iter().map(|r| r[..len].to_vec());
+            for prefix in probes.chain([vec![u32::MAX; len]]) {
+                let live = (0..n).filter(|&i| col.is_live(i) && rows[i][..len] == prefix[..]);
+                let bucket = rows.iter().filter(|r| r[0] == prefix[0]).count();
+                let want = (live.collect(), bucket);
+                assert_eq!(col.live_rows_with_prefix(&prefix), want, "{prefix:?}");
+            }
+            let probes = rows.iter().map(|r| r[arity - len..].to_vec());
+            for suffix in probes.chain([vec![u32::MAX; len]]) {
+                let live =
+                    (0..n).filter(|&i| col.is_live(i) && rows[i][arity - len..] == suffix[..]);
+                let bucket = rows
+                    .iter()
+                    .filter(|r| r[arity - 1] == suffix[len - 1])
+                    .count();
+                let want = (live.collect(), bucket);
+                assert_eq!(col.live_rows_with_suffix(&suffix), want, "{suffix:?}");
+            }
+        }
+    }
+
+    /// One random writer step, as the store's append path takes it: a
+    /// drawn row is revived when a dead twin exists and appended when
+    /// absent; or a random live row is tombstoned, or a dead one
+    /// revived.
+    fn random_step(col: &mut ColumnarRelation, domain: u32, draw: &mut impl FnMut(u32) -> u32) {
+        let n = col.physical_len() as u32;
+        match draw(4) {
+            0 if n > 0 => {
+                col.tombstone(draw(n) as usize);
+            }
+            1 if n > 0 => {
+                col.revive(draw(n) as usize);
+            }
+            _ => {
+                let row: Vec<u32> = (0..col.arity()).map(|_| draw(domain)).collect();
+                if col.find_live(&row).is_none() {
+                    match col.find_dead(&row) {
+                        Some(i) => assert!(col.revive(i)),
+                        None => col.append(&row),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The probe indexes agree with a column scan after every step of
+    /// random append / tombstone / revive sequences that fold the tail
+    /// into a fresh base, across a `compacted()`, and on a clone that
+    /// appends past the base it shares with the original.
+    #[test]
+    fn the_index_agrees_with_a_scan() {
+        // (arity, code domain, rows at build, steps, seed)
+        let cases = [
+            (1, 400, 10, 200, 1),
+            (2, 12, 40, 200, 2),
+            (2, 400, 0, 200, 3),
+            (3, 6, 64, 200, 4),
+            (3, 60, 1, 200, 5),
+        ];
+        for (arity, domain, initial, steps, seed) in cases {
+            let mut state: u64 = seed;
+            let mut draw = |below: u32| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 33) % u64::from(below)) as u32
+            };
+            let mut rows = std::collections::BTreeSet::new();
+            while rows.len() < initial {
+                rows.insert((0..arity).map(|_| draw(domain)).collect::<Vec<u32>>());
+            }
+            let columns = (0..arity)
+                .map(|p| rows.iter().map(|r| r[p]).collect())
+                .collect();
+            let mut col = ColumnarRelation::from_codes(arity, columns);
+            assert_probes_match_a_scan(&col);
+            let mut folds = 0;
+            for _ in 0..steps {
+                let tail = col.index_tail_len();
+                random_step(&mut col, domain, &mut draw);
+                folds += usize::from(col.index_tail_len() < tail);
+                assert_probes_match_a_scan(&col);
+            }
+            assert!(
+                folds > 0,
+                "arity {arity}, seed {seed}: the tail never folded"
+            );
+            col = col.compacted(&mut |c| c);
+            assert!(col.has_indexes() && col.tombstones() == 0);
+            assert_probes_match_a_scan(&col);
+            random_step(&mut col, domain, &mut draw);
+            let mut copy = col.clone();
+            assert!(copy.shares_index_base(&col));
+            for _ in 0..steps / 4 {
+                random_step(&mut copy, domain, &mut draw);
+                assert_probes_match_a_scan(&copy);
+            }
+            assert_probes_match_a_scan(&col);
+        }
     }
 }

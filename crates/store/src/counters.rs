@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct AccessCounters {
     index_scan_rows: AtomicU64,
     csr_neighbor_rows: AtomicU64,
-    csr_sweep_sources: AtomicU64,
     overlay_reads: AtomicU64,
     dense_reads: AtomicU64,
     dict_decodes: AtomicU64,
@@ -33,7 +32,6 @@ impl Clone for AccessCounters {
         AccessCounters {
             index_scan_rows: AtomicU64::new(s.index_scan_rows),
             csr_neighbor_rows: AtomicU64::new(s.csr_neighbor_rows),
-            csr_sweep_sources: AtomicU64::new(s.csr_sweep_sources),
             overlay_reads: AtomicU64::new(s.overlay_reads),
             dense_reads: AtomicU64::new(s.dense_reads),
             dict_decodes: AtomicU64::new(s.dict_decodes),
@@ -53,11 +51,6 @@ impl AccessCounters {
     /// Adds `n` neighbor rows produced by CSR adjacency probes.
     pub fn record_csr_neighbor_rows(&self, n: u64) {
         self.csr_neighbor_rows.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` source groups swept by CSR reachability fixpoints.
-    pub fn record_csr_sweep_sources(&self, n: u64) {
-        self.csr_sweep_sources.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one adjacency read, classified by whether the view had
@@ -97,7 +90,6 @@ impl AccessCounters {
         AccessSnapshot {
             index_scan_rows: self.index_scan_rows.load(Ordering::Relaxed),
             csr_neighbor_rows: self.csr_neighbor_rows.load(Ordering::Relaxed),
-            csr_sweep_sources: self.csr_sweep_sources.load(Ordering::Relaxed),
             overlay_reads: self.overlay_reads.load(Ordering::Relaxed),
             dense_reads: self.dense_reads.load(Ordering::Relaxed),
             dict_decodes: self.dict_decodes.load(Ordering::Relaxed),
@@ -111,7 +103,6 @@ impl AccessCounters {
     pub fn reset(&self) {
         self.index_scan_rows.store(0, Ordering::Relaxed);
         self.csr_neighbor_rows.store(0, Ordering::Relaxed);
-        self.csr_sweep_sources.store(0, Ordering::Relaxed);
         self.overlay_reads.store(0, Ordering::Relaxed);
         self.dense_reads.store(0, Ordering::Relaxed);
         self.dict_decodes.store(0, Ordering::Relaxed);
@@ -128,8 +119,6 @@ pub struct AccessSnapshot {
     pub index_scan_rows: u64,
     /// Neighbor rows produced by CSR adjacency probes.
     pub csr_neighbor_rows: u64,
-    /// Source groups swept by CSR reachability fixpoints.
-    pub csr_sweep_sources: u64,
     /// Adjacency reads that merged a delta overlay.
     pub overlay_reads: u64,
     /// Adjacency reads answered by the frozen CSR alone.
@@ -156,9 +145,6 @@ impl AccessSnapshot {
             csr_neighbor_rows: self
                 .csr_neighbor_rows
                 .saturating_sub(earlier.csr_neighbor_rows),
-            csr_sweep_sources: self
-                .csr_sweep_sources
-                .saturating_sub(earlier.csr_sweep_sources),
             overlay_reads: self.overlay_reads.saturating_sub(earlier.overlay_reads),
             dense_reads: self.dense_reads.saturating_sub(earlier.dense_reads),
             dict_decodes: self.dict_decodes.saturating_sub(earlier.dict_decodes),
@@ -176,7 +162,6 @@ impl fmt::Display for AccessSnapshot {
         writeln!(f, "store access counters (session-cumulative):")?;
         writeln!(f, "  index scan rows served : {}", self.index_scan_rows)?;
         writeln!(f, "  CSR neighbor rows      : {}", self.csr_neighbor_rows)?;
-        writeln!(f, "  CSR sweep sources      : {}", self.csr_sweep_sources)?;
         writeln!(
             f,
             "  adjacency reads        : {} overlay / {} dense",

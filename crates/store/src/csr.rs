@@ -542,8 +542,10 @@ impl DeltaAdjacency {
 }
 
 /// A read view through a frozen [`CsrIndex`] and an optional
-/// [`DeltaAdjacency`] overlay — what `AdjacencyExpand` probes and the
-/// CSR fixpoint sweeps run on since the store became updatable.
+/// [`DeltaAdjacency`] overlay — what `IndexSeek` and `AdjacencyExpand`
+/// probe, and what a graph entry's reachability sweeps
+/// ([`AdjacencyView::reach_from_into`]) walk. A `Fixpoint` never reads
+/// it: the executor sweeps its own CSR over the step's endpoint ids.
 ///
 /// All methods speak *external codes* (the same space
 /// [`CsrIndex::dense_of`] maps); keys outside the frozen universe are

@@ -20,8 +20,9 @@
 //!
 //! Everything a write touches follows **one copy-on-write rule**: an
 //! `Arc`-shared frozen base plus a small owned tail — a CSR and its
-//! [`DeltaAdjacency`], a relation's probe-index base and the rows
-//! appended since, the dictionary's base and the codes minted since, a
+//! [`DeltaAdjacency`], a relation's probe-index base (a row table and
+//! end-column chains, flat arrays with no allocation per row) and the
+//! rows appended since, the dictionary's base and the codes minted since, a
 //! graph's identifier base and the nodes added since. A tail folds into
 //! a fresh base under the overlay fold policy (`overlay_oversized`) and
 //! in [`Store::compact`].

@@ -5,7 +5,9 @@
 //! follow a write.
 //!
 //! A write touches only tails (the store's copy-on-write rule): rows
-//! append to a relation's columns and its probe-index tail, fresh codes
+//! append to a relation's columns and its probe-index tail (flat
+//! arrays, so an appended row allocates nothing of its own; the
+//! counting-allocator suite `tests/allocations.rs` pins it), fresh codes
 //! to the dictionary's tail, fresh nodes to the graph's identifier
 //! tail, pairs to the adjacency deltas. On a working clone that shares
 //! every base with the published snapshot, the copy a batch costs is

@@ -275,32 +275,59 @@ fn served(body: &str) -> (Store, Schema, Query) {
     )
 }
 
+/// The four served reads: name and `MATCH` clause.
+const SERVED: [(&str, &str); 4] = [
+    (
+        "serve_one_hop",
+        "MATCH (x) -[t:Transfer]-> (y) WHERE t.amount > 9000",
+    ),
+    (
+        "serve_two_hop",
+        "MATCH (x) -[t:Transfer]->{2,2} (y) WHERE t.amount > 7000",
+    ),
+    (
+        "serve_plus_filtered",
+        "MATCH (x) -[t:Transfer]->+ (y) WHERE t.amount > 5000",
+    ),
+    ("serve_plus_all", "MATCH (x) -[t]->+ (y)"),
+];
+
 /// The four served reads, compiled: the pattern call's own operators in
 /// the plan, no `⟨matchN⟩` placeholder. A repetition is one `Fixpoint`
 /// that scans its step once.
 #[test]
 fn served_shapes_explain_to_the_recorded_text() {
-    for (name, body) in [
-        (
-            "serve_one_hop",
-            "MATCH (x) -[t:Transfer]-> (y) WHERE t.amount > 9000",
-        ),
-        (
-            "serve_two_hop",
-            "MATCH (x) -[t:Transfer]->{2,2} (y) WHERE t.amount > 7000",
-        ),
-        (
-            "serve_plus_filtered",
-            "MATCH (x) -[t:Transfer]->+ (y) WHERE t.amount > 5000",
-        ),
-        ("serve_plus_all", "MATCH (x) -[t]->+ (y)"),
-    ] {
+    for (name, body) in SERVED {
         let (store, schema, q) = served(body);
         for planner in PLANNERS {
             let text = explained_over(&q, &schema, &store, planner);
             assert!(text.contains("[route: compiled plan]"), "{text}");
             assert!(!text.contains("⟨match"), "{text}");
             check(&format!("{name}.{planner}"), &text);
+        }
+    }
+}
+
+/// No lowered served read copies its rows through a `Project` straight
+/// over another: the builder composes them. A `Project` has one input,
+/// so in the `EXPLAIN` tree its input is the next line.
+#[test]
+fn no_served_shape_projects_a_projection() {
+    let is_project = |line: &str| {
+        line.trim_start_matches([' ', '│', '├', '└', '─'])
+            .starts_with("Project [")
+    };
+    for (name, body) in SERVED {
+        let (store, schema, q) = served(body);
+        for planner in PLANNERS {
+            let text = explained_over(&q, &schema, &store, planner);
+            let lines: Vec<&str> = text.lines().collect();
+            assert!(
+                !lines
+                    .windows(2)
+                    .any(|w| is_project(w[0]) && is_project(w[1])),
+                "{name} under {planner}: {text}"
+            );
         }
     }
 }

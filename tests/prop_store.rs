@@ -627,10 +627,9 @@ proptest! {
             .map(|q| (rule_plan(q, &db, &store), q.eval(&db).unwrap()))
             .collect();
         prop_assert!(cases.iter().any(|(p, _)| p.to_string().contains("AdjacencyExpand")));
-        // The closure of the pairs under stored edges (the CSR route:
-        // fresh seeds are 0-step strays) and of the stored edges under
-        // the pairs (the semi-naive route, a `Values` step) — against
-        // a naive fixpoint over plain tuples.
+        // The closure of the pairs under stored edges (fresh seeds are
+        // 0-step strays) and of the stored edges under the pairs (a
+        // `Values` step) — against a naive fixpoint over plain tuples.
         let edges: Vec<Tuple> = db.get(&"E".into()).unwrap().iter().cloned().collect();
         let closure = |base: &[Tuple], step: &[Tuple]| {
             let mut known: std::collections::BTreeSet<Tuple> = base.iter().cloned().collect();
@@ -1400,14 +1399,6 @@ fn delta_markers_surface_update_overlays() {
         rel: "T".into(),
         reverse: false,
     };
-    let tc = PhysPlan::Fixpoint {
-        base: Box::new(PhysPlan::IndexScan("T".into())),
-        step: Box::new(PhysPlan::IndexScan("T".into())),
-        join: vec![(1, 0)],
-        project: vec![0, 3],
-        skip: 0,
-        rounds: None,
-    };
     let seek = PhysPlan::IndexSeek {
         rel: "T".into(),
         col: 1,
@@ -1423,7 +1414,6 @@ fn delta_markers_surface_update_overlays() {
         .apply_updates("G", std::slice::from_ref(&add_edge(13, 3, 0)))
         .unwrap();
     assert!(expand.reads_overlay(&store));
-    assert!(tc.reads_overlay(&store));
     // …which the seek reads through, and says so.
     let text = seek.display_with(Some(&store), None);
     assert!(
@@ -1488,7 +1478,7 @@ fn updated_store_matches_rebuilt_store() {
     let hop = scan("S")
         .hash_join(scan("T"), vec![(0, 0)])
         .project(vec![1, 3]);
-    // …and the CSR fixpoint over T seeded with (src, edge) pairs.
+    // …and the fixpoint over T's rows seeded with (src, edge) pairs.
     let csr_hop = PhysPlan::Fixpoint {
         base: Box::new(scan("S").project(vec![1, 0])),
         step: Box::new(scan("T")),
@@ -1521,7 +1511,7 @@ fn updated_store_matches_rebuilt_store() {
             "disagrees on:\n{plan}"
         );
     }
-    // The CSR route reads the shortcut through the delta…
+    // The one-step fixpoint reads the shortcut the update appended…
     let one = run(&csr_hop, &db, &store);
     assert!(one.contains(&tuple![0, 3]));
     assert!(!one.contains(&tuple![0, 1]));
