@@ -122,10 +122,11 @@ impl<'a> Estimator<'a> {
         Memo::new(self.stats).selectivity(cond, input)
     }
 
-    /// Expected fan-out of one adjacency probe into `rel`.
-    fn expected_degree(&self, rel: &RelName, reverse: bool) -> f64 {
+    /// Expected fan-out of one adjacency probe into `rel`, either
+    /// direction.
+    fn expected_degree(&self, rel: &RelName) -> f64 {
         self.stats
-            .and_then(|s| s.expected_degree(rel, reverse))
+            .and_then(|s| s.expected_degree(rel))
             .unwrap_or(1.0)
     }
 }
@@ -184,12 +185,9 @@ impl<'s> Memo<'s> {
             PhysPlan::AdomScan => relation_rows(stats, &pgq_store::ADOM_REL.into()),
             PhysPlan::Filter { cond, input } => self.rows(input) * self.selectivity(cond, input),
             PhysPlan::Project { input, .. } | PhysPlan::Distinct { input } => self.rows(input),
-            PhysPlan::AdjacencyExpand {
-                input,
-                rel,
-                reverse,
-                ..
-            } => self.rows(input) * stats.expected_degree(rel, *reverse).unwrap_or(1.0),
+            PhysPlan::AdjacencyExpand { input, rel, .. } => {
+                self.rows(input) * stats.expected_degree(rel).unwrap_or(1.0)
+            }
             PhysPlan::HashJoin { left, right, keys } => {
                 let (l, r) = (self.rows(left), self.rows(right));
                 if keys.is_empty() {
@@ -667,11 +665,11 @@ fn join_with_choice(
     };
     if let [(i, j)] = keys.as_slice() {
         let expand_r = adjacency_target(&r.plan, *j, store).map(|(name, reverse)| {
-            let deg = est.expected_degree(&name, reverse);
+            let deg = est.expected_degree(&name);
             (name, reverse, l.rows * (1.0 + deg))
         });
         let expand_l = adjacency_target(&l.plan, *i, store).map(|(name, reverse)| {
-            let deg = est.expected_degree(&name, reverse);
+            let deg = est.expected_degree(&name);
             // Expanding the left side produces r ++ l and needs a
             // compensating projection that copies every output row
             // (≈ r_rows·deg) — charge it, so a near-tie in degree

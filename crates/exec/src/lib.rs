@@ -38,10 +38,10 @@
 //!   pipeline decodes exactly once, at the [`Coded::into_relation`]
 //!   set-semantics boundary. Per-tuple work in the hot loops is a
 //!   `u32` compare, not a `Value` compare;
-//! * [`PhysPlan::Fixpoint`] — a semi-naive fixpoint operator, bounded
-//!   by two fields: `skip` compositions with the step applied to the
-//!   base first and at most `rounds` rounds after (`None`: until nothing
-//!   is new), so its rows are `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ`.
+//! * [`PhysPlan::Fixpoint`] — a fixpoint operator, bounded by two
+//!   fields: `skip` compositions with the step applied to the base
+//!   first and at most `rounds` sweep levels after (`None`: until
+//!   nothing is new), so its rows are `⋃_{i=skip}^{skip+rounds} base ∘ stepⁱ`.
 //!   Its step composes endpoint pairs (parameters allowed), and it
 //!   runs as per-source frontier sweeps over dense endpoint ids. The FO\[TC\]
 //!   evaluator (S5) lowers every formula to one plan and its `TC` to the unbounded operator; a

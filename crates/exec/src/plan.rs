@@ -126,10 +126,10 @@ pub enum PhysPlan {
     /// `join`/`project` is a typed error. The step is evaluated once,
     /// its endpoints are interned to dense ids, and each source's
     /// frontier is swept over a CSR: `skip` exact-length steps, then
-    /// level by level with a visited bitset. Level `i` is the
-    /// semi-naive round-`i` Δ: a row of `base ∘ stepⁱ` is first reached
-    /// by level `i − skip` at the latest, so capping the levels at
-    /// `rounds` is exact.
+    /// level by level with a visited bitset. Level `i` holds what a
+    /// source first reaches `i` steps past the skip: a row of
+    /// `base ∘ stepⁱ` is reached by level `i − skip` at the latest, so
+    /// capping the levels at `rounds` is exact.
     Fixpoint {
         /// Initial rows (also the result arity).
         base: Box<PhysPlan>,
@@ -142,7 +142,8 @@ pub enum PhysPlan {
         /// Compositions with `step` applied to `base` before any row
         /// is accumulated.
         skip: usize,
-        /// The most semi-naive rounds; `None` runs until nothing is new.
+        /// The most sweep levels after `skip`; `None` sweeps until a
+        /// level reaches nothing new.
         rounds: Option<usize>,
     },
 }
@@ -486,7 +487,7 @@ impl PhysPlan {
                     (n, Some(r)) => format!("; steps {n}..{}", n.saturating_add(*r)),
                 };
                 format!(
-                    "Fixpoint [semi-naive; {} → π[{}]{steps}]",
+                    "Fixpoint [per-source sweep; {} → π[{}]{steps}]",
                     eqs.join(" ∧ "),
                     cols.join(",")
                 )

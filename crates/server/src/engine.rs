@@ -33,8 +33,8 @@ use pgq_parser::{
 };
 use pgq_relational::{Database, RelError, RelName, Relation};
 use pgq_store::{
-    AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, Store, StoreSnapshot,
-    StoreStatistics, StoreStats,
+    AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, StatisticsReport, Store,
+    StoreSnapshot, StoreStats,
 };
 use pgq_value::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
@@ -357,10 +357,10 @@ impl Engine {
     fn stats(&self, json: bool) -> Vec<String> {
         let view = self.pin_view();
         let stats = view.snap.stats();
-        // Planner statistics off the pinned snapshot: a snapshot's
-        // statistics cache is frozen with it, so repeated STATS calls
-        // against one published view recompute nothing.
-        let statistics = view.snap.as_store().statistics();
+        // Planner statistics off the pinned snapshot (a snapshot's
+        // statistics cache is frozen with it), and the degree
+        // histograms, which only STATS reads, computed for this call.
+        let statistics = view.snap.as_store().statistics_report();
         if json {
             return stats_json(&stats, &statistics)
                 .lines()
@@ -487,6 +487,8 @@ fn metrics_json(snap: &AccessSnapshot) -> String {
     w.number(snap.writer_probe_rows);
     w.key("view_builds");
     w.number(snap.view_builds);
+    w.key("statistics_recounts");
+    w.number(snap.statistics_recounts);
     w.end_object();
     w.finish()
 }
@@ -512,7 +514,8 @@ fn histogram_json(w: &mut pgq_exec::JsonWriter, key: &str, h: &DegreeHistogram) 
 
 /// `STATS JSON;` — the storage-layout report plus the planner
 /// statistics as JSON.
-fn stats_json(stats: &StoreStats, statistics: &StoreStatistics) -> String {
+fn stats_json(stats: &StoreStats, report: &StatisticsReport) -> String {
+    let statistics = &report.planner;
     let mut w = pgq_exec::JsonWriter::pretty();
     w.begin_object();
     w.key("dictionary_total");
@@ -569,14 +572,14 @@ fn stats_json(stats: &StoreStats, statistics: &StoreStatistics) -> String {
     w.end_array();
     w.key("graphs");
     w.begin_array();
-    for (name, g) in &statistics.graphs {
+    for (name, g) in &report.graphs {
         w.begin_object();
         w.key("name");
         w.string(name);
-        histogram_json(&mut w, "forward", &g.adjacency.forward);
-        histogram_json(&mut w, "reverse", &g.adjacency.reverse);
+        histogram_json(&mut w, "forward", &g.forward);
+        histogram_json(&mut w, "reverse", &g.reverse);
         w.key("overlay");
-        w.number(g.adjacency.overlay as u64);
+        w.number(g.overlay as u64);
         w.end_object();
     }
     w.end_array();

@@ -130,6 +130,7 @@ fn statement_batches_and_session_commands_round_trip() {
         "writer_probes",
         "writer_probe_rows",
         "view_builds",
+        "statistics_recounts",
     ] {
         let key = format!("\"{key}\"");
         assert!(

@@ -27,6 +27,14 @@
 //! tail over rows appended since, whose chains run on into the base's,
 //! so a copy of the relation copies its flat columns, its bitmap and
 //! the tail's flat arrays — never the base.
+//!
+//! The planner's per-column distinct counts live here too
+//! ([`ColumnarRelation::distinct_counts`]): the first statistics read
+//! counts them, and from then on every append, revive and tombstone
+//! keeps them exact — an end column by walking its chain for another
+//! live holder of the code, a middle column (which has no chain), or an
+//! end column whose walks run long, through a live count per code. A
+//! copy carries them, and so does a compaction.
 
 use crate::dict::Dictionary;
 use crate::error::StoreError;
@@ -38,6 +46,12 @@ use std::sync::{Arc, OnceLock};
 
 /// The end of a chain: no older row.
 const NONE: u32 = u32::MAX;
+
+/// Rows a distinct-count chain walk passes before its column keeps a
+/// live-count table instead. A code that many rows hold (the table name
+/// in a `(table, key)` identifier, a label) whose newest rows are
+/// deleted would otherwise be walked past them on every write.
+const WALK: usize = 64;
 
 /// One end column's postings as chains: `newest[c]` is the newest row
 /// holding the code whose id in `codes` is `c`, and `next[r − start]`
@@ -166,6 +180,115 @@ impl RowIndexes {
         };
         side.ends[end].next[(row - side.start) as usize]
     }
+
+    /// Whether a live row other than `except` holds `code` in column
+    /// `end`: a walk down the code's chain to its first live row, or
+    /// `None` once it has passed [`WALK`] other rows without one.
+    fn held_elsewhere(&self, code: u32, end: usize, except: usize, dead: &[bool]) -> Option<bool> {
+        let mut row = self.newest(code, end);
+        for _ in 0..=WALK {
+            if row == NONE {
+                return Some(false);
+            }
+            if row as usize != except && !dead[row as usize] {
+                return Some(true);
+            }
+            row = self.older(row, end);
+        }
+        None
+    }
+}
+
+/// Live rows per code, for the codes a [`RowTable`] holds.
+#[derive(Debug, Clone)]
+struct Counts {
+    codes: RowTable,
+    live: Vec<u32>,
+}
+
+impl Counts {
+    fn new() -> Self {
+        Counts {
+            codes: RowTable::with_capacity(1, 0),
+            live: Vec::new(),
+        }
+    }
+
+    fn get(&self, code: u32) -> Option<u32> {
+        self.codes.find(&[code]).map(|id| self.live[id as usize])
+    }
+
+    fn set(&mut self, code: u32, live: u32) {
+        match self.codes.insert(&[code]) {
+            (id, false) => self.live[id as usize] = live,
+            (_, true) => self.live.push(live),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.codes.bytes() + self.live.capacity() * 4
+    }
+}
+
+/// Live rows per code of one column: the distinct count of a column
+/// with no chains to walk. It follows the store's copy-on-write rule:
+/// an `Arc`-shared base plus an owned tail holding the codes counted
+/// since, folded into a fresh base under the overlay fold policy, so a
+/// copy of the relation does not copy the base.
+#[derive(Debug, Clone)]
+struct CodeCounts {
+    base: Arc<Counts>,
+    tail: Counts,
+}
+
+impl CodeCounts {
+    /// Counts the live rows of `column`.
+    fn over(column: &[u32], dead: &[bool]) -> Self {
+        let mut base = Counts::new();
+        for (&code, _) in column.iter().zip(dead).filter(|(_, &dead)| !dead) {
+            base.set(code, base.get(code).unwrap_or(0) + 1);
+        }
+        CodeCounts {
+            base: Arc::new(base),
+            tail: Counts::new(),
+        }
+    }
+
+    /// Counts one more (`added`) or one fewer live row holding `code`;
+    /// `true` when the code gained its first or lost its last one.
+    fn add(&mut self, code: u32, added: bool) -> bool {
+        let live = (self.tail.get(code))
+            .or_else(|| self.base.get(code))
+            .unwrap_or(0);
+        let now = if added { live + 1 } else { live - 1 };
+        self.tail.set(code, now);
+        if overlay_oversized(self.tail.codes.len(), self.base.codes.len()) {
+            let mut base = Counts::clone(&self.base);
+            for (id, &live) in self.tail.live.iter().enumerate() {
+                base.set(self.tail.codes.row(id as u32)[0], live);
+            }
+            self.base = Arc::new(base);
+            self.tail = Counts::new();
+        }
+        (live == 0) != (now == 0)
+    }
+
+    fn bytes(&self) -> usize {
+        self.base.bytes() + self.tail.bytes()
+    }
+}
+
+/// The distinct live codes per column, once a statistics read has
+/// counted them.
+#[derive(Debug, Clone)]
+struct Distinct {
+    counts: Vec<usize>,
+    /// Per column, the [`CodeCounts`] that keeps its count, or `None`
+    /// while its chain does. A middle column (positions `1..arity − 1`)
+    /// has no chain and gets its table from the first write after the
+    /// count; an end column gets one from the first write whose chain
+    /// walk runs past [`WALK`] rows.
+    tables: Vec<Option<CodeCounts>>,
 }
 
 /// A relation stored as dictionary-coded columns with a validity
@@ -183,6 +306,8 @@ pub struct ColumnarRelation {
     dead: Vec<bool>,
     /// Probe indexes, empty until the first probe builds them.
     indexes: OnceLock<RowIndexes>,
+    /// Distinct counts, empty until the first statistics read.
+    distinct: OnceLock<Distinct>,
 }
 
 impl ColumnarRelation {
@@ -234,6 +359,7 @@ impl ColumnarRelation {
             columns,
             dead: vec![false; n],
             indexes: OnceLock::new(),
+            distinct: OnceLock::new(),
         })
     }
 
@@ -252,6 +378,7 @@ impl ColumnarRelation {
             dead: vec![false; n],
             columns,
             indexes: OnceLock::new(),
+            distinct: OnceLock::new(),
         }
     }
 
@@ -324,6 +451,7 @@ impl ColumnarRelation {
         if fold {
             self.indexes = OnceLock::from(self.build_indexes());
         }
+        self.recount_row(self.physical - 1, true);
     }
 
     /// Physical index of the first **live** row equal to `codes`.
@@ -402,6 +530,7 @@ impl ColumnarRelation {
         }
         self.dead[i] = true;
         self.live -= 1;
+        self.recount_row(i, false);
         true
     }
 
@@ -412,7 +541,90 @@ impl ColumnarRelation {
         }
         self.dead[i] = false;
         self.live += 1;
+        self.recount_row(i, true);
         true
+    }
+
+    /// The distinct live codes per column, counted on the first call
+    /// and kept exact by every write after it.
+    pub fn distinct_counts(&self) -> &[usize] {
+        let distinct = self.distinct.get_or_init(|| Distinct {
+            counts: self.count_distinct(),
+            tables: (0..self.arity).map(|_| None).collect(),
+        });
+        &distinct.counts
+    }
+
+    /// Whether the distinct counts are counted yet: the next
+    /// [`ColumnarRelation::distinct_counts`] reads no row exactly when
+    /// they are.
+    pub fn has_distinct_counts(&self) -> bool {
+        self.distinct.get().is_some()
+    }
+
+    /// The distinct live codes per column, counted from scratch: a sort
+    /// of every column's live codes. The first statistics read fills
+    /// the maintained counts with it, and tests hold them to it.
+    pub fn count_distinct(&self) -> Vec<usize> {
+        (0..self.arity)
+            .map(|p| {
+                let mut codes: Vec<u32> = self.live_rows().map(|i| self.columns[p][i]).collect();
+                codes.sort_unstable();
+                codes.dedup();
+                codes.len()
+            })
+            .collect()
+    }
+
+    /// Keeps counted distinct counts exact after physical row `i` turned
+    /// live (`added`) or dead: a column's count moves when the row's
+    /// code gained its first or lost its last live row, which its table
+    /// answers, or else a walk of its chain for another live holder.
+    /// A column that has neither gets a table counted now, this row's
+    /// change included. Without probe indexes there is no chain to
+    /// walk, and the counts are dropped for the next read to count.
+    fn recount_row(&mut self, i: usize, added: bool) {
+        let Some(distinct) = self.distinct.get_mut() else {
+            return;
+        };
+        if self.arity < 2 {
+            // A unary relation's count is its live rows (set
+            // semantics); a nullary one counts nothing.
+            if let Some(count) = distinct.counts.first_mut() {
+                *count = self.live;
+            }
+            return;
+        }
+        let Some(ix) = self.indexes.get() else {
+            self.distinct = OnceLock::new();
+            return;
+        };
+        let last = self.arity - 1;
+        for (p, table) in distinct.tables.iter_mut().enumerate() {
+            let code = self.columns[p][i];
+            let end = match p {
+                0 => Some(0),
+                p if p == last => Some(1),
+                _ => None,
+            };
+            let changed = match (table.as_mut(), end) {
+                (Some(table), _) => Some(table.add(code, added)),
+                (None, Some(end)) => ix
+                    .held_elsewhere(code, end, i, &self.dead)
+                    .map(|held| !held),
+                (None, None) => None,
+            };
+            match changed {
+                Some(true) if added => distinct.counts[p] += 1,
+                Some(true) => distinct.counts[p] -= 1,
+                Some(false) => {}
+                None => {
+                    let counted = CodeCounts::over(&self.columns[p], &self.dead);
+                    distinct.counts[p] = counted.base.codes.len();
+                    *table = Some(counted);
+                }
+            }
+        }
     }
 
     /// Decodes physical row `i` back into a tuple.
@@ -443,16 +655,32 @@ impl ColumnarRelation {
             .map(|col| keep.iter().map(|&i| remap(col[i])).collect())
             .collect();
         let n = keep.len();
-        let out = ColumnarRelation {
+        let mut out = ColumnarRelation {
             arity: self.arity,
             physical: n,
             live: n,
             columns,
             dead: vec![false; n],
             indexes: OnceLock::new(),
+            distinct: OnceLock::new(),
         };
         if self.has_indexes() {
             out.indexes();
+        }
+        if let Some(distinct) = self.distinct.get() {
+            // Compaction drops dead rows only, so the counts carry over;
+            // the tables are keyed by old codes, so the ones that
+            // existed are counted again, in the new codes.
+            let tables = (distinct.tables.iter().enumerate())
+                .map(|(p, t)| {
+                    t.as_ref()
+                        .map(|_| CodeCounts::over(&out.columns[p], &out.dead))
+                })
+                .collect();
+            out.distinct = OnceLock::from(Distinct {
+                counts: distinct.counts.clone(),
+                tables,
+            });
         }
         out
     }
@@ -471,6 +699,14 @@ impl ColumnarRelation {
         self.indexes
             .get()
             .map_or(0, |ix| ix.base.bytes() + ix.tail.bytes())
+    }
+
+    /// Resident bytes of the live-count tables that keep distinct
+    /// counts (0 until a write after a statistics read builds one).
+    pub fn distinct_bytes(&self) -> usize {
+        self.distinct.get().map_or(0, |d| {
+            d.tables.iter().flatten().map(CodeCounts::bytes).sum()
+        })
     }
 
     /// Whether both relations' probe indexes are built over one shared
@@ -564,10 +800,13 @@ mod tests {
     #[test]
     fn the_first_probe_builds_the_indexes() {
         let mut col = ColumnarRelation::from_codes(2, vec![vec![1, 2, 1], vec![9, 9, 7]]);
-        // An append before any probe leaves the indexes unbuilt…
+        // An append before any probe leaves the indexes unbuilt, and
+        // drops the distinct counts, which it has no chain to keep…
+        assert_eq!(col.distinct_counts(), [2, 2]);
         col.append(&[5, 5]);
-        assert!(!col.has_indexes());
+        assert!(!col.has_indexes() && !col.has_distinct_counts());
         assert_eq!(col.index_bytes(), 0);
+        assert_eq!(col.distinct_counts(), [3, 3]);
         // …and the first probe builds them over every physical row.
         assert_eq!(col.find_live(&[2, 9]), Some(1));
         assert!(col.has_indexes());
@@ -584,6 +823,26 @@ mod tests {
         let rel = Relation::from_rows(1, [tuple![1]]).unwrap();
         let reg = ColumnarRelation::from_relation(&rel, &mut Dictionary::new()).unwrap();
         assert!(!reg.has_indexes());
+    }
+
+    /// A code whose newest rows are all dead makes its chain a long
+    /// walk: past [`WALK`] rows the column keeps a live-count table,
+    /// and the counts stay exact through the switch.
+    #[test]
+    fn a_long_chain_walk_gives_its_column_a_table() {
+        let mut col = ColumnarRelation::from_codes(2, vec![vec![0], vec![7]]);
+        assert_eq!(col.distinct_counts(), [1, 1]);
+        assert_eq!(col.find_live(&[0, 7]), Some(0));
+        for i in 1..=2 * WALK as u32 {
+            col.append(&[i, 7]);
+            col.tombstone(i as usize);
+            assert_eq!(col.distinct_counts(), col.count_distinct());
+        }
+        assert!(col.distinct_bytes() > 0);
+        col.tombstone(0);
+        assert_eq!(col.distinct_counts(), [0, 0]);
+        col.revive(0);
+        assert_eq!(col.distinct_counts(), [1, 1]);
     }
 
     #[test]
@@ -619,8 +878,11 @@ mod tests {
     /// Every probe answer equals a scan of the columns: exact finds
     /// for every physical row and for an absent one, and prefix/suffix
     /// probes of every shorter length, whose candidate count is the
-    /// number of physical rows, live or dead, sharing the end code.
+    /// number of physical rows, live or dead, sharing the end code. The
+    /// distinct counts (counted by the first call, kept by the writes
+    /// after it) equal a recount.
     fn assert_probes_match_a_scan(col: &ColumnarRelation) {
+        assert_eq!(col.distinct_counts(), col.count_distinct());
         let (arity, n) = (col.arity(), col.physical_len());
         let rows: Vec<Vec<u32>> = (0..n)
             .map(|i| (0..arity).map(|p| col.code_at(i, p)).collect())
@@ -677,10 +939,11 @@ mod tests {
         }
     }
 
-    /// The probe indexes agree with a column scan after every step of
-    /// random append / tombstone / revive sequences that fold the tail
-    /// into a fresh base, across a `compacted()`, and on a clone that
-    /// appends past the base it shares with the original.
+    /// The probe indexes and the distinct counts agree with a column
+    /// scan after every step of random append / tombstone / revive
+    /// sequences that fold the tail into a fresh base, across a
+    /// `compacted()`, and on a clone that appends past the base it
+    /// shares with the original.
     #[test]
     fn the_index_agrees_with_a_scan() {
         // (arity, code domain, rows at build, steps, seed)
@@ -720,7 +983,7 @@ mod tests {
                 "arity {arity}, seed {seed}: the tail never folded"
             );
             col = col.compacted(&mut |c| c);
-            assert!(col.has_indexes() && col.tombstones() == 0);
+            assert!(col.has_indexes() && col.has_distinct_counts() && col.tombstones() == 0);
             assert_probes_match_a_scan(&col);
             random_step(&mut col, domain, &mut draw);
             let mut copy = col.clone();

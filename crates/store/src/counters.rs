@@ -24,6 +24,7 @@ pub struct AccessCounters {
     writer_probes: AtomicU64,
     writer_probe_rows: AtomicU64,
     view_builds: AtomicU64,
+    statistics_recounts: AtomicU64,
 }
 
 impl Clone for AccessCounters {
@@ -38,6 +39,7 @@ impl Clone for AccessCounters {
             writer_probes: AtomicU64::new(s.writer_probes),
             writer_probe_rows: AtomicU64::new(s.writer_probe_rows),
             view_builds: AtomicU64::new(s.view_builds),
+            statistics_recounts: AtomicU64::new(s.statistics_recounts),
         }
     }
 }
@@ -85,6 +87,13 @@ impl AccessCounters {
         self.view_builds.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one planner-statistics snapshot that had to count a
+    /// relation's distinct values from its rows (after registration or
+    /// a bulk load) instead of reading the counts the writer keeps.
+    pub fn record_statistics_recount(&self) {
+        self.statistics_recounts.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A plain-integer snapshot of the current totals.
     pub fn snapshot(&self) -> AccessSnapshot {
         AccessSnapshot {
@@ -96,6 +105,7 @@ impl AccessCounters {
             writer_probes: self.writer_probes.load(Ordering::Relaxed),
             writer_probe_rows: self.writer_probe_rows.load(Ordering::Relaxed),
             view_builds: self.view_builds.load(Ordering::Relaxed),
+            statistics_recounts: self.statistics_recounts.load(Ordering::Relaxed),
         }
     }
 
@@ -109,6 +119,7 @@ impl AccessCounters {
         self.writer_probes.store(0, Ordering::Relaxed);
         self.writer_probe_rows.store(0, Ordering::Relaxed);
         self.view_builds.store(0, Ordering::Relaxed);
+        self.statistics_recounts.store(0, Ordering::Relaxed);
     }
 }
 
@@ -134,6 +145,9 @@ pub struct AccessSnapshot {
     pub writer_probe_rows: u64,
     /// Property-graph views pattern calls built per statement.
     pub view_builds: u64,
+    /// Planner-statistics snapshots that counted a relation from its
+    /// rows.
+    pub statistics_recounts: u64,
 }
 
 impl AccessSnapshot {
@@ -153,6 +167,9 @@ impl AccessSnapshot {
                 .writer_probe_rows
                 .saturating_sub(earlier.writer_probe_rows),
             view_builds: self.view_builds.saturating_sub(earlier.view_builds),
+            statistics_recounts: self
+                .statistics_recounts
+                .saturating_sub(earlier.statistics_recounts),
         }
     }
 }
@@ -173,6 +190,7 @@ impl fmt::Display for AccessSnapshot {
             "  writer probes          : {} ({} candidate row(s))",
             self.writer_probes, self.writer_probe_rows
         )?;
-        write!(f, "  view builds            : {}", self.view_builds)
+        writeln!(f, "  view builds            : {}", self.view_builds)?;
+        write!(f, "  statistics recounts    : {}", self.statistics_recounts)
     }
 }

@@ -12,7 +12,7 @@
 use crate::csr::{AdjacencyView, CsrIndex, DeltaAdjacency};
 use crate::dict::Interner;
 use crate::error::{GraphForm, StoreError};
-use crate::stats::{AdjacencyStatistics, GraphStatistics};
+use crate::stats::AdjacencyStatistics;
 use crate::store::overlay_oversized;
 use pgq_graph::PropertyGraph;
 use pgq_relational::RelName;
@@ -139,12 +139,10 @@ impl GraphEntry {
         self.overlay_size() > 0
     }
 
-    /// Degree statistics of the adjacency — the graph slice of
-    /// [`crate::StoreStatistics`].
-    pub(crate) fn statistics(&self) -> GraphStatistics {
-        GraphStatistics {
-            adjacency: AdjacencyStatistics::of(&self.csr, self.overlay_size()),
-        }
+    /// Degree histograms of the adjacency — the graph slice of
+    /// [`crate::StatisticsReport`].
+    pub(crate) fn statistics(&self) -> AdjacencyStatistics {
+        AdjacencyStatistics::of(&self.csr, self.overlay_size())
     }
 
     /// Estimated resident bytes of the frozen CSR index — a

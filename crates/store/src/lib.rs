@@ -112,6 +112,6 @@ pub use report::{GraphStats, MemoryBytes, RelationStats, StoreStats};
 pub use rows::{Postings, RowTable};
 pub use snapshot::{ConcurrentStore, StoreSnapshot};
 pub use stats::{
-    AdjacencyStatistics, DegreeHistogram, GraphStatistics, RelationStatistics, StoreStatistics,
+    AdjacencyStatistics, DegreeHistogram, RelationStatistics, StatisticsReport, StoreStatistics,
 };
 pub use store::{CompactionStats, Store, ADOM_REL};

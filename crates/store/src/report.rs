@@ -54,7 +54,7 @@ impl Store {
             columns: self
                 .relations
                 .values()
-                .map(|c| c.coded_bytes() + c.index_bytes())
+                .map(|c| c.coded_bytes() + c.index_bytes() + c.distinct_bytes())
                 .sum::<usize>()
                 + self.derived_adom().map_or(0, ColumnarRelation::coded_bytes),
             csr: self
@@ -92,7 +92,9 @@ pub struct MemoryBytes {
     pub dictionary: usize,
     /// Columnar relations: coded columns plus the row/end probe indexes
     /// a writer has built (none until its first probe of the relation),
-    /// and the derived active domain once a reader has asked for it.
+    /// the live-count tables that keep a middle column's distinct count
+    /// (built by the first write after a statistics read), and the
+    /// derived active domain once a reader has asked for it.
     pub columns: usize,
     /// Frozen CSR indexes: one per binary relation plus one per
     /// registered graph.

@@ -1,29 +1,37 @@
-//! Store-derived statistics for the cost-based planner (PR 10,
-//! ROADMAP item 5; DESIGN.md §5).
+//! Store-derived statistics for the cost-based planner (DESIGN.md §5),
+//! and the degree histograms `STATS` prints beside them.
 //!
-//! A [`StoreStatistics`] snapshot summarizes what the store already
-//! knows about its data — per-column distinct counts (from the coded
-//! columns), per-relation live/tombstone row counts, CSR forward and
-//! reverse degree histograms (min / mean / p99 / max, per binary
-//! relation and per graph), and overlay sizes — in
-//! exactly the shape `pgq-exec`'s cardinality estimator consumes.
+//! A [`StoreStatistics`] snapshot holds exactly what `pgq-exec`'s
+//! cardinality estimator reads: per relation its live and tombstoned
+//! rows and per-column distinct counts, the dictionary size, and one
+//! mean degree per binary relation's adjacency (`edge_count /
+//! node_count` of its frozen CSR base — forward and reverse alike,
+//! since both directions share one dense node universe).
 //!
-//! Statistics are **lazy and cached**: `Store::statistics` computes
-//! them on first use and caches the `Arc` on the store's COW state;
-//! every mutation (`register_relation` / `register_database`,
-//! `apply_updates`, `compact`, `bulk_load`, graph registration)
-//! invalidates the cache by swapping in a fresh slot and bumping the
-//! epoch. Because the cache slot is `Arc`-shared the same way the
-//! columns and CSR bases are, a pinned `StoreSnapshot` keeps the
-//! statistics consistent with the data it pins: a concurrent writer
-//! publishing a new state never mutates a reader's cached statistics —
-//! it computes its own against its own state.
+//! Its lifecycle: the first statistics read of a relation counts its
+//! distinct values (a sort per column, [`ColumnarRelation::count_distinct`]);
+//! from then on the writer keeps them exact on every append, revive and
+//! tombstone, a copy-on-write clone carries them and compaction keeps
+//! them. Building a snapshot therefore reads O(relations + adjacencies)
+//! numbers and no row; a relation that has to be counted first
+//! (after registration or a bulk load) counts as one
+//! `statistics_recounts` in `METRICS`. `Store::statistics` caches the
+//! snapshot per store version: every mutation swaps in a fresh slot and
+//! bumps the epoch, and because the slot is `Arc`-shared the way the
+//! columns are, a pinned `StoreSnapshot` keeps statistics consistent
+//! with the data it pins.
+//!
+//! The min / p99 / max [`DegreeHistogram`]s of every relation and graph
+//! adjacency feed no plan: `STATS` computes them on demand
+//! ([`StatisticsReport`]).
 
 use crate::column::ColumnarRelation;
 use crate::csr::CsrIndex;
+use crate::Store;
 use pgq_relational::RelName;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Summary of a degree distribution (one direction of one CSR index).
 ///
@@ -109,15 +117,7 @@ impl RelationStatistics {
             .unwrap_or(self.live_rows)
     }
 
-    fn from_column(col: &ColumnarRelation) -> Self {
-        let mut distinct = Vec::with_capacity(col.arity());
-        for pos in 0..col.arity() {
-            let column = col.column(pos);
-            let mut codes: Vec<u32> = col.live_rows().map(|i| column[i]).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            distinct.push(codes.len());
-        }
+    fn of(col: &ColumnarRelation, distinct: Vec<usize>) -> Self {
         RelationStatistics {
             arity: col.arity(),
             live_rows: col.len(),
@@ -150,62 +150,70 @@ impl AdjacencyStatistics {
     }
 }
 
-/// Statistics for one frozen graph entry.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct GraphStatistics {
-    /// Node-level adjacency (parallel edges collapsed).
-    pub adjacency: AdjacencyStatistics,
-}
-
-/// One lazily-computed, cached statistics snapshot of a [`crate::Store`].
+/// The planner's statistics snapshot of a [`Store`]: what the
+/// cardinality estimator reads, and nothing else.
 ///
-/// Obtained through `Store::statistics`; see the module docs for the
-/// caching and invalidation contract.
+/// Obtained through `Store::statistics`; see the module docs for how
+/// the numbers are kept and cached.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StoreStatistics {
-    /// Invalidation epoch this snapshot was computed at (bumped by
-    /// every store mutation — the staleness tests count on it).
+    /// Invalidation epoch this snapshot was built at (bumped by every
+    /// store mutation).
     pub epoch: u64,
     /// Codes minted in the dictionary.
     pub dictionary_codes: usize,
     /// Per-relation statistics, in name order.
     pub relations: BTreeMap<RelName, RelationStatistics>,
-    /// Per-binary-relation adjacency statistics, in name order.
-    pub adjacency: BTreeMap<RelName, AdjacencyStatistics>,
-    /// Per-graph statistics, in name order.
-    pub graphs: BTreeMap<String, GraphStatistics>,
+    /// Per binary relation, the mean degree of its frozen CSR base
+    /// (`edge_count / node_count`; 0 for an empty universe), in name
+    /// order.
+    pub mean_degree: BTreeMap<RelName, f64>,
 }
 
 impl StoreStatistics {
-    /// Computes a snapshot from the store's current state. Library
-    /// callers want `Store::statistics` (lazy + cached) instead.
-    pub fn compute(store: &crate::Store, epoch: u64) -> Self {
-        let relations = store
-            .relations
-            .iter()
-            .map(|(name, col)| (name.clone(), RelationStatistics::from_column(col)))
+    /// The snapshot of the store's current state, from the distinct
+    /// counts the relations keep; a relation that has none yet is
+    /// counted now, and a snapshot that counted any records one
+    /// `statistics_recounts`. Library callers want `Store::statistics`
+    /// (cached) instead.
+    pub fn compute(store: &Store, epoch: u64) -> Self {
+        if store.relations.values().any(|c| !c.has_distinct_counts()) {
+            store.counters.record_statistics_recount();
+        }
+        Self::build(store, epoch, |col| col.distinct_counts().to_vec())
+    }
+
+    /// The snapshot counted from scratch: every column's live codes
+    /// sorted, whatever the relations keep — the oracle the maintained
+    /// counts are held to.
+    pub fn recount(store: &Store, epoch: u64) -> Self {
+        Self::build(store, epoch, ColumnarRelation::count_distinct)
+    }
+
+    fn build(
+        store: &Store,
+        epoch: u64,
+        distinct: impl Fn(&ColumnarRelation) -> Vec<usize>,
+    ) -> Self {
+        let relations = (store.relations.iter())
+            .map(|(name, col)| (name.clone(), RelationStatistics::of(col, distinct(col))))
             .collect();
-        let adjacency = store
-            .adjacency
-            .iter()
+        let mean_degree = (store.adjacency.iter())
             .map(|(name, e)| {
-                (
-                    name.clone(),
-                    AdjacencyStatistics::of(&e.csr, e.delta.change_count()),
-                )
+                let (edges, nodes) = (e.csr.edge_count(), e.csr.node_count());
+                let mean = if nodes == 0 {
+                    0.0
+                } else {
+                    edges as f64 / nodes as f64
+                };
+                (name.clone(), mean)
             })
-            .collect();
-        let graphs = store
-            .graphs
-            .iter()
-            .map(|(name, e)| (name.clone(), e.statistics()))
             .collect();
         StoreStatistics {
             epoch,
             dictionary_codes: store.dict().len(),
             relations,
-            adjacency,
-            graphs,
+            mean_degree,
         }
     }
 
@@ -219,27 +227,53 @@ impl StoreStatistics {
         self.relations.get(name).map(|r| r.distinct_at(position))
     }
 
-    /// Expected out- (or, `reverse`, in-) degree of a binary relation's
-    /// adjacency index, when one exists.
-    pub fn expected_degree(&self, name: &RelName, reverse: bool) -> Option<f64> {
-        self.adjacency.get(name).map(|a| {
-            if reverse {
-                a.reverse.mean
-            } else {
-                a.forward.mean
-            }
-        })
+    /// Expected fan-out of one probe into a binary relation's adjacency
+    /// index, either direction, when one exists.
+    pub fn expected_degree(&self, name: &RelName) -> Option<f64> {
+        self.mean_degree.get(name).copied()
     }
 }
 
-impl fmt::Display for StoreStatistics {
+/// What `STATS` prints as planner statistics: the planner's snapshot
+/// plus the degree histograms of every relation and graph adjacency,
+/// computed when asked for (`Store::statistics_report`) — no plan
+/// reads them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StatisticsReport {
+    /// The planner's snapshot.
+    pub planner: Arc<StoreStatistics>,
+    /// Per binary relation, both degree histograms and the overlay.
+    pub adjacency: BTreeMap<RelName, AdjacencyStatistics>,
+    /// Per graph, the same for its node-level adjacency.
+    pub graphs: BTreeMap<String, AdjacencyStatistics>,
+}
+
+impl StatisticsReport {
+    pub(crate) fn of(store: &Store) -> Self {
+        StatisticsReport {
+            planner: store.statistics(),
+            adjacency: (store.adjacency.iter())
+                .map(|(name, e)| {
+                    let stats = AdjacencyStatistics::of(&e.csr, e.delta.change_count());
+                    (name.clone(), stats)
+                })
+                .collect(),
+            graphs: (store.graphs.iter())
+                .map(|(name, e)| (name.clone(), e.statistics()))
+                .collect(),
+        }
+    }
+}
+
+impl fmt::Display for StatisticsReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let planner = &self.planner;
         writeln!(
             f,
             "statistics (epoch {}): {} dictionary code(s)",
-            self.epoch, self.dictionary_codes
+            planner.epoch, planner.dictionary_codes
         )?;
-        for (name, r) in &self.relations {
+        for (name, r) in &planner.relations {
             let distinct: Vec<String> = r.distinct.iter().map(usize::to_string).collect();
             write!(
                 f,
@@ -252,31 +286,17 @@ impl fmt::Display for StoreStatistics {
             }
             writeln!(f)?;
         }
-        for (name, a) in &self.adjacency {
-            writeln!(
-                f,
-                "adjacency {name}: out {} | in {}{}",
-                a.forward,
-                a.reverse,
-                if a.overlay > 0 {
-                    format!(" (+{} overlay)", a.overlay)
-                } else {
-                    String::new()
-                }
-            )?;
-        }
-        for (name, g) in &self.graphs {
-            writeln!(
-                f,
-                "graph {name}: out {} | in {}{}",
-                g.adjacency.forward,
-                g.adjacency.reverse,
-                if g.adjacency.overlay > 0 {
-                    format!(" (+{} overlay)", g.adjacency.overlay)
-                } else {
-                    String::new()
-                }
-            )?;
+        let adjacency = self
+            .adjacency
+            .iter()
+            .map(|(n, a)| ("adjacency", n.as_str(), a));
+        let graphs = self.graphs.iter().map(|(n, a)| ("graph", n.as_str(), a));
+        for (kind, name, a) in adjacency.chain(graphs) {
+            write!(f, "{kind} {name}: out {} | in {}", a.forward, a.reverse)?;
+            if a.overlay > 0 {
+                write!(f, " (+{} overlay)", a.overlay)?;
+            }
+            writeln!(f)?;
         }
         Ok(())
     }
@@ -308,14 +328,14 @@ mod tests {
         }
         let mut dict = crate::Dictionary::new();
         let mut col = ColumnarRelation::from_relation(&rel, &mut dict).unwrap();
-        let s = RelationStatistics::from_column(&col);
+        let s = RelationStatistics::of(&col, col.count_distinct());
         assert_eq!(s.live_rows, 4);
         assert_eq!(s.distinct, vec![3, 2]);
         assert_eq!(s.distinct_at(5), 4, "out of range falls back to rows");
         // Tombstoning the only row with code pair (1,1) drops both
         // counts the row uniquely contributed.
         col.tombstone(0);
-        let s = RelationStatistics::from_column(&col);
+        let s = RelationStatistics::of(&col, col.count_distinct());
         assert_eq!(s.live_rows, 3);
         assert_eq!(s.tombstone_rows, 1);
         assert_eq!(s.distinct, vec![2, 2]);

@@ -38,7 +38,7 @@ use crate::csr::{AdjacencyView, CsrIndex, DeltaAdjacency};
 use crate::dict::Dictionary;
 use crate::error::{GraphForm, StoreError};
 use crate::graph::GraphEntry;
-use crate::stats::StoreStatistics;
+use crate::stats::{StatisticsReport, StoreStatistics};
 use pgq_graph::{pg_view_bounded, pg_view_exact, pg_view_ext, ViewMode, ViewRelations};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_value::{Tuple, Value};
@@ -188,17 +188,24 @@ impl Store {
         &self.counters
     }
 
-    /// The planner statistics of the current state — computed on first
-    /// use, then served from the cache until the next mutation (the two
-    /// `Arc`s compare `ptr_eq` while the cache holds). See
-    /// [`StoreStatistics`] for what is summarized and `Derived`
-    /// (crate-private) for the snapshot-consistency contract.
+    /// The planner statistics of the current state — built on first
+    /// use from the counts the relations keep, then served from the
+    /// cache until the next mutation (the two `Arc`s compare `ptr_eq`
+    /// while the cache holds). See [`StoreStatistics`] for what is
+    /// summarized and `Derived` (crate-private) for the
+    /// snapshot-consistency contract.
     pub fn statistics(&self) -> Arc<StoreStatistics> {
         Arc::clone(
             self.derived
                 .statistics
                 .get_or_init(|| Arc::new(StoreStatistics::compute(self, self.derived.epoch))),
         )
+    }
+
+    /// The planner statistics plus the degree histograms `STATS`
+    /// prints, computed now: the histograms are not cached.
+    pub fn statistics_report(&self) -> StatisticsReport {
+        StatisticsReport::of(self)
     }
 
     /// The statistics invalidation epoch: bumped by every mutation, so
@@ -695,17 +702,27 @@ pub(crate) mod tests {
 
     /// Reads share one cached [`StoreStatistics`] Arc; every mutation
     /// class — graph updates, compaction, and registration — swaps the
-    /// slot and bumps the epoch, so stale estimates can never leak into
-    /// the cost planner.
+    /// slot and bumps the epoch, and the snapshot built after it holds
+    /// the exact counts of the new state: the writer's maintained
+    /// distinct counts equal a recount from the rows.
     #[test]
     fn statistics_cache_survives_reads_and_invalidates_on_writes() {
         let (_, mut store) = registered_store();
-        let n: RelName = "N".into();
+        // (live rows, distinct per column) of one relation, checked
+        // against a from-scratch recount of the same state.
+        let counts = |store: &Store, name: &str| {
+            let stats = store.statistics();
+            assert_eq!(*stats, StoreStatistics::recount(store, stats.epoch));
+            let r = &stats.relations[&RelName::from(name)];
+            (r.live_rows, r.distinct.clone())
+        };
         let first = store.statistics();
         let again = store.statistics();
         assert!(Arc::ptr_eq(&first, &again), "reads share the cached Arc");
         assert_eq!(first.epoch, store.statistics_epoch());
-        let n_rows = first.live_rows(&n).unwrap();
+        assert_eq!(counts(&store, "N"), (4, vec![4]));
+        assert_eq!(counts(&store, "S"), (3, vec![3, 3]));
+        assert_eq!(counts(&store, "P"), (0, vec![0, 0, 0]));
 
         store
             .apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("z"))))
@@ -713,42 +730,69 @@ pub(crate) mod tests {
         let after_insert = store.statistics();
         assert!(!Arc::ptr_eq(&first, &after_insert));
         assert!(after_insert.epoch > first.epoch);
-        assert_eq!(after_insert.live_rows(&n).unwrap(), n_rows + 1);
+        assert_eq!(counts(&store, "N"), (5, vec![5]));
 
         store
             .apply_updates("G", std::slice::from_ref(&Update::RemoveNode(nid("z"))))
             .unwrap();
         let after_delete = store.statistics();
         assert!(after_delete.epoch > after_insert.epoch);
-        assert_eq!(after_delete.live_rows(&n).unwrap(), n_rows);
-        assert!(after_delete.relations[&n].tombstone_rows > 0);
+        assert_eq!(counts(&store, "N"), (4, vec![4]));
+        assert_eq!(
+            after_delete.relations[&RelName::from("N")].tombstone_rows,
+            1
+        );
 
-        store
-            .apply_updates(
-                "G",
-                std::slice::from_ref(&Update::AddEdge {
-                    id: nid("e4"),
-                    src: nid("d"),
-                    tgt: nid("a"),
-                }),
-            )
-            .unwrap();
+        // An edge into `a`, which `T` held nowhere, then the removal of
+        // `e2`, whose endpoints `b` (in `S`) and `c` (in `T`) no other
+        // live row holds.
+        let e4 = Update::AddEdge {
+            id: nid("e4"),
+            src: nid("d"),
+            tgt: nid("a"),
+        };
+        store.apply_updates("G", &[e4]).unwrap();
         let after_update = store.statistics();
         assert!(after_update.epoch > after_delete.epoch);
-        assert!(after_update.graphs["G"].adjacency.overlay > 0);
+        assert_eq!(counts(&store, "T"), (4, vec![4, 4]));
+        assert!(store.statistics_report().graphs["G"].overlay > 0);
+        store
+            .apply_updates("G", &[Update::RemoveEdge(nid("e2"))])
+            .unwrap();
+        assert_eq!(counts(&store, "S"), (3, vec![3, 3]));
+        assert_eq!(counts(&store, "T"), (3, vec![3, 3]));
+
+        // `P`'s key column has no chains: its count moves when a key's
+        // last live row goes.
+        let prop = |n: &str, k: &str, v: i64| Update::SetProp(nid(n), Value::str(k), Value::int(v));
+        let props = [prop("a", "w", 1), prop("b", "w", 2), prop("b", "k", 2)];
+        store.apply_updates("G", &props).unwrap();
+        assert_eq!(counts(&store, "P"), (3, vec![2, 2, 2]));
+        store
+            .apply_updates("G", &[Update::RemoveProp(nid("b"), Value::str("k"))])
+            .unwrap();
+        assert_eq!(counts(&store, "P"), (2, vec![2, 1, 2]));
 
         store.compact().unwrap();
         let after_compact = store.statistics();
         assert!(after_compact.epoch > after_update.epoch);
-        assert_eq!(after_compact.relations[&n].tombstone_rows, 0);
-        assert_eq!(after_compact.graphs["G"].adjacency.overlay, 0);
+        assert_eq!(
+            after_compact.relations[&RelName::from("N")].tombstone_rows,
+            0
+        );
+        assert_eq!(counts(&store, "P"), (2, vec![2, 1, 2]));
+        assert_eq!(counts(&store, "T"), (3, vec![3, 3]));
+        assert_eq!(store.statistics_report().graphs["G"].overlay, 0);
+        // The key column's count stays exact in the compacted codes.
+        store.apply_updates("G", &[prop("c", "k", 3)]).unwrap();
+        assert_eq!(counts(&store, "P"), (3, vec![3, 2, 3]));
 
         store
             .register_relation("Extra".into(), &Relation::unary([1i64]))
             .unwrap();
         let after_register = store.statistics();
         assert!(after_register.epoch > after_compact.epoch);
-        assert!(after_register.live_rows(&"Extra".into()).is_some());
+        assert_eq!(counts(&store, "Extra"), (1, vec![1]));
 
         // A re-registration that fails part-way (the dictionary fills
         // on N's new row, after E and L were replaced) must not leave
@@ -766,9 +810,41 @@ pub(crate) mod tests {
         let after_failed = store.statistics();
         assert!(after_failed.epoch > before.epoch);
         assert_eq!(
-            after_failed.live_rows(&n),
-            store.relation(&n).map(ColumnarRelation::len)
+            *after_failed,
+            StoreStatistics::recount(&store, after_failed.epoch)
         );
+    }
+
+    /// The writer keeps the counts, so once a statistics read has
+    /// counted the relations, writes and compaction leave nothing to
+    /// recount; a registration does.
+    #[test]
+    fn only_a_registration_makes_the_statistics_recount() {
+        let (db, mut store) = registered_store();
+        let recounts = |store: &Store| store.counters().snapshot().statistics_recounts;
+        store.statistics();
+        assert_eq!(recounts(&store), 1);
+        for i in 0..20 {
+            let node = nid(&format!("n{i}"));
+            let batch = [
+                Update::AddNode(node.clone()),
+                Update::AddEdge {
+                    id: nid(&format!("f{i}")),
+                    src: nid("a"),
+                    tgt: node.clone(),
+                },
+                Update::SetProp(node, Value::str("w"), Value::int(i)),
+            ];
+            store.apply_updates("G", &batch).unwrap();
+            let stats = store.statistics();
+            assert_eq!(*stats, StoreStatistics::recount(&store, stats.epoch));
+        }
+        store.compact().unwrap();
+        store.statistics();
+        assert_eq!(recounts(&store), 1, "writes and compaction recount nothing");
+        store.register_database(&db).unwrap();
+        store.statistics();
+        assert_eq!(recounts(&store), 2);
     }
 
     /// A pinned snapshot keeps answering with its own consistent

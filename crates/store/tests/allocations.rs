@@ -2,7 +2,9 @@
 //! `4n` rows to an indexed relation makes as many heap allocations as
 //! appending `n`, and one 64-update `apply_updates` batch on a
 //! [`ConcurrentStore`] working clone makes as many over probe-index
-//! tails of `4n` rows as over tails of `n`.
+//! tails of `4n` rows as over tails of `n` — also when planner
+//! statistics were read before it, so the batch keeps the distinct
+//! counts of what it writes.
 //!
 //! A counting global allocator counts fresh allocations on the calling
 //! thread. A buffer that grows by `realloc` stays one allocation; an
@@ -11,7 +13,7 @@
 
 use pgq_graph::Update;
 use pgq_relational::{Database, Relation};
-use pgq_store::{ColumnarRelation, ConcurrentStore, GraphForm, Store};
+use pgq_store::{ColumnarRelation, ConcurrentStore, GraphForm, Store, StoreStatistics};
 use pgq_value::{tuple, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,33 +107,65 @@ fn set_prop(id: i64, key: i64, value: i64) -> Update {
     )
 }
 
+/// Allocations of one 64-update `SetProp` batch on a [`ConcurrentStore`]
+/// whose `P` carries `tail` rows in its probe-index tail. With
+/// `statistics` the planner statistics are read before the tail and
+/// again before the batch, so the batch also keeps the distinct counts
+/// of every relation it writes.
+fn batch_allocations(tail: i64, statistics: bool) -> u64 {
+    let db = ring();
+    let mut store = Store::from_database(&db);
+    store
+        .register_view_graph(
+            "G",
+            ["N", "E", "S", "T", "L", "P"].map(Into::into),
+            &db,
+            GraphForm::Exact(1),
+        )
+        .unwrap();
+    let store = ConcurrentStore::new(store);
+    let read = || {
+        if statistics {
+            store.pin().statistics();
+        }
+    };
+    read();
+    // `tail` new property rows: the first probe builds `P`'s indexes,
+    // and the rows land in their tail.
+    let preload: Vec<Update> = (0..tail).map(|i| set_prop(i, 1, i)).collect();
+    store.write(|s| s.apply_updates("G", &preload)).unwrap();
+    read();
+    // The measured batch copies that tail into its working clone.
+    let batch: Vec<Update> = (0..64).map(|j| set_prop(NODES - 1 - j, 2, j)).collect();
+    let made = allocations(|| store.write(|s| s.apply_updates("G", &batch)).unwrap());
+    let published = store.pin();
+    let p = published.relation(&"P".into()).unwrap();
+    assert_eq!(p.len(), (NODES + tail + 64) as usize);
+    if statistics {
+        // The counts the batch kept are exact, and no read recounted.
+        let stats = published.statistics();
+        assert_eq!(*stats, StoreStatistics::recount(&published, stats.epoch));
+        assert_eq!(stats.distinct(&"P".into(), 1), Some(3));
+        assert_eq!(published.counters().snapshot().statistics_recounts, 1);
+    }
+    made
+}
+
 #[test]
 fn a_write_batch_allocates_per_batch_not_per_tail_row() {
-    let write = |tail: i64| {
-        let db = ring();
-        let mut store = Store::from_database(&db);
-        store
-            .register_view_graph(
-                "G",
-                ["N", "E", "S", "T", "L", "P"].map(Into::into),
-                &db,
-                GraphForm::Exact(1),
-            )
-            .unwrap();
-        let store = ConcurrentStore::new(store);
-        // `tail` new property rows: the first probe builds `P`'s
-        // indexes, and the rows land in their tail.
-        let preload: Vec<Update> = (0..tail).map(|i| set_prop(i, 1, i)).collect();
-        store.write(|s| s.apply_updates("G", &preload)).unwrap();
-        // The measured batch copies that tail into its working clone.
-        let batch: Vec<Update> = (0..64).map(|j| set_prop(NODES - 1 - j, 2, j)).collect();
-        let made = allocations(|| store.write(|s| s.apply_updates("G", &batch)).unwrap());
-        let published = store.pin();
-        let p = published.relation(&"P".into()).unwrap();
-        assert_eq!(p.len(), (NODES + tail + 64) as usize);
-        made
-    };
-    let (n, four_n) = (write(400), write(1_600));
+    let (n, four_n) = (
+        batch_allocations(400, false),
+        batch_allocations(1_600, false),
+    );
+    assert_eq!(
+        four_n, n,
+        "{n} allocations over index tails of n rows, {four_n} over 4n"
+    );
+}
+
+#[test]
+fn a_write_batch_keeps_the_statistics_per_batch_not_per_tail_row() {
+    let (n, four_n) = (batch_allocations(400, true), batch_allocations(1_600, true));
     assert_eq!(
         four_n, n,
         "{n} allocations over index tails of n rows, {four_n} over 4n"

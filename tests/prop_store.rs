@@ -968,6 +968,159 @@ proptest! {
     }
 }
 
+/// The `k = 2` form of an identifier: `(x, x mod 3)`.
+fn widen(id: &Tuple) -> Tuple {
+    if id.arity() != 1 {
+        return id.clone();
+    }
+    let tag = id[0].as_int().map_or(0, |x| x.rem_euclid(3));
+    id.concat(&Tuple::unary(tag))
+}
+
+/// A canonical database with every identifier widened to `k = 2`.
+fn widen_db(db: &Database) -> Database {
+    let mut out = Database::new();
+    for name in views() {
+        let rel = db.get(&name).expect("canonical relation");
+        let mut wide = Relation::empty(
+            rel.arity()
+                + if name.as_str() == "S" || name.as_str() == "T" {
+                    2
+                } else {
+                    1
+                },
+        );
+        for t in rel.iter() {
+            let rest = Tuple::new(t.iter().skip(1).cloned().collect());
+            let rest = match name.as_str() {
+                "S" | "T" => widen(&rest),
+                _ => rest,
+            };
+            wide.insert(widen(&Tuple::unary(t[0].clone())).concat(&rest))
+                .unwrap();
+        }
+        out.add_relation(name, wide);
+    }
+    out
+}
+
+/// The same update over `k = 2` identifiers.
+fn widen_update(u: &Update) -> Update {
+    match u {
+        Update::AddNode(id) => Update::AddNode(widen(id)),
+        Update::RemoveNode(id) => Update::RemoveNode(widen(id)),
+        Update::DetachRemoveNode(id) => Update::DetachRemoveNode(widen(id)),
+        Update::AddEdge { id, src, tgt } => Update::AddEdge {
+            id: widen(id),
+            src: widen(src),
+            tgt: widen(tgt),
+        },
+        Update::RemoveEdge(id) => Update::RemoveEdge(widen(id)),
+        Update::AddLabel(id, l) => Update::AddLabel(widen(id), l.clone()),
+        Update::RemoveLabel(id, l) => Update::RemoveLabel(widen(id), l.clone()),
+        Update::SetProp(id, k, v) => Update::SetProp(widen(id), k.clone(), v.clone()),
+        Update::RemoveProp(id, k) => Update::RemoveProp(widen(id), k.clone()),
+    }
+}
+
+/// One step of the statistics exactness property.
+#[derive(Debug, Clone)]
+enum StatsStep {
+    /// A batch of random updates: accepted, or rejected part-way with
+    /// its prefix applied.
+    Batch(Vec<Update>),
+    /// 12 fresh nodes and 36 fresh edges among them — past the fold
+    /// threshold of the graph overlay, of the `S`/`T` adjacency overlays
+    /// (`k = 1`) and of the probe-index tails — closed, when the flag
+    /// is set, by an update the store rejects.
+    Fold(bool),
+    /// `Store::compact`.
+    Compact,
+}
+
+fn arb_stats_step() -> BoxedStrategy<StatsStep> {
+    prop_oneof![
+        6 => proptest::collection::vec(arb_canonical_update(), 1..12).prop_map(StatsStep::Batch),
+        2 => proptest::bool::ANY.prop_map(StatsStep::Fold),
+        1 => Just(StatsStep::Compact),
+    ]
+    .boxed()
+}
+
+/// The fold batch of step `i`: identifiers no other step uses.
+fn fold_batch(i: usize, reject: bool) -> Vec<Update> {
+    let id = |j: usize| Tuple::unary(Value::int(5_000_000 + 1_000 * i as i64 + j as i64));
+    let mut batch: Vec<Update> = (0..12).map(|j| Update::AddNode(id(j))).collect();
+    batch.extend((0..36).map(|j| Update::AddEdge {
+        id: id(100 + j),
+        src: id(j % 12),
+        tgt: id((5 * j + 1) % 12),
+    }));
+    if reject {
+        batch.push(Update::AddNode(id(0)));
+    }
+    batch
+}
+
+proptest! {
+    /// The writer keeps the planner statistics exact: on stores built
+    /// by `bulk_load` (`k = 1`, the only form it builds) and by
+    /// `register_view_graph` (`k = 1` and `k = 2`), after every step of
+    /// random Section 7 batches — accepted, rejected part-way, folding
+    /// overlays — and `COMPACT`s, `Store::statistics` equals a
+    /// from-scratch recount field for field, and no read after the
+    /// first counted a relation again.
+    #[test]
+    fn statistics_stay_exact_across_writes(
+        steps in proptest::collection::vec(arb_stats_step(), 1..10),
+        n in 1usize..6,
+        m in 0usize..8,
+        seed in 0u64..1000,
+    ) {
+        let db = canonical_graph_db(n, m, 5, seed);
+        let mut bulk = Store::new();
+        bulk.bulk_load("G", views(), GraphForm::Exact(1), &bulk_of(&db), 1).unwrap();
+        let wide = widen_db(&db);
+        let mut wide_store = Store::from_database(&wide);
+        wide_store
+            .register_view_graph("G", views(), &wide, GraphForm::Exact(2))
+            .expect("widened canonical views are valid");
+        for (route, k, mut store) in [("bulk", 1, bulk), ("register", 1, store_for(&db)), ("register", 2, wide_store)] {
+            let exact = |store: &Store, context: &str| {
+                let stats = store.statistics();
+                assert_eq!(*stats, pgq_store::StoreStatistics::recount(store, stats.epoch), "{context}");
+            };
+            exact(&store, &format!("{route}, k = {k}"));
+            let recounts = store.counters().snapshot().statistics_recounts;
+            for (i, step) in steps.iter().enumerate() {
+                let batch = match step {
+                    StatsStep::Batch(batch) => batch.clone(),
+                    StatsStep::Fold(reject) => fold_batch(i, *reject),
+                    StatsStep::Compact => {
+                        store.compact().expect("compaction never fails on a healthy store");
+                        Vec::new()
+                    }
+                };
+                let batch: Vec<Update> = match k {
+                    1 => batch,
+                    _ => batch.iter().map(widen_update).collect(),
+                };
+                if !batch.is_empty() {
+                    let _ = store.apply_updates("G", &batch);
+                }
+                exact(&store, &format!("{route}, k = {k}, after step {i}: {step:?}"));
+            }
+            prop_assert_eq!(
+                store.counters().snapshot().statistics_recounts,
+                recounts,
+                "{}, k = {}: a read after a write recounted",
+                route,
+                k
+            );
+        }
+    }
+}
+
 /// The canonical relations a snapshot holds, materialized as a plain
 /// database — the single-threaded reference state every pinned reader
 /// is checked against.
