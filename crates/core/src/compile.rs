@@ -1,12 +1,13 @@
-//! Patterns as plans: a pattern call over a graph frozen in the store,
-//! compiled to a physical plan over the call's six view relations with
-//! one rule per Figure 1 constructor — Lemma 9.3's τ read relationally.
-//! The physical route splices the plan into the surrounding shell, so
-//! the optimizer and the storage lowering plan the whole call as
-//! `IndexScan`/`Filter`/`HashJoin`/`Project`/`Fixpoint` over the store:
-//! no view graph is built and nothing is copied. The plan is the
-//! shell's own physical IR, not a Figure 3 query: repetition needs a
-//! fixpoint, and the `Query` algebra stays fixpoint-free.
+//! Patterns as plans: a pattern call compiled to a physical plan over
+//! the call's six view relations with one rule per Figure 1
+//! constructor — Lemma 9.3's τ read relationally. The physical route
+//! splices the plan into the surrounding shell, so the optimizer and the
+//! storage lowering plan the whole call as
+//! `IndexScan`/`Filter`/`HashJoin`/`Project`/`Fixpoint`; over a graph
+//! frozen in the store no view graph is built and nothing is copied.
+//! The plan is the shell's own physical IR, not a Figure 3 query:
+//! repetition needs a fixpoint, and the `Query` algebra stays
+//! fixpoint-free.
 //!
 //! A compiled sub-pattern `ψ` is a plan whose rows are the matches
 //! `(s, t, μ)` of `ψ`: `k` columns for each endpoint and a `k`-block per
@@ -23,21 +24,31 @@
 //! [`PhysPlan::Fixpoint`] over the body's endpoint pairs, whatever the
 //! bounds, so the plan's size does not depend on them.
 //!
-//! The view was validated when it was frozen, which two rules rely on:
-//! every endpoint of a match is a node, so a node atom next to another
-//! pattern joins nothing and only names that endpoint; and a property is
-//! a function of its element and key, so a property join never
+//! Concatenation is associative, so a chain is flattened and joined as
+//! a balanced tree — split ⌈n/2⌉ | ⌊n/2⌋, which joins up to three
+//! factors left-deep, as a parsed hop is — and every pass over the plan
+//! (optimizing, lowering, estimating, executing) recurses as deep as
+//! the logarithm of the chain's length. Each operand keeps only the
+//! variables it binds that the join or the pattern above reads. So
+//! [`compile`] has no size cap: every call compiles.
+//!
+//! The six leaves are a graph the view conditions hold on — frozen in
+//! the store (its relation scans) or validated for this statement (the
+//! validated relations as `Values`) — which two rules rely on: every
+//! endpoint of a match is a node, so a node atom next to another
+//! pattern joins nothing and only names that endpoint; and a property
+//! is a function of its element and key, so a property join never
 //! multiplies rows.
 //!
-//! Not compiled ([`compile`] answers `None`, and the call keeps the
-//! other routes): a call whose plan would scan more than [`MAX_SCANS`]
-//! relations, an output component at index `≥ k` or of a variable `ψ`
-//! does not bind (Figure 2's typed error and empty answer), and
-//! ill-formed patterns.
+//! Figure 2's answers on the edges of the language are kept: an
+//! ill-formed pattern or an output component at index `≥ k` is its typed
+//! error, and an output variable `ψ` does not bind its empty answer.
 
-use pgq_exec::PhysPlan;
-use pgq_pattern::{Condition, Direction, OutputItem, OutputPattern, Pattern, RepBound};
-use pgq_relational::{RelName, RowCondition};
+use pgq_exec::{Batch, PhysPlan};
+use pgq_pattern::{
+    Condition, Direction, OutputError, OutputItem, OutputPattern, Pattern, RepBound,
+};
+use pgq_relational::RowCondition;
 use pgq_value::Var;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,24 +59,25 @@ const TGT: usize = 3;
 const LABELS: usize = 4;
 const PROPS: usize = 5;
 
-/// The most relation scans a compiled call may hold ([`scans`] plus one
-/// per property output). The plan grows with every copy a disjunction
-/// or a negation takes, and every pass over it — optimizing, lowering,
-/// estimating, executing — recurses once per level, on a server thread
-/// with a 2 MiB stack. The cap bounds that depth; past it the NFA route
-/// answers.
-const MAX_SCANS: usize = 32;
-
-/// `ψΩ` over `views` — a graph frozen from them with identifier arity
-/// `k` — as one query, or `None` when the call does not compile.
-pub(crate) fn compile(out: &OutputPattern, views: &[RelName; 6], k: usize) -> Option<PhysPlan> {
-    out.pattern.validate().ok()?;
-    let props = out
-        .items
-        .iter()
-        .filter(|item| matches!(item, OutputItem::Prop(..)));
-    if scans(&out.pattern).saturating_add(props.count()) > MAX_SCANS {
-        return None;
+/// `ψΩ` over `views` — the six relations of a graph with identifier
+/// arity `k` that satisfies the view conditions — as one plan, or
+/// Figure 2's typed error.
+pub(crate) fn compile(
+    out: &OutputPattern,
+    views: [PhysPlan; 6],
+    k: usize,
+) -> Result<PhysPlan, OutputError> {
+    out.pattern.validate()?;
+    for item in &out.items {
+        if let OutputItem::Component(var, index) = item {
+            if *index >= k {
+                return Err(OutputError::ComponentOutOfRange {
+                    var: var.clone(),
+                    index: *index,
+                    id_arity: k,
+                });
+            }
+        }
     }
     let c = Compiler { views, k };
     let keep = out
@@ -75,33 +87,9 @@ pub(crate) fn compile(out: &OutputPattern, views: &[RelName; 6], k: usize) -> Op
             OutputItem::Var(v) | OutputItem::Prop(v, _) | OutputItem::Component(v, _) => v.clone(),
         })
         .collect();
-    let matches = c.pattern(&out.pattern, &keep)?;
-    c.output(matches, &out.items)
-}
-
-/// The relation scans `ψ`'s compiled plan holds, rule by rule (node
-/// atoms beside a pattern counted as if they scanned `N`); saturating.
-fn scans(p: &Pattern) -> usize {
-    match p {
-        Pattern::Node(_) => 1,
-        Pattern::Edge(..) => 2,
-        Pattern::Concat(a, b) | Pattern::Union(a, b) => scans(a).saturating_add(scans(b)),
-        Pattern::Filter(p, theta) => filtered(scans(p), theta),
-        // The body once, and `ε` scans `N`.
-        Pattern::Repeat(p, ..) => scans(p).saturating_add(1),
-    }
-}
-
-/// The scans of `σθ` over a plan of `s` scans: an atom joins one or two
-/// view relations, `∨` and `¬` copy the plan.
-fn filtered(s: usize, theta: &Condition) -> usize {
-    match theta {
-        Condition::HasLabel(..) | Condition::PropCmpConst(..) => s.saturating_add(1),
-        Condition::PropEq(..) => s.saturating_add(2),
-        Condition::And(l, r) => filtered(filtered(s, l), r),
-        Condition::Or(l, r) => filtered(s, l).saturating_add(filtered(s, r)),
-        Condition::Not(c) => s.saturating_add(filtered(s, c)),
-    }
+    let matches = c.pattern(&out.pattern, &keep);
+    Ok(c.output(matches, &out.items)
+        .unwrap_or_else(|| PhysPlan::Values(Batch::empty(out.output_arity(k)))))
 }
 
 /// The matches of a sub-pattern: the plan and where each endpoint and
@@ -166,6 +154,19 @@ fn with<'a>(keep: &BTreeSet<Var>, more: impl IntoIterator<Item = &'a Var>) -> BT
         .collect()
 }
 
+/// The factors of `p`'s concatenation spine, in order — walked with a
+/// stack, so a chain built left-deep is read without recursing.
+fn factors(p: &Pattern) -> Vec<&Pattern> {
+    let (mut fs, mut stack) = (Vec::new(), vec![p]);
+    while let Some(p) = stack.pop() {
+        match p {
+            Pattern::Concat(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
+            p => fs.push(p),
+        }
+    }
+    fs
+}
+
 /// `start..start + k` as positions.
 fn block(start: usize, k: usize) -> Vec<usize> {
     (start..start + k).collect()
@@ -190,21 +191,21 @@ fn select(q: PhysPlan, conds: Vec<RowCondition>) -> PhysPlan {
     }
 }
 
-struct Compiler<'v> {
-    views: &'v [RelName; 6],
+struct Compiler {
+    views: [PhysPlan; 6],
     k: usize,
 }
 
-impl Compiler<'_> {
+impl Compiler {
     fn view(&self, i: usize) -> PhysPlan {
-        PhysPlan::Scan(self.views[i].clone())
+        self.views[i].clone()
     }
 
     /// The matches of `p`, keeping at least the variables of `keep` —
     /// those something above `p` reads.
-    fn pattern(&self, p: &Pattern, keep: &BTreeSet<Var>) -> Option<Matches> {
+    fn pattern(&self, p: &Pattern, keep: &BTreeSet<Var>) -> Matches {
         let k = self.k;
-        Some(match p {
+        match p {
             // ⟦(x)⟧: `N`, both endpoints and `x` on its columns.
             Pattern::Node(v) => {
                 let ids = block(0, k);
@@ -233,44 +234,60 @@ impl Compiler<'_> {
                     vars: v.iter().map(|v| (v.clone(), block(0, k))).collect(),
                 }
             }
-            // A node atom beside a pattern names that pattern's endpoint.
-            Pattern::Concat(a, b) => match (a.as_ref(), b.as_ref()) {
-                (_, Pattern::Node(v)) => {
-                    let m = self.pattern(a, &with(keep, v.iter()))?;
-                    let tgt = m.tgt.clone();
-                    bind(m, v, tgt)
-                }
-                (Pattern::Node(v), _) => {
-                    let m = self.pattern(b, &with(keep, v.iter()))?;
-                    let src = m.src.clone();
-                    bind(m, v, src)
-                }
-                // Shared variables must stay for the join; each operand
-                // is cut to what the join and the pattern above read.
-                _ => {
-                    let a_keep = with(keep, &b.free_vars());
-                    let b_keep = with(keep, &a.free_vars());
-                    let a = self.pattern(a, &a_keep)?.trimmed(k, &a_keep);
-                    let b = self.pattern(b, &b_keep)?.trimmed(k, &b_keep);
-                    concat(a, b).trimmed(k, keep)
-                }
-            },
+            Pattern::Concat(..) => self.chain(&factors(p), keep),
             // Validated: both operands bind the same variables.
             Pattern::Union(a, b) => {
-                let a = self.pattern(a, keep)?.aligned(k, keep);
-                let b = self.pattern(b, keep)?.aligned(k, keep);
+                let a = self.pattern(a, keep).aligned(k, keep);
+                let b = self.pattern(b, keep).aligned(k, keep);
                 Matches {
                     q: a.q.union(b.q),
                     ..a
                 }
             }
             Pattern::Filter(p, theta) => {
-                let m = self.pattern(p, &with(keep, &theta.vars()))?;
+                let m = self.pattern(p, &with(keep, &theta.vars()));
                 let (q, arity) = self.holds(&m, theta);
                 Matches { q, arity, ..m }
             }
-            Pattern::Repeat(p, n, m) => self.repeat(self.pattern(p, &BTreeSet::new())?, *n, *m),
-        })
+            Pattern::Repeat(p, n, m) => self.repeat(self.pattern(p, &BTreeSet::new()), *n, *m),
+        }
+    }
+
+    /// The matches of the concatenation of `fs`, its halves
+    /// ⌈n/2⌉ | ⌊n/2⌋ joined (so up to three factors join left-deep).
+    fn chain(&self, fs: &[&Pattern], keep: &BTreeSet<Var>) -> Matches {
+        let k = self.k;
+        let (a, b) = match fs {
+            [p] => return self.pattern(p, keep),
+            _ => fs.split_at(fs.len().div_ceil(2)),
+        };
+        match (a, b) {
+            // A node atom beside a pattern names that pattern's endpoint.
+            (_, [Pattern::Node(v)]) => {
+                let m = self.chain(a, &with(keep, v.iter()));
+                let tgt = m.tgt.clone();
+                bind(m, v, tgt)
+            }
+            ([Pattern::Node(v)], _) => {
+                let m = self.chain(b, &with(keep, v.iter()));
+                let src = m.src.clone();
+                bind(m, v, src)
+            }
+            // Shared variables must stay for the join; each operand
+            // keeps what it binds of what the join and the pattern above
+            // read.
+            _ => {
+                let vars = |fs: &[&Pattern]| -> BTreeSet<Var> {
+                    fs.iter().flat_map(|p| p.free_vars()).collect()
+                };
+                let (a_vars, b_vars) = (vars(a), vars(b));
+                let a_keep = with(keep, &b_vars).intersection(&a_vars).cloned().collect();
+                let b_keep = with(keep, &a_vars).intersection(&b_vars).cloned().collect();
+                let a = self.chain(a, &a_keep).trimmed(k, &a_keep);
+                let b = self.chain(b, &b_keep).trimmed(k, &b_keep);
+                concat(a, b).trimmed(k, keep)
+            }
+        }
     }
 
     /// `ψ^{n..m}` over the body's endpoint pairs `R` (repetition
@@ -382,8 +399,7 @@ impl Compiler<'_> {
         for item in items {
             match item {
                 OutputItem::Var(v) => cols.extend(m.vars.get(v)?),
-                OutputItem::Component(v, i) if *i < k => cols.push(m.vars.get(v)?[*i]),
-                OutputItem::Component(..) => return None,
+                OutputItem::Component(v, i) => cols.push(m.vars.get(v)?[*i]),
                 OutputItem::Prop(v, key) => {
                     let conds = self.prop(m.vars.get(v)?, arity, key);
                     q = select(q.product(self.view(PROPS)), conds);

@@ -1,4 +1,4 @@
-//! Query evaluation — Figure 4's semantics, with an optimizer fast path.
+//! Query evaluation — Figure 4's semantics, on three engines.
 //!
 //! The two-phase evaluation of pattern calls is exactly the paper's: the
 //! six subqueries are evaluated on the current instance, `pgView`
@@ -6,42 +6,39 @@
 //! property graph (erroring if the Definition 3.1/5.1 conditions fail),
 //! and the output pattern is evaluated on that graph.
 //!
-//! Who answers the second phase is one decision, `physical::route`,
-//! shared with the physical engine and `EXPLAIN`. It sends
-//! *navigational* pattern calls — a pattern that compiles to an NFA,
-//! with a Boolean output or items that read only its two endpoints
-//! (identifiers, components, properties) — to the product-graph BFS
-//! engine instead of the reference evaluator. Under a store the
-//! physical engine skips both phases for a call over a frozen graph:
-//! the view was validated at registration, and the call compiles onto
-//! the view relations — repetition as one bounded `Fixpoint`.
-//! Agreement between the routes is property-tested;
-//! `EvalConfig::reference()` disables the fast path for differential
-//! testing and ablation benches.
+//! [`Engine::Physical`], the default, compiles every pattern call into
+//! the query's physical plan (`crate::physical`); under a store a call
+//! over a frozen graph skips the first phase, as its view was validated
+//! at registration. [`Engine::Nfa`] and [`Engine::Reference`] are the
+//! oracles: they build the view and answer the second phase by the
+//! product-graph BFS — for *navigational* calls, a pattern that compiles
+//! to an NFA with a Boolean output or items that read only its two
+//! endpoints (identifiers, components, properties) — or by Figure 2.
+//! Agreement between the engines is property-tested.
 
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_graph::{
     pg_view_bounded, pg_view_exact, pg_view_ext, PropertyGraph, ViewMode, ViewRelations,
 };
-use pgq_pattern::{OutputPattern, Pattern};
+use pgq_pattern::{Nfa, OutputItem, OutputPattern, Pattern};
 use pgq_relational::{Database, RelError, Relation};
-use pgq_value::Var;
+use pgq_value::{Key, Tuple, Value, Var};
 
-/// Which engine answers a query (DESIGN.md §5). All three routes are
+/// Which engine answers a query (DESIGN.md §5). All three are
 /// semantically identical; the suites enforce the agreement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Reference semantics only — the literal Figure 2/4 evaluators,
-    /// used for differential testing and ablation baselines.
+    /// the oracle of the differential suites.
     Reference,
-    /// The NFA product-graph BFS fast path for navigational pattern
-    /// calls (the historical default).
+    /// Figure 4's tree walk with the NFA product-graph BFS answering
+    /// navigational pattern calls — an oracle too.
     Nfa,
-    /// The S15 physical engine (`pgq-exec`): the relational shell is
-    /// planned into hash-join plans, pattern calls over a graph frozen
-    /// in the store are compiled into that plan (repetition as a
-    /// bounded semi-naive `Fixpoint`), and everything else falls back
-    /// to the NFA/reference routes.
+    /// The S15 physical engine (`pgq-exec`), the default: the
+    /// relational shell is planned into hash-join plans and every
+    /// pattern call is compiled into that plan (repetition as one
+    /// bounded `Fixpoint`, a per-source sweep over a CSR of the step's
+    /// endpoint pairs).
     Physical,
 }
 
@@ -72,7 +69,7 @@ pub struct EvalConfig {
 impl Default for EvalConfig {
     fn default() -> Self {
         EvalConfig {
-            engine: Engine::Nfa,
+            engine: Engine::Physical,
             view_mode: ViewMode::Strict,
             threads: 0,
             planner: pgq_exec::PlannerChoice::default(),
@@ -90,10 +87,15 @@ impl EvalConfig {
         }
     }
 
-    /// The physical execution engine (substrate S15).
+    /// The physical execution engine (substrate S15) — the default.
     pub fn physical() -> Self {
+        EvalConfig::default()
+    }
+
+    /// The NFA engine (differential testing).
+    pub fn nfa() -> Self {
         EvalConfig {
-            engine: Engine::Physical,
+            engine: Engine::Nfa,
             ..Default::default()
         }
     }
@@ -156,10 +158,9 @@ pub fn eval_with_store(
 /// [`Engine::Physical`] the profile is the executed physical plan
 /// annotated per operator (rows in/out, wall time, degree of
 /// parallelism, hash-join build sizes, fixpoint iteration Δ sizes,
-/// per-worker morsel counts); a compiled pattern call profiles as its
-/// own operators (a repetition as its `Fixpoint`, with per-round Δ
-/// sizes), and calls answered off-plan (NFA, reference) appear as a
-/// route-labelled node. The other
+/// per-worker morsel counts); a pattern call profiles as its compiled
+/// operators (a repetition as its `Fixpoint`, with per-round Δ sizes).
+/// The other
 /// engines are tree walkers with no operator tree, so they report a
 /// single node. The result relation is identical to
 /// [`eval_with_store`]'s — metrics collection never perturbs results —
@@ -182,7 +183,10 @@ pub fn eval_with_store_profiled(
             Engine::Reference => "Reference (Figure 2/4) evaluator [no physical plan]",
             _ => "NFA-routed evaluator [no physical plan]",
         };
-        crate::physical::record_answer(&mut root, label.into(), &rel, start);
+        root.label = label.into();
+        root.executed = true;
+        root.rows_out = rel.len() as u64;
+        root.elapsed_ns = start.elapsed().as_nanos() as u64;
         (rel, 1)
     };
     let profile = pgq_exec::QueryProfile {
@@ -271,23 +275,114 @@ pub(crate) fn view_graph(
     })
 }
 
-/// Phase two: evaluate the output pattern on the route
-/// `physical::route` picks for this engine — the NFA when the call is
-/// navigational, Figure 2 otherwise.
+/// Phase two: evaluate the output pattern on the graph — by the NFA
+/// when the engine is [`Engine::Nfa`] and the call is navigational (see
+/// [`cells`]), by Figure 2 otherwise.
 fn eval_output(
     out: &OutputPattern,
     g: &PropertyGraph,
     cfg: EvalConfig,
 ) -> Result<Relation, QueryError> {
-    let route = crate::physical::route(out, g.id_arity(), None, cfg.engine);
-    route.answer(out, g)
+    if cfg.engine == Engine::Nfa {
+        if let Ok(nfa) = Nfa::compile(&out.pattern) {
+            let (x, y) = (
+                leftmost_node_var(&out.pattern),
+                rightmost_node_var(&out.pattern),
+            );
+            if let Some(cells) = cells(out, x.as_ref(), y.as_ref(), g.id_arity()) {
+                out.pattern.validate()?;
+                let pairs = nfa.eval_pairs(g);
+                let ends = pairs.iter().map(|(s, t)| (s.values(), t.values()));
+                return project(&cells, ends, g);
+            }
+        }
+    }
+    Ok(out.eval(g)?)
+}
+
+/// One output column read off an endpoint pair `(s̄, t̄)`; `target`
+/// picks `t̄`. An identifier item is its `k` component cells.
+enum Cell {
+    /// Component `index` of the endpoint identifier.
+    Component { target: bool, index: usize },
+    /// A property of the endpoint.
+    Prop { target: bool, key: Key },
+}
+
+/// The output items as reads off the endpoint pair of a match whose
+/// source node binds `x` and whose target node binds `y`: the
+/// identifier, an in-range component or a property of either. `None` —
+/// Figure 2's business — when an item reads another variable or a
+/// component beyond the identifier arity `k`.
+fn cells(out: &OutputPattern, x: Option<&Var>, y: Option<&Var>, k: usize) -> Option<Vec<Cell>> {
+    let mut cells = Vec::new();
+    for item in &out.items {
+        let (OutputItem::Var(v) | OutputItem::Component(v, _) | OutputItem::Prop(v, _)) = item;
+        let target = if Some(v) == x {
+            false
+        } else if Some(v) == y {
+            true
+        } else {
+            return None;
+        };
+        match item {
+            OutputItem::Var(_) => {
+                cells.extend((0..k).map(|index| Cell::Component { target, index }));
+            }
+            OutputItem::Component(_, index) if *index < k => cells.push(Cell::Component {
+                target,
+                index: *index,
+            }),
+            OutputItem::Component(..) => return None,
+            OutputItem::Prop(_, key) => cells.push(Cell::Prop {
+                target,
+                key: key.clone(),
+            }),
+        }
+    }
+    Some(cells)
+}
+
+/// The NFA's projection: every pair `(s̄, t̄)` becomes one row through
+/// `cells`, a pair whose property is undefined gives none (Figure 2's
+/// rule), and a Boolean output (no cells) holds iff some pair exists.
+fn project<'v>(
+    cells: &[Cell],
+    mut pairs: impl Iterator<Item = (&'v [Value], &'v [Value])>,
+    g: &PropertyGraph,
+) -> Result<Relation, QueryError> {
+    if cells.is_empty() {
+        return Ok(if pairs.next().is_some() {
+            Relation::r#true()
+        } else {
+            Relation::r#false()
+        });
+    }
+    let mut rel = Relation::empty(cells.len());
+    'pairs: for (s, t) in pairs {
+        let end = |target: bool| if target { t } else { s };
+        let mut row = Vec::with_capacity(cells.len());
+        for cell in cells {
+            row.push(match cell {
+                Cell::Component { target, index } => end(*target)[*index].clone(),
+                Cell::Prop { target, key } => {
+                    match g.prop(&Tuple::new(end(*target).to_vec()), key) {
+                        Some(v) => v.clone(),
+                        None => continue 'pairs,
+                    }
+                }
+            });
+        }
+        rel.insert(row.into())?;
+    }
+    Ok(rel)
 }
 
 /// The variable bound by the leftmost node atom of a concatenation
 /// spine, provided the endpoint of the whole pattern is that atom's
 /// element (filters preserve endpoints; unions/repeats do not determine
 /// a unique binder).
-pub(crate) fn leftmost_node_var(p: &Pattern) -> Option<Var> {
+fn leftmost_node_var(p: &Pattern) -> Option<Var> {
     match p {
         Pattern::Node(v) => v.clone(),
         Pattern::Concat(a, _) => leftmost_node_var(a),
@@ -296,7 +391,7 @@ pub(crate) fn leftmost_node_var(p: &Pattern) -> Option<Var> {
     }
 }
 
-pub(crate) fn rightmost_node_var(p: &Pattern) -> Option<Var> {
+fn rightmost_node_var(p: &Pattern) -> Option<Var> {
     match p {
         Pattern::Node(v) => v.clone(),
         Pattern::Concat(_, b) => rightmost_node_var(b),

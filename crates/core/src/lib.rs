@@ -4,8 +4,9 @@
 //! `PGQro`, `PGQrw`, `PGQn` and `PGQext` of *"On the Expressiveness of
 //! Languages for Querying Property Graphs in Relational Databases"*
 //! (PODS 2025) — syntax per Figure 3, semantics per Figure 4, with
-//! fragment classification, static arity checking, and an optimizing
-//! evaluator (NFA fast path for navigational pattern calls).
+//! fragment classification, static arity checking, and a physical
+//! engine that compiles every pattern call into the query's plan (the
+//! NFA and Figure 2 evaluators are its oracles).
 //!
 //! System S7 of the reproduction; see DESIGN.md.
 //!
@@ -49,7 +50,7 @@ pub use eval::{
     build_view, eval, eval_with, eval_with_store, eval_with_store_profiled, Engine, EvalConfig,
 };
 pub use optimize::optimize;
-pub use physical::{explain, explain_with, view_form};
+pub use physical::{explain, explain_with};
 pub use query::{Fragment, Query, QueryError, ViewOp};
 
 #[cfg(test)]
@@ -142,7 +143,7 @@ mod prop_tests {
             let views = ["N", "E", "S", "T", "L", "P"];
             let q = Query::pattern_ro(OutputPattern::new(p, items).unwrap(), views);
             let reference = eval_with(&q, &db, EvalConfig::reference()).unwrap();
-            let nfa = eval_with(&q, &db, EvalConfig::default()).unwrap();
+            let nfa = eval_with(&q, &db, EvalConfig::nfa()).unwrap();
             prop_assert_eq!(&nfa, &reference, "{}", q);
             let physical = eval_with(&q, &db, EvalConfig::physical()).unwrap();
             prop_assert_eq!(&physical, &reference, "{}", q);

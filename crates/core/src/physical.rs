@@ -1,43 +1,40 @@
 //! The `Engine::Physical` route: Figure 3's relational shell planned
-//! onto the S15 physical engine (`pgq-exec`). A pattern call over a
-//! graph frozen in the store is planned too — compiled onto the graph's
-//! view relations, repetition as one bounded `Fixpoint`, and spliced
-//! into the shell — unless its plan would pass the compiler's size cap.
+//! onto the S15 physical engine (`pgq-exec`), with every pattern call
+//! compiled into the same plan (`compile.rs`) over the six relations of
+//! its view — repetition as one bounded `Fixpoint`. The NFA and Figure 2
+//! evaluators (`Engine::{Nfa, Reference}`) are the oracles the
+//! differential suites (`tests/prop_engine.rs`, `tests/prop_store.rs`)
+//! hold this route to. See DESIGN.md §5.
 //!
-//! The route is exactly as expressive as the references — a call it
-//! cannot plan (no frozen graph, a plan past the size cap) is answered
-//! by the NFA or Figure 2 evaluators on a per-statement view and
-//! spliced into the plan as a materialized [`PhysPlan::Values`] batch —
-//! and the differential suites (`tests/prop_engine.rs`,
-//! `tests/prop_store.rs`) hold all routes to identical results. See
-//! DESIGN.md §5.
+//! A call over a graph frozen in the store, whose operator admits the
+//! graph's identifier arity, reads the view relations' scans: the view
+//! was validated once, at registration. Any other call evaluates its six
+//! subqueries, validates the view exactly as the reference's `pgView`
+//! does — so every `ViewError` is the reference's, in either view mode —
+//! and compiles over the validated relations, passed in as `Values`.
 //!
 //! Evaluation and `EXPLAIN` share one translation of the shell:
 //! `shell_plan` has one rule per Figure 3 constructor and asks a
-//! `Leaves` handler what a stored relation, a constant or a pattern
-//! call becomes (the compiled call's own plan, evaluated rows, or a
-//! placeholder plus its section of text), and `pgq_exec::physical_plan`
-//! is the one optimize → lower-onto-store step both then take; who
-//! answers a pattern call is the one decision `route` takes for both.
-//! What `EXPLAIN` prints is what runs because it is the same code. Every
-//! evaluating function takes the optional [`PlanMetrics`] sink the
-//! executor's operators take: `None` measures nothing, `Some` is the
+//! `Leaves` handler what a stored relation, a constant or the views of a
+//! pattern call become, and `pgq_exec::physical_plan` is the one
+//! optimize → lower-onto-store step both then take. What `EXPLAIN`
+//! prints is what runs because it is the same code. Every evaluating
+//! function takes the optional [`PlanMetrics`] sink the executor's
+//! operators take: `None` measures nothing, `Some` is the
 //! `EXPLAIN ANALYZE` route.
 
 use crate::compile::compile;
-use crate::eval::{leftmost_node_var, rightmost_node_var, view_graph, Engine, EvalConfig};
+use crate::eval::{view_graph, EvalConfig};
 use crate::query::{Query, QueryError, ViewOp};
 use pgq_exec::{
     annotate_estimates, execute_opts, execute_profiled, intersect_plan, physical_plan, Batch,
     ExecOptions, PhysPlan, PlanMetrics, PlannerChoice,
 };
-use pgq_graph::PropertyGraph;
-use pgq_pattern::{Nfa, OutputItem, OutputPattern};
+use pgq_graph::{relations_of, ViewMode};
+use pgq_pattern::OutputPattern;
 use pgq_relational::{Database, RelName, Relation, Schema};
-use pgq_store::{GraphForm, Store};
-use pgq_value::{Key, Tuple, Value, Var};
-use std::fmt::Write as _;
-use std::time::Instant;
+use pgq_store::Store;
+use pgq_value::{Tuple, Value};
 
 /// The executor options a configuration resolves to (`0` = the
 /// environment default).
@@ -45,28 +42,23 @@ pub(crate) fn exec_opts(cfg: EvalConfig) -> ExecOptions {
     ExecOptions::with_threads(cfg.threads).with_planner(cfg.planner)
 }
 
-/// The [`GraphForm`] a [`ViewOp`] registers under in a [`Store`].
-pub fn view_form(op: ViewOp) -> GraphForm {
-    match op {
-        ViewOp::Unary => GraphForm::Exact(1),
-        ViewOp::Bounded(n) => GraphForm::Bounded(n),
-        ViewOp::Ext => GraphForm::Ext,
-    }
-}
-
 /// What [`shell_plan`] plans at the leaves of the relational shell.
 trait Leaves {
+    /// The session store, if any.
+    fn store(&self) -> Option<&Store>;
     /// A stored relation `R`.
     fn rel(&mut self, name: &RelName) -> Result<PhysPlan, QueryError>;
     /// A constant `c`.
     fn constant(&mut self, c: &Value) -> Result<PhysPlan, QueryError>;
-    /// A pattern call `ψΩ(Q1, …, Q6)`.
-    fn pattern(
+    /// The six view leaves of a pattern call that is not over a frozen
+    /// graph, and their identifier arity.
+    fn views(
         &mut self,
-        out: &OutputPattern,
         views: &[Query; 6],
         op: ViewOp,
-    ) -> Result<PhysPlan, QueryError>;
+    ) -> Result<([PhysPlan; 6], usize), QueryError>;
+    /// Notes a compiled call; `frozen` when it reads a frozen graph.
+    fn compiled(&mut self, _out: &OutputPattern, _op: ViewOp, _frozen: bool) {}
 }
 
 /// Lowers the relational shell of a query onto the physical IR, one
@@ -77,7 +69,19 @@ fn shell_plan(q: &Query, leaves: &mut impl Leaves) -> Result<PhysPlan, QueryErro
     Ok(match q {
         Query::Rel(name) => leaves.rel(name)?,
         Query::Const(c) => leaves.constant(c)?,
-        Query::Pattern { out, views, op } => leaves.pattern(out, views, *op)?,
+        Query::Pattern { out, views, op } => {
+            let frozen = leaves
+                .store()
+                .and_then(|store| frozen_views(views, *op, store));
+            let is_frozen = frozen.is_some();
+            let (views, k) = match frozen {
+                Some(frozen) => frozen,
+                None => leaves.views(views, *op)?,
+            };
+            let plan = compile(out, views, k)?;
+            leaves.compiled(out, *op, is_frozen);
+            plan
+        }
         Query::Project(pos, q) => shell_plan(q, leaves)?.project(pos.clone()),
         Query::Select(cond, q) => shell_plan(q, leaves)?.filter(cond.clone()),
         Query::Product(a, b) => shell_plan(a, leaves)?.product(shell_plan(b, leaves)?),
@@ -91,9 +95,32 @@ fn shell_plan(q: &Query, leaves: &mut impl Leaves) -> Result<PhysPlan, QueryErro
     })
 }
 
-/// The evaluating [`Leaves`]: pattern calls and constants become
-/// materialized `Values` (evaluated with the same configuration, so
-/// nested shells are planned too), unless the call compiles.
+/// The scans of the view relations of the graph the store froze from
+/// exactly these views, and its identifier arity `k` — when the call's
+/// operator admits `k`: every `pgView` form reads `k` off `R1` and
+/// builds the same `pgView=k` graph, so `pgView` serves `k = 1`,
+/// `pgView_n` any `k ≤ n` and `pgView_ext` any `k`. Only views that are
+/// all plain base relations can name one.
+fn frozen_views(views: &[Query; 6], op: ViewOp, store: &Store) -> Option<([PhysPlan; 6], usize)> {
+    let [Query::Rel(n), Query::Rel(e), Query::Rel(s), Query::Rel(t), Query::Rel(l), Query::Rel(p)] =
+        views
+    else {
+        return None;
+    };
+    let names = [n, e, s, t, l, p].map(Clone::clone);
+    let k = store.graph_for_views(&names)?.id_arity();
+    let admits = match op {
+        ViewOp::Unary => k == 1,
+        ViewOp::Bounded(n) => k <= n,
+        ViewOp::Ext => true,
+    };
+    admits.then(|| (names.map(PhysPlan::Scan), k))
+}
+
+/// The evaluating [`Leaves`]: constants become materialized `Values`,
+/// and the views of a call not over a frozen graph are evaluated (with
+/// the same configuration, so nested shells are planned too) and
+/// validated.
 struct Evaluate<'a> {
     db: &'a Database,
     cfg: EvalConfig,
@@ -101,6 +128,10 @@ struct Evaluate<'a> {
 }
 
 impl Leaves for Evaluate<'_> {
+    fn store(&self) -> Option<&Store> {
+        self.store
+    }
+
     fn rel(&mut self, name: &RelName) -> Result<PhysPlan, QueryError> {
         Ok(match self.db.get(name) {
             // `Database::schema` omits 0-ary relations (the paper's
@@ -119,18 +150,27 @@ impl Leaves for Evaluate<'_> {
         }))
     }
 
-    fn pattern(
+    /// The view built as the reference builds it: the six subqueries
+    /// evaluated — under a store they read the store (`db` may hold only
+    /// their schema), and each such build is counted (`view_builds` on
+    /// [`Store::counters`]) — and `pgView` applied in the configured
+    /// mode. The leaves are the validated graph's relations.
+    fn views(
         &mut self,
-        out: &OutputPattern,
         views: &[Query; 6],
         op: ViewOp,
-    ) -> Result<PhysPlan, QueryError> {
-        Ok(
-            match eval_pattern(out, views, op, self.db, self.cfg, self.store, None)? {
-                Answer::Plan(plan) => plan,
-                Answer::Rows(rel) => PhysPlan::Values(Batch::from_relation(&rel)),
-            },
-        )
+    ) -> Result<([PhysPlan; 6], usize), QueryError> {
+        let (db, cfg, store) = (self.db, self.cfg, self.store);
+        if let Some(store) = store {
+            store.counters().record_view_build();
+        }
+        let g = view_graph(views, op, cfg.view_mode, |q| {
+            eval_physical(q, db, cfg, store, None)
+        })?;
+        let r = relations_of(&g);
+        let leaves = [&r.nodes, &r.edges, &r.src, &r.tgt, &r.labels, &r.props];
+        let values = |rel| PhysPlan::Values(Batch::from_relation(rel));
+        Ok((leaves.map(values), g.id_arity()))
     }
 }
 
@@ -154,21 +194,9 @@ pub(crate) fn eval_physical(
     db: &Database,
     cfg: EvalConfig,
     store: Option<&Store>,
-    mut m: Option<&mut PlanMetrics>,
+    m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
-    let shell = match q {
-        // A bare pattern call needs no relational plan around it —
-        // answer it directly instead of staging the result through a
-        // `Values` leaf (which would copy it twice) — unless it
-        // compiles to one.
-        Query::Pattern { out, views, op } => {
-            match eval_pattern(out, views, *op, db, cfg, store, m.as_deref_mut())? {
-                Answer::Plan(plan) => plan,
-                Answer::Rows(rel) => return Ok(rel),
-            }
-        }
-        _ => shell_plan(q, &mut Evaluate { db, cfg, store })?,
-    };
+    let shell = shell_plan(q, &mut Evaluate { db, cfg, store })?;
     let plan = physical_plan(shell, &db.schema(), store, cfg.planner)?;
     let opts = exec_opts(cfg);
     let Some(m) = m else {
@@ -184,238 +212,10 @@ pub(crate) fn eval_physical(
     Ok(batch.into_relation()?)
 }
 
-/// How the physical route answers a pattern call.
-enum Answer {
-    /// The call compiled onto its view relations: plan it in place.
-    Plan(PhysPlan),
-    /// The rows another route computed.
-    Rows(Relation),
-}
-
-/// A pattern call on the physical route. [`route`] picks who answers.
-/// A call over a graph frozen in the store from exactly its views
-/// compiles onto the view relations — the view was validated once at
-/// registration, so nothing is rebuilt — and has an operator tree,
-/// which the caller plans. Every other route builds the view from
-/// physically-evaluated subqueries and answers on it; under a store
-/// the subqueries read the store (`db` may hold only their schema), and
-/// each such build is counted (`view_builds` on [`Store::counters`]).
-/// Those routes have no operator tree, so with a sink the answering
-/// route itself becomes the node `m` — the profile never lies about
-/// which engine answered.
-fn eval_pattern(
-    out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
-    db: &Database,
-    cfg: EvalConfig,
-    store: Option<&Store>,
-    m: Option<&mut PlanMetrics>,
-) -> Result<Answer, QueryError> {
-    if let Some((names, k)) = store.and_then(|store| frozen_views(views, op, store)) {
-        if let Route::Compiled(plan) = route(out, k, Some(&names), Engine::Physical) {
-            return Ok(Answer::Plan(plan));
-        }
-    }
-    let start = m.as_ref().map(|_| Instant::now());
-    if let Some(store) = store {
-        store.counters().record_view_build();
-    }
-    let g = view_graph(views, op, cfg.view_mode, |q| {
-        eval_physical(q, db, cfg, store, None)
-    })?;
-    let route = route(out, g.id_arity(), None, Engine::Physical);
-    let rel = route.answer(out, &g)?;
-    if let (Some(m), Some(start)) = (m, start) {
-        record_answer(m, format!("Pattern [{}]", route.label()), &rel, start);
-    }
-    Ok(Answer::Rows(rel))
-}
-
-/// Marks `m` as the one executed node of a route with no operator
-/// tree: labelled by the route, `rel` out, running since `start`.
-pub(crate) fn record_answer(m: &mut PlanMetrics, label: String, rel: &Relation, start: Instant) {
-    m.label = label;
-    m.executed = true;
-    m.rows_out = rel.len() as u64;
-    m.elapsed_ns = start.elapsed().as_nanos() as u64;
-}
-
-/// The view relations of the graph the store froze from exactly these
-/// views under this operator, and its identifier arity. Only views that
-/// are all plain base relations can name one.
-fn frozen_views(views: &[Query; 6], op: ViewOp, store: &Store) -> Option<([RelName; 6], usize)> {
-    let [Query::Rel(n), Query::Rel(e), Query::Rel(s), Query::Rel(t), Query::Rel(l), Query::Rel(p)] =
-        views
-    else {
-        return None;
-    };
-    let names = [n, e, s, t, l, p].map(Clone::clone);
-    let k = store.graph_for_views(&names, view_form(op))?.id_arity();
-    Some((names, k))
-}
-
-/// Who answers a pattern call — decided by [`route`] alone.
-pub(crate) enum Route {
-    /// The call compiled onto the view relations of a graph frozen in
-    /// the store ([`compile`]): planned in place, like the shell around
-    /// it.
-    Compiled(PhysPlan),
-    /// The NFA's endpoint pairs, on the view.
-    Nfa(Nfa, Vec<Cell>),
-    /// Figure 2, on the view.
-    Reference,
-}
-
-/// The one route decision evaluation, the NFA engine and `EXPLAIN`
-/// take. `k` is the identifier arity and `frozen` the view relations of
-/// the graph the store froze from the call's views, if any. Only
-/// [`Engine::Physical`] takes the compiled route, over a frozen graph,
-/// for every call [`compile`] accepts (at most 32 relation scans), and
-/// [`Engine::Reference`] takes nothing but Figure 2. Otherwise a call
-/// the NFA compiles whose output reads only its endpoints (see
-/// [`cells`]) takes the NFA, and every other is Figure 2's.
-pub(crate) fn route(
-    out: &OutputPattern,
-    k: usize,
-    frozen: Option<&[RelName; 6]>,
-    engine: Engine,
-) -> Route {
-    if engine == Engine::Reference {
-        return Route::Reference;
-    }
-    if engine == Engine::Physical {
-        if let Some(plan) = frozen.and_then(|views| compile(out, views, k)) {
-            return Route::Compiled(plan);
-        }
-    }
-    let Ok(nfa) = Nfa::compile(&out.pattern) else {
-        return Route::Reference;
-    };
-    let (x, y) = (
-        leftmost_node_var(&out.pattern),
-        rightmost_node_var(&out.pattern),
-    );
-    match cells(out, x.as_ref(), y.as_ref(), k) {
-        Some(cells) => Route::Nfa(nfa, cells),
-        None => Route::Reference,
-    }
-}
-
-impl Route {
-    /// The route's name: `EXPLAIN`'s `[route: …]` and the
-    /// `Pattern [...]` node of `EXPLAIN ANALYZE`.
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            Route::Compiled(_) => "compiled plan",
-            Route::Nfa(..) => "NFA product-graph BFS",
-            Route::Reference => "reference (Figure 2) semantics",
-        }
-    }
-
-    /// Answers the call on its built view `g`. A compiled call reads
-    /// the store, not a view; on one it answers as Figure 2 does.
-    pub(crate) fn answer(
-        &self,
-        out: &OutputPattern,
-        g: &PropertyGraph,
-    ) -> Result<Relation, QueryError> {
-        match self {
-            Route::Nfa(nfa, cells) => {
-                out.pattern.validate()?;
-                let pairs = nfa.eval_pairs(g);
-                let ends = pairs.iter().map(|(s, t)| (s.values(), t.values()));
-                project(cells, ends, g)
-            }
-            Route::Compiled(_) | Route::Reference => Ok(out.eval(g)?),
-        }
-    }
-}
-
-/// One output column read off an endpoint pair `(s̄, t̄)`; `target`
-/// picks `t̄`. An identifier item is its `k` component cells.
-pub(crate) enum Cell {
-    /// Component `index` of the endpoint identifier.
-    Component { target: bool, index: usize },
-    /// A property of the endpoint.
-    Prop { target: bool, key: Key },
-}
-
-/// The output items as reads off the endpoint pair of a match whose
-/// source node binds `x` and whose target node binds `y`: the
-/// identifier, an in-range component or a property of either. `None` —
-/// Figure 2's business — when an item reads another variable or a
-/// component beyond the identifier arity `k`.
-fn cells(out: &OutputPattern, x: Option<&Var>, y: Option<&Var>, k: usize) -> Option<Vec<Cell>> {
-    let mut cells = Vec::new();
-    for item in &out.items {
-        let (OutputItem::Var(v) | OutputItem::Component(v, _) | OutputItem::Prop(v, _)) = item;
-        let target = if Some(v) == x {
-            false
-        } else if Some(v) == y {
-            true
-        } else {
-            return None;
-        };
-        match item {
-            OutputItem::Var(_) => {
-                cells.extend((0..k).map(|index| Cell::Component { target, index }));
-            }
-            OutputItem::Component(_, index) if *index < k => cells.push(Cell::Component {
-                target,
-                index: *index,
-            }),
-            OutputItem::Component(..) => return None,
-            OutputItem::Prop(_, key) => cells.push(Cell::Prop {
-                target,
-                key: key.clone(),
-            }),
-        }
-    }
-    Some(cells)
-}
-
-/// The NFA route's projection: every pair `(s̄, t̄)` becomes one row
-/// through `cells`, a pair whose property is undefined gives none
-/// (Figure 2's rule), and a Boolean output (no cells) holds iff some
-/// pair exists.
-fn project<'v>(
-    cells: &[Cell],
-    mut pairs: impl Iterator<Item = (&'v [Value], &'v [Value])>,
-    g: &PropertyGraph,
-) -> Result<Relation, QueryError> {
-    if cells.is_empty() {
-        return Ok(if pairs.next().is_some() {
-            Relation::r#true()
-        } else {
-            Relation::r#false()
-        });
-    }
-    let mut rel = Relation::empty(cells.len());
-    'pairs: for (s, t) in pairs {
-        let end = |target: bool| if target { t } else { s };
-        let mut row = Vec::with_capacity(cells.len());
-        for cell in cells {
-            row.push(match cell {
-                Cell::Component { target, index } => end(*target)[*index].clone(),
-                Cell::Prop { target, key } => {
-                    match g.prop(&Tuple::new(end(*target).to_vec()), key) {
-                        Some(v) => v.clone(),
-                        None => continue 'pairs,
-                    }
-                }
-            });
-        }
-        rel.insert(row.into())?;
-    }
-    Ok(rel)
-}
-
 /// Renders the physical plan of a query as an `EXPLAIN`-style tree —
-/// without evaluating anything. The relational shell is planned exactly
-/// as `Engine::Physical` would plan it; each pattern call appears as a
-/// `⟨matchN⟩` placeholder whose route (NFA / reference) and view
-/// subplans are listed below the main tree.
+/// without evaluating anything. The plan is exactly the one
+/// `Engine::Physical` would run; each pattern call is compiled into it,
+/// and a line below the tree names the call and its route.
 pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
     explain_with(q, schema, None, None)
 }
@@ -425,13 +225,14 @@ pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
 /// `AdjacencyExpand`, CSR fixpoints) by the planner `opts` selects (the
 /// default without `opts`), operators that read through an update
 /// overlay are marked `⟨delta⟩`, and a pattern call over a graph the
-/// store froze is a compiled plan: its operators are part of the tree,
-/// and its section names the call and the route, with no placeholder.
-/// Under concrete `opts` every
-/// morsel-parallel operator is annotated with its degree of parallelism
-/// (`⟨dop≤n⟩`) and a trailing line states the worker budget — what the
-/// shell renders after `SET THREADS n;` / `SET PLANNER rule;`. It is
-/// the plan `eval_with_store` executes under the same configuration.
+/// store froze reads its view relations (`[route: compiled plan]`). Any
+/// other call shows each view leaf as the subplan that evaluation
+/// materializes and validates (`[route: compiled plan over a
+/// per-statement view]`). Under concrete `opts` every morsel-parallel
+/// operator is annotated with its degree of parallelism (`⟨dop≤n⟩`) and
+/// a trailing line states the worker budget — what the shell renders
+/// after `SET THREADS n;` / `SET PLANNER rule;`. It is the plan
+/// `eval_with_store` executes under the same configuration.
 pub fn explain_with(
     q: &Query,
     schema: &Schema,
@@ -440,13 +241,13 @@ pub fn explain_with(
 ) -> Result<String, QueryError> {
     q.arity(schema)?;
     let mut leaves = Explain {
-        aug: schema.clone(),
+        schema,
         sections: Vec::new(),
         store,
-        planner: opts.map_or_else(PlannerChoice::default, |o| o.planner),
     };
     let shell = shell_plan(q, &mut leaves)?;
-    let plan = physical_plan(shell, &leaves.aug, store, leaves.planner)?;
+    let planner = opts.map_or_else(PlannerChoice::default, |o| o.planner);
+    let plan = physical_plan(shell, schema, store, planner)?;
     let mut text = plan.display_with(store, opts);
     for s in leaves.sections {
         text.push('\n');
@@ -455,19 +256,19 @@ pub fn explain_with(
     Ok(text)
 }
 
-/// The explaining [`Leaves`]: nothing is evaluated. A compiled pattern
-/// call becomes its plan; any other becomes a scan of a
-/// placeholder relation `⟨matchN⟩` — added to `aug`, the query's schema
-/// as the shell is then optimized under it — and a section of text
-/// naming its route and view subplans.
+/// The explaining [`Leaves`]: nothing is evaluated. A view leaf is its
+/// subquery's plan, and every compiled call adds a line naming it.
 struct Explain<'a> {
-    aug: Schema,
+    schema: &'a Schema,
     sections: Vec<String>,
     store: Option<&'a Store>,
-    planner: PlannerChoice,
 }
 
 impl Leaves for Explain<'_> {
+    fn store(&self) -> Option<&Store> {
+        self.store
+    }
+
     fn rel(&mut self, name: &RelName) -> Result<PhysPlan, QueryError> {
         Ok(PhysPlan::Scan(name.clone()))
     }
@@ -476,51 +277,33 @@ impl Leaves for Explain<'_> {
         Ok(PhysPlan::Values(Batch::singleton(Tuple::unary(c.clone()))))
     }
 
-    fn pattern(
+    fn views(
         &mut self,
-        out: &OutputPattern,
         views: &[Query; 6],
         op: ViewOp,
-    ) -> Result<PhysPlan, QueryError> {
-        // Identifier arity is Q1's arity (`Query::arity`).
-        let k = views[0].arity(&self.aug)?;
-        let arity = out.output_arity(k);
-        let frozen = self
-            .store
-            .and_then(|store| frozen_views(views, op, store))
-            .map(|(names, _)| names);
-        let decided = route(out, k, frozen.as_ref(), Engine::Physical);
-        let route = decided.label();
-        if let Route::Compiled(plan) = decided {
-            // Spliced: its operators are part of the plan above.
-            self.sections
-                .push(format!("{out} via {op} [route: {route}]"));
-            return Ok(plan);
-        }
-        // Render the view subplans first: nested pattern calls push
-        // their own sections during this recursion, so numbering off
-        // `sections.len()` afterwards keeps every placeholder unique.
-        let mut body = String::new();
-        let labels = ["nodes", "edges", "src", "tgt", "labels", "props"];
-        for (label, view) in labels.iter().zip(views.iter()) {
-            let sub = shell_plan(view, self)?;
-            let sub = physical_plan(sub, &self.aug, self.store, self.planner)?;
-            let _ = writeln!(body, "  {label}:");
-            for line in sub.display_with(self.store, None).lines() {
-                let _ = writeln!(body, "    {line}");
-            }
-        }
-        let name = format!("⟨match{}⟩", self.sections.len() + 1);
-        self.sections
-            .push(format!("{name} := {out} via {op} [route: {route}]\n{body}"));
-        Ok(if arity == 0 {
-            // Schemas are positive-arity; a Boolean pattern call
-            // cannot be a placeholder scan.
-            PhysPlan::Values(Batch::empty(0))
+    ) -> Result<([PhysPlan; 6], usize), QueryError> {
+        // The view's static conditions — its shape and identifier
+        // arity — fail here as they fail in evaluation.
+        let schema = self.schema;
+        let empty = view_graph(views, op, ViewMode::Strict, |q| {
+            Ok(Relation::empty(q.arity(schema)?))
+        })?;
+        let [n, e, s, t, l, p] = views;
+        let mut sub = |q| shell_plan(q, self);
+        Ok((
+            [sub(n)?, sub(e)?, sub(s)?, sub(t)?, sub(l)?, sub(p)?],
+            empty.id_arity(),
+        ))
+    }
+
+    fn compiled(&mut self, out: &OutputPattern, op: ViewOp, frozen: bool) {
+        let route = if frozen {
+            "compiled plan"
         } else {
-            self.aug.add(name.as_str(), arity);
-            PhysPlan::Scan(name.as_str().into())
-        })
+            "compiled plan over a per-statement view"
+        };
+        self.sections
+            .push(format!("{out} via {op} [route: {route}]"));
     }
 }
 
@@ -529,7 +312,7 @@ mod tests {
     use super::*;
     use crate::eval::{eval_with, Engine};
     use crate::{builders, Query};
-    use pgq_pattern::Pattern;
+    use pgq_pattern::{OutputError, OutputItem, Pattern};
     use pgq_relational::RowCondition;
     use pgq_store::GraphForm;
     use pgq_value::tuple;
@@ -562,7 +345,7 @@ mod tests {
         let d = db();
         let q = reach_query();
         let phys = eval_with(&q, &d, EvalConfig::physical()).unwrap();
-        let nfa = eval_with(&q, &d, EvalConfig::default()).unwrap();
+        let nfa = eval_with(&q, &d, EvalConfig::nfa()).unwrap();
         let reference = eval_with(&q, &d, EvalConfig::reference()).unwrap();
         assert_eq!(phys, nfa);
         assert_eq!(phys, reference);
@@ -658,17 +441,32 @@ mod tests {
         );
     }
 
+    /// The view builds `f` makes on `store`.
+    fn builds(store: &Store, f: impl FnOnce()) -> u64 {
+        let before = store.counters().snapshot().view_builds;
+        f();
+        store.counters().snapshot().view_builds - before
+    }
+
+    /// Every call compiles. Over a registered graph it reads the view
+    /// relations and builds no view, whatever its shape; over
+    /// unregistered or derived views it builds one per statement. Each
+    /// answers as Figure 2 does.
     #[test]
-    fn store_route_falls_back_when_unregistered_or_non_reach() {
+    fn every_call_compiles_with_or_without_a_registered_graph() {
         let d = db();
-        // Empty store: every view set misses, the per-query route runs.
-        let empty = Store::from_database(&d);
         let q = reach_query();
+        let reference = |q: &Query| eval_with(q, &d, EvalConfig::reference()).unwrap();
+        let physical = |q: &Query, store: &Store| {
+            crate::eval_with_store(q, &d, EvalConfig::physical(), store).unwrap()
+        };
+        // Empty store: the view is built for the statement.
+        let empty = Store::from_database(&d);
         assert_eq!(
-            crate::eval_with_store(&q, &d, EvalConfig::physical(), &empty).unwrap(),
-            eval_with(&q, &d, EvalConfig::reference()).unwrap()
+            builds(&empty, || assert_eq!(physical(&q, &empty), reference(&q))),
+            1
         );
-        // Registered graph but a non-reachability pattern: fall back.
+        // A registered graph: no view build, backward edges included.
         let store = store_for(&d);
         let back = Query::pattern_ro(
             pgq_pattern::OutputPattern::vars(
@@ -680,11 +478,13 @@ mod tests {
             .unwrap(),
             ["N", "E", "S", "T", "L", "P"],
         );
-        assert_eq!(
-            crate::eval_with_store(&back, &d, EvalConfig::physical(), &store).unwrap(),
-            eval_with(&back, &d, EvalConfig::reference()).unwrap()
-        );
-        // Derived (non-Rel) views can't match an entry: fall back.
+        for q in [&q, &back] {
+            assert_eq!(
+                builds(&store, || assert_eq!(physical(q, &store), reference(q))),
+                0
+            );
+        }
+        // Derived (non-Rel) views name no frozen graph.
         let derived = Query::pattern_rw(
             builders::reachability_output(),
             [
@@ -696,14 +496,22 @@ mod tests {
                 Query::rel("P"),
             ],
         );
-        assert_eq!(
-            crate::eval_with_store(&derived, &d, EvalConfig::physical(), &store).unwrap(),
-            eval_with(&derived, &d, EvalConfig::reference()).unwrap()
+        let text = explain_with(&derived, &d.schema(), Some(&store), None).unwrap();
+        assert!(
+            text.contains("[route: compiled plan over a per-statement view]"),
+            "{text}"
         );
-        // Non-physical engines ignore the store.
         assert_eq!(
-            crate::eval_with_store(&q, &d, EvalConfig::default(), &store).unwrap(),
-            eval_with(&q, &d, EvalConfig::default()).unwrap()
+            builds(&store, || assert_eq!(
+                physical(&derived, &store),
+                reference(&derived)
+            )),
+            1
+        );
+        // The oracle engines ignore the store.
+        assert_eq!(
+            crate::eval_with_store(&q, &d, EvalConfig::nfa(), &store).unwrap(),
+            reference(&q)
         );
     }
 
@@ -776,8 +584,6 @@ mod tests {
             crate::eval_with_store(&q, &d, EvalConfig::physical(), &store).unwrap(),
             eval_with(&q, &d, EvalConfig::reference()).unwrap()
         );
-        assert_eq!(view_form(ViewOp::Bounded(2)), GraphForm::Bounded(2));
-        assert_eq!(view_form(ViewOp::Ext), GraphForm::Ext);
     }
 
     #[test]
@@ -882,9 +688,13 @@ mod tests {
         assert!(text.contains("HashJoin"), "{text}");
         assert!(!text.contains("Product"), "{text}");
 
+        // A call with no store compiles over its views' subplans.
         let text = explain(&reach_query(), &d.schema()).unwrap();
-        assert!(text.contains("⟨match1⟩"), "{text}");
-        assert!(text.contains("[route: NFA product-graph BFS]"), "{text}");
+        assert!(
+            text.contains("[route: compiled plan over a per-statement view]"),
+            "{text}"
+        );
+        assert!(text.contains("Fixpoint"), "{text}");
         assert!(text.contains("Scan N"), "{text}");
 
         // Invalid queries error instead of rendering.
@@ -911,10 +721,12 @@ mod tests {
         );
     }
 
-    /// `EXPLAIN` names the route `EXPLAIN ANALYZE` reports as having
-    /// answered, with and without a graph frozen from the views. A
-    /// compiled call has no route node: its profile is the spliced
-    /// plan's, rooted at an operator that carries `est=`.
+    /// `EXPLAIN` names the route that runs, with and without a graph
+    /// frozen from the views: both compile, and only the call over the
+    /// frozen graph builds no view. The profile is the compiled plan's,
+    /// rooted at an operator that carries `est=`. A component past the
+    /// identifier arity is Figure 2's typed error on both, and builds
+    /// no view.
     #[test]
     fn explain_route_is_the_route_that_runs() {
         let d = db();
@@ -936,9 +748,6 @@ mod tests {
         let with = |p: &Pattern, items: Vec<OutputItem>| {
             pgq_pattern::OutputPattern::new(p.clone(), items).unwrap()
         };
-        // A component past the identifier arity (k = 1): Figure 2's
-        // typed error, so the reference route is the one that runs.
-        let past_k = with(&reach_star, vec![OutputItem::Component("x".into(), 1)]);
         let outs = [
             builders::reachability_output(),
             builders::reachability_plus_output(),
@@ -946,7 +755,6 @@ mod tests {
             builders::labeled_reachability_output("T"),
             xy(one_hop),
             xy(backward),
-            past_k.clone(),
             with(
                 &two_hop,
                 vec![
@@ -962,49 +770,53 @@ mod tests {
                 ],
             ),
         ];
-        let mut compiled = 0;
-        for store in [Store::from_database(&d), store_for(&d)] {
+        for (store, frozen) in [(Store::from_database(&d), false), (store_for(&d), true)] {
             for out in &outs {
                 let q = Query::pattern_ro(out.clone(), views);
                 let text = explain_with(&q, &d.schema(), Some(&store), None).unwrap();
-                let explained = text
-                    .split_once("[route: ")
-                    .and_then(|(_, rest)| rest.split_once(']'))
-                    .map(|(route, _)| route)
-                    .unwrap_or_else(|| panic!("no route in {text}"));
-                let result =
-                    crate::eval_with_store_profiled(&q, &d, EvalConfig::physical(), &store);
-                assert_eq!(result.is_err(), out == &past_k, "{q}");
-                let root = match result {
-                    Ok((_, profile)) => profile.root,
-                    Err(QueryError::Output(pgq_pattern::OutputError::ComponentOutOfRange {
-                        ..
-                    })) => PlanMetrics {
-                        label: "Pattern [reference (Figure 2) semantics]".into(),
-                        ..PlanMetrics::default()
-                    },
-                    Err(e) => panic!("{q}: {e}"),
-                };
-                let graphs = store.graph_names().collect::<Vec<_>>();
-                if explained == "compiled plan" {
-                    // Spliced into the plan: the root is its own
-                    // operator, costed like any other.
-                    assert!(!root.label.starts_with("Pattern"), "{q}: {}", root.label);
-                    assert!(root.est_rows.is_some(), "{q}: {}", root.label);
-                    assert!(!text.contains("⟨match"), "{text}");
+                let route = if frozen {
+                    "[route: compiled plan]"
                 } else {
-                    assert_eq!(
-                        root.label,
-                        format!("Pattern [{explained}]"),
-                        "{q}; {graphs:?}"
-                    );
-                }
-                compiled += usize::from(explained == "compiled plan");
+                    "[route: compiled plan over a per-statement view]"
+                };
+                assert!(text.contains(route), "{text}");
+                let mut result = None;
+                let built = builds(&store, || {
+                    result = Some(crate::eval_with_store_profiled(
+                        &q,
+                        &d,
+                        EvalConfig::physical(),
+                        &store,
+                    ));
+                });
+                assert_eq!(built, u64::from(!frozen), "{q}");
+                let (rel, profile) = result.unwrap().unwrap();
+                assert_eq!(Ok(rel), eval_with(&q, &d, EvalConfig::reference()), "{q}");
+                let root = profile.root;
+                assert!(!root.label.starts_with("Pattern"), "{q}: {}", root.label);
+                assert!(root.est_rows.is_some(), "{q}: {}", root.label);
             }
+            let past_k = with(&reach_star, vec![OutputItem::Component("x".into(), 1)]);
+            let q = Query::pattern_ro(past_k, views);
+            let out_of_range = QueryError::Output(OutputError::ComponentOutOfRange {
+                var: "x".into(),
+                index: 1,
+                id_arity: 1,
+            });
+            assert_eq!(
+                explain_with(&q, &d.schema(), Some(&store), None),
+                Err(out_of_range.clone())
+            );
+            let built = builds(&store, || {
+                let got = crate::eval_with_store(&q, &d, EvalConfig::physical(), &store);
+                assert_eq!(got, Err(out_of_range.clone()));
+            });
+            assert_eq!(built, u64::from(!frozen));
+            assert_eq!(
+                eval_with(&q, &d, EvalConfig::reference()),
+                Err(out_of_range)
+            );
         }
-        // Every call but the out-of-range component, over the
-        // registered graph only.
-        assert_eq!(compiled, outs.len() - 1);
     }
 
     /// Repetition is one bounded `Fixpoint` whatever its bounds: a
@@ -1038,9 +850,9 @@ mod tests {
     }
 
     #[test]
-    fn explain_numbers_nested_pattern_sections_uniquely() {
-        // A pattern call whose nodes view is itself a pattern call:
-        // each gets its own ⟨matchN⟩ section.
+    fn explain_names_every_nested_pattern_call() {
+        // A pattern call whose nodes view is itself a pattern call: both
+        // compile into the one plan, each named on a line of its own.
         let d = db();
         let inner_nodes = Query::pattern_ro(
             builders::reachability_output(),
@@ -1059,7 +871,10 @@ mod tests {
             ],
         );
         let text = explain(&q, &d.schema()).unwrap();
-        assert!(text.contains("⟨match1⟩ :="), "{text}");
-        assert!(text.contains("⟨match2⟩ :="), "{text}");
+        assert_eq!(text.matches("[route: compiled plan").count(), 2, "{text}");
+        assert_eq!(
+            eval_with(&q, &d, EvalConfig::physical()).unwrap(),
+            eval_with(&q, &d, EvalConfig::reference()).unwrap()
+        );
     }
 }

@@ -39,6 +39,7 @@ use crate::plan::PhysPlan;
 use pgq_relational::{CmpOp, Operand, RelName, RowCondition, Schema};
 use pgq_store::{Store, StoreStatistics};
 use pgq_value::Value;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 
 /// Which estimator [`lower_onto_store`] plans with.
@@ -86,15 +87,18 @@ const FIXPOINT_GROWTH: f64 = 8.0;
 
 /// Cardinality estimation: over a [`StoreStatistics`] snapshot
 /// ([`Estimator::new`]), or over nothing ([`Estimator::syntactic`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Estimator<'a> {
     stats: Option<&'a StoreStatistics>,
+    /// The lowering pass's memo of the nodes below its join factors
+    /// ([`Estimator::factor`]).
+    pass_memo: RefCell<Memo<'a>>,
 }
 
 impl<'a> Estimator<'a> {
     /// An estimator reading the given statistics snapshot.
     pub fn new(stats: &'a StoreStatistics) -> Self {
-        Estimator { stats: Some(stats) }
+        Estimator::over(Some(stats))
     }
 
     /// The estimator that reads no statistics: every plan and every
@@ -102,7 +106,27 @@ impl<'a> Estimator<'a> {
     /// falls through to its tie-break. It borrows nothing, so building
     /// one cannot make the store compute statistics.
     pub fn syntactic() -> Estimator<'static> {
-        Estimator { stats: None }
+        Estimator::over(None)
+    }
+
+    fn over(stats: Option<&'a StoreStatistics>) -> Self {
+        let pass_memo = RefCell::new(Memo::new(stats));
+        Estimator { stats, pass_memo }
+    }
+
+    /// The memo of the lowering pass that owns this estimator, set to
+    /// estimate the lowered join factor `root`. Every node below a
+    /// factor sits in a `Box` that the pass never frees or moves once
+    /// the factor is lowered, so its address keys its estimate until the
+    /// pass ends; the root moves next, into the join being built, and is
+    /// not stored. A chain nested `d` joins deep is then estimated once,
+    /// not `d` times, and the pass stays linear on a long
+    /// concatenation's balanced join tree. Debug builds check every hit
+    /// against a fresh estimate.
+    fn factor(&self, root: &PhysPlan) -> RefMut<'_, Memo<'a>> {
+        let mut memo = self.pass_memo.borrow_mut();
+        memo.root = root;
+        memo
     }
 
     /// Expected output rows of a plan node (≥ 0, finite).
@@ -138,14 +162,19 @@ impl<'a> Estimator<'a> {
 /// doubles with every level of join nesting.) Leaves are answered in
 /// O(1) and not stored, so a three-node plan stores one entry. Nodes
 /// are keyed by address, which is stable because the plan stays
-/// borrowed for the memo's whole life. Without statistics every
-/// estimate is [`TIED`].
+/// borrowed for the memo's whole life (or, for the lowering pass's
+/// memo, because the pass moves no node below a factor). Without
+/// statistics every estimate is [`TIED`].
+#[derive(Debug)]
 struct Memo<'s> {
     stats: Option<&'s StoreStatistics>,
     rows: HashMap<*const PhysPlan, f64>,
     distinct: HashMap<(*const PhysPlan, usize), f64>,
     /// Calls of [`Memo::rows`] and [`Memo::distinct`], memo hits included.
     visits: usize,
+    /// The node not to store: a factor root, which moves once estimated
+    /// (set only in the lowering pass's memo).
+    root: *const PhysPlan,
 }
 
 impl<'s> Memo<'s> {
@@ -155,6 +184,7 @@ impl<'s> Memo<'s> {
             rows: HashMap::new(),
             distinct: HashMap::new(),
             visits: 0,
+            root: std::ptr::null(),
         }
     }
 
@@ -167,10 +197,15 @@ impl<'s> Memo<'s> {
             return self.rows_of(stats, plan);
         }
         if let Some(&rows) = self.rows.get(&std::ptr::from_ref(plan)) {
+            if cfg!(debug_assertions) && !self.root.is_null() {
+                assert_eq!(rows, Memo::new(self.stats).rows(plan), "a stale estimate");
+            }
             return rows;
         }
         let rows = self.rows_of(stats, plan);
-        self.rows.insert(plan, rows);
+        if !std::ptr::eq(plan, self.root) {
+            self.rows.insert(plan, rows);
+        }
         rows
     }
 
@@ -218,10 +253,16 @@ impl<'s> Memo<'s> {
         }
         let key = (std::ptr::from_ref(plan), col);
         if let Some(&d) = self.distinct.get(&key) {
+            if cfg!(debug_assertions) && !self.root.is_null() {
+                let fresh = Memo::new(self.stats).distinct(plan, col);
+                assert_eq!(d, fresh, "a stale estimate");
+            }
             return d;
         }
         let d = self.distinct_of(stats, plan, col);
-        self.distinct.insert(key, d);
+        if !std::ptr::eq(plan, self.root) {
+            self.distinct.insert(key, d);
+        }
         d
     }
 
@@ -453,7 +494,7 @@ fn lower_join_chain(
                 schema,
                 est,
             );
-            let rows = est.rows(&plan);
+            let rows = est.factor(&plan).rows(&plan);
             Factor { plan, arity, rows }
         })
         .collect();
@@ -472,7 +513,7 @@ fn collect_factors<'p>(
     preds: &mut Vec<(usize, usize)>,
 ) -> Option<usize> {
     if !is_keyed_join(plan) {
-        let arity = plan.arity(schema).ok()?;
+        let arity = plan.width(schema).ok()?;
         factors.push((plan, arity));
         return Some(arity);
     }
@@ -570,7 +611,7 @@ fn build_ordered_join(
                 acc.rows * f.rows * total as f64 // deprioritize products
             } else {
                 keys.iter().fold(acc.rows * f.rows, |rows, &(_, j)| {
-                    rows / est.distinct(&f.plan, j).max(1.0)
+                    rows / est.factor(&f.plan).distinct(&f.plan, j).max(1.0)
                 })
             };
             // Strictly better wins; an estimate tie keeps the factor
@@ -751,20 +792,21 @@ fn stored_rows(plan: &PhysPlan, store: &Store) -> Option<usize> {
 /// deterministic across thread counts — `EXPLAIN ANALYZE`'s
 /// `timing=false` rendering stays byte-identical.
 pub fn annotate_estimates(metrics: &mut PlanMetrics, plan: &PhysPlan, store: &Store) {
-    fn graft(metrics: &mut PlanMetrics, plan: &PhysPlan, est: &Estimator<'_>) {
+    // One memo for the whole walk: the plan stays borrowed throughout.
+    fn graft(metrics: &mut PlanMetrics, plan: &PhysPlan, memo: &mut Memo<'_>) {
         if metrics.label != plan.node_label() {
             return;
         }
-        metrics.est_rows = Some(est.rows(plan).round().max(0.0) as u64);
+        metrics.est_rows = Some(memo.rows(plan).round().max(0.0) as u64);
         let children = plan.children();
         if metrics.children.len() == children.len() {
             for (m, p) in metrics.children.iter_mut().zip(children) {
-                graft(m, p, est);
+                graft(m, p, memo);
             }
         }
     }
     let stats = store.statistics();
-    graft(metrics, plan, &Estimator::new(&stats));
+    graft(metrics, plan, &mut Memo::new(Some(&stats)));
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ pub use mixed::{pg_view_mixed, MixedViewRelations};
 pub use model::{BuildError, ElementId, PropertyGraph, PropertyGraphBuilder};
 pub use updates::{apply, apply_all, relations_of, Update, UpdateError};
 pub use view::{
-    pg_view, pg_view_bounded, pg_view_exact, pg_view_ext, ViewError, ViewMode, ViewRelations,
+    pg_view, pg_view_bounded, pg_view_exact, pg_view_ext, shape, ViewError, ViewMode, ViewRelations,
 };
 
 #[cfg(test)]

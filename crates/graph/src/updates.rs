@@ -114,13 +114,8 @@ impl From<ViewError> for UpdateError {
 /// what makes the paper's "rebuild and reapply" simulation total: any
 /// graph, however obtained, can re-enter the relational layer.
 pub fn relations_of(g: &PropertyGraph) -> ViewRelations {
-    let k = g.id_arity();
-    let mut nodes = Relation::empty(k);
-    let mut edges = Relation::empty(k);
-    let mut src = Relation::empty(2 * k);
-    let mut tgt = Relation::empty(2 * k);
-    let mut labels = Relation::empty(k + 1);
-    let mut props = Relation::empty(k + 2);
+    let [mut nodes, mut edges, mut src, mut tgt, mut labels, mut props] =
+        crate::view::shape(g.id_arity()).map(Relation::empty);
     for n in g.nodes() {
         nodes.insert(n.clone()).expect("arity k");
     }

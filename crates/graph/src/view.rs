@@ -206,15 +206,15 @@ impl ViewRelations {
     }
 
     fn check_shape(&self, k: usize) -> Result<(), ViewError> {
-        let expect = [
-            (1u8, &self.nodes, k),
-            (2, &self.edges, k),
-            (3, &self.src, 2 * k),
-            (4, &self.tgt, 2 * k),
-            (5, &self.labels, k + 1),
-            (6, &self.props, k + 2),
+        let rels = [
+            &self.nodes,
+            &self.edges,
+            &self.src,
+            &self.tgt,
+            &self.labels,
+            &self.props,
         ];
-        for (idx, rel, want) in expect {
+        for ((idx, rel), want) in (1u8..).zip(rels).zip(shape(k)) {
             if rel.arity() != want {
                 return Err(ViewError::ArityShape {
                     relation: idx,
@@ -225,6 +225,12 @@ impl ViewRelations {
         }
         Ok(())
     }
+}
+
+/// The arities of `R1 … R6` for identifier arity `k` (Definition
+/// 3.1/5.1): `k, k, 2k, 2k, k+1, k+2`.
+pub fn shape(k: usize) -> [usize; 6] {
+    [k, k, 2 * k, 2 * k, k + 1, k + 2]
 }
 
 /// `pgView` (Definition 3.2): unary identifiers.

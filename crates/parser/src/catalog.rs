@@ -293,7 +293,7 @@ impl Catalog {
     ) -> Result<ViewRelations, CatalogError> {
         let k = self.id_arity(graph)?;
         let [mut nodes, mut edges, mut src, mut tgt, mut labels, mut props] =
-            [k, k, 2 * k, 2 * k, k + 1, k + 2].map(Relation::empty);
+            pgq_graph::shape(k).map(Relation::empty);
         let ins = |rel: &mut Relation, t: Tuple| {
             rel.insert(t).expect("arity fixed by construction");
         };

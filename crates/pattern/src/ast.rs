@@ -143,14 +143,22 @@ impl Pattern {
         Pattern::Concat(Box::new(self), Box::new(next))
     }
 
-    /// Concatenates a sequence of patterns left-to-right.
+    /// Concatenates a sequence of patterns left-to-right. Concatenation
+    /// is associative, so the tree is balanced — split ⌈n/2⌉ | ⌊n/2⌋,
+    /// which folds up to three parts left-deep — and its depth grows
+    /// with the logarithm of the length: every recursive pass over a
+    /// long chain stays shallow.
     ///
     /// # Panics
     /// Panics on an empty sequence (there is no empty pattern in Fig 1).
     pub fn seq<I: IntoIterator<Item = Pattern>>(parts: I) -> Self {
-        let mut iter = parts.into_iter();
-        let first = iter.next().expect("Pattern::seq needs at least one part");
-        iter.fold(first, |acc, p| acc.then(p))
+        let mut parts: Vec<Pattern> = parts.into_iter().collect();
+        assert!(!parts.is_empty(), "Pattern::seq needs at least one part");
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let right = parts.split_off(parts.len().div_ceil(2));
+        Pattern::seq(parts).then(Pattern::seq(right))
     }
 
     /// Repetition `self^{n..m}` with finite `m`.
@@ -359,6 +367,30 @@ mod tests {
     fn seq_builder() {
         let p = Pattern::seq([Pattern::node("x"), Pattern::any_edge(), Pattern::node("y")]);
         assert_eq!(p.size(), 5);
+        // Up to three parts fold left-deep; longer chains balance.
+        let left_deep = Pattern::node("x")
+            .then(Pattern::any_edge())
+            .then(Pattern::node("y"));
+        assert_eq!(p, left_deep);
+        let hop = || [Pattern::any_edge(), Pattern::node("v")];
+        let five = Pattern::seq([Pattern::node("x")].into_iter().chain(hop()).chain(hop()));
+        let first = Pattern::node("x")
+            .then(Pattern::any_edge())
+            .then(Pattern::node("v"));
+        assert_eq!(
+            five,
+            first.then(Pattern::any_edge().then(Pattern::node("v")))
+        );
+        assert_eq!(five.to_string(), "(x) -> (v) -> (v)");
+        fn depth(p: &Pattern) -> usize {
+            match p {
+                Pattern::Concat(a, b) => 1 + depth(a).max(depth(b)),
+                _ => 0,
+            }
+        }
+        let long = Pattern::seq((0..4096).flat_map(|_| hop()));
+        assert!(depth(&long) <= 13, "{}", depth(&long));
+        assert_eq!(long.size(), 2 * 8192 - 1);
     }
 
     #[test]

@@ -346,7 +346,10 @@ impl Engine {
         };
         let (names, k) = (staged_names(&gq.graph), entry.id_arity());
         // Their schema: the rows are the snapshot's.
-        let schema = [k, k, 2 * k, 2 * k, k + 1, k + 2].map(Relation::empty);
+        let schema = names.clone().map(|name| {
+            let arity = view.snap.relation(&name).map_or(0, |rel| rel.arity());
+            Relation::empty(arity)
+        });
         Ok(Prepared {
             query: Query::pattern_n(k, out, names.clone().map(Query::rel)),
             db: view_db(&names, schema),

@@ -35,6 +35,7 @@ use crate::error::{GraphForm, StoreError};
 use crate::graph::GraphEntry;
 use crate::report::MemoryBytes;
 use crate::store::{CsrWithDelta, Store};
+use pgq_graph::{shape, ViewRelations};
 use pgq_relational::{Database, RelName, Relation};
 use pgq_value::{Tuple, Value};
 use std::collections::HashSet;
@@ -209,9 +210,11 @@ impl Store {
     ///
     /// # Errors
     ///
+    /// [`StoreError::View`] when `form` does not admit the bulk graph's
+    /// unary identifiers (the error its `pgView` raises on them),
     /// [`StoreError::NodeUniverseFull`] when the node count exceeds the
     /// dense-id space and [`StoreError::DictionaryFull`] when the
-    /// distinct values would exceed the dictionary limit — both
+    /// distinct values would exceed the dictionary limit — all
     /// **atomic**: checked (or enforced by the all-or-nothing intern
     /// pass) before any store structure changes, so a failed load
     /// leaves the store exactly as it was.
@@ -245,6 +248,8 @@ impl Store {
         node_limit: usize,
     ) -> Result<BulkLoadStats, StoreError> {
         g.check_shape();
+        // A bulk graph has unary identifiers: the form must admit them.
+        form.view(&ViewRelations::from(shape(1).map(Relation::empty)))?;
         self.derived.invalidate();
         let (n, m) = (g.nodes.len(), g.edges.len());
         // Fail before touching anything: atomicity by ordering.
@@ -319,7 +324,7 @@ impl Store {
         let pairs: Vec<(u32, u32)> = g.src.iter().copied().zip(g.tgt.iter().copied()).collect();
         let node_csr = CsrIndex::from_dense_pairs(dense, pairs)?;
         let ids: Vec<Tuple> = g.nodes.iter().map(|v| Tuple::unary(v.clone())).collect();
-        let entry = GraphEntry::from_parts(form, views.clone(), 1, ids, Arc::new(node_csr), m);
+        let entry = GraphEntry::from_parts(views.clone(), 1, ids, Arc::new(node_csr), m);
         // ---- Commit: everything built, nothing left that can fail. --
         let [nn, en, sn, tn, ln, pn] = views;
         self.relations.clear();
@@ -446,6 +451,31 @@ mod tests {
         assert_eq!(s.dict().len(), before);
         assert!(s.scan(&"N".into()).is_none());
         assert!(s.graph("G").is_none());
+    }
+
+    /// A bulk graph has unary identifiers: a form that admits them
+    /// loads, any other fails as `pgView` fails on unary relations, and
+    /// leaves the store as it was.
+    #[test]
+    fn bulk_load_checks_the_form_admits_unary_identifiers() {
+        let g = sample();
+        for form in [GraphForm::Exact(1), GraphForm::Bounded(3), GraphForm::Ext] {
+            let mut s = Store::new();
+            s.bulk_load("G", views(), form, &g, 1).unwrap();
+            assert_eq!(s.graph("G").unwrap().node_count(), 3, "{form:?}");
+        }
+        for form in [GraphForm::Exact(2), GraphForm::Bounded(0)] {
+            let mut s = Store::new();
+            assert!(
+                matches!(
+                    s.bulk_load("G", views(), form, &g, 1),
+                    Err(StoreError::View(_))
+                ),
+                "{form:?}"
+            );
+            assert_eq!(s.dict().len(), 0);
+            assert!(s.graph("G").is_none());
+        }
     }
 
     #[test]

@@ -1,19 +1,36 @@
 //! The store's typed errors and the `pgView` form tag.
 
-use pgq_graph::{UpdateError, ViewError};
+use pgq_graph::{
+    pg_view_bounded, pg_view_exact, pg_view_ext, PropertyGraph, UpdateError, ViewError, ViewMode,
+    ViewRelations,
+};
 use pgq_relational::RelName;
 use std::fmt;
 
-/// Which `pgView` operator a graph was registered under (mirrors
-/// `pgq_core::ViewOp`, which the store cannot depend on).
+/// Which `pgView` operator validates a graph at registration (mirrors
+/// `pgq_core::ViewOp`, which the store cannot depend on). Every form
+/// reads the identifier arity `k` off `R1` and builds the same
+/// `pgView=k` graph; a form only restricts `k`. The store keeps no form:
+/// a frozen graph serves a call under any operator that admits its `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphForm {
     /// `pgView=n`: identifiers of exactly this arity.
     Exact(usize),
-    /// `pgView_n`: identifiers of arity at most `n`, padded.
+    /// `pgView_n`: identifiers of arity at most `n`.
     Bounded(usize),
-    /// `pgView_ext`: mixed arities, tagged encoding.
+    /// `pgView_ext`: identifiers of any positive arity.
     Ext,
+}
+
+impl GraphForm {
+    /// The strict `pgView` operator of this form applied to `rels`.
+    pub(crate) fn view(self, rels: &ViewRelations) -> Result<PropertyGraph, ViewError> {
+        match self {
+            GraphForm::Exact(n) => pg_view_exact(n, rels, ViewMode::Strict),
+            GraphForm::Bounded(n) => pg_view_bounded(n, rels, ViewMode::Strict),
+            GraphForm::Ext => pg_view_ext(rels, ViewMode::Strict),
+        }
+    }
 }
 
 /// Errors raised by store registration and maintenance.

@@ -11,7 +11,7 @@
 
 use crate::csr::{AdjacencyView, CsrIndex, DeltaAdjacency};
 use crate::dict::Interner;
-use crate::error::{GraphForm, StoreError};
+use crate::error::StoreError;
 use crate::stats::AdjacencyStatistics;
 use crate::store::overlay_oversized;
 use pgq_graph::PropertyGraph;
@@ -25,7 +25,6 @@ use std::sync::Arc;
 /// `Store::apply_updates`.
 #[derive(Debug, Clone)]
 pub struct GraphEntry {
-    form: GraphForm,
     views: [RelName; 6],
     id_arity: usize,
     /// Identifier tuple ↔ dense node id: the base is the frozen
@@ -44,11 +43,7 @@ pub struct GraphEntry {
 }
 
 impl GraphEntry {
-    pub(crate) fn from_graph(
-        g: &PropertyGraph,
-        views: [RelName; 6],
-        form: GraphForm,
-    ) -> Result<Self, StoreError> {
+    pub(crate) fn from_graph(g: &PropertyGraph, views: [RelName; 6]) -> Result<Self, StoreError> {
         if g.node_count() > CsrIndex::MAX_NODES {
             return Err(StoreError::NodeUniverseFull {
                 limit: CsrIndex::MAX_NODES,
@@ -61,7 +56,6 @@ impl GraphEntry {
             .map(|(_, s, t)| (dense(s), dense(t)))
             .collect();
         Ok(GraphEntry {
-            form,
             views,
             id_arity: g.id_arity(),
             csr: Arc::new(CsrIndex::build(0..ids.len() as u32, &pairs)?),
@@ -78,7 +72,6 @@ impl GraphEntry {
     /// already validated the pieces; this only derives the reverse
     /// identifier map.
     pub(crate) fn from_parts(
-        form: GraphForm,
         views: [RelName; 6],
         id_arity: usize,
         ids: Vec<Tuple>,
@@ -86,7 +79,6 @@ impl GraphEntry {
         edge_count: usize,
     ) -> Self {
         GraphEntry {
-            form,
             views,
             id_arity,
             ids: Interner::from_keys(ids),
@@ -95,11 +87,6 @@ impl GraphEntry {
             delta: DeltaAdjacency::new(),
             edge_count,
         }
-    }
-
-    /// The registered `pgView` form.
-    pub fn form(&self) -> GraphForm {
-        self.form
     }
 
     /// The six view relation names the graph was registered from.
@@ -252,6 +239,7 @@ impl GraphEntry {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::error::GraphForm;
     use crate::store::tests::{chain_db, nid, registered_store, views};
     use crate::store::Store;
     use pgq_graph::Update;
@@ -295,13 +283,10 @@ pub(crate) mod tests {
         assert!(plus.contains(&tuple!["a", "d"]));
 
         // The planner's match point.
-        assert!(store
-            .graph_for_views(&views(), GraphForm::Exact(1))
-            .is_some());
-        assert!(store.graph_for_views(&views(), GraphForm::Ext).is_none());
+        assert!(store.graph_for_views(&views()).is_some());
         let mut other = views();
         other.swap(2, 3);
-        assert!(store.graph_for_views(&other, GraphForm::Exact(1)).is_none());
+        assert!(store.graph_for_views(&other).is_none());
     }
 
     #[test]

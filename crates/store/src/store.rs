@@ -39,7 +39,7 @@ use crate::dict::Dictionary;
 use crate::error::{GraphForm, StoreError};
 use crate::graph::GraphEntry;
 use crate::stats::{StatisticsReport, StoreStatistics};
-use pgq_graph::{pg_view_bounded, pg_view_exact, pg_view_ext, ViewMode, ViewRelations};
+use pgq_graph::ViewRelations;
 use pgq_relational::{Database, RelName, Relation};
 use pgq_value::{Tuple, Value};
 use std::collections::BTreeMap;
@@ -301,12 +301,8 @@ impl Store {
         };
         let [n, e, s, t, l, p] = &views;
         let vr = ViewRelations::from([get(n)?, get(e)?, get(s)?, get(t)?, get(l)?, get(p)?]);
-        let g = match form {
-            GraphForm::Exact(n) => pg_view_exact(n, &vr, ViewMode::Strict)?,
-            GraphForm::Bounded(n) => pg_view_bounded(n, &vr, ViewMode::Strict)?,
-            GraphForm::Ext => pg_view_ext(&vr, ViewMode::Strict)?,
-        };
-        let entry = GraphEntry::from_graph(&g, views, form)?;
+        let g = form.view(&vr)?;
+        let entry = GraphEntry::from_graph(&g, views)?;
         self.derived.invalidate();
         self.graphs.insert(graph_name.into(), entry);
         Ok(())
@@ -376,13 +372,13 @@ impl Store {
         self.graphs.get(name)
     }
 
-    /// The graph entry registered from exactly these six view relations
-    /// under this form, if any — the planner's match point for pattern
-    /// calls over base relations.
-    pub fn graph_for_views(&self, views: &[RelName; 6], form: GraphForm) -> Option<&GraphEntry> {
-        self.graphs
-            .values()
-            .find(|e| e.form() == form && e.views() == views)
+    /// The graph entry registered from exactly these six view relations,
+    /// if any — the planner's match point for pattern calls over base
+    /// relations. Every `pgView` form reads the same graph off the same
+    /// relations, so the caller checks only that its operator admits the
+    /// entry's identifier arity.
+    pub fn graph_for_views(&self, views: &[RelName; 6]) -> Option<&GraphEntry> {
+        self.graphs.values().find(|e| e.views() == views)
     }
 
     /// Registered graph names with entries, in name order.

@@ -244,8 +244,7 @@ impl<'a> Translator<'a> {
         if k == 0 {
             return Err(TranslateError::ZeroIdentifierArity);
         }
-        let shape = [k, k, 2 * k, 2 * k, k + 1, k + 2];
-        for (q, want) in views.iter().zip(shape) {
+        for (q, want) in views.iter().zip(pgq_graph::shape(k)) {
             let got = q
                 .arity(self.schema)
                 .map_err(|e| TranslateError::Query(e.to_string()))?;

@@ -140,7 +140,7 @@ proptest! {
         ] {
             let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
             let reference = eval_with(&q, &db, EvalConfig::reference()).unwrap();
-            let nfa = eval_with(&q, &db, EvalConfig::default()).unwrap();
+            let nfa = eval_with(&q, &db, EvalConfig::nfa()).unwrap();
             let physical = eval_with(&q, &db, EvalConfig::physical()).unwrap();
             prop_assert_eq!(&nfa, &reference);
             prop_assert_eq!(&physical, &reference);

@@ -23,13 +23,14 @@
 //! the store operators' `⟨delta⟩` markers and answers after
 //! `apply_updates`.
 
-use pgq_core::{builders, eval_with, eval_with_store, explain_with, EvalConfig, Query};
+use pgq_core::{builders, eval_with, eval_with_store, explain_with, EvalConfig, Query, ViewOp};
 use pgq_exec::{
     eval_ra, eval_ra_opts, eval_ra_with, execute_opts, lower_onto_store, plan_ra, Batch,
     ExecOptions, PhysPlan, PlannerChoice,
 };
-use pgq_graph::{updates, Update, ViewRelations};
+use pgq_graph::{updates, Update, ViewMode, ViewRelations};
 use pgq_pattern::testgen::arb_bounded_output;
+use pgq_pattern::{OutputPattern, Pattern};
 use pgq_relational::{CmpOp, Database, RaExpr, RelName, Relation, RowCondition};
 use pgq_store::{ConcurrentStore, GraphForm, Store, StoreError, StoreSnapshot, ADOM_REL};
 use pgq_value::{tuple, Tuple, Value};
@@ -728,7 +729,7 @@ proptest! {
             let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
             let reference = eval_with(&q, &db, EvalConfig::reference()).unwrap();
             prop_assert_eq!(&eval_with(&q, &db, EvalConfig::physical()).unwrap(), &reference);
-            prop_assert_eq!(&eval_with(&q, &db, EvalConfig::default()).unwrap(), &reference);
+            prop_assert_eq!(&eval_with(&q, &db, EvalConfig::nfa()).unwrap(), &reference);
         }
         prop_assert_eq!(
             reach_answers(&db, &store).to_vec(),
@@ -762,44 +763,128 @@ proptest! {
     }
 }
 
-/// Holds a pattern call over the registered graph to the references:
-/// its answer — rows or typed error — equals the NFA engine's and
-/// Figure 2's under both planners. The call takes the compiled route
-/// unless its plan would pass the compiler's size cap (nested
-/// repetitions, filters copied by `∨`/`¬`); such a call keeps the other
-/// routes and is held to the same answers. Returns whether it compiled.
-fn assert_store_agrees(q: &Query, db: &Database, store: &Store, context: &str) -> bool {
-    let text = explain_with(q, &db.schema(), Some(store), None).unwrap();
-    let compiled = text.contains("[route: compiled plan]");
-    let context = format!("{context}, compiled: {compiled}");
-    let reference = eval_with(q, db, EvalConfig::reference());
+/// Holds a pattern call to the references: its answer — rows or typed
+/// error — equals the NFA engine's and Figure 2's under `mode`, on the
+/// physical engine under both planners. Every call compiles; it builds
+/// one view per statement unless `frozen`, when it reads a graph the
+/// store froze from its views under an operator that admits the graph's
+/// identifier arity. `EXPLAIN` names which, and `view_builds` counts it.
+fn assert_store_agrees(
+    q: &Query,
+    db: &Database,
+    store: &Store,
+    mode: ViewMode,
+    frozen: bool,
+    context: &str,
+) {
+    let cfg = |cfg: EvalConfig| EvalConfig {
+        view_mode: mode,
+        ..cfg
+    };
+    let reference = eval_with(q, db, cfg(EvalConfig::reference()));
     assert_eq!(
-        eval_with(q, db, EvalConfig::default()),
+        eval_with(q, db, cfg(EvalConfig::nfa())),
         reference,
         "{context}: NFA engine, {q}"
     );
+    if let Ok(text) = explain_with(q, &db.schema(), Some(store), None) {
+        let route = if frozen {
+            "[route: compiled plan]"
+        } else {
+            "[route: compiled plan over a per-statement view]"
+        };
+        assert!(text.contains(route), "{context}: {text}");
+    } else {
+        assert!(reference.is_err(), "{context}: EXPLAIN fails, {q}");
+    }
     for planner in [PlannerChoice::Cost, PlannerChoice::Rule] {
-        let cfg = EvalConfig::physical().with_planner(planner);
+        let before = store.counters().snapshot().view_builds;
         assert_eq!(
-            eval_with_store(q, db, cfg, store),
+            eval_with_store(
+                q,
+                db,
+                cfg(EvalConfig::physical()).with_planner(planner),
+                store
+            ),
             reference,
             "{context}: physical under {planner}, {q}"
         );
+        let built = store.counters().snapshot().view_builds - before;
+        assert_eq!(built, u64::from(!frozen), "{context}: view builds, {q}");
     }
-    compiled
+}
+
+/// `views()` as the queries of a pattern call under `op`.
+fn call(out: &OutputPattern, op: ViewOp, views: [Query; 6]) -> Query {
+    Query::Pattern {
+        out: out.clone(),
+        views: Box::new(views),
+        op,
+    }
+}
+
+/// A left-deep library chain `(x) ψ1 () ψ2 () … ψn (y)` of `hops`
+/// anonymous edges, each forward or backward by a bit of `dirs`.
+fn chain(hops: usize, dirs: u64) -> OutputPattern {
+    let mut p = Pattern::node("x");
+    for i in 0..hops {
+        let edge = if dirs >> (i % 64) & 1 == 0 {
+            Pattern::any_edge()
+        } else {
+            Pattern::any_edge_back()
+        };
+        p = p.then(edge);
+        p = p.then(if i + 1 == hops {
+            Pattern::node("y")
+        } else {
+            Pattern::Node(None)
+        });
+    }
+    OutputPattern::vars(p, ["x", "y"]).expect("x and y are free")
+}
+
+/// `db` with rows Figure 2's strict `pgView` rejects and its lenient
+/// one drops: one of an `S` row keyed by a non-edge, a label on an
+/// unknown element, an edge whose target is not a node.
+fn dirty(db: &Database, dirt: usize) -> Database {
+    let mut db = db.clone();
+    let ghost = Value::int(3_000_000);
+    let rows = match dirt {
+        0 => vec![("S", tuple![ghost, 0])],
+        1 => vec![("L", tuple![ghost, "T"])],
+        _ => vec![
+            ("E", tuple![ghost.clone()]),
+            ("S", tuple![ghost.clone(), 0]),
+            ("T", tuple![ghost, 77]),
+        ],
+    };
+    for (rel, row) in rows {
+        db.insert(rel, row).unwrap();
+    }
+    db
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
     /// Compiled ≡ NFA ≡ reference on random pattern calls — repeated
     /// variables, backward edges, filters over whole sub-patterns with
     /// `∨`/`¬` and cross-atom property equalities, repetition with
     /// small bounds, `*`, `+`, `{n,∞}`, bounds far above |N| and nested
     /// repetition, identifier, component, property and Boolean outputs
-    /// — over a registered graph under both planners, then again after
-    /// a random `apply_updates` batch, so the compiled plan's
-    /// `IndexScan`s read through tombstones and overlays.
+    /// — under both planners:
+    /// - over a graph registered `pgView=1`, called through `pgView`,
+    ///   `pgView_1` and `pgView_ext` (no view build), and through
+    ///   `pgView_0` (the reference's `IdentifierArity`);
+    /// - over a graph registered `pgView_1`, called through `pgView`;
+    /// - over the same graph widened to `k = 2` and registered
+    ///   `pgView=2`, called through `pgView_2` and `pgView_ext`, and
+    ///   through `pgView_1` and `pgView` (the reference's errors);
+    /// - over unregistered and derived views (a view build each);
+    /// - over dirty views, strict (the reference's `ViewError`) and
+    ///   lenient (the rows it drops);
+    /// - as a left-deep chain of 40–63 hops, on a 2 MiB stack;
+    /// - and again after a random `apply_updates` batch, so the
+    ///   compiled plan's `IndexScan`s read through tombstones and
+    ///   overlays.
     #[test]
     fn compiled_patterns_agree_with_the_references(
         out in arb_bounded_output(3, ["T", "U"], ["w", "k"]),
@@ -807,11 +892,62 @@ proptest! {
         n in 1usize..6,
         m in 0usize..8,
         seed in 0u64..1000,
+        shape in 0usize..72,
     ) {
+        use ViewMode::{Lenient, Strict};
+        let (hops, dirt) = (40 + shape % 24, shape / 24);
         let db0 = canonical_graph_db(n, m, 5, seed);
+        let rels = views().map(Query::rel);
         let mut store = store_for(&db0);
-        let q = Query::pattern_ro(out, ["N", "E", "S", "T", "L", "P"]);
-        let compiled = assert_store_agrees(&q, &db0, &store, "registered");
+        let q = call(&out, ViewOp::Unary, rels.clone());
+        assert_store_agrees(&q, &db0, &store, Strict, true, "registered");
+        for (op, frozen) in [(ViewOp::Bounded(1), true), (ViewOp::Ext, true), (ViewOp::Bounded(0), false)] {
+            let q = call(&out, op, rels.clone());
+            assert_store_agrees(&q, &db0, &store, Strict, frozen, &format!("{op} on pgView=1"));
+        }
+        let mut bounded = Store::from_database(&db0);
+        bounded.register_view_graph("G", views(), &db0, GraphForm::Bounded(1)).unwrap();
+        assert_store_agrees(&q, &db0, &bounded, Strict, true, "pgView on pgView_1");
+        let wide = widen_db(&db0);
+        let mut wide_store = Store::from_database(&wide);
+        wide_store.register_view_graph("G", views(), &wide, GraphForm::Exact(2)).unwrap();
+        for (op, frozen) in [
+            (ViewOp::Bounded(2), true),
+            (ViewOp::Ext, true),
+            (ViewOp::Bounded(1), false),
+            (ViewOp::Unary, false),
+        ] {
+            let q = call(&out, op, rels.clone());
+            assert_store_agrees(&q, &wide, &wide_store, Strict, frozen, &format!("{op} on pgView=2"));
+        }
+        let unregistered = Store::from_database(&db0);
+        assert_store_agrees(&q, &db0, &unregistered, Strict, false, "unregistered");
+        let derived = call(&out, ViewOp::Unary, [
+            Query::rel("N").union(Query::rel("S").project(vec![1])),
+            Query::rel("E"),
+            Query::rel("S"),
+            Query::rel("T"),
+            Query::rel("L").select(RowCondition::col_eq_const(1, "T")),
+            Query::rel("P"),
+        ]);
+        assert_store_agrees(&derived, &db0, &store, Strict, false, "derived");
+        let dirty_db = dirty(&db0, dirt);
+        let dirty_store = Store::from_database(&dirty_db);
+        for mode in [Strict, Lenient] {
+            assert_store_agrees(&q, &dirty_db, &dirty_store, mode, false, &format!("dirty, {mode:?}"));
+        }
+        let long = call(&chain(hops, seed), ViewOp::Unary, rels.clone());
+        std::thread::scope(|scope| {
+            let thread = std::thread::Builder::new().stack_size(2 << 20);
+            let (long, db0, store) = (&long, &db0, &store);
+            thread
+                .spawn_scoped(scope, move || {
+                    assert_store_agrees(long, db0, store, Strict, true, &format!("{hops} hops"));
+                })
+                .expect("a thread")
+                .join()
+                .expect("no stack overflow");
+        });
         let mut rels = view_relations_of(&db0);
         let mut accepted = Vec::new();
         for u in batch {
@@ -820,8 +956,7 @@ proptest! {
             }
         }
         store.apply_updates("G", &accepted).expect("the reference accepted each update");
-        let still = assert_store_agrees(&q, &db_of(&rels), &store, "updated");
-        prop_assert_eq!(still, compiled, "the route does not depend on the rows");
+        assert_store_agrees(&q, &db_of(&rels), &store, Strict, true, "updated");
     }
 }
 
