@@ -411,7 +411,7 @@ pub fn e10_scaling() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "| instance | |D| | reach pairs | fast = reference |\n|---|---|---|---|"
+        "| instance | |D| | reach pairs | physical = NFA = reference |\n|---|---|---|---|"
     );
     for n in [20usize, 40, 80] {
         let db = families::grid_db(n / 4, 4);
@@ -419,9 +419,10 @@ pub fn e10_scaling() -> String {
             builders::reachability_output(),
             ["N", "E", "S", "T", "L", "P"],
         );
-        let fast = eval_with(&q, &db, EvalConfig::default()).unwrap();
+        let fast = eval_with(&q, &db, EvalConfig::physical()).unwrap();
         let slow = eval_with(&q, &db, EvalConfig::reference()).unwrap();
         assert_eq!(fast, slow);
+        assert_eq!(eval_with(&q, &db, EvalConfig::nfa()).unwrap(), slow);
         let _ = writeln!(
             out,
             "| grid {}×4 | {} | {} | ✓ |",
@@ -489,7 +490,8 @@ pub fn e11_baselines() -> String {
             builders::reachability_output(),
             ["N", "E", "S", "T", "L", "P"],
         );
-        let via_pgq = eval_query(&q, &db).unwrap();
+        // The NFA, not the physical engine the other three run on.
+        let via_pgq = eval_with(&q, &db, EvalConfig::nfa()).unwrap();
         let via_logic = eval_ordered(&phi, &[Var::new("x"), Var::new("y")], &db).unwrap();
         let via_datalog = pgq_datalog::query(&program, &db, &"reach".into()).unwrap();
         let compiled = compile_formula(&phi).unwrap();

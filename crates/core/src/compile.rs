@@ -15,10 +15,16 @@
 //! `(x)` is `N` itself, its endpoints and `x` all reading the same
 //! columns — so filtering only ever adds columns. A projection, and with
 //! it a duplicate elimination, appears only where something is
-//! discarded: a repetition's bindings, a union's alignment, the
-//! witnesses of a negated or disjoined condition, the output, and after
-//! each concatenation every variable nothing above it reads — so a chain
-//! of hops keeps endpoint pairs, not every walk.
+//! discarded: a repetition's bindings, a union's alignment, the output,
+//! and after each concatenation every variable nothing above it reads —
+//! so a chain of hops keeps endpoint pairs, not every walk.
+//!
+//! A condition's atoms join `L` or `P`, their witnesses riding along as
+//! extra columns. Under `∨` or `¬` an atom may fail, so there each
+//! variable and label or key the condition reads joins one table total
+//! over `N ∪ E` — the label or value, and a flag for whether there is
+//! one — and the Boolean is one row test on those columns. The matches
+//! appear once in the plan, whatever the condition's shape.
 //!
 //! Repetition is one operator: `ψ^{n..m}` is a bounded
 //! [`PhysPlan::Fixpoint`] over the body's endpoint pairs, whatever the
@@ -49,11 +55,12 @@ use pgq_pattern::{
     Condition, Direction, OutputError, OutputItem, OutputPattern, Pattern, RepBound,
 };
 use pgq_relational::RowCondition;
-use pgq_value::Var;
+use pgq_value::{Tuple, Value, Var};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Positions of the six view relations in a call's view array.
 const NODES: usize = 0;
+const EDGES: usize = 1;
 const SRC: usize = 2;
 const TGT: usize = 3;
 const LABELS: usize = 4;
@@ -319,42 +326,7 @@ impl Compiler {
     /// property relations, so their witnesses ride along as extra
     /// columns; an atom on a variable `m` does not bind holds nowhere.
     fn holds(&self, m: &Matches, theta: &Condition) -> (PhysPlan, usize) {
-        let (k, a) = (self.k, m.arity);
-        let nowhere = || (m.q.clone().filter(RowCondition::True.not()), a);
         match theta {
-            Condition::HasLabel(x, label) => {
-                let Some(xs) = m.vars.get(x) else {
-                    return nowhere();
-                };
-                let mut conds = same(xs, &block(a, k));
-                conds.push(RowCondition::col_eq_const(a + k, label.clone()));
-                (
-                    select(m.q.clone().product(self.view(LABELS)), conds),
-                    a + k + 1,
-                )
-            }
-            Condition::PropCmpConst(x, key, op, c) => {
-                let Some(xs) = m.vars.get(x) else {
-                    return nowhere();
-                };
-                let mut conds = self.prop(xs, a, key);
-                conds.push(RowCondition::col_cmp_const(a + k + 1, *op, c.clone()));
-                (
-                    select(m.q.clone().product(self.view(PROPS)), conds),
-                    a + k + 2,
-                )
-            }
-            Condition::PropEq(x, kx, y, ky) => {
-                let (Some(xs), Some(ys)) = (m.vars.get(x), m.vars.get(y)) else {
-                    return nowhere();
-                };
-                let b = a + k + 2;
-                let mut conds = self.prop(xs, a, kx);
-                conds.extend(self.prop(ys, b, ky));
-                conds.push(RowCondition::col_eq(a + k + 1, b + k + 1));
-                let q = m.q.clone().product(self.view(PROPS));
-                (select(q.product(self.view(PROPS)), conds), b + k + 2)
-            }
             Condition::And(l, r) => {
                 let (q, arity) = self.holds(m, l);
                 self.holds(
@@ -366,27 +338,98 @@ impl Compiler {
                     r,
                 )
             }
-            Condition::Or(l, r) => (self.only(m, l).union(self.only(m, r)), a),
-            Condition::Not(c) => (m.q.clone().diff(self.only(m, c)), a),
+            Condition::Or(..) | Condition::Not(_) => {
+                let (q, arity, cond) = self.truth(m, theta);
+                (q.filter(cond), arity)
+            }
+            atom => self
+                .atom(m, atom)
+                .unwrap_or_else(|| (m.q.clone().filter(RowCondition::True.not()), m.arity)),
         }
     }
 
-    /// [`Compiler::holds`] without the witness columns.
-    fn only(&self, m: &Matches, theta: &Condition) -> PhysPlan {
-        let (q, arity) = self.holds(m, theta);
-        if arity == m.arity {
-            q
-        } else {
-            q.project(block(0, m.arity))
-        }
+    /// [`Compiler::holds`] of an atom, `None` when it reads a variable
+    /// `m` does not bind.
+    fn atom(&self, m: &Matches, theta: &Condition) -> Option<(PhysPlan, usize)> {
+        let join = |q, a, x, probe| Some(self.beside(q, a, m.vars.get(x)?, self.rows(probe)));
+        let (q, arity, conds) = match theta {
+            Condition::HasLabel(x, label) => join(m.q.clone(), m.arity, x, Probe::Label(label))?,
+            Condition::PropCmpConst(x, key, op, c) => {
+                let (q, arity, mut conds) = join(m.q.clone(), m.arity, x, Probe::Prop(key))?;
+                conds.push(RowCondition::col_cmp_const(arity - 1, *op, c.clone()));
+                (q, arity, conds)
+            }
+            Condition::PropEq(x, kx, y, ky) => {
+                let (q, b, conds) = join(m.q.clone(), m.arity, x, Probe::Prop(kx))?;
+                let (q, arity, mut conds2) = join(select(q, conds), b, y, Probe::Prop(ky))?;
+                conds2.push(RowCondition::col_eq(b - 1, arity - 1));
+                (q, arity, conds2)
+            }
+            _ => unreachable!("not an atom"),
+        };
+        Some((select(q, conds), arity))
     }
 
-    /// The conditions joining a `P` row at `at` to the element at `ids`
-    /// under `key`; its value then sits at `at + k + 1`.
-    fn prop(&self, ids: &[usize], at: usize, key: &pgq_value::Key) -> Vec<RowCondition> {
-        let mut conds = same(ids, &block(at, self.k));
-        conds.push(RowCondition::col_eq_const(at + self.k, key.clone()));
-        conds
+    /// `q`, `a` columns wide, beside `rows` — whose first `k` columns
+    /// are an element and whose last is its label or value — the
+    /// arity of both, and the conditions that join them at the element
+    /// in `xs`.
+    fn beside(
+        &self,
+        q: PhysPlan,
+        a: usize,
+        xs: &[usize],
+        rows: (PhysPlan, usize),
+    ) -> (PhysPlan, usize, Vec<RowCondition>) {
+        let conds = same(xs, &block(a, self.k));
+        (q.product(rows.0), a + rows.1, conds)
+    }
+
+    /// The rows of `L` at a label, `ids ++ ℓ`, or of `P` at a key,
+    /// `ids ++ key ++ value`, and their arity.
+    fn rows(&self, probe: Probe<'_>) -> (PhysPlan, usize) {
+        let k = self.k;
+        let (rel, at, arity) = match probe {
+            Probe::Label(label) => (LABELS, label, k + 1),
+            Probe::Prop(key) => (PROPS, key, k + 2),
+        };
+        let rows = self
+            .view(rel)
+            .filter(RowCondition::col_eq_const(k, at.clone()));
+        (rows, arity)
+    }
+
+    /// `m`'s rows, each joined with one value column and one presence
+    /// flag per variable and label or key an atom of `θ` reads, and `θ`
+    /// as a test on those columns. Each such pair joins a table total
+    /// over the elements `N ∪ E`, so no row is lost or copied, and `m`
+    /// appears once whatever `θ`'s shape: a disjunction or a negation
+    /// costs one join per pair it reads, not a copy of `m` per operand.
+    fn truth(&self, m: &Matches, theta: &Condition) -> (PhysPlan, usize, RowCondition) {
+        let k = self.k;
+        let mut reads = Vec::new();
+        probes(theta, &mut reads);
+        let (mut q, mut arity, mut at) = (m.q.clone(), m.arity, BTreeMap::new());
+        for (x, probe) in reads {
+            let Some(xs) = m.vars.get(x).filter(|_| !at.contains_key(&(x, probe))) else {
+                continue;
+            };
+            // `ids ++ value ++ true` where the element has one, and
+            // `ids ++ false ++ false` for every other element.
+            let (present, w) = self.rows(probe);
+            let present = present.project([block(0, k), vec![w - 1]].concat());
+            let row = |vs: Vec<Value>| PhysPlan::Values(Batch::singleton(Tuple::new(vs)));
+            let elements = self.view(NODES).union(self.view(EDGES)).distinct();
+            let absent = elements.diff(present.clone().project(block(0, k)));
+            let total = present
+                .product(row(vec![Value::Bool(true)]))
+                .union(absent.product(row(vec![Value::Bool(false); 2])));
+            let (joined, wider, conds) = self.beside(q, arity, xs, (total, k + 2));
+            q = select(joined, conds);
+            at.insert((x, probe), arity + k);
+            arity = wider;
+        }
+        (q, arity, test(theta, &at))
     }
 
     /// `Ω` read off the matches: identifier blocks and components are
@@ -394,22 +437,68 @@ impl Compiler {
     /// row), and a Boolean output projects to no column, `{()}` iff a
     /// match exists.
     fn output(&self, m: Matches, items: &[OutputItem]) -> Option<PhysPlan> {
-        let k = self.k;
         let (mut q, mut arity, mut cols) = (m.q, m.arity, Vec::new());
         for item in items {
             match item {
                 OutputItem::Var(v) => cols.extend(m.vars.get(v)?),
                 OutputItem::Component(v, i) => cols.push(m.vars.get(v)?[*i]),
                 OutputItem::Prop(v, key) => {
-                    let conds = self.prop(m.vars.get(v)?, arity, key);
-                    q = select(q.product(self.view(PROPS)), conds);
-                    cols.push(arity + k + 1);
-                    arity += k + 2;
+                    let props = self.rows(Probe::Prop(key));
+                    let (joined, wider, conds) = self.beside(q, arity, m.vars.get(v)?, props);
+                    q = select(joined, conds);
+                    arity = wider;
+                    cols.push(arity - 1);
                 }
             }
         }
         Some(q.project(cols))
     }
+}
+
+/// What an atom reads of its element: whether it has a label, or its
+/// value under a key.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Probe<'a> {
+    Label(&'a Value),
+    Prop(&'a Value),
+}
+
+/// Every variable and probe the atoms of `θ` read, in order.
+fn probes<'a>(theta: &'a Condition, out: &mut Vec<(&'a Var, Probe<'a>)>) {
+    match theta {
+        Condition::HasLabel(x, label) => out.push((x, Probe::Label(label))),
+        Condition::PropCmpConst(x, key, ..) => out.push((x, Probe::Prop(key))),
+        Condition::PropEq(x, kx, y, ky) => {
+            out.extend([(x, Probe::Prop(kx)), (y, Probe::Prop(ky))]);
+        }
+        Condition::And(l, r) | Condition::Or(l, r) => {
+            probes(l, out);
+            probes(r, out);
+        }
+        Condition::Not(c) => probes(c, out),
+    }
+}
+
+/// `θ` over the value columns `at` places (each flag one column to the
+/// right); an atom on a variable without a column holds nowhere.
+fn test(theta: &Condition, at: &BTreeMap<(&Var, Probe<'_>), usize>) -> RowCondition {
+    // The value column of `x`'s probe, and the test that `x` has one.
+    let has = |x, probe| {
+        let v = *at.get(&(x, probe))?;
+        Some((v, RowCondition::col_eq_const(v + 1, Value::Bool(true))))
+    };
+    let atom = match theta {
+        Condition::HasLabel(x, label) => has(x, Probe::Label(label)).map(|(_, f)| f),
+        Condition::PropCmpConst(x, key, op, c) => has(x, Probe::Prop(key))
+            .map(|(v, f)| f.and(RowCondition::col_cmp_const(v, *op, c.clone()))),
+        Condition::PropEq(x, kx, y, ky) => has(x, Probe::Prop(kx))
+            .zip(has(y, Probe::Prop(ky)))
+            .map(|((v, f), (w, g))| f.and(g).and(RowCondition::col_eq(v, w))),
+        Condition::And(l, r) => return test(l, at).and(test(r, at)),
+        Condition::Or(l, r) => return test(l, at).or(test(r, at)),
+        Condition::Not(c) => return test(c, at).not(),
+    };
+    atom.unwrap_or_else(|| RowCondition::True.not())
 }
 
 /// The endpoint pairs `src ++ tgt` of the matches, projected only when

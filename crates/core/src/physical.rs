@@ -11,7 +11,10 @@
 //! was validated once, at registration. Any other call evaluates its six
 //! subqueries, validates the view exactly as the reference's `pgView`
 //! does — so every `ViewError` is the reference's, in either view mode —
-//! and compiles over the validated relations, passed in as `Values`.
+//! and compiles over the validated relations, passed in as `Values`
+//! batches named `⟨viewN R⟩` whose rows every atom's leaf shares.
+//! `EXPLAIN` plans row-less batches of the same names, so the tree it
+//! prints is the one evaluation runs.
 //!
 //! Evaluation and `EXPLAIN` share one translation of the shell:
 //! `shell_plan` has one rule per Figure 3 constructor and asks a
@@ -30,7 +33,7 @@ use pgq_exec::{
     annotate_estimates, execute_opts, execute_profiled, intersect_plan, physical_plan, Batch,
     ExecOptions, PhysPlan, PlanMetrics, PlannerChoice,
 };
-use pgq_graph::{relations_of, ViewMode};
+use pgq_graph::{relations_of, shape, ViewMode};
 use pgq_pattern::OutputPattern;
 use pgq_relational::{Database, RelName, Relation, Schema};
 use pgq_store::Store;
@@ -125,6 +128,8 @@ struct Evaluate<'a> {
     db: &'a Database,
     cfg: EvalConfig,
     store: Option<&'a Store>,
+    /// Calls not over a frozen graph so far, which number their views.
+    calls: usize,
 }
 
 impl Leaves for Evaluate<'_> {
@@ -154,7 +159,9 @@ impl Leaves for Evaluate<'_> {
     /// evaluated — under a store they read the store (`db` may hold only
     /// their schema), and each such build is counted (`view_builds` on
     /// [`Store::counters`]) — and `pgView` applied in the configured
-    /// mode. The leaves are the validated graph's relations.
+    /// mode. The leaves are the validated graph's relations, named as
+    /// `EXPLAIN` names them ([`view_leaves`]); every atom's leaf shares
+    /// their rows.
     fn views(
         &mut self,
         views: &[Query; 6],
@@ -168,10 +175,28 @@ impl Leaves for Evaluate<'_> {
             eval_physical(q, db, cfg, store, None)
         })?;
         let r = relations_of(&g);
-        let leaves = [&r.nodes, &r.edges, &r.src, &r.tgt, &r.labels, &r.props];
-        let values = |rel| PhysPlan::Values(Batch::from_relation(rel));
-        Ok((leaves.map(values), g.id_arity()))
+        let rels = [&r.nodes, &r.edges, &r.src, &r.tgt, &r.labels, &r.props];
+        self.calls += 1;
+        Ok((
+            view_leaves(self.calls, rels.map(Batch::from_relation)),
+            g.id_arity(),
+        ))
     }
+}
+
+/// The view relations' names, in view order.
+const VIEW_NAMES: [&str; 6] = ["N", "E", "S", "T", "L", "P"];
+
+/// The view leaves of the `call`-th call not over a frozen graph:
+/// `batches` named `⟨view{call} R⟩`. Evaluation passes the validated
+/// relations and `EXPLAIN` row-less batches of their arities, so both
+/// plan the same tree ([`Batch::named`]).
+fn view_leaves(call: usize, batches: [Batch; 6]) -> [PhysPlan; 6] {
+    let mut names = VIEW_NAMES.iter();
+    batches.map(|b| {
+        let name = names.next().expect("six view names");
+        PhysPlan::Values(b.named(format!("⟨view{call} {name}⟩")))
+    })
 }
 
 /// Evaluates a query through the physical engine — backed, when given,
@@ -196,7 +221,13 @@ pub(crate) fn eval_physical(
     store: Option<&Store>,
     m: Option<&mut PlanMetrics>,
 ) -> Result<Relation, QueryError> {
-    let shell = shell_plan(q, &mut Evaluate { db, cfg, store })?;
+    let mut leaves = Evaluate {
+        db,
+        cfg,
+        store,
+        calls: 0,
+    };
+    let shell = shell_plan(q, &mut leaves)?;
     let plan = physical_plan(shell, &db.schema(), store, cfg.planner)?;
     let opts = exec_opts(cfg);
     let Some(m) = m else {
@@ -226,13 +257,15 @@ pub fn explain(q: &Query, schema: &Schema) -> Result<String, QueryError> {
 /// default without `opts`), operators that read through an update
 /// overlay are marked `⟨delta⟩`, and a pattern call over a graph the
 /// store froze reads its view relations (`[route: compiled plan]`). Any
-/// other call shows each view leaf as the subplan that evaluation
-/// materializes and validates (`[route: compiled plan over a
-/// per-statement view]`). Under concrete `opts` every morsel-parallel
-/// operator is annotated with its degree of parallelism (`⟨dop≤n⟩`) and
-/// a trailing line states the worker budget — what the shell renders
-/// after `SET THREADS n;` / `SET PLANNER rule;`. It is the plan
-/// `eval_with_store` executes under the same configuration.
+/// other call reads its six view relations as the `Values ⟨viewN R⟩`
+/// leaves evaluation materializes and validates, and its line
+/// (`[route: compiled plan over a per-statement view]`) lists the plan
+/// of each view subquery, planned alone as it runs. Under concrete
+/// `opts` every morsel-parallel operator is annotated with its degree
+/// of parallelism (`⟨dop≤n⟩`) and a trailing line states the worker
+/// budget — what the shell renders after `SET THREADS n;` / `SET
+/// PLANNER rule;`. It is the plan `eval_with_store` executes under the
+/// same configuration.
 pub fn explain_with(
     q: &Query,
     schema: &Schema,
@@ -240,13 +273,9 @@ pub fn explain_with(
     opts: Option<&ExecOptions>,
 ) -> Result<String, QueryError> {
     q.arity(schema)?;
-    let mut leaves = Explain {
-        schema,
-        sections: Vec::new(),
-        store,
-    };
-    let shell = shell_plan(q, &mut leaves)?;
     let planner = opts.map_or_else(PlannerChoice::default, |o| o.planner);
+    let mut leaves = Explain::new(schema, store, planner);
+    let shell = shell_plan(q, &mut leaves)?;
     let plan = physical_plan(shell, schema, store, planner)?;
     let mut text = plan.display_with(store, opts);
     for s in leaves.sections {
@@ -256,12 +285,46 @@ pub fn explain_with(
     Ok(text)
 }
 
-/// The explaining [`Leaves`]: nothing is evaluated. A view leaf is its
-/// subquery's plan, and every compiled call adds a line naming it.
+/// The explaining [`Leaves`]: nothing is evaluated. The views of a
+/// call not over a frozen graph are row-less named batches, and every
+/// compiled call adds a section naming it — with, for such a call, the
+/// plans of its six view subqueries.
 struct Explain<'a> {
     schema: &'a Schema,
-    sections: Vec<String>,
     store: Option<&'a Store>,
+    planner: PlannerChoice,
+    sections: Vec<String>,
+    /// Calls not over a frozen graph so far, which number their views.
+    calls: usize,
+    /// The view subplans of the call being compiled.
+    subplans: String,
+}
+
+impl<'a> Explain<'a> {
+    fn new(schema: &'a Schema, store: Option<&'a Store>, planner: PlannerChoice) -> Self {
+        Explain {
+            schema,
+            store,
+            planner,
+            sections: Vec::new(),
+            calls: 0,
+            subplans: String::new(),
+        }
+    }
+
+    /// A view subquery's plan as evaluation plans it — alone, its own
+    /// calls numbered from 1 — with its sections, indented by `indent`.
+    fn subplan(&self, q: &Query, indent: &str) -> Result<String, QueryError> {
+        let mut leaves = Explain::new(self.schema, self.store, self.planner);
+        let shell = shell_plan(q, &mut leaves)?;
+        let plan = physical_plan(shell, self.schema, self.store, self.planner)?;
+        let mut text = plan.display_with(self.store, None);
+        for s in leaves.sections {
+            text.push_str(&s);
+            text.push('\n');
+        }
+        Ok(text.lines().map(|l| format!("{indent}{l}\n")).collect())
+    }
 }
 
 impl Leaves for Explain<'_> {
@@ -285,15 +348,18 @@ impl Leaves for Explain<'_> {
         // The view's static conditions — its shape and identifier
         // arity — fail here as they fail in evaluation.
         let schema = self.schema;
-        let empty = view_graph(views, op, ViewMode::Strict, |q| {
+        let k = view_graph(views, op, ViewMode::Strict, |q| {
             Ok(Relation::empty(q.arity(schema)?))
-        })?;
-        let [n, e, s, t, l, p] = views;
-        let mut sub = |q| shell_plan(q, self);
-        Ok((
-            [sub(n)?, sub(e)?, sub(s)?, sub(t)?, sub(l)?, sub(p)?],
-            empty.id_arity(),
-        ))
+        })?
+        .id_arity();
+        self.calls += 1;
+        let mut subplans = String::new();
+        for (name, q) in VIEW_NAMES.iter().zip(views) {
+            subplans.push_str(&format!("\n  ⟨view{} {name}⟩:\n", self.calls));
+            subplans.push_str(self.subplan(q, "    ")?.trim_end());
+        }
+        self.subplans = subplans;
+        Ok((view_leaves(self.calls, shape(k).map(Batch::empty)), k))
     }
 
     fn compiled(&mut self, out: &OutputPattern, op: ViewOp, frozen: bool) {
@@ -302,8 +368,9 @@ impl Leaves for Explain<'_> {
         } else {
             "compiled plan over a per-statement view"
         };
+        let subplans = std::mem::take(&mut self.subplans);
         self.sections
-            .push(format!("{out} via {op} [route: {route}]"));
+            .push(format!("{out} via {op} [route: {route}]{subplans}"));
     }
 }
 
@@ -847,6 +914,82 @@ mod tests {
                 assert_eq!(got, eval_with(&q(n, m), &d, EvalConfig::reference()));
             }
         }
+    }
+
+    /// A two-hop chain over a derived `N` view, joined with a one-row
+    /// stored relation: what `EXPLAIN` prints is the tree `EXPLAIN
+    /// ANALYZE` runs, operator for operator — the cost planner orders
+    /// that join alike, though only evaluation knows the view's rows —
+    /// and every atom's leaf of one view relation shares that
+    /// relation's rows.
+    #[test]
+    fn explain_prints_the_tree_a_derived_view_call_runs() {
+        let mut d = db();
+        d.insert("W", tuple!["a"]).unwrap();
+        let store = store_for(&d);
+        let endpoints = Query::rel("S")
+            .project(vec![1])
+            .union(Query::rel("T").project(vec![1]));
+        let views = [
+            endpoints,
+            Query::rel("E"),
+            Query::rel("S"),
+            Query::rel("T"),
+            Query::rel("L"),
+            Query::rel("P"),
+        ];
+        let hops = Pattern::node("x")
+            .then(Pattern::any_edge())
+            .then(Pattern::any_edge());
+        let out = pgq_pattern::OutputPattern::vars(hops.then(Pattern::node("y")), ["x", "y"]);
+        let q = Query::pattern_rw(out.unwrap(), views)
+            .product(Query::rel("W"))
+            .select(RowCondition::col_eq(0, 2));
+
+        let text = explain_with(&q, &d.schema(), Some(&store), None).unwrap();
+        assert!(text.contains("Values ⟨view1 S⟩"), "{text}");
+        assert!(text.contains("  ⟨view1 N⟩:"), "{text}");
+        let (rel, profile) =
+            crate::eval_with_store_profiled(&q, &d, EvalConfig::physical(), &store).unwrap();
+        assert_eq!(Ok(rel), eval_with(&q, &d, EvalConfig::reference()));
+        fn labels(m: &PlanMetrics, out: &mut Vec<String>) {
+            out.push(m.label.clone());
+            m.children.iter().for_each(|c| labels(c, out));
+        }
+        let mut ran = Vec::new();
+        labels(&profile.root, &mut ran);
+        let printed: Vec<String> = text
+            .lines()
+            .take(ran.len())
+            .map(|l| l.trim_start_matches([' ', '│', '├', '└', '─']).to_string())
+            .collect();
+        assert_eq!(printed, ran, "{text}");
+
+        fn values(p: PhysPlan, out: &mut Vec<Batch>) {
+            match p {
+                PhysPlan::Values(b) => out.push(b),
+                p => {
+                    p.map_children(|c| {
+                        values(c.clone(), out);
+                        c
+                    });
+                }
+            }
+        }
+        let mut leaves = Evaluate {
+            db: &d,
+            cfg: EvalConfig::physical(),
+            store: Some(&store),
+            calls: 0,
+        };
+        let mut batches = Vec::new();
+        values(shell_plan(&q, &mut leaves).unwrap(), &mut batches);
+        let s: Vec<_> = batches
+            .iter()
+            .filter(|b| b.name() == Some("⟨view1 S⟩"))
+            .collect();
+        assert_eq!(s.len(), 2, "one S leaf per hop");
+        assert!(s.iter().all(|b| b.rows().as_ptr() == s[0].rows().as_ptr()));
     }
 
     #[test]

@@ -16,12 +16,17 @@
 
 use pgq_relational::{RelError, RelResult, Relation};
 use pgq_value::Tuple;
+use std::sync::Arc;
 
-/// A batch of equal-arity rows, possibly containing duplicates.
+/// A batch of equal-arity rows, possibly containing duplicates. Clones
+/// share the rows, so a plan may read one batch at many leaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     arity: usize,
-    rows: Vec<Tuple>,
+    rows: Arc<Vec<Tuple>>,
+    /// What the rows stand for, when they are materialized only at run
+    /// time (`EXPLAIN` prints the name, not the rows).
+    name: Option<String>,
 }
 
 impl Batch {
@@ -29,7 +34,8 @@ impl Batch {
     pub fn empty(arity: usize) -> Self {
         Batch {
             arity,
-            rows: Vec::new(),
+            rows: Arc::default(),
+            name: None,
         }
     }
 
@@ -49,7 +55,8 @@ impl Batch {
     pub fn singleton(t: Tuple) -> Self {
         Batch {
             arity: t.arity(),
-            rows: vec![t],
+            rows: Arc::new(vec![t]),
+            name: None,
         }
     }
 
@@ -57,13 +64,32 @@ impl Batch {
     pub fn from_relation(rel: &Relation) -> Self {
         Batch {
             arity: rel.arity(),
-            rows: rel.iter().cloned().collect(),
+            rows: Arc::new(rel.iter().cloned().collect()),
+            name: None,
         }
+    }
+
+    /// The batch named `name`: a relation the plan reads but that is
+    /// only materialized when it runs. `EXPLAIN` prints the name in
+    /// place of the row count, and the cost model estimates it as a
+    /// relation without statistics, so a plan over the named batches is
+    /// the same whether they hold their rows yet or not.
+    pub fn named(self, name: impl Into<String>) -> Self {
+        Batch {
+            name: Some(name.into()),
+            ..self
+        }
+    }
+
+    /// The name [`Batch::named`] gave the batch.
+    pub fn name(&self) -> Option<&str> {
+        self.name.as_deref()
     }
 
     /// Converts back to a set-semantics [`Relation`], deduplicating.
     pub fn into_relation(self) -> Relation {
-        Relation::from_rows(self.arity, self.rows).expect("batch rows have the batch arity")
+        let rows = Arc::unwrap_or_clone(self.rows);
+        Relation::from_rows(self.arity, rows).expect("batch rows have the batch arity")
     }
 
     /// The batch arity.
@@ -90,7 +116,7 @@ impl Batch {
                 found: t.arity(),
             });
         }
-        self.rows.push(t);
+        Arc::make_mut(&mut self.rows).push(t);
         Ok(())
     }
 

@@ -39,7 +39,6 @@ use crate::plan::PhysPlan;
 use pgq_relational::{CmpOp, Operand, RelName, RowCondition, Schema};
 use pgq_store::{Store, StoreStatistics};
 use pgq_value::Value;
-use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 
 /// Which estimator [`lower_onto_store`] plans with.
@@ -87,18 +86,15 @@ const FIXPOINT_GROWTH: f64 = 8.0;
 
 /// Cardinality estimation: over a [`StoreStatistics`] snapshot
 /// ([`Estimator::new`]), or over nothing ([`Estimator::syntactic`]).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Estimator<'a> {
     stats: Option<&'a StoreStatistics>,
-    /// The lowering pass's memo of the nodes below its join factors
-    /// ([`Estimator::factor`]).
-    pass_memo: RefCell<Memo<'a>>,
 }
 
 impl<'a> Estimator<'a> {
     /// An estimator reading the given statistics snapshot.
     pub fn new(stats: &'a StoreStatistics) -> Self {
-        Estimator::over(Some(stats))
+        Estimator { stats: Some(stats) }
     }
 
     /// The estimator that reads no statistics: every plan and every
@@ -106,27 +102,7 @@ impl<'a> Estimator<'a> {
     /// falls through to its tie-break. It borrows nothing, so building
     /// one cannot make the store compute statistics.
     pub fn syntactic() -> Estimator<'static> {
-        Estimator::over(None)
-    }
-
-    fn over(stats: Option<&'a StoreStatistics>) -> Self {
-        let pass_memo = RefCell::new(Memo::new(stats));
-        Estimator { stats, pass_memo }
-    }
-
-    /// The memo of the lowering pass that owns this estimator, set to
-    /// estimate the lowered join factor `root`. Every node below a
-    /// factor sits in a `Box` that the pass never frees or moves once
-    /// the factor is lowered, so its address keys its estimate until the
-    /// pass ends; the root moves next, into the join being built, and is
-    /// not stored. A chain nested `d` joins deep is then estimated once,
-    /// not `d` times, and the pass stays linear on a long
-    /// concatenation's balanced join tree. Debug builds check every hit
-    /// against a fresh estimate.
-    fn factor(&self, root: &PhysPlan) -> RefMut<'_, Memo<'a>> {
-        let mut memo = self.pass_memo.borrow_mut();
-        memo.root = root;
-        memo
+        Estimator { stats: None }
     }
 
     /// Expected output rows of a plan node (≥ 0, finite).
@@ -162,19 +138,14 @@ impl<'a> Estimator<'a> {
 /// doubles with every level of join nesting.) Leaves are answered in
 /// O(1) and not stored, so a three-node plan stores one entry. Nodes
 /// are keyed by address, which is stable because the plan stays
-/// borrowed for the memo's whole life (or, for the lowering pass's
-/// memo, because the pass moves no node below a factor). Without
-/// statistics every estimate is [`TIED`].
-#[derive(Debug)]
+/// borrowed for the memo's whole life. Without statistics every
+/// estimate is [`TIED`].
 struct Memo<'s> {
     stats: Option<&'s StoreStatistics>,
     rows: HashMap<*const PhysPlan, f64>,
     distinct: HashMap<(*const PhysPlan, usize), f64>,
     /// Calls of [`Memo::rows`] and [`Memo::distinct`], memo hits included.
     visits: usize,
-    /// The node not to store: a factor root, which moves once estimated
-    /// (set only in the lowering pass's memo).
-    root: *const PhysPlan,
 }
 
 impl<'s> Memo<'s> {
@@ -184,7 +155,6 @@ impl<'s> Memo<'s> {
             rows: HashMap::new(),
             distinct: HashMap::new(),
             visits: 0,
-            root: std::ptr::null(),
         }
     }
 
@@ -197,15 +167,10 @@ impl<'s> Memo<'s> {
             return self.rows_of(stats, plan);
         }
         if let Some(&rows) = self.rows.get(&std::ptr::from_ref(plan)) {
-            if cfg!(debug_assertions) && !self.root.is_null() {
-                assert_eq!(rows, Memo::new(self.stats).rows(plan), "a stale estimate");
-            }
             return rows;
         }
         let rows = self.rows_of(stats, plan);
-        if !std::ptr::eq(plan, self.root) {
-            self.rows.insert(plan, rows);
-        }
+        self.rows.insert(plan, rows);
         rows
     }
 
@@ -216,6 +181,7 @@ impl<'s> Memo<'s> {
             PhysPlan::IndexSeek { rel, col, .. } => {
                 relation_rows(stats, rel) / relation_distinct(stats, rel, *col).max(1.0)
             }
+            PhysPlan::Values(b) if b.name().is_some() => UNKNOWN_ROWS,
             PhysPlan::Values(b) => b.len() as f64,
             PhysPlan::AdomScan => relation_rows(stats, &pgq_store::ADOM_REL.into()),
             PhysPlan::Filter { cond, input } => self.rows(input) * self.selectivity(cond, input),
@@ -253,16 +219,10 @@ impl<'s> Memo<'s> {
         }
         let key = (std::ptr::from_ref(plan), col);
         if let Some(&d) = self.distinct.get(&key) {
-            if cfg!(debug_assertions) && !self.root.is_null() {
-                let fresh = Memo::new(self.stats).distinct(plan, col);
-                assert_eq!(d, fresh, "a stale estimate");
-            }
             return d;
         }
         let d = self.distinct_of(stats, plan, col);
-        if !std::ptr::eq(plan, self.root) {
-            self.distinct.insert(key, d);
-        }
+        self.distinct.insert(key, d);
         d
     }
 
@@ -494,7 +454,7 @@ fn lower_join_chain(
                 schema,
                 est,
             );
-            let rows = est.factor(&plan).rows(&plan);
+            let rows = est.rows(&plan);
             Factor { plan, arity, rows }
         })
         .collect();
@@ -513,7 +473,7 @@ fn collect_factors<'p>(
     preds: &mut Vec<(usize, usize)>,
 ) -> Option<usize> {
     if !is_keyed_join(plan) {
-        let arity = plan.width(schema).ok()?;
+        let arity = plan.arity(schema).ok()?;
         factors.push((plan, arity));
         return Some(arity);
     }
@@ -611,7 +571,7 @@ fn build_ordered_join(
                 acc.rows * f.rows * total as f64 // deprioritize products
             } else {
                 keys.iter().fold(acc.rows * f.rows, |rows, &(_, j)| {
-                    rows / est.factor(&f.plan).distinct(&f.plan, j).max(1.0)
+                    rows / est.distinct(&f.plan, j).max(1.0)
                 })
             };
             // Strictly better wins; an estimate tie keeps the factor

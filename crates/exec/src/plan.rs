@@ -314,27 +314,6 @@ impl PhysPlan {
         }
     }
 
-    /// The output arity of a plan [`PhysPlan::arity`] has already
-    /// validated, read off the nearest node that fixes it — a
-    /// projection's positions, a stored relation's schema — without
-    /// walking what lies below: a rewrite that asks at every level of a
-    /// deep plan stays linear in it.
-    pub fn width(&self, schema: &Schema) -> RelResult<usize> {
-        Ok(match self {
-            PhysPlan::Project { positions, .. } => positions.len(),
-            PhysPlan::Fixpoint { project, .. } => project.len(),
-            PhysPlan::AdjacencyExpand { input, .. } => input.width(schema)? + 2,
-            PhysPlan::Filter { input, .. } | PhysPlan::Distinct { input } => input.width(schema)?,
-            // The all-columns intersection keeps its left operand's.
-            PhysPlan::HashJoin { left, keys, .. } if keys.is_empty() => left.width(schema)?,
-            PhysPlan::HashJoin { left, right, .. } | PhysPlan::Product { left, right } => {
-                left.width(schema)? + right.width(schema)?
-            }
-            PhysPlan::Union { left, .. } | PhysPlan::Diff { left, .. } => left.width(schema)?,
-            leaf => leaf.arity(schema)?,
-        })
-    }
-
     /// Whether **this operator** reads store state through an update
     /// overlay: an `IndexScan` over a relation with tombstoned rows,
     /// or an adjacency read (`IndexSeek`, `AdjacencyExpand`) whose
@@ -469,7 +448,10 @@ impl PhysPlan {
                 let arrow = if *reverse { "←" } else { "→" };
                 format!("AdjacencyExpand [${} {arrow} {rel} CSR]", key + 1)
             }
-            PhysPlan::Values(b) => format!("Values [{} row(s), arity {}]", b.len(), b.arity()),
+            PhysPlan::Values(b) => match b.name() {
+                Some(name) => format!("Values {name} [arity {}]", b.arity()),
+                None => format!("Values [{} row(s), arity {}]", b.len(), b.arity()),
+            },
             PhysPlan::AdomScan => "AdomScan".to_string(),
             PhysPlan::Filter { cond, .. } => format!("Filter [{cond}]"),
             PhysPlan::Project { positions, .. } => {

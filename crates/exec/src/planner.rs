@@ -181,7 +181,7 @@ fn rewrite(plan: PhysPlan, schema: &Schema) -> RelResult<PhysPlan> {
         PhysPlan::Filter { cond, input } => rewrite_filter(cond, rewrite(*input, schema)?, schema)?,
         PhysPlan::Project { positions, input } => {
             let input = rewrite(*input, schema)?;
-            let arity = input.width(schema)?;
+            let arity = input.arity(schema)?;
             let drops = {
                 let used: BTreeSet<usize> = positions.iter().copied().collect();
                 used.len() < arity
@@ -223,7 +223,7 @@ fn rewrite_filter(cond: RowCondition, input: PhysPlan, schema: &Schema) -> RelRe
             right: Box::new(rewrite_filter(cond, *right, schema)?),
         },
         PhysPlan::Product { left, right } => {
-            let la = left.width(schema)?;
+            let la = left.arity(schema)?;
             let split = split_over_product(&cond, la);
             let left = push_filter(*left, split.left, schema)?;
             let right = push_filter(*right, split.right, schema)?;

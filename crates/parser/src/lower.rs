@@ -126,10 +126,11 @@ pub fn lower_query(q: &GraphQuery, catalog: &Catalog) -> Result<OutputPattern, L
     for el in &q.pattern {
         match el {
             PathElement::Node { var, labels } => {
-                let (v, pat_var) = named_or_anon(var, &mut anon);
-                let mut p = Pattern::Node(pat_var);
+                let v = element_var(var, labels, &mut anon);
+                let mut p = Pattern::Node(v.clone());
                 for label in labels {
-                    p = p.filter(Condition::has_label(v.clone(), label.as_str()));
+                    let v = v.clone().expect("a labelled element has a variable");
+                    p = p.filter(Condition::has_label(v, label.as_str()));
                 }
                 parts.push(p);
             }
@@ -139,15 +140,16 @@ pub fn lower_query(q: &GraphQuery, catalog: &Catalog) -> Result<OutputPattern, L
                 forward,
                 quantifier,
             } => {
-                let (v, pat_var) = named_or_anon(var, &mut anon);
+                let v = element_var(var, labels, &mut anon);
                 let dir = if *forward {
                     Direction::Forward
                 } else {
                     Direction::Backward
                 };
-                let mut p = Pattern::Edge(pat_var, dir);
+                let mut p = Pattern::Edge(v.clone(), dir);
                 for label in labels {
-                    p = p.filter(Condition::has_label(v.clone(), label.as_str()));
+                    let v = v.clone().expect("a labelled element has a variable");
+                    p = p.filter(Condition::has_label(v, label.as_str()));
                 }
                 if let Some(var_name) = var {
                     if let Some(conds) = pushed.remove(var_name) {
@@ -199,19 +201,17 @@ pub fn lower_query(q: &GraphQuery, catalog: &Catalog) -> Result<OutputPattern, L
     OutputPattern::new(pattern, items).map_err(|e| LowerError::Output(e.to_string()))
 }
 
-/// Returns the variable for condition-building plus the pattern
-/// variable; anonymous elements with labels get a reserved `•anon`
-/// variable so the label test has something to bind.
-fn named_or_anon(var: &Option<String>, anon: &mut usize) -> (Var, Option<Var>) {
+/// The pattern variable of an element: its name, or — for an anonymous
+/// element with labels, so the label test has something to bind — a
+/// reserved `•anon` variable. An anonymous element without labels binds
+/// nothing.
+fn element_var(var: &Option<String>, labels: &[String], anon: &mut usize) -> Option<Var> {
     match var {
-        Some(v) => {
-            let var = Var::new(v);
-            (var.clone(), Some(var))
-        }
+        Some(v) => Some(Var::new(v)),
+        None if labels.is_empty() => None,
         None => {
             *anon += 1;
-            let var = Var::new(format!("\u{2022}anon{anon}"));
-            (var.clone(), Some(var))
+            Some(Var::new(format!("\u{2022}anon{anon}")))
         }
     }
 }

@@ -601,21 +601,23 @@ impl Parser {
         Ok(None)
     }
 
-    /// `expr := term (AND|OR term)*` with `NOT` and parentheses.
+    /// `expr := term (AND|OR term)*` with `NOT` and parentheses, folded
+    /// left to right. Both operators are associative, so each run of one
+    /// of them is joined as a balanced tree ([`balanced`]): a long chain
+    /// nests as deep as its logarithm, and every pass over the condition
+    /// stays shallow.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.expr_term()?;
-        loop {
-            if self.eat_kw("AND") {
-                let rhs = self.expr_term()?;
-                lhs = Expr::And(Box::new(lhs), Box::new(rhs));
-            } else if self.eat_kw("OR") {
-                let rhs = self.expr_term()?;
-                lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
-            } else {
-                break;
+        let mut run = vec![self.expr_term()?];
+        // Whether the run is joined by AND (else OR).
+        let mut and = true;
+        while let Some(op) = ["OR", "AND"].into_iter().position(|kw| self.eat_kw(kw)) {
+            if (op == 1) != and && run.len() > 1 {
+                run = vec![balanced(run, and)];
             }
+            and = op == 1;
+            run.push(self.expr_term()?);
         }
-        Ok(lhs)
+        Ok(balanced(run, and))
     }
 
     fn expr_term(&mut self) -> Result<Expr, ParseError> {
@@ -689,6 +691,24 @@ impl Parser {
     }
 }
 
+/// `items` joined by AND (`and`) or OR as a balanced tree, split
+/// ⌈n/2⌉ | ⌊n/2⌋ like `Pattern::seq`.
+fn balanced(mut items: Vec<Expr>, and: bool) -> Expr {
+    if items.len() == 1 {
+        return items.pop().expect("one item");
+    }
+    let right = items.split_off(items.len().div_ceil(2));
+    let (l, r) = (
+        Box::new(balanced(items, and)),
+        Box::new(balanced(right, and)),
+    );
+    if and {
+        Expr::And(l, r)
+    } else {
+        Expr::Or(l, r)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,6 +777,44 @@ mod tests {
             })
         ));
         assert_eq!(q.returns.len(), 2);
+    }
+
+    /// A run of one connective is a balanced tree; a change of
+    /// connective closes the run, as the left-to-right fold would.
+    #[test]
+    fn connective_runs_parse_balanced() {
+        let where_clause = |cond: &str| {
+            let sql = format!("SELECT * FROM GRAPH_TABLE (G MATCH (x) WHERE {cond} RETURN (x))");
+            let Statement::GraphQuery(q) = parse_statement(&sql).unwrap() else {
+                panic!()
+            };
+            q.where_clause.unwrap()
+        };
+        let atom = |i: i64| Expr::Cmp {
+            var: "x".into(),
+            column: "a".into(),
+            op: CmpToken::Eq,
+            rhs: Rhs::Int(i),
+        };
+        let or = |l, r| Expr::Or(Box::new(l), Box::new(r));
+        let and = |l, r| Expr::And(Box::new(l), Box::new(r));
+        assert_eq!(
+            where_clause("x.a = 1 OR x.a = 2 OR x.a = 3 OR x.a = 4 OR x.a = 5"),
+            or(or(or(atom(1), atom(2)), atom(3)), or(atom(4), atom(5)))
+        );
+        assert_eq!(
+            where_clause("x.a = 1 OR x.a = 2 AND x.a = 3 AND x.a = 4"),
+            and(and(or(atom(1), atom(2)), atom(3)), atom(4))
+        );
+        fn depth(e: &Expr) -> usize {
+            match e {
+                Expr::And(l, r) | Expr::Or(l, r) => 1 + depth(l).max(depth(r)),
+                Expr::Not(e) => 1 + depth(e),
+                _ => 0,
+            }
+        }
+        let chain: Vec<String> = (0..1024).map(|i| format!("x.a = {i}")).collect();
+        assert_eq!(depth(&where_clause(&chain.join(" OR "))), 10);
     }
 
     #[test]
