@@ -601,23 +601,26 @@ impl Parser {
         Ok(None)
     }
 
-    /// `expr := term (AND|OR term)*` with `NOT` and parentheses, folded
-    /// left to right. Both operators are associative, so each run of one
-    /// of them is joined as a balanced tree ([`balanced`]): a long chain
+    /// `expr := conj (OR conj)*`, `conj := term (AND term)*`, with
+    /// `NOT` and parentheses in `term`: `AND` binds tighter than `OR`,
+    /// as in SQL. Both operators are associative, so each run of one of
+    /// them is joined as a balanced tree ([`balanced`]): a long chain
     /// nests as deep as its logarithm, and every pass over the condition
     /// stays shallow.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut run = vec![self.expr_term()?];
-        // Whether the run is joined by AND (else OR).
-        let mut and = true;
-        while let Some(op) = ["OR", "AND"].into_iter().position(|kw| self.eat_kw(kw)) {
-            if (op == 1) != and && run.len() > 1 {
-                run = vec![balanced(run, and)];
-            }
-            and = op == 1;
-            run.push(self.expr_term()?);
+        let mut any = vec![self.conjunction()?];
+        while self.eat_kw("OR") {
+            any.push(self.conjunction()?);
         }
-        Ok(balanced(run, and))
+        Ok(balanced(any, false))
+    }
+
+    fn conjunction(&mut self) -> Result<Expr, ParseError> {
+        let mut all = vec![self.expr_term()?];
+        while self.eat_kw("AND") {
+            all.push(self.expr_term()?);
+        }
+        Ok(balanced(all, true))
     }
 
     fn expr_term(&mut self) -> Result<Expr, ParseError> {
@@ -779,8 +782,8 @@ mod tests {
         assert_eq!(q.returns.len(), 2);
     }
 
-    /// A run of one connective is a balanced tree; a change of
-    /// connective closes the run, as the left-to-right fold would.
+    /// A run of one connective is a balanced tree, and `AND` binds
+    /// tighter than `OR`, as in SQL.
     #[test]
     fn connective_runs_parse_balanced() {
         let where_clause = |cond: &str| {
@@ -804,7 +807,18 @@ mod tests {
         );
         assert_eq!(
             where_clause("x.a = 1 OR x.a = 2 AND x.a = 3 AND x.a = 4"),
-            and(and(or(atom(1), atom(2)), atom(3)), atom(4))
+            or(atom(1), and(and(atom(2), atom(3)), atom(4)))
+        );
+        assert_eq!(
+            where_clause("x.a = 1 AND x.a = 2 OR x.a = 3 AND NOT x.a = 4"),
+            or(
+                and(atom(1), atom(2)),
+                and(atom(3), Expr::Not(Box::new(atom(4))))
+            )
+        );
+        assert_eq!(
+            where_clause("(x.a = 1 OR x.a = 2) AND x.a = 3"),
+            and(or(atom(1), atom(2)), atom(3))
         );
         fn depth(e: &Expr) -> usize {
             match e {

@@ -359,11 +359,12 @@ impl Engine {
 
     fn stats(&self, json: bool) -> Vec<String> {
         let view = self.pin_view();
-        let stats = view.snap.stats();
         // Planner statistics off the pinned snapshot (a snapshot's
         // statistics cache is frozen with it), and the degree
-        // histograms, which only STATS reads, computed for this call.
+        // histograms, which only STATS reads, computed for this call —
+        // first, so that the layout counts the graph indexes they derive.
         let statistics = view.snap.as_store().statistics_report();
+        let stats = view.snap.stats();
         if json {
             return stats_json(&stats, &statistics)
                 .lines()
@@ -492,6 +493,8 @@ fn metrics_json(snap: &AccessSnapshot) -> String {
     w.number(snap.view_builds);
     w.key("statistics_recounts");
     w.number(snap.statistics_recounts);
+    w.key("graph_index_builds");
+    w.number(snap.graph_index_builds);
     w.end_object();
     w.finish()
 }
@@ -581,8 +584,6 @@ fn stats_json(stats: &StoreStats, report: &StatisticsReport) -> String {
         w.string(name);
         histogram_json(&mut w, "forward", &g.forward);
         histogram_json(&mut w, "reverse", &g.reverse);
-        w.key("overlay");
-        w.number(g.overlay as u64);
         w.end_object();
     }
     w.end_array();

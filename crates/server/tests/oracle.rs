@@ -169,7 +169,8 @@ impl Twin {
         };
         let form = GraphForm::Bounded(k);
         let names = NAMES.map(Into::into);
-        let frozen = Store::new().register_view_graph("Transfers", names, &staged, form);
+        let frozen =
+            Store::from_database(&staged).register_view_graph("Transfers", names, &staged, form);
         frozen.err().map(|e| e.to_string())
     }
 
@@ -648,4 +649,29 @@ fn long_disjunctions_answer_on_a_server_thread() {
         }
     });
     answered.unwrap().join().expect("no stack overflow");
+}
+
+/// `AND` binds tighter than `OR`, as in SQL: the unparenthesised
+/// condition answers as Figure 2 answers its SQL reading, and not as
+/// the reading that folds both connectives left to right.
+#[test]
+fn and_binds_tighter_than_or() {
+    let mut twin = Twin::load();
+    let query = |cond: &str| {
+        select(&format!(
+            "MATCH (x) -[t:Transfer]-> (y) WHERE {cond} RETURN (x.iban, y.iban)"
+        ))
+    };
+    let served = twin.served(&query(
+        "t.amount > 9000 OR t.amount > 5000 AND t.amount < 2000",
+    ));
+    let sql = twin.reference(&query(
+        "t.amount > 9000 OR (t.amount > 5000 AND t.amount < 2000)",
+    ));
+    let folded = twin.reference(&query(
+        "(t.amount > 9000 OR t.amount > 5000) AND t.amount < 2000",
+    ));
+    assert!(!served.is_empty());
+    assert_eq!(served, sql);
+    assert_ne!(served, folded);
 }

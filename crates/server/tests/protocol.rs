@@ -131,6 +131,7 @@ fn statement_batches_and_session_commands_round_trip() {
         "writer_probe_rows",
         "view_builds",
         "statistics_recounts",
+        "graph_index_builds",
     ] {
         let key = format!("\"{key}\"");
         assert!(
@@ -149,6 +150,72 @@ fn statement_batches_and_session_commands_round_trip() {
         .request(&format!("EXPLAIN ANALYZE {QUERY}"))
         .expect("analyze");
     assert_eq!(profile[0], "-- query profile");
+    server.stop();
+}
+
+/// `stmt`'s response; it may not answer an error.
+fn ask(client: &mut Client, stmt: &str) -> Vec<String> {
+    let resp = client.request(stmt).expect("answered");
+    assert!(
+        resp.iter().all(|l| !l.starts_with("!! ")),
+        "{stmt}: {resp:?}"
+    );
+    resp
+}
+
+/// `graph_index_builds` off `METRICS JSON`.
+fn graph_index_builds(client: &mut Client) -> u64 {
+    let json = ask(client, "METRICS JSON");
+    let line = json
+        .iter()
+        .find(|l| l.contains("\"graph_index_builds\""))
+        .unwrap_or_else(|| panic!("no graph_index_builds in {json:?}"));
+    let digits: String = line.chars().filter(char::is_ascii_digit).collect();
+    digits.parse().expect("a count")
+}
+
+/// A graph's node index is derived data that no query reads: served
+/// writes followed by reads of every shape — `SELECT`, `EXPLAIN` and
+/// `EXPLAIN ANALYZE` — derive none, a `STATS` after a write derives it
+/// once, and a second `STATS` of the same state reuses it.
+#[test]
+fn only_stats_derives_a_graph_index() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    load_demo(&mut client, 6);
+    let shapes = [
+        "MATCH (x) -[t:Transfer]-> (y) WHERE t.amount > 501 RETURN (x.iban, y.iban)",
+        "MATCH (x) -[t:Transfer]->{2,2} (y) RETURN (x.iban, y.iban)",
+        "MATCH (x) -[t:Transfer]->+ (y) WHERE t.amount > 100 RETURN (x.iban, y.iban)",
+        "MATCH (x) -[t]->* (y) RETURN (x.iban, y.iban)",
+        "MATCH (x:Account) RETURN (x.iban)",
+    ];
+    ask(&mut client, "METRICS RESET");
+    for round in 0..3 {
+        let row = format!("Transfer VALUES ({}, 'A5', 'A0', 1, 900)", 100 + round);
+        ask(&mut client, &format!("INSERT INTO {row}"));
+        for body in shapes {
+            for prefix in ["", "EXPLAIN ", "EXPLAIN ANALYZE "] {
+                let stmt = format!("{prefix}SELECT * FROM GRAPH_TABLE (Transfers {body})");
+                ask(&mut client, &stmt);
+            }
+        }
+        if round > 0 {
+            ask(&mut client, &format!("DELETE FROM {row}"));
+        }
+    }
+    assert_eq!(graph_index_builds(&mut client), 0, "no read derives it");
+    ask(&mut client, "STATS");
+    assert_eq!(
+        graph_index_builds(&mut client),
+        1,
+        "STATS after a write does"
+    );
+    ask(&mut client, "STATS JSON");
+    assert_eq!(graph_index_builds(&mut client), 1, "the state keeps it");
+    ask(&mut client, "INSERT INTO Account VALUES ('A9')");
+    ask(&mut client, "STATS");
+    assert_eq!(graph_index_builds(&mut client), 2);
     server.stop();
 }
 

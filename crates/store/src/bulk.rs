@@ -18,9 +18,10 @@
 //!   as on the register route, the writer's first probe of a relation
 //!   builds that relation's;
 //! * forward/reverse CSR built sort-based from pair vectors
-//!   ([`crate::CsrIndex::from_dense_pairs`]); the graph's one index
-//!   reuses the generator's dense node indexes outright, so the node
-//!   universe is contiguous and the id map costs zero bytes;
+//!   ([`crate::CsrIndex::from_dense_pairs`]); the graph's node index —
+//!   otherwise derived by its first reader — is built here too, over
+//!   the generator's dense node indexes outright, so the node universe
+//!   is contiguous and the id map costs zero bytes;
 //! * no active-domain relation: like every store, a loaded one derives
 //!   [`crate::ADOM_REL`] from its live rows only when a reader asks.
 //!
@@ -319,14 +320,13 @@ impl Store {
         let s_csr = CsrWithDelta::of_relation(&s_col)?;
         let t_csr = CsrWithDelta::of_relation(&t_col)?;
         let l_csr = CsrWithDelta::of_relation(&l_col)?;
-        // ---- Graph entry: the generator's indexes ARE the dense ids.
+        // ---- Node index: the generator's indexes ARE the dense ids,
+        // which are `N`'s row order, as a derivation would number them.
         let dense: Vec<u32> = (0..n as u32).collect();
         let pairs: Vec<(u32, u32)> = g.src.iter().copied().zip(g.tgt.iter().copied()).collect();
         let node_csr = CsrIndex::from_dense_pairs(dense, pairs)?;
-        let ids: Vec<Tuple> = g.nodes.iter().map(|v| Tuple::unary(v.clone())).collect();
-        let entry = GraphEntry::from_parts(views.clone(), 1, ids, Arc::new(node_csr), m);
         // ---- Commit: everything built, nothing left that can fail. --
-        let [nn, en, sn, tn, ln, pn] = views;
+        let [nn, en, sn, tn, ln, pn] = views.clone();
         self.relations.clear();
         self.adjacency.clear();
         self.graphs.clear();
@@ -344,7 +344,9 @@ impl Store {
         for (name, csr) in [(sn, s_csr), (tn, t_csr), (ln, l_csr)] {
             self.adjacency.insert(name, csr);
         }
-        self.graphs.insert(graph_name.into(), entry);
+        let entry = GraphEntry::new(views, 1, &self.relations, &self.counters);
+        self.graphs
+            .insert(graph_name.into(), entry.with_index(node_csr));
         Ok(BulkLoadStats {
             nodes: n,
             edges: m,
@@ -412,14 +414,15 @@ mod tests {
         let (bg, rg) = (bulk.graph("G").unwrap(), reg.graph("G").unwrap());
         assert_eq!(bg.node_count(), rg.node_count());
         assert_eq!(bg.edge_count(), rg.edge_count());
-        assert_eq!(reach(bg), reach(rg));
+        assert_eq!(reach(&bulk), reach(&reg));
     }
 
     /// `memory_bytes().csr` is exactly the indexes the API can reach:
-    /// one per binary relation plus one per graph — by either route, a
-    /// hidden per-anything copy would break the sum.
+    /// one per binary relation, plus the graph's node index where it
+    /// exists — built by the load, derived by a reader after a
+    /// registration. A hidden per-anything copy would break the sum.
     #[test]
-    fn csr_bytes_count_one_index_per_relation_and_one_per_graph() {
+    fn csr_bytes_count_one_index_per_relation_and_the_graph_index() {
         let g = sample();
         let mut bulk = Store::new();
         bulk.bulk_load("G", views(), GraphForm::Exact(1), &g, 1)
@@ -428,15 +431,23 @@ mod tests {
         let mut reg = Store::from_database(&db);
         reg.register_view_graph("G", views(), &db, GraphForm::Exact(1))
             .unwrap();
-        for store in [&bulk, &reg] {
-            let relations: usize = views()
-                .iter()
+        let relations = |store: &Store| -> usize {
+            (views().iter())
                 .filter_map(|v| store.adjacency(v))
                 .map(|a| a.base().resident_bytes())
-                .sum();
-            let graph = store.graph("G").unwrap().adjacency().base();
-            assert_eq!(store.memory_bytes().csr, relations + graph.resident_bytes());
+                .sum()
+        };
+        assert_eq!(reg.memory_bytes().csr, relations(&reg));
+        for store in [&bulk, &reg] {
+            let graph = store.graph("G").unwrap().adjacency();
+            assert_eq!(
+                store.memory_bytes().csr,
+                relations(store) + graph.resident_bytes()
+            );
         }
+        // The load's index is the one a reader would have derived.
+        assert_eq!(bulk.counters().snapshot().graph_index_builds, 0);
+        assert_eq!(reg.counters().snapshot().graph_index_builds, 1);
     }
 
     #[test]

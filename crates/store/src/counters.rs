@@ -25,6 +25,7 @@ pub struct AccessCounters {
     writer_probe_rows: AtomicU64,
     view_builds: AtomicU64,
     statistics_recounts: AtomicU64,
+    graph_index_builds: AtomicU64,
 }
 
 impl Clone for AccessCounters {
@@ -40,6 +41,7 @@ impl Clone for AccessCounters {
             writer_probe_rows: AtomicU64::new(s.writer_probe_rows),
             view_builds: AtomicU64::new(s.view_builds),
             statistics_recounts: AtomicU64::new(s.statistics_recounts),
+            graph_index_builds: AtomicU64::new(s.graph_index_builds),
         }
     }
 }
@@ -70,8 +72,8 @@ impl AccessCounters {
         self.dict_decodes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one writer-path membership probe (edge endpoints,
-    /// labels, property rows) that examined `candidates` indexed rows.
+    /// Records one writer-path membership probe (incident edges, an
+    /// edge's or element's rows by identifier) that examined `candidates` indexed rows.
     /// The candidate totals are how the indexed writer path proves it
     /// scales with matches, not with the relation (`tests` assert it).
     pub fn record_writer_probe(&self, candidates: u64) {
@@ -94,6 +96,12 @@ impl AccessCounters {
         self.statistics_recounts.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one graph node index derived from its relations' live
+    /// rows (`GraphEntry::adjacency` on a state that had none).
+    pub fn record_graph_index_build(&self) {
+        self.graph_index_builds.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A plain-integer snapshot of the current totals.
     pub fn snapshot(&self) -> AccessSnapshot {
         AccessSnapshot {
@@ -106,6 +114,7 @@ impl AccessCounters {
             writer_probe_rows: self.writer_probe_rows.load(Ordering::Relaxed),
             view_builds: self.view_builds.load(Ordering::Relaxed),
             statistics_recounts: self.statistics_recounts.load(Ordering::Relaxed),
+            graph_index_builds: self.graph_index_builds.load(Ordering::Relaxed),
         }
     }
 
@@ -120,6 +129,7 @@ impl AccessCounters {
         self.writer_probe_rows.store(0, Ordering::Relaxed);
         self.view_builds.store(0, Ordering::Relaxed);
         self.statistics_recounts.store(0, Ordering::Relaxed);
+        self.graph_index_builds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -136,8 +146,8 @@ pub struct AccessSnapshot {
     pub dense_reads: u64,
     /// Dictionary decode calls (code → value).
     pub dict_decodes: u64,
-    /// Writer-path membership probes (edge endpoints, labels, property
-    /// rows) answered by the column end indexes.
+    /// Writer-path membership probes (incident edges, an edge's or
+    /// element's rows by identifier) answered by the column end indexes.
     pub writer_probes: u64,
     /// Candidate rows those probes examined — O(matches), not
     /// O(relation), which is the point of routing them through the
@@ -148,6 +158,8 @@ pub struct AccessSnapshot {
     /// Planner-statistics snapshots that counted a relation from its
     /// rows.
     pub statistics_recounts: u64,
+    /// Graph node indexes derived from their relations' rows.
+    pub graph_index_builds: u64,
 }
 
 impl AccessSnapshot {
@@ -170,6 +182,9 @@ impl AccessSnapshot {
             statistics_recounts: self
                 .statistics_recounts
                 .saturating_sub(earlier.statistics_recounts),
+            graph_index_builds: self
+                .graph_index_builds
+                .saturating_sub(earlier.graph_index_builds),
         }
     }
 }
@@ -191,6 +206,7 @@ impl fmt::Display for AccessSnapshot {
             self.writer_probes, self.writer_probe_rows
         )?;
         writeln!(f, "  view builds            : {}", self.view_builds)?;
-        write!(f, "  statistics recounts    : {}", self.statistics_recounts)
+        writeln!(f, "  statistics recounts    : {}", self.statistics_recounts)?;
+        write!(f, "  graph index builds     : {}", self.graph_index_builds)
     }
 }

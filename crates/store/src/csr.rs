@@ -4,17 +4,14 @@
 //! forward and reverse CSR form: one offsets array and one flat
 //! neighbor array per direction, nodes renumbered into a dense
 //! `0..node_count` space. Neighbor enumeration is a slice borrow — no
-//! hashing, no allocation — which is what turns the semi-naive fixpoint
-//! frontier of the physical engine into pointer arithmetic.
+//! hashing, no allocation.
 //!
-//! Since PR 5 the frozen index is no longer the whole story: a
-//! [`DeltaAdjacency`] records edges added and removed *after* the
-//! freeze, and an [`AdjacencyView`] answers neighbor and reachability
-//! queries through base-plus-overlay without rebuilding the CSR. The
-//! overlay is folded back into a fresh index when it grows past a
-//! threshold (`Store::compact`, or automatically after large update
-//! batches), so steady-state reads stay on the pointer-arithmetic
-//! path.
+//! A binary relation's index is maintained across writes: a
+//! [`DeltaAdjacency`] records the pairs added and removed since the
+//! freeze, an [`AdjacencyView`] reads base plus overlay, and the
+//! overlay folds back into a fresh index past a threshold
+//! (`Store::compact`, or after a large update batch). A graph's node
+//! index has no overlay: it is derived again from the rows.
 
 use crate::error::StoreError;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -302,9 +299,9 @@ impl CsrIndex {
     }
 
     /// Dense ids reachable from `seeds` by **zero or more** forward
-    /// steps (the seeds themselves are included). Allocates fresh
-    /// buffers — hot loops should
-    /// use [`CsrIndex::reach_from_into`] with a reused
+    /// steps (the seeds themselves are included; a seed outside the
+    /// universe reaches only itself). Allocates fresh buffers — hot
+    /// loops should use [`CsrIndex::reach_from_into`] with a reused
     /// [`ReachScratch`] instead.
     pub fn reach_from(&self, seeds: impl IntoIterator<Item = u32>) -> Vec<u32> {
         let mut scratch = ReachScratch::new();
@@ -330,13 +327,20 @@ impl CsrIndex {
         let epoch = scratch.begin(n);
         out.clear();
         scratch.frontier.clear();
+        // Seeds outside the universe gather in `next` until the sweep.
+        scratch.next.clear();
         for s in seeds {
-            if scratch.seen[s as usize] != epoch {
+            if s as usize >= n {
+                scratch.next.push(s);
+            } else if scratch.seen[s as usize] != epoch {
                 scratch.seen[s as usize] = epoch;
                 out.push(s);
                 scratch.frontier.push(s);
             }
         }
+        scratch.next.sort_unstable();
+        scratch.next.dedup();
+        out.append(&mut scratch.next);
         while !scratch.frontier.is_empty() {
             scratch.next.clear();
             for i in 0..scratch.frontier.len() {
@@ -366,12 +370,6 @@ pub struct ReachScratch {
     epoch: u32,
     frontier: Vec<u32>,
     next: Vec<u32>,
-    /// Visited set for overlay sweeps, which run in unbounded key
-    /// space; cleared (capacity kept) rather than reallocated.
-    seen_keys: HashSet<u32>,
-    /// Seed-splitting buffers for [`AdjacencyView::reach_from_into`].
-    dense_seeds: Vec<u32>,
-    strays: Vec<u32>,
     /// Buffer-growth events (visited-array growth): the observable
     /// proxy the churn regression test asserts is sweep-count
     /// independent once the scratch is warm.
@@ -525,27 +523,12 @@ impl DeltaAdjacency {
             + self.added_pairs * pair_entry
             + self.removed.capacity() * (2 * std::mem::size_of::<u32>() + 8)
     }
-
-    /// Every added pair, grouped by source (deterministic order).
-    pub fn added_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        // BTreeMap-like determinism despite the HashMap: sort sources.
-        let mut sources: Vec<u32> = self.added_out.keys().copied().collect();
-        sources.sort_unstable();
-        sources.into_iter().flat_map(move |s| {
-            self.added_out
-                .get(&s)
-                .into_iter()
-                .flatten()
-                .map(move |&t| (s, t))
-        })
-    }
 }
 
 /// A read view through a frozen [`CsrIndex`] and an optional
 /// [`DeltaAdjacency`] overlay — what `IndexSeek` and `AdjacencyExpand`
-/// probe, and what a graph entry's reachability sweeps
-/// ([`AdjacencyView::reach_from_into`]) walk. A `Fixpoint` never reads
-/// it: the executor sweeps its own CSR over the step's endpoint ids.
+/// probe. A `Fixpoint` never reads it: the executor sweeps its own CSR
+/// over the step's endpoint ids.
 ///
 /// All methods speak *external codes* (the same space
 /// [`CsrIndex::dense_of`] maps); keys outside the frozen universe are
@@ -647,100 +630,6 @@ impl<'a> AdjacencyView<'a> {
                 }
             }
         }
-    }
-
-    /// Keys reachable from `seeds` by **zero or more** effective
-    /// forward steps (seeds included, deduplicated). Keys outside the
-    /// frozen universe are valid seeds — they contribute themselves
-    /// plus whatever the overlay hangs off them. Without an overlay
-    /// the sweep runs on the dense frozen arrays.
-    pub fn reach_from(&self, seeds: impl IntoIterator<Item = u32>) -> Vec<u32> {
-        let mut scratch = ReachScratch::new();
-        let mut out = Vec::new();
-        self.reach_from_into(seeds, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`AdjacencyView::reach_from`] into caller-owned buffers (see
-    /// [`CsrIndex::reach_from_into`]): `out` is cleared and refilled,
-    /// `scratch` keeps every working buffer — visited stamps on the
-    /// dense path, the key-space visited set on the overlay path, and
-    /// both frontier queues — warm across sweeps.
-    pub fn reach_from_into(
-        &self,
-        seeds: impl IntoIterator<Item = u32>,
-        scratch: &mut ReachScratch,
-        out: &mut Vec<u32>,
-    ) {
-        if self.delta.is_none() {
-            // Dense fast path: split seeds into in-universe (swept on
-            // the frozen arrays) and strays (0-step, no out-edges).
-            scratch.dense_seeds.clear();
-            scratch.strays.clear();
-            for s in seeds {
-                match self.base.dense_of(s) {
-                    Some(d) => scratch.dense_seeds.push(d),
-                    None => scratch.strays.push(s),
-                }
-            }
-            let mut dense_seeds = std::mem::take(&mut scratch.dense_seeds);
-            self.base
-                .reach_from_into(dense_seeds.drain(..), scratch, out);
-            scratch.dense_seeds = dense_seeds;
-            for d in out.iter_mut() {
-                *d = self.base.code_of(*d);
-            }
-            scratch.strays.sort_unstable();
-            scratch.strays.dedup();
-            out.extend_from_slice(&scratch.strays);
-            return;
-        }
-        // Overlay sweep in key space.
-        out.clear();
-        scratch.seen_keys.clear();
-        scratch.frontier.clear();
-        for s in seeds {
-            if scratch.seen_keys.insert(s) {
-                out.push(s);
-                scratch.frontier.push(s);
-            }
-        }
-        let mut frontier = std::mem::take(&mut scratch.frontier);
-        let mut next = std::mem::take(&mut scratch.next);
-        while !frontier.is_empty() {
-            next.clear();
-            for &u in &frontier {
-                self.for_each_out(u, |t| {
-                    if scratch.seen_keys.insert(t) {
-                        out.push(t);
-                        next.push(t);
-                    }
-                });
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        scratch.frontier = frontier;
-        scratch.next = next;
-    }
-
-    /// The full effective pair set, deterministic order — what a fold
-    /// rebuilds a fresh [`CsrIndex`] from.
-    pub fn effective_pairs(&self) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = Vec::with_capacity(self.edge_count());
-        for d in 0..self.base.node_count() as u32 {
-            let s = self.base.code_of(d);
-            for &t in self.base.out_neighbors(d) {
-                let tc = self.base.code_of(t);
-                if !self.delta.is_some_and(|dl| dl.is_removed(s, tc)) {
-                    out.push((s, tc));
-                }
-            }
-        }
-        if let Some(d) = self.delta {
-            out.extend(d.added_pairs());
-        }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -860,27 +749,16 @@ mod tests {
         assert!(!view.has_pair(99, 10));
     }
 
+    /// A seed outside the universe reaches only itself, once, and a
+    /// sweep from it still finds the in-universe seeds' closure.
     #[test]
-    fn view_reach_matches_rebuilt_index() {
+    fn stray_seeds_reach_only_themselves() {
         let idx = chain();
-        let mut d = DeltaAdjacency::new();
-        d.remove(30, 40, true); // cut the chain
-        d.add(40, 10, false); // new back edge
-        d.add(77, 40, false); // dangling new node into the chain
-        let view = AdjacencyView::new(&idx, Some(&d));
-        let rebuilt = CsrIndex::build([10, 20, 30, 40, 77], &view.effective_pairs()).unwrap();
-        let fresh = AdjacencyView::new(&rebuilt, None);
-        assert!(!fresh.has_delta());
-        for seed in [10u32, 20, 30, 40, 77, 999] {
-            let mut a = view.reach_from([seed]);
-            let mut b = fresh.reach_from([seed]);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "seed {seed}");
-        }
-        assert_eq!(view.edge_count(), rebuilt.edge_count());
-        // The stray seed reaches only itself in both.
-        assert_eq!(view.reach_from([999]), vec![999]);
+        let d30 = idx.dense_of(30).unwrap();
+        let mut got = idx.reach_from([99, u32::MAX, 99, d30]);
+        got.sort_unstable();
+        assert_eq!(got, vec![d30, d30 + 1, 99, u32::MAX]);
+        assert_eq!(CsrIndex::default().reach_from([7]), vec![7]);
     }
 
     #[test]
@@ -922,19 +800,8 @@ mod tests {
                 assert_eq!(got, want, "seed {seed}");
             }
         }
-        // One visited-array growth total, not one per sweep: the
-        // allocation-churn invariant of PR 9.
+        // One visited-array growth total, not one per sweep.
         assert_eq!(scratch.allocation_count(), 1);
-        // The overlay path reuses the same scratch.
-        let mut delta = DeltaAdjacency::new();
-        delta.add(40, 10, false);
-        let view = AdjacencyView::new(&idx, Some(&delta));
-        let before = scratch.allocation_count();
-        for _ in 0..50 {
-            view.reach_from_into([10u32], &mut scratch, &mut out);
-            assert_eq!(out.len(), 4);
-        }
-        assert_eq!(scratch.allocation_count(), before);
     }
 
     #[test]
@@ -944,9 +811,5 @@ mod tests {
         let view = AdjacencyView::new(&idx, Some(&d));
         assert!(!view.has_delta());
         assert_eq!(view.edge_count(), 3);
-        // Dedup of stray seeds on the dense fast path.
-        let got = view.reach_from([99, 99, 10]);
-        assert_eq!(got.iter().filter(|&&c| c == 99).count(), 1);
-        assert!(got.contains(&40));
     }
 }

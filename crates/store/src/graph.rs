@@ -1,92 +1,66 @@
-//! [`GraphEntry`]: the frozen index of one registered property graph —
-//! interned identifiers plus **one** node-level CSR adjacency, read
-//! through a delta overlay after updates. Labels and properties are
-//! not indexed here: they are rows of the view's `L`/`P` relations.
+//! [`GraphEntry`]: one registered property graph — the six view
+//! relations of Definition 3.1 it was registered over, by name and by
+//! `Arc` handle, and its identifier arity `k`. Nothing else is stored:
+//! the graph *is* its relations, which the writer edits.
 //!
-//! Both halves follow the store's one copy-on-write rule: an
-//! `Arc`-shared frozen base (the identifier table's base, the CSR) plus
-//! a small owned tail (nodes added since the freeze, the adjacency
-//! delta), folded together by `GraphEntry::fold`. Cloning an entry —
-//! what every published snapshot does — copies the tails only.
+//! Its node index — one CSR over dense node ids, edge identities
+//! collapsed — is derived data, like the active domain and the planner
+//! statistics: the first reader of a state builds it from the live rows
+//! of `N`, `S` and `T`, and it is cached with that state (a bulk load
+//! fills the cache with the index it builds). Only `STATS` and
+//! library sweeps read it; no plan does. Labels and properties are rows
+//! of `L`/`P`, never an index.
 
-use crate::csr::{AdjacencyView, CsrIndex, DeltaAdjacency};
-use crate::dict::Interner;
-use crate::error::StoreError;
+use crate::column::ColumnarRelation;
+use crate::counters::AccessCounters;
+use crate::csr::CsrIndex;
+use crate::rows::RowTable;
 use crate::stats::AdjacencyStatistics;
-use crate::store::overlay_oversized;
-use pgq_graph::PropertyGraph;
 use pgq_relational::RelName;
-use pgq_value::Tuple;
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
-/// A property-graph index: interned identifiers plus one CSR adjacency
-/// — frozen at registration, then maintained through a delta overlay by
-/// `Store::apply_updates`.
+/// A registered property graph: its six view relations and the node
+/// index a reader derives from them.
 #[derive(Debug, Clone)]
 pub struct GraphEntry {
     views: [RelName; 6],
     id_arity: usize,
-    /// Identifier tuple ↔ dense node id: the base is the frozen
-    /// universe, the tail the nodes `AddNode` appended past it
-    /// (tombstoned ids stay until a fold).
-    ids: Interner<Tuple>,
-    /// Dense ids of removed nodes.
-    dead: HashSet<u32>,
-    /// Node-level adjacency over dense ids (edge identities collapsed).
-    /// `Arc`-shared so snapshot clones reuse the frozen index.
-    csr: Arc<CsrIndex>,
-    /// Post-freeze adjacency changes over the same dense id space.
-    delta: DeltaAdjacency,
-    /// `|E|` of the source graph, parallel edges counted.
-    edge_count: usize,
+    /// The view relations in `views` order — the allocations
+    /// `Store::relations` holds. Empty only while `Store::apply_updates`
+    /// edits them, so that the store's `Arc` is the only one.
+    relations: Vec<Arc<ColumnarRelation>>,
+    /// The node index of this state, once a reader derived it. Shared
+    /// by snapshot clones; replaced, never written through, when the
+    /// handles move.
+    index: Arc<OnceLock<CsrIndex>>,
+    counters: Arc<AccessCounters>,
 }
 
 impl GraphEntry {
-    pub(crate) fn from_graph(g: &PropertyGraph, views: [RelName; 6]) -> Result<Self, StoreError> {
-        if g.node_count() > CsrIndex::MAX_NODES {
-            return Err(StoreError::NodeUniverseFull {
-                limit: CsrIndex::MAX_NODES,
-            });
-        }
-        let ids = Interner::from_keys(g.nodes().cloned().collect());
-        let dense = |n: &Tuple| ids.get(n).expect("edge endpoints are nodes");
-        let pairs: Vec<(u32, u32)> = g
-            .edge_triples()
-            .map(|(_, s, t)| (dense(s), dense(t)))
-            .collect();
-        Ok(GraphEntry {
-            views,
-            id_arity: g.id_arity(),
-            csr: Arc::new(CsrIndex::build(0..ids.len() as u32, &pairs)?),
-            delta: DeltaAdjacency::new(),
-            edge_count: g.edge_count(),
-            dead: HashSet::new(),
-            ids,
-        })
-    }
-
-    /// Assembles a frozen entry directly from bulk-loader output: node
-    /// identifiers in dense-id order and the node-level CSR over that
-    /// dense id space, overlay empty. The caller (the bulk loader) has
-    /// already validated the pieces; this only derives the reverse
-    /// identifier map.
-    pub(crate) fn from_parts(
+    /// An entry over the store's relations named `views`, each of
+    /// which must be registered; no index is derived yet.
+    pub(crate) fn new(
         views: [RelName; 6],
         id_arity: usize,
-        ids: Vec<Tuple>,
-        csr: Arc<CsrIndex>,
-        edge_count: usize,
+        relations: &BTreeMap<RelName, Arc<ColumnarRelation>>,
+        counters: &Arc<AccessCounters>,
     ) -> Self {
-        GraphEntry {
+        let mut entry = GraphEntry {
             views,
             id_arity,
-            ids: Interner::from_keys(ids),
-            dead: HashSet::new(),
-            csr,
-            delta: DeltaAdjacency::new(),
-            edge_count,
-        }
+            relations: Vec::new(),
+            index: Arc::default(),
+            counters: Arc::clone(counters),
+        };
+        entry.attach(relations);
+        entry
+    }
+
+    /// The entry with `index` as the node index of its current state.
+    pub(crate) fn with_index(mut self, index: CsrIndex) -> Self {
+        self.index = Arc::new(OnceLock::from(index));
+        self
     }
 
     /// The six view relation names the graph was registered from.
@@ -94,193 +68,146 @@ impl GraphEntry {
         &self.views
     }
 
-    /// Identifier arity `k` of the frozen graph.
+    /// The six view relations, in view order: the store's own
+    /// allocations of the current state.
+    pub fn view_relations(&self) -> &[Arc<ColumnarRelation>] {
+        &self.relations
+    }
+
+    /// Identifier arity `k` of the graph.
     pub fn id_arity(&self) -> usize {
         self.id_arity
     }
 
-    /// `|N|` (live nodes).
+    /// `|N|`: the live rows of `N`.
     pub fn node_count(&self) -> usize {
-        self.ids.len() - self.dead.len()
+        self.relations[0].len()
     }
 
-    /// `|E|` (parallel edges counted; the adjacency collapses them).
+    /// `|E|`: the live rows of `E` (parallel edges counted; the node
+    /// index collapses them).
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.relations[1].len()
     }
 
-    /// The node-level adjacency: frozen CSR read through the overlay.
-    pub fn adjacency(&self) -> AdjacencyView<'_> {
-        AdjacencyView::new(&self.csr, Some(&self.delta))
+    /// The node index: dense id `d` is the `d`-th live row of `N`, and
+    /// `(s, t)` is a pair when a live edge runs from `s` to `t`.
+    /// Derived from the live rows on the first call on this state.
+    pub fn adjacency(&self) -> &CsrIndex {
+        self.index.get_or_init(|| self.derive())
     }
 
-    /// Overlay residency: delta pairs plus tombstoned and appended
-    /// nodes — the numbers `STATS` reports and the fold threshold
-    /// weighs.
-    pub fn overlay_size(&self) -> usize {
-        self.delta.change_count() + self.dead.len() + self.ids.tail_len()
+    /// The node index, when a reader has derived it.
+    pub(crate) fn derived_index(&self) -> Option<&CsrIndex> {
+        self.index.get()
     }
 
-    /// Whether any read goes through an overlay.
-    pub fn has_overlay(&self) -> bool {
-        self.overlay_size() > 0
-    }
-
-    /// Degree histograms of the adjacency — the graph slice of
-    /// [`crate::StatisticsReport`].
+    /// Degree histograms of the node index — the graph slice of
+    /// [`crate::StatisticsReport`]. Derives the index.
     pub(crate) fn statistics(&self) -> AdjacencyStatistics {
-        AdjacencyStatistics::of(&self.csr, self.overlay_size())
+        AdjacencyStatistics::of(self.adjacency(), 0)
     }
 
-    /// Estimated resident bytes of the frozen CSR index — a
-    /// [`crate::MemoryBytes`] component.
-    pub fn csr_bytes(&self) -> usize {
-        self.csr.resident_bytes()
+    /// Lets go of the handles before the writer edits the relations.
+    pub(crate) fn release(&mut self) {
+        self.relations.clear();
     }
 
-    /// Estimated resident bytes of the mutable overlay — a
-    /// [`crate::MemoryBytes`] component.
-    pub fn overlay_bytes(&self) -> usize {
-        self.delta.resident_bytes()
+    /// Points the handles at the store's relations of the new state,
+    /// with an empty index cache.
+    pub(crate) fn attach(&mut self, relations: &BTreeMap<RelName, Arc<ColumnarRelation>>) {
+        self.relations = (self.views.iter())
+            .map(|v| Arc::clone(&relations[v]))
+            .collect();
+        self.index = Arc::default();
     }
 
-    pub(crate) fn overlay_oversized(&self) -> bool {
-        overlay_oversized(
-            self.overlay_size(),
-            self.csr.edge_count().max(self.csr.node_count()),
-        )
-    }
-
-    /// The identifier table: frozen base plus appended tail.
-    #[cfg(test)]
-    pub(crate) fn ids(&self) -> &Interner<Tuple> {
-        &self.ids
-    }
-
-    /// Dense id of a **live** node.
-    pub(crate) fn live_dense(&self, id: &Tuple) -> Option<u32> {
-        self.ids.get(id).filter(|d| !self.dead.contains(d))
-    }
-
-    /// Registers a node identifier (revives a tombstoned one in place).
-    pub(crate) fn add_node(&mut self, id: &Tuple) -> Result<(), StoreError> {
-        if let Some(d) = self.ids.get(id) {
-            self.dead.remove(&d);
-            return Ok(());
-        }
-        if self.ids.len() >= CsrIndex::MAX_NODES {
-            return Err(StoreError::NodeUniverseFull {
-                limit: CsrIndex::MAX_NODES,
-            });
-        }
-        self.ids.push(id.clone());
-        Ok(())
-    }
-
-    /// Tombstones a node (the caller has removed its incident edges).
-    pub(crate) fn remove_node(&mut self, id: &Tuple) {
-        if let Some(d) = self.ids.get(id) {
-            self.dead.insert(d);
-        }
-    }
-
-    /// Records one more edge between the endpoints.
-    pub(crate) fn add_edge(&mut self, src: &Tuple, tgt: &Tuple) {
-        let (Some(ds), Some(dt)) = (self.live_dense(src), self.live_dense(tgt)) else {
-            return; // endpoints validated upstream; defensive no-op
+    /// One pass over each of `N`, `T` and `S`: `N`'s live rows take
+    /// dense ids in row order, `T`'s edge prefixes are interned with
+    /// their targets, and each live `S` row whose edge has a target
+    /// adds one pair. Dense ids stay below the row bound of a relation,
+    /// so the index always fits its `u32` id space.
+    fn derive(&self) -> CsrIndex {
+        self.counters.record_graph_index_build();
+        let k = self.id_arity;
+        let (n, s, t) = (&self.relations[0], &self.relations[2], &self.relations[3]);
+        let mut row = vec![0u32; k];
+        // `row` := the `k` codes of row `i` from position `from` on.
+        let fill = |row: &mut [u32], col: &ColumnarRelation, i: usize, from: usize| {
+            for (p, code) in row.iter_mut().enumerate() {
+                *code = col.code_at(i, from + p);
+            }
         };
-        self.edge_count += 1;
-        let in_base = self.csr.has_pair(ds, dt);
-        self.delta.add(ds, dt, in_base);
-    }
-
-    /// Records one fewer edge; `last` says no other live edge connects
-    /// the same endpoints, so the adjacency pair goes too.
-    pub(crate) fn remove_edge(&mut self, src: &Tuple, tgt: &Tuple, last: bool) {
-        self.edge_count = self.edge_count.saturating_sub(1);
-        if !last {
-            return;
+        let mut nodes = RowTable::with_capacity(k, n.len());
+        for i in n.live_rows() {
+            fill(&mut row, n, i, 0);
+            nodes.insert(&row);
         }
-        if let (Some(ds), Some(dt)) = (self.ids.get(src), self.ids.get(tgt)) {
-            let in_base = self.csr.has_pair(ds, dt);
-            self.delta.remove(ds, dt, in_base);
+        let mut edges = RowTable::with_capacity(k, t.len());
+        let mut target = Vec::with_capacity(t.len());
+        for i in t.live_rows() {
+            fill(&mut row, t, i, k);
+            let tgt = nodes.find(&row);
+            fill(&mut row, t, i, 0);
+            if edges.insert(&row).1 {
+                target.push(tgt);
+            }
         }
-    }
-
-    /// Folds the overlay back into a fresh CSR index: live nodes are
-    /// re-densified in identifier order, effective pairs rebuild the
-    /// index, and tombstones, appended ids and the delta are dropped.
-    pub(crate) fn fold(&mut self) -> Result<(), StoreError> {
-        if !self.has_overlay() {
-            return Ok(());
+        let mut pairs = Vec::with_capacity(s.len());
+        for i in s.live_rows() {
+            fill(&mut row, s, i, 0);
+            let Some(e) = edges.find(&row) else { continue };
+            fill(&mut row, s, i, k);
+            if let (Some(src), Some(tgt)) = (nodes.find(&row), target[e as usize]) {
+                pairs.push((src, tgt));
+            }
         }
-        let mut live: Vec<Tuple> = (0..self.ids.len() as u32)
-            .filter(|d| !self.dead.contains(d))
-            .map(|d| self.ids.key(d).clone())
-            .collect();
-        live.sort();
-        let ids = Interner::from_keys(live);
-        // Dead endpoints cannot carry effective pairs (updates remove
-        // incident edges first); filter defensively all the same.
-        let pairs: Vec<(u32, u32)> = self
-            .adjacency()
-            .effective_pairs()
-            .into_iter()
-            .filter_map(|(s, t)| Some((ids.get(self.ids.key(s))?, ids.get(self.ids.key(t))?)))
-            .collect();
-        self.csr = Arc::new(CsrIndex::build(0..ids.len() as u32, &pairs)?);
-        self.delta = DeltaAdjacency::new();
-        self.dead.clear();
-        self.ids = ids;
-        Ok(())
+        CsrIndex::from_dense_pairs((0..nodes.len() as u32).collect(), pairs)
+            .expect("dense ids stay below a relation's row bound")
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::*;
     use crate::error::GraphForm;
-    use crate::store::tests::{chain_db, nid, registered_store, views};
+    use crate::store::tests::{nid, registered_store, views};
     use crate::store::Store;
     use pgq_graph::Update;
     use pgq_relational::{Database, Relation};
-    use pgq_value::{tuple, Value};
+    use pgq_value::{tuple, Tuple, Value};
 
-    /// The `≥ 1`-step reachability pairs `(s̄, t̄)` through the entry's
-    /// adjacency — the frozen CSR read through the overlay — one sweep
-    /// per live source.
-    pub(crate) fn reach(entry: &GraphEntry) -> Relation {
-        let view = entry.adjacency();
+    /// The `≥ 1`-step reachability pairs `(s̄, t̄)` through graph `G`'s
+    /// node index, one sweep per node, its dense ids mapped back to
+    /// identifiers through `N`'s live rows.
+    pub(crate) fn reach(store: &Store) -> Relation {
+        let entry = store.graph("G").unwrap();
+        let index = entry.adjacency();
+        let ids = store.scan(&entry.views()[0]).unwrap();
         let mut rows = Vec::new();
-        for s in (0..entry.ids.len() as u32).filter(|s| !entry.dead.contains(s)) {
-            let mut seeds = Vec::new();
-            view.for_each_out(s, |t| seeds.push(t));
-            let a = entry.ids.key(s);
-            rows.extend(
-                view.reach_from(seeds)
-                    .into_iter()
-                    .map(|t| a.concat(entry.ids.key(t))),
-            );
+        for (s, a) in ids.iter().enumerate() {
+            let reached = index.reach_from(index.out_neighbors(s as u32).iter().copied());
+            rows.extend(reached.into_iter().map(|t| a.concat(&ids[t as usize])));
         }
-        Relation::from_rows(2 * entry.id_arity, rows).unwrap()
+        Relation::from_rows(2 * entry.id_arity(), rows).unwrap()
     }
 
     #[test]
     fn view_graph_registration_and_reachability() {
-        let db = chain_db();
-        let mut store = Store::from_database(&db);
-        store
-            .register_view_graph("G", views(), &db, GraphForm::Exact(1))
-            .unwrap();
+        let (_, store) = registered_store();
         let entry = store.graph("G").unwrap();
         assert_eq!(entry.node_count(), 4);
         assert_eq!(entry.edge_count(), 3);
-        assert!(!entry.has_overlay());
+        // Registration derives nothing.
+        assert!(entry.derived_index().is_none());
 
         // ≥1-step pairs on the chain: 3+2+1.
-        let plus = reach(entry);
+        let plus = reach(&store);
         assert_eq!(plus.len(), 6);
         assert!(plus.contains(&tuple!["a", "d"]));
+        assert_eq!(store.counters().snapshot().graph_index_builds, 1);
+        // The state keeps what it derived.
+        reach(&store);
+        assert_eq!(store.counters().snapshot().graph_index_builds, 1);
 
         // The planner's match point.
         assert!(store.graph_for_views(&views()).is_some());
@@ -292,41 +219,38 @@ pub(crate) mod tests {
     #[test]
     fn empty_graph_and_self_loops() {
         let mut db = Database::new();
-        db.add_relation("N", Relation::empty(1));
-        db.add_relation("E", Relation::empty(1));
-        db.add_relation("S", Relation::empty(2));
-        db.add_relation("T", Relation::empty(2));
-        db.add_relation("L", Relation::empty(2));
-        db.add_relation("P", Relation::empty(3));
-        let mut store = Store::from_database(&db);
-        store
-            .register_view_graph("empty", views(), &db, GraphForm::Exact(1))
-            .unwrap();
-        let e = store.graph("empty").unwrap();
-        assert_eq!(e.adjacency().edge_count(), 0);
-        assert!(reach(e).is_empty());
+        for (name, arity) in views().into_iter().zip([1, 1, 2, 2, 2, 3]) {
+            db.add_relation(name, Relation::empty(arity));
+        }
+        let register = |db: &Database| {
+            let mut store = Store::from_database(db);
+            store
+                .register_view_graph("G", views(), db, GraphForm::Exact(1))
+                .unwrap();
+            store
+        };
+        let store = register(&db);
+        assert_eq!(store.graph("G").unwrap().adjacency().edge_count(), 0);
+        assert!(reach(&store).is_empty());
 
         // Self loop: a →e→ a.
         db.insert("N", tuple!["a"]).unwrap();
         db.insert("E", tuple!["e"]).unwrap();
         db.insert("S", tuple!["e", "a"]).unwrap();
         db.insert("T", tuple!["e", "a"]).unwrap();
-        let mut store = Store::from_database(&db);
-        store
-            .register_view_graph("loop", views(), &db, GraphForm::Exact(1))
-            .unwrap();
-        let e = store.graph("loop").unwrap();
         assert_eq!(
-            reach(e),
+            reach(&register(&db)),
             Relation::from_rows(2, [tuple!["a", "a"]]).unwrap()
         );
     }
 
+    /// A write leaves the index to the next reader: 40 new nodes
+    /// chained onto "d" derive, on the first read after the batch, the
+    /// index a fresh registration of the same rows derives.
     #[test]
-    fn oversized_overlays_fold_back_into_fresh_csr() {
+    fn a_write_leaves_the_index_to_the_next_reader() {
         let (_, mut store) = registered_store();
-        // 40 new nodes chained onto "d": far past the 32-change fold
-        // threshold, so the batch must leave no overlay behind.
+        let before = reach(&store);
         let mut updates = Vec::new();
         let mut prev = nid("d");
         for i in 0..40 {
@@ -341,10 +265,22 @@ pub(crate) mod tests {
         }
         store.apply_updates("G", &updates).unwrap();
         let entry = store.graph("G").unwrap();
-        assert!(!entry.has_overlay(), "overlay should have folded");
+        assert!(entry.derived_index().is_none());
         assert_eq!(entry.node_count(), 44);
         assert_eq!(entry.edge_count(), 43);
-        // Reachability from "a" spans the whole chain.
-        assert!(reach(entry).contains(&tuple!["a", "n39"]));
+        let after = reach(&store);
+        assert!(after.contains(&tuple!["a", "n39"]));
+        assert!(before.iter().all(|t| after.contains(t)));
+        let mut db = Database::new();
+        for v in views() {
+            let arity = store.relation(&v).unwrap().arity();
+            let rows = Relation::from_rows(arity, store.scan(&v).unwrap()).unwrap();
+            db.add_relation(v, rows);
+        }
+        let mut fresh = Store::from_database(&db);
+        fresh
+            .register_view_graph("G", views(), &db, GraphForm::Exact(1))
+            .unwrap();
+        assert_eq!(reach(&fresh), after);
     }
 }

@@ -8,9 +8,10 @@
 //! * [`ColumnarRelation`] — relations as dictionary-coded column
 //!   vectors;
 //! * [`CsrIndex`] — compressed-sparse-row forward/reverse adjacency
-//!   over dense node ids: one per binary relation and one per
-//!   registered graph ([`GraphEntry`]) — a label is a row of the view's
-//!   `L` relation, never a further adjacency;
+//!   over dense node ids: one per binary relation, and a registered
+//!   graph's ([`GraphEntry`]) node index, derived from its relations by
+//!   the first reader — a label is a row of the view's `L` relation,
+//!   never a further adjacency;
 //! * [`Store`] — the session catalog: register a [`pgq_relational::Database`]
 //!   and its `pgView` graphs **once**, then let the physical engine
 //!   (`pgq-exec`'s `IndexScan`/`AdjacencyExpand` operators and the
@@ -53,12 +54,14 @@
 //! [`Store::apply_updates`] — the one in-place writer — bridges
 //! `pgq_graph::updates::Update` onto a registered graph, appending or
 //! tombstoning rows of the six backing relations (a validity bitmap in
-//! [`ColumnarRelation`]) and maintaining the graph's frozen CSR through
-//! a [`DeltaAdjacency`] overlay consulted by every adjacency read
-//! ([`AdjacencyView`]). Evaluation cost after an update tracks the
-//! **delta**, not the database: no re-interning, no `pgView`
-//! re-validation, no CSR rebuild until the overlay outgrows its
-//! threshold and is folded back into a fresh index. So does the copy a
+//! [`ColumnarRelation`]) and maintaining each binary relation's CSR
+//! through a [`DeltaAdjacency`] overlay consulted by every adjacency
+//! read ([`AdjacencyView`]); the graph entry only gets the new
+//! relations, whose node index the next reader derives. Evaluation cost
+//! after an update tracks the **delta**, not the database: no
+//! re-interning, no `pgView` re-validation, no CSR rebuild until the
+//! overlay outgrows its threshold and is folded back into a fresh
+//! index. So does the copy a
 //! write makes: every piece the writer touches is an `Arc`-shared
 //! frozen base plus a small owned tail (the `store` module docs), so a
 //! [`ConcurrentStore`] batch on a clone of the published snapshot
@@ -76,7 +79,7 @@
 //! [`Store::compact`] implements the reclamation: it rebuilds the
 //! dictionary retaining only live codes, remaps every column, drops
 //! tombstoned rows, rebuilds relation CSR indexes from the recoded
-//! rows, and folds every graph overlay, reporting the effect as
+//! rows, and hands every graph the compacted relations, reporting the effect as
 //! [`CompactionStats`]. `dictionary_stale` drops to 0 and no query
 //! result changes (held by the differential suite). Code space is a
 //! hard `u32` ceiling ([`Dictionary::MAX_CODES`]); exhaustion is a

@@ -2,6 +2,7 @@
 //! and the [`StoreStats`] family they return (the shell's `STATS`).
 
 use crate::column::ColumnarRelation;
+use crate::csr::CsrIndex;
 use crate::graph::GraphEntry;
 use crate::store::{CompactionStats, Store};
 use std::fmt;
@@ -36,8 +37,7 @@ impl Store {
                     nodes: e.node_count(),
                     edges: e.edge_count(),
                     id_arity: e.id_arity(),
-                    csr_entries: e.adjacency().edge_count(),
-                    overlay: e.overlay_size(),
+                    csr_entries: e.derived_index().map(CsrIndex::edge_count),
                 })
                 .collect(),
             last_compaction: self.last_compaction.clone(),
@@ -62,21 +62,15 @@ impl Store {
                 .values()
                 .map(|e| e.csr.resident_bytes())
                 .sum::<usize>()
-                + self
-                    .graphs
-                    .values()
-                    .map(GraphEntry::csr_bytes)
+                + (self.graphs.values())
+                    .filter_map(GraphEntry::derived_index)
+                    .map(CsrIndex::resident_bytes)
                     .sum::<usize>(),
             overlays: self
                 .adjacency
                 .values()
                 .map(|e| e.delta.resident_bytes())
-                .sum::<usize>()
-                + self
-                    .graphs
-                    .values()
-                    .map(GraphEntry::overlay_bytes)
-                    .sum::<usize>(),
+                .sum::<usize>(),
         }
     }
 }
@@ -96,10 +90,11 @@ pub struct MemoryBytes {
     /// (built by the first write after a statistics read), and the
     /// derived active domain once a reader has asked for it.
     pub columns: usize,
-    /// Frozen CSR indexes: one per binary relation plus one per
-    /// registered graph.
+    /// Frozen CSR indexes: one per binary relation, plus the node
+    /// index of each graph whose index a reader derived (or a bulk load
+    /// built).
     pub csr: usize,
-    /// Mutable overlays: delta adjacency on relations and graphs.
+    /// Mutable overlays: the delta adjacency of binary relations.
     pub overlays: usize,
 }
 
@@ -141,11 +136,9 @@ pub struct GraphStats {
     pub edges: usize,
     /// Identifier arity.
     pub id_arity: usize,
-    /// Distinct endpoint pairs in the effective (base ⊕ overlay)
-    /// adjacency.
-    pub csr_entries: usize,
-    /// Overlay residency: delta pairs + tombstoned/appended nodes.
-    pub overlay: usize,
+    /// Distinct endpoint pairs of the node index, when a reader has
+    /// derived it.
+    pub csr_entries: Option<usize>,
 }
 
 /// The full storage-layout report.
@@ -180,10 +173,9 @@ impl StoreStats {
         self.relations.iter().map(|r| r.tombstones).sum()
     }
 
-    /// Overlay entries across relation adjacency indexes and graphs.
+    /// Overlay entries across relation adjacency indexes.
     pub fn overlay_entries(&self) -> usize {
-        self.relations.iter().map(|r| r.delta_pairs).sum::<usize>()
-            + self.graphs.iter().map(|g| g.overlay).sum::<usize>()
+        self.relations.iter().map(|r| r.delta_pairs).sum()
     }
 }
 
@@ -233,11 +225,11 @@ impl fmt::Display for StoreStats {
         for g in &self.graphs {
             write!(
                 f,
-                "graph {}: {} node(s), {} edge(s), id arity {}, {} CSR pair(s)",
-                g.name, g.nodes, g.edges, g.id_arity, g.csr_entries
+                "graph {}: {} node(s), {} edge(s), id arity {}",
+                g.name, g.nodes, g.edges, g.id_arity
             )?;
-            if g.overlay > 0 {
-                write!(f, ", overlay {}", g.overlay)?;
+            if let Some(pairs) = g.csr_entries {
+                write!(f, ", {pairs} CSR pair(s)")?;
             }
             writeln!(f)?;
         }
@@ -271,7 +263,14 @@ mod tests {
         assert_eq!(s_rel.rows, 3);
         let l_rel = stats.relations.iter().find(|r| r.name == "L").unwrap();
         assert_eq!(l_rel.rows, 1);
+        // Nobody derived the node index: the report counts none.
         let text = stats.to_string();
+        assert!(text.contains("graph G: 4 node(s), 3 edge(s), id arity 1\n"));
+        let bytes = stats.bytes;
+        let index = store.graph("G").unwrap().adjacency();
+        assert_eq!(store.stats().graphs[0].csr_entries, Some(3));
+        assert_eq!(store.memory_bytes().csr, bytes.csr + index.resident_bytes());
+        let text = store.stats().to_string();
         assert!(text.contains("graph G: 4 node(s), 3 edge(s), id arity 1, 3 CSR pair(s)\n"));
         assert!(text.contains("CSR indexed"));
         assert!(text.contains("0 stale"));

@@ -223,9 +223,10 @@ mod tests {
     /// batch (16 fresh edges, each with its label and amount, and the
     /// previous batch's 16 edges removed: 64 updates) on 10⁴ nodes /
     /// 5 × 10⁴ edges publishes a snapshot that shares every frozen base
-    /// with the one before it — probe indexes, dictionary, graph
-    /// identifiers, CSRs — and whose tails hold at most what the batch
-    /// added.
+    /// with the one before it — probe indexes, dictionary, CSRs — and
+    /// whose tails hold at most what the batch added. Its graph entry
+    /// holds the snapshot's own relations and no index until a reader
+    /// derives one, which leaves the snapshot before it alone.
     #[test]
     fn a_write_copies_its_batch_not_the_store() {
         const NODES: u32 = 10_000;
@@ -283,9 +284,7 @@ mod tests {
         assert_eq!(batch(1).len(), 64);
         cs.write(|s| s.apply_updates("G", &batch(1))).unwrap();
         let b = cs.pin();
-        let (n, rest) = views.split_first().unwrap();
-        assert!(!b.relation(n).unwrap().has_indexes(), "no writer probed N");
-        for name in rest {
+        for name in &views {
             let (ra, rb) = (a.relation(name).unwrap(), b.relation(name).unwrap());
             assert!(ra.shares_index_base(rb), "{name}: probe-index base");
             assert_eq!(ra.index_tail_len(), 0, "{name}: compaction folds");
@@ -305,9 +304,19 @@ mod tests {
             "fresh edge ids"
         );
         let (ga, gb) = (a.graph("G").unwrap(), b.graph("G").unwrap());
-        assert!(ga.ids().shares_base(gb.ids()), "graph identifier base");
-        assert_eq!(gb.ids().tail_len(), 0, "the batch adds no node");
-        assert!(std::ptr::eq(ga.adjacency().base(), gb.adjacency().base()));
+        for (snap, entry) in [(&a, ga), (&b, gb)] {
+            for (v, handle) in views.iter().zip(entry.view_relations()) {
+                assert!(std::ptr::eq(&**handle, snap.relation(v).unwrap()), "{v}");
+            }
+        }
+        assert!(ga.derived_index().is_none() && gb.derived_index().is_none());
+        let builds = || cs.pin().counters().snapshot().graph_index_builds;
+        let before = builds();
+        assert_eq!(gb.adjacency().node_count(), ga.adjacency().node_count());
+        assert_eq!(builds(), before + 2, "one derivation per state");
+        assert!(!std::ptr::eq(ga.adjacency(), gb.adjacency()));
+        gb.adjacency();
+        assert_eq!(builds(), before + 2);
     }
 
     #[test]

@@ -134,8 +134,9 @@ pub struct AdjacencyStatistics {
     pub forward: DegreeHistogram,
     /// In-degree summary of the frozen base CSR.
     pub reverse: DegreeHistogram,
-    /// Overlay entries not reflected in the histograms (delta pairs;
-    /// for graphs additionally appended/tombstoned nodes).
+    /// Overlay entries not reflected in the histograms: a binary
+    /// relation's delta pairs (0 for a graph, whose index is derived
+    /// from the live rows).
     pub overlay: usize,
 }
 
@@ -244,7 +245,8 @@ pub struct StatisticsReport {
     pub planner: Arc<StoreStatistics>,
     /// Per binary relation, both degree histograms and the overlay.
     pub adjacency: BTreeMap<RelName, AdjacencyStatistics>,
-    /// Per graph, the same for its node-level adjacency.
+    /// Per graph, the same for its node index (derived for the
+    /// report if no reader had).
     pub graphs: BTreeMap<String, AdjacencyStatistics>,
 }
 

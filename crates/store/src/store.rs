@@ -3,34 +3,35 @@
 //! A [`Store`] is registered **once per session** — relations become
 //! dictionary-coded columns, binary relations additionally get CSR
 //! adjacency, and property-graph views are validated by the `pgView`
-//! family a single time and frozen as one CSR adjacency per graph
-//! ([`GraphEntry`]). Queries then run against the frozen layout
-//! instead of re-materializing and re-validating base data per call.
+//! family a single time and recorded as a [`GraphEntry`]: the six view
+//! relations by name and handle, and the identifier arity. Queries then
+//! run against the registered relations instead of re-materializing and
+//! re-validating base data per call.
 //!
 //! A graph entry is created only by [`Store::register_view_graph`] or
-//! [`Store::bulk_load`] and changes in place only through
-//! [`Store::apply_updates`] (the `update` module), which maintains
-//! every adjacency through a
+//! [`Store::bulk_load`], and its relations change in place only through
+//! [`Store::apply_updates`] (the `update` module), which edits the six
+//! relations and maintains each binary relation's adjacency through a
 //! [`DeltaAdjacency`] overlay. Replacing a relation wholesale drops the
-//! graphs over it instead. Overlays fold
-//! back into fresh CSR indexes past a threshold, and [`Store::compact`]
-//! rebuilds the dictionary retaining only live codes, dropping
-//! tombstoned rows and folding every overlay — `STATS` (the `report`
-//! module) reports the gap so sessions can decide when it pays.
+//! graphs over it instead. Overlays fold back into fresh CSR indexes
+//! past a threshold, and [`Store::compact`] rebuilds the dictionary
+//! retaining only live codes, dropping tombstoned rows and folding every
+//! overlay — `STATS` (the `report` module) reports the gap so sessions
+//! can decide when it pays.
 //!
 //! Everything a write touches follows **one copy-on-write rule**: an
 //! `Arc`-shared frozen base plus a small owned tail — a CSR and its
 //! [`DeltaAdjacency`], a relation's probe-index base (a row table and
 //! end-column chains, flat arrays with no allocation per row) and the
-//! rows appended since, the dictionary's base and the codes minted since, a
-//! graph's identifier base and the nodes added since. A tail folds into
-//! a fresh base under the overlay fold policy (`overlay_oversized`) and
-//! in [`Store::compact`].
+//! rows appended since, the dictionary's base and the codes minted
+//! since. A tail folds into a fresh base under the overlay fold policy
+//! (`overlay_oversized`) and in [`Store::compact`].
 //! Cloning a store therefore copies tails only, and the first write to
 //! a relation copies its flat columns and validity bitmap (a memcpy) —
-//! a write copies its batch, not the store. The active domain
-//! [`ADOM_REL`] is not stored at all: it is derived from the live rows
-//! when a reader asks for it.
+//! a write copies its batch, not the store. What is derived from the
+//! rows is not stored at all: the active domain [`ADOM_REL`], the
+//! planner statistics' snapshot and a graph's node index are built when
+//! a reader first asks for them, and cached with the state they read.
 
 use crate::column::ColumnarRelation;
 use crate::counters::AccessCounters;
@@ -97,8 +98,7 @@ pub struct CompactionStats {
     pub reclaimed_codes: usize,
     /// Tombstoned rows dropped from columnar relations.
     pub dropped_rows: usize,
-    /// Overlay entries (adjacency deltas, graph tombstones/appends)
-    /// folded into fresh CSR indexes.
+    /// Adjacency delta entries folded into fresh CSR indexes.
     pub folded_overlay: usize,
 }
 
@@ -281,12 +281,12 @@ impl Store {
     }
 
     /// Validates the six named view relations with the strict `pgView`
-    /// operator selected by `form` — **once** — and freezes the result
-    /// as a [`GraphEntry`] under `graph_name`. The entry records the
-    /// six names, so planners can match pattern calls onto it and
-    /// [`Store::apply_updates`] knows which relations to edit. Fails on
-    /// an invalid view, a missing relation, or a node universe that
-    /// outgrows the dense id space.
+    /// operator selected by `form` — **once** — and records them as a
+    /// [`GraphEntry`] under `graph_name`. The entry records the six
+    /// names, so planners can match pattern calls onto it and
+    /// [`Store::apply_updates`] knows which relations to edit. `db`
+    /// holds the rows the store registered under those names. Fails on
+    /// an invalid view or a relation missing from `db` or the store.
     pub fn register_view_graph(
         &mut self,
         graph_name: impl Into<String>,
@@ -301,8 +301,11 @@ impl Store {
         };
         let [n, e, s, t, l, p] = &views;
         let vr = ViewRelations::from([get(n)?, get(e)?, get(s)?, get(t)?, get(l)?, get(p)?]);
-        let g = form.view(&vr)?;
-        let entry = GraphEntry::from_graph(&g, views)?;
+        let k = form.view(&vr)?.id_arity();
+        if let Some(missing) = views.iter().find(|v| !self.relations.contains_key(*v)) {
+            return Err(StoreError::UnknownRelation(missing.clone()));
+        }
+        let entry = GraphEntry::new(views, k, &self.relations, &self.counters);
         self.derived.invalidate();
         self.graphs.insert(graph_name.into(), entry);
         Ok(())
@@ -410,10 +413,10 @@ impl Store {
 
     /// Rebuilds the dictionary retaining only **live** codes, remaps
     /// every column, drops tombstoned rows, rebuilds every relation
-    /// CSR from the recoded live rows, and folds every graph overlay —
-    /// the compaction story: `dictionary_stale` drops to 0 and no
-    /// query result changes. Every tail folds: the dictionary, the
-    /// graph identifiers and the probe indexes leave as bases alone,
+    /// CSR from the recoded live rows, and hands every graph the
+    /// compacted relations — the compaction story: `dictionary_stale`
+    /// drops to 0 and no query result changes. Every tail folds: the
+    /// dictionary and the probe indexes leave as bases alone,
     /// and exactly the relations that carried probe indexes get them
     /// rebuilt here, so the next write is a warm one. Previously
     /// returned codes (from [`Store::encode`]) are invalidated.
@@ -445,8 +448,7 @@ impl Store {
             self.rebuild_adjacency(&name)?;
         }
         for e in self.graphs.values_mut() {
-            folded += e.overlay_size();
-            e.fold()?;
+            e.attach(&self.relations);
         }
         let stats = CompactionStats {
             reclaimed_codes: old_total - self.dict.len(),
@@ -544,8 +546,8 @@ pub(crate) mod tests {
         );
         let adom_bytes = 4 * db.active_domain_relation().len();
         assert_eq!(store.memory_bytes().columns, coded + adom_bytes);
-        // A write builds only the indexes its probes need; node checks
-        // read the graph entry, so `N` stays unindexed.
+        // A write builds only the indexes its probes need: node checks
+        // probe `N`, and nothing probes `L`.
         store
             .apply_updates(
                 "G",
@@ -557,7 +559,8 @@ pub(crate) mod tests {
             )
             .unwrap();
         assert!(store.relation(&"E".into()).unwrap().has_indexes());
-        assert!(!store.relation(&"N".into()).unwrap().has_indexes());
+        assert!(store.relation(&"N".into()).unwrap().has_indexes());
+        assert!(!store.relation(&"L".into()).unwrap().has_indexes());
     }
 
     #[test]
@@ -669,7 +672,7 @@ pub(crate) mod tests {
                 ],
             )
             .unwrap();
-        let before = reach(store.graph("G").unwrap());
+        let before = reach(&store);
         let scans: Vec<Vec<Tuple>> = views().iter().map(|v| store.scan(v).unwrap()).collect();
         assert!(store.stats().dictionary_stale() > 0);
         let effect = store.compact().unwrap();
@@ -681,9 +684,12 @@ pub(crate) mod tests {
         assert_eq!(stats.dictionary_stale(), 0);
         assert_eq!(stats.tombstone_rows(), 0);
         assert_eq!(stats.overlay_entries(), 0);
+        // The graph reads the compacted relations.
         let entry = store.graph("G").unwrap();
-        assert!(!entry.has_overlay());
-        assert_eq!(reach(entry), before);
+        for (v, handle) in views().iter().zip(entry.view_relations()) {
+            assert!(std::ptr::eq(&**handle, store.relation(v).unwrap()), "{v}");
+        }
+        assert_eq!(reach(&store), before);
         for (v, old) in views().iter().zip(scans) {
             assert_eq!(
                 Relation::from_rows(old.first().map_or(1, Tuple::arity), store.scan(v).unwrap()),
@@ -751,7 +757,9 @@ pub(crate) mod tests {
         let after_update = store.statistics();
         assert!(after_update.epoch > after_delete.epoch);
         assert_eq!(counts(&store, "T"), (4, vec![4, 4]));
-        assert!(store.statistics_report().graphs["G"].overlay > 0);
+        let t_overlay =
+            |store: &Store| store.statistics_report().adjacency[&RelName::from("T")].overlay;
+        assert!(t_overlay(&store) > 0);
         store
             .apply_updates("G", &[Update::RemoveEdge(nid("e2"))])
             .unwrap();
@@ -778,7 +786,7 @@ pub(crate) mod tests {
         );
         assert_eq!(counts(&store, "P"), (2, vec![2, 1, 2]));
         assert_eq!(counts(&store, "T"), (3, vec![3, 3]));
-        assert_eq!(store.statistics_report().graphs["G"].overlay, 0);
+        assert_eq!(t_overlay(&store), 0);
         // The key column's count stays exact in the compacted codes.
         store.apply_updates("G", &[prop("c", "k", 3)]).unwrap();
         assert_eq!(counts(&store, "P"), (3, vec![3, 2, 3]));

@@ -1,23 +1,23 @@
 //! Incremental maintenance — the store's only in-place writer: the
 //! Section 7 update model ([`Store::apply_updates`]) applied to a
-//! registered graph in place — the six backing relations, their
-//! adjacency overlays, the graph entry — plus the fold steps that
-//! follow a write.
+//! registered graph's six relations in place, and to the adjacency
+//! overlays of the binary ones. A graph is its relations: the writer
+//! edits them and nothing else, then hands the graph entry the new
+//! handles, whose node index the next reader derives.
 //!
 //! A write touches only tails (the store's copy-on-write rule): rows
 //! append to a relation's columns and its probe-index tail (flat
 //! arrays, so an appended row allocates nothing of its own; the
 //! counting-allocator suite `tests/allocations.rs` pins it), fresh codes
-//! to the dictionary's tail, fresh nodes to the graph's identifier
-//! tail, pairs to the adjacency deltas. On a working clone that shares
-//! every base with the published snapshot, the copy a batch costs is
-//! the flat columns and bitmaps of the relations it touches plus those
-//! tails. Nothing here maintains the active domain: the store derives
-//! [`crate::ADOM_REL`] from the live rows when a reader asks for it.
+//! to the dictionary's tail, pairs to the adjacency deltas. On a working
+//! clone that shares every base with the published snapshot, the copy a
+//! batch costs is the flat columns and bitmaps of the relations it
+//! touches plus those tails. Nothing here maintains the active domain:
+//! the store derives [`crate::ADOM_REL`] from the live rows when a reader
+//! asks for it.
 
 use crate::column::ColumnarRelation;
 use crate::error::StoreError;
-use crate::graph::GraphEntry;
 use crate::store::{overlay_oversized, CsrWithDelta, Store};
 use pgq_graph::{Update, UpdateError};
 use pgq_relational::RelName;
@@ -44,25 +44,39 @@ impl Store {
 
     /// Applies Section 7 updates, in order, to a graph registered
     /// through [`Store::register_view_graph`]: the six backing relations
-    /// are edited in place (append/tombstone) and the graph's frozen
-    /// entry is maintained through its delta overlay — no
-    /// re-registration, no `pgView` re-validation. Validation mirrors
-    /// `pgq_graph::updates::apply`, so a rejected update leaves
-    /// relations and graphs untouched — all fallible steps (checks,
-    /// code minting, dense-id minting) run before the first row lands;
-    /// exhaustion errors may leave freshly minted dictionary codes,
-    /// stale at worst and reclaimed by [`Store::compact`]. The batch
-    /// fails fast on the first rejected update — updates before it stay
-    /// applied (per-update atomicity, not per-batch). The finishing
-    /// pass (oversized overlays folded) runs once at the end, also for
-    /// the applied prefix of a failed batch, so the store is internally
-    /// consistent even when the batch errors.
+    /// are edited in place (append/tombstone) — no re-registration, no
+    /// `pgView` re-validation. Validation mirrors
+    /// `pgq_graph::updates::apply`, so a rejected update leaves the
+    /// relations untouched — all fallible steps (checks, code minting)
+    /// run before the first row lands; exhaustion errors may leave
+    /// freshly minted dictionary codes, stale at worst and reclaimed by
+    /// [`Store::compact`]. The batch fails fast on the first rejected
+    /// update — updates before it stay applied (per-update atomicity,
+    /// not per-batch). The finishing pass (the graphs over the edited
+    /// relations get the new handles, oversized overlays fold) runs
+    /// once at the end, also for the applied prefix of a failed batch,
+    /// so the store is internally consistent even when the batch errors.
     pub fn apply_updates(&mut self, graph: &str, updates: &[Update]) -> Result<(), StoreError> {
+        let entry = self
+            .graphs
+            .get(graph)
+            .ok_or_else(|| StoreError::UnknownGraph(graph.to_string()))?;
+        let (views, k) = (entry.views().clone(), entry.id_arity());
         self.derived.invalidate();
+        // The graphs over these relations let go of their handles, so
+        // that in a bare store each relation's `Arc` is the only one and
+        // the batch edits it in place.
+        let over: Vec<String> = (self.graphs.iter())
+            .filter(|(_, e)| e.views().iter().any(|v| views.contains(v)))
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in &over {
+            self.graphs.get_mut(name).expect("listed").release();
+        }
         let mut result = Ok(());
         let mut applied = 0usize;
         for u in updates {
-            match self.apply_update_raw(graph, u) {
+            match self.apply_update_raw(&views, k, u) {
                 Ok(()) => applied += 1,
                 Err(e) => {
                     result = Err(e);
@@ -70,35 +84,25 @@ impl Store {
                 }
             }
         }
-        if applied == 0 {
-            return result;
+        for name in &over {
+            let entry = self.graphs.get_mut(name).expect("listed");
+            entry.attach(&self.relations);
         }
-        if let Some(views) = self.graphs.get(graph).map(|e| e.views().clone()) {
+        if applied > 0 {
             for name in &views {
                 self.fold_adjacency_if_oversized(name)?;
-            }
-        }
-        if let Some(e) = self.graphs.get_mut(graph) {
-            if e.overlay_oversized() {
-                e.fold()?;
             }
         }
         result
     }
 
-    fn apply_update_raw(&mut self, graph: &str, update: &Update) -> Result<(), StoreError> {
-        let entry = self
-            .graphs
-            .get(graph)
-            .ok_or_else(|| StoreError::UnknownGraph(graph.to_string()))?;
-        let views = entry.views().clone();
-        let k = entry.id_arity();
-        for v in &views {
-            if !self.relations.contains_key(v) {
-                return Err(StoreError::UnknownRelation(v.clone()));
-            }
-        }
-        let [rn, re, rs, rt, rl, rp] = views.clone();
+    fn apply_update_raw(
+        &mut self,
+        views: &[RelName; 6],
+        k: usize,
+        update: &Update,
+    ) -> Result<(), StoreError> {
+        let [rn, re, rs, rt, rl, rp] = views;
         let check_arity = |id: &Tuple| -> Result<(), StoreError> {
             if id.arity() == k {
                 Ok(())
@@ -110,106 +114,99 @@ impl Store {
                 .into())
             }
         };
+        let is_element = |id: &Tuple| self.rel_contains(rn, id) || self.rel_contains(re, id);
         match update {
             Update::AddNode(id) => {
                 check_arity(id)?;
-                if self.is_node(graph, id) || self.rel_contains(&re, id) {
+                if is_element(id) {
                     return Err(UpdateError::IdInUse(id.clone()).into());
                 }
-                // Fallible steps (code minting, dense-id minting) run
-                // before any relation row lands, so an exhaustion
-                // error cannot leave a half-applied update behind.
-                self.intern_tuple(id)?;
-                self.graph_entry_mut(graph)?.add_node(id)?;
-                self.append_row_raw(&rn, id)?;
+                self.append_row_raw(rn, id)?;
             }
             Update::RemoveNode(id) => {
                 check_arity(id)?;
-                if !self.is_node(graph, id) {
+                if !self.rel_contains(rn, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
-                if !self.edges_touching(&rs, &rt, id, k).is_empty() {
+                if !self.edges_touching(rs, rt, id, k).is_empty() {
                     return Err(UpdateError::NodeHasEdges(id.clone()).into());
                 }
-                self.tombstone_row_raw(&rn, id);
-                self.strip_annotation_rows(&rl, &rp, id);
-                self.graph_entry_mut(graph)?.remove_node(id);
+                self.tombstone_row_raw(rn, id);
+                self.strip_annotation_rows(rl, rp, id);
             }
             Update::DetachRemoveNode(id) => {
                 check_arity(id)?;
-                if !self.is_node(graph, id) {
+                if !self.rel_contains(rn, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
-                for e in self.edges_touching(&rs, &rt, id, k) {
-                    self.remove_edge_everywhere(graph, &views, &e, k)?;
+                for e in self.edges_touching(rs, rt, id, k) {
+                    self.remove_edge_everywhere(views, &e);
                 }
-                self.tombstone_row_raw(&rn, id);
-                self.strip_annotation_rows(&rl, &rp, id);
-                self.graph_entry_mut(graph)?.remove_node(id);
+                self.tombstone_row_raw(rn, id);
+                self.strip_annotation_rows(rl, rp, id);
             }
             Update::AddEdge { id, src, tgt } => {
                 check_arity(id)?;
                 check_arity(src)?;
                 check_arity(tgt)?;
-                if self.is_node(graph, id) || self.rel_contains(&re, id) {
+                if is_element(id) {
                     return Err(UpdateError::IdInUse(id.clone()).into());
                 }
-                if !self.is_node(graph, src) {
+                if !self.rel_contains(rn, src) {
                     return Err(UpdateError::DanglingEndpoint(src.clone()).into());
                 }
-                if !self.is_node(graph, tgt) {
+                if !self.rel_contains(rn, tgt) {
                     return Err(UpdateError::DanglingEndpoint(tgt.clone()).into());
                 }
                 // src/tgt are live N rows, hence already interned; the
                 // id is the only possible DictionaryFull source — mint
                 // its codes before the first of the three appends.
                 self.intern_tuple(id)?;
-                self.append_row_raw(&re, id)?;
-                self.append_row_raw(&rs, &id.concat(src))?;
-                self.append_row_raw(&rt, &id.concat(tgt))?;
-                self.graph_entry_mut(graph)?.add_edge(src, tgt);
+                self.append_row_raw(re, id)?;
+                self.append_row_raw(rs, &id.concat(src))?;
+                self.append_row_raw(rt, &id.concat(tgt))?;
             }
             Update::RemoveEdge(id) => {
                 check_arity(id)?;
-                if !self.rel_contains(&re, id) {
+                if !self.rel_contains(re, id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
-                self.remove_edge_everywhere(graph, &views, id, k)?;
+                self.remove_edge_everywhere(views, id);
             }
             Update::AddLabel(id, label) => {
                 check_arity(id)?;
-                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
+                if !is_element(id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
-                self.append_row_raw(&rl, &id.concat(&Tuple::unary(label.clone())))?;
+                self.append_row_raw(rl, &id.concat(&Tuple::unary(label.clone())))?;
             }
             Update::RemoveLabel(id, label) => {
                 check_arity(id)?;
-                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
+                if !is_element(id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
-                self.tombstone_row_raw(&rl, &id.concat(&Tuple::unary(label.clone())));
+                self.tombstone_row_raw(rl, &id.concat(&Tuple::unary(label.clone())));
             }
             Update::SetProp(id, key, value) => {
                 check_arity(id)?;
-                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
+                if !is_element(id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
                 // Mint the key/value codes before dropping the old
                 // row, or an exhaustion error would lose the property.
                 self.intern_tuple(&Tuple::new(vec![key.clone(), value.clone()]))?;
-                self.remove_prop_rows(&rp, id, key, k);
+                self.remove_prop_rows(rp, id, key, k);
                 self.append_row_raw(
-                    &rp,
+                    rp,
                     &id.concat(&Tuple::new(vec![key.clone(), value.clone()])),
                 )?;
             }
             Update::RemoveProp(id, key) => {
                 check_arity(id)?;
-                if !self.is_node(graph, id) && !self.rel_contains(&re, id) {
+                if !is_element(id) {
                     return Err(UpdateError::NoSuchElement(id.clone()).into());
                 }
-                self.remove_prop_rows(&rp, id, key, k);
+                self.remove_prop_rows(rp, id, key, k);
             }
         }
         Ok(())
@@ -225,21 +222,6 @@ impl Store {
             self.dict.intern(v)?;
         }
         Ok(())
-    }
-
-    fn graph_entry_mut(&mut self, graph: &str) -> Result<&mut GraphEntry, StoreError> {
-        self.graphs
-            .get_mut(graph)
-            .ok_or_else(|| StoreError::UnknownGraph(graph.to_string()))
-    }
-
-    /// Whether `id` is a live node of `graph`. The entry holds exactly
-    /// the live `N` rows (`AddNode`/`RemoveNode` maintain both), so node
-    /// checks need no probe index on `N`.
-    fn is_node(&self, graph: &str, id: &Tuple) -> bool {
-        self.graphs
-            .get(graph)
-            .is_some_and(|e| e.live_dense(id).is_some())
     }
 
     /// The columnar relation for mutation (copy-on-write).
@@ -381,78 +363,16 @@ impl Store {
         out.into_iter().collect()
     }
 
-    /// The `(src, tgt)` endpoints of a live edge — `R3`/`R4` are
-    /// functional, so the first live prefix match is the only one.
-    fn edge_endpoints(
-        &self,
-        rs: &RelName,
-        rt: &RelName,
-        id: &Tuple,
-        k: usize,
-    ) -> Result<(Tuple, Tuple), StoreError> {
-        let missing = || StoreError::Update(UpdateError::NoSuchElement(id.clone()));
-        let idc = self.encode_row(id).ok_or_else(missing)?;
-        let src = self.suffix_of_prefix(rs, &idc, k).ok_or_else(missing)?;
-        let tgt = self.suffix_of_prefix(rt, &idc, k).ok_or_else(missing)?;
-        Ok((src, tgt))
-    }
-
-    fn suffix_of_prefix(&self, name: &RelName, prefix: &[u32], k: usize) -> Option<Tuple> {
-        let col = self.relations.get(name)?;
-        let (rows, candidates) = col.live_rows_with_prefix(&prefix[..k]);
-        self.counters.record_writer_probe(candidates as u64);
-        rows.into_iter().next().map(|i| {
-            Tuple::new(
-                (k..col.arity())
-                    .map(|p| self.dict.value(col.code_at(i, p)).clone())
-                    .collect(),
-            )
-        })
-    }
-
-    /// Whether any live edge connects `src → tgt`.
-    fn edge_between(&self, rs: &RelName, rt: &RelName, src: &Tuple, tgt: &Tuple, k: usize) -> bool {
-        let (Some(sc), Some(tc)) = (self.encode_row(src), self.encode_row(tgt)) else {
-            return false;
-        };
-        let (Some(scol), Some(tcol)) = (self.relations.get(rs), self.relations.get(rt)) else {
-            return false;
-        };
-        let (rows, candidates) = scol.live_rows_with_suffix(&sc);
-        self.counters.record_writer_probe(candidates as u64);
-        for i in rows {
-            let mut row: Vec<u32> = (0..k).map(|p| scol.code_at(i, p)).collect();
-            row.extend_from_slice(&tc);
-            if tcol.find_live(&row).is_some() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Tombstones an edge's rows across `R2..R6` and maintains the
-    /// graph entry's adjacency.
-    fn remove_edge_everywhere(
-        &mut self,
-        graph: &str,
-        views: &[RelName; 6],
-        id: &Tuple,
-        k: usize,
-    ) -> Result<(), StoreError> {
+    /// Tombstones a live edge's rows across `R2..R6`.
+    fn remove_edge_everywhere(&mut self, views: &[RelName; 6], id: &Tuple) {
         let [_, re, rs, rt, rl, rp] = views;
-        let (src, tgt) = self.edge_endpoints(rs, rt, id, k)?;
-        let idc = self
-            .encode_row(id)
-            .ok_or_else(|| StoreError::Update(UpdateError::NoSuchElement(id.clone())))?;
+        let Some(idc) = self.encode_row(id) else {
+            return;
+        };
         self.tombstone_row_raw(re, id);
-        self.tombstone_prefix(rs, &idc, |_| true);
-        self.tombstone_prefix(rt, &idc, |_| true);
-        self.tombstone_prefix(rl, &idc, |_| true);
-        self.tombstone_prefix(rp, &idc, |_| true);
-        let still_connected = self.edge_between(rs, rt, &src, &tgt, k);
-        self.graph_entry_mut(graph)?
-            .remove_edge(&src, &tgt, !still_connected);
-        Ok(())
+        for name in [rs, rt, rl, rp] {
+            self.tombstone_prefix(name, &idc, |_| true);
+        }
     }
 
     /// Tombstones every label and property row of `id`.
@@ -524,10 +444,9 @@ mod tests {
             )
             .unwrap();
         let entry = store.graph("G").unwrap();
-        assert!(entry.has_overlay());
         assert_eq!(entry.edge_count(), 4);
         // The cycle closes: every ordered pair is reachable.
-        assert_eq!(reach(entry).len(), 16);
+        assert_eq!(reach(&store).len(), 16);
         // The backing relations saw the rows.
         assert!(store.rel_contains(&"E".into(), &nid("e4")));
         assert!(store.rel_contains(&"S".into(), &tuple!["e4", "d"]));
@@ -550,7 +469,7 @@ mod tests {
         let entry = store.graph("G").unwrap();
         assert_eq!(entry.node_count(), 3);
         assert_eq!(entry.edge_count(), 1); // only c→d survives
-        let pairs = reach(entry);
+        let pairs = reach(&store);
         assert_eq!(pairs.len(), 1);
         assert!(pairs.contains(&tuple!["c", "d"]));
         // e1's label row went with the edge.
@@ -618,8 +537,6 @@ mod tests {
             .unwrap();
         assert!(store.rel_contains(&l, &tuple!["e1", "Transfer"]));
         assert!(store.rel_contains(&l, &tuple!["e2", "Transfer"]));
-        // A label is a row, not an adjacency: the entry saw no change.
-        assert!(!store.graph("G").unwrap().has_overlay());
         // R6 stays functional: exactly one live (a, name, ·) row.
         let props = store.scan(&"P".into()).unwrap();
         assert_eq!(props.len(), 1);
@@ -690,9 +607,8 @@ mod tests {
         assert!(!store.rel_contains(&"E".into(), &nid("e4")));
         assert_eq!(store.relation(&"S".into()).unwrap().len(), 3);
         assert_eq!(store.relation(&"T".into()).unwrap().len(), 3);
-        let entry = store.graph("G").unwrap();
-        assert_eq!(entry.edge_count(), 3);
-        assert!(!entry.has_overlay());
+        assert_eq!(store.graph("G").unwrap().edge_count(), 3);
+        assert_eq!(reach(&store).len(), 6);
         // Same discipline for AddNode and SetProp.
         assert!(matches!(
             store.apply_updates("G", std::slice::from_ref(&Update::AddNode(nid("z")))),

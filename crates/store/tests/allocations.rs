@@ -107,12 +107,20 @@ fn set_prop(id: i64, key: i64, value: i64) -> Update {
     )
 }
 
-/// Allocations of one 64-update `SetProp` batch on a [`ConcurrentStore`]
-/// whose `P` carries `tail` rows in its probe-index tail. With
-/// `statistics` the planner statistics are read before the tail and
-/// again before the batch, so the batch also keeps the distinct counts
-/// of every relation it writes.
-fn batch_allocations(tail: i64, statistics: bool) -> u64 {
+fn node(i: i64) -> Tuple {
+    Tuple::unary(Value::int(i))
+}
+
+fn add_edge(id: i64, src: i64, tgt: i64) -> Update {
+    Update::AddEdge {
+        id: node(id),
+        src: node(src),
+        tgt: node(tgt),
+    }
+}
+
+/// A registered [`ring`] behind a [`ConcurrentStore`].
+fn ring_store() -> ConcurrentStore {
     let db = ring();
     let mut store = Store::from_database(&db);
     store
@@ -123,7 +131,16 @@ fn batch_allocations(tail: i64, statistics: bool) -> u64 {
             GraphForm::Exact(1),
         )
         .unwrap();
-    let store = ConcurrentStore::new(store);
+    ConcurrentStore::new(store)
+}
+
+/// Allocations of one 64-update `SetProp` batch on a [`ConcurrentStore`]
+/// whose `P` carries `tail` rows in its probe-index tail. With
+/// `statistics` the planner statistics are read before the tail and
+/// again before the batch, so the batch also keeps the distinct counts
+/// of every relation it writes.
+fn batch_allocations(tail: i64, statistics: bool) -> u64 {
+    let store = ring_store();
     let read = || {
         if statistics {
             store.pin().statistics();
@@ -166,6 +183,40 @@ fn a_write_batch_allocates_per_batch_not_per_tail_row() {
 #[test]
 fn a_write_batch_keeps_the_statistics_per_batch_not_per_tail_row() {
     let (n, four_n) = (batch_allocations(400, true), batch_allocations(1_600, true));
+    assert_eq!(
+        four_n, n,
+        "{n} allocations over index tails of n rows, {four_n} over 4n"
+    );
+}
+
+/// Allocations of one batch of 32 `AddEdge`s between nodes added since
+/// the freeze and 32 `RemoveEdge`s of ring edges, on a
+/// [`ConcurrentStore`] whose `N` and `P` carry `tail` rows in their
+/// probe-index tails: the node checks probe `N`, and the writer edits
+/// `E`, `S`, `T`, `L` and `P` and no graph structure. (The preload adds
+/// no edge: a binary relation's delta overlay, which `S` and `T` keep,
+/// is copied per source key.)
+fn edge_batch_allocations(tail: i64) -> u64 {
+    let store = ring_store();
+    let fresh = |i: i64| 2 * NODES + i;
+    let mut preload: Vec<Update> = (0..tail).map(|i| Update::AddNode(node(fresh(i)))).collect();
+    preload.extend((0..tail).map(|i| set_prop(fresh(i), 1, i)));
+    store.write(|s| s.apply_updates("G", &preload)).unwrap();
+    let mut batch: Vec<Update> = (0..32)
+        .map(|j| add_edge(4 * NODES + j, fresh(j), fresh(tail - 1 - j)))
+        .collect();
+    batch.extend((0..32).map(|j| Update::RemoveEdge(node(NODES + 2 * j))));
+    let made = allocations(|| store.write(|s| s.apply_updates("G", &batch)).unwrap());
+    let published = store.pin();
+    let graph = published.graph("G").unwrap();
+    assert_eq!(graph.node_count(), (NODES + tail) as usize);
+    assert_eq!(graph.edge_count(), NODES as usize);
+    made
+}
+
+#[test]
+fn an_edge_batch_allocates_per_batch_not_per_tail_row() {
+    let (n, four_n) = (edge_batch_allocations(400), edge_batch_allocations(1_600));
     assert_eq!(
         four_n, n,
         "{n} allocations over index tails of n rows, {four_n} over 4n"

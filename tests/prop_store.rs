@@ -32,10 +32,13 @@ use pgq_graph::{updates, Update, ViewMode, ViewRelations};
 use pgq_pattern::testgen::arb_bounded_output;
 use pgq_pattern::{OutputPattern, Pattern};
 use pgq_relational::{CmpOp, Database, RaExpr, RelName, Relation, RowCondition};
-use pgq_store::{ConcurrentStore, GraphForm, Store, StoreError, StoreSnapshot, ADOM_REL};
+use pgq_store::{
+    ConcurrentStore, GraphForm, ReachScratch, Store, StoreError, StoreSnapshot, ADOM_REL,
+};
 use pgq_value::{tuple, Tuple, Value};
 use pgq_workloads::random::{canonical_graph_db, ve_db};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 fn views() -> [RelName; 6] {
@@ -50,6 +53,41 @@ fn store_for(db: &Database) -> Store {
         .register_view_graph("G", views(), db, GraphForm::Exact(1))
         .expect("canonical workload views are valid");
     store
+}
+
+/// [`store_for`] over identifiers of arity `k`.
+fn store_of_arity(db: &Database, k: usize) -> Store {
+    let mut store = Store::from_database(db);
+    store
+        .register_view_graph("G", views(), db, GraphForm::Exact(k))
+        .expect("canonical workload views are valid");
+    store
+}
+
+/// Each node's reach set (≥ 0 steps) through graph `G`'s node index,
+/// its dense ids mapped back to identifiers through `N`'s live rows.
+fn reach_sets(store: &Store) -> BTreeMap<Tuple, BTreeSet<Tuple>> {
+    let index = store.graph("G").unwrap().adjacency();
+    let ids = store.scan(&"N".into()).unwrap();
+    let (mut scratch, mut out) = (ReachScratch::new(), Vec::new());
+    (ids.iter().enumerate())
+        .map(|(d, id)| {
+            index.reach_from_into([d as u32], &mut scratch, &mut out);
+            let reached = out.iter().map(|&t| ids[t as usize].clone()).collect();
+            (id.clone(), reached)
+        })
+        .collect()
+}
+
+/// Graph `G` reads the store's own relations.
+fn assert_handles_current(store: &Store) {
+    let entry = store.graph("G").unwrap();
+    for (v, handle) in views().iter().zip(entry.view_relations()) {
+        assert!(
+            std::ptr::eq(&**handle, store.relation(v).unwrap()),
+            "graph G holds a stale handle on {v}"
+        );
+    }
 }
 
 /// `q` planned and lowered onto `store` by the pass under the
@@ -381,16 +419,18 @@ fn reach_answers(db: &Database, store: &Store) -> [Relation; 2] {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // No case count of its own: `PROPTEST_CASES` sets it (CI runs 512).
 
-    /// The PR 5 update differential: a random accepted `Update`
-    /// sequence applied incrementally (`Store::apply_updates`) must
-    /// leave the store answering exactly like (a) the reference
-    /// relations evolved by `pgq_graph::updates::apply`, (b) a store
-    /// re-registered from scratch on the updated database, and (c) the
-    /// S2 reference — including scans under tombstones, and all of it
-    /// again after `Store::compact()` drops
-    /// `dictionary_stale` to 0.
+    /// The update differential: a random accepted `Update` sequence
+    /// applied incrementally (`Store::apply_updates`) must leave the
+    /// store answering exactly like (a) the reference relations evolved
+    /// by `pgq_graph::updates::apply`, (b) a store re-registered from
+    /// scratch on the updated database — node for node on the reach
+    /// sets of the node index the next reader derives — and (c) the S2
+    /// reference — including scans under tombstones, and all of it
+    /// again after `Store::compact()` drops `dictionary_stale` to 0.
+    /// After every batch the graph reads the store's own relations.
+    /// The same runs on `k = 2` identifiers (`widen_db`).
     #[test]
     fn incremental_updates_match_reregistration(
         seq in proptest::collection::vec(arb_canonical_update(), 0..25),
@@ -398,43 +438,92 @@ proptest! {
         m in 0usize..8,
         seed in 0u64..1000,
     ) {
-        let db0 = canonical_graph_db(n, m, 5, seed);
-        let mut store = store_for(&db0);
-        let mut rels = view_relations_of(&db0);
-        for u in &seq {
-            let mut next = rels.clone();
-            match updates::apply(&mut next, u) {
-                Ok(()) => {
-                    store.apply_updates("G", std::slice::from_ref(u)).expect("reference accepted the update");
-                    rels = next;
+        let narrow = canonical_graph_db(n, m, 5, seed);
+        for k in [1, 2] {
+            let db0 = if k == 1 { narrow.clone() } else { widen_db(&narrow) };
+            let mut store = store_of_arity(&db0, k);
+            let mut rels = view_relations_of(&db0);
+            for u in &seq {
+                let u = if k == 1 { u.clone() } else { widen_update(u) };
+                let mut next = rels.clone();
+                match updates::apply(&mut next, &u) {
+                    Ok(()) => {
+                        store.apply_updates("G", std::slice::from_ref(&u)).expect("reference accepted the update");
+                        rels = next;
+                    }
+                    Err(_) => {
+                        prop_assert!(
+                            store.apply_updates("G", std::slice::from_ref(&u)).is_err(),
+                            "store accepted an update the reference rejects: {u:?}"
+                        );
+                    }
                 }
-                Err(_) => {
-                    prop_assert!(
-                        store.apply_updates("G", std::slice::from_ref(u)).is_err(),
-                        "store accepted an update the reference rejects: {u:?}"
-                    );
-                }
+                assert_handles_current(&store);
+            }
+            let db = db_of(&rels);
+            // A store rebuilt from the updated database agrees entry for
+            // entry, node for node.
+            let fresh = store_of_arity(&db, k);
+            let (a, b) = (store.graph("G").unwrap(), fresh.graph("G").unwrap());
+            prop_assert_eq!(a.node_count(), b.node_count());
+            prop_assert_eq!(a.edge_count(), b.edge_count());
+            prop_assert_eq!(reach_sets(&store), reach_sets(&fresh));
+            if k == 1 {
+                assert_store_matches(&store, &db, "incremental");
+                prop_assert_eq!(reach_answers(&db, &store), reach_answers(&db, &fresh));
+            }
+            // Compaction reclaims every stale code without changing any
+            // answer.
+            store.compact().expect("compaction never fails on a healthy store");
+            assert_handles_current(&store);
+            let stats = store.stats();
+            prop_assert_eq!(stats.dictionary_stale(), 0);
+            prop_assert_eq!(stats.tombstone_rows(), 0);
+            prop_assert_eq!(stats.overlay_entries(), 0);
+            prop_assert_eq!(reach_sets(&store), reach_sets(&fresh));
+            if k == 1 {
+                assert_store_matches(&store, &db, "post-compact");
             }
         }
-        let db = db_of(&rels);
-        assert_store_matches(&store, &db, "incremental");
-        // A store rebuilt from the updated database agrees entry for
-        // entry, and on the reachability answers of the compiled route.
-        let fresh = store_for(&db);
-        let (a, b) = (store.graph("G").unwrap(), fresh.graph("G").unwrap());
-        prop_assert_eq!(a.node_count(), b.node_count());
-        prop_assert_eq!(a.edge_count(), b.edge_count());
-        prop_assert_eq!(a.adjacency().edge_count(), b.adjacency().edge_count());
-        prop_assert_eq!(reach_answers(&db, &store), reach_answers(&db, &fresh));
-        // Compaction reclaims every stale code without changing any
-        // answer.
-        store.compact().expect("compaction never fails on a healthy store");
-        let stats = store.stats();
-        prop_assert_eq!(stats.dictionary_stale(), 0);
-        prop_assert_eq!(stats.tombstone_rows(), 0);
-        prop_assert_eq!(stats.overlay_entries(), 0);
-        assert_store_matches(&store, &db, "post-compact");
     }
+
+    /// A snapshot pinned before a batch keeps the node index it derived
+    /// after the batch publishes; the published state derives its own,
+    /// which answers as a fresh registration's.
+    #[test]
+    fn a_pinned_snapshot_keeps_its_derived_index(
+        seq in proptest::collection::vec(arb_canonical_update(), 1..25),
+        n in 1usize..6,
+        m in 0usize..8,
+        seed in 0u64..1000,
+    ) {
+        let db0 = canonical_graph_db(n, m, 5, seed);
+        let cs = ConcurrentStore::new(store_for(&db0));
+        let pin = cs.pin();
+        let before = reach_sets(&pin);
+        let index: *const pgq_store::CsrIndex = pin.graph("G").unwrap().adjacency();
+        let mut rels = view_relations_of(&db0);
+        let mut accepted = Vec::new();
+        for u in seq {
+            let mut next = rels.clone();
+            if updates::apply(&mut next, &u).is_ok() {
+                rels = next;
+                accepted.push(u);
+            }
+        }
+        cs.write(|s| s.apply_updates("G", &accepted)).expect("the reference accepted each update");
+        let builds = pin.counters().snapshot().graph_index_builds;
+        prop_assert!(std::ptr::eq(pin.graph("G").unwrap().adjacency(), index));
+        prop_assert_eq!(reach_sets(&pin), before);
+        prop_assert_eq!(pin.counters().snapshot().graph_index_builds, builds);
+        let published = cs.pin();
+        assert_handles_current(&published);
+        prop_assert_eq!(reach_sets(&published), reach_sets(&store_for(&db_of(&rels))));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Morsel parallelism under mutation: after a random accepted
     /// update sequence — with tombstoned columns and the CSR delta
@@ -1165,9 +1254,9 @@ enum StatsStep {
     /// its prefix applied.
     Batch(Vec<Update>),
     /// 12 fresh nodes and 36 fresh edges among them — past the fold
-    /// threshold of the graph overlay, of the `S`/`T` adjacency overlays
-    /// (`k = 1`) and of the probe-index tails — closed, when the flag
-    /// is set, by an update the store rejects.
+    /// threshold of the `S`/`T` adjacency overlays (`k = 1`) and of the
+    /// probe-index tails — closed, when the flag is set, by an update
+    /// the store rejects.
     Fold(bool),
     /// `Store::compact`.
     Compact,
